@@ -93,10 +93,12 @@ class RunConfig:
                 f"constraint violated: 3 <= n_min <= n_max < num_terms "
                 f"(got {self.n_min}..{self.n_max}, num_terms={self.num_terms})"
             )
-        if self.dt <= 0:
-            raise ValueError("constraint violated: dt > 0")
-        if self.t_final < 0:
-            raise ValueError("constraint violated: t_final >= 0")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"constraint violated: dt > 0 and finite (got {self.dt})")
+        if not 0 <= self.t_final < math.inf:
+            raise ValueError(
+                f"constraint violated: t_final >= 0 and finite (got {self.t_final})"
+            )
         if not 0 < self.delta < 1:
             raise ValueError("constraint violated: delta in (0, 1)")
         if self.corpus_size < 100:

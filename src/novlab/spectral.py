@@ -252,14 +252,6 @@ def field_from_half(grid: Grid, half: np.ndarray) -> RealField:
     return RealField(grid, v)
 
 
-def half_to_coeffs(grid: Grid, half: np.ndarray) -> SpectralCoeffs:
-    n = grid.num_points
-    full = np.empty(n, dtype=complex)
-    full[: n // 2 + 1] = half
-    full[n // 2 + 1 :] = np.conj(half[1 : n // 2][::-1])
-    return SpectralCoeffs(grid, _phase(n) * full)
-
-
 def apply_half_multiplier(f: RealField, samples: np.ndarray) -> RealField:
     """Apply multiplier samples given on the nonnegative frequencies."""
     return field_from_half(f.grid, samples * half_spectrum(f))

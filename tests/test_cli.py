@@ -34,6 +34,15 @@ class TestParseArgs:
         assert main(["study", "separation", "--lambda", "1.5"]) == 2
         assert "lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--t-final", "inf"), ("--t-final", "nan"), ("--t-final", "-1"),
+        ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"),
+    ])
+    def test_rejects_nonfinite_or_negative_time_settings(self, flag, value, capsys):
+        assert main(["solve", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"constraint violated: {flag[2:].replace('-', '_')}" in err
+
     def test_rejects_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             parse_args(["study", "separation", "--frobnicate", "1"])

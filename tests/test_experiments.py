@@ -4,17 +4,31 @@ import numpy as np
 import pytest
 
 from novlab import (
+    BesovIndex,
     DegenerateDataError,
     Grid,
     IllposedDataParams,
+    SolverConfig,
+    SystemState,
+    besov_norm,
+    build_bump,
+    build_filter_bank,
+    build_initial_data,
+    dyadic_block,
     fit_powerlaw,
+    integrate,
+    lp_norm,
     study_block_scaling,
     study_inequalities,
     study_separation,
     study_short_time,
     write_study,
 )
+from novlab import experiments
 from novlab.experiments import (
+    CONTROL_AMPLITUDE,
+    DT_CAP,
+    STEPS_PER_HORIZON,
     commutator_ratio,
     product_law_ratio,
     random_band_limited_field,
@@ -172,6 +186,76 @@ class TestSeparationStudy:
     def test_rejects_bad_range(self, medium_params):
         with pytest.raises(ValueError):
             study_separation(medium_params, range(3, 7))
+
+    def test_sweep_matches_per_horizon_integration(self, medium_params, separation_report):
+        reference = _per_horizon_separation_rows(medium_params, range(5, 9), delta=0.1)
+        assert len(separation_report.rows) == len(reference)
+        # S_n, the full u distance and the total carry 2^(ns)-weighted block
+        # norms of u - u0 that sit at the double-precision floor on this grid:
+        # the per-horizon reference itself moves them by up to 1.4e-6 relative
+        # between 64 and 1024 steps, so those columns are held to that floor
+        for row, ref in zip(separation_report.rows, reference):
+            n, t_n, sep, full_rho, full_u, total, energy, control = row
+            assert (n, t_n) == ref[:2]
+            assert (full_rho, energy, control) == pytest.approx(
+                (ref[3], ref[6], ref[7]), rel=1e-8, abs=0.0
+            )
+            assert (sep, full_u, total) == pytest.approx(
+                (ref[2], ref[4], ref[5]), rel=2e-6, abs=0.0
+            )
+
+    @pytest.mark.parametrize("n_max", [7, 8])
+    def test_one_sweep_per_initial_state(self, medium_params, monkeypatch, n_max):
+        # each integrate call that starts from the previous call's final state
+        # continues that sweep; any other call starts a new one
+        sweeps = []
+
+        def counting(state0, cfg, checkpoints=None):
+            traj = integrate(state0, cfg, checkpoints)
+            steps = len(traj.sup_norms)
+            if sweeps and sweeps[-1][0] is state0:
+                steps += sweeps.pop()[1]
+            sweeps.append((traj.states[-1], steps))
+            return traj
+
+        monkeypatch.setattr(experiments, "integrate", counting)
+        study_separation(medium_params, range(5, n_max + 1), delta=0.1)
+        k = n_max - 4
+        assert [steps for _, steps in sweeps] == [64 + 32 * (k - 1)] * 2
+
+
+def _per_horizon_separation_rows(params, n_range, delta):
+    """Separation rows from one integrate per horizon t_n, each from the data."""
+    s, p = params.s, params.p
+    data = build_initial_data(params)
+    bank = build_filter_bank(params.grid)
+    idx_rho, idx_u = BesovIndex(s - 1, p), BesovIndex(s, p)
+    energy0 = besov_norm(bank, data.rho, idx_rho) + besov_norm(bank, data.u, idx_u)
+    control = CONTROL_AMPLITUDE * build_bump(params.bump, params.grid)
+    rows = []
+    for n in n_range:
+        t_n = delta * 2.0**-n
+        cfg = SolverConfig(dt=min(DT_CAP, t_n / STEPS_PER_HORIZON), t_final=t_n)
+        quarter = [t_n * k / 4 for k in (1, 2, 3, 4)]
+        traj = integrate(SystemState(rho=data.rho, u=data.u), cfg, checkpoints=quarter)
+        energy_ratio = max(
+            (besov_norm(bank, st.rho, idx_rho) + besov_norm(bank, st.u, idx_u)) / energy0
+            for st in traj.states[1:]
+        )
+        final = traj.states[-1]
+        drho, du = final.rho - data.rho, final.u - data.u
+        full_rho = besov_norm(bank, drho, idx_rho)
+        full_u = besov_norm(bank, du, idx_u)
+        block_sep = 2.0 ** (n * (s - 1)) * lp_norm(dyadic_block(bank, drho, n), p) + 2.0 ** (
+            n * s
+        ) * lp_norm(dyadic_block(bank, du, n), p)
+        cfinal = integrate(SystemState(rho=control, u=control), cfg, checkpoints=[t_n]).states[-1]
+        control_dist = besov_norm(bank, cfinal.rho - control, idx_rho) + besov_norm(
+            bank, cfinal.u - control, idx_u
+        )
+        rows.append((n, t_n, block_sep, full_rho, full_u, full_rho + full_u,
+                     energy_ratio, control_dist))
+    return rows
 
 
 class TestInequalitiesStudy:

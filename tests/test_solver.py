@@ -165,6 +165,17 @@ class TestStepRK4:
         assert fit.slope >= 4.5
         assert resid[-1] < 1e-15
 
+    def test_tiny_step_moves_state_only_by_its_increment(self, medium_data):
+        # the state must never take a transform round trip, whose ~1e-17
+        # roundoff would swamp an increment of order dt * rhs
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        dt = 1e-30
+        r_t, u_t = rhs(st)
+        out = step_rk4(st, dt)
+        for new, old, rate in ((out.rho, st.rho, r_t), (out.u, st.u, u_t)):
+            bound = 2 * abs(dt) * 1.01 * rate.sup_norm()
+            assert np.abs(new.values - old.values).max() <= bound
+
     def test_first_order_consistency_with_rhs(self, medium_data):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         r_t, u_t = rhs(st)
@@ -222,6 +233,15 @@ class TestIntegrate:
         cfg = SolverConfig(dt=0.25, t_final=2.0)
         with pytest.raises(BlowupError):
             integrate(st, cfg)
+
+    @pytest.mark.parametrize("dt,t_final,threshold", [
+        (0.0, 1.0, None), (-1e-3, 1.0, None), (math.nan, 1.0, None),
+        (math.inf, 1.0, None), (1e-3, -1.0, None), (1e-3, math.nan, None),
+        (1e-3, math.inf, None), (1e-3, 1.0, 0.0), (1e-3, 1.0, math.nan),
+    ])
+    def test_config_rejects_bad_settings(self, dt, t_final, threshold):
+        with pytest.raises(ValueError, match="dt must|t_final must|blowup_threshold must"):
+            SolverConfig(dt=dt, t_final=t_final, blowup_threshold=threshold)
 
     def test_threshold_must_clear_initial_sup(self, medium_data):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
