@@ -8,29 +8,23 @@ nonlocal form of the system, and verdict-bearing scaling studies.
 from .spectral import (
     Grid,
     GridMismatchError,
-    HermitianSymmetryError,
     MultiplierError,
     RealField,
-    SpectralCoeffs,
     apply_multiplier,
     derivative,
-    forward_transform,
     helmholtz_inverse,
-    inverse_transform,
     lp_norm,
     product,
     triple_product,
 )
 from .littlewood_paley import (
     BesovIndex,
-    DyadicDecomposition,
     LPFilterBank,
     UnresolvedSpectrumError,
     besov_norm,
     build_filter_bank,
     commutator,
     dyadic_block,
-    dyadic_decomposition,
     weighted_block_norms,
 )
 from .initial_data import (
@@ -52,8 +46,6 @@ from .solver import (
     SystemState,
     Trajectory,
     integrate,
-    nonlocal_coupling_terms,
-    nonlocal_velocity_terms,
     rhs,
     step_rk4,
 )

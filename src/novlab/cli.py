@@ -9,7 +9,6 @@ variable NOVLAB_THREADS sets the FFT worker count.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -35,6 +34,7 @@ from .initial_data import (
     LAMBDA_MIN,
     IllposedDataParams,
     build_initial_data,
+    check_regime,
 )
 from .littlewood_paley import BesovIndex, build_filter_bank, weighted_block_norms
 from .solver import SolverConfig, SystemState, integrate
@@ -64,45 +64,35 @@ class RunConfig:
     output_path: str = "novlab_out"
 
     def validate(self):
+        """Reject the config before anything runs or is written.
+
+        The checks are the core's own: the objects the run builds (Grid,
+        IllposedDataParams, SolverConfig) and the studies' range rules, whose
+        ValueError is re-raised as a constraint violation.
+        """
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.command == "study" and self.study_name not in STUDIES:
             raise ValueError(f"study must be one of {STUDIES}, got {self.study_name!r}")
-        if math.isnan(self.p) or self.p < 1:
-            raise ValueError(f"constraint violated: p in [1, inf] (got {self.p})")
-        s_min = max(2.0 + 1.0 / self.p, 2.5)
-        if not self.s > s_min:
-            raise ValueError(
-                f"constraint violated: s > max(2 + 1/p, 5/2) = {s_min:g} (got {self.s})"
-            )
-        if not LAMBDA_MIN <= self.lam <= LAMBDA_MAX:
-            raise ValueError(
-                f"constraint violated: lambda in [{LAMBDA_MIN:.6g}, {LAMBDA_MAX:.6g}] "
-                f"(got {self.lam})"
-            )
-        n = self.grid_points
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError(f"constraint violated: grid_points a power of two >= 16 (got {n})")
-        if self.domain_length <= 0:
-            raise ValueError("constraint violated: domain_length > 0")
-        if self.num_terms < 1:
-            raise ValueError("constraint violated: num_terms >= 1")
-        uses_bands = self.command == "study" and self.study_name in ("blockscale", "separation")
-        if uses_bands and not 3 <= self.n_min <= self.n_max < self.num_terms:
-            raise ValueError(
-                f"constraint violated: 3 <= n_min <= n_max < num_terms "
-                f"(got {self.n_min}..{self.n_max}, num_terms={self.num_terms})"
-            )
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"constraint violated: dt > 0 and finite (got {self.dt})")
-        if not 0 <= self.t_final < math.inf:
-            raise ValueError(
-                f"constraint violated: t_final >= 0 and finite (got {self.t_final})"
-            )
-        if not 0 < self.delta < 1:
-            raise ValueError("constraint violated: delta in (0, 1)")
-        if self.corpus_size < 100:
-            raise ValueError("constraint violated: corpus_size >= 100")
+        study = self.study_name if self.command == "study" else None
+        try:
+            if study == "inequalities":
+                Grid(self.grid_points, self.domain_length)
+                check_regime(self.s, self.p)
+                experiments.check_corpus_size(self.corpus_size)
+            else:
+                params = _data_params(self)
+            if self.command == "solve" or study in ("shorttime", "separation"):
+                _solver_config(self)
+            if study == "shorttime":
+                experiments.time_list(_short_times(self))
+            if study in ("blockscale", "separation"):
+                experiments.band_list(params, range(self.n_min, self.n_max + 1),
+                                      3 if study == "blockscale" else 5)
+            if study == "separation":
+                experiments.check_delta(self.delta)
+        except ValueError as exc:
+            raise ValueError(f"constraint violated: {exc}") from None
         parent = Path(self.output_path).resolve().parent
         if not parent.is_dir():
             raise ValueError(f"output directory does not exist: {parent}")
@@ -228,11 +218,21 @@ def parse_args(argv) -> RunConfig:
 
 
 def _data_params(cfg: RunConfig) -> IllposedDataParams:
-    top_band = cfg.lam * 2 ** (cfg.num_terms - 1) + 0.5
-    grid = Grid(cfg.grid_points, cfg.domain_length, max_frequency=top_band)
+    grid = Grid(cfg.grid_points, cfg.domain_length)
     return IllposedDataParams(
         s=cfg.s, p=cfg.p, lam=cfg.lam, num_terms=cfg.num_terms, grid=grid
     )
+
+
+def _solver_config(cfg: RunConfig) -> SolverConfig:
+    """Settings of ``solve``: --dt caps the step, so it may exceed --t-final."""
+    SolverConfig(dt=cfg.dt, t_final=0.0)  # the step cap alone
+    dt = min(cfg.dt, cfg.t_final) if cfg.t_final > 0 else cfg.dt
+    return SolverConfig(dt=dt, t_final=cfg.t_final)
+
+
+def _short_times(cfg: RunConfig) -> list:
+    return [cfg.t_final * 2.0**-k for k in range(6)]
 
 
 def run(cfg: RunConfig) -> int:
@@ -248,11 +248,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "solve":
         data = build_initial_data(_data_params(cfg))
         state0 = SystemState(rho=data.rho, u=data.u)
-        if cfg.t_final == 0:
-            states = [state0]
-        else:
-            sc = SolverConfig(dt=min(cfg.dt, cfg.t_final), t_final=cfg.t_final)
-            states = list(integrate(state0, sc).states)
+        states = integrate(state0, _solver_config(cfg)).states
         final = states[-1]
         save_field(final.rho, f"{out}_rho.csv", time=final.time)
         save_field(final.u, f"{out}_u.csv", time=final.time)
@@ -292,8 +288,7 @@ def run(cfg: RunConfig) -> int:
                 params, range(cfg.n_min, cfg.n_max + 1)
             )
         elif cfg.study_name == "shorttime":
-            times = [cfg.t_final * 2.0**-k for k in range(6)]
-            report = experiments.study_short_time(params, times, dt_cap=cfg.dt)
+            report = experiments.study_short_time(params, _short_times(cfg), dt_cap=cfg.dt)
         else:
             report = experiments.study_separation(
                 params, range(cfg.n_min, cfg.n_max + 1), delta=cfg.delta, dt_cap=cfg.dt

@@ -29,12 +29,11 @@ from .solver import SolverConfig, SystemState, _default_threshold, integrate
 from .spectral import (
     Grid,
     RealField,
-    dealiased_half_product,
     derivative,
     field_from_half,
-    half_spectrum,
     helmholtz_inverse,
     lp_norm,
+    product,
     triple_product,
 )
 
@@ -221,6 +220,38 @@ def _solver_config(horizon: float, dt_cap: float = DT_CAP) -> SolverConfig:
     return SolverConfig(dt=min(dt_cap, horizon / STEPS_PER_HORIZON), t_final=horizon)
 
 
+def band_list(params: IllposedDataParams, n_range, n_lowest: int) -> list:
+    """The band indices of a study, sorted; each must lie in
+    [n_lowest, num_terms - 1].  ``None`` selects DEFAULT_N_RANGE."""
+    if n_range is None:
+        n_range = range(DEFAULT_N_RANGE[0], DEFAULT_N_RANGE[1] + 1)
+    n_list = sorted(int(n) for n in n_range)
+    if not n_list or n_list[0] < n_lowest or n_list[-1] >= params.num_terms:
+        raise ValueError(
+            f"n_range must lie within [{n_lowest}, num_terms - 1] = "
+            f"[{n_lowest}, {params.num_terms - 1}], got {n_list}"
+        )
+    return n_list
+
+
+def check_delta(delta: float) -> None:
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def time_list(times) -> list:
+    """Distinct checkpoint times, decreasing; at least 3, all positive."""
+    times = sorted({float(t) for t in times}, reverse=True)
+    if len(times) < 3 or not all(t > 0 for t in times):
+        raise ValueError(f"need at least 3 distinct positive times, got {times}")
+    return times
+
+
+def check_corpus_size(corpus_size: int) -> None:
+    if corpus_size < 100:
+        raise ValueError(f"corpus_size must be at least 100, got {corpus_size}")
+
+
 def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport:
     """Decay exponents of || u0^2 d/dx block_n(data) ||_Lp versus n.
 
@@ -228,11 +259,7 @@ def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport
     like 2^(-n(s-1)); both are also required to stay bounded below after
     normalization.
     """
-    if n_range is None:
-        n_range = range(DEFAULT_N_RANGE[0], DEFAULT_N_RANGE[1] + 1)
-    n_list = sorted(int(n) for n in n_range)
-    if n_list[0] < 3 or n_list[-1] >= params.num_terms:
-        raise ValueError(f"n_range must lie within [3, num_terms), got {n_list}")
+    n_list = band_list(params, n_range, 3)
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
     s, p = params.s, params.p
@@ -299,9 +326,7 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
     Ablating the first variation (replacing it by zero) demotes the
     second-order pair to first order.
     """
-    times = sorted({float(t) for t in times}, reverse=True)
-    if len(times) < 3 or times[-1] <= 0:
-        raise ValueError("need at least 3 distinct positive times")
+    times = time_list(times)
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
@@ -408,13 +433,8 @@ def study_separation(params: IllposedDataParams, n_range=None,
     separate integration to t_n would take, and each checkpoint is
     evaluated when the sweep reaches it.
     """
-    if n_range is None:
-        n_range = range(DEFAULT_N_RANGE[0], DEFAULT_N_RANGE[1] + 1)
-    n_list = sorted(int(n) for n in n_range)
-    if n_list[0] < 5 or n_list[-1] > params.num_terms - 1:
-        raise ValueError(f"n_range must lie within [5, num_terms-1], got {n_list}")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    n_list = band_list(params, n_range, 5)
+    check_delta(delta)
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
@@ -528,9 +548,7 @@ def random_band_limited_field(grid: Grid, rng, max_fraction: float = 0.25) -> Re
 
 def product_law_ratio(bank: LPFilterBank, u: RealField, v: RealField, s: float, p) -> float:
     """||uv||_{B^(s-2)} / (||u||_{B^(s-2)} ||v||_{B^(s-1)})."""
-    grid = u.grid
-    uv = field_from_half(grid, dealiased_half_product(grid, [half_spectrum(u), half_spectrum(v)]))
-    num = besov_norm(bank, uv, _index(s - 2, p))
+    num = besov_norm(bank, product(u, v), _index(s - 2, p))
     den = besov_norm(bank, u, _index(s - 2, p)) * besov_norm(bank, v, _index(s - 1, p))
     return num / den if den > 0 else 0.0
 
@@ -564,8 +582,7 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     that each family's max ratio is finite and agrees between the corpora
     within a factor of two.
     """
-    if corpus_size < 100:
-        raise ValueError("corpus_size must be at least 100")
+    check_corpus_size(corpus_size)
     if grid is None:
         grid = Grid(2**12, 64.0)
     bank = build_filter_bank(grid)

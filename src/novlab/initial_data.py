@@ -85,6 +85,21 @@ def build_bump(spec: BumpSpec, grid: Grid) -> RealField:
     return modulated_bump(grid, 0.0, 1.0, spec)
 
 
+def _check_p(p) -> None:
+    p = float(p)
+    if math.isnan(p) or p < 1:
+        raise ValueError(f"p must lie in [1, inf], got {p}")
+
+
+def check_regime(s, p) -> None:
+    """Reject (s, p) outside the regime of the paper: p in [1, inf] and a
+    finite s > max(2 + 1/p, 5/2)."""
+    _check_p(p)
+    s_min = max(2.0 + 1.0 / float(p), 2.5)
+    if not (s > s_min and math.isfinite(s)):
+        raise ValueError(f"s > max(2 + 1/p, 5/2) = {s_min:g} and finite (got {s})")
+
+
 @dataclass(frozen=True)
 class IllposedDataParams:
     """Parameters of the lacunary data family.
@@ -106,22 +121,23 @@ class IllposedDataParams:
     def __post_init__(self):
         if self.grid is None:
             raise ValueError("grid is required")
-        p = float(self.p)
-        if math.isnan(p) or p < 1:
-            raise ValueError(f"p must lie in [1, inf], got {p}")
-        s_min = max(2.0 + 1.0 / p, 2.5)
-        if self.enforce_range and not self.s > s_min:
-            raise ValueError(f"s must exceed max(2 + 1/p, 5/2) = {s_min:g}, got {self.s}")
+        if self.enforce_range:
+            check_regime(self.s, self.p)
+        else:
+            _check_p(self.p)
         if not LAMBDA_MIN <= self.lam <= LAMBDA_MAX:
             raise ValueError(
                 f"lambda must lie in [{LAMBDA_MIN:.6g}, {LAMBDA_MAX:.6g}], got {self.lam}"
             )
         if self.num_terms < 1:
             raise ValueError("num_terms must be positive")
-        top = self.lam * 2 ** (self.num_terms - 1)
-        if top * (1.0 + 0.5 / 2 ** (self.num_terms - 1)) >= self.grid.nyquist:
+        # the top band lambda 2^n +- 1/2 must clear Nyquist by the margin
+        # lambda/2 > 1/2; as lambda > 1, n >= log2(Nyquist) fails without
+        # forming 2^n, which overflows a double for large num_terms
+        n, nyquist = self.num_terms - 1, self.grid.nyquist
+        if n >= math.log2(nyquist) or self.lam * (2.0**n + 0.5) >= nyquist:
             raise ResolutionError(
-                f"top band {top:g} + 1/2 is not resolved (Nyquist {self.grid.nyquist:g}); "
+                f"top band lambda 2^{n} + 1/2 is not resolved (Nyquist {nyquist:g}); "
                 f"reduce num_terms or refine the grid"
             )
 

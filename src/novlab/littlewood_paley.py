@@ -68,13 +68,15 @@ def ring_profile(xi):
 
 @dataclass(frozen=True)
 class BesovIndex:
-    """Besov space indices (s, p, r); p and r may be math.inf."""
+    """Besov space indices (s, p, r); s is finite, p and r may be math.inf."""
 
     s: float
     p: float
     r: float = math.inf
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         for name in ("p", "r"):
             v = float(getattr(self, name))
             if math.isnan(v) or v < 1:
@@ -137,29 +139,6 @@ def dyadic_block(bank: LPFilterBank, f: RealField, j: int) -> RealField:
     if j <= -2:
         return RealField(f.grid, np.zeros(f.grid.num_points))
     return apply_half_multiplier(f, bank.block_multiplier(j))
-
-
-@dataclass(frozen=True)
-class DyadicDecomposition:
-    """All resolved blocks of one field, keyed by dyadic index."""
-
-    blocks: dict
-
-    def reconstruct(self) -> RealField:
-        fields = list(self.blocks.values())
-        total = fields[0]
-        for b in fields[1:]:
-            total = total + b
-        return total
-
-
-def dyadic_decomposition(bank: LPFilterBank, f: RealField) -> DyadicDecomposition:
-    half = half_spectrum(f)
-    blocks = {
-        j: field_from_half(f.grid, bank.block_multiplier(j) * half)
-        for j in range(-1, bank.j_max + 1)
-    }
-    return DyadicDecomposition(blocks)
 
 
 UNRESOLVED_ENERGY_TOL = 1e-12

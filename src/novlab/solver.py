@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfft, rfft
@@ -34,7 +33,9 @@ from .spectral import (
     RealField,
     _WORKERS,
     _check_same_grid,
+    _derivative_symbol,
     _padded_values,
+    _smoothing_symbol,
     _truncate_half,
     field_from_half,
     half_spectrum,
@@ -76,14 +77,12 @@ class SolverConfig:
     """Fixed-step integration settings.
 
     ``blowup_threshold`` defaults to 100x the initial sup norm when left
-    unset.  ``dealias`` disables the padded products when switched off
-    (useful only for demonstrating aliasing).
+    unset.
     """
 
     dt: float
     t_final: float
     blowup_threshold: float | None = None
-    dealias: bool = True
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -96,83 +95,19 @@ class SolverConfig:
             raise ValueError("blowup_threshold must be positive")
 
 
-@lru_cache(maxsize=32)
-def _derivative_symbol(grid: Grid) -> np.ndarray:
-    d = 1j * grid.half_frequencies
-    d[-1] = 0.0
-    d.flags.writeable = False
-    return d
-
-
-@lru_cache(maxsize=32)
-def _smoothing_symbol(grid: Grid) -> np.ndarray:
-    xi = grid.half_frequencies
-    g = 1.0 / (1.0 + xi * xi)
-    g.flags.writeable = False
-    return g
-
-
-def nonlocal_velocity_terms(u: RealField) -> RealField:
-    """The smoothing terms of the u equation that involve u alone:
-
-    d/dx G(u^3) + (3/2) d/dx G(u u_x^2) + (1/2) G(u_x^3),  G = (1-dxx)^-1.
-    """
-    grid = u.grid
-    d = _derivative_symbol(grid)
-    g = _smoothing_symbol(grid)
-    hu = half_spectrum(u)
-    hux = d * hu
-    n = grid.num_points
-    up = _padded_values(hu, n)
-    uxp = _padded_values(hux, n)
-    arg_dx = up * (up * up + 1.5 * uxp * uxp)
-    arg_plain = 0.5 * uxp * uxp * uxp
-    t_dx = _truncate_half(rfft(arg_dx, workers=_WORKERS) / (2 * n), n)
-    t_plain = _truncate_half(rfft(arg_plain, workers=_WORKERS) / (2 * n), n)
-    return field_from_half(grid, d * g * t_dx + g * t_plain)
-
-
-def nonlocal_coupling_terms(u: RealField, rho: RealField) -> RealField:
-    """The smoothing terms coupling u to rho:
-
-    -(1/2) d/dx G(u rho^2) - (1/2) G(u_x rho^2),  G = (1-dxx)^-1.
-    """
-    _check_same_grid(u, rho)
-    grid = u.grid
-    d = _derivative_symbol(grid)
-    g = _smoothing_symbol(grid)
-    hu = half_spectrum(u)
-    hrho = half_spectrum(rho)
-    n = grid.num_points
-    up = _padded_values(hu, n)
-    uxp = _padded_values(d * hu, n)
-    rp = _padded_values(hrho, n)
-    r2 = rp * rp
-    t_dx = _truncate_half(rfft(up * r2, workers=_WORKERS) / (2 * n), n)
-    t_plain = _truncate_half(rfft(uxp * r2, workers=_WORKERS) / (2 * n), n)
-    return field_from_half(grid, -0.5 * d * g * t_dx - 0.5 * g * t_plain)
-
-
-def _rhs_half(grid: Grid, hrho: np.ndarray, hu: np.ndarray, dealias: bool = True):
+def _rhs_half(grid: Grid, hrho: np.ndarray, hu: np.ndarray):
     """Half spectra of (rho_t, u_t) from the half spectra of (rho, u).
 
-    The single RHS kernel: 4 inverse transforms to (padded) physical space
-    for the products and 4 forward transforms back.
+    The single RHS kernel: 4 inverse transforms to the padded grid for the
+    products and 4 forward transforms back.
     """
     d = _derivative_symbol(grid)
     g = _smoothing_symbol(grid)
     n = grid.num_points
-    m = 2 * n if dealias else n
-
-    def values(h):
-        if dealias:
-            return _padded_values(h, n)
-        return irfft(h, n=n, workers=_WORKERS) * n
-
-    up = values(hu)
-    rp = values(hrho)
-    uxp = values(d * hu)
-    rxp = values(d * hrho)
+    up = _padded_values(hu, n)
+    rp = _padded_values(hrho, n)
+    uxp = _padded_values(d * hu, n)
+    rxp = _padded_values(d * hrho, n)
     u2 = up * up
     arg_rho = u2 * rxp + rp * up * uxp
     arg_u = u2 * uxp
@@ -180,28 +115,22 @@ def _rhs_half(grid: Grid, hrho: np.ndarray, hu: np.ndarray, dealias: bool = True
     arg_smooth = 0.5 * uxp * (uxp * uxp - rp * rp)
 
     def back(vals):
-        h = rfft(vals, workers=_WORKERS) / m
-        if dealias:
-            return _truncate_half(h, n)
-        h[-1] = 0.0
-        return h
+        return _truncate_half(rfft(vals, workers=_WORKERS) / (2 * n), n)
 
     h_rho_t = back(arg_rho)
     h_u_t = back(arg_u) + d * g * back(arg_dx_smooth) + g * back(arg_smooth)
     return h_rho_t, h_u_t
 
 
-def rhs(state: SystemState, dealias: bool = True):
+def rhs(state: SystemState):
     """Time derivative (rho_t, u_t) of the nonlocal system at this state."""
     grid = state.grid
-    h_rho_t, h_u_t = _rhs_half(
-        grid, half_spectrum(state.rho), half_spectrum(state.u), dealias
-    )
+    h_rho_t, h_u_t = _rhs_half(grid, half_spectrum(state.rho), half_spectrum(state.u))
     return field_from_half(grid, h_rho_t), field_from_half(grid, h_u_t)
 
 
-def step_rk4(state: SystemState, dt: float, blowup_threshold: float | None = None,
-             dealias: bool = True) -> SystemState:
+def step_rk4(state: SystemState, dt: float,
+             blowup_threshold: float | None = None) -> SystemState:
     """One classical four-stage Runge-Kutta step of size dt.
 
     The stages live on half spectra; the state values are only ever
@@ -213,11 +142,11 @@ def step_rk4(state: SystemState, dt: float, blowup_threshold: float | None = Non
     grid = state.grid
     n = grid.num_points
     hr0, hu0 = half_spectrum(state.rho), half_spectrum(state.u)
-    kr, ku = _rhs_half(grid, hr0, hu0, dealias)
+    kr, ku = _rhs_half(grid, hr0, hu0)
     # running k1 + 2 k2 + 2 k3 + k4, so only one stage is held at a time
     sum_r, sum_u = kr, ku
     for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):
-        kr, ku = _rhs_half(grid, hr0 + frac * dt * kr, hu0 + frac * dt * ku, dealias)
+        kr, ku = _rhs_half(grid, hr0 + frac * dt * kr, hu0 + frac * dt * ku)
         sum_r += weight * kr
         sum_u += weight * ku
     r1 = state.rho.values + irfft((dt / 6.0) * sum_r, n=n, workers=_WORKERS) * n
@@ -275,7 +204,7 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None) -> Traje
         n_steps = max(1, math.ceil(seg / cfg.dt - 1e-12))
         h = seg / n_steps
         for _ in range(n_steps):
-            current = step_rk4(current, h, threshold, cfg.dealias)
+            current = step_rk4(current, h, threshold)
             sup_norms.append(
                 (current.time, current.rho.sup_norm(), current.u.sup_norm())
             )

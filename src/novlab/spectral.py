@@ -1,33 +1,31 @@
-"""Uniform periodic grid, Fourier transforms, multiplier operators, and norms.
+"""Uniform periodic grid, half-spectrum transforms, multipliers, and norms.
 
 The domain is [-L/2, L/2) with periodic identification, sampled at
-``num_points`` equispaced nodes.  Fourier coefficients follow the convention
-
-    coeff(k) = (1/num_points) * sum_m values(m) * exp(-i xi_k x_m),
-
-with physical frequency xi_k = 2*pi*k/L, so a unit-amplitude cosine mode has
-coefficients 1/2 at k = +-1.  Pointwise products of fields are dealiased by
-zero-padding to twice the grid, which is exact for nonlinearities up to
-degree three.
+``num_points`` equispaced nodes.  Fields are represented spectrally by
+their half spectrum: the rfft of the values divided by ``num_points``,
+indexed by k = 0..N/2 with physical frequency xi_k = 2*pi*k/L.  Realness
+is built in, since the negative frequencies are the conjugates of the
+stored ones.  A unit-amplitude cosine mode has half-spectrum entry 1/2 at
+its wavenumber, up to the phase exp(-i xi_k x_0) = (-1)^k of the left
+endpoint x_0 = -L/2; diagonal operators and products do not see that
+phase, so only data synthesis applies it (``_half_phase``).  Pointwise
+products of fields are dealiased by zero-padding to twice the grid, which
+is exact for nonlinearities up to degree three.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, rfft
+from scipy.fft import irfft, rfft
 
 
 class GridMismatchError(ValueError):
     """Operands live on different grids."""
-
-
-class HermitianSymmetryError(ValueError):
-    """Spectral coefficients do not describe a real field."""
 
 
 class MultiplierError(ValueError):
@@ -46,16 +44,10 @@ _WORKERS = _fft_workers()
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-length/2, length/2).
-
-    ``max_frequency``, when supplied, is the largest physical frequency the
-    caller intends to use; construction fails unless it lies strictly below
-    the Nyquist frequency pi*num_points/length.
-    """
+    """Uniform periodic grid on [-length/2, length/2)."""
 
     num_points: int
     length: float
-    max_frequency: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = self.num_points
@@ -63,11 +55,6 @@ class Grid:
             raise ValueError(f"num_points must be a power of two >= 16, got {n}")
         if not (self.length > 0 and math.isfinite(self.length)):
             raise ValueError(f"length must be positive and finite, got {self.length}")
-        if self.max_frequency is not None and self.max_frequency >= self.nyquist:
-            raise ValueError(
-                f"requested max frequency {self.max_frequency:g} is not resolved: "
-                f"Nyquist frequency is {self.nyquist:g}"
-            )
 
     @property
     def spacing(self) -> float:
@@ -83,13 +70,6 @@ class Grid:
         x = -self.length / 2 + self.spacing * np.arange(self.num_points)
         x.flags.writeable = False
         return x
-
-    @cached_property
-    def frequencies(self) -> np.ndarray:
-        """Physical frequencies xi_k in numpy fft order (k = 0..N/2-1, -N/2..-1)."""
-        xi = 2 * math.pi * np.fft.fftfreq(self.num_points, d=self.spacing)
-        xi.flags.writeable = False
-        return xi
 
     @cached_property
     def half_frequencies(self) -> np.ndarray:
@@ -143,66 +123,9 @@ class RealField:
         return float(np.max(np.abs(self.values)))
 
 
-class SpectralCoeffs:
-    """Complex Fourier coefficients indexed by integer wavenumber.
-
-    Storage follows numpy fft order; ``coeff(k)`` accepts signed wavenumbers.
-    """
-
-    __slots__ = ("grid", "coeffs")
-
-    def __init__(self, grid: Grid, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (grid.num_points,):
-            raise ValueError(
-                f"expected {grid.num_points} coefficients, got shape {coeffs.shape}"
-            )
-        if coeffs.flags.writeable:
-            coeffs = coeffs.copy()
-            coeffs.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectralCoeffs is immutable")
-
-    def coeff(self, k: int) -> complex:
-        n = self.grid.num_points
-        if not -n // 2 <= k < n // 2:
-            raise IndexError(f"wavenumber {k} outside [-{n//2}, {n//2})")
-        return complex(self.coeffs[k % n])
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.grid.frequencies
-
-    def hermitian_defect(self) -> float:
-        """Relative departure from coeff(-k) == conj(coeff(k))."""
-        c = self.coeffs
-        d = c - np.conj(c[_reflect_index(self.grid.num_points)])
-        scale = np.max(np.abs(c))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(d)) / scale)
-
-
-@lru_cache(maxsize=32)
-def _reflect_index(n: int) -> np.ndarray:
-    idx = (-np.arange(n)) % n
-    idx.flags.writeable = False
-    return idx
-
-
-@lru_cache(maxsize=32)
-def _phase(n: int) -> np.ndarray:
-    # exp(-i xi_k x_0) with x_0 = -L/2 reduces to (-1)^k for every k
-    p = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    p.flags.writeable = False
-    return p
-
-
 @lru_cache(maxsize=32)
 def _half_phase(n: int) -> np.ndarray:
+    # exp(-i xi_k x_0) with x_0 = -L/2 reduces to (-1)^k for every k
     p = np.where(np.arange(n // 2 + 1) % 2 == 0, 1.0, -1.0)
     p.flags.writeable = False
     return p
@@ -215,31 +138,10 @@ def _check_same_grid(*objs):
             raise GridMismatchError(f"grid mismatch: {o.grid} vs {g}")
 
 
-def forward_transform(f: RealField) -> SpectralCoeffs:
-    """Fourier coefficients of a real field under the module convention."""
-    c = fft(f.values, workers=_WORKERS) / f.grid.num_points
-    return SpectralCoeffs(f.grid, _phase(f.grid.num_points) * c)
-
-
-HERMITIAN_TOL = 1e-12
-
-
-def inverse_transform(c: SpectralCoeffs, tol: float = HERMITIAN_TOL) -> RealField:
-    """Reconstruct the real field; rejects non-Hermitian coefficients."""
-    defect = c.hermitian_defect()
-    if defect > tol:
-        raise HermitianSymmetryError(
-            f"coefficients are not Hermitian-symmetric (relative defect {defect:.2e})"
-        )
-    n = c.grid.num_points
-    v = ifft(_phase(n) * c.coeffs, workers=_WORKERS) * n
-    return RealField(c.grid, v.real)
-
-
-# -- half-spectrum helpers (internal fast path; realness is structural) ------
+# -- half spectra and multipliers ---------------------------------------------
 
 def half_spectrum(f: RealField) -> np.ndarray:
-    """rfft of the values scaled to the coefficient convention, without phase.
+    """rfft of the values divided by num_points, without the endpoint phase.
 
     Diagonal operators are phase-invariant, so multiplier application and
     products work directly on this representation.
@@ -273,18 +175,32 @@ def apply_multiplier(f: RealField, m) -> RealField:
     return apply_half_multiplier(f, samples)
 
 
+@lru_cache(maxsize=32)
+def _derivative_symbol(grid: Grid) -> np.ndarray:
+    """i xi on the half spectrum; the (sign-ambiguous) Nyquist bin is zeroed."""
+    d = 1j * grid.half_frequencies
+    d[-1] = 0.0
+    d.flags.writeable = False
+    return d
+
+
+@lru_cache(maxsize=32)
+def _smoothing_symbol(grid: Grid) -> np.ndarray:
+    """1 / (1 + xi^2), the symbol of (1 - d^2/dx^2)^-1."""
+    xi = grid.half_frequencies
+    g = 1.0 / (1.0 + xi * xi)
+    g.flags.writeable = False
+    return g
+
+
 def derivative(f: RealField) -> RealField:
     """Spectral derivative; the (sign-ambiguous) Nyquist bin is zeroed."""
-    half = half_spectrum(f)
-    out = 1j * f.grid.half_frequencies * half
-    out[-1] = 0.0
-    return field_from_half(f.grid, out)
+    return apply_half_multiplier(f, _derivative_symbol(f.grid))
 
 
 def helmholtz_inverse(f: RealField) -> RealField:
     """Invert 1 - d^2/dx^2, i.e. divide each mode by 1 + xi^2."""
-    xi = f.grid.half_frequencies
-    return apply_half_multiplier(f, 1.0 / (1.0 + xi * xi))
+    return apply_half_multiplier(f, _smoothing_symbol(f.grid))
 
 
 def lp_norm(f: RealField, p) -> float:

@@ -52,6 +52,14 @@ def mode(grid, freq_index, kind="cos", amplitude=1.0):
     return RealField(grid, amplitude * fn(xi * grid.points))
 
 
+def coefficients(f):
+    """Fourier coefficients coeff(k), k = 0..N/2, under the module convention:
+    the half spectrum times the phase of the left endpoint x_0 = -L/2."""
+    from novlab.spectral import _half_phase, half_spectrum
+
+    return _half_phase(f.grid.num_points) * half_spectrum(f)
+
+
 def random_field(grid, seed, cutoff_fraction=0.25):
     """Seeded random real field, band-limited below a fraction of Nyquist."""
     rng = np.random.default_rng(seed)
@@ -63,3 +71,23 @@ def random_field(grid, seed, cutoff_fraction=0.25):
     from novlab.spectral import field_from_half
 
     return field_from_half(grid, half)
+
+
+def composed_rhs(rho, u):
+    """(rho_t, u_t) of the nonlocal system, composed term by term from the
+    public operators (G = helmholtz_inverse):
+
+        rho_t = u^2 rho_x + rho u u_x
+        u_t   = u^2 u_x + d/dx G(u^3 + (3/2) u u_x^2 - (1/2) u rho^2)
+                        + G((1/2) u_x^3 - (1/2) u_x rho^2)
+    """
+    from novlab import derivative, helmholtz_inverse, triple_product
+
+    rho_x, u_x = derivative(rho), derivative(u)
+    rho_t = triple_product(u, u, rho_x) + triple_product(rho, u, u_x)
+    dx_arg = (triple_product(u, u, u) + 1.5 * triple_product(u, u_x, u_x)
+              - 0.5 * triple_product(u, rho, rho))
+    plain_arg = 0.5 * triple_product(u_x, u_x, u_x) - 0.5 * triple_product(u_x, rho, rho)
+    u_t = (triple_product(u, u, u_x) + derivative(helmholtz_inverse(dx_arg))
+           + helmholtz_inverse(plain_arg))
+    return rho_t, u_t

@@ -50,7 +50,7 @@ def report_line(num, name, passed, detail):
 
 @pytest.fixture(scope="module")
 def grid():
-    return Grid(GRID_POINTS, LENGTH, max_frequency=LAM * 2 ** (NUM_TERMS - 1) + 0.5)
+    return Grid(GRID_POINTS, LENGTH)
 
 
 @pytest.fixture(scope="module")

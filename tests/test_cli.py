@@ -43,6 +43,29 @@ class TestParseArgs:
         err = capsys.readouterr().err
         assert f"constraint violated: {flag[2:].replace('-', '_')}" in err
 
+    def test_dt_cap_may_exceed_t_final(self, tmp_path):
+        out = tmp_path / "one_step"
+        assert main(["solve", "--dt", "1", "--t-final", "1e-3", "--output", str(out)]
+                    + SMALL) == 0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["generate-data", "--num-terms", "70"], "not resolved"),
+        (["generate-data", "--num-terms", "2000"], "not resolved"),
+        (["generate-data", "--domain-length", "inf"], "length"),
+        (["generate-data", "--s", "inf"], "constraint violated: s"),
+        (["study", "inequalities", "--corpus-size", "100", "--s", "inf"],
+         "constraint violated: s"),
+        (["study", "separation", "--n-min", "4", "--n-max", "5", "--num-terms", "6",
+          "--grid-points", "4096", "--domain-length", "64"], "n_range"),
+    ])
+    def test_invalid_config_writes_no_dump(self, argv, message, tmp_path, capsys):
+        dump = tmp_path / "dump.conf"
+        out = tmp_path / "never"
+        assert main(argv + ["--dump-config", str(dump), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "constraint violated" in err and message in err
+        assert not list(tmp_path.iterdir())
+
     def test_rejects_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             parse_args(["study", "separation", "--frobnicate", "1"])

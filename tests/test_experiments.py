@@ -147,6 +147,8 @@ class TestShortTimeStudy:
     def test_rejects_degenerate_times(self, medium_params):
         with pytest.raises(ValueError):
             study_short_time(medium_params, [1e-3, 1e-3])
+        with pytest.raises(ValueError):
+            study_short_time(medium_params, [math.nan] * 6)
 
 
 class TestSeparationStudy:
@@ -186,6 +188,8 @@ class TestSeparationStudy:
     def test_rejects_bad_range(self, medium_params):
         with pytest.raises(ValueError):
             study_separation(medium_params, range(3, 7))
+        with pytest.raises(ValueError):
+            study_separation(medium_params, range(7, 6))
 
     def test_sweep_matches_per_horizon_integration(self, medium_params, separation_report):
         reference = _per_horizon_separation_rows(medium_params, range(5, 9), delta=0.1)
@@ -326,9 +330,9 @@ class TestRandomFieldGenerator:
         rng = np.random.default_rng(0)
         f = random_band_limited_field(small_grid, rng)
         assert f.sup_norm() == pytest.approx(1.0, rel=1e-12)
-        from novlab import forward_transform
+        from novlab.spectral import half_spectrum
 
-        c = forward_transform(f)
-        xi = np.abs(small_grid.frequencies)
-        hi = np.abs(c.coeffs[xi > 0.5 * small_grid.nyquist]).max()
+        c = half_spectrum(f)
+        xi = small_grid.half_frequencies
+        hi = np.abs(c[xi > 0.5 * small_grid.nyquist]).max()
         assert hi < 1e-12

@@ -15,21 +15,18 @@ from novlab import (
     besov_norm,
     build_bump,
     build_initial_data,
-    derivative,
     dyadic_block,
     first_variation,
-    forward_transform,
     load_field,
     lp_norm,
     modulated_bump,
-    nonlocal_velocity_terms,
     pointwise_floor_check,
     product,
     save_field,
-    triple_product,
 )
+from novlab.spectral import half_spectrum
 
-from conftest import LAMBDA, mode
+from conftest import LAMBDA, coefficients, composed_rhs, mode
 
 
 class TestBumpSpec:
@@ -55,19 +52,18 @@ class TestBuildBump:
     def test_transform_matches_profile(self, small_grid):
         spec = BumpSpec()
         bump = build_bump(spec, small_grid)
-        coeffs = forward_transform(bump)
-        xi = small_grid.frequencies
+        xi = small_grid.half_frequencies
         # line-normalized: length * coeff reproduces the profile samples
-        recovered = small_grid.length * coeffs.coeffs
+        recovered = small_grid.length * coefficients(bump)
         expected = spec.profile(xi)
         assert np.abs(recovered - expected).max() < 1e-10
 
     def test_transform_at_origin_and_beyond_cutoff(self, small_grid):
         bump = build_bump(BumpSpec(), small_grid)
-        c = forward_transform(bump)
-        assert small_grid.length * c.coeff(0) == pytest.approx(1.0, abs=1e-12)
+        c = coefficients(bump)
+        assert small_grid.length * c[0] == pytest.approx(1.0, abs=1e-12)
         k_075 = round(0.75 * small_grid.length / (2 * math.pi))
-        assert abs(small_grid.length * c.coeff(k_075)) < 1e-12
+        assert abs(small_grid.length * c[k_075]) < 1e-12
 
     def test_even_and_real(self, small_grid):
         bump = build_bump(BumpSpec(), small_grid)
@@ -107,11 +103,12 @@ class TestModulatedBump:
     def test_band_support_audit(self, medium_grid):
         omega = LAMBDA * 2.0**5
         f = modulated_bump(medium_grid, omega)
-        c = forward_transform(f)
-        xi = np.abs(medium_grid.frequencies)
+        w = np.abs(half_spectrum(f)) ** 2
+        w[1:-1] *= 2.0  # each interior bin stands for k and -k
+        xi = medium_grid.half_frequencies
         inside = (xi >= omega - 0.5) & (xi <= omega + 0.5)
-        energy_out = np.sum(np.abs(c.coeffs[~inside]) ** 2)
-        energy_total = np.sum(np.abs(c.coeffs) ** 2)
+        energy_out = np.sum(w[~inside])
+        energy_total = np.sum(w)
         assert energy_out < 1e-12 * energy_total
 
     def test_rejects_unresolved_band(self, small_grid):
@@ -143,6 +140,15 @@ class TestParamsValidation:
     def test_rejects_unresolved_top_band(self, medium_grid):
         with pytest.raises(ResolutionError):
             IllposedDataParams(s=3.0, p=2.0, grid=medium_grid, num_terms=12)
+
+    def test_rejects_huge_num_terms_without_overflow(self, medium_grid):
+        # lambda 2^1999 overflows a double; the check must not form it
+        with pytest.raises(ResolutionError, match="not resolved"):
+            IllposedDataParams(s=3.0, p=2.0, grid=medium_grid, num_terms=2000)
+
+    def test_rejects_infinite_regularity(self, medium_grid):
+        with pytest.raises(ValueError, match="finite"):
+            IllposedDataParams(s=math.inf, p=2.0, grid=medium_grid, num_terms=8)
 
 
 class TestBuildInitialData:
@@ -205,7 +211,7 @@ class TestFirstVariation:
         u0 = modulated_bump(small_grid, LAMBDA * 2.0**3)
         v0, w0 = first_variation(z, u0)
         assert lp_norm(v0, math.inf) < 1e-15
-        expected = nonlocal_velocity_terms(u0) + triple_product(u0, u0, derivative(u0))
+        _, expected = composed_rhs(z, u0)
         scale = lp_norm(expected, math.inf)
         assert lp_norm(w0 - expected, math.inf) < 1e-12 * scale
 

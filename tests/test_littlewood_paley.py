@@ -11,7 +11,6 @@ from novlab import (
     commutator,
     derivative,
     dyadic_block,
-    dyadic_decomposition,
     lp_norm,
     modulated_bump,
     product,
@@ -130,7 +129,9 @@ class TestDyadicBlock:
 
     def test_reconstruction(self, small_grid, small_bank):
         f = random_field(small_grid, seed=5)
-        total = dyadic_decomposition(small_bank, f).reconstruct()
+        total = dyadic_block(small_bank, f, -1)
+        for j in range(small_bank.j_max + 1):
+            total = total + dyadic_block(small_bank, f, j)
         assert lp_norm(total - f, 2) < 1e-10 * lp_norm(f, 2)
 
     def test_block_near_orthogonality(self, small_grid, small_bank):
@@ -192,6 +193,11 @@ class TestBesovNorm:
             for j in range(-1, small_bank.j_max + 1)
         ]
         assert np.allclose(seq, direct, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+    def test_index_rejects_nonfinite_s(self, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            BesovIndex(s, 2)
 
 
 class TestBernstein:

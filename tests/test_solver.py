@@ -12,18 +12,31 @@ from novlab import (
     fit_powerlaw,
     integrate,
     lp_norm,
-    nonlocal_coupling_terms,
-    nonlocal_velocity_terms,
     rhs,
     step_rk4,
     triple_product,
 )
 
-from conftest import mode
+from conftest import composed_rhs, mode
 
 
 def _zero(grid):
     return RealField(grid, np.zeros(grid.num_points))
+
+
+def _velocity_terms(u):
+    """d/dx G(u^3) + (3/2) d/dx G(u u_x^2) + (1/2) G(u_x^3), G = (1-dxx)^-1,
+    read off the RHS as u_t at rho = 0 minus the transport term u^2 u_x."""
+    _, u_t = rhs(SystemState(rho=_zero(u.grid), u=u))
+    return u_t - triple_product(u, u, derivative(u))
+
+
+def _coupling_terms(u, rho):
+    """-(1/2) d/dx G(u rho^2) - (1/2) G(u_x rho^2), read off the RHS as u_t at
+    (rho, u) minus u_t at (0, u)."""
+    _, u_t = rhs(SystemState(rho=rho, u=u))
+    _, u_t0 = rhs(SystemState(rho=_zero(u.grid), u=u))
+    return u_t - u_t0
 
 
 def _smoothing_oracle_terms(grid, k, amplitude):
@@ -41,18 +54,18 @@ def _smoothing_oracle_terms(grid, k, amplitude):
 
 class TestNonlocalVelocityTerms:
     def test_zero(self, small_grid):
-        out = nonlocal_velocity_terms(_zero(small_grid))
+        out = _velocity_terms(_zero(small_grid))
         assert lp_norm(out, math.inf) == 0.0
 
     def test_constant(self, small_grid):
         u = RealField(small_grid, np.full(small_grid.num_points, 1.3))
-        out = nonlocal_velocity_terms(u)
+        out = _velocity_terms(u)
         assert lp_norm(out, math.inf) < 1e-13
 
     @pytest.mark.parametrize("k,amplitude", [(3, 1.0), (7, 0.5)])
     def test_single_mode_trig_oracle(self, small_grid, k, amplitude):
         u = amplitude * mode(small_grid, k)
-        out = nonlocal_velocity_terms(u)
+        out = _velocity_terms(u)
         expected = _smoothing_oracle_terms(small_grid, k, amplitude)
         scale = np.abs(expected).max()
         assert np.abs(out.values - expected).max() < 1e-10 * scale
@@ -61,14 +74,14 @@ class TestNonlocalVelocityTerms:
 class TestNonlocalCouplingTerms:
     def test_rho_zero(self, small_grid):
         u = mode(small_grid, 4)
-        out = nonlocal_coupling_terms(u, _zero(small_grid))
+        out = _coupling_terms(u, _zero(small_grid))
         assert lp_norm(out, math.inf) == 0.0
 
     def test_constant_u(self, small_grid):
         c = 2.0
         u = RealField(small_grid, np.full(small_grid.num_points, c))
         r = mode(small_grid, 5)
-        out = nonlocal_coupling_terms(u, r)
+        out = _coupling_terms(u, r)
         # u_x = 0 kills the plain term; the rest is
         # -(c/2) d/dx G(rho^2) = (c nu / 2) sin(2 nu x) / (1 + 4 nu^2)
         nu = 2 * math.pi * 5 / small_grid.length
@@ -81,7 +94,7 @@ class TestNonlocalCouplingTerms:
         nu = 2 * math.pi * kr / small_grid.length
         u = a * mode(small_grid, ku)
         r = b * mode(small_grid, kr)
-        out = nonlocal_coupling_terms(u, r)
+        out = _coupling_terms(u, r)
         x = small_grid.points
 
         def gterm(freq):
@@ -118,14 +131,17 @@ class TestRhs:
         rho0, u0 = medium_data.rho, medium_data.u
         st = SystemState(rho=rho0, u=u0)
         r_t, u_t = rhs(st)
-        rho_expected = triple_product(u0, u0, derivative(rho0)) + triple_product(
-            rho0, u0, derivative(u0)
-        )
-        u_expected = (
-            triple_product(u0, u0, derivative(u0))
-            + nonlocal_velocity_terms(u0)
-            + nonlocal_coupling_terms(u0, rho0)
-        )
+        rho_expected, u_expected = composed_rhs(rho0, u0)
+        assert lp_norm(r_t - rho_expected, math.inf) < 1e-12 * lp_norm(r_t, math.inf)
+        assert lp_norm(u_t - u_expected, math.inf) < 1e-12 * lp_norm(u_t, math.inf)
+
+    def test_matches_composition_on_quarter_nyquist_mode(self, small_grid):
+        # a unit mode at half Nyquist: its cube folds back onto the mode
+        # itself unless the products are padded, so an aliased kernel would
+        # miss the (dealiased) composition by O(1)
+        f = mode(small_grid, small_grid.num_points // 4)
+        r_t, u_t = rhs(SystemState(rho=f, u=f))
+        rho_expected, u_expected = composed_rhs(f, f)
         assert lp_norm(r_t - rho_expected, math.inf) < 1e-12 * lp_norm(r_t, math.inf)
         assert lp_norm(u_t - u_expected, math.inf) < 1e-12 * lp_norm(u_t, math.inf)
 
@@ -248,14 +264,3 @@ class TestIntegrate:
         cfg = SolverConfig(dt=1e-3, t_final=1e-2, blowup_threshold=1e-9)
         with pytest.raises(ValueError, match="initial sup"):
             integrate(st, cfg)
-
-    def test_dealias_flag_changes_high_band_dynamics(self, small_grid):
-        # a unit mode at half Nyquist: its cube folds back onto the mode
-        # itself without padding, so the flag must change the answer
-        k = small_grid.num_points // 4
-        f = mode(small_grid, k)
-        st = SystemState(rho=f, u=f)
-        r_on, u_on = rhs(st, dealias=True)
-        r_off, u_off = rhs(st, dealias=False)
-        assert lp_norm(r_on - r_off, math.inf) > 1e-3
-        assert lp_norm(u_on - u_off, math.inf) > 1e-3

@@ -6,21 +6,23 @@ import pytest
 from novlab import (
     Grid,
     GridMismatchError,
-    HermitianSymmetryError,
     MultiplierError,
     RealField,
-    SpectralCoeffs,
     apply_multiplier,
     derivative,
-    forward_transform,
     helmholtz_inverse,
-    inverse_transform,
     lp_norm,
     product,
     triple_product,
 )
+from novlab.spectral import _half_phase, field_from_half, half_spectrum
 
-from conftest import mode, random_field
+from conftest import coefficients, mode, random_field
+
+
+def _field(grid, coeffs):
+    """The real field with coefficients coeff(k), k = 0..N/2."""
+    return field_from_half(grid, _half_phase(grid.num_points) * coeffs)
 
 
 class TestGrid:
@@ -35,11 +37,6 @@ class TestGrid:
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ValueError):
             Grid(n, 32.0)
-
-    def test_rejects_unresolved_max_frequency(self):
-        Grid(64, 32.0, max_frequency=5.0)
-        with pytest.raises(ValueError, match="Nyquist"):
-            Grid(64, 32.0, max_frequency=10.0)
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
@@ -64,59 +61,53 @@ class TestRealField:
 class TestForwardTransform:
     def test_constant_field(self, small_grid):
         f = RealField(small_grid, np.ones(small_grid.num_points))
-        c = forward_transform(f)
-        assert c.coeff(0) == pytest.approx(1.0, abs=1e-14)
-        others = np.abs(c.coeffs).copy()
+        c = coefficients(f)
+        assert c[0] == pytest.approx(1.0, abs=1e-14)
+        others = np.abs(c).copy()
         others[0] = 0.0
         assert others.max() < 1e-14
 
     def test_single_cosine_mode(self, small_grid):
-        c = forward_transform(mode(small_grid, 1))
-        assert c.coeff(1) == pytest.approx(0.5, abs=1e-14)
-        assert c.coeff(-1) == pytest.approx(0.5, abs=1e-14)
-        rest = np.abs(c.coeffs).copy()
-        rest[1] = rest[-1] = 0.0
+        # coeff(-1) = conj(coeff(1)) is built into the half spectrum
+        c = coefficients(mode(small_grid, 1))
+        assert c[1] == pytest.approx(0.5, abs=1e-14)
+        rest = np.abs(c).copy()
+        rest[1] = 0.0
         assert rest.max() < 1e-14
 
     def test_round_trip_random(self, small_grid):
         f = random_field(small_grid, seed=7)
-        back = inverse_transform(forward_transform(f))
+        back = field_from_half(small_grid, half_spectrum(f))
         scale = np.abs(f.values).max()
         assert np.abs(back.values - f.values).max() < 1e-12 * scale
 
     def test_parseval(self, small_grid):
         f = random_field(small_grid, seed=8)
-        c = forward_transform(f)
+        w = np.abs(half_spectrum(f)) ** 2
+        w[1:-1] *= 2.0  # each interior bin stands for k and -k
         lhs = small_grid.spacing * np.sum(f.values**2)
-        rhs = small_grid.length * np.sum(np.abs(c.coeffs) ** 2)
+        rhs = small_grid.length * np.sum(w)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestInverseTransform:
     def test_zero_coeffs(self, small_grid):
-        c = SpectralCoeffs(small_grid, np.zeros(small_grid.num_points, complex))
-        assert np.all(inverse_transform(c).values == 0.0)
+        c = np.zeros(small_grid.num_points // 2 + 1, complex)
+        assert np.all(_field(small_grid, c).values == 0.0)
 
     def test_cosine_from_coeffs(self, small_grid):
-        coeffs = np.zeros(small_grid.num_points, complex)
-        coeffs[1] = coeffs[-1] = 0.5
-        f = inverse_transform(SpectralCoeffs(small_grid, coeffs))
+        coeffs = np.zeros(small_grid.num_points // 2 + 1, complex)
+        coeffs[1] = 0.5
+        f = _field(small_grid, coeffs)
         expected = mode(small_grid, 1)
         assert np.abs(f.values - expected.values).max() < 1e-13
 
     def test_sine_from_coeffs(self, small_grid):
-        coeffs = np.zeros(small_grid.num_points, complex)
+        coeffs = np.zeros(small_grid.num_points // 2 + 1, complex)
         coeffs[1] = -0.5j
-        coeffs[-1] = 0.5j
-        f = inverse_transform(SpectralCoeffs(small_grid, coeffs))
+        f = _field(small_grid, coeffs)
         expected = mode(small_grid, 1, kind="sin")
         assert np.abs(f.values - expected.values).max() < 1e-13
-
-    def test_rejects_hermitian_violation(self, small_grid):
-        coeffs = np.zeros(small_grid.num_points, complex)
-        coeffs[1] = 1.0  # missing conjugate partner
-        with pytest.raises(HermitianSymmetryError):
-            inverse_transform(SpectralCoeffs(small_grid, coeffs))
 
 
 class TestApplyMultiplier:
@@ -228,13 +219,19 @@ class TestLpNorm:
         assert lp_norm(c * f, 3.3) == pytest.approx(abs(c) * lp_norm(f, 3.3), rel=1e-13)
 
 
+def _full_spectrum(f):
+    """Coefficients of all wavenumbers in numpy fft order, without the phase
+    of the left endpoint (a convolution carries that phase through)."""
+    return np.fft.fft(f.values) / f.grid.num_points
+
+
 def _convolution_oracle(grid, fields):
     """Spectral truncation of the exact product via integer-wavenumber
     convolution of the full coefficient arrays (no wraparound)."""
     n = grid.num_points
     specs = []
     for f in fields:
-        c = np.fft.fftshift(forward_transform(f).coeffs)  # index k = -n/2 .. n/2-1
+        c = np.fft.fftshift(_full_spectrum(f))  # index k = -n/2 .. n/2-1
         specs.append(c)
     acc = specs[0]
     for c in specs[1:]:
@@ -289,7 +286,7 @@ class TestProducts:
     def test_triple_product_vs_convolution_oracle(self, n):
         grid = Grid(n, 8.0)
         fs = [random_field(grid, seed=20 + i, cutoff_fraction=0.9) for i in range(3)]
-        out = forward_transform(triple_product(*fs)).coeffs
+        out = _full_spectrum(triple_product(*fs))
         oracle = _convolution_oracle(grid, fs)
         scale = max(np.abs(oracle).max(), 1e-30)
         assert np.abs(out - oracle).max() < 1e-12 * scale
@@ -297,7 +294,7 @@ class TestProducts:
     def test_pairwise_product_vs_convolution_oracle(self):
         grid = Grid(32, 8.0)
         fs = [random_field(grid, seed=30 + i, cutoff_fraction=0.9) for i in range(2)]
-        out = forward_transform(product(*fs)).coeffs
+        out = _full_spectrum(product(*fs))
         oracle = _convolution_oracle(grid, fs)
         scale = np.abs(oracle).max()
         assert np.abs(out - oracle).max() < 1e-12 * scale
