@@ -43,6 +43,7 @@ from .initial_data import (
 from .solver import (
     BlowupError,
     SolverConfig,
+    StepSizeError,
     SystemState,
     Trajectory,
     integrate,

@@ -24,7 +24,6 @@ from .experiments import (
     DEFAULT_S,
     DEFAULT_SEED,
     DEFAULT_CORPUS_SIZE,
-    DT_CAP,
     write_study,
 )
 from .fieldio import save_field
@@ -54,7 +53,7 @@ class RunConfig:
     num_terms: int = DEFAULT_NUM_TERMS
     grid_points: int = DEFAULT_GRID_POINTS
     domain_length: float = DEFAULT_DOMAIN_LENGTH
-    dt: float = DT_CAP
+    dt: float | None = None
     t_final: float = 1e-2
     delta: float = DEFAULT_DELTA
     n_min: int = DEFAULT_N_RANGE[0]
@@ -162,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--domain-length", type=float, default=None,
                         help=f"periodic box length (default {DEFAULT_DOMAIN_LENGTH})")
         sp.add_argument("--dt", type=float, default=None,
-                        help=f"time step cap (default {DT_CAP})")
+                        help="cap on the error-controlled time step (default: no cap)")
         sp.add_argument("--t-final", type=float, default=None,
                         help="integration horizon (default 1e-2)")
         sp.add_argument("--delta", type=float, default=None,
@@ -225,10 +224,8 @@ def _data_params(cfg: RunConfig) -> IllposedDataParams:
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    """Settings of ``solve``: --dt caps the step, so it may exceed --t-final."""
-    SolverConfig(dt=cfg.dt, t_final=0.0)  # the step cap alone
-    dt = min(cfg.dt, cfg.t_final) if cfg.t_final > 0 else cfg.dt
-    return SolverConfig(dt=dt, t_final=cfg.t_final)
+    """Settings of ``solve``; --dt only caps the step, so it may exceed --t-final."""
+    return SolverConfig(t_final=cfg.t_final, dt=cfg.dt, s=cfg.s)
 
 
 def _short_times(cfg: RunConfig) -> list:

@@ -10,7 +10,7 @@ tolerances are declared in the CSV header.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,7 +25,7 @@ from .littlewood_paley import (
     dyadic_block,
     weighted_block_norms,
 )
-from .solver import SolverConfig, SystemState, _default_threshold, integrate
+from .solver import SolverConfig, SystemState, integrate
 from .spectral import (
     Grid,
     RealField,
@@ -45,8 +45,6 @@ DEFAULT_NUM_TERMS = 12
 DEFAULT_N_RANGE = (5, 11)
 DEFAULT_DELTA = 0.1
 DEFAULT_TIMES = tuple(1e-2 * 2.0**-k for k in range(6))
-DT_CAP = 1e-4
-STEPS_PER_HORIZON = 64
 DEFAULT_SEED = 2026
 DEFAULT_CORPUS_SIZE = 100
 
@@ -216,8 +214,17 @@ def _params_dict(params: IllposedDataParams, **extra) -> dict:
     return out
 
 
-def _solver_config(horizon: float, dt_cap: float = DT_CAP) -> SolverConfig:
-    return SolverConfig(dt=min(dt_cap, horizon / STEPS_PER_HORIZON), t_final=horizon)
+def _solver_params(*trajectories) -> dict:
+    """Header entries for the work and the time error of the trajectories:
+    the largest accepted step, the accepted and rejected step counts, and
+    the largest per-step error estimate relative to the state's norm."""
+    errors = [e for traj in trajectories for e in traj.errors]
+    return {
+        "dt": max((h for h, _ in errors), default=0.0),
+        "rk4_steps": len(errors),
+        "rk4_rejected": sum(traj.rejected for traj in trajectories),
+        "time_error_max": max((err for _, err in errors), default=0.0),
+    }
 
 
 def band_list(params: IllposedDataParams, n_range, n_lowest: int) -> list:
@@ -318,13 +325,14 @@ def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport
 
 def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
                      ablate_first_variation: bool = False,
-                     dt_cap: float = DT_CAP) -> StudyReport:
+                     dt_cap: float | None = None) -> StudyReport:
     """Short-time expansion orders of the flow started from the lacunary data.
 
     Distances one derivative below the data space must be O(t); residuals
     against the first variation, two derivatives below, must be O(t^2).
     Ablating the first variation (replacing it by zero) demotes the
-    second-order pair to first order.
+    second-order pair to first order.  ``dt_cap`` optionally caps the
+    error-controlled step.
     """
     times = time_list(times)
     s, p = params.s, params.p
@@ -337,10 +345,9 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
     else:
         v0, w0 = first_variation(data.rho, data.u)
 
-    cfg = _solver_config(times[0], dt_cap)
-    traj = integrate(state0, cfg, checkpoints=sorted(times))
     rows = []
-    for state in traj.states[1:]:
+
+    def expand(state):
         t = state.time
         d1r = besov_norm(bank, state.rho - data.rho, _index(s - 2, p))
         d1u = besov_norm(bank, state.u - data.u, _index(s - 1, p))
@@ -352,6 +359,8 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
                          check_resolved=False)
         rows.append((t, d1r, d1u, d2r, d2u))
 
+    traj = integrate(state0, SolverConfig(t_final=times[0], dt=dt_cap, s=s),
+                     checkpoints=times, visit=expand)
     fits = {
         "first_order_rho": fit_powerlaw([(r[0], r[1]) for r in rows], "loglog"),
         "first_order_u": fit_powerlaw([(r[0], r[2]) for r in rows], "loglog"),
@@ -362,9 +371,9 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
         study_name="shorttime",
         params=_params_dict(
             params,
-            dt=cfg.dt,
             t_max=times[0],
             ablate_first_variation=ablate_first_variation,
+            **_solver_params(traj),
         ),
         tolerances={
             "first_order_slope": SLOPE_TOL_FIRST_ORDER,
@@ -391,27 +400,9 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
     return report
 
 
-def _sweep(state0: SystemState, horizons, checkpoints, dt_cap: float):
-    """Integrate state0 forward once through the horizons, yielding the state
-    at each horizon and checkpoint as the sweep reaches it.
-
-    The segment ending at horizon t steps by the rule _solver_config(t) that
-    a separate integration to t would use, so no interval is stepped more
-    coarsely than that; every segment keeps the blow-up guard of state0.
-    """
-    threshold = _default_threshold(state0)
-    current = state0
-    for t_end in sorted(horizons):
-        cfg = replace(_solver_config(t_end, dt_cap), blowup_threshold=threshold)
-        stops = {t for t in checkpoints if current.time < t < t_end} | {t_end}
-        traj = integrate(current, cfg, checkpoints=stops)
-        yield from traj.states[1:]
-        current = traj.states[-1]
-
-
 def study_separation(params: IllposedDataParams, n_range=None,
                      delta: float = DEFAULT_DELTA, with_control: bool = True,
-                     dt_cap: float = DT_CAP) -> StudyReport:
+                     dt_cap: float | None = None) -> StudyReport:
     """Non-vanishing data-to-solution separation along t_n = delta 2^-n.
 
     For each n the report records, at t_n, both the full Besov distances
@@ -428,10 +419,8 @@ def study_separation(params: IllposedDataParams, n_range=None,
     solution Besov norms at the quarters of every horizon.
 
     The horizons are nested, so the data and the control are each
-    integrated once, in one forward sweep through the horizons in
-    increasing order.  The segment (t_(n+1), t_n] takes the step that a
-    separate integration to t_n would take, and each checkpoint is
-    evaluated when the sweep reaches it.
+    integrated once, in one error-controlled sweep through every horizon
+    and quarter checkpoint; ``dt_cap`` optionally caps its step.
     """
     n_list = band_list(params, n_range, 5)
     check_delta(delta)
@@ -447,8 +436,8 @@ def study_separation(params: IllposedDataParams, n_range=None,
     quarters = {n: [t_n * k / 4 for k in (1, 2, 3, 4)] for n, t_n in horizon.items()}
     energy = {}
     separation = {}
-    data0 = SystemState(rho=data.rho, u=data.u)
-    for st in _sweep(data0, horizon.values(), set().union(*quarters.values()), dt_cap):
+
+    def audit(st):
         energy[st.time] = (
             besov_norm(bank, st.rho, idx_rho) + besov_norm(bank, st.u, idx_u)
         ) / energy0
@@ -460,14 +449,20 @@ def study_separation(params: IllposedDataParams, n_range=None,
             separation[n] = (float(w_rho[n + 1] + w_u[n + 1]), float(np.max(w_rho)),
                              float(np.max(w_u)))
 
+    cfg = SolverConfig(t_final=max(horizon.values()), dt=dt_cap, s=s)
+    trajectories = [integrate(SystemState(rho=data.rho, u=data.u), cfg,
+                              checkpoints=set().union(*quarters.values()), visit=audit)]
     control_dist = dict.fromkeys(n_list, math.nan)
     if with_control:
         control = CONTROL_AMPLITUDE * build_bump(params.bump, params.grid)
-        for st in _sweep(SystemState(rho=control, u=control), horizon.values(), (),
-                         dt_cap):
+
+        def collapse(st):
             control_dist[band_at[st.time]] = besov_norm(
                 bank, st.rho - control, idx_rho
             ) + besov_norm(bank, st.u - control, idx_u)
+
+        trajectories.append(integrate(SystemState(rho=control, u=control), cfg,
+                                      checkpoints=horizon.values(), visit=collapse))
 
     rows = []
     for n in n_list:
@@ -484,7 +479,8 @@ def study_separation(params: IllposedDataParams, n_range=None,
         study_name="separation",
         params=_params_dict(params, delta=delta, n_min=n_list[0], n_max=n_list[-1],
                             with_control=with_control,
-                            control_amplitude=CONTROL_AMPLITUDE),
+                            control_amplitude=CONTROL_AMPLITUDE,
+                            **_solver_params(*trajectories)),
         tolerances={
             "separation_slope_min": SEPARATION_SLOPE_MIN,
             "plateau_min": PLATEAU_MIN,

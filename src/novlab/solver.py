@@ -8,22 +8,27 @@ been eliminated with the inverse Helmholtz operator G = (1 - d^2/dx^2)^-1:
                     + G((1/2) u_x^3 - (1/2) u_x rho^2)
 
 All products are dealiased by factor-two zero padding (exact for the cubic
-nonlinearities), and time stepping is classical fixed-step RK4; the studies
-run on horizons far below any stability limit of these smooth bounded
-rates.
+nonlinearities).  Time stepping is classical RK4 with an error-controlled
+step (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Each step's error
+estimate is the embedded third-order FSAL formula (h/6)(k4 - k5), where
+k5 = f(y_(n+1)) becomes the next step's k1, so an accepted step costs the
+four right-hand-side evaluations a fixed step costs.  The estimate is
+measured in B^(s-1)_{2,inf} x B^s_{2,inf} over sharp dyadic shells of the
+half spectrum, and the step is accepted when it is at most
+RTOL ||increment|| + ATOL ||state|| in that norm.
 
 One kernel evaluates the right-hand side from half spectra to half spectra
-(4 padded inverse and 4 forward real FFTs).  An RK4 step transforms the
-state once, forms its stages on half spectra, and adds the inverse
-transform of dt/6 (k1 + 2 k2 + 2 k3 + k4) to the state values: the state
-is only ever incremented and never takes a transform round trip, whose
-roundoff the 2^(js)-weighted Besov blocks would amplify.
+(4 padded inverse and 4 forward real FFTs).  A step forms its stages on the
+state's carried half spectra and adds the inverse transform of the
+increment h/6 (k1 + 2 k2 + 2 k3 + k4) to the state values: neither the
+values nor the spectra ever take a transform round trip, whose roundoff the
+2^(js)-weighted Besov blocks and the error estimate would amplify.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import irfft, rfft
@@ -41,6 +46,16 @@ from .spectral import (
     half_spectrum,
 )
 
+# error control: accept when err <= RTOL ||increment|| + ATOL ||state||; the
+# ATOL term keeps roundoff in the top shells of large states from driving
+# the step down
+RTOL = 1e-6
+ATOL = 1e-9
+SAFETY = 0.9
+GROWTH_MIN, GROWTH_MAX = 0.2, 4.0
+# a step the controller shrinks below this share of the horizon raises
+MIN_STEP_FRACTION = 1e-10
+
 
 class BlowupError(RuntimeError):
     """Sup norm exceeded the guard threshold during integration."""
@@ -49,6 +64,10 @@ class BlowupError(RuntimeError):
         super().__init__(f"blow-up guard tripped at t={time:g} (sup norm {sup:.3e})")
         self.time = time
         self.sup = sup
+
+
+class StepSizeError(RuntimeError):
+    """The error controller shrank the step below its floor."""
 
 
 @dataclass(frozen=True)
@@ -74,102 +93,215 @@ class SystemState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step integration settings.
+    """Integration settings.
 
+    ``dt`` optionally caps the error-controlled step; ``s`` sets the norm
+    B^(s-1)_{2,inf} x B^s_{2,inf} the step error is measured in.
     ``blowup_threshold`` defaults to 100x the initial sup norm when left
     unset.
     """
 
-    dt: float
     t_final: float
+    dt: float | None = None
     blowup_threshold: float | None = None
+    s: float = 3.0
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
+        if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
         if not 0 <= self.t_final < math.inf:
             raise ValueError("t_final must be nonnegative and finite")
-        if self.t_final > 0 and self.dt > self.t_final:
-            raise ValueError("dt must not exceed t_final")
         if self.blowup_threshold is not None and not self.blowup_threshold > 0:
             raise ValueError("blowup_threshold must be positive")
+        if not math.isfinite(self.s):
+            raise ValueError("s must be finite")
 
 
-def _rhs_half(grid: Grid, hrho: np.ndarray, hu: np.ndarray):
-    """Half spectra of (rho_t, u_t) from the half spectra of (rho, u).
+def _rhs_half(y: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Half spectra of (rho_t, u_t) from the half spectra y = (rho, u),
+    stacked along the first axis; d and g are the derivative and smoothing
+    symbols.
 
     The single RHS kernel: 4 inverse transforms to the padded grid for the
-    products and 4 forward transforms back.
+    products and 4 forward transforms back.  The cubic arguments are built
+    in place, so few padded temporaries are alive at once.
     """
-    d = _derivative_symbol(grid)
-    g = _smoothing_symbol(grid)
-    n = grid.num_points
-    up = _padded_values(hu, n)
-    rp = _padded_values(hrho, n)
-    uxp = _padded_values(d * hu, n)
-    rxp = _padded_values(d * hrho, n)
-    u2 = up * up
-    arg_rho = u2 * rxp + rp * up * uxp
-    arg_u = u2 * uxp
-    arg_dx_smooth = up * (u2 + 1.5 * uxp * uxp - 0.5 * rp * rp)
-    arg_smooth = 0.5 * uxp * (uxp * uxp - rp * rp)
+    n = 2 * (y.shape[-1] - 1)
 
     def back(vals):
-        return _truncate_half(rfft(vals, workers=_WORKERS) / (2 * n), n)
+        out = _truncate_half(rfft(vals, workers=_WORKERS), n)
+        out /= 2 * n
+        return out
 
-    h_rho_t = back(arg_rho)
-    h_u_t = back(arg_u) + d * g * back(arg_dx_smooth) + g * back(arg_smooth)
-    return h_rho_t, h_u_t
+    rp = _padded_values(y[0], n)
+    up = _padded_values(y[1], n)
+    uxp = _padded_values(d * y[1], n)
+    u2 = up * up
+    arg = _padded_values(d * y[0], n)
+    arg *= u2
+    tmp = rp * up
+    tmp *= uxp
+    arg += tmp
+    out = np.empty_like(y)
+    out[0] = back(arg)                      # u^2 rho_x + rho u u_x
+    rp *= rp
+    rp *= 0.5                               # rho^2 / 2
+    np.multiply(uxp, uxp, out=tmp)          # u_x^2
+    np.multiply(tmp, 1.5, out=arg)
+    arg += u2
+    arg -= rp
+    arg *= up
+    h_u = back(arg)                         # u^3 + (3/2) u u_x^2 - (1/2) u rho^2
+    h_u *= d
+    tmp *= 0.5
+    tmp -= rp
+    tmp *= uxp
+    h_u += back(tmp)                        # (1/2) u_x^3 - (1/2) u_x rho^2
+    h_u *= g
+    np.multiply(u2, uxp, out=arg)
+    h_u += back(arg)                        # u^2 u_x
+    out[1] = h_u
+    return out
+
+
+def _spectra(state: SystemState) -> np.ndarray:
+    """Half spectra of (rho, u), stacked along the first axis."""
+    return np.stack([half_spectrum(state.rho), half_spectrum(state.u)])
+
+
+def _symbols(grid: Grid):
+    return _derivative_symbol(grid), _smoothing_symbol(grid)
 
 
 def rhs(state: SystemState):
     """Time derivative (rho_t, u_t) of the nonlocal system at this state."""
     grid = state.grid
-    h_rho_t, h_u_t = _rhs_half(grid, half_spectrum(state.rho), half_spectrum(state.u))
-    return field_from_half(grid, h_rho_t), field_from_half(grid, h_u_t)
+    rate = _rhs_half(_spectra(state), *_symbols(grid))
+    return field_from_half(grid, rate[0]), field_from_half(grid, rate[1])
 
 
-def step_rk4(state: SystemState, dt: float,
-             blowup_threshold: float | None = None) -> SystemState:
-    """One classical four-stage Runge-Kutta step of size dt.
+@dataclass(frozen=True)
+class RK4Step:
+    """One RK4 step and what the next step reuses from it.
 
-    The stages live on half spectra; the state values are only ever
-    incremented, by the inverse transform of the stage combination, so the
-    state itself takes no transform round trip.
+    Half spectra are stacked (rho, u) along the first axis.  ``spectra``
+    are the half spectra of ``state``, carried as the previous ones plus
+    ``increment`` = h/6 (k1 + 2 k2 + 2 k3 + k4), never a transform of the
+    values; ``rate`` is the right-hand side at ``spectra``, the FSAL stage
+    k5 that the next step takes as its k1; ``error`` is the embedded
+    third-order estimate h/6 (k4 - k5).  A step of size zero (at the
+    initial state) has no increment and no error.
+    """
+
+    state: SystemState
+    spectra: np.ndarray
+    rate: np.ndarray
+    increment: np.ndarray | None = None
+    error: np.ndarray | None = None
+
+
+def _rest(state: SystemState) -> RK4Step:
+    """The step of size zero that ends at ``state``."""
+    y = _spectra(state)
+    return RK4Step(state, y, _rhs_half(y, *_symbols(state.grid)))
+
+
+def step_rk4(state: SystemState, dt: float, blowup_threshold: float | None = None,
+             start: RK4Step | None = None) -> RK4Step:
+    """One classical four-stage Runge-Kutta step of size dt from ``state``.
+
+    ``start`` is the step that ended at ``state``; its carried spectra and
+    rate are reused, so the step costs four right-hand-side evaluations
+    (k2, k3, k4 and k5).  Without it the state is transformed once and k1
+    evaluated.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     grid = state.grid
     n = grid.num_points
-    hr0, hu0 = half_spectrum(state.rho), half_spectrum(state.u)
-    kr, ku = _rhs_half(grid, hr0, hu0)
+    symbols = _symbols(grid)
+    if start is None:
+        start = _rest(state)
+    y0, k = start.spectra, start.rate
     # running k1 + 2 k2 + 2 k3 + k4, so only one stage is held at a time
-    sum_r, sum_u = kr, ku
-    for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):
-        kr, ku = _rhs_half(grid, hr0 + frac * dt * kr, hu0 + frac * dt * ku)
-        sum_r += weight * kr
-        sum_u += weight * ku
-    r1 = state.rho.values + irfft((dt / 6.0) * sum_r, n=n, workers=_WORKERS) * n
-    u1 = state.u.values + irfft((dt / 6.0) * sum_u, n=n, workers=_WORKERS) * n
+    increment = k.copy()
+    for frac, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        stage = (frac * dt) * k
+        stage += y0
+        k = _rhs_half(stage, *symbols)
+        increment += weight * k
+    del stage
+    increment *= dt / 6.0
+    delta = irfft(increment, n=n, workers=_WORKERS)
+    delta *= n
+    r1 = state.rho.values + delta[0]
+    u1 = state.u.values + delta[1]
+    del delta  # not alive during the k5 evaluation
     if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(u1))):
         raise BlowupError(state.time + dt, math.inf)
     sup = max(np.max(np.abs(r1)), np.max(np.abs(u1)))
     if blowup_threshold is not None and sup > blowup_threshold:
         raise BlowupError(state.time + dt, sup)
-    return SystemState(
-        rho=RealField(grid, r1), u=RealField(grid, u1), time=state.time + dt
-    )
+    y1 = y0 + increment
+    rate = _rhs_half(y1, *symbols)
+    k -= rate
+    k *= dt / 6.0
+    new = SystemState(rho=RealField(grid, r1), u=RealField(grid, u1), time=state.time + dt)
+    return RK4Step(new, y1, rate, increment, k)
+
+
+class _ShellNorm:
+    """||a||_{B^(s-1)_{2,inf}} + ||b||_{B^s_{2,inf}} of stacked half spectra
+    (a, b), over the sharp dyadic shells |xi| < 1 and 2^j <= |xi| < 2^(j+1)
+    of the grid frequencies, by Parseval: no transform is needed.
+
+    The norm is returned divided by a common power of two, so the largest
+    squared shell weight is L and no weight overflows for any s; the
+    controller only compares norms, which that factor does not change.  A shell
+    whose squared weight falls below 2^-1074 of the top one counts as zero.
+    """
+
+    def __init__(self, grid: Grid, s: float):
+        xi = grid.half_frequencies
+        self.shell = np.zeros(xi.size, dtype=np.intp)
+        above = xi >= 1.0
+        self.shell[above] = np.floor(np.log2(xi[above])).astype(np.intp) + 1
+        j = np.arange(self.shell[-1] + 1) - 1.0
+        # squared weights 2^(2 j sigma - 2 scale) times L, for sigma = s - 1
+        # and s; the top one is L
+        exponents = np.outer([s - 1.0, s], j)
+        scale = math.ceil(exponents.max())
+        self.weights = grid.length * 4.0 ** (exponents - scale)
+        # the rfft layout counts interior bins twice
+        self.multiplicity = np.full(xi.size, 2.0)
+        self.multiplicity[[0, -1]] = 1.0
+
+    def __call__(self, y: np.ndarray) -> float:
+        energy = np.square(y.real) + np.square(y.imag)
+        energy *= self.multiplicity
+        total = 0.0
+        for row, w in zip(energy, self.weights):
+            sums = np.bincount(self.shell, weights=row, minlength=w.size)
+            total += math.sqrt(float(np.max(w * sums)))
+        return total
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Initial state plus the states at each requested checkpoint.
+    """Initial state plus the states at each requested checkpoint that
+    integrate kept.
 
-    ``sup_norms`` records (time, sup rho, sup u) after every step taken.
+    ``sup_norms`` records (time, sup rho, sup u) after every accepted step,
+    ``errors`` the (step size, error estimate) of the same steps, with the
+    estimate relative to the norm of the state the step started from, in
+    the norm the step was controlled in; ``rejected`` counts the steps the
+    controller rejected.
     """
 
     states: tuple
     sup_norms: tuple
+    errors: tuple = ()
+    rejected: int = 0
 
 
 def _default_threshold(state0: SystemState) -> float:
@@ -178,11 +310,19 @@ def _default_threshold(state0: SystemState) -> float:
     return 100.0 * max(state0.sup_norm(), np.finfo(float).tiny)
 
 
-def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None) -> Trajectory:
-    """Fixed-step RK4 up to t_final, landing exactly on each checkpoint.
+def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
+              visit=None) -> Trajectory:
+    """Error-controlled RK4 up to t_final, landing exactly on each checkpoint.
 
-    Between consecutive checkpoints the step is cfg.dt shrunk just enough
-    to divide the interval evenly; it never exceeds cfg.dt.
+    Each checkpoint state is kept in the trajectory, or, when ``visit`` is
+    given, passed to it as the sweep reaches it and not kept, so a long
+    sweep holds one state at a time.
+
+    The controller proposes a step h (never above cfg.dt when set); the
+    interval to the next checkpoint is then split evenly into steps of at
+    most h, so no sliver step is taken.  A rejected step is retried with a
+    smaller h; StepSizeError is raised once h falls below
+    MIN_STEP_FRACTION of the horizon.
     """
     if checkpoints is None:
         checkpoints = [cfg.t_final] if cfg.t_final > 0 else []
@@ -195,21 +335,65 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None) -> Traje
     elif threshold <= state0.sup_norm():
         raise ValueError("blowup_threshold must exceed the initial sup norm")
 
-    states = [state0]
-    sup_norms = []
-    current = state0
-    t_prev = state0.time
+    if not checkpoints:
+        return Trajectory(states=(state0,), sup_norms=())
+    states, sup_norms, errors = [state0], [], []
+    rejected = 0
+    norm = _ShellNorm(state0.grid, cfg.s)
+    horizon = checkpoints[-1] - state0.time
+    h_min = MIN_STEP_FRACTION * horizon
+    h_max = cfg.dt if cfg.dt is not None else math.inf
+    current = _rest(state0)
+    state_norm = norm(current.spectra)
+    rate_norm = norm(current.rate)
+    # the usual first guess 0.01 ||y|| / ||f(y)||, or the whole horizon
+    # when either norm vanishes
+    if state_norm > 0 and rate_norm > 0:
+        h = 0.01 * state_norm / rate_norm
+    else:
+        h = horizon
+    h = min(h, h_max)
     for t_next in checkpoints:
-        seg = t_next - t_prev
-        n_steps = max(1, math.ceil(seg / cfg.dt - 1e-12))
-        h = seg / n_steps
-        for _ in range(n_steps):
-            current = step_rk4(current, h, threshold)
-            sup_norms.append(
-                (current.time, current.rho.sup_norm(), current.u.sup_norm())
-            )
-        # land exactly on the checkpoint despite accumulated rounding
-        current = SystemState(rho=current.rho, u=current.u, time=t_next)
-        states.append(current)
-        t_prev = t_next
-    return Trajectory(states=tuple(states), sup_norms=tuple(sup_norms))
+        while current.state.time < t_next:
+            remaining = t_next - current.state.time
+            steps_left = max(1, math.ceil(remaining / h - 1e-12))
+            step = remaining / steps_left
+            trial = step_rk4(current.state, step, threshold, start=current)
+            err = norm(trial.error)
+            tol = RTOL * norm(trial.increment) + ATOL * state_norm
+            if err == 0:
+                ratio, factor = 0.0, GROWTH_MAX
+            else:
+                ratio = err / tol if tol > 0 else math.inf
+                factor = min(GROWTH_MAX, max(GROWTH_MIN, SAFETY * ratio**-0.25))
+            if ratio <= 1:
+                st = trial.state
+                if steps_left == 1:
+                    # land exactly on the checkpoint despite accumulated rounding
+                    st = replace(st, time=t_next)
+                # keep only what the next step reuses
+                current = RK4Step(st, trial.spectra, trial.rate)
+                sup_norms.append((st.time, st.rho.sup_norm(), st.u.sup_norm()))
+                # relative, so free of the norm's scale; a nonzero error on a
+                # state of zero norm has no finite relative size
+                rel = err / state_norm if state_norm > 0 else (math.inf if err else 0.0)
+                errors.append((step, rel))
+                state_norm = norm(current.spectra)
+                # a step shortened to land on a checkpoint keeps the proposal
+                h = step * factor if factor < 1 else max(h, step * factor)
+            else:
+                rejected += 1
+                h = step * factor
+                if h < h_min:
+                    raise StepSizeError(
+                        f"step {h:.3e} below its floor {h_min:.3e} at "
+                        f"t={current.state.time:g} (error {ratio:.3e} times its tolerance)"
+                    )
+            h = min(h, h_max)
+            del trial
+        if visit is None:
+            states.append(current.state)
+        else:
+            visit(current.state)
+    return Trajectory(states=tuple(states), sup_norms=tuple(sup_norms),
+                      errors=tuple(errors), rejected=rejected)

@@ -175,22 +175,21 @@ def apply_multiplier(f: RealField, m) -> RealField:
     return apply_half_multiplier(f, samples)
 
 
-@lru_cache(maxsize=32)
 def _derivative_symbol(grid: Grid) -> np.ndarray:
-    """i xi on the half spectrum; the (sign-ambiguous) Nyquist bin is zeroed."""
+    """i xi on the half spectrum; the (sign-ambiguous) Nyquist bin is zeroed.
+
+    Built per call rather than cached: a cached symbol would outlive every
+    study that used it.
+    """
     d = 1j * grid.half_frequencies
     d[-1] = 0.0
-    d.flags.writeable = False
     return d
 
 
-@lru_cache(maxsize=32)
 def _smoothing_symbol(grid: Grid) -> np.ndarray:
     """1 / (1 + xi^2), the symbol of (1 - d^2/dx^2)^-1."""
     xi = grid.half_frequencies
-    g = 1.0 / (1.0 + xi * xi)
-    g.flags.writeable = False
-    return g
+    return 1.0 / (1.0 + xi * xi)
 
 
 def derivative(f: RealField) -> RealField:
@@ -233,7 +232,9 @@ def pad_half_spectrum(half: np.ndarray, n: int) -> np.ndarray:
 
 
 def _padded_values(half: np.ndarray, n: int) -> np.ndarray:
-    return irfft(pad_half_spectrum(half, n), n=2 * n, workers=_WORKERS) * (2 * n)
+    v = irfft(pad_half_spectrum(half, n), n=2 * n, workers=_WORKERS)
+    v *= 2 * n
+    return v
 
 
 def _truncate_half(half_padded: np.ndarray, n: int) -> np.ndarray:
@@ -251,8 +252,10 @@ def dealiased_half_product(grid: Grid, halves) -> np.ndarray:
     n = grid.num_points
     acc = _padded_values(halves[0], n)
     for h in halves[1:]:
-        acc = acc * _padded_values(h, n)
-    return _truncate_half(rfft(acc, workers=_WORKERS) / (2 * n), n)
+        acc *= _padded_values(h, n)
+    out = _truncate_half(rfft(acc, workers=_WORKERS), n)
+    out /= 2 * n
+    return out
 
 
 def product(f: RealField, g: RealField) -> RealField:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,3 +92,22 @@ def composed_rhs(rho, u):
     u_t = (triple_product(u, u, u_x) + derivative(helmholtz_inverse(dx_arg))
            + helmholtz_inverse(plain_arg))
     return rho_t, u_t
+
+
+def fixed_step_states(state0, dt, checkpoints):
+    """States at the checkpoints of classical RK4 with a fixed step: each
+    interval between checkpoints is split evenly into steps of at most dt."""
+    from novlab import SystemState, step_rk4
+
+    states, state, step = [], state0, None
+    for t_next in sorted(checkpoints):
+        seg = t_next - state.time
+        n_steps = max(1, math.ceil(seg / dt - 1e-12))
+        for _ in range(n_steps):
+            step = step_rk4(state, seg / n_steps, start=step)
+            state = step.state
+        # land exactly on the checkpoint despite accumulated rounding
+        state = SystemState(rho=state.rho, u=state.u, time=t_next)
+        step = replace(step, state=state)
+        states.append(state)
+    return states

@@ -15,7 +15,6 @@ from novlab import (
     BumpSpec,
     Grid,
     IllposedDataParams,
-    SolverConfig,
     SystemState,
     besov_norm,
     build_bump,
@@ -24,7 +23,6 @@ from novlab import (
     derivative,
     dyadic_block,
     helmholtz_inverse,
-    integrate,
     lp_norm,
     modulated_bump,
     study_block_scaling,
@@ -33,6 +31,8 @@ from novlab import (
     study_short_time,
 )
 from novlab.experiments import write_report_csv
+
+from conftest import fixed_step_states
 
 GRID_POINTS = 2**17
 LENGTH = 128.0
@@ -203,14 +203,11 @@ def test_criterion_8_numerical_hygiene(grid, tmp_path):
     err_h = np.abs(h.values - np.cos(xi0 * x) / (1 + xi0**2)).max()
     mode_exact = max(err_d, err_h) < 1e-10
 
-    # integrator self-convergence order
+    # integrator self-convergence order, a property of the fixed step
     small = Grid(2**12, 64.0)
     bump = 8.0 * build_bump(BumpSpec(), small)
     st = SystemState(rho=bump, u=bump)
-    finals = [
-        integrate(st, SolverConfig(dt=dt, t_final=0.1)).states[-1]
-        for dt in (0.02, 0.01, 0.005)
-    ]
+    finals = [fixed_step_states(st, dt, [0.1])[-1] for dt in (0.02, 0.01, 0.005)]
     e1 = max(np.abs(finals[0].rho.values - finals[1].rho.values).max(),
              np.abs(finals[0].u.values - finals[1].u.values).max())
     e2 = max(np.abs(finals[1].rho.values - finals[2].rho.values).max(),

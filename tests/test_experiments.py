@@ -8,7 +8,6 @@ from novlab import (
     DegenerateDataError,
     Grid,
     IllposedDataParams,
-    SolverConfig,
     SystemState,
     besov_norm,
     build_bump,
@@ -27,8 +26,6 @@ from novlab import (
 from novlab import experiments
 from novlab.experiments import (
     CONTROL_AMPLITUDE,
-    DT_CAP,
-    STEPS_PER_HORIZON,
     commutator_ratio,
     product_law_ratio,
     random_band_limited_field,
@@ -36,7 +33,7 @@ from novlab.experiments import (
     write_report_csv,
 )
 
-from conftest import random_field
+from conftest import fixed_step_states, random_field
 
 
 class TestFitPowerlaw:
@@ -133,6 +130,13 @@ class TestShortTimeStudy:
         assert shorttime_report.fits["second_order_u"].slope == pytest.approx(2.0, abs=0.2)
         assert shorttime_report.passed
 
+    def test_header_reports_solver_work(self, shorttime_report):
+        params = shorttime_report.params
+        assert 0 < params["dt"] <= SHORT_TIMES[0]
+        assert params["rk4_steps"] >= len(SHORT_TIMES)
+        assert "rk4_rejected" in params
+        assert 0 < params["time_error_max"] < 1e-6
+
     def test_ablation_degrades_second_order_to_first(self, medium_params):
         ablated = study_short_time(medium_params, SHORT_TIMES, ablate_first_variation=True)
         assert ablated.fits["second_order_rho"].slope == pytest.approx(1.0, abs=0.1)
@@ -140,6 +144,7 @@ class TestShortTimeStudy:
 
     def test_dt_robustness(self, medium_params, shorttime_report):
         halved = study_short_time(medium_params, SHORT_TIMES, dt_cap=5e-5)
+        assert halved.params["dt"] <= 5e-5 * (1 + 1e-12)  # up to even division
         for r1, r2 in zip(shorttime_report.rows, halved.rows):
             for a, b in zip(r1[1:], r2[1:]):
                 assert b == pytest.approx(a, rel=1e-2)
@@ -210,26 +215,28 @@ class TestSeparationStudy:
 
     @pytest.mark.parametrize("n_max", [7, 8])
     def test_one_sweep_per_initial_state(self, medium_params, monkeypatch, n_max):
-        # each integrate call that starts from the previous call's final state
-        # continues that sweep; any other call starts a new one
+        # one integrate call for the data and one for the control, each
+        # through every horizon, in fewer steps than the fixed rule's
+        # 64 + 32 (k - 1)
         sweeps = []
 
-        def counting(state0, cfg, checkpoints=None):
-            traj = integrate(state0, cfg, checkpoints)
-            steps = len(traj.sup_norms)
-            if sweeps and sweeps[-1][0] is state0:
-                steps += sweeps.pop()[1]
-            sweeps.append((traj.states[-1], steps))
+        def counting(state0, cfg, checkpoints=None, visit=None):
+            traj = integrate(state0, cfg, checkpoints, visit)
+            sweeps.append((state0.time, traj.sup_norms[-1][0], len(traj.sup_norms)))
             return traj
 
         monkeypatch.setattr(experiments, "integrate", counting)
-        study_separation(medium_params, range(5, n_max + 1), delta=0.1)
+        report = study_separation(medium_params, range(5, n_max + 1), delta=0.1)
         k = n_max - 4
-        assert [steps for _, steps in sweeps] == [64 + 32 * (k - 1)] * 2
+        assert [sweep[:2] for sweep in sweeps] == [(0.0, 0.1 * 2.0**-5)] * 2
+        assert all(steps < 64 + 32 * (k - 1) for _, _, steps in sweeps)
+        assert report.params["rk4_steps"] == sum(steps for _, _, steps in sweeps)
 
 
 def _per_horizon_separation_rows(params, n_range, delta):
-    """Separation rows from one integrate per horizon t_n, each from the data."""
+    """Separation rows from one fixed-step integration per horizon t_n, each
+    from the data, by the rule the studies used before error control: steps
+    of min(1e-4, t_n / 64)."""
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
@@ -239,21 +246,21 @@ def _per_horizon_separation_rows(params, n_range, delta):
     rows = []
     for n in n_range:
         t_n = delta * 2.0**-n
-        cfg = SolverConfig(dt=min(DT_CAP, t_n / STEPS_PER_HORIZON), t_final=t_n)
+        dt = min(1e-4, t_n / 64)
         quarter = [t_n * k / 4 for k in (1, 2, 3, 4)]
-        traj = integrate(SystemState(rho=data.rho, u=data.u), cfg, checkpoints=quarter)
+        states = fixed_step_states(SystemState(rho=data.rho, u=data.u), dt, quarter)
         energy_ratio = max(
             (besov_norm(bank, st.rho, idx_rho) + besov_norm(bank, st.u, idx_u)) / energy0
-            for st in traj.states[1:]
+            for st in states
         )
-        final = traj.states[-1]
+        final = states[-1]
         drho, du = final.rho - data.rho, final.u - data.u
         full_rho = besov_norm(bank, drho, idx_rho)
         full_u = besov_norm(bank, du, idx_u)
         block_sep = 2.0 ** (n * (s - 1)) * lp_norm(dyadic_block(bank, drho, n), p) + 2.0 ** (
             n * s
         ) * lp_norm(dyadic_block(bank, du, n), p)
-        cfinal = integrate(SystemState(rho=control, u=control), cfg, checkpoints=[t_n]).states[-1]
+        cfinal = fixed_step_states(SystemState(rho=control, u=control), dt, [t_n])[-1]
         control_dist = besov_norm(bank, cfinal.rho - control, idx_rho) + besov_norm(
             bank, cfinal.u - control, idx_u
         )

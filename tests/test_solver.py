@@ -17,7 +17,10 @@ from novlab import (
     triple_product,
 )
 
-from conftest import composed_rhs, mode
+from novlab import solver
+from novlab.solver import StepSizeError, _ShellNorm, _default_threshold
+
+from conftest import composed_rhs, fixed_step_states, mode
 
 
 def _zero(grid):
@@ -158,7 +161,7 @@ class TestRhs:
 class TestStepRK4:
     def test_zero_fixed_point(self, small_grid):
         st = SystemState(rho=_zero(small_grid), u=_zero(small_grid))
-        out = step_rk4(st, 1e-2)
+        out = step_rk4(st, 1e-2).state
         assert lp_norm(out.rho, math.inf) == 0.0
         assert lp_norm(out.u, math.inf) == 0.0
         assert out.time == 1e-2
@@ -170,8 +173,8 @@ class TestStepRK4:
         resid = []
         dts = [2e-2, 1e-2, 5e-3]
         for dt in dts:
-            fwd = step_rk4(st, dt)
-            back = step_rk4(fwd, -dt)
+            fwd = step_rk4(st, dt).state
+            back = step_rk4(fwd, -dt).state
             r = max(
                 np.abs(back.rho.values - st.rho.values).max(),
                 np.abs(back.u.values - st.u.values).max(),
@@ -187,17 +190,26 @@ class TestStepRK4:
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         dt = 1e-30
         r_t, u_t = rhs(st)
-        out = step_rk4(st, dt)
+        out = step_rk4(st, dt).state
         for new, old, rate in ((out.rho, st.rho, r_t), (out.u, st.u, u_t)):
             bound = 2 * abs(dt) * 1.01 * rate.sup_norm()
             assert np.abs(new.values - old.values).max() <= bound
+
+    def test_error_estimate_sits_far_below_the_increment(self, medium_data):
+        # k5 comes from the carried spectra, so a tiny step's estimate
+        # h/6 (k4 - k5) carries no transform roundoff of the state; taken
+        # from rfft(values) instead it would sit ~1e-9 below the increment
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        norm = _ShellNorm(st.grid, 3.0)
+        step = step_rk4(st, 1e-6)
+        assert norm(step.error) < 1e-12 * norm(step.increment)
 
     def test_first_order_consistency_with_rhs(self, medium_data):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         r_t, u_t = rhs(st)
         pts = []
         for dt in (2e-3, 1e-3, 5e-4, 2.5e-4):
-            out = step_rk4(st, dt)
+            out = step_rk4(st, dt).state
             err = max(
                 np.abs(out.rho.values - st.rho.values - dt * r_t.values).max(),
                 np.abs(out.u.values - st.u.values - dt * u_t.values).max(),
@@ -222,7 +234,8 @@ class TestIntegrate:
         assert len(traj.sup_norms) > 0
 
     def test_self_convergence_order_four(self, small_grid):
-        # smooth O(1) data so the truncation error sits far above roundoff
+        # smooth O(1) data so the truncation error sits far above roundoff;
+        # order is a property of the step, so the step is fixed
         from novlab import BumpSpec, build_bump
 
         bump = 8.0 * build_bump(BumpSpec(), small_grid)
@@ -230,8 +243,7 @@ class TestIntegrate:
         t_final = 0.1
         finals = []
         for dt in (0.02, 0.01, 0.005):
-            traj = integrate(st, SolverConfig(dt=dt, t_final=t_final))
-            finals.append(traj.states[-1])
+            finals.append(fixed_step_states(st, dt, [t_final])[-1])
         e1 = max(
             np.abs(finals[0].rho.values - finals[1].rho.values).max(),
             np.abs(finals[0].u.values - finals[1].u.values).max(),
@@ -246,7 +258,16 @@ class TestIntegrate:
     def test_blowup_guard(self, medium_data):
         # inflate the data until the cubic rates destabilize this step size
         st = SystemState(rho=50.0 * medium_data.rho, u=50.0 * medium_data.u)
-        cfg = SolverConfig(dt=0.25, t_final=2.0)
+        with pytest.raises(BlowupError):
+            step_rk4(st, 0.25, _default_threshold(st))
+
+    def test_blowup_guard_trips_on_real_growth(self, small_grid):
+        # the controller keeps its steps stable, so integrate trips the guard
+        # where the sup norm really grows: on constant u = c the coupling
+        # term -(c/2) d/dx G(rho^2) moves u away from c at rate ~0.25
+        u = RealField(small_grid, np.full(small_grid.num_points, 2.0))
+        st = SystemState(rho=mode(small_grid, 5), u=u)
+        cfg = SolverConfig(t_final=1.0, blowup_threshold=1.001 * st.sup_norm())
         with pytest.raises(BlowupError):
             integrate(st, cfg)
 
@@ -264,3 +285,71 @@ class TestIntegrate:
         cfg = SolverConfig(dt=1e-3, t_final=1e-2, blowup_threshold=1e-9)
         with pytest.raises(ValueError, match="initial sup"):
             integrate(st, cfg)
+
+
+class TestErrorControl:
+    @pytest.mark.parametrize("kind,num_points", [
+        ("zero", 2**14), ("constant", 2**14), ("control", 2**14), ("control", 2**15),
+    ])
+    def test_controller_terminates(self, medium_params, kind, num_points):
+        # in fewer steps than the fixed rule's 64 to the separation horizon
+        # t_5; the amplitude-24 control of the separation study has its top
+        # shells near the RK4 stability limit, and at 2^15 points their
+        # roundoff would take the step down to 106 steps without the ATOL term
+        from novlab import Grid, build_bump
+        from novlab.experiments import CONTROL_AMPLITUDE
+
+        grid = Grid(num_points, 64.0)
+        if kind == "control":
+            f = CONTROL_AMPLITUDE * build_bump(medium_params.bump, grid)
+        else:
+            f = RealField(grid, np.full(num_points, 0.0 if kind == "zero" else 1.5))
+        t_final = 0.1 * 2.0**-5
+        traj = integrate(SystemState(rho=f, u=f), SolverConfig(t_final=t_final))
+        assert traj.states[-1].time == t_final
+        assert 1 <= len(traj.sup_norms) < 64
+        assert len(traj.errors) == len(traj.sup_norms)
+
+    def test_unmeetable_tolerance_raises_within_bounded_work(self, medium_data,
+                                                              monkeypatch):
+        # every attempt is rejected and shrinks the step at least fivefold, so
+        # at most 1 + log5(1 / MIN_STEP_FRACTION) attempts of 4 evaluations
+        # each, plus the initial k1, run before the floor raises
+        monkeypatch.setattr(solver, "RTOL", 1e-30)
+        monkeypatch.setattr(solver, "ATOL", 0.0)
+        evals = []
+        kernel = solver._rhs_half
+
+        def counting(*args):
+            evals.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(solver, "_rhs_half", counting)
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        with pytest.raises(StepSizeError):
+            integrate(st, SolverConfig(t_final=1e-2))
+        attempts = 1 + math.ceil(math.log(1 / solver.MIN_STEP_FRACTION, 5))
+        assert len(evals) <= 1 + 4 * attempts
+
+    @pytest.mark.parametrize("s", [3.0, 80.0, 600.0])
+    def test_shell_weights_stay_finite(self, medium_grid, s):
+        weights = _ShellNorm(medium_grid, s).weights
+        assert np.all(np.isfinite(weights))
+        assert weights.max() == medium_grid.length
+
+    def test_controller_terminates_at_large_s(self, medium_data):
+        # 2^(2 s j_max) overflows a double here, so unscaled squared weights
+        # would make every norm inf and the first step guess nan
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        t_final = 0.1 * 2.0**-5
+        traj = integrate(st, SolverConfig(t_final=t_final, s=80.0))
+        assert traj.states[-1].time == t_final
+        assert all(math.isfinite(err) for _, err in traj.errors)
+
+    def test_dt_caps_every_step(self, medium_data):
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        traj = integrate(st, SolverConfig(t_final=1e-3, dt=1e-4), checkpoints=[3e-4, 1e-3])
+        assert len(traj.errors) >= 10
+        # the step divides each interval evenly, so it may pass the cap by
+        # the rounding of that division
+        assert max(h for h, _ in traj.errors) <= 1e-4 * (1 + 1e-12)
