@@ -8,9 +8,7 @@ nonlocal form of the system, and verdict-bearing scaling studies.
 from .spectral import (
     Grid,
     GridMismatchError,
-    MultiplierError,
     RealField,
-    apply_multiplier,
     derivative,
     helmholtz_inverse,
     lp_norm,
@@ -28,7 +26,6 @@ from .littlewood_paley import (
     weighted_block_norms,
 )
 from .initial_data import (
-    BumpSpec,
     FloorCheck,
     FloorError,
     IllposedDataParams,

@@ -24,6 +24,7 @@ from .experiments import (
     DEFAULT_S,
     DEFAULT_SEED,
     DEFAULT_CORPUS_SIZE,
+    DEFAULT_INEQUALITY_GRID,
     write_study,
 )
 from .fieldio import save_field
@@ -35,7 +36,8 @@ from .initial_data import (
     build_initial_data,
     check_regime,
 )
-from .littlewood_paley import BesovIndex, build_filter_bank, weighted_block_norms
+from .littlewood_paley import (BesovIndex, _check_weights, build_filter_bank, top_index,
+                               weighted_block_norms)
 from .solver import SolverConfig, SystemState, integrate
 from .spectral import Grid
 
@@ -66,8 +68,8 @@ class RunConfig:
         """Reject the config before anything runs or is written.
 
         The checks are the core's own: the objects the run builds (Grid,
-        IllposedDataParams, SolverConfig) and the studies' range rules, whose
-        ValueError is re-raised as a constraint violation.
+        IllposedDataParams, SolverConfig), the bank's grid and block-weight rules
+        and the studies' range rules, whose ValueError is re-raised as a violation.
         """
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
@@ -76,11 +78,14 @@ class RunConfig:
         study = self.study_name if self.command == "study" else None
         try:
             if study == "inequalities":
-                Grid(self.grid_points, self.domain_length)
+                grid = Grid(self.grid_points, self.domain_length)
                 check_regime(self.s, self.p)
                 experiments.check_corpus_size(self.corpus_size)
             else:
                 params = _data_params(self)
+                grid = params.grid
+            if self.command == "decompose" or study is not None:
+                _check_weights(self.s, top_index(grid))
             if self.command == "solve" or study in ("shorttime", "separation"):
                 _solver_config(self)
             if study == "shorttime":
@@ -207,8 +212,8 @@ def parse_args(argv) -> RunConfig:
         values["study_name"] = ns.study_name
     if values.get("command") == "study" and values.get("study_name") == "inequalities":
         # the corpora live on a small grid unless one is requested explicitly
-        values.setdefault("grid_points", 2**12)
-        values.setdefault("domain_length", 64.0)
+        values.setdefault("grid_points", DEFAULT_INEQUALITY_GRID[0])
+        values.setdefault("domain_length", DEFAULT_INEQUALITY_GRID[1])
     cfg = RunConfig(**values)
     cfg.validate()
     if ns.dump_config:

@@ -47,6 +47,7 @@ DEFAULT_DELTA = 0.1
 DEFAULT_TIMES = tuple(1e-2 * 2.0**-k for k in range(6))
 DEFAULT_SEED = 2026
 DEFAULT_CORPUS_SIZE = 100
+DEFAULT_INEQUALITY_GRID = (2**12, 64.0)  # grid points and domain length of the corpora
 
 SLOPE_TOL_FIRST_ORDER = 0.1
 SLOPE_TOL_SECOND_ORDER = 0.2
@@ -195,10 +196,6 @@ def write_study(report: StudyReport, output_path) -> None:
 
 
 # ---------------------------------------------------------------------------
-
-def _index(s, p):
-    return BesovIndex(s=s, p=p, r=math.inf)
-
 
 def _params_dict(params: IllposedDataParams, **extra) -> dict:
     out = {
@@ -349,13 +346,13 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
 
     def expand(state):
         t = state.time
-        d1r = besov_norm(bank, state.rho - data.rho, _index(s - 2, p))
-        d1u = besov_norm(bank, state.u - data.u, _index(s - 1, p))
+        d1r = besov_norm(bank, state.rho - data.rho, BesovIndex(s - 2, p))
+        d1u = besov_norm(bank, state.u - data.u, BesovIndex(s - 1, p))
         # the residuals shrink like t^2 while inheriting harmless spectral
         # dust from t*v0, so the resolution guard would misfire on them
-        d2r = besov_norm(bank, state.rho - data.rho - t * v0, _index(s - 3, p),
+        d2r = besov_norm(bank, state.rho - data.rho - t * v0, BesovIndex(s - 3, p),
                          check_resolved=False)
-        d2u = besov_norm(bank, state.u - data.u - t * w0, _index(s - 2, p),
+        d2u = besov_norm(bank, state.u - data.u - t * w0, BesovIndex(s - 2, p),
                          check_resolved=False)
         rows.append((t, d1r, d1u, d2r, d2u))
 
@@ -427,7 +424,7 @@ def study_separation(params: IllposedDataParams, n_range=None,
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
-    idx_rho, idx_u = _index(s - 1, p), _index(s, p)
+    idx_rho, idx_u = BesovIndex(s - 1, p), BesovIndex(s, p)
     energy0 = besov_norm(bank, data.rho, idx_rho) + besov_norm(bank, data.u, idx_u)
 
     horizon = {n: delta * 2.0**-n for n in n_list}
@@ -454,7 +451,7 @@ def study_separation(params: IllposedDataParams, n_range=None,
                               checkpoints=set().union(*quarters.values()), visit=audit)]
     control_dist = dict.fromkeys(n_list, math.nan)
     if with_control:
-        control = CONTROL_AMPLITUDE * build_bump(params.bump, params.grid)
+        control = CONTROL_AMPLITUDE * build_bump(params.grid)
 
         def collapse(st):
             control_dist[band_at[st.time]] = besov_norm(
@@ -528,10 +525,10 @@ def study_separation(params: IllposedDataParams, n_range=None,
 
 # -- inequality corpora -------------------------------------------------------
 
-def random_band_limited_field(grid: Grid, rng, max_fraction: float = 0.25) -> RealField:
-    """Random real field with smooth random spectrum below a Nyquist fraction."""
+def random_band_limited_field(grid: Grid, rng) -> RealField:
+    """Random real field with smooth random spectrum below a quarter of Nyquist."""
     xi = grid.half_frequencies
-    cutoff = max_fraction * grid.nyquist
+    cutoff = 0.25 * grid.nyquist
     width = cutoff * rng.uniform(0.15, 1.0)
     envelope = np.exp(-((xi / width) ** 2)) * (xi <= cutoff)
     coeffs = envelope * (rng.standard_normal(xi.size) + 1j * rng.standard_normal(xi.size))
@@ -544,8 +541,8 @@ def random_band_limited_field(grid: Grid, rng, max_fraction: float = 0.25) -> Re
 
 def product_law_ratio(bank: LPFilterBank, u: RealField, v: RealField, s: float, p) -> float:
     """||uv||_{B^(s-2)} / (||u||_{B^(s-2)} ||v||_{B^(s-1)})."""
-    num = besov_norm(bank, product(u, v), _index(s - 2, p))
-    den = besov_norm(bank, u, _index(s - 2, p)) * besov_norm(bank, v, _index(s - 1, p))
+    num = besov_norm(bank, product(u, v), BesovIndex(s - 2, p))
+    den = besov_norm(bank, u, BesovIndex(s - 2, p)) * besov_norm(bank, v, BesovIndex(s - 1, p))
     return num / den if den > 0 else 0.0
 
 
@@ -555,16 +552,16 @@ def commutator_ratio(bank: LPFilterBank, u: RealField, v: RealField, s: float, p
         2.0 ** (j * s) * lp_norm(commutator(bank, j, u, v), p)
         for j in range(-1, bank.j_max + 1)
     )
-    den = lp_norm(derivative(u), math.inf) * besov_norm(bank, v, _index(s, p)) + lp_norm(
+    den = lp_norm(derivative(u), math.inf) * besov_norm(bank, v, BesovIndex(s, p)) + lp_norm(
         derivative(v), math.inf
-    ) * besov_norm(bank, u, _index(s, p))
+    ) * besov_norm(bank, u, BesovIndex(s, p))
     return lhs / den if den > 0 else 0.0
 
 
 def smoothing_ratio(bank: LPFilterBank, u: RealField, s: float, p) -> float:
     """||(1-dxx)^-1 u||_{B^s} / ||u||_{B^(s-2)}: the order -2 multiplier gain."""
-    num = besov_norm(bank, helmholtz_inverse(u), _index(s, p))
-    den = besov_norm(bank, u, _index(s - 2, p))
+    num = besov_norm(bank, helmholtz_inverse(u), BesovIndex(s, p))
+    den = besov_norm(bank, u, BesovIndex(s - 2, p))
     return num / den if den > 0 else 0.0
 
 
@@ -580,7 +577,7 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     """
     check_corpus_size(corpus_size)
     if grid is None:
-        grid = Grid(2**12, 64.0)
+        grid = Grid(*DEFAULT_INEQUALITY_GRID)
     bank = build_filter_bank(grid)
 
     rows = []

@@ -18,12 +18,13 @@ wrap-around tail at these domain sizes is ~1e-5 and documented per grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import solver
-from .spectral import Grid, RealField, field_from_half, _half_phase
+from .littlewood_paley import smooth_step
+from .spectral import Grid, RealField, _check_p, _half_phase, field_from_half
 
 LAMBDA_MIN = 67.0 / 48.0
 LAMBDA_MAX = 69.0 / 48.0
@@ -38,57 +39,37 @@ class FloorError(ValueError):
     """u0 vanishes at the origin; the pointwise lower bound is void."""
 
 
-@dataclass(frozen=True)
-class BumpSpec:
-    """Support radii for the bump's Fourier profile (plateau and cutoff)."""
-
-    inner_radius: float = 0.25
-    outer_radius: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.inner_radius < self.outer_radius:
-            raise ValueError(
-                f"need 0 < inner_radius < outer_radius, got "
-                f"{self.inner_radius}, {self.outer_radius}"
-            )
-
-    def profile(self, xi) -> np.ndarray:
-        """Transform samples: 1 inside the plateau, glued to 0 at the cutoff."""
-        from .littlewood_paley import smooth_step
-
-        a = np.abs(np.asarray(xi, dtype=float))
-        return smooth_step((self.outer_radius - a) / (self.outer_radius - self.inner_radius))
+# the bump's Fourier profile is 1 on |xi| <= BUMP_PLATEAU, 0 on |xi| >= BUMP_CUTOFF
+BUMP_PLATEAU = 0.25
+BUMP_CUTOFF = 0.5
 
 
-def modulated_bump(grid: Grid, omega: float, amplitude: float = 1.0,
-                   spec: BumpSpec = BumpSpec()) -> RealField:
-    """Spectral synthesis of amplitude * phi(x) cos(omega x) on the grid.
+def bump_profile(xi) -> np.ndarray:
+    """Transform samples: 1 inside the plateau, glued to 0 at the cutoff."""
+    a = np.abs(np.asarray(xi, dtype=float))
+    return smooth_step((BUMP_CUTOFF - a) / (BUMP_CUTOFF - BUMP_PLATEAU))
 
-    Coefficients are (amplitude/2)(phihat(xi-omega) + phihat(xi+omega))/L,
-    the exact line transform of the product sampled at grid frequencies.
+
+def modulated_bump(grid: Grid, omega: float) -> RealField:
+    """Spectral synthesis of phi(x) cos(omega x) on the grid.
+
+    Coefficients are (1/2)(phihat(xi-omega) + phihat(xi+omega))/L, the
+    exact line transform of the product sampled at grid frequencies.
     """
     if omega < 0:
         raise ValueError("modulation frequency must be nonnegative")
-    if omega + spec.outer_radius >= grid.nyquist:
+    if omega + BUMP_CUTOFF >= grid.nyquist:
         raise ResolutionError(
-            f"band {omega:g} +- {spec.outer_radius:g} exceeds Nyquist {grid.nyquist:g}"
+            f"band {omega:g} +- {BUMP_CUTOFF:g} exceeds Nyquist {grid.nyquist:g}"
         )
     xi = grid.half_frequencies
-    half = (amplitude / (2.0 * grid.length)) * (
-        spec.profile(xi - omega) + spec.profile(xi + omega)
-    )
+    half = (1.0 / (2.0 * grid.length)) * (bump_profile(xi - omega) + bump_profile(xi + omega))
     return field_from_half(grid, half * _half_phase(grid.num_points))
 
 
-def build_bump(spec: BumpSpec, grid: Grid) -> RealField:
+def build_bump(grid: Grid) -> RealField:
     """The unmodulated bump phi itself (even, Schwartz-decaying)."""
-    return modulated_bump(grid, 0.0, 1.0, spec)
-
-
-def _check_p(p) -> None:
-    p = float(p)
-    if math.isnan(p) or p < 1:
-        raise ValueError(f"p must lie in [1, inf], got {p}")
+    return modulated_bump(grid, 0.0)
 
 
 def check_regime(s, p) -> None:
@@ -115,7 +96,6 @@ class IllposedDataParams:
     lam: float = LAMBDA_DEFAULT
     num_terms: int = 12
     grid: Grid = None
-    bump: BumpSpec = field(default=BumpSpec())
     enforce_range: bool = True
 
     def __post_init__(self):
@@ -141,9 +121,6 @@ class IllposedDataParams:
                 f"reduce num_terms or refine the grid"
             )
 
-    def band_frequency(self, n: int) -> float:
-        return self.lam * 2.0**n
-
 
 @dataclass(frozen=True)
 class InitialData:
@@ -161,10 +138,10 @@ def build_initial_data(params: IllposedDataParams) -> InitialData:
     rho = np.zeros(grid.num_points)
     u = np.zeros(grid.num_points)
     for n in range(n_terms):
-        term = modulated_bump(grid, lam * 2.0**n, 1.0, params.bump).values
+        term = modulated_bump(grid, lam * 2.0**n).values
         rho = rho + 2.0 ** (-n * (s - 1)) * term
         u = u + 2.0 ** (-n * s) * term
-    bump_sup = build_bump(params.bump, grid).sup_norm()
+    bump_sup = build_bump(grid).sup_norm()
     # dropped terms n >= N sum to at most this in sup norm (rho dominates u)
     tail = bump_sup * 2.0 ** (-n_terms * (s - 1)) / (1.0 - 2.0 ** (-(s - 1)))
     return InitialData(RealField(grid, rho), RealField(grid, u), tail)

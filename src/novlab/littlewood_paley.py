@@ -23,10 +23,11 @@ import numpy as np
 from .spectral import (
     Grid,
     RealField,
+    _check_p,
     _check_same_grid,
+    _derivative_symbol,
     apply_half_multiplier,
     dealiased_half_product,
-    derivative,
     field_from_half,
     half_spectrum,
     lp_norm,
@@ -68,21 +69,18 @@ def ring_profile(xi):
 
 @dataclass(frozen=True)
 class BesovIndex:
-    """Besov space indices (s, p, r); s is finite, p and r may be math.inf."""
+    """Indices (s, p) of B^s_{p,inf}; s is finite, p may be math.inf."""
 
     s: float
     p: float
-    r: float = math.inf
 
     def __post_init__(self):
         if not math.isfinite(self.s):
             raise ValueError(f"s must be finite, got {self.s}")
-        for name in ("p", "r"):
-            v = float(getattr(self, name))
-            if math.isnan(v) or v < 1:
-                raise ValueError(f"{name} must lie in [1, inf], got {v}")
+        _check_p(self.p)
 
 
+@dataclass(frozen=True, eq=False)
 class LPFilterBank:
     """Sampled dyadic multipliers for one grid.
 
@@ -92,16 +90,10 @@ class LPFilterBank:
     every grid field exactly.
     """
 
-    __slots__ = ("grid", "chi", "phi", "j_max")
-
-    def __init__(self, grid: Grid, chi: np.ndarray, phi: np.ndarray, j_max: int):
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "j_max", j_max)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LPFilterBank is immutable")
+    grid: Grid
+    chi: np.ndarray
+    phi: np.ndarray
+    j_max: int
 
     def block_multiplier(self, j: int) -> np.ndarray:
         if j == -1:
@@ -114,12 +106,25 @@ class LPFilterBank:
         return 1.5 * 2.0**self.j_max
 
 
+def top_index(grid: Grid) -> int:
+    """j_max, the largest j with 2^j <= Nyquist; a grid with Nyquist below 1 has none."""
+    if not grid.nyquist >= 1.0:
+        raise ValueError(f"grid Nyquist frequency {grid.nyquist:g} is below 1: no dyadic ring")
+    return int(math.floor(math.log2(grid.nyquist)))
+
+
+def _check_weights(s: float, j_max: int) -> None:
+    """The rule that every block weight 2^(j s), -1 <= j <= j_max, is a finite double."""
+    if max(-s, j_max * s) >= 1024:
+        raise ValueError(f"s = {s:g} overflows a block weight 2^(j s), -1 <= j <= {j_max}")
+
+
 def build_filter_bank(grid: Grid) -> LPFilterBank:
     """Sample chi and all resolved ring multipliers on the grid."""
     xi = grid.half_frequencies
     chi = low_pass_profile(xi)
     chi.flags.writeable = False
-    j_max = int(math.floor(math.log2(grid.nyquist)))
+    j_max = top_index(grid)
     phi = np.empty((j_max + 1, xi.size))
     for j in range(j_max + 1):
         phi[j] = ring_profile(xi / 2.0**j)
@@ -170,6 +175,7 @@ def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex,
     high-frequency fraction without any actual resolution problem.
     """
     _check_same_grid(bank, f)
+    _check_weights(idx.s, bank.j_max)
     half = half_spectrum(f)
     if check_resolved:
         _check_resolved(bank, half)
@@ -182,11 +188,8 @@ def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex,
 
 def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex,
                check_resolved: bool = True) -> float:
-    """Besov norm: l^r aggregation of the weighted block norms."""
-    seq = weighted_block_norms(bank, f, idx, check_resolved)
-    if math.isinf(idx.r):
-        return float(np.max(seq))
-    return float(np.sum(seq ** idx.r) ** (1.0 / idx.r))
+    """B^s_{p,inf} norm: the largest weighted block norm."""
+    return float(np.max(weighted_block_norms(bank, f, idx, check_resolved)))
 
 
 def commutator(bank: LPFilterBank, j: int, u: RealField, v: RealField) -> RealField:
@@ -195,11 +198,11 @@ def commutator(bank: LPFilterBank, j: int, u: RealField, v: RealField) -> RealFi
     if j > bank.j_max:
         raise ValueError(f"block {j} exceeds resolved band j_max={bank.j_max}")
     grid = u.grid
-    hu = half_spectrum(u)
-    hvx = half_spectrum(derivative(v))
-    h_uvx = dealiased_half_product(grid, [hu, hvx])
     if j <= -2:
         return RealField(grid, np.zeros(grid.num_points))
+    hu = half_spectrum(u)
+    hvx = _derivative_symbol(grid) * half_spectrum(v)
+    h_uvx = dealiased_half_product(grid, [hu, hvx])
     m = bank.block_multiplier(j)
     first = m * h_uvx
     second = dealiased_half_product(grid, [hu, m * hvx])

@@ -28,10 +28,6 @@ class GridMismatchError(ValueError):
     """Operands live on different grids."""
 
 
-class MultiplierError(ValueError):
-    """Multiplier is odd or non-finite at a grid frequency."""
-
-
 def _fft_workers():
     try:
         return max(1, int(os.environ.get("NOVLAB_THREADS", "1")))
@@ -116,9 +112,6 @@ class RealField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return RealField(self.grid, -self.values)
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -159,22 +152,6 @@ def apply_half_multiplier(f: RealField, samples: np.ndarray) -> RealField:
     return field_from_half(f.grid, samples * half_spectrum(f))
 
 
-def apply_multiplier(f: RealField, m) -> RealField:
-    """Apply the Fourier multiplier operator with even real symbol ``m``.
-
-    ``m`` is a callable of the physical frequency.  Odd or non-finite
-    symbols are rejected since they would break realness.
-    """
-    xi = f.grid.half_frequencies
-    samples = np.asarray(m(xi), dtype=float)
-    mirror = np.asarray(m(-xi), dtype=float)
-    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(mirror))):
-        raise MultiplierError("multiplier is non-finite at a grid frequency")
-    if not np.array_equal(samples, mirror):
-        raise MultiplierError("multiplier must be even to preserve realness")
-    return apply_half_multiplier(f, samples)
-
-
 def _derivative_symbol(grid: Grid) -> np.ndarray:
     """i xi on the half spectrum; the (sign-ambiguous) Nyquist bin is zeroed.
 
@@ -202,11 +179,17 @@ def helmholtz_inverse(f: RealField) -> RealField:
     return apply_half_multiplier(f, _smoothing_symbol(f.grid))
 
 
-def lp_norm(f: RealField, p) -> float:
-    """Grid quadrature of the L^p norm; p = inf gives the max norm."""
+def _check_p(p) -> float:
+    """The one rule for an integrability index: p in [1, inf]."""
     p = float(p)
     if math.isnan(p) or p < 1:
         raise ValueError(f"p must lie in [1, inf], got {p}")
+    return p
+
+
+def lp_norm(f: RealField, p) -> float:
+    """Grid quadrature of the L^p norm; p = inf gives the max norm."""
+    p = _check_p(p)
     a = np.abs(f.values)
     if math.isinf(p):
         return float(np.max(a))
@@ -219,20 +202,16 @@ def lp_norm(f: RealField, p) -> float:
 
 # -- dealiased products -------------------------------------------------------
 
-def pad_half_spectrum(half: np.ndarray, n: int) -> np.ndarray:
-    """Zero-pad a half spectrum from grid n to grid 2n.
+def _padded_values(half: np.ndarray, n: int) -> np.ndarray:
+    """Values on grid 2n of a half spectrum of grid n, zero-padded.
 
     The original Nyquist bin splits evenly between +-n/2, which the padded
     half spectrum represents by halving it.
     """
-    out = np.zeros(n + 1, dtype=complex)
-    out[: n // 2 + 1] = half
-    out[n // 2] *= 0.5
-    return out
-
-
-def _padded_values(half: np.ndarray, n: int) -> np.ndarray:
-    v = irfft(pad_half_spectrum(half, n), n=2 * n, workers=_WORKERS)
+    padded = np.zeros(n + 1, dtype=complex)
+    padded[: n // 2 + 1] = half
+    padded[n // 2] *= 0.5
+    v = irfft(padded, n=2 * n, workers=_WORKERS)
     v *= 2 * n
     return v
 

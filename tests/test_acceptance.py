@@ -12,7 +12,6 @@ import pytest
 
 from novlab import (
     BesovIndex,
-    BumpSpec,
     Grid,
     IllposedDataParams,
     SystemState,
@@ -205,7 +204,7 @@ def test_criterion_8_numerical_hygiene(grid, tmp_path):
 
     # integrator self-convergence order, a property of the fixed step
     small = Grid(2**12, 64.0)
-    bump = 8.0 * build_bump(BumpSpec(), small)
+    bump = 8.0 * build_bump(small)
     st = SystemState(rho=bump, u=bump)
     finals = [fixed_step_states(st, dt, [0.1])[-1] for dt in (0.02, 0.01, 0.005)]
     e1 = max(np.abs(finals[0].rho.values - finals[1].rho.values).max(),

@@ -57,6 +57,14 @@ class TestParseArgs:
          "constraint violated: s"),
         (["study", "separation", "--n-min", "4", "--n-max", "5", "--num-terms", "6",
           "--grid-points", "4096", "--domain-length", "64"], "n_range"),
+        # a block weight 2^(j s), j <= j_max, that overflows a double
+        (["decompose", "--s", "95"], "constraint violated: s"),
+        (["study", "blockscale", "--s", "100"], "constraint violated: s"),
+        (["study", "inequalities", "--s", "400"], "constraint violated: s"),
+        # a grid whose Nyquist frequency is below 1 has no dyadic ring
+        (["study", "inequalities", "--domain-length", "1e6", "--corpus-size", "100"],
+         "Nyquist"),
+        (["study", "inequalities", "--grid-points", "16"], "Nyquist"),
     ])
     def test_invalid_config_writes_no_dump(self, argv, message, tmp_path, capsys):
         dump = tmp_path / "dump.conf"
@@ -65,6 +73,11 @@ class TestParseArgs:
         err = capsys.readouterr().err
         assert "constraint violated" in err and message in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["solve", "generate-data"])
+    def test_large_s_needs_no_block_weight(self, command):
+        # the solver's shell norm is scaled, and data synthesis weights no block
+        assert parse_args([command, "--s", "95"]).s == 95.0
 
     def test_rejects_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -242,7 +242,7 @@ def _per_horizon_separation_rows(params, n_range, delta):
     bank = build_filter_bank(params.grid)
     idx_rho, idx_u = BesovIndex(s - 1, p), BesovIndex(s, p)
     energy0 = besov_norm(bank, data.rho, idx_rho) + besov_norm(bank, data.u, idx_u)
-    control = CONTROL_AMPLITUDE * build_bump(params.bump, params.grid)
+    control = CONTROL_AMPLITUDE * build_bump(params.grid)
     rows = []
     for n in n_range:
         t_n = delta * 2.0**-n

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from novlab import (
     BesovIndex,
-    BumpSpec,
     FloorError,
     Grid,
     IllposedDataParams,
@@ -24,77 +23,70 @@ from novlab import (
     product,
     save_field,
 )
+from novlab.initial_data import BUMP_CUTOFF, bump_profile
 from novlab.spectral import half_spectrum
 
 from conftest import LAMBDA, coefficients, composed_rhs, mode
 
 
-class TestBumpSpec:
+class TestBumpProfile:
     def test_profile_plateau_and_cutoff(self):
-        spec = BumpSpec()
         xi = np.array([0.0, 0.1, 0.25, 0.3, 0.49, 0.5, 0.75, 2.0])
-        v = spec.profile(xi)
+        v = bump_profile(xi)
         assert v[0] == 1.0 and v[1] == 1.0 and v[2] == 1.0
         assert 0.0 < v[3] < 1.0
         assert v[5] == 0.0 and v[6] == 0.0 and v[7] == 0.0
 
     def test_profile_even(self):
-        spec = BumpSpec()
         xi = np.linspace(-1, 1, 501)
-        assert np.array_equal(spec.profile(xi), spec.profile(-xi))
-
-    def test_rejects_bad_radii(self):
-        with pytest.raises(ValueError):
-            BumpSpec(inner_radius=0.5, outer_radius=0.25)
+        assert np.array_equal(bump_profile(xi), bump_profile(-xi))
 
 
 class TestBuildBump:
     def test_transform_matches_profile(self, small_grid):
-        spec = BumpSpec()
-        bump = build_bump(spec, small_grid)
+        bump = build_bump(small_grid)
         xi = small_grid.half_frequencies
         # line-normalized: length * coeff reproduces the profile samples
         recovered = small_grid.length * coefficients(bump)
-        expected = spec.profile(xi)
+        expected = bump_profile(xi)
         assert np.abs(recovered - expected).max() < 1e-10
 
     def test_transform_at_origin_and_beyond_cutoff(self, small_grid):
-        bump = build_bump(BumpSpec(), small_grid)
+        bump = build_bump(small_grid)
         c = coefficients(bump)
         assert small_grid.length * c[0] == pytest.approx(1.0, abs=1e-12)
         k_075 = round(0.75 * small_grid.length / (2 * math.pi))
         assert abs(small_grid.length * c[k_075]) < 1e-12
 
     def test_even_and_real(self, small_grid):
-        bump = build_bump(BumpSpec(), small_grid)
+        bump = build_bump(small_grid)
         v = bump.values
         # grid point m and N-m mirror each other around x=0
         mirrored = v[(-np.arange(small_grid.num_points)) % small_grid.num_points]
         assert np.abs(v - mirrored).max() < 1e-12 * np.abs(v).max()
 
     def test_origin_value_against_quadrature_oracle(self, small_grid):
-        spec = BumpSpec()
-        bump = build_bump(spec, small_grid)
+        bump = build_bump(small_grid)
         center = bump.values[small_grid.num_points // 2]
         # independent quadrature of the fixed profile
-        integral, _ = quad(lambda t: spec.profile(t), 0.0, spec.outer_radius, limit=200)
+        integral, _ = quad(lambda t: bump_profile(t), 0.0, BUMP_CUTOFF, limit=200)
         line_value = integral / math.pi  # (1/2pi) * int over both signs
         # the periodization tail at |x| >= L shifts the grid value at ~1e-3
         assert center == pytest.approx(line_value, rel=1e-2)
         # and the grid value is exactly the Riemann sum of the sampled profile
         xi = small_grid.half_frequencies
-        riemann = (spec.profile(xi).sum() * 2 - spec.profile(0.0)) / small_grid.length
+        riemann = (bump_profile(xi).sum() * 2 - bump_profile(0.0)) / small_grid.length
         assert center == pytest.approx(float(riemann), rel=1e-13)
 
     def test_decay_toward_box_edge(self, small_grid):
         # glued-exponential profiles decay like exp(-c sqrt(x)): a few percent
         # of the peak at |x| = 32, dropping with the box size
-        bump = build_bump(BumpSpec(), small_grid)
+        bump = build_bump(small_grid)
         center = bump.values[small_grid.num_points // 2]
         edge = np.abs(bump.values[: small_grid.num_points // 64]).max()
         assert edge < 0.05 * center
         bigger = Grid(2**13, 128.0)
-        bump2 = build_bump(BumpSpec(), bigger)
+        bump2 = build_bump(bigger)
         edge2 = np.abs(bump2.values[: bigger.num_points // 128]).max()
         assert edge2 < 0.3 * edge
 
@@ -194,7 +186,7 @@ class TestBuildInitialData:
 
     def test_tail_bound_reported(self, medium_params, medium_data):
         s, n = medium_params.s, medium_params.num_terms
-        bump_sup = build_bump(medium_params.bump, medium_params.grid).sup_norm()
+        bump_sup = build_bump(medium_params.grid).sup_norm()
         expected = bump_sup * 2.0 ** (-n * (s - 1)) / (1 - 2.0 ** (-(s - 1)))
         assert medium_data.tail_bound == pytest.approx(expected, rel=1e-12)
 
@@ -232,7 +224,7 @@ class TestPointwiseFloor:
     def test_floor_matches_truncated_geometric_formula(self, medium_params, medium_data):
         # u0(0) = sum_n 2^(-ns) * phi(0) up to the periodization tail (~1e-3 here)
         s, n = medium_params.s, medium_params.num_terms
-        phi0 = build_bump(medium_params.bump, medium_params.grid).values[
+        phi0 = build_bump(medium_params.grid).values[
             medium_params.grid.num_points // 2
         ]
         geometric = (1 - 2.0 ** (-n * s)) * 2.0**s / (2.0**s - 1)

@@ -5,6 +5,7 @@ import pytest
 
 from novlab import (
     BesovIndex,
+    Grid,
     RealField,
     UnresolvedSpectrumError,
     besov_norm,
@@ -20,6 +21,7 @@ from novlab.littlewood_paley import (
     CHI_SUPPORT_END,
     RING_PLATEAU,
     RING_SUPPORT,
+    build_filter_bank,
     low_pass_profile,
     ring_profile,
     smooth_step,
@@ -94,6 +96,20 @@ class TestFilterBank:
         assert 2.0**small_bank.j_max <= small_grid.nyquist
         assert 2.0 ** (small_bank.j_max + 1) > small_grid.nyquist
 
+    @pytest.mark.parametrize("num_points,length", [(2**12, 1e6), (16, 64.0)])
+    def test_rejects_grid_without_ring(self, num_points, length):
+        # Nyquist pi N / L below 1: not even ring 0 is resolved
+        grid = Grid(num_points, length)
+        assert grid.nyquist < 1
+        with pytest.raises(ValueError, match="Nyquist frequency .* below 1"):
+            build_filter_bank(grid)
+
+    def test_bank_is_immutable(self, small_bank):
+        with pytest.raises(AttributeError):
+            small_bank.j_max = 3
+        with pytest.raises(ValueError):
+            small_bank.phi[0, 0] = 2.0
+
 
 class TestDyadicBlock:
     @pytest.mark.parametrize("lam", LAMBDAS)
@@ -167,11 +183,23 @@ class TestBesovNorm:
         vals = np.array(vals)
         assert vals.max() / vals.min() - 1.0 < 0.02
 
-    def test_finite_r_dominates_sup(self, small_grid, small_bank):
+    def test_norm_is_largest_weighted_block(self, small_grid, small_bank):
         f = random_field(small_grid, seed=21)
-        sup = besov_norm(small_bank, f, BesovIndex(1.0, 2, math.inf))
-        l1 = besov_norm(small_bank, f, BesovIndex(1.0, 2, 1.0))
-        assert l1 >= sup
+        idx = BesovIndex(1.0, 2)
+        seq = weighted_block_norms(small_bank, f, idx)
+        assert besov_norm(small_bank, f, idx) == seq.max()
+        assert seq.argmax() > 0  # a ring, not the low-pass block, carries it
+
+    def test_block_weights_must_be_finite(self, small_grid, small_bank):
+        # every 2^(j s), -1 <= j <= j_max = 7, is a finite double exactly
+        # when -s < 1024 and 7 s < 1024
+        assert small_bank.j_max == 7
+        f = random_field(small_grid, seed=21)
+        for s in (-1023.0, 146.0):
+            weighted_block_norms(small_bank, f, BesovIndex(s, 2))
+        for s in (-1024.0, 147.0):
+            with pytest.raises(ValueError, match="overflows a block weight"):
+                weighted_block_norms(small_bank, f, BesovIndex(s, 2))
 
     def test_unresolved_spectrum_error(self, small_grid, small_bank):
         # single mode one bin above the guard frequency

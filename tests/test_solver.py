@@ -18,7 +18,7 @@ from novlab import (
 )
 
 from novlab import solver
-from novlab.solver import StepSizeError, _ShellNorm, _default_threshold
+from novlab.solver import StepSizeError, _ShellNorm
 
 from conftest import composed_rhs, fixed_step_states, mode
 
@@ -236,9 +236,9 @@ class TestIntegrate:
     def test_self_convergence_order_four(self, small_grid):
         # smooth O(1) data so the truncation error sits far above roundoff;
         # order is a property of the step, so the step is fixed
-        from novlab import BumpSpec, build_bump
+        from novlab import build_bump
 
-        bump = 8.0 * build_bump(BumpSpec(), small_grid)
+        bump = 8.0 * build_bump(small_grid)
         st = SystemState(rho=bump, u=bump)
         t_final = 0.1
         finals = []
@@ -259,39 +259,35 @@ class TestIntegrate:
         # inflate the data until the cubic rates destabilize this step size
         st = SystemState(rho=50.0 * medium_data.rho, u=50.0 * medium_data.u)
         with pytest.raises(BlowupError):
-            step_rk4(st, 0.25, _default_threshold(st))
+            step_rk4(st, 0.25, solver.BLOWUP_FACTOR * st.sup_norm())
 
-    def test_blowup_guard_trips_on_real_growth(self, small_grid):
+    def test_blowup_guard_trips_on_real_growth(self, small_grid, monkeypatch):
         # the controller keeps its steps stable, so integrate trips the guard
         # where the sup norm really grows: on constant u = c the coupling
         # term -(c/2) d/dx G(rho^2) moves u away from c at rate ~0.25
+        monkeypatch.setattr(solver, "BLOWUP_FACTOR", 1.001)
         u = RealField(small_grid, np.full(small_grid.num_points, 2.0))
         st = SystemState(rho=mode(small_grid, 5), u=u)
-        cfg = SolverConfig(t_final=1.0, blowup_threshold=1.001 * st.sup_norm())
         with pytest.raises(BlowupError):
-            integrate(st, cfg)
+            integrate(st, SolverConfig(t_final=1.0))
 
-    @pytest.mark.parametrize("dt,t_final,threshold", [
+    @pytest.mark.parametrize("dt,t_final,s", [
         (0.0, 1.0, None), (-1e-3, 1.0, None), (math.nan, 1.0, None),
         (math.inf, 1.0, None), (1e-3, -1.0, None), (1e-3, math.nan, None),
-        (1e-3, math.inf, None), (1e-3, 1.0, 0.0), (1e-3, 1.0, math.nan),
+        (1e-3, math.inf, None), (1e-3, 1.0, math.inf), (1e-3, 1.0, math.nan),
     ])
-    def test_config_rejects_bad_settings(self, dt, t_final, threshold):
-        with pytest.raises(ValueError, match="dt must|t_final must|blowup_threshold must"):
-            SolverConfig(dt=dt, t_final=t_final, blowup_threshold=threshold)
-
-    def test_threshold_must_clear_initial_sup(self, medium_data):
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
-        cfg = SolverConfig(dt=1e-3, t_final=1e-2, blowup_threshold=1e-9)
-        with pytest.raises(ValueError, match="initial sup"):
-            integrate(st, cfg)
+    def test_config_rejects_bad_settings(self, dt, t_final, s):
+        # s = None keeps the default s
+        extra = {} if s is None else {"s": s}
+        with pytest.raises(ValueError, match="dt must|t_final must|s must"):
+            SolverConfig(dt=dt, t_final=t_final, **extra)
 
 
 class TestErrorControl:
     @pytest.mark.parametrize("kind,num_points", [
         ("zero", 2**14), ("constant", 2**14), ("control", 2**14), ("control", 2**15),
     ])
-    def test_controller_terminates(self, medium_params, kind, num_points):
+    def test_controller_terminates(self, kind, num_points):
         # in fewer steps than the fixed rule's 64 to the separation horizon
         # t_5; the amplitude-24 control of the separation study has its top
         # shells near the RK4 stability limit, and at 2^15 points their
@@ -301,7 +297,7 @@ class TestErrorControl:
 
         grid = Grid(num_points, 64.0)
         if kind == "control":
-            f = CONTROL_AMPLITUDE * build_bump(medium_params.bump, grid)
+            f = CONTROL_AMPLITUDE * build_bump(grid)
         else:
             f = RealField(grid, np.full(num_points, 0.0 if kind == "zero" else 1.5))
         t_final = 0.1 * 2.0**-5
