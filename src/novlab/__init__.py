@@ -26,16 +26,12 @@ from .littlewood_paley import (
     weighted_block_norms,
 )
 from .initial_data import (
-    FloorCheck,
-    FloorError,
     IllposedDataParams,
     InitialData,
     ResolutionError,
     build_bump,
     build_initial_data,
-    first_variation,
     modulated_bump,
-    pointwise_floor_check,
 )
 from .solver import (
     BlowupError,

@@ -250,12 +250,12 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "solve":
         data = build_initial_data(_data_params(cfg))
         state0 = SystemState(rho=data.rho, u=data.u)
-        states = integrate(state0, _solver_config(cfg)).states
-        final = states[-1]
+        traj = integrate(state0, _solver_config(cfg))
+        final = traj.final
         save_field(final.rho, f"{out}_rho.csv", time=final.time)
         save_field(final.u, f"{out}_u.csv", time=final.time)
         print(f"wrote {out}_rho.csv, {out}_u.csv at t={final.time:g} "
-              f"({len(states)} states)")
+              f"({len(traj.errors)} steps, {traj.rejected} rejected)")
         return 0
 
     if cfg.command == "decompose":

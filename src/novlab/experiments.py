@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .initial_data import IllposedDataParams, build_bump, build_initial_data, first_variation
+from .initial_data import IllposedDataParams, build_bump, build_initial_data
 from .littlewood_paley import (
     BesovIndex,
     LPFilterBank,
@@ -25,7 +25,7 @@ from .littlewood_paley import (
     dyadic_block,
     weighted_block_norms,
 )
-from .solver import SolverConfig, SystemState, integrate
+from .solver import SolverConfig, SystemState, integrate, rhs
 from .spectral import (
     Grid,
     RealField,
@@ -326,7 +326,8 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
     """Short-time expansion orders of the flow started from the lacunary data.
 
     Distances one derivative below the data space must be O(t); residuals
-    against the first variation, two derivatives below, must be O(t^2).
+    against the first variation (the right-hand side at the data), two
+    derivatives below, must be O(t^2).
     Ablating the first variation (replacing it by zero) demotes the
     second-order pair to first order.  ``dt_cap`` optionally caps the
     error-controlled step.
@@ -340,7 +341,7 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
         zero = RealField(params.grid, np.zeros(params.grid.num_points))
         v0, w0 = zero, zero
     else:
-        v0, w0 = first_variation(data.rho, data.u)
+        v0, w0 = rhs(state0)
 
     rows = []
 

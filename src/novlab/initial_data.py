@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solver
 from .littlewood_paley import smooth_step
 from .spectral import Grid, RealField, _check_p, _half_phase, field_from_half
 
@@ -33,10 +32,6 @@ LAMBDA_DEFAULT = 68.0 / 48.0
 
 class ResolutionError(ValueError):
     """Requested data needs frequencies the grid cannot represent."""
-
-
-class FloorError(ValueError):
-    """u0 vanishes at the origin; the pointwise lower bound is void."""
 
 
 # the bump's Fourier profile is 1 on |xi| <= BUMP_PLATEAU, 0 on |xi| >= BUMP_CUTOFF
@@ -87,8 +82,9 @@ class IllposedDataParams:
 
     The regularity must satisfy s > max(2 + 1/p, 5/2); the modulation
     lambda stays in [67/48, 69/48] so that band n sits in ring n's plateau.
-    ``enforce_range=False`` lifts the regularity restriction for diagnostic
-    runs outside the main regime (the construction itself works for any s).
+    ``enforce_range=False`` lifts that restriction for diagnostic runs
+    outside the main regime down to a finite s > 1, below which the rho
+    series and the bound on its dropped tail diverge.
     """
 
     s: float
@@ -105,6 +101,8 @@ class IllposedDataParams:
             check_regime(self.s, self.p)
         else:
             _check_p(self.p)
+            if not (self.s > 1 and math.isfinite(self.s)):
+                raise ValueError(f"s must be finite and > 1 (got {self.s})")
         if not LAMBDA_MIN <= self.lam <= LAMBDA_MAX:
             raise ValueError(
                 f"lambda must lie in [{LAMBDA_MIN:.6g}, {LAMBDA_MAX:.6g}], got {self.lam}"
@@ -145,41 +143,3 @@ def build_initial_data(params: IllposedDataParams) -> InitialData:
     # dropped terms n >= N sum to at most this in sup norm (rho dominates u)
     tail = bump_sup * 2.0 ** (-n_terms * (s - 1)) / (1.0 - 2.0 ** (-(s - 1)))
     return InitialData(RealField(grid, rho), RealField(grid, u), tail)
-
-
-def first_variation(rho0: RealField, u0: RealField):
-    """Initial time derivative of the flow started at (rho0, u0).
-
-    Identical to the solver's right-hand side at time zero:
-    the rho rate is u0^2 rho0_x + rho0 u0 u0_x and the u rate adds the
-    nonlocal terms to u0^2 u0_x.
-    """
-    state = solver.SystemState(rho=rho0, u=u0, time=0.0)
-    return solver.rhs(state)
-
-
-@dataclass(frozen=True)
-class FloorCheck:
-    sigma: float
-    floor: float
-
-
-def pointwise_floor_check(u0: RealField) -> FloorCheck:
-    """Largest grid radius sigma with u0^2 >= u0^2(0)/2 on |x| <= sigma.
-
-    Raises FloorError when u0 vanishes at the origin, which would signal a
-    broken data construction.
-    """
-    grid = u0.grid
-    center = grid.num_points // 2  # x = 0 lies exactly on the grid
-    w = u0.values * u0.values
-    floor = 0.5 * w[center]
-    if floor == 0.0:
-        raise FloorError("floor violated at origin: u0(0) = 0")
-    r = 0
-    max_r = grid.num_points // 2 - 1
-    while r < max_r and w[center + r + 1] >= floor and w[center - r - 1] >= floor:
-        r += 1
-    if r == 0:
-        raise FloorError("floor violated at origin: no neighborhood sustains u0^2(0)/2")
-    return FloorCheck(sigma=r * grid.spacing, floor=floor)

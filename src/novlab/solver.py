@@ -287,17 +287,17 @@ class _ShellNorm:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Initial state plus the states at each requested checkpoint that
-    integrate kept.
+    """Where an integration ended and how it got there.
 
-    ``sup_norms`` records (time, sup rho, sup u) after every accepted step,
-    ``errors`` the (step size, error estimate) of the same steps, with the
-    estimate relative to the norm of the state the step started from, in
-    the norm the step was controlled in; ``rejected`` counts the steps the
-    controller rejected.
+    ``final`` is the state at the last checkpoint (the initial state when
+    there is none); ``sup_norms`` records (time, sup rho, sup u) after
+    every accepted step, ``errors`` the (step size, error estimate) of the
+    same steps, with the estimate relative to the norm of the state the
+    step started from, in the norm the step was controlled in;
+    ``rejected`` counts the steps the controller rejected.
     """
 
-    states: tuple
+    final: SystemState
     sup_norms: tuple
     errors: tuple = ()
     rejected: int = 0
@@ -307,9 +307,8 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
               visit=None) -> Trajectory:
     """Error-controlled RK4 up to t_final, landing exactly on each checkpoint.
 
-    Each checkpoint state is kept in the trajectory, or, when ``visit`` is
-    given, passed to it as the sweep reaches it and not kept, so a long
-    sweep holds one state at a time.
+    Each checkpoint state is passed to ``visit``, when given, as the sweep
+    reaches it, so a long sweep holds one state at a time.
 
     The controller proposes a step h (never above cfg.dt when set); the
     interval to the next checkpoint is then split evenly into steps of at
@@ -325,8 +324,8 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     sup_limit = BLOWUP_FACTOR * max(state0.sup_norm(), np.finfo(float).tiny)
 
     if not checkpoints:
-        return Trajectory(states=(state0,), sup_norms=())
-    states, sup_norms, errors = [state0], [], []
+        return Trajectory(final=state0, sup_norms=())
+    sup_norms, errors = [], []
     rejected = 0
     norm = _ShellNorm(state0.grid, cfg.s)
     horizon = checkpoints[-1] - state0.time
@@ -380,9 +379,7 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
                     )
             h = min(h, h_max)
             del trial
-        if visit is None:
-            states.append(current.state)
-        else:
+        if visit is not None:
             visit(current.state)
-    return Trajectory(states=tuple(states), sup_norms=tuple(sup_norms),
+    return Trajectory(final=current.state, sup_norms=tuple(sup_norms),
                       errors=tuple(errors), rejected=rejected)

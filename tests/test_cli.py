@@ -135,10 +135,11 @@ class TestRun:
         assert rho.grid.num_points == 4096
         assert "tail_bound" in meta
 
-    def test_solve_zero_horizon_dumps_initial_state(self, tmp_path):
+    def test_solve_zero_horizon_dumps_initial_state(self, tmp_path, capsys):
         out = tmp_path / "frozen"
         code = main(["solve", "--t-final", "0", "--output", str(out)] + SMALL)
         assert code == 0
+        assert "at t=0 (0 steps, 0 rejected)" in capsys.readouterr().out
         from novlab import load_field
 
         rho, meta = load_field(f"{out}_rho.csv")

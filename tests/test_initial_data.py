@@ -6,27 +6,23 @@ from scipy.integrate import quad
 
 from novlab import (
     BesovIndex,
-    FloorError,
     Grid,
     IllposedDataParams,
-    RealField,
     ResolutionError,
     besov_norm,
     build_bump,
     build_initial_data,
     dyadic_block,
-    first_variation,
     load_field,
     lp_norm,
     modulated_bump,
-    pointwise_floor_check,
     product,
     save_field,
 )
 from novlab.initial_data import BUMP_CUTOFF, bump_profile
 from novlab.spectral import half_spectrum
 
-from conftest import LAMBDA, coefficients, composed_rhs, mode
+from conftest import LAMBDA, coefficients
 
 
 class TestBumpProfile:
@@ -125,6 +121,14 @@ class TestParamsValidation:
         )
         assert p.s == 2.6
 
+    @pytest.mark.parametrize("s", [1.0, 0.5, math.inf])
+    def test_lifted_range_still_needs_convergent_tail(self, small_grid, s):
+        # at s <= 1 the dropped rho tail sum_n 2^(-n(s-1)) diverges, so no
+        # tail bound exists; an infinite s leaves no finite data
+        with pytest.raises(ValueError, match="finite and > 1"):
+            IllposedDataParams(s=s, p=2.0, grid=small_grid, num_terms=6,
+                               enforce_range=False)
+
     def test_rejects_lambda_outside_window(self, medium_grid):
         with pytest.raises(ValueError, match="lambda"):
             IllposedDataParams(s=3.0, p=2.0, lam=1.5, grid=medium_grid, num_terms=8)
@@ -189,67 +193,6 @@ class TestBuildInitialData:
         bump_sup = build_bump(medium_params.grid).sup_norm()
         expected = bump_sup * 2.0 ** (-n * (s - 1)) / (1 - 2.0 ** (-(s - 1)))
         assert medium_data.tail_bound == pytest.approx(expected, rel=1e-12)
-
-
-class TestFirstVariation:
-    def test_zero_data(self, small_grid):
-        z = RealField(small_grid, np.zeros(small_grid.num_points))
-        v0, w0 = first_variation(z, z)
-        assert lp_norm(v0, math.inf) == 0.0
-        assert lp_norm(w0, math.inf) == 0.0
-
-    def test_rho_zero_annihilates_coupling(self, small_grid):
-        z = RealField(small_grid, np.zeros(small_grid.num_points))
-        u0 = modulated_bump(small_grid, LAMBDA * 2.0**3)
-        v0, w0 = first_variation(z, u0)
-        assert lp_norm(v0, math.inf) < 1e-15
-        _, expected = composed_rhs(z, u0)
-        scale = lp_norm(expected, math.inf)
-        assert lp_norm(w0 - expected, math.inf) < 1e-12 * scale
-
-    def test_single_mode_trig_oracle(self, small_grid):
-        # u0 = rho0 = cos(xi0 x):
-        # u0^2 drho0 + rho0 u0 du0 = -(xi0/2)(sin(xi0 x) + sin(3 xi0 x))
-        k = 6
-        xi0 = 2 * math.pi * k / small_grid.length
-        f = mode(small_grid, k)
-        v0, _ = first_variation(f, f)
-        expected = -(xi0 / 2.0) * (
-            mode(small_grid, k, "sin").values + mode(small_grid, 3 * k, "sin").values
-        )
-        assert np.abs(v0.values - expected).max() < 1e-10 * xi0
-
-
-class TestPointwiseFloor:
-    def test_floor_matches_truncated_geometric_formula(self, medium_params, medium_data):
-        # u0(0) = sum_n 2^(-ns) * phi(0) up to the periodization tail (~1e-3 here)
-        s, n = medium_params.s, medium_params.num_terms
-        phi0 = build_bump(medium_params.grid).values[
-            medium_params.grid.num_points // 2
-        ]
-        geometric = (1 - 2.0 ** (-n * s)) * 2.0**s / (2.0**s - 1)
-        expected_floor = 0.5 * (geometric * phi0) ** 2
-        check = pointwise_floor_check(medium_data.u)
-        assert check.floor == pytest.approx(expected_floor, rel=0.03)
-
-    def test_sigma_positive_across_family(self, medium_grid):
-        for lam in (67.0 / 48.0, 68.0 / 48.0, 69.0 / 48.0):
-            for s in (2.6, 3.0, 3.5):
-                params = IllposedDataParams(s=s, p=2.0, lam=lam, grid=medium_grid,
-                                            num_terms=8)
-                data = build_initial_data(params)
-                check = pointwise_floor_check(data.u)
-                assert check.sigma > 0
-
-    def test_doubling_amplitude_quadruples_floor(self, medium_data):
-        base = pointwise_floor_check(medium_data.u)
-        doubled = pointwise_floor_check(2.0 * medium_data.u)
-        assert doubled.floor == pytest.approx(4.0 * base.floor, rel=1e-12)
-
-    def test_zero_at_origin_rejected(self, small_grid):
-        f = mode(small_grid, 1, kind="sin")  # vanishes at x = 0
-        with pytest.raises(FloorError):
-            pointwise_floor_check(f)
 
 
 class TestFieldIO:

@@ -12,6 +12,7 @@ from novlab import (
     fit_powerlaw,
     integrate,
     lp_norm,
+    modulated_bump,
     rhs,
     step_rk4,
     triple_product,
@@ -20,7 +21,7 @@ from novlab import (
 from novlab import solver
 from novlab.solver import StepSizeError, _ShellNorm
 
-from conftest import composed_rhs, fixed_step_states, mode
+from conftest import LAMBDA, composed_rhs, fixed_step_states, mode
 
 
 def _zero(grid):
@@ -148,6 +149,27 @@ class TestRhs:
         assert lp_norm(r_t - rho_expected, math.inf) < 1e-12 * lp_norm(r_t, math.inf)
         assert lp_norm(u_t - u_expected, math.inf) < 1e-12 * lp_norm(u_t, math.inf)
 
+    def test_rho_zero_annihilates_coupling(self, small_grid):
+        z = _zero(small_grid)
+        u0 = modulated_bump(small_grid, LAMBDA * 2.0**3)
+        v0, w0 = rhs(SystemState(rho=z, u=u0))
+        assert lp_norm(v0, math.inf) < 1e-15
+        _, expected = composed_rhs(z, u0)
+        scale = lp_norm(expected, math.inf)
+        assert lp_norm(w0 - expected, math.inf) < 1e-12 * scale
+
+    def test_single_mode_trig_oracle(self, small_grid):
+        # u0 = rho0 = cos(xi0 x):
+        # u0^2 drho0 + rho0 u0 du0 = -(xi0/2)(sin(xi0 x) + sin(3 xi0 x))
+        k = 6
+        xi0 = 2 * math.pi * k / small_grid.length
+        f = mode(small_grid, k)
+        v0, _ = rhs(SystemState(rho=f, u=f))
+        expected = -(xi0 / 2.0) * (
+            mode(small_grid, k, "sin").values + mode(small_grid, 3 * k, "sin").values
+        )
+        assert np.abs(v0.values - expected).max() < 1e-10 * xi0
+
     def test_even_data_gives_odd_rates(self, medium_data):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         r_t, u_t = rhs(st)
@@ -223,14 +245,17 @@ class TestIntegrate:
     def test_zero_horizon_returns_initial_state(self, medium_data):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         traj = integrate(st, SolverConfig(dt=1e-3, t_final=0.0))
-        assert traj.states == (st,)
+        assert traj.final is st
         assert traj.sup_norms == ()
 
     def test_checkpoints_hit_exactly(self, medium_data):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         times = [1e-3, 2.5e-3, 4e-3]
-        traj = integrate(st, SolverConfig(dt=3e-4, t_final=4e-3), checkpoints=times)
-        assert [s.time for s in traj.states] == [0.0] + times
+        seen = []
+        traj = integrate(st, SolverConfig(dt=3e-4, t_final=4e-3), checkpoints=times,
+                         visit=lambda state: seen.append(state.time))
+        assert seen == times
+        assert traj.final.time == times[-1]
         assert len(traj.sup_norms) > 0
 
     def test_self_convergence_order_four(self, small_grid):
@@ -302,7 +327,7 @@ class TestErrorControl:
             f = RealField(grid, np.full(num_points, 0.0 if kind == "zero" else 1.5))
         t_final = 0.1 * 2.0**-5
         traj = integrate(SystemState(rho=f, u=f), SolverConfig(t_final=t_final))
-        assert traj.states[-1].time == t_final
+        assert traj.final.time == t_final
         assert 1 <= len(traj.sup_norms) < 64
         assert len(traj.errors) == len(traj.sup_norms)
 
@@ -339,7 +364,7 @@ class TestErrorControl:
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         t_final = 0.1 * 2.0**-5
         traj = integrate(st, SolverConfig(t_final=t_final, s=80.0))
-        assert traj.states[-1].time == t_final
+        assert traj.final.time == t_final
         assert all(math.isfinite(err) for _, err in traj.errors)
 
     def test_dt_caps_every_step(self, medium_data):
