@@ -21,7 +21,7 @@ from .littlewood_paley import (
     LPFilterBank,
     build_filter_bank,
     besov_norm,
-    commutator,
+    commutator_block_norms,
     dyadic_block,
     weighted_block_norms,
 )
@@ -549,10 +549,7 @@ def product_law_ratio(bank: LPFilterBank, u: RealField, v: RealField, s: float, 
 
 def commutator_ratio(bank: LPFilterBank, u: RealField, v: RealField, s: float, p) -> float:
     """sup_j 2^(js)||[block_j, u] v_x||_Lp over the commutator estimate's RHS."""
-    lhs = max(
-        2.0 ** (j * s) * lp_norm(commutator(bank, j, u, v), p)
-        for j in range(-1, bank.j_max + 1)
-    )
+    lhs = float(np.max(commutator_block_norms(bank, u, v, BesovIndex(s, p))))
     den = lp_norm(derivative(u), math.inf) * besov_norm(bank, v, BesovIndex(s, p)) + lp_norm(
         derivative(v), math.inf
     ) * besov_norm(bank, u, BesovIndex(s, p))

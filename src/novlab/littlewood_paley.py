@@ -17,17 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .spectral import (
     Grid,
     RealField,
+    _bin_energy,
     _check_p,
     _check_same_grid,
     _derivative_symbol,
+    _half_from_padded,
+    _padded_values,
     apply_half_multiplier,
-    dealiased_half_product,
     field_from_half,
     half_spectrum,
     lp_norm,
@@ -105,6 +108,24 @@ class LPFilterBank:
         so close to Nyquist that the grid is considered too coarse for it."""
         return 1.5 * 2.0**self.j_max
 
+    @cached_property
+    def _squared_blocks(self) -> tuple:
+        """(lo, hi, m[lo:hi]^2) for each block multiplier m, j = -1..j_max,
+        where [lo, hi) spans the nonzero samples of m.
+
+        The rings have bounded support, so the ranges hold far fewer samples
+        than a dense (j_max + 2) x (N/2 + 1) matrix would.
+        """
+        out = []
+        for j in range(-1, self.j_max + 1):
+            m = self.block_multiplier(j)
+            nonzero = np.flatnonzero(m)
+            lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+            sq = np.square(m[lo:hi])
+            sq.flags.writeable = False
+            out.append((lo, hi, sq))
+        return tuple(out)
+
 
 def top_index(grid: Grid) -> int:
     """j_max, the largest j with 2^j <= Nyquist; a grid with Nyquist below 1 has none."""
@@ -149,24 +170,39 @@ def dyadic_block(bank: LPFilterBank, f: RealField, j: int) -> RealField:
 UNRESOLVED_ENERGY_TOL = 1e-12
 
 
-def _check_resolved(bank: LPFilterBank, half: np.ndarray) -> None:
-    xi = bank.grid.half_frequencies
-    w = np.abs(half) ** 2
-    w[1:-1] *= 2.0  # rfft layout counts interior bins twice
-    total = float(np.sum(w))
+def _check_resolved(bank: LPFilterBank, energy: np.ndarray) -> None:
+    """Reject bin energies with more than UNRESOLVED_ENERGY_TOL of their total
+    above the bank's resolved band."""
+    total = float(np.sum(energy))
     if total == 0.0:
         return
-    hi = float(np.sum(w[xi > bank.resolved_band_end()]))
+    end = bank.resolved_band_end()
+    hi = float(np.sum(energy[np.searchsorted(bank.grid.half_frequencies, end, "right"):]))
     if hi > UNRESOLVED_ENERGY_TOL * total:
         raise UnresolvedSpectrumError(
             f"fraction {hi/total:.2e} of the energy lies above frequency "
-            f"{bank.resolved_band_end():g}; grid too coarse for this field"
+            f"{end:g}; grid too coarse for this field"
         )
+
+
+def _parseval_l2(grid: Grid, energy: np.ndarray) -> float:
+    """L^2 norm of the field whose bin energies (``_bin_energy``) are given."""
+    return math.sqrt(grid.length * float(np.sum(energy)))
 
 
 def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex,
                          check_resolved: bool = True) -> np.ndarray:
     """The sequence 2^(j s) ||block_j f||_Lp for j = -1 .. j_max.
+
+    For p = 2 the sequence comes from one forward transform, by discrete
+    Parseval: with e_k = mult_k |f_k|^2 the bin energies of the half
+    spectrum f_k (mult_k = 2 on interior bins, 1 at k = 0 and k = N/2),
+
+        ||block_j f||_L2^2 = L sum_k m_j(xi_k)^2 e_k,
+
+    which in exact arithmetic is exactly ``lp_norm``'s grid quadrature of
+    the block.  For p != 2 each block is transformed back to the grid and
+    measured by ``lp_norm``, one inverse transform per block.
 
     ``check_resolved=False`` skips the near-Nyquist energy guard.  That is
     needed for tiny difference fields (e.g. expansion residuals shrinking
@@ -177,9 +213,14 @@ def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex,
     _check_same_grid(bank, f)
     _check_weights(idx.s, bank.j_max)
     half = half_spectrum(f)
+    energy = _bin_energy(half)
     if check_resolved:
-        _check_resolved(bank, half)
+        _check_resolved(bank, energy)
     out = np.empty(bank.j_max + 2)
+    if float(idx.p) == 2.0:
+        for j, (lo, hi, sq) in enumerate(bank._squared_blocks, start=-1):
+            out[j + 1] = 2.0 ** (j * idx.s) * _parseval_l2(f.grid, sq * energy[lo:hi])
+        return out
     for j in range(-1, bank.j_max + 1):
         block = field_from_half(f.grid, bank.block_multiplier(j) * half)
         out[j + 1] = 2.0 ** (j * idx.s) * lp_norm(block, idx.p)
@@ -192,18 +233,49 @@ def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex,
     return float(np.max(weighted_block_norms(bank, f, idx, check_resolved)))
 
 
+def _commutator_halves(bank: LPFilterBank, u: RealField, v: RealField, blocks):
+    """Half spectra of [block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x),
+    dealiased, for each j in ``blocks`` (all in -1..j_max).
+
+    What does not depend on j is formed once: the spectra of u and v_x, the
+    padded values of u and the product u v_x.  Each block then costs one
+    padded inverse and one forward transform.
+    """
+    grid = u.grid
+    n = grid.num_points
+    hu = half_spectrum(u)
+    hvx = _derivative_symbol(grid) * half_spectrum(v)
+    u_pad = _padded_values(hu, n)
+    h_uvx = _half_from_padded(u_pad * _padded_values(hvx, n), n)
+    for j in blocks:
+        m = bank.block_multiplier(j)
+        yield m * h_uvx - _half_from_padded(u_pad * _padded_values(m * hvx, n), n)
+
+
 def commutator(bank: LPFilterBank, j: int, u: RealField, v: RealField) -> RealField:
     """[block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x), dealiased."""
     _check_same_grid(bank, u, v)
     if j > bank.j_max:
         raise ValueError(f"block {j} exceeds resolved band j_max={bank.j_max}")
-    grid = u.grid
     if j <= -2:
-        return RealField(grid, np.zeros(grid.num_points))
-    hu = half_spectrum(u)
-    hvx = _derivative_symbol(grid) * half_spectrum(v)
-    h_uvx = dealiased_half_product(grid, [hu, hvx])
-    m = bank.block_multiplier(j)
-    first = m * h_uvx
-    second = dealiased_half_product(grid, [hu, m * hvx])
-    return field_from_half(grid, first - second)
+        return RealField(u.grid, np.zeros(u.grid.num_points))
+    (half,) = _commutator_halves(bank, u, v, [j])
+    return field_from_half(u.grid, half)
+
+
+def commutator_block_norms(bank: LPFilterBank, u: RealField, v: RealField,
+                           idx: BesovIndex) -> np.ndarray:
+    """The sequence 2^(j s) ||[block_j, u] d/dx v||_Lp for j = -1 .. j_max,
+    in one sweep; p = 2 takes each norm by Parseval, other p on the grid."""
+    _check_same_grid(bank, u, v)
+    _check_weights(idx.s, bank.j_max)
+    parseval = float(idx.p) == 2.0
+    blocks = range(-1, bank.j_max + 1)
+    out = np.empty(bank.j_max + 2)
+    for j, half in zip(blocks, _commutator_halves(bank, u, v, blocks)):
+        if parseval:
+            norm = _parseval_l2(u.grid, _bin_energy(half))
+        else:
+            norm = lp_norm(field_from_half(u.grid, half), idx.p)
+        out[j + 1] = 2.0 ** (j * idx.s) * norm
+    return out

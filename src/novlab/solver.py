@@ -37,6 +37,7 @@ from .spectral import (
     Grid,
     RealField,
     _WORKERS,
+    _bin_energy,
     _check_same_grid,
     _derivative_symbol,
     _padded_values,
@@ -271,15 +272,10 @@ class _ShellNorm:
         exponents = np.outer([s - 1.0, s], j)
         scale = math.ceil(exponents.max())
         self.weights = grid.length * 4.0 ** (exponents - scale)
-        # the rfft layout counts interior bins twice
-        self.multiplicity = np.full(xi.size, 2.0)
-        self.multiplicity[[0, -1]] = 1.0
 
     def __call__(self, y: np.ndarray) -> float:
-        energy = np.square(y.real) + np.square(y.imag)
-        energy *= self.multiplicity
         total = 0.0
-        for row, w in zip(energy, self.weights):
+        for row, w in zip(_bin_energy(y), self.weights):
             sums = np.bincount(self.shell, weights=row, minlength=w.size)
             total += math.sqrt(float(np.max(w * sums)))
         return total

@@ -179,6 +179,18 @@ def helmholtz_inverse(f: RealField) -> RealField:
     return apply_half_multiplier(f, _smoothing_symbol(f.grid))
 
 
+def _bin_energy(half: np.ndarray) -> np.ndarray:
+    """|half|^2 per rfft bin along the last axis, counted with its multiplicity.
+
+    An interior bin stands for itself and its conjugate, so it counts twice;
+    k = 0 and k = N/2 count once.  By discrete Parseval, L times the sum of
+    these energies is the grid quadrature of the squared L^2 norm.
+    """
+    energy = np.square(half.real) + np.square(half.imag)
+    energy[..., 1:-1] *= 2.0
+    return energy
+
+
 def _check_p(p) -> float:
     """The one rule for an integrability index: p in [1, inf]."""
     p = float(p)
@@ -222,6 +234,13 @@ def _truncate_half(half_padded: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _half_from_padded(values: np.ndarray, n: int) -> np.ndarray:
+    """Half spectrum on grid n of values on the padded grid 2n, truncated."""
+    out = _truncate_half(rfft(values, workers=_WORKERS), n)
+    out /= 2 * n
+    return out
+
+
 def dealiased_half_product(grid: Grid, halves) -> np.ndarray:
     """Half spectrum of the pointwise product of fields given by half spectra.
 
@@ -232,9 +251,7 @@ def dealiased_half_product(grid: Grid, halves) -> np.ndarray:
     acc = _padded_values(halves[0], n)
     for h in halves[1:]:
         acc *= _padded_values(h, n)
-    out = _truncate_half(rfft(acc, workers=_WORKERS), n)
-    out /= 2 * n
-    return out
+    return _half_from_padded(acc, n)
 
 
 def product(f: RealField, g: RealField) -> RealField:

@@ -6,9 +6,11 @@ import pytest
 from novlab import (
     BesovIndex,
     Grid,
+    IllposedDataParams,
     RealField,
     UnresolvedSpectrumError,
     besov_norm,
+    build_initial_data,
     commutator,
     derivative,
     dyadic_block,
@@ -17,20 +19,43 @@ from novlab import (
     product,
     weighted_block_norms,
 )
+from novlab import littlewood_paley, spectral
 from novlab.littlewood_paley import (
     CHI_SUPPORT_END,
     RING_PLATEAU,
     RING_SUPPORT,
     build_filter_bank,
+    commutator_block_norms,
     low_pass_profile,
     ring_profile,
     smooth_step,
 )
 from novlab.spectral import field_from_half
 
-from conftest import mode, random_field
+from conftest import LAMBDA, mode, random_field
 
 LAMBDAS = (67.0 / 48.0, 68.0 / 48.0, 69.0 / 48.0)
+
+
+@pytest.fixture(scope="module")
+def desk_bank():
+    """The filter bank of the desk grid: 2^17 points on a box of length 128."""
+    return build_filter_bank(Grid(2**17, 128.0))
+
+
+@pytest.fixture(scope="module")
+def desk_data(desk_bank):
+    """The lacunary data of the default studies on the desk grid."""
+    params = IllposedDataParams(s=3.0, p=2.0, lam=LAMBDA, num_terms=12, grid=desk_bank.grid)
+    return build_initial_data(params)
+
+
+def block_norms_by_quadrature(bank, f, idx):
+    """2^(j s) ||block_j f||_Lp by grid quadrature of each block."""
+    return [
+        2.0 ** (j * idx.s) * lp_norm(dyadic_block(bank, f, j), idx.p)
+        for j in range(-1, bank.j_max + 1)
+    ]
 
 
 class TestProfiles:
@@ -103,6 +128,20 @@ class TestFilterBank:
         assert grid.nyquist < 1
         with pytest.raises(ValueError, match="Nyquist frequency .* below 1"):
             build_filter_bank(grid)
+
+    @pytest.mark.parametrize("bank_name", ["small_bank", "desk_bank"])
+    def test_squared_blocks_cover_every_multiplier(self, bank_name, request):
+        # a multiplier sample outside its stored range would drop energy
+        # from the Parseval block norms without any other symptom
+        bank = request.getfixturevalue(bank_name)
+        squared = bank._squared_blocks
+        assert len(squared) == bank.j_max + 2
+        for j, (lo, hi, sq) in enumerate(squared, start=-1):
+            m = bank.block_multiplier(j)
+            assert np.all(m[:lo] == 0.0) and np.all(m[hi:] == 0.0)
+            assert np.array_equal(sq, np.square(m[lo:hi]))
+        # index ranges, not a dense (j_max + 2) x (N/2 + 1) matrix
+        assert sum(sq.size for _, _, sq in squared) < 0.2 * bank.phi.size
 
     def test_bank_is_immutable(self, small_bank):
         with pytest.raises(AttributeError):
@@ -212,15 +251,36 @@ class TestBesovNorm:
         with pytest.raises(UnresolvedSpectrumError):
             besov_norm(small_bank, f, BesovIndex(1.0, 2))
 
-    def test_weighted_block_norms_consistency(self, small_grid, small_bank):
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_weighted_block_norms_consistency(self, small_grid, small_bank, p):
+        # p = 2 compares Parseval with quadrature, other p the block loop
         f = random_field(small_grid, seed=22)
-        idx = BesovIndex(1.2, 2)
+        idx = BesovIndex(1.2, p)
         seq = weighted_block_norms(small_bank, f, idx)
-        direct = [
-            2.0 ** (j * idx.s) * lp_norm(dyadic_block(small_bank, f, j), 2)
-            for j in range(-1, small_bank.j_max + 1)
-        ]
+        direct = block_norms_by_quadrature(small_bank, f, idx)
         assert np.allclose(seq, direct, rtol=1e-13, atol=0)
+
+    def test_parseval_block_norms_on_desk_data(self, desk_bank, desk_data):
+        for f, idx in ((desk_data.rho, BesovIndex(2.0, 2)), (desk_data.u, BesovIndex(3.0, 2))):
+            seq = weighted_block_norms(desk_bank, f, idx)
+            direct = block_norms_by_quadrature(desk_bank, f, idx)
+            assert np.allclose(seq, direct, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_block_norm_transform_count(self, small_grid, small_bank, monkeypatch, p):
+        f = random_field(small_grid, seed=23)
+        # littlewood_paley reaches every transform through spectral's bindings
+        counts = {"rfft": 0, "irfft": 0}
+        for module in (spectral, littlewood_paley):
+            for name in counts:
+                if hasattr(module, name):
+                    def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                        counts[_name] += 1
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counted)
+        weighted_block_norms(small_bank, f, BesovIndex(1.0, p))
+        inverse = 0 if p == 2 else small_bank.j_max + 2
+        assert counts == {"rfft": 1, "irfft": inverse}
 
     @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
     def test_index_rejects_nonfinite_s(self, s):
@@ -258,6 +318,18 @@ class TestCommutator:
         v = RealField(small_grid, np.full(small_grid.num_points, 1.5))
         out = commutator(small_bank, 3, u, v)
         assert lp_norm(out, math.inf) < 1e-13
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_commutator_block_norms_match_per_block(self, small_grid, small_bank, p):
+        u = random_field(small_grid, seed=34)
+        v = random_field(small_grid, seed=35)
+        idx = BesovIndex(3.0, p)
+        seq = commutator_block_norms(small_bank, u, v, idx)
+        direct = [
+            2.0 ** (j * idx.s) * lp_norm(commutator(small_bank, j, u, v), p)
+            for j in range(-1, small_bank.j_max + 1)
+        ]
+        assert np.allclose(seq, direct, rtol=1e-12, atol=0)
 
     def test_matches_public_composition(self, small_grid, small_bank):
         u = random_field(small_grid, seed=32)
