@@ -21,8 +21,8 @@ from .littlewood_paley import (
     LPFilterBank,
     build_filter_bank,
     besov_norm,
+    _transport_block_norms,
     commutator_block_norms,
-    dyadic_block,
     weighted_block_norms,
 )
 from .solver import SolverConfig, SystemState, integrate, rhs
@@ -34,7 +34,6 @@ from .spectral import (
     helmholtz_inverse,
     lp_norm,
     product,
-    triple_product,
 )
 
 DEFAULT_GRID_POINTS = 2**17
@@ -268,17 +267,11 @@ def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport
     bank = build_filter_bank(params.grid)
     s, p = params.s, params.p
 
-    rows = []
-    for n in n_list:
-        norm_rho = lp_norm(
-            triple_product(data.u, data.u, derivative(dyadic_block(bank, data.rho, n))), p
-        )
-        norm_u = lp_norm(
-            triple_product(data.u, data.u, derivative(dyadic_block(bank, data.u, n))), p
-        )
-        rows.append(
-            (n, norm_rho, norm_u, 2.0 ** (n * (s - 2)) * norm_rho, 2.0 ** (n * (s - 1)) * norm_u)
-        )
+    norms_rho, norms_u = _transport_block_norms(bank, data.rho, data.u, n_list, p).tolist()
+    rows = [
+        (n, norm_rho, norm_u, 2.0 ** (n * (s - 2)) * norm_rho, 2.0 ** (n * (s - 1)) * norm_u)
+        for n, norm_rho, norm_u in zip(n_list, norms_rho, norms_u)
+    ]
 
     fit_rho = fit_powerlaw([(r[0], r[1]) for r in rows], "dyadic")
     fit_u = fit_powerlaw([(r[0], r[2]) for r in rows], "dyadic")

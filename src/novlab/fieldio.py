@@ -6,6 +6,8 @@ import numpy as np
 
 from .spectral import Grid, RealField
 
+_DUMP_BLOCK = 4096  # values formatted per write; bounds the temporary text
+
 
 def save_field(f: RealField, path, time: float | None = None, **extra) -> None:
     """Write a field with its grid header; extra keys land in the header."""
@@ -16,7 +18,11 @@ def save_field(f: RealField, path, time: float | None = None, **extra) -> None:
             fh.write(f"# time={time!r}\n")
         for key, val in extra.items():
             fh.write(f"# {key}={val!r}\n")
-        np.savetxt(fh, f.values, fmt="%.17g")
+        # one format operation per block of values: the bytes np.savetxt
+        # writes with fmt="%.17g", without its per-line loop
+        for i in range(0, f.values.size, _DUMP_BLOCK):
+            block = f.values[i:i + _DUMP_BLOCK].tolist()
+            fh.write(("%.17g\n" * len(block)) % tuple(block))
 
 
 def load_field(path):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood_paley import smooth_step
-from .spectral import Grid, RealField, _check_p, _half_phase, field_from_half
+from .spectral import Grid, RealField, _check_p, _half_phase, _support_bins, field_from_half
 
 LAMBDA_MIN = 67.0 / 48.0
 LAMBDA_MAX = 69.0 / 48.0
@@ -49,7 +49,9 @@ def modulated_bump(grid: Grid, omega: float) -> RealField:
     """Spectral synthesis of phi(x) cos(omega x) on the grid.
 
     Coefficients are (1/2)(phihat(xi-omega) + phihat(xi+omega))/L, the
-    exact line transform of the product sampled at grid frequencies.
+    exact line transform of the product sampled at grid frequencies.  Both
+    shifted profiles vanish off (omega - 1/2, omega + 1/2), so only the
+    bins there are evaluated.
     """
     if omega < 0:
         raise ValueError("modulation frequency must be nonnegative")
@@ -58,7 +60,10 @@ def modulated_bump(grid: Grid, omega: float) -> RealField:
             f"band {omega:g} +- {BUMP_CUTOFF:g} exceeds Nyquist {grid.nyquist:g}"
         )
     xi = grid.half_frequencies
-    half = (1.0 / (2.0 * grid.length)) * (bump_profile(xi - omega) + bump_profile(xi + omega))
+    half = np.zeros(xi.size)
+    k = _support_bins(grid, omega - BUMP_CUTOFF, omega + BUMP_CUTOFF)
+    half[k] = (1.0 / (2.0 * grid.length)) * (bump_profile(xi[k] - omega)
+                                             + bump_profile(xi[k] + omega))
     return field_from_half(grid, half * _half_phase(grid.num_points))
 
 

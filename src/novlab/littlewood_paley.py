@@ -30,6 +30,7 @@ from .spectral import (
     _derivative_symbol,
     _half_from_padded,
     _padded_values,
+    _support_bins,
     apply_half_multiplier,
     field_from_half,
     half_spectrum,
@@ -141,14 +142,22 @@ def _check_weights(s: float, j_max: int) -> None:
 
 
 def build_filter_bank(grid: Grid) -> LPFilterBank:
-    """Sample chi and all resolved ring multipliers on the grid."""
+    """Sample chi and all resolved ring multipliers on the grid.
+
+    Each profile is evaluated only on its support.  Off it the dense
+    samples are exact zeros (T(xi/2) - T(xi) is 1 - 1 or 0 - 0 there), and
+    the array keeps zeros there.
+    """
     xi = grid.half_frequencies
-    chi = low_pass_profile(xi)
+    chi = np.zeros(xi.size)
+    k = _support_bins(grid, -CHI_SUPPORT_END, CHI_SUPPORT_END)
+    chi[k] = low_pass_profile(xi[k])
     chi.flags.writeable = False
     j_max = top_index(grid)
-    phi = np.empty((j_max + 1, xi.size))
+    phi = np.zeros((j_max + 1, xi.size))
     for j in range(j_max + 1):
-        phi[j] = ring_profile(xi / 2.0**j)
+        k = _support_bins(grid, RING_SUPPORT[0] * 2.0**j, RING_SUPPORT[1] * 2.0**j)
+        phi[j, k] = ring_profile(xi[k] / 2.0**j)
     phi.flags.writeable = False
     return LPFilterBank(grid, chi, phi, j_max)
 
@@ -250,6 +259,37 @@ def _commutator_halves(bank: LPFilterBank, u: RealField, v: RealField, blocks):
     for j in blocks:
         m = bank.block_multiplier(j)
         yield m * h_uvx - _half_from_padded(u_pad * _padded_values(m * hvx, n), n)
+
+
+def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
+                           blocks, p) -> np.ndarray:
+    """||u^2 d/dx block_j f||_Lp for f = rho (row 0) and f = u (row 1) and
+    each j in ``blocks``, dealiased as
+    ``triple_product(u, u, derivative(dyadic_block(bank, f, j)))`` is.
+
+    The spectra of rho and u and the padded values of u^2 (squared in the
+    order of ``dealiased_half_product``'s accumulator) are formed once.
+    Each (field, block) then costs one padded inverse and one forward
+    transform; p = 2 takes the norm by Parseval, other p on the grid.
+    """
+    _check_same_grid(bank, rho, u)
+    grid = u.grid
+    n = grid.num_points
+    parseval = _check_p(p) == 2.0
+    hu = half_spectrum(u)
+    u2 = _padded_values(hu, n)
+    u2 *= u2
+
+    def norm(hf, j):
+        # the padded temporaries of one block are freed before the next
+        prod = _padded_values(_derivative_symbol(grid) * (bank.block_multiplier(j) * hf), n)
+        prod *= u2
+        half = _half_from_padded(prod, n)
+        if parseval:
+            return _parseval_l2(grid, _bin_energy(half))
+        return lp_norm(field_from_half(grid, half), p)
+
+    return np.array([[norm(hf, j) for j in blocks] for hf in (half_spectrum(rho), hu)])
 
 
 def commutator(bank: LPFilterBank, j: int, u: RealField, v: RealField) -> RealField:

@@ -179,6 +179,15 @@ def helmholtz_inverse(f: RealField) -> RealField:
     return apply_half_multiplier(f, _smoothing_symbol(f.grid))
 
 
+def _support_bins(grid: Grid, lo: float, hi: float) -> slice:
+    """The half-spectrum bins whose frequencies lie in the open interval (lo, hi).
+
+    A profile that vanishes off (lo, hi) needs sampling only there.
+    """
+    xi = grid.half_frequencies
+    return slice(int(np.searchsorted(xi, lo, "right")), int(np.searchsorted(xi, hi, "left")))
+
+
 def _bin_energy(half: np.ndarray) -> np.ndarray:
     """|half|^2 per rfft bin along the last axis, counted with its multiplicity.
 

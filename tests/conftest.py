@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,34 @@ def medium_params(medium_grid):
 @pytest.fixture(scope="session")
 def medium_data(medium_params):
     return build_initial_data(medium_params)
+
+
+@pytest.fixture
+def count_ffts(monkeypatch):
+    """Start counting the rfft and irfft calls made through any novlab module.
+
+    Calling the returned function wraps, for the rest of the test, every
+    binding of scipy's ``rfft`` or ``irfft`` in a loaded novlab module, and
+    returns the dict of counts, which the wrappers update in place.
+    """
+    def start():
+        counts = {"rfft": 0, "irfft": 0}
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] != "novlab":
+                continue
+            for name in counts:
+                fn = vars(module).get(name)
+                if fn is None:
+                    continue
+
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    return start
 
 
 def mode(grid, freq_index, kind="cos", amplitude=1.0):

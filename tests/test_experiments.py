@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from novlab import (
     build_bump,
     build_filter_bank,
     build_initial_data,
+    derivative,
     dyadic_block,
     fit_powerlaw,
     integrate,
@@ -21,6 +23,7 @@ from novlab import (
     study_inequalities,
     study_separation,
     study_short_time,
+    triple_product,
     write_study,
 )
 from novlab import experiments
@@ -32,6 +35,7 @@ from novlab.experiments import (
     smoothing_ratio,
     write_report_csv,
 )
+from novlab.littlewood_paley import _transport_block_norms
 
 from conftest import fixed_step_states, random_field
 
@@ -106,6 +110,27 @@ class TestBlockScalingStudy:
             study_block_scaling(medium_params, range(2, 6))
         with pytest.raises(ValueError):
             study_block_scaling(medium_params, range(6, 12))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_sweep_matches_per_block_oracle(self, medium_params, medium_bank, p):
+        # the study's one sweep against the public per-block composition
+        params = replace(medium_params, s=3.5, p=p)
+        data = build_initial_data(params)
+        report = study_block_scaling(params, range(4, 9))
+        for n, norm_rho, norm_u, *_ in report.rows:
+            for f, norm in ((data.rho, norm_rho), (data.u, norm_u)):
+                block = derivative(dyadic_block(medium_bank, f, n))
+                oracle = lp_norm(triple_product(data.u, data.u, block), p)
+                assert norm == pytest.approx(oracle, rel=1e-13, abs=0)
+
+    def test_sweep_transform_count(self, medium_bank, medium_data, count_ffts):
+        bands = range(4, 9)
+        counts = count_ffts()
+        _transport_block_norms(medium_bank, medium_data.rho, medium_data.u, bands, 2.0)
+        # hoisted: the spectra of rho and u and the padded values of u; then
+        # one padded inverse and one forward transform per (field, band)
+        pairs = 2 * len(bands)
+        assert counts == {"rfft": 2 + pairs, "irfft": 1 + pairs}
 
     def test_resolution_robustness(self, medium_params, medium_grid):
         finer_grid = Grid(2**15, medium_grid.length)

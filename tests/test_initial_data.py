@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from novlab import (
     BesovIndex,
     Grid,
     IllposedDataParams,
+    RealField,
     ResolutionError,
     besov_norm,
     build_bump,
@@ -20,7 +22,7 @@ from novlab import (
     save_field,
 )
 from novlab.initial_data import BUMP_CUTOFF, bump_profile
-from novlab.spectral import half_spectrum
+from novlab.spectral import _half_phase, field_from_half, half_spectrum
 
 from conftest import LAMBDA, coefficients
 
@@ -102,6 +104,31 @@ class TestModulatedBump:
     def test_rejects_unresolved_band(self, small_grid):
         with pytest.raises(ResolutionError):
             modulated_bump(small_grid, 0.999 * small_grid.nyquist)
+
+    @pytest.mark.parametrize(
+        "omega", [0.0, 0.3] + [LAMBDA * 2.0**n for n in range(12)],
+        ids=["0", "0.3"] + [f"band{n}" for n in range(12)],
+    )
+    def test_support_synthesis_matches_dense_profile(self, omega):
+        # only the bins within BUMP_CUTOFF of omega are evaluated; the dense
+        # formula is exactly 0 elsewhere, so the spectra agree bit for bit
+        # (omega = 0.3 < 1/2: both shifted profiles reach xi >= 0)
+        grid = Grid(2**17, 128.0)
+        xi = grid.half_frequencies
+        dense = (1.0 / (2.0 * grid.length)) * (bump_profile(xi - omega) + bump_profile(xi + omega))
+        expected = field_from_half(grid, dense * _half_phase(grid.num_points))
+        f = modulated_bump(grid, omega)
+        assert np.array_equal(f.values, expected.values)
+        assert np.array_equal(half_spectrum(f), half_spectrum(expected))
+
+    def test_desk_grid_resolution_limit(self):
+        grid = Grid(2**17, 128.0)
+        modulated_bump(grid, np.nextafter(grid.nyquist - BUMP_CUTOFF, 0.0))
+        for omega in (grid.nyquist - BUMP_CUTOFF, LAMBDA * 2.0**12):
+            with pytest.raises(ResolutionError):
+                modulated_bump(grid, omega)
+        with pytest.raises(ValueError, match="nonnegative"):
+            modulated_bump(grid, -0.3)
 
 
 class TestParamsValidation:
@@ -202,6 +229,18 @@ class TestFieldIO:
         save_field(f, path, time=0.25, note="trial")
         back, meta = load_field(path)
         assert back.grid == small_grid
-        assert np.abs(back.values - f.values).max() < 1e-16
+        assert np.array_equal(back.values, f.values)
         assert float(meta["time"]) == 0.25
         assert meta["note"] == "'trial'"
+
+    def test_dump_bytes_match_savetxt(self, small_grid, tmp_path):
+        values = np.random.default_rng(5).standard_normal(small_grid.num_points)
+        values[:5] = [-0.0, 5e-324, 1e300, -1e300, 1.0 / 3.0]
+        path = tmp_path / "field.csv"
+        save_field(RealField(small_grid, values), path, time=0.5)
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"#"))
+        expected = io.BytesIO()
+        np.savetxt(expected, values, fmt="%.17g")
+        assert body == expected.getvalue()
+        assert np.array_equal(np.signbit(load_field(path)[0].values), np.signbit(values))

@@ -19,7 +19,6 @@ from novlab import (
     product,
     weighted_block_norms,
 )
-from novlab import littlewood_paley, spectral
 from novlab.littlewood_paley import (
     CHI_SUPPORT_END,
     RING_PLATEAU,
@@ -142,6 +141,19 @@ class TestFilterBank:
             assert np.array_equal(sq, np.square(m[lo:hi]))
         # index ranges, not a dense (j_max + 2) x (N/2 + 1) matrix
         assert sum(sq.size for _, _, sq in squared) < 0.2 * bank.phi.size
+
+    @pytest.mark.parametrize("bank_name", ["small_bank", "medium_bank", "desk_bank"])
+    def test_support_sampling_matches_dense_profiles(self, bank_name, request):
+        # the bank evaluates each profile on its support only; off it the
+        # dense formula gives exact zeros, so the arrays agree bit for bit
+        bank = request.getfixturevalue(bank_name)
+        xi = bank.grid.half_frequencies
+        dense_chi = low_pass_profile(xi)
+        dense_phi = np.array([ring_profile(xi / 2.0**j) for j in range(bank.j_max + 1)])
+        assert np.array_equal(bank.chi, dense_chi)
+        assert np.array_equal(bank.phi, dense_phi)
+        assert np.array_equal(np.signbit(bank.chi), np.signbit(dense_chi))
+        assert np.array_equal(np.signbit(bank.phi), np.signbit(dense_phi))
 
     def test_bank_is_immutable(self, small_bank):
         with pytest.raises(AttributeError):
@@ -267,17 +279,9 @@ class TestBesovNorm:
             assert np.allclose(seq, direct, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("p", [2, math.inf])
-    def test_block_norm_transform_count(self, small_grid, small_bank, monkeypatch, p):
+    def test_block_norm_transform_count(self, small_grid, small_bank, count_ffts, p):
         f = random_field(small_grid, seed=23)
-        # littlewood_paley reaches every transform through spectral's bindings
-        counts = {"rfft": 0, "irfft": 0}
-        for module in (spectral, littlewood_paley):
-            for name in counts:
-                if hasattr(module, name):
-                    def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                        counts[_name] += 1
-                        return _fn(*args, **kwargs)
-                    monkeypatch.setattr(module, name, counted)
+        counts = count_ffts()
         weighted_block_norms(small_bank, f, BesovIndex(1.0, p))
         inverse = 0 if p == 2 else small_bank.j_max + 2
         assert counts == {"rfft": 1, "irfft": inverse}
