@@ -80,7 +80,7 @@ class RunConfig:
             if study == "inequalities":
                 grid = Grid(self.grid_points, self.domain_length)
                 check_regime(self.s, self.p)
-                experiments.check_corpus_size(self.corpus_size)
+                experiments.check_corpus(self.corpus_size, self.seed, grid)
             else:
                 params = _data_params(self)
                 grid = params.grid

@@ -17,23 +17,28 @@ import numpy as np
 
 from .initial_data import IllposedDataParams, build_bump, build_initial_data
 from .littlewood_paley import (
+    CHI_PLATEAU_END,
     BesovIndex,
     LPFilterBank,
     build_filter_bank,
     besov_norm,
+    _block_norms,
+    _block_weights,
+    _commutator_block_norms,
     _transport_block_norms,
-    commutator_block_norms,
     weighted_block_norms,
 )
 from .solver import SolverConfig, SystemState, integrate, rhs
 from .spectral import (
     Grid,
     RealField,
-    derivative,
+    _derivative_symbol,
+    _half_from_padded,
+    _padded_values,
+    _smoothing_symbol,
     field_from_half,
-    helmholtz_inverse,
+    half_spectrum,
     lp_norm,
-    product,
 )
 
 DEFAULT_GRID_POINTS = 2**17
@@ -47,6 +52,7 @@ DEFAULT_TIMES = tuple(1e-2 * 2.0**-k for k in range(6))
 DEFAULT_SEED = 2026
 DEFAULT_CORPUS_SIZE = 100
 DEFAULT_INEQUALITY_GRID = (2**12, 64.0)  # grid points and domain length of the corpora
+CORPUS_BAND = 0.25  # corpus fields live below this fraction of Nyquist
 
 SLOPE_TOL_FIRST_ORDER = 0.1
 SLOPE_TOL_SECOND_ORDER = 0.2
@@ -250,9 +256,21 @@ def time_list(times) -> list:
     return times
 
 
-def check_corpus_size(corpus_size: int) -> None:
+def check_corpus(corpus_size: int, seed: int, grid: Grid) -> None:
+    """The rule for an inequality corpus: at least 100 pairs, a seed numpy
+    accepts, and a grid on which the products u v_x (below 2 CORPUS_BAND
+    Nyquist) reach past the low-pass plateau |xi| <= 1.  Inside it every
+    commutator block vanishes and its ratio measures only roundoff."""
     if corpus_size < 100:
         raise ValueError(f"corpus_size must be at least 100, got {corpus_size}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if 2 * CORPUS_BAND * grid.nyquist <= CHI_PLATEAU_END:
+        raise ValueError(
+            f"corpus grid Nyquist frequency {grid.nyquist:g} must exceed "
+            f"{CHI_PLATEAU_END / (2 * CORPUS_BAND):g}: below it every commutator "
+            "block of the corpus vanishes"
+        )
 
 
 def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport:
@@ -261,6 +279,12 @@ def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport
     The rho-data norms must scale like 2^(-n(s-2)) and the u-data norms
     like 2^(-n(s-1)); both are also required to stay bounded below after
     normalization.
+
+    At desk scale the top rows sit near their roundoff floor: band 11 of u0
+    is about 2^-33 of its largest band, so a roundoff-level change in the
+    data (for instance another summation order in synthesis) moves the
+    top ``norm_u_term`` rows by up to about 2e-8 relative.  The slope and
+    plateau verdicts are far from this.
     """
     n_list = band_list(params, n_range, 3)
     data = build_initial_data(params)
@@ -520,9 +544,9 @@ def study_separation(params: IllposedDataParams, n_range=None,
 # -- inequality corpora -------------------------------------------------------
 
 def random_band_limited_field(grid: Grid, rng) -> RealField:
-    """Random real field with smooth random spectrum below a quarter of Nyquist."""
+    """Random real field with smooth random spectrum below CORPUS_BAND * Nyquist."""
     xi = grid.half_frequencies
-    cutoff = 0.25 * grid.nyquist
+    cutoff = CORPUS_BAND * grid.nyquist
     width = cutoff * rng.uniform(0.15, 1.0)
     envelope = np.exp(-((xi / width) ** 2)) * (xi <= cutoff)
     coeffs = envelope * (rng.standard_normal(xi.size) + 1j * rng.standard_normal(xi.size))
@@ -533,27 +557,47 @@ def random_band_limited_field(grid: Grid, rng) -> RealField:
     return f * (1.0 / sup) if sup > 0 else f
 
 
-def product_law_ratio(bank: LPFilterBank, u: RealField, v: RealField, s: float, p) -> float:
-    """||uv||_{B^(s-2)} / (||u||_{B^(s-2)} ||v||_{B^(s-1)})."""
-    num = besov_norm(bank, product(u, v), BesovIndex(s - 2, p))
-    den = besov_norm(bank, u, BesovIndex(s - 2, p)) * besov_norm(bank, v, BesovIndex(s - 1, p))
-    return num / den if den > 0 else 0.0
+def _pair_ratios(bank: LPFilterBank, u: RealField, v: RealField,
+                 idx: BesovIndex) -> tuple:
+    """The product-law, commutator and smoothing ratios of one sample pair,
+    with s, p = idx (a zero denominator gives 0):
 
+        ||uv||_{B^(s-2)} / (||u||_{B^(s-2)} ||v||_{B^(s-1)}),
+        sup_j 2^(js)||[block_j, u] v_x||_Lp
+            / (||u_x||_inf ||v||_{B^s} + ||v_x||_inf ||u||_{B^s}),
+        ||(1-dxx)^-1 u||_{B^s} / ||u||_{B^(s-2)}.
 
-def commutator_ratio(bank: LPFilterBank, u: RealField, v: RealField, s: float, p) -> float:
-    """sup_j 2^(js)||[block_j, u] v_x||_Lp over the commutator estimate's RHS."""
-    lhs = float(np.max(commutator_block_norms(bank, u, v, BesovIndex(s, p))))
-    den = lp_norm(derivative(u), math.inf) * besov_norm(bank, v, BesovIndex(s, p)) + lp_norm(
-        derivative(v), math.inf
-    ) * besov_norm(bank, u, BesovIndex(s, p))
-    return lhs / den if den > 0 else 0.0
+    Each field is transformed once, and its block sequence is weighted for
+    all three indices.  uv (dealiased) and (1-dxx)^-1 u are measured from
+    their half spectra, and the padded u serves the product and the
+    commutator sweep.
+    """
+    grid = bank.grid
+    n = grid.num_points
+    p = idx.p
+    w2, w1, w0 = (_block_weights(bank, s) for s in (idx.s - 2, idx.s - 1, idx.s))
+    hu, hv = half_spectrum(u), half_spectrum(v)
+    norms_u, norms_v = _block_norms(bank, hu, p), _block_norms(bank, hv, p)
+    u_pad = _padded_values(hu, n)
+    uv = _padded_values(hv, n)
+    uv *= u_pad
+    norms_uv = _block_norms(bank, _half_from_padded(uv, n), p)
+    norms_gu = _block_norms(bank, _smoothing_symbol(grid) * hu, p)
+    d = _derivative_symbol(grid)
+    hvx = d * hv
+    comm = _commutator_block_norms(bank, hvx, u_pad, p)
+    sup_ux = lp_norm(field_from_half(grid, d * hu), math.inf)
+    sup_vx = lp_norm(field_from_half(grid, hvx), math.inf)
 
+    def ratio(num, den):
+        return float(num / den) if den > 0 else 0.0
 
-def smoothing_ratio(bank: LPFilterBank, u: RealField, s: float, p) -> float:
-    """||(1-dxx)^-1 u||_{B^s} / ||u||_{B^(s-2)}: the order -2 multiplier gain."""
-    num = besov_norm(bank, helmholtz_inverse(u), BesovIndex(s, p))
-    den = besov_norm(bank, u, BesovIndex(s - 2, p))
-    return num / den if den > 0 else 0.0
+    return (
+        ratio(np.max(w2 * norms_uv), np.max(w2 * norms_u) * np.max(w1 * norms_v)),
+        ratio(np.max(w0 * comm),
+              sup_ux * np.max(w0 * norms_v) + sup_vx * np.max(w0 * norms_u)),
+        ratio(np.max(w0 * norms_gu), np.max(w2 * norms_u)),
+    )
 
 
 def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_SEED,
@@ -566,9 +610,10 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     that each family's max ratio is finite and agrees between the corpora
     within a factor of two.
     """
-    check_corpus_size(corpus_size)
     if grid is None:
         grid = Grid(*DEFAULT_INEQUALITY_GRID)
+    check_corpus(corpus_size, seed, grid)
+    idx = BesovIndex(s, p)
     bank = build_filter_bank(grid)
 
     rows = []
@@ -579,9 +624,7 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
         for i in range(corpus_size):
             u = random_band_limited_field(grid, rng)
             v = random_band_limited_field(grid, rng)
-            r_prod = product_law_ratio(bank, u, v, s, p)
-            r_comm = commutator_ratio(bank, u, v, s, p)
-            r_smooth = smoothing_ratio(bank, u, s, p)
+            r_prod, r_comm, r_smooth = _pair_ratios(bank, u, v, idx)
             ratios["product_law"].append(r_prod)
             ratios["commutator"].append(r_comm)
             ratios["smoothing"].append(r_smooth)

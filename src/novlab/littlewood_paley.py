@@ -196,7 +196,35 @@ def _check_resolved(bank: LPFilterBank, energy: np.ndarray) -> None:
 
 def _parseval_l2(grid: Grid, energy: np.ndarray) -> float:
     """L^2 norm of the field whose bin energies (``_bin_energy``) are given."""
-    return math.sqrt(grid.length * float(np.sum(energy)))
+    return math.sqrt(grid.length * float(energy.sum()))
+
+
+def _half_lp_norm(grid: Grid, half: np.ndarray, p) -> float:
+    """L^p norm of the field with half spectrum ``half``: by Parseval for
+    p = 2, else on the grid after one inverse transform."""
+    if p == 2.0:
+        return _parseval_l2(grid, _bin_energy(half))
+    return lp_norm(field_from_half(grid, half), p)
+
+
+def _block_weights(bank: LPFilterBank, s: float) -> np.ndarray:
+    """The weights 2^(j s) for j = -1 .. j_max; rejects any that overflows."""
+    _check_weights(s, bank.j_max)
+    return np.array([2.0 ** (j * s) for j in range(-1, bank.j_max + 1)])
+
+
+def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
+                 check_resolved: bool = True) -> np.ndarray:
+    """The unweighted sequence ||block_j f||_Lp for j = -1 .. j_max of the
+    field f with half spectrum ``half``; see ``weighted_block_norms``."""
+    energy = _bin_energy(half)
+    if check_resolved:
+        _check_resolved(bank, energy)
+    if float(p) == 2.0:
+        return np.array([_parseval_l2(bank.grid, sq * energy[lo:hi])
+                         for lo, hi, sq in bank._squared_blocks])
+    return np.array([_half_lp_norm(bank.grid, bank.block_multiplier(j) * half, p)
+                     for j in range(-1, bank.j_max + 1)])
 
 
 def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex,
@@ -220,20 +248,8 @@ def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex,
     high-frequency fraction without any actual resolution problem.
     """
     _check_same_grid(bank, f)
-    _check_weights(idx.s, bank.j_max)
-    half = half_spectrum(f)
-    energy = _bin_energy(half)
-    if check_resolved:
-        _check_resolved(bank, energy)
-    out = np.empty(bank.j_max + 2)
-    if float(idx.p) == 2.0:
-        for j, (lo, hi, sq) in enumerate(bank._squared_blocks, start=-1):
-            out[j + 1] = 2.0 ** (j * idx.s) * _parseval_l2(f.grid, sq * energy[lo:hi])
-        return out
-    for j in range(-1, bank.j_max + 1):
-        block = field_from_half(f.grid, bank.block_multiplier(j) * half)
-        out[j + 1] = 2.0 ** (j * idx.s) * lp_norm(block, idx.p)
-    return out
+    weights = _block_weights(bank, idx.s)  # rejects an overflowing s before any transform
+    return weights * _block_norms(bank, half_spectrum(f), idx.p, check_resolved)
 
 
 def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex,
@@ -242,19 +258,15 @@ def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex,
     return float(np.max(weighted_block_norms(bank, f, idx, check_resolved)))
 
 
-def _commutator_halves(bank: LPFilterBank, u: RealField, v: RealField, blocks):
+def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_pad: np.ndarray, blocks):
     """Half spectra of [block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x),
     dealiased, for each j in ``blocks`` (all in -1..j_max).
 
-    What does not depend on j is formed once: the spectra of u and v_x, the
-    padded values of u and the product u v_x.  Each block then costs one
-    padded inverse and one forward transform.
+    The caller forms what does not depend on j: the half spectrum ``hvx`` of
+    v_x and the padded values ``u_pad`` of u.  The product u v_x is formed
+    once; each block then costs one padded inverse and one forward transform.
     """
-    grid = u.grid
-    n = grid.num_points
-    hu = half_spectrum(u)
-    hvx = _derivative_symbol(grid) * half_spectrum(v)
-    u_pad = _padded_values(hu, n)
+    n = bank.grid.num_points
     h_uvx = _half_from_padded(u_pad * _padded_values(hvx, n), n)
     for j in blocks:
         m = bank.block_multiplier(j)
@@ -275,7 +287,7 @@ def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
     _check_same_grid(bank, rho, u)
     grid = u.grid
     n = grid.num_points
-    parseval = _check_p(p) == 2.0
+    p = _check_p(p)
     hu = half_spectrum(u)
     u2 = _padded_values(hu, n)
     u2 *= u2
@@ -284,10 +296,7 @@ def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
         # the padded temporaries of one block are freed before the next
         prod = _padded_values(_derivative_symbol(grid) * (bank.block_multiplier(j) * hf), n)
         prod *= u2
-        half = _half_from_padded(prod, n)
-        if parseval:
-            return _parseval_l2(grid, _bin_energy(half))
-        return lp_norm(field_from_half(grid, half), p)
+        return _half_lp_norm(grid, _half_from_padded(prod, n), p)
 
     return np.array([[norm(hf, j) for j in blocks] for hf in (half_spectrum(rho), hu)])
 
@@ -299,23 +308,17 @@ def commutator(bank: LPFilterBank, j: int, u: RealField, v: RealField) -> RealFi
         raise ValueError(f"block {j} exceeds resolved band j_max={bank.j_max}")
     if j <= -2:
         return RealField(u.grid, np.zeros(u.grid.num_points))
-    (half,) = _commutator_halves(bank, u, v, [j])
+    hvx = _derivative_symbol(u.grid) * half_spectrum(v)
+    u_pad = _padded_values(half_spectrum(u), u.grid.num_points)
+    (half,) = _commutator_halves(bank, hvx, u_pad, [j])
     return field_from_half(u.grid, half)
 
 
-def commutator_block_norms(bank: LPFilterBank, u: RealField, v: RealField,
-                           idx: BesovIndex) -> np.ndarray:
-    """The sequence 2^(j s) ||[block_j, u] d/dx v||_Lp for j = -1 .. j_max,
-    in one sweep; p = 2 takes each norm by Parseval, other p on the grid."""
-    _check_same_grid(bank, u, v)
-    _check_weights(idx.s, bank.j_max)
-    parseval = float(idx.p) == 2.0
+def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, u_pad: np.ndarray,
+                            p) -> np.ndarray:
+    """The unweighted sequence ||[block_j, u] d/dx v||_Lp for j = -1 .. j_max,
+    in one sweep from the hoisted spectra of ``_commutator_halves``; p = 2
+    takes each norm by Parseval, other p on the grid."""
     blocks = range(-1, bank.j_max + 1)
-    out = np.empty(bank.j_max + 2)
-    for j, half in zip(blocks, _commutator_halves(bank, u, v, blocks)):
-        if parseval:
-            norm = _parseval_l2(u.grid, _bin_energy(half))
-        else:
-            norm = lp_norm(field_from_half(u.grid, half), idx.p)
-        out[j + 1] = 2.0 ** (j * idx.s) * norm
-    return out
+    return np.array([_half_lp_norm(bank.grid, half, p)
+                     for half in _commutator_halves(bank, hvx, u_pad, blocks)])

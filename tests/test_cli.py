@@ -65,6 +65,10 @@ class TestParseArgs:
         (["study", "inequalities", "--domain-length", "1e6", "--corpus-size", "100"],
          "Nyquist"),
         (["study", "inequalities", "--grid-points", "16"], "Nyquist"),
+        # corpus products below Nyquist/2 = 1.84 leave every commutator block zero
+        (["study", "inequalities", "--domain-length", "7000", "--corpus-size", "100"],
+         "Nyquist"),
+        (["study", "inequalities", "--seed", "-1"], "seed"),
     ])
     def test_invalid_config_writes_no_dump(self, argv, message, tmp_path, capsys):
         dump = tmp_path / "dump.conf"
@@ -111,6 +115,11 @@ class TestParseArgs:
         cfg = parse_args(argv)
         reloaded = parse_args(["study", "blockscale", "--config", str(dump)])
         assert reloaded == cfg
+
+    def test_corpus_grid_with_nonzero_commutators_is_accepted(self):
+        # Nyquist 2.57: the corpus products reach past the low-pass plateau
+        cfg = parse_args(["study", "inequalities", "--domain-length", "5000"])
+        assert cfg.domain_length == 5000.0
 
     def test_inequalities_defaults_to_small_grid(self):
         cfg = parse_args(["study", "inequalities"])

@@ -10,6 +10,7 @@ from novlab import (
     Grid,
     IllposedDataParams,
     SystemState,
+    UnresolvedSpectrumError,
     besov_norm,
     build_bump,
     build_filter_bank,
@@ -17,8 +18,10 @@ from novlab import (
     derivative,
     dyadic_block,
     fit_powerlaw,
+    helmholtz_inverse,
     integrate,
     lp_norm,
+    product,
     study_block_scaling,
     study_inequalities,
     study_separation,
@@ -29,15 +32,13 @@ from novlab import (
 from novlab import experiments
 from novlab.experiments import (
     CONTROL_AMPLITUDE,
-    commutator_ratio,
-    product_law_ratio,
+    _pair_ratios,
     random_band_limited_field,
-    smoothing_ratio,
     write_report_csv,
 )
 from novlab.littlewood_paley import _transport_block_norms
 
-from conftest import fixed_step_states, random_field
+from conftest import fixed_step_states, mode, random_field
 
 
 class TestFitPowerlaw:
@@ -309,9 +310,19 @@ class TestInequalitiesStudy:
         with pytest.raises(ValueError):
             study_inequalities(corpus_size=10, seed=0)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        # fields below Nyquist/4 multiply to below Nyquist/2 = 1.84, inside
+        # the low-pass plateau, where every commutator block vanishes
+        ({"grid": Grid(2**12, 7000.0)}, "Nyquist"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_rejects_degenerate_corpus(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            study_inequalities(**{"corpus_size": 100, "seed": 0, **kwargs})
+
     def test_equal_fields_give_positive_ratio(self, small_grid, small_bank):
         u = random_field(small_grid, seed=40)
-        r = product_law_ratio(small_bank, u, u, 3.0, 2.0)
+        r, _, _ = _pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
         assert math.isfinite(r) and r > 0
 
     def test_constant_v_gives_zero_commutator_ratio(self, small_grid, small_bank):
@@ -319,13 +330,59 @@ class TestInequalitiesStudy:
 
         u = random_field(small_grid, seed=41)
         v = RealField(small_grid, np.full(small_grid.num_points, 2.0))
-        assert commutator_ratio(small_bank, u, v, 3.0, 2.0) < 1e-10
+        _, r, _ = _pair_ratios(small_bank, u, v, BesovIndex(3.0, 2.0))
+        assert r < 1e-10
 
     def test_smoothing_ratio_bounded_by_one_ish(self, small_grid, small_bank):
         u = random_field(small_grid, seed=42)
         # the multiplier never exceeds 1, and the Besov reweighting 2^(2j)
         # exactly offsets the ring decay of 1/(1+xi^2) up to ring constants
-        assert 0 < smoothing_ratio(small_bank, u, 3.0, 2.0) < 3.0
+        _, _, r = _pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
+        assert 0 < r < 3.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_pair_ratios_match_public_compositions(self, small_grid, small_bank, p):
+        rng = np.random.default_rng(7)
+        u = random_band_limited_field(small_grid, rng)
+        v = random_band_limited_field(small_grid, rng)
+        s, bank = 3.0, small_bank
+
+        def besov(f, t):
+            return besov_norm(bank, f, BesovIndex(t, p))
+
+        vx = derivative(v)
+        comm = max(
+            2.0 ** (j * s) * lp_norm(dyadic_block(bank, product(u, vx), j)
+                                     - product(u, dyadic_block(bank, vx, j)), p)
+            for j in range(-1, bank.j_max + 1)
+        )
+        expected = (
+            besov(product(u, v), s - 2) / (besov(u, s - 2) * besov(v, s - 1)),
+            comm / (lp_norm(derivative(u), math.inf) * besov(v, s)
+                    + lp_norm(vx, math.inf) * besov(u, s)),
+            besov(helmholtz_inverse(u), s) / besov(u, s - 2),
+        )
+        got = _pair_ratios(bank, u, v, BesovIndex(s, p))
+        assert np.allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_pair_guards_the_product(self, small_grid, small_bank):
+        # u at xi = 98.2 is resolved, but u^2 puts half its energy at 196.3,
+        # above the guard frequency 1.5 * 2^7 = 192 and below Nyquist 201
+        u = mode(small_grid, 1000)
+        with pytest.raises(UnresolvedSpectrumError):
+            _pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
+
+    def test_pair_transform_count(self, small_grid, small_bank, count_ffts):
+        # the corpus grid has 9 blocks: 4 hoisted rffts, one per commutator
+        # block, and irffts for the padded u, v and v_x, the 9 blocks and
+        # sup|u_x|, sup|v_x|; the generator adds one irfft per field
+        assert small_bank.j_max + 2 == 9
+        rng = np.random.default_rng(3)
+        counts = count_ffts()
+        u = random_band_limited_field(small_grid, rng)
+        v = random_band_limited_field(small_grid, rng)
+        _pair_ratios(small_bank, u, v, BesovIndex(3.0, 2.0))
+        assert counts == {"rfft": 13, "irfft": 14 + 2}
 
 
 class TestReportSerialization:

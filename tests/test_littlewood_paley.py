@@ -23,13 +23,15 @@ from novlab.littlewood_paley import (
     CHI_SUPPORT_END,
     RING_PLATEAU,
     RING_SUPPORT,
+    _block_norms,
+    _block_weights,
+    _commutator_block_norms,
     build_filter_bank,
-    commutator_block_norms,
     low_pass_profile,
     ring_profile,
     smooth_step,
 )
-from novlab.spectral import field_from_half
+from novlab.spectral import _derivative_symbol, _padded_values, field_from_half, half_spectrum
 
 from conftest import LAMBDA, mode, random_field
 
@@ -278,6 +280,14 @@ class TestBesovNorm:
             direct = block_norms_by_quadrature(desk_bank, f, idx)
             assert np.allclose(seq, direct, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_matches_weighted_half_spectrum_entry_point(self, small_grid, small_bank, p):
+        f = random_field(small_grid, seed=24)
+        idx = BesovIndex(1.7, p)
+        seq = weighted_block_norms(small_bank, f, idx)
+        entry = _block_weights(small_bank, idx.s) * _block_norms(small_bank, half_spectrum(f), p)
+        assert np.array_equal(seq, entry)
+
     @pytest.mark.parametrize("p", [2, math.inf])
     def test_block_norm_transform_count(self, small_grid, small_bank, count_ffts, p):
         f = random_field(small_grid, seed=23)
@@ -328,7 +338,10 @@ class TestCommutator:
         u = random_field(small_grid, seed=34)
         v = random_field(small_grid, seed=35)
         idx = BesovIndex(3.0, p)
-        seq = commutator_block_norms(small_bank, u, v, idx)
+        hvx = _derivative_symbol(small_grid) * half_spectrum(v)
+        u_pad = _padded_values(half_spectrum(u), small_grid.num_points)
+        seq = _block_weights(small_bank, idx.s) * _commutator_block_norms(
+            small_bank, hvx, u_pad, p)
         direct = [
             2.0 ** (j * idx.s) * lp_norm(commutator(small_bank, j, u, v), p)
             for j in range(-1, small_bank.j_max + 1)
