@@ -1,9 +1,8 @@
 """Command-line entry point: data generation, solving, decomposition, studies.
 
 Exit codes: 0 when every verdict passes, 1 when any verdict fails (outputs
-are still written), 2 on usage or validation errors.  A plain key=value
-config file can seed any run; explicit flags override it.  The environment
-variable NOVLAB_THREADS sets the FFT worker count.
+are still written), 2 on usage, validation or file errors.  A plain
+key=value config file can seed any run; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .initial_data import (
 )
 from .littlewood_paley import (BesovIndex, _check_weights, build_filter_bank, top_index,
                                weighted_block_norms)
-from .solver import SolverConfig, SystemState, integrate
+from .solver import MIN_STEP_FRACTION, SolverConfig, SystemState, integrate
 from .spectral import Grid
 
 COMMANDS = ("generate-data", "solve", "decompose", "study")
@@ -86,15 +85,15 @@ class RunConfig:
                 grid = params.grid
             if self.command == "decompose" or study is not None:
                 _check_weights(self.s, top_index(grid))
-            if self.command == "solve" or study in ("shorttime", "separation"):
-                _solver_config(self)
-            if study == "shorttime":
-                experiments.time_list(_short_times(self))
             if study in ("blockscale", "separation"):
                 experiments.band_list(params, range(self.n_min, self.n_max + 1),
                                       3 if study == "blockscale" else 5)
             if study == "separation":
                 experiments.check_delta(self.delta)
+            if self.command == "solve" or study in ("shorttime", "separation"):
+                _solver_config(self)
+            if study == "shorttime":
+                experiments.time_list(_short_times(self))
         except ValueError as exc:
             raise ValueError(f"constraint violated: {exc}") from None
         parent = Path(self.output_path).resolve().parent
@@ -117,10 +116,12 @@ class RunConfig:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, _, val = line.partition("=")
+                key, sep, val = line.partition("=")
                 key = key.strip()
                 if key not in known:
                     raise ValueError(f"unknown config key {key!r}")
+                if not sep:
+                    raise ValueError(f"config key {key!r} has no value: expected {key}=value")
                 out[key] = val.strip()
         return out
 
@@ -143,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="novlab",
         description="Numerical laboratory for the two-component Novikov system.",
-        epilog="Config file: plain key=value lines; flags override file values. "
-        "Set NOVLAB_THREADS to control FFT workers.",
+        epilog="Config file: plain key=value lines; flags override file values.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--domain-length", type=float, default=None,
                         help=f"periodic box length (default {DEFAULT_DOMAIN_LENGTH})")
         sp.add_argument("--dt", type=float, default=None,
-                        help="cap on the error-controlled time step (default: no cap)")
+                        help=f"cap on the error-controlled time step, at least "
+                        f"{MIN_STEP_FRACTION:g} of the horizon (default: no cap)")
         sp.add_argument("--t-final", type=float, default=None,
                         help="integration horizon (default 1e-2)")
         sp.add_argument("--delta", type=float, default=None,
@@ -202,7 +203,10 @@ def parse_args(argv) -> RunConfig:
     if ns.config:
         values.update(RunConfig.file_values(ns.config))
     for key in values.copy():
-        values[key] = _coerce(key, values[key])
+        try:
+            values[key] = _coerce(key, values[key])
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     for f in fields(RunConfig):
         flag_val = getattr(ns, f.name, None)
         if flag_val is not None:
@@ -229,8 +233,13 @@ def _data_params(cfg: RunConfig) -> IllposedDataParams:
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    """Settings of ``solve``; --dt only caps the step, so it may exceed --t-final."""
-    return SolverConfig(t_final=cfg.t_final, dt=cfg.dt, s=cfg.s)
+    """Settings the run integrates with; --dt only caps the step, so it may
+    exceed the horizon.  A separation study integrates to its longest
+    horizon delta 2^-n_min, not to --t-final."""
+    t_final = cfg.t_final
+    if cfg.command == "study" and cfg.study_name == "separation":
+        t_final = cfg.delta * 2.0**-cfg.n_min
+    return SolverConfig(t_final=t_final, dt=cfg.dt, s=cfg.s)
 
 
 def _short_times(cfg: RunConfig) -> list:
@@ -305,12 +314,7 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
+        return run(parse_args(sys.argv[1:] if argv is None else argv))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -230,14 +230,15 @@ def _solver_params(*trajectories) -> dict:
 
 
 def band_list(params: IllposedDataParams, n_range, n_lowest: int) -> list:
-    """The band indices of a study, sorted; each must lie in
-    [n_lowest, num_terms - 1].  ``None`` selects DEFAULT_N_RANGE."""
+    """The band indices of a study, sorted: at least 3, the fewest a
+    power-law fit takes, each in [n_lowest, num_terms - 1].  ``None``
+    selects DEFAULT_N_RANGE."""
     if n_range is None:
         n_range = range(DEFAULT_N_RANGE[0], DEFAULT_N_RANGE[1] + 1)
     n_list = sorted(int(n) for n in n_range)
-    if not n_list or n_list[0] < n_lowest or n_list[-1] >= params.num_terms:
+    if len(n_list) < 3 or n_list[0] < n_lowest or n_list[-1] >= params.num_terms:
         raise ValueError(
-            f"n_range must lie within [{n_lowest}, num_terms - 1] = "
+            f"n_range must hold at least 3 bands within [{n_lowest}, num_terms - 1] = "
             f"[{n_lowest}, {params.num_terms - 1}], got {n_list}"
         )
     return n_list

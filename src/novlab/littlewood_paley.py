@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .spectral import (
     _half_from_padded,
     _padded_values,
     _support_bins,
-    apply_half_multiplier,
     field_from_half,
     half_spectrum,
     lp_norm,
@@ -88,44 +86,28 @@ class BesovIndex:
 class LPFilterBank:
     """Sampled dyadic multipliers for one grid.
 
-    ``chi`` and ``phi[j]`` hold samples on the nonnegative grid frequencies;
-    ``j_max`` is the largest dyadic index whose ring intersects the resolved
-    band.  Because the partition telescopes, blocks -1..j_max reconstruct
-    every grid field exactly.
+    ``blocks[j + 1] = (lo, hi, samples)`` holds block j's multiplier on the
+    range lo..hi-1 of its nonzero half-spectrum bins, read-only; ``j_max``
+    is the largest dyadic index whose ring intersects the resolved band.
+    Because the partition telescopes, blocks -1..j_max reconstruct every
+    grid field exactly.
     """
 
     grid: Grid
-    chi: np.ndarray
-    phi: np.ndarray
+    blocks: tuple
     j_max: int
 
     def block_multiplier(self, j: int) -> np.ndarray:
-        if j == -1:
-            return self.chi
-        return self.phi[j]
+        """Block j's multiplier sampled on every nonnegative grid frequency."""
+        lo, hi, samples = self.blocks[j + 1]
+        m = np.zeros(self.grid.half_frequencies.size)
+        m[lo:hi] = samples
+        return m
 
     def resolved_band_end(self) -> float:
         """Guard frequency for Besov norms: content above (3/2) 2^j_max sits
         so close to Nyquist that the grid is considered too coarse for it."""
         return 1.5 * 2.0**self.j_max
-
-    @cached_property
-    def _squared_blocks(self) -> tuple:
-        """(lo, hi, m[lo:hi]^2) for each block multiplier m, j = -1..j_max,
-        where [lo, hi) spans the nonzero samples of m.
-
-        The rings have bounded support, so the ranges hold far fewer samples
-        than a dense (j_max + 2) x (N/2 + 1) matrix would.
-        """
-        out = []
-        for j in range(-1, self.j_max + 1):
-            m = self.block_multiplier(j)
-            nonzero = np.flatnonzero(m)
-            lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
-            sq = np.square(m[lo:hi])
-            sq.flags.writeable = False
-            out.append((lo, hi, sq))
-        return tuple(out)
 
 
 def top_index(grid: Grid) -> int:
@@ -144,22 +126,38 @@ def _check_weights(s: float, j_max: int) -> None:
 def build_filter_bank(grid: Grid) -> LPFilterBank:
     """Sample chi and all resolved ring multipliers on the grid.
 
-    Each profile is evaluated only on its support.  Off it the dense
-    samples are exact zeros (T(xi/2) - T(xi) is 1 - 1 or 0 - 0 there), and
-    the array keeps zeros there.
+    Each profile is evaluated only on its support and kept on the range of
+    its nonzero samples.  Off it the dense samples are exact zeros (T(xi/2)
+    - T(xi) is 1 - 1 or 0 - 0 there, and T underflows near its ends).
     """
     xi = grid.half_frequencies
-    chi = np.zeros(xi.size)
-    k = _support_bins(grid, -CHI_SUPPORT_END, CHI_SUPPORT_END)
-    chi[k] = low_pass_profile(xi[k])
-    chi.flags.writeable = False
     j_max = top_index(grid)
-    phi = np.zeros((j_max + 1, xi.size))
-    for j in range(j_max + 1):
-        k = _support_bins(grid, RING_SUPPORT[0] * 2.0**j, RING_SUPPORT[1] * 2.0**j)
-        phi[j, k] = ring_profile(xi[k] / 2.0**j)
-    phi.flags.writeable = False
-    return LPFilterBank(grid, chi, phi, j_max)
+    blocks = []
+    for j in range(-1, j_max + 1):
+        if j == -1:
+            k = _support_bins(grid, -CHI_SUPPORT_END, CHI_SUPPORT_END)
+            m = low_pass_profile(xi[k])
+        else:
+            k = _support_bins(grid, RING_SUPPORT[0] * 2.0**j, RING_SUPPORT[1] * 2.0**j)
+            m = ring_profile(xi[k] / 2.0**j)
+        nonzero = np.flatnonzero(m)
+        lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+        m = m[lo:hi]
+        m.flags.writeable = False
+        blocks.append((k.start + lo, k.start + hi, m))
+    return LPFilterBank(grid, tuple(blocks), j_max)
+
+
+def _block_half(bank: LPFilterBank, half: np.ndarray, j: int) -> np.ndarray:
+    """Half spectrum of block j (see ``dyadic_block``) of the field with half
+    spectrum ``half``; only the bins of the block's range are multiplied."""
+    if j > bank.j_max:
+        raise ValueError(f"block {j} exceeds resolved band j_max={bank.j_max}")
+    out = np.zeros_like(half)
+    if j >= -1:
+        lo, hi, m = bank.blocks[j + 1]
+        out[lo:hi] = m * half[lo:hi]
+    return out
 
 
 def dyadic_block(bank: LPFilterBank, f: RealField, j: int) -> RealField:
@@ -169,11 +167,7 @@ def dyadic_block(bank: LPFilterBank, f: RealField, j: int) -> RealField:
     error because the grid cannot represent that ring.
     """
     _check_same_grid(bank, f)
-    if j > bank.j_max:
-        raise ValueError(f"block {j} exceeds resolved band j_max={bank.j_max}")
-    if j <= -2:
-        return RealField(f.grid, np.zeros(f.grid.num_points))
-    return apply_half_multiplier(f, bank.block_multiplier(j))
+    return field_from_half(f.grid, _block_half(bank, half_spectrum(f), j))
 
 
 UNRESOLVED_ENERGY_TOL = 1e-12
@@ -221,9 +215,9 @@ def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
     if check_resolved:
         _check_resolved(bank, energy)
     if float(p) == 2.0:
-        return np.array([_parseval_l2(bank.grid, sq * energy[lo:hi])
-                         for lo, hi, sq in bank._squared_blocks])
-    return np.array([_half_lp_norm(bank.grid, bank.block_multiplier(j) * half, p)
+        return np.array([_parseval_l2(bank.grid, np.square(m) * energy[lo:hi])
+                         for lo, hi, m in bank.blocks])
+    return np.array([_half_lp_norm(bank.grid, _block_half(bank, half, j), p)
                      for j in range(-1, bank.j_max + 1)])
 
 
@@ -258,56 +252,58 @@ def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex,
     return float(np.max(weighted_block_norms(bank, f, idx, check_resolved)))
 
 
+def _padded_block_products(bank: LPFilterBank, w_pad: np.ndarray, half: np.ndarray,
+                           blocks, symbol=None):
+    """Half spectra of w g_j, dealiased, for each j in ``blocks``: ``w_pad``
+    holds the padded values of w, and g_j has the half spectrum ``symbol``
+    (when given) times block j of ``half``.  Each block costs one padded
+    inverse and one forward transform."""
+    n = bank.grid.num_points
+
+    def product(j):
+        g = _block_half(bank, half, j)
+        if symbol is not None:
+            g *= symbol
+        prod = _padded_values(g, n)
+        prod *= w_pad
+        return _half_from_padded(prod, n)  # frees the padded temporaries
+
+    return map(product, blocks)
+
+
 def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_pad: np.ndarray, blocks):
     """Half spectra of [block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x),
-    dealiased, for each j in ``blocks`` (all in -1..j_max).
-
-    The caller forms what does not depend on j: the half spectrum ``hvx`` of
-    v_x and the padded values ``u_pad`` of u.  The product u v_x is formed
-    once; each block then costs one padded inverse and one forward transform.
-    """
+    dealiased, for each j in ``blocks``.  The caller forms what does not
+    depend on j: the half spectrum ``hvx`` of v_x and the padded values
+    ``u_pad`` of u; the product u v_x is formed once."""
     n = bank.grid.num_points
     h_uvx = _half_from_padded(u_pad * _padded_values(hvx, n), n)
-    for j in blocks:
-        m = bank.block_multiplier(j)
-        yield m * h_uvx - _half_from_padded(u_pad * _padded_values(m * hvx, n), n)
+    for j, u_block in zip(blocks, _padded_block_products(bank, u_pad, hvx, blocks)):
+        yield _block_half(bank, h_uvx, j) - u_block
 
 
 def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
                            blocks, p) -> np.ndarray:
     """||u^2 d/dx block_j f||_Lp for f = rho (row 0) and f = u (row 1) and
     each j in ``blocks``, dealiased as
-    ``triple_product(u, u, derivative(dyadic_block(bank, f, j)))`` is.
-
-    The spectra of rho and u and the padded values of u^2 (squared in the
-    order of ``dealiased_half_product``'s accumulator) are formed once.
-    Each (field, block) then costs one padded inverse and one forward
-    transform; p = 2 takes the norm by Parseval, other p on the grid.
-    """
+    ``triple_product(u, u, derivative(dyadic_block(bank, f, j)))`` is.  The
+    spectra of rho and u and the padded values of u^2 (squared in the order
+    of ``dealiased_half_product``'s accumulator) are formed once."""
     _check_same_grid(bank, rho, u)
     grid = u.grid
-    n = grid.num_points
     p = _check_p(p)
     hu = half_spectrum(u)
-    u2 = _padded_values(hu, n)
+    u2 = _padded_values(hu, grid.num_points)
     u2 *= u2
-
-    def norm(hf, j):
-        # the padded temporaries of one block are freed before the next
-        prod = _padded_values(_derivative_symbol(grid) * (bank.block_multiplier(j) * hf), n)
-        prod *= u2
-        return _half_lp_norm(grid, _half_from_padded(prod, n), p)
-
-    return np.array([[norm(hf, j) for j in blocks] for hf in (half_spectrum(rho), hu)])
+    d = _derivative_symbol(grid)
+    return np.array([[_half_lp_norm(grid, h, p)
+                      for h in _padded_block_products(bank, u2, hf, blocks, d)]
+                     for hf in (half_spectrum(rho), hu)])
 
 
 def commutator(bank: LPFilterBank, j: int, u: RealField, v: RealField) -> RealField:
     """[block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x), dealiased."""
     _check_same_grid(bank, u, v)
-    if j > bank.j_max:
-        raise ValueError(f"block {j} exceeds resolved band j_max={bank.j_max}")
-    if j <= -2:
-        return RealField(u.grid, np.zeros(u.grid.num_points))
     hvx = _derivative_symbol(u.grid) * half_spectrum(v)
     u_pad = _padded_values(half_spectrum(u), u.grid.num_points)
     (half,) = _commutator_halves(bank, hvx, u_pad, [j])

@@ -36,7 +36,6 @@ from scipy.fft import irfft, rfft
 from .spectral import (
     Grid,
     RealField,
-    _WORKERS,
     _bin_energy,
     _check_same_grid,
     _derivative_symbol,
@@ -99,7 +98,8 @@ class SystemState:
 class SolverConfig:
     """Integration settings.
 
-    ``dt`` optionally caps the error-controlled step; ``s`` sets the norm
+    ``dt`` optionally caps the error-controlled step, and may not lie below
+    the step floor MIN_STEP_FRACTION t_final; ``s`` sets the norm
     B^(s-1)_{2,inf} x B^s_{2,inf} the step error is measured in.
     """
 
@@ -112,6 +112,9 @@ class SolverConfig:
             raise ValueError("dt must be positive and finite")
         if not 0 <= self.t_final < math.inf:
             raise ValueError("t_final must be nonnegative and finite")
+        if self.dt is not None and self.dt < MIN_STEP_FRACTION * self.t_final:
+            raise ValueError(f"dt must be at least MIN_STEP_FRACTION * t_final = "
+                             f"{MIN_STEP_FRACTION * self.t_final:g}, got {self.dt:g}")
         if not math.isfinite(self.s):
             raise ValueError("s must be finite")
 
@@ -128,7 +131,7 @@ def _rhs_half(y: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
     n = 2 * (y.shape[-1] - 1)
 
     def back(vals):
-        out = _truncate_half(rfft(vals, workers=_WORKERS), n)
+        out = _truncate_half(rfft(vals), n)
         out /= 2 * n
         return out
 
@@ -232,7 +235,7 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
         increment += weight * k
     del stage
     increment *= dt / 6.0
-    delta = irfft(increment, n=n, workers=_WORKERS)
+    delta = irfft(increment, n=n)
     delta *= n
     r1 = state.rho.values + delta[0]
     u1 = state.u.values + delta[1]

@@ -16,7 +16,6 @@ is exact for nonlinearities up to degree three.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -26,16 +25,6 @@ from scipy.fft import irfft, rfft
 
 class GridMismatchError(ValueError):
     """Operands live on different grids."""
-
-
-def _fft_workers():
-    try:
-        return max(1, int(os.environ.get("NOVLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-_WORKERS = _fft_workers()
 
 
 @dataclass(frozen=True)
@@ -139,11 +128,11 @@ def half_spectrum(f: RealField) -> np.ndarray:
     Diagonal operators are phase-invariant, so multiplier application and
     products work directly on this representation.
     """
-    return rfft(f.values, workers=_WORKERS) / f.grid.num_points
+    return rfft(f.values) / f.grid.num_points
 
 
 def field_from_half(grid: Grid, half: np.ndarray) -> RealField:
-    v = irfft(half, n=grid.num_points, workers=_WORKERS) * grid.num_points
+    v = irfft(half, n=grid.num_points) * grid.num_points
     return RealField(grid, v)
 
 
@@ -232,7 +221,7 @@ def _padded_values(half: np.ndarray, n: int) -> np.ndarray:
     padded = np.zeros(n + 1, dtype=complex)
     padded[: n // 2 + 1] = half
     padded[n // 2] *= 0.5
-    v = irfft(padded, n=2 * n, workers=_WORKERS)
+    v = irfft(padded, n=2 * n)
     v *= 2 * n
     return v
 
@@ -245,7 +234,7 @@ def _truncate_half(half_padded: np.ndarray, n: int) -> np.ndarray:
 
 def _half_from_padded(values: np.ndarray, n: int) -> np.ndarray:
     """Half spectrum on grid n of values on the padded grid 2n, truncated."""
-    out = _truncate_half(rfft(values, workers=_WORKERS), n)
+    out = _truncate_half(rfft(values), n)
     out /= 2 * n
     return out
 

@@ -69,6 +69,15 @@ class TestParseArgs:
         (["study", "inequalities", "--domain-length", "7000", "--corpus-size", "100"],
          "Nyquist"),
         (["study", "inequalities", "--seed", "-1"], "seed"),
+        # two bands pass the range rule but no power-law fit
+        (["study", "separation", "--grid-points", "16384", "--domain-length", "64",
+          "--num-terms", "9", "--n-min", "5", "--n-max", "6"], "n_range"),
+        (["study", "blockscale", "--n-min", "3", "--n-max", "4"], "n_range"),
+        # a step cap below the solver's step floor would never finish
+        (["solve", "--dt", "1e-300"], "constraint violated: dt"),
+        (["study", "shorttime", "--dt", "1e-300"], "constraint violated: dt"),
+        # below the floor of separation's horizon delta 2^-n_min = 3.1e-3
+        (["study", "separation", "--dt", "1e-14"], "constraint violated: dt"),
     ])
     def test_invalid_config_writes_no_dump(self, argv, message, tmp_path, capsys):
         dump = tmp_path / "dump.conf"
@@ -77,6 +86,31 @@ class TestParseArgs:
         err = capsys.readouterr().err
         assert "constraint violated" in err and message in err
         assert not list(tmp_path.iterdir())
+
+    def test_separation_checks_dt_against_its_own_horizon(self):
+        # separation integrates to delta 2^-n_min = 3.1e-3 and ignores
+        # --t-final: 1e-12 clears that horizon's step floor, not 1's
+        assert parse_args(["study", "separation", "--t-final", "1", "--dt", "1e-12"]).dt == 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["generate-data", "--config", "{tmp}/missing.conf"],
+        ["generate-data", "--dump-config", "{tmp}/missing/dump.conf"],
+    ])
+    def test_file_errors_exit_two(self, argv, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv + ["--output", str(tmp_path / "never")] + SMALL) == 2
+        assert "I/O error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("line,key", [("s=abc", "'s'"), ("num_terms", "'num_terms'")])
+    def test_bad_config_value_names_its_key(self, line, key, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "never"
+        assert main(["generate-data", "--config", str(conf), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config key" in err and key in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
 
     @pytest.mark.parametrize("command", ["solve", "generate-data"])
     def test_large_s_needs_no_block_weight(self, command):

@@ -221,6 +221,9 @@ class TestSeparationStudy:
             study_separation(medium_params, range(3, 7))
         with pytest.raises(ValueError):
             study_separation(medium_params, range(7, 6))
+        # two bands are too few for the trend fit
+        with pytest.raises(ValueError, match="at least 3 bands"):
+            study_separation(medium_params, range(5, 7))
 
     def test_sweep_matches_per_horizon_integration(self, medium_params, separation_report):
         reference = _per_horizon_separation_rows(medium_params, range(5, 9), delta=0.1)

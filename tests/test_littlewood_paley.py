@@ -23,6 +23,7 @@ from novlab.littlewood_paley import (
     CHI_SUPPORT_END,
     RING_PLATEAU,
     RING_SUPPORT,
+    _block_half,
     _block_norms,
     _block_weights,
     _commutator_block_norms,
@@ -88,35 +89,43 @@ class TestProfiles:
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
 
+def dense_blocks(bank):
+    """Every block multiplier j = -1 .. j_max, dense, one row per block."""
+    return np.array([bank.block_multiplier(j) for j in range(-1, bank.j_max + 1)])
+
+
 class TestFilterBank:
     def test_chi_at_origin(self, small_bank):
-        assert small_bank.chi[0] == 1.0
+        assert small_bank.block_multiplier(-1)[0] == 1.0
 
     def test_chi_support(self, small_bank, small_grid):
         xi = small_grid.half_frequencies
-        assert np.all(small_bank.chi[xi > CHI_SUPPORT_END] < 1e-15)
+        assert np.all(small_bank.block_multiplier(-1)[xi > CHI_SUPPORT_END] < 1e-15)
 
     def test_ring_plateau_sampled_exactly(self, small_bank, small_grid):
         xi = small_grid.half_frequencies
         for j in range(small_bank.j_max + 1):
             scaled = xi / 2.0**j
             plateau = (scaled >= RING_PLATEAU[0]) & (scaled <= RING_PLATEAU[1])
-            assert np.all(small_bank.phi[j][plateau] == 1.0)
+            assert np.all(small_bank.block_multiplier(j)[plateau] == 1.0)
 
     def test_partition_of_unity(self, small_bank, small_grid):
-        total = small_bank.chi + small_bank.phi.sum(axis=0)
+        total = dense_blocks(small_bank).sum(axis=0)
         assert np.abs(total - 1.0).max() < 1e-12
 
     def test_partition_at_specific_frequency(self, small_bank, small_grid):
         xi = small_grid.half_frequencies
         k = int(np.argmin(np.abs(xi - 10.0)))
-        total = small_bank.chi[k] + small_bank.phi[:, k].sum()
+        total = dense_blocks(small_bank)[:, k].sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_near_orthogonality_of_rings(self, small_bank):
         for j in range(small_bank.j_max + 1):
             for jp in range(j + 2, small_bank.j_max + 1):
-                assert np.all(small_bank.phi[j] * small_bank.phi[jp] == 0.0)
+                assert np.all(small_bank.block_multiplier(j)
+                              * small_bank.block_multiplier(jp) == 0.0)
+                # stored ranges two indices apart are disjoint too
+                assert small_bank.blocks[j + 1][1] <= small_bank.blocks[jp + 1][0]
 
     def test_j_max_spans_resolved_band(self, small_grid, small_bank):
         assert 2.0**small_bank.j_max <= small_grid.nyquist
@@ -131,18 +140,20 @@ class TestFilterBank:
             build_filter_bank(grid)
 
     @pytest.mark.parametrize("bank_name", ["small_bank", "desk_bank"])
-    def test_squared_blocks_cover_every_multiplier(self, bank_name, request):
+    def test_block_ranges_cover_every_multiplier(self, bank_name, request):
         # a multiplier sample outside its stored range would drop energy
-        # from the Parseval block norms without any other symptom
+        # from the block norms without any other symptom
         bank = request.getfixturevalue(bank_name)
-        squared = bank._squared_blocks
-        assert len(squared) == bank.j_max + 2
-        for j, (lo, hi, sq) in enumerate(squared, start=-1):
+        assert len(bank.blocks) == bank.j_max + 2
+        for j, (lo, hi, samples) in enumerate(bank.blocks, start=-1):
             m = bank.block_multiplier(j)
             assert np.all(m[:lo] == 0.0) and np.all(m[hi:] == 0.0)
-            assert np.array_equal(sq, np.square(m[lo:hi]))
-        # index ranges, not a dense (j_max + 2) x (N/2 + 1) matrix
-        assert sum(sq.size for _, _, sq in squared) < 0.2 * bank.phi.size
+            # the range is exactly that of the nonzero samples
+            assert m[lo] != 0.0 and m[hi - 1] != 0.0
+            assert np.array_equal(samples, m[lo:hi])
+        # index ranges, not a dense (j_max + 1) x (N/2 + 1) matrix
+        dense_size = (bank.j_max + 1) * bank.grid.half_frequencies.size
+        assert sum(samples.size for _, _, samples in bank.blocks) < 0.2 * dense_size
 
     @pytest.mark.parametrize("bank_name", ["small_bank", "medium_bank", "desk_bank"])
     def test_support_sampling_matches_dense_profiles(self, bank_name, request):
@@ -150,18 +161,29 @@ class TestFilterBank:
         # dense formula gives exact zeros, so the arrays agree bit for bit
         bank = request.getfixturevalue(bank_name)
         xi = bank.grid.half_frequencies
-        dense_chi = low_pass_profile(xi)
-        dense_phi = np.array([ring_profile(xi / 2.0**j) for j in range(bank.j_max + 1)])
-        assert np.array_equal(bank.chi, dense_chi)
-        assert np.array_equal(bank.phi, dense_phi)
-        assert np.array_equal(np.signbit(bank.chi), np.signbit(dense_chi))
-        assert np.array_equal(np.signbit(bank.phi), np.signbit(dense_phi))
+        dense = np.array([low_pass_profile(xi)]
+                         + [ring_profile(xi / 2.0**j) for j in range(bank.j_max + 1)])
+        assert np.array_equal(dense_blocks(bank), dense)
+        assert np.array_equal(np.signbit(dense_blocks(bank)), np.signbit(dense))
 
     def test_bank_is_immutable(self, small_bank):
         with pytest.raises(AttributeError):
             small_bank.j_max = 3
         with pytest.raises(ValueError):
-            small_bank.phi[0, 0] = 2.0
+            small_bank.blocks[1][2][0] = 2.0
+
+    @pytest.mark.parametrize("bank_name", ["small_bank", "desk_bank"])
+    def test_block_half_matches_dense_multiplier(self, bank_name, request):
+        # the range-wise product equals the dense one bit for bit
+        bank = request.getfixturevalue(bank_name)
+        rng = np.random.default_rng(11)
+        size = bank.grid.half_frequencies.size
+        h = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        for j in range(-1, bank.j_max + 1):
+            assert np.array_equal(_block_half(bank, h, j), bank.block_multiplier(j) * h)
+        assert np.array_equal(_block_half(bank, h, -2), np.zeros_like(h))
+        with pytest.raises(ValueError, match="resolved"):
+            _block_half(bank, h, bank.j_max + 1)
 
 
 class TestDyadicBlock:

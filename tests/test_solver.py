@@ -300,6 +300,8 @@ class TestIntegrate:
         (0.0, 1.0, None), (-1e-3, 1.0, None), (math.nan, 1.0, None),
         (math.inf, 1.0, None), (1e-3, -1.0, None), (1e-3, math.nan, None),
         (1e-3, math.inf, None), (1e-3, 1.0, math.inf), (1e-3, 1.0, math.nan),
+        # a cap below the step floor MIN_STEP_FRACTION t_final
+        (1e-300, 1e-3, None), (1e-14, 1e-3, None),
     ])
     def test_config_rejects_bad_settings(self, dt, t_final, s):
         # s = None keeps the default s
