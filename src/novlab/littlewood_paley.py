@@ -98,11 +98,9 @@ class LPFilterBank:
     j_max: int
 
     def block_multiplier(self, j: int) -> np.ndarray:
-        """Block j's multiplier sampled on every nonnegative grid frequency."""
-        lo, hi, samples = self.blocks[j + 1]
-        m = np.zeros(self.grid.half_frequencies.size)
-        m[lo:hi] = samples
-        return m
+        """Block j's multiplier sampled on every nonnegative grid frequency,
+        by ``dyadic_block``'s rule: zero for j <= -2, an error past j_max."""
+        return _block_half(self, np.ones(self.grid.half_frequencies.size), j)
 
     def resolved_band_end(self) -> float:
         """Guard frequency for Besov norms: content above (3/2) 2^j_max sits

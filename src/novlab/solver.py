@@ -23,15 +23,24 @@ state's carried half spectra and adds the inverse transform of the
 increment h/6 (k1 + 2 k2 + 2 k3 + k4) to the state values: neither the
 values nor the spectra ever take a transform round trip, whose roundoff the
 2^(js)-weighted Besov blocks and the error estimate would amplify.
+
+The kernel and the step work in a private workspace (``_Workspace``): the
+symbols, the padded half spectrum and forward spectrum, the kernel's six
+padded value buffers, and the step's stage, stage-rate and increment-value
+buffers.  ``integrate`` builds one per call and hands it from step to step
+inside the ``RK4Step`` it threads through ``step_rk4``; a step without a
+``start`` builds its own.  What a step hands out (the new state's values and
+every array of its ``RK4Step``) is freshly allocated and never aliases the
+workspace, so a step allocates only its outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from scipy.fft import rfft
 
 from .spectral import (
     Grid,
@@ -39,11 +48,11 @@ from .spectral import (
     _bin_energy,
     _check_same_grid,
     _derivative_symbol,
+    _half_from_padded,
+    _irfft_into,
     _padded_values,
     _smoothing_symbol,
-    _truncate_half,
     field_from_half,
-    half_spectrum,
 )
 
 # error control: accept when err <= RTOL ||increment|| + ATOL ||state||; the
@@ -119,32 +128,63 @@ class SolverConfig:
             raise ValueError("s must be finite")
 
 
-def _rhs_half(y: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """The buffers that the kernel and the step reuse on one grid of n points.
+
+    ``d`` and ``g`` are the derivative and smoothing symbols; ``padded`` is
+    the zero-padded half spectrum (n + 1 bins, zero above n/2) and
+    ``spectrum`` the forward spectrum of the padded transforms; ``values``
+    holds the kernel's six padded value buffers; ``stage`` holds a stage's
+    argument and then its weighted rate, ``rate`` the stage rates k2, k3 and
+    k4, and ``delta`` the values of the increment.
+    """
+
+    def __init__(self, grid: Grid):
+        n = grid.num_points
+        halves = (2, n // 2 + 1)
+        self.d = _derivative_symbol(grid)
+        # complex, so that multiplying a spectrum by it casts nothing; the
+        # product is the same as with the real symbol
+        self.g = _smoothing_symbol(grid).astype(complex)
+        self.padded = np.zeros(n + 1, dtype=complex)
+        self.spectrum = np.empty(n + 1, dtype=complex)
+        self.values = np.empty((6, 2 * n))
+        self.stage = np.empty(halves, dtype=complex)
+        self.rate = np.empty(halves, dtype=complex)
+        self.delta = np.empty((2, n))
+
+
+def _rhs_half(y: np.ndarray, work: _Workspace, out=None) -> np.ndarray:
     """Half spectra of (rho_t, u_t) from the half spectra y = (rho, u),
-    stacked along the first axis; d and g are the derivative and smoothing
-    symbols.
+    stacked along the first axis, written to ``out`` when given and else to
+    a fresh array.
 
     The single RHS kernel: 4 inverse transforms to the padded grid for the
-    products and 4 forward transforms back.  The cubic arguments are built
-    in place, so few padded temporaries are alive at once.
+    products and 4 forward transforms back, all through the buffers of
+    ``work``.  Only the derivatives d rho and d u take a temporary (one half
+    spectrum at a time); ``out`` must not alias ``y`` or ``work``.
     """
     n = 2 * (y.shape[-1] - 1)
+    d, g = work.d, work.g
+    rp, up, uxp, u2, arg, tmp = work.values
+
+    def padded(half, dest):
+        _padded_values(half, n, dest, work.padded)
 
     def back(vals):
-        out = _truncate_half(rfft(vals), n)
-        out /= 2 * n
-        return out
+        return _half_from_padded(vals, n, work.spectrum)
 
-    rp = _padded_values(y[0], n)
-    up = _padded_values(y[1], n)
-    uxp = _padded_values(d * y[1], n)
-    u2 = up * up
-    arg = _padded_values(d * y[0], n)
+    padded(y[0], rp)
+    padded(y[1], up)
+    padded(d * y[1], uxp)
+    np.multiply(up, up, out=u2)
+    padded(d * y[0], arg)
     arg *= u2
-    tmp = rp * up
+    np.multiply(rp, up, out=tmp)
     tmp *= uxp
     arg += tmp
-    out = np.empty_like(y)
+    if out is None:
+        out = np.empty_like(y)
     out[0] = back(arg)                      # u^2 rho_x + rho u u_x
     rp *= rp
     rp *= 0.5                               # rho^2 / 2
@@ -153,7 +193,8 @@ def _rhs_half(y: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
     arg += u2
     arg -= rp
     arg *= up
-    h_u = back(arg)                         # u^3 + (3/2) u u_x^2 - (1/2) u rho^2
+    out[1] = back(arg)                      # u^3 + (3/2) u u_x^2 - (1/2) u rho^2
+    h_u = out[1]
     h_u *= d
     tmp *= 0.5
     tmp -= rp
@@ -162,23 +203,19 @@ def _rhs_half(y: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
     h_u *= g
     np.multiply(u2, uxp, out=arg)
     h_u += back(arg)                        # u^2 u_x
-    out[1] = h_u
     return out
 
 
 def _spectra(state: SystemState) -> np.ndarray:
-    """Half spectra of (rho, u), stacked along the first axis."""
-    return np.stack([half_spectrum(state.rho), half_spectrum(state.u)])
-
-
-def _symbols(grid: Grid):
-    return _derivative_symbol(grid), _smoothing_symbol(grid)
+    """Half spectra of (rho, u), stacked along the first axis: one batched
+    transform, which gives each row the bits of ``half_spectrum``."""
+    return rfft(np.stack([state.rho.values, state.u.values]), norm="forward")
 
 
 def rhs(state: SystemState):
     """Time derivative (rho_t, u_t) of the nonlocal system at this state."""
     grid = state.grid
-    rate = _rhs_half(_spectra(state), *_symbols(grid))
+    rate = _rhs_half(_spectra(state), _Workspace(grid))
     return field_from_half(grid, rate[0]), field_from_half(grid, rate[1])
 
 
@@ -192,7 +229,9 @@ class RK4Step:
     values; ``rate`` is the right-hand side at ``spectra``, the FSAL stage
     k5 that the next step takes as its k1; ``error`` is the embedded
     third-order estimate h/6 (k4 - k5).  A step of size zero (at the
-    initial state) has no increment and no error.
+    initial state) has no increment and no error.  ``_workspace`` is the
+    private scratch of the integration that made the step, which the next
+    step reuses; none of the other arrays aliases it.
     """
 
     state: SystemState
@@ -200,12 +239,14 @@ class RK4Step:
     rate: np.ndarray
     increment: np.ndarray | None = None
     error: np.ndarray | None = None
+    _workspace: _Workspace | None = field(default=None, repr=False, compare=False)
 
 
 def _rest(state: SystemState) -> RK4Step:
-    """The step of size zero that ends at ``state``."""
+    """The step of size zero that ends at ``state``, with a new workspace."""
+    work = _Workspace(state.grid)
     y = _spectra(state)
-    return RK4Step(state, y, _rhs_half(y, *_symbols(state.grid)))
+    return RK4Step(state, y, _rhs_half(y, work), _workspace=work)
 
 
 def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
@@ -215,42 +256,47 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     BlowupError is raised when the new state is not finite or its sup norm
     exceeds ``sup_limit``.  ``start`` is the step that ended at ``state``;
     its carried spectra and rate are reused, so the step costs four
-    right-hand-side evaluations (k2, k3, k4 and k5).  Without it the state
-    is transformed once and k1 evaluated.
+    right-hand-side evaluations (k2, k3, k4 and k5), and so is its
+    workspace.  Without it the state is transformed once, k1 evaluated and
+    a workspace built.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     grid = state.grid
     n = grid.num_points
-    symbols = _symbols(grid)
     if start is None:
         start = _rest(state)
+    work = start._workspace
+    if work is None:
+        work = _Workspace(grid)
     y0, k = start.spectra, start.rate
+    stage = work.stage
     # running k1 + 2 k2 + 2 k3 + k4, so only one stage is held at a time
     increment = k.copy()
     for frac, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        stage = (frac * dt) * k
+        np.multiply(frac * dt, k, out=stage)
         stage += y0
-        k = _rhs_half(stage, *symbols)
-        increment += weight * k
-    del stage
+        k = _rhs_half(stage, work, work.rate)
+        np.multiply(weight, k, out=stage)
+        increment += stage
     increment *= dt / 6.0
-    delta = irfft(increment, n=n)
-    delta *= n
+    delta = _irfft_into(increment, n=n, norm="forward", out=work.delta)
     r1 = state.rho.values + delta[0]
     u1 = state.u.values + delta[1]
-    del delta  # not alive during the k5 evaluation
     if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(u1))):
         raise BlowupError(state.time + dt, math.inf)
     sup = max(np.max(np.abs(r1)), np.max(np.abs(u1)))
     if sup_limit is not None and sup > sup_limit:
         raise BlowupError(state.time + dt, sup)
     y1 = y0 + increment
-    rate = _rhs_half(y1, *symbols)
-    k -= rate
-    k *= dt / 6.0
+    rate = _rhs_half(y1, work)
+    error = k - rate  # k is k4, in the workspace
+    error *= dt / 6.0
+    # read-only, so the fields take them without a copy
+    r1.flags.writeable = False
+    u1.flags.writeable = False
     new = SystemState(rho=RealField(grid, r1), u=RealField(grid, u1), time=state.time + dt)
-    return RK4Step(new, y1, rate, increment, k)
+    return RK4Step(new, y1, rate, increment, error, work)
 
 
 class _ShellNorm:
@@ -359,7 +405,8 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
                     # land exactly on the checkpoint despite accumulated rounding
                     st = replace(st, time=t_next)
                 # keep only what the next step reuses
-                current = RK4Step(st, trial.spectra, trial.rate)
+                current = RK4Step(st, trial.spectra, trial.rate,
+                                  _workspace=trial._workspace)
                 sup_norms.append((st.time, st.rho.sup_norm(), st.u.sup_norm()))
                 # relative, so free of the norm's scale; a nonzero error on a
                 # state of zero norm has no finite relative size

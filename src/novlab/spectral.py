@@ -2,15 +2,16 @@
 
 The domain is [-L/2, L/2) with periodic identification, sampled at
 ``num_points`` equispaced nodes.  Fields are represented spectrally by
-their half spectrum: the rfft of the values divided by ``num_points``,
-indexed by k = 0..N/2 with physical frequency xi_k = 2*pi*k/L.  Realness
-is built in, since the negative frequencies are the conjugates of the
-stored ones.  A unit-amplitude cosine mode has half-spectrum entry 1/2 at
-its wavenumber, up to the phase exp(-i xi_k x_0) = (-1)^k of the left
-endpoint x_0 = -L/2; diagonal operators and products do not see that
-phase, so only data synthesis applies it (``_half_phase``).  Pointwise
-products of fields are dealiased by zero-padding to twice the grid, which
-is exact for nonlinearities up to degree three.
+their half spectrum: the rfft of the values divided by ``num_points``
+(the transform's ``norm="forward"``), indexed by k = 0..N/2 with
+physical frequency xi_k = 2*pi*k/L.  Realness is built in, since the
+negative frequencies are the conjugates of the stored ones.  A
+unit-amplitude cosine mode has half-spectrum entry 1/2 at its wavenumber,
+up to the phase exp(-i xi_k x_0) = (-1)^k of the left endpoint
+x_0 = -L/2; diagonal operators and products do not see that phase, so
+only data synthesis applies it (``_half_phase``).  Pointwise products of
+fields are dealiased by zero-padding to twice the grid, which is exact
+for nonlinearities up to degree three.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+# Both libraries run pocketfft and give the same bits.  numpy's transforms
+# can write into a given array (out=); scipy's cannot, but are the faster
+# ones when the result is a fresh array.  Every transform is normalized
+# "forward", the half-spectrum convention, so no scaling pass follows it.
+from numpy.fft import irfft as _irfft_into, rfft as _rfft_into
 from scipy.fft import irfft, rfft
 
 
@@ -128,11 +134,11 @@ def half_spectrum(f: RealField) -> np.ndarray:
     Diagonal operators are phase-invariant, so multiplier application and
     products work directly on this representation.
     """
-    return rfft(f.values) / f.grid.num_points
+    return rfft(f.values, norm="forward")
 
 
 def field_from_half(grid: Grid, half: np.ndarray) -> RealField:
-    v = irfft(half, n=grid.num_points) * grid.num_points
+    v = irfft(half, n=grid.num_points, norm="forward")
     return RealField(grid, v)
 
 
@@ -212,31 +218,38 @@ def lp_norm(f: RealField, p) -> float:
 
 # -- dealiased products -------------------------------------------------------
 
-def _padded_values(half: np.ndarray, n: int) -> np.ndarray:
+def _padded_values(half: np.ndarray, n: int, out=None, padded=None) -> np.ndarray:
     """Values on grid 2n of a half spectrum of grid n, zero-padded.
 
     The original Nyquist bin splits evenly between +-n/2, which the padded
-    half spectrum represents by halving it.
+    half spectrum represents by halving it.  The values are written to
+    ``out`` (2n floats) when given, and else to a fresh array; ``padded``
+    (n + 1 complex, zero above bin n/2, which this never writes) holds the
+    padded half spectrum, and is allocated when not given.
     """
-    padded = np.zeros(n + 1, dtype=complex)
+    if padded is None:
+        padded = np.zeros(n + 1, dtype=complex)
     padded[: n // 2 + 1] = half
     padded[n // 2] *= 0.5
-    v = irfft(padded, n=2 * n)
-    v *= 2 * n
-    return v
+    if out is None:
+        return irfft(padded, n=2 * n, norm="forward")
+    return _irfft_into(padded, n=2 * n, norm="forward", out=out)
 
 
-def _truncate_half(half_padded: np.ndarray, n: int) -> np.ndarray:
-    out = half_padded[: n // 2 + 1].copy()
-    out[-1] = 0.0  # discard the (unrepresentable) Nyquist content
-    return out
+def _half_from_padded(values: np.ndarray, n: int, spectrum=None) -> np.ndarray:
+    """Half spectrum on grid n of values on the padded grid 2n, truncated.
 
-
-def _half_from_padded(values: np.ndarray, n: int) -> np.ndarray:
-    """Half spectrum on grid n of values on the padded grid 2n, truncated."""
-    out = _truncate_half(rfft(values), n)
-    out /= 2 * n
-    return out
+    With ``spectrum`` (n + 1 complex) the padded spectrum is written there
+    and the result is a view of its first n/2 + 1 bins, valid until the
+    buffer's next use; without it the result is a fresh array.
+    """
+    if spectrum is None:
+        # a copy, which does not keep the padded spectrum alive
+        half = rfft(values, norm="forward")[: n // 2 + 1].copy()
+    else:
+        half = _rfft_into(values, norm="forward", out=spectrum)[: n // 2 + 1]
+    half[-1] = 0.0  # discard the (unrepresentable) Nyquist content
+    return half
 
 
 def dealiased_half_product(grid: Grid, halves) -> np.ndarray:

@@ -52,21 +52,27 @@ def count_ffts(monkeypatch):
     """Start counting the rfft and irfft calls made through any novlab module.
 
     Calling the returned function wraps, for the rest of the test, every
-    binding of scipy's ``rfft`` or ``irfft`` in a loaded novlab module, and
-    returns the dict of counts, which the wrappers update in place.
+    binding of scipy's or numpy's ``rfft`` or ``irfft`` in a loaded novlab
+    module, under whatever name, and returns the dict of counts, which the
+    wrappers update in place.
     """
+    import scipy.fft
+
+    transforms = ((scipy.fft.rfft, "rfft"), (scipy.fft.irfft, "irfft"),
+                  (np.fft.rfft, "rfft"), (np.fft.irfft, "irfft"))
+
     def start():
         counts = {"rfft": 0, "irfft": 0}
         for modname, module in list(sys.modules.items()):
             if modname.split(".")[0] != "novlab":
                 continue
-            for name in counts:
-                fn = vars(module).get(name)
-                if fn is None:
+            for name, fn in list(vars(module).items()):
+                kind = next((k for t, k in transforms if fn is t), None)
+                if kind is None:
                     continue
 
-                def counted(*args, _fn=fn, _name=name, **kwargs):
-                    counts[_name] += 1
+                def counted(*args, _fn=fn, _kind=kind, **kwargs):
+                    counts[_kind] += 1
                     return _fn(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)

@@ -185,6 +185,15 @@ class TestFilterBank:
         with pytest.raises(ValueError, match="resolved"):
             _block_half(bank, h, bank.j_max + 1)
 
+    def test_block_multiplier_follows_the_block_rule(self, small_bank):
+        # zero below j = -1 (not a ring picked by a negative index), and a
+        # ValueError, not an IndexError, past j_max
+        zeros = np.zeros(small_bank.grid.half_frequencies.size)
+        for j in (-2, -3):
+            assert np.array_equal(small_bank.block_multiplier(j), zeros)
+        with pytest.raises(ValueError, match="resolved"):
+            small_bank.block_multiplier(small_bank.j_max + 1)
+
 
 class TestDyadicBlock:
     @pytest.mark.parametrize("lam", LAMBDAS)

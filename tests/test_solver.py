@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from novlab import (
     RealField,
     SolverConfig,
     SystemState,
+    build_bump,
     derivative,
     fit_powerlaw,
     integrate,
@@ -20,6 +23,7 @@ from novlab import (
 
 from novlab import solver
 from novlab.solver import StepSizeError, _ShellNorm
+from novlab.spectral import _bin_energy
 
 from conftest import LAMBDA, composed_rhs, fixed_step_states, mode
 
@@ -376,3 +380,96 @@ class TestErrorControl:
         # the step divides each interval evenly, so it may pass the cap by
         # the rounding of that division
         assert max(h for h, _ in traj.errors) <= 1e-4 * (1 + 1e-12)
+
+
+def _outputs(step):
+    """Every array a step hands out."""
+    return [step.spectra, step.rate, step.increment, step.error,
+            step.state.rho.values, step.state.u.values]
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the memory traced during the call, above
+    what was traced when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkspace:
+    @pytest.fixture
+    def first_step(self, small_grid):
+        bump = 3.0 * build_bump(small_grid)
+        return step_rk4(SystemState(rho=modulated_bump(small_grid, 2.0), u=bump), 1e-2)
+
+    def test_warm_kernel_and_step_allocate_only_their_outputs(self, first_step):
+        # the bound: the arrays handed out plus one half spectrum, the
+        # temporary of a derivative in the kernel; a kernel that allocated
+        # its padded buffers per call would peak near 591 KB here
+        work = first_step._workspace
+        y = first_step.spectra
+        one_half = y[0].nbytes
+        solver._rhs_half(y, work)  # warm
+        rate, peak = _traced_peak(lambda: solver._rhs_half(y, work))
+        assert peak <= rate.nbytes + one_half
+        second = step_rk4(first_step.state, 1e-2, start=first_step)  # warm
+        third, peak = _traced_peak(lambda: step_rk4(second.state, 1e-2, start=second))
+        assert peak <= sum(a.nbytes for a in _outputs(third)) + one_half
+
+    def test_steps_hand_out_fresh_arrays(self, first_step):
+        second = step_rk4(first_step.state, 1e-2, start=first_step)
+        work = second._workspace
+        assert work is first_step._workspace
+        handed = _outputs(first_step) + _outputs(second)
+        buffers = list(vars(work).values())
+        for i, a in enumerate(handed):
+            for b in handed[i + 1:] + buffers:
+                assert not np.shares_memory(a, b)
+        # a reused workspace changes no bit of the step
+        fresh = step_rk4(first_step.state, 1e-2, start=replace(first_step, _workspace=None))
+        for a, b in zip(_outputs(second), _outputs(fresh)):
+            assert np.array_equal(a, b)
+
+
+def _invariants(grid, y):
+    """Integrals over the period of rho^2 and u^2 + u_x^2, by Parseval from
+    the half spectra y = (rho, u)."""
+    xi = grid.half_frequencies
+    energy = _bin_energy(y)
+    return grid.length * np.array([np.sum(energy[0]), np.sum((1.0 + xi * xi) * energy[1])])
+
+
+class TestInvariants:
+    """The semi-discrete system conserves both integrals exactly:
+    (rho^2)_t = d/dx(u^2 rho^2), and d/dt of the second is 2 int m u_t with
+    m = u - u_xx, which vanishes (the Novikov H^1 law; the two rho
+    couplings cancel each other), while the dealiased cubics are exact on
+    the retained modes.  Only the RK4 error and roundoff move them, so they
+    check the kernel's coefficients independently of its term-by-term
+    composition."""
+
+    def test_drift_is_fourth_order_in_the_step(self, small_grid):
+        # measured relative drifts at t = 2 (2^12 points, box 64): 5.6e-11 and
+        # 4.8e-11 with 25 steps, 2.9e-12 and 2.7e-12 with 50 (ratios 19.4,
+        # 17.9).  A kernel with 1.4 for the 3/2 moves the u integral by
+        # 1.1e-5 at every step size.  The u^3 term and a common factor of
+        # the two rho couplings conserve the u integral on their own, and
+        # so does a sign flip of the whole rho equation for the rho
+        # integral: those are left to the term-by-term tests above
+        st = SystemState(rho=3.0 * modulated_bump(small_grid, 2.0),
+                         u=3.0 * build_bump(small_grid))
+        start = _invariants(small_grid, solver._spectra(st))
+        drifts = []
+        for steps in (25, 50):
+            step, worst = None, np.zeros(2)
+            for _ in range(steps):
+                step = step_rk4(st if step is None else step.state, 2.0 / steps, start=step)
+                drift = np.abs(_invariants(small_grid, step.spectra) - start) / start
+                worst = np.maximum(worst, drift)
+            drifts.append(worst)
+        assert np.all(drifts[1] < 1e-11)
+        assert np.all((12 < drifts[0] / drifts[1]) & (drifts[0] / drifts[1] < 24))
