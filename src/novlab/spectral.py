@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-# Both libraries run pocketfft and give the same bits.  numpy's transforms
-# can write into a given array (out=); scipy's cannot, but are the faster
-# ones when the result is a fresh array.  Every transform is normalized
+# The padded transforms run numpy.fft, which can write into a given array
+# (out=) and allocates without one; the field transforms run scipy.fft.
+# Both are pocketfft and give the same bits.  Every transform is normalized
 # "forward", the half-spectrum convention, so no scaling pass follows it.
 from numpy.fft import irfft as _irfft_into, rfft as _rfft_into
 from scipy.fft import irfft, rfft
@@ -231,8 +231,6 @@ def _padded_values(half: np.ndarray, n: int, out=None, padded=None) -> np.ndarra
         padded = np.zeros(n + 1, dtype=complex)
     padded[: n // 2 + 1] = half
     padded[n // 2] *= 0.5
-    if out is None:
-        return irfft(padded, n=2 * n, norm="forward")
     return _irfft_into(padded, n=2 * n, norm="forward", out=out)
 
 
@@ -243,11 +241,9 @@ def _half_from_padded(values: np.ndarray, n: int, spectrum=None) -> np.ndarray:
     and the result is a view of its first n/2 + 1 bins, valid until the
     buffer's next use; without it the result is a fresh array.
     """
+    half = _rfft_into(values, norm="forward", out=spectrum)[: n // 2 + 1]
     if spectrum is None:
-        # a copy, which does not keep the padded spectrum alive
-        half = rfft(values, norm="forward")[: n // 2 + 1].copy()
-    else:
-        half = _rfft_into(values, norm="forward", out=spectrum)[: n // 2 + 1]
+        half = half.copy()  # which does not keep the padded spectrum alive
     half[-1] = 0.0  # discard the (unrepresentable) Nyquist content
     return half
 
