@@ -40,7 +40,6 @@ from .littlewood_paley import (BesovIndex, _check_weights, build_filter_bank, to
 from .solver import MIN_STEP_FRACTION, SolverConfig, SystemState, integrate
 from .spectral import Grid
 
-COMMANDS = ("generate-data", "solve", "decompose", "study")
 STUDIES = ("blockscale", "shorttime", "separation", "inequalities")
 
 
@@ -64,36 +63,11 @@ class RunConfig:
     output_path: str = "novlab_out"
 
     def validate(self):
-        """Reject the config before anything runs or is written.
-
-        The checks are the core's own: the objects the run builds (Grid,
-        IllposedDataParams, SolverConfig), the bank's grid and block-weight rules
-        and the studies' range rules, whose ValueError is re-raised as a violation.
-        """
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.command == "study" and self.study_name not in STUDIES:
-            raise ValueError(f"study must be one of {STUDIES}, got {self.study_name!r}")
-        study = self.study_name if self.command == "study" else None
+        """Reject the config before anything runs or is written: build the
+        run it describes, whose ValueError is re-raised as a violation, and
+        check that the output directory exists."""
         try:
-            if study == "inequalities":
-                grid = Grid(self.grid_points, self.domain_length)
-                check_regime(self.s, self.p)
-                experiments.check_corpus(self.corpus_size, self.seed, grid)
-            else:
-                params = _data_params(self)
-                grid = params.grid
-            if self.command == "decompose" or study is not None:
-                _check_weights(self.s, top_index(grid))
-            if study in ("blockscale", "separation"):
-                experiments.band_list(params, range(self.n_min, self.n_max + 1),
-                                      3 if study == "blockscale" else 5)
-            if study == "separation":
-                experiments.check_delta(self.delta)
-            if self.command == "solve" or study in ("shorttime", "separation"):
-                _solver_config(self)
-            if study == "shorttime":
-                experiments.time_list(_short_times(self))
+            _plan(self)
         except ValueError as exc:
             raise ValueError(f"constraint violated: {exc}") from None
         parent = Path(self.output_path).resolve().parent
@@ -225,91 +199,105 @@ def parse_args(argv) -> RunConfig:
     return cfg
 
 
-def _data_params(cfg: RunConfig) -> IllposedDataParams:
-    grid = Grid(cfg.grid_points, cfg.domain_length)
-    return IllposedDataParams(
-        s=cfg.s, p=cfg.p, lam=cfg.lam, num_terms=cfg.num_terms, grid=grid
-    )
+def _plan(cfg: RunConfig):
+    """The run ``cfg`` describes, as a callable that takes no arguments and
+    returns the exit code.
 
-
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    """Settings the run integrates with; --dt only caps the step, so it may
-    exceed the horizon.  A separation study integrates to its longest
-    horizon delta 2^-n_min, not to --t-final."""
-    t_final = cfg.t_final
-    if cfg.command == "study" and cfg.study_name == "separation":
-        t_final = cfg.delta * 2.0**-cfg.n_min
-    return SolverConfig(t_final=t_final, dt=cfg.dt, s=cfg.s)
-
-
-def _short_times(cfg: RunConfig) -> list:
-    return [cfg.t_final * 2.0**-k for k in range(6)]
-
-
-def run(cfg: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
+    Building it applies every check the run is held to, before anything runs
+    or is written: the core objects it builds (Grid, IllposedDataParams,
+    SolverConfig), the bank's grid and block-weight rules and the studies'
+    range rules.  Raises ValueError, also for an unknown command or study.
+    """
     out = cfg.output_path
+    grid = Grid(cfg.grid_points, cfg.domain_length)
+    study = cfg.study_name if cfg.command == "study" else None
+    if study == "inequalities":
+        check_regime(cfg.s, cfg.p)
+        experiments.check_corpus(cfg.corpus_size, cfg.seed, grid)
+        _check_weights(cfg.s, top_index(grid))
+        return lambda: _report(out, experiments.study_inequalities(
+            corpus_size=cfg.corpus_size, seed=cfg.seed, grid=grid, s=cfg.s, p=cfg.p))
+    params = IllposedDataParams(s=cfg.s, p=cfg.p, lam=cfg.lam, num_terms=cfg.num_terms,
+                                grid=grid)
     if cfg.command == "generate-data":
-        data = build_initial_data(_data_params(cfg))
-        save_field(data.rho, f"{out}_rho.csv", time=0.0, tail_bound=data.tail_bound)
-        save_field(data.u, f"{out}_u.csv", time=0.0, tail_bound=data.tail_bound)
-        print(f"wrote {out}_rho.csv, {out}_u.csv (tail bound {data.tail_bound:.3e})")
-        return 0
-
+        return lambda: _generate_data(params, out)
     if cfg.command == "solve":
-        data = build_initial_data(_data_params(cfg))
-        state0 = SystemState(rho=data.rho, u=data.u)
-        traj = integrate(state0, _solver_config(cfg))
-        final = traj.final
-        save_field(final.rho, f"{out}_rho.csv", time=final.time)
-        save_field(final.u, f"{out}_u.csv", time=final.time)
-        print(f"wrote {out}_rho.csv, {out}_u.csv at t={final.time:g} "
-              f"({len(traj.errors)} steps, {traj.rejected} rejected)")
-        return 0
-
+        # --dt only caps the step, so it may exceed the horizon
+        config = SolverConfig(t_final=cfg.t_final, dt=cfg.dt, s=cfg.s)
+        return lambda: _solve(params, config, out)
+    if cfg.command not in ("decompose", "study"):
+        raise ValueError(f"unknown command {cfg.command!r}")
+    _check_weights(cfg.s, top_index(grid))
     if cfg.command == "decompose":
-        params = _data_params(cfg)
-        data = build_initial_data(params)
-        bank = build_filter_bank(params.grid)
-        idx_rho = BesovIndex(cfg.s - 1, cfg.p)
-        idx_u = BesovIndex(cfg.s, cfg.p)
-        wr = weighted_block_norms(bank, data.rho, idx_rho)
-        wu = weighted_block_norms(bank, data.u, idx_u)
-        path = f"{out}_blocks.csv"
-        with open(path, "w") as fh:
-            fh.write(f"# s={cfg.s}\n# p={cfg.p}\n# lambda={cfg.lam}\n")
-            fh.write(f"# num_terms={cfg.num_terms}\n# grid_points={cfg.grid_points}\n")
-            fh.write(f"# domain_length={cfg.domain_length}\n")
-            fh.write("# columns: j,weighted_rho_block,weighted_u_block\n")
-            for j in range(-1, bank.j_max + 1):
-                fh.write(f"{j},{wr[j+1]:.17g},{wu[j+1]:.17g}\n")
-        print(f"wrote {path}")
-        return 0
+        return lambda: _decompose(cfg, params)
+    n_range = range(cfg.n_min, cfg.n_max + 1)
+    if study == "blockscale":
+        n_list = experiments.band_list(params, n_range, 3)
+        return lambda: _report(out, experiments.study_block_scaling(params, n_list))
+    if study == "shorttime":
+        # the settings the study integrates with, checked before it runs
+        SolverConfig(t_final=cfg.t_final, dt=cfg.dt, s=cfg.s)
+        times = experiments.time_list(cfg.t_final * 2.0**-k for k in range(6))
+        return lambda: _report(out, experiments.study_short_time(params, times,
+                                                                 dt_cap=cfg.dt))
+    if study == "separation":
+        n_list = experiments.band_list(params, n_range, 5)
+        experiments.check_delta(cfg.delta)
+        # integrated to the longest horizon delta 2^-n_min, not to --t-final
+        SolverConfig(t_final=cfg.delta * 2.0**-cfg.n_min, dt=cfg.dt, s=cfg.s)
+        return lambda: _report(out, experiments.study_separation(
+            params, n_list, delta=cfg.delta, dt_cap=cfg.dt))
+    raise ValueError(f"study must be one of {STUDIES}, got {cfg.study_name!r}")
 
-    # study
-    if cfg.study_name == "inequalities":
-        grid = Grid(cfg.grid_points, cfg.domain_length)
-        report = experiments.study_inequalities(
-            corpus_size=cfg.corpus_size, seed=cfg.seed, grid=grid, s=cfg.s, p=cfg.p
-        )
-    else:
-        params = _data_params(cfg)
-        if cfg.study_name == "blockscale":
-            report = experiments.study_block_scaling(
-                params, range(cfg.n_min, cfg.n_max + 1)
-            )
-        elif cfg.study_name == "shorttime":
-            report = experiments.study_short_time(params, _short_times(cfg), dt_cap=cfg.dt)
-        else:
-            report = experiments.study_separation(
-                params, range(cfg.n_min, cfg.n_max + 1), delta=cfg.delta, dt_cap=cfg.dt
-            )
+
+def _generate_data(params: IllposedDataParams, out: str) -> int:
+    data = build_initial_data(params)
+    save_field(data.rho, f"{out}_rho.csv", time=0.0, tail_bound=data.tail_bound)
+    save_field(data.u, f"{out}_u.csv", time=0.0, tail_bound=data.tail_bound)
+    print(f"wrote {out}_rho.csv, {out}_u.csv (tail bound {data.tail_bound:.3e})")
+    return 0
+
+
+def _solve(params: IllposedDataParams, config: SolverConfig, out: str) -> int:
+    data = build_initial_data(params)
+    traj = integrate(SystemState(rho=data.rho, u=data.u), config)
+    final = traj.final
+    save_field(final.rho, f"{out}_rho.csv", time=final.time)
+    save_field(final.u, f"{out}_u.csv", time=final.time)
+    print(f"wrote {out}_rho.csv, {out}_u.csv at t={final.time:g} "
+          f"({len(traj.errors)} steps, {traj.rejected} rejected)")
+    return 0
+
+
+def _decompose(cfg: RunConfig, params: IllposedDataParams) -> int:
+    data = build_initial_data(params)
+    bank = build_filter_bank(params.grid)
+    wr = weighted_block_norms(bank, data.rho, BesovIndex(cfg.s - 1, cfg.p))
+    wu = weighted_block_norms(bank, data.u, BesovIndex(cfg.s, cfg.p))
+    path = f"{cfg.output_path}_blocks.csv"
+    with open(path, "w") as fh:
+        fh.write(f"# s={cfg.s}\n# p={cfg.p}\n# lambda={cfg.lam}\n")
+        fh.write(f"# num_terms={cfg.num_terms}\n# grid_points={cfg.grid_points}\n")
+        fh.write(f"# domain_length={cfg.domain_length}\n")
+        fh.write("# columns: j,weighted_rho_block,weighted_u_block\n")
+        for j in range(-1, bank.j_max + 1):
+            fh.write(f"{j},{wr[j+1]:.17g},{wu[j+1]:.17g}\n")
+    print(f"wrote {path}")
+    return 0
+
+
+def _report(out: str, report) -> int:
     write_study(report, f"{out}_{report.study_name}")
     for v in report.verdicts:
         print(f"{report.study_name}: {v.name} {'PASS' if v.passed else 'FAIL'} "
               f"(observed {v.observed:.6g})")
     print(f"wrote {out}_{report.study_name}.csv and .gp")
     return 0 if report.passed else 1
+
+
+def run(cfg: RunConfig) -> int:
+    """Build the run ``cfg`` describes and run it; returns the process exit code."""
+    return _plan(cfg)()
 
 
 def main(argv=None) -> int:

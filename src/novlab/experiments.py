@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .initial_data import IllposedDataParams, build_bump, build_initial_data
+from .initial_data import IllposedDataParams, build_bump, build_initial_data, check_regime
 from .littlewood_paley import (
     CHI_PLATEAU_END,
     BesovIndex,
@@ -613,6 +613,7 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     """
     if grid is None:
         grid = Grid(*DEFAULT_INEQUALITY_GRID)
+    check_regime(s, p)
     check_corpus(corpus_size, seed, grid)
     idx = BesovIndex(s, p)
     bank = build_filter_bank(grid)

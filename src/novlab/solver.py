@@ -267,8 +267,6 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     if start is None:
         start = _rest(state)
     work = start._workspace
-    if work is None:
-        work = _Workspace(grid)
     y0, k = start.spectra, start.rate
     stage = work.stage
     # running k1 + 2 k2 + 2 k3 + k4, so only one stage is held at a time

@@ -142,12 +142,18 @@ class TestParseArgs:
         with pytest.raises(ValueError, match="bogus"):
             parse_args(["study", "blockscale", "--config", str(conf)])
 
-    def test_dump_config_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("kind", [
+        ["generate-data"], ["solve"], ["decompose"], ["study", "blockscale"],
+        ["study", "shorttime"], ["study", "separation"],
+        # its grid defaults come from parse_args, not from RunConfig
+        ["study", "inequalities"],
+    ], ids=lambda kind: kind[-1])
+    def test_dump_config_round_trip(self, kind, tmp_path):
         dump = tmp_path / "dump.conf"
-        argv = ["study", "blockscale", "--s", "3.2", "--num-terms", "9",
-                "--n-max", "8", "--dump-config", str(dump)]
+        argv = kind + ["--s", "3.2", "--num-terms", "9", "--n-max", "8",
+                       "--dump-config", str(dump)]
         cfg = parse_args(argv)
-        reloaded = parse_args(["study", "blockscale", "--config", str(dump)])
+        reloaded = parse_args(kind + ["--config", str(dump)])
         assert reloaded == cfg
 
     def test_corpus_grid_with_nonzero_commutators_is_accepted(self):
@@ -195,15 +201,23 @@ class TestRun:
         text = (tmp_path / "dec_blocks.csv").read_text()
         assert "# columns: j,weighted_rho_block,weighted_u_block" in text
 
-    def test_study_blockscale_end_to_end(self, tmp_path):
-        out = tmp_path / "bs"
-        code = main(["study", "blockscale", "--output", str(out),
-                     "--grid-points", "16384", "--domain-length", "64",
-                     "--num-terms", "9", "--n-min", "4", "--n-max", "8"])
-        assert code == 0
-        csv = (tmp_path / "bs_blockscale.csv").read_text()
-        assert "# verdict: rho_slope=PASS" in csv
-        assert (tmp_path / "bs_blockscale.gp").exists()
+    @pytest.mark.parametrize("study,argv,num_verdicts", [
+        ("blockscale", ["--grid-points", "16384", "--domain-length", "64",
+                        "--num-terms", "9", "--n-min", "4", "--n-max", "8"], 6),
+        ("shorttime", ["--grid-points", "4096", "--domain-length", "64",
+                       "--num-terms", "6"], 4),
+        ("separation", ["--grid-points", "16384", "--domain-length", "64",
+                        "--num-terms", "9", "--n-min", "5", "--n-max", "8"], 4),
+        ("inequalities", ["--corpus-size", "100"], 6),
+    ], ids=["blockscale", "shorttime", "separation", "inequalities"])
+    def test_study_end_to_end(self, study, argv, num_verdicts, tmp_path):
+        out = tmp_path / "st"
+        assert main(["study", study, "--output", str(out)] + argv) == 0
+        csv = (tmp_path / f"st_{study}.csv").read_text().splitlines()
+        verdicts = [line for line in csv if line.startswith("# verdict:")]
+        assert len(verdicts) == num_verdicts
+        assert all("=PASS" in line for line in verdicts)
+        assert (tmp_path / f"st_{study}.gp").exists()
 
     def test_failing_verdict_maps_to_exit_one(self, tmp_path, monkeypatch):
         report = StudyReport(
@@ -219,3 +233,13 @@ class TestRun:
                              output_path=str(tmp_path / "fail")))
         assert code == 1
         assert (tmp_path / "fail_blockscale.csv").exists()
+
+    @pytest.mark.parametrize("command,study_name", [("bogus", None), ("study", "blockscal")])
+    def test_unknown_command_or_study_runs_nothing(self, command, study_name, tmp_path):
+        # a config that would run a separation study, bar its misspelt name
+        cfg = RunConfig(command=command, study_name=study_name, num_terms=9,
+                        grid_points=16384, domain_length=64.0, n_min=5, n_max=8,
+                        output_path=str(tmp_path / "never"))
+        with pytest.raises(ValueError, match="'bogus'|'blockscal'"):
+            run(cfg)
+        assert not list(tmp_path.iterdir())

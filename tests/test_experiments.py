@@ -323,6 +323,11 @@ class TestInequalitiesStudy:
         with pytest.raises(ValueError, match=message):
             study_inequalities(**{"corpus_size": 100, "seed": 0, **kwargs})
 
+    def test_rejects_regularity_outside_regime(self):
+        # the regime rule s > max(2 + 1/p, 5/2) of the data studies, here at p = 2
+        with pytest.raises(ValueError, match="5/2"):
+            study_inequalities(corpus_size=100, seed=3, s=2.0)
+
     def test_equal_fields_give_positive_ratio(self, small_grid, small_bank):
         u = random_field(small_grid, seed=40)
         r, _, _ = _pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))

@@ -430,7 +430,8 @@ class TestWorkspace:
             for b in handed[i + 1:] + buffers:
                 assert not np.shares_memory(a, b)
         # a reused workspace changes no bit of the step
-        fresh = step_rk4(first_step.state, 1e-2, start=replace(first_step, _workspace=None))
+        fresh = step_rk4(first_step.state, 1e-2, start=replace(
+            first_step, _workspace=solver._Workspace(first_step.state.grid)))
         for a, b in zip(_outputs(second), _outputs(fresh)):
             assert np.array_equal(a, b)
 
