@@ -24,20 +24,36 @@ increment h/6 (k1 + 2 k2 + 2 k3 + k4) to the state values: neither the
 values nor the spectra ever take a transform round trip, whose roundoff the
 2^(js)-weighted Besov blocks and the error estimate would amplify.
 
+The kernel's transforms run as four pairs of independent ones: the inverse
+transforms of rho and u, then of u_x and rho_x, then the forward transforms
+of rho_t and of u^2 u_x, then of the two arguments of G.  When the
+process may use a second CPU, one transform of each pair runs on a worker
+thread that the process starts on first use, and the other on the caller;
+with one CPU both run inline.  numpy's transforms release the GIL, and a
+transform's bits do not depend on the thread that computed it, so the
+result is the same either way.
+
 The kernel and the step work in a private workspace (``_Workspace``): the
-symbols, the padded half spectrum and forward spectrum, the kernel's six
-padded value buffers, and the step's stage, stage-rate and increment-value
-buffers.  ``integrate`` builds one per call and hands it from step to step
-inside the ``RK4Step`` it threads through ``step_rk4``; a step without a
-``start`` builds its own.  What a step hands out (the new state's values and
-every array of its ``RK4Step``) is freshly allocated and never aliases the
-workspace, so a step allocates only its outputs.
+symbols; one pair of padded forward spectra, whose leading half-spectrum
+bins also stage the inputs of the inverse pairs (the padded inverse
+transform pads with zeros itself, so there is no padded half-spectrum
+buffer); the kernel's six padded value buffers, the first of which also
+takes the values of the step's increment; and the step's stage and
+stage-rate buffers.  ``integrate`` builds one per call and hands it from
+step to step inside the ``RK4Step`` it threads through ``step_rk4``; a
+step without a ``start`` builds its own.  What a step hands out (the new
+state's values and every array of its ``RK4Step``) is freshly allocated and
+never aliases the workspace, so a step allocates only its outputs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.fft import rfft
@@ -50,7 +66,6 @@ from .spectral import (
     _derivative_symbol,
     _half_from_padded,
     _irfft_into,
-    _padded_values,
     _smoothing_symbol,
     field_from_half,
 )
@@ -128,15 +143,65 @@ class SolverConfig:
             raise ValueError("s must be finite")
 
 
+# The worker thread that runs one transform of each of the kernel's pairs,
+# and the process that started it: a forked child inherits the executor but
+# not its thread, so it starts its own.
+_pool: ThreadPoolExecutor | None = None
+_pool_pid: int | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker() -> ThreadPoolExecutor | None:
+    """This process's worker, started on first use; None when the process
+    may use only one CPU."""
+    global _pool, _pool_pid
+    if _usable_cpus() < 2:
+        return None
+    with _pool_lock:
+        if _pool_pid != os.getpid():
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="novlab-fft")
+            _pool_pid = os.getpid()
+        return _pool
+
+
+def _pair(f, g) -> None:
+    """Run f on the worker thread and g on the caller, or both inline when
+    the process may use only one CPU; f and g must write disjoint buffers.
+
+    numpy's transforms release the GIL, so two of them overlap.  Returns
+    once both are done, and an exception of either reaches the caller.
+    """
+    pool = _worker()
+    if pool is None:
+        f()
+        g()
+        return
+    future = pool.submit(f)
+    try:
+        g()
+    finally:
+        # f writes the caller's buffers: never return while it runs
+        wait((future,))
+    future.result()
+
+
 class _Workspace:
     """The buffers that the kernel and the step reuse on one grid of n points.
 
-    ``d`` and ``g`` are the derivative and smoothing symbols; ``padded`` is
-    the zero-padded half spectrum (n + 1 bins, zero above n/2) and
-    ``spectrum`` the forward spectrum of the padded transforms; ``values``
-    holds the kernel's six padded value buffers; ``stage`` holds a stage's
-    argument and then its weighted rate, ``rate`` the stage rates k2, k3 and
-    k4, and ``delta`` the values of the increment.
+    ``d`` and ``g`` are the derivative and smoothing symbols.  ``spectrum``
+    holds a pair of padded forward spectra (n + 1 bins each); the first
+    n/2 + 1 bins of its rows also stage the half spectra that a pair of
+    padded inverse transforms reads, which pad with zeros themselves.
+    ``values`` holds the kernel's six padded value buffers; the step writes
+    the values of its increment to the first, viewed as (2, n), while no
+    kernel runs.  ``stage`` holds a stage's argument and then its weighted
+    rate, ``rate`` the stage rates k2, k3 and k4.
     """
 
     def __init__(self, grid: Grid):
@@ -146,12 +211,10 @@ class _Workspace:
         # complex, so that multiplying a spectrum by it casts nothing; the
         # product is the same as with the real symbol
         self.g = _smoothing_symbol(grid).astype(complex)
-        self.padded = np.zeros(n + 1, dtype=complex)
-        self.spectrum = np.empty(n + 1, dtype=complex)
+        self.spectrum = np.empty((2, n + 1), dtype=complex)
         self.values = np.empty((6, 2 * n))
         self.stage = np.empty(halves, dtype=complex)
         self.rate = np.empty(halves, dtype=complex)
-        self.delta = np.empty((2, n))
 
 
 def _rhs_half(y: np.ndarray, work: _Workspace, out=None) -> np.ndarray:
@@ -160,49 +223,61 @@ def _rhs_half(y: np.ndarray, work: _Workspace, out=None) -> np.ndarray:
     a fresh array.
 
     The single RHS kernel: 4 inverse transforms to the padded grid for the
-    products and 4 forward transforms back, all through the buffers of
-    ``work``.  Only the derivatives d rho and d u take a temporary (one half
-    spectrum at a time); ``out`` must not alias ``y`` or ``work``.
+    products and 4 forward transforms back, run as four pairs (``_pair``)
+    through the buffers of ``work``; ``out`` must not alias ``y`` or
+    ``work``.  Which thread runs a transform changes none of its bits.
     """
     n = 2 * (y.shape[-1] - 1)
     d, g = work.d, work.g
-    rp, up, uxp, u2, arg, tmp = work.values
+    spectrum = work.spectrum
+    a, b = spectrum[:, : n // 2 + 1]
+    rp, up, uxp, rxp, u2, tmp = work.values
 
-    def padded(half, dest):
-        _padded_values(half, n, dest, work.padded)
+    def inverse(half, dest):
+        return partial(_irfft_into, half, n=2 * n, norm="forward", out=dest)
 
-    def back(vals):
-        return _half_from_padded(vals, n, work.spectrum)
+    def forward(vals, row):
+        # the pair's half spectra are then a and b
+        return partial(_half_from_padded, vals, n, spectrum[row])
 
-    padded(y[0], rp)
-    padded(y[1], up)
-    padded(d * y[1], uxp)
+    # the original Nyquist bin splits evenly between +-n/2 on the padded grid
+    a[:] = y[0]
+    a[-1] *= 0.5
+    b[:] = y[1]
+    b[-1] *= 0.5
+    _pair(inverse(a, rp), inverse(b, up))
+    # d vanishes at the Nyquist bin, so these have nothing to halve there
+    np.multiply(d, y[1], out=a)
+    np.multiply(d, y[0], out=b)
+    _pair(inverse(a, uxp), inverse(b, rxp))
     np.multiply(up, up, out=u2)
-    padded(d * y[0], arg)
-    arg *= u2
+    rxp *= u2
     np.multiply(rp, up, out=tmp)
     tmp *= uxp
-    arg += tmp
+    rxp += tmp                              # u^2 rho_x + rho u u_x
+    np.multiply(u2, uxp, out=tmp)           # u^2 u_x
+    _pair(forward(rxp, 0), forward(tmp, 1))
     if out is None:
         out = np.empty_like(y)
-    out[0] = back(arg)                      # u^2 rho_x + rho u u_x
+    out[0] = a
+    out[1] = b                              # the nonlocal terms join it below
     rp *= rp
     rp *= 0.5                               # rho^2 / 2
     np.multiply(uxp, uxp, out=tmp)          # u_x^2
-    np.multiply(tmp, 1.5, out=arg)
-    arg += u2
-    arg -= rp
-    arg *= up
-    out[1] = back(arg)                      # u^3 + (3/2) u u_x^2 - (1/2) u rho^2
-    h_u = out[1]
-    h_u *= d
+    np.multiply(tmp, 1.5, out=rxp)
+    rxp += u2
+    rxp -= rp
+    rxp *= up                               # u^3 + (3/2) u u_x^2 - (1/2) u rho^2
     tmp *= 0.5
     tmp -= rp
-    tmp *= uxp
-    h_u += back(tmp)                        # (1/2) u_x^3 - (1/2) u_x rho^2
-    h_u *= g
-    np.multiply(u2, uxp, out=arg)
-    h_u += back(arg)                        # u^2 u_x
+    tmp *= uxp                              # (1/2) u_x^3 - (1/2) u_x rho^2
+    _pair(forward(rxp, 0), forward(tmp, 1))
+    a *= d
+    a += b
+    a *= g
+    # floating-point addition commutes, so this is the sum with the terms
+    # the other way round, bit for bit
+    out[1] += a
     return out
 
 
@@ -278,7 +353,7 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
         np.multiply(weight, k, out=stage)
         increment += stage
     increment *= dt / 6.0
-    delta = _irfft_into(increment, n=n, norm="forward", out=work.delta)
+    delta = _irfft_into(increment, n=n, norm="forward", out=work.values[0].reshape(2, n))
     r1 = state.rho.values + delta[0]
     u1 = state.u.values + delta[1]
     if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(u1))):
@@ -352,6 +427,10 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
 
     Each checkpoint state is passed to ``visit``, when given, as the sweep
     reaches it, so a long sweep holds one state at a time.
+
+    The step error is controlled in B^(s-1)_{2,inf} x B^s_{2,inf}, with s
+    from ``cfg``, whatever integrability index p a study measures its
+    results in: a study at p != 2 still gets steps controlled at p = 2.
 
     The controller proposes a step h (never above cfg.dt when set); the
     interval to the next checkpoint is then split evenly into steps of at

@@ -218,20 +218,18 @@ def lp_norm(f: RealField, p) -> float:
 
 # -- dealiased products -------------------------------------------------------
 
-def _padded_values(half: np.ndarray, n: int, out=None, padded=None) -> np.ndarray:
+def _padded_values(half: np.ndarray, n: int, out=None) -> np.ndarray:
     """Values on grid 2n of a half spectrum of grid n, zero-padded.
 
     The original Nyquist bin splits evenly between +-n/2, which the padded
-    half spectrum represents by halving it.  The values are written to
-    ``out`` (2n floats) when given, and else to a fresh array; ``padded``
-    (n + 1 complex, zero above bin n/2, which this never writes) holds the
-    padded half spectrum, and is allocated when not given.
+    half spectrum represents by halving it; that is done on a copy, so
+    ``half`` is never modified.  The transform to 2n points pads the n/2 + 1
+    bins with zeros itself.  The values are written to ``out`` (2n floats)
+    when given, and else to a fresh array.
     """
-    if padded is None:
-        padded = np.zeros(n + 1, dtype=complex)
-    padded[: n // 2 + 1] = half
-    padded[n // 2] *= 0.5
-    return _irfft_into(padded, n=2 * n, norm="forward", out=out)
+    staged = np.array(half, dtype=complex)
+    staged[n // 2] *= 0.5
+    return _irfft_into(staged, n=2 * n, norm="forward", out=out)
 
 
 def _half_from_padded(values: np.ndarray, n: int, spectrum=None) -> np.ndarray:

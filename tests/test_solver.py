@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -407,9 +411,10 @@ class TestWorkspace:
         return step_rk4(SystemState(rho=modulated_bump(small_grid, 2.0), u=bump), 1e-2)
 
     def test_warm_kernel_and_step_allocate_only_their_outputs(self, first_step):
-        # the bound: the arrays handed out plus one half spectrum, the
-        # temporary of a derivative in the kernel; a kernel that allocated
-        # its padded buffers per call would peak near 591 KB here
+        # the bound: the arrays handed out plus one half spectrum of slack,
+        # of which the pairs' futures and partials take about 6 KB; a kernel
+        # that allocated its padded buffers per call would peak near 591 KB
+        # here
         work = first_step._workspace
         y = first_step.spectra
         one_half = y[0].nbytes
@@ -434,6 +439,115 @@ class TestWorkspace:
             first_step, _workspace=solver._Workspace(first_step.state.grid)))
         for a, b in zip(_outputs(second), _outputs(fresh)):
             assert np.array_equal(a, b)
+
+
+def _see_cpus(monkeypatch, usable):
+    """Make the process see the CPUs ``usable``: with two the kernel's pairs
+    run on the worker thread, with one inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+
+
+@pytest.fixture(params=[{0, 1}, {0}], ids=["threaded", "inline"])
+def cpus(request, monkeypatch):
+    _see_cpus(monkeypatch, request.param)
+
+
+def _fft_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("novlab-fft")]
+
+
+class TestPairedKernel:
+    def test_threaded_and_inline_give_the_same_bits(self, medium_data, monkeypatch):
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        y = solver._spectra(st)
+        worker = solver._worker
+        runs = {}
+        for usable in ({0, 1}, {0}):
+            workers = []
+            _see_cpus(monkeypatch, usable)
+            monkeypatch.setattr(solver, "_worker", lambda: workers.append(worker()) or workers[-1])
+            rate = solver._rhs_half(y, solver._Workspace(st.grid))
+            traj = integrate(st, SolverConfig(t_final=3e-4, dt=1e-4))
+            runs[len(usable)] = (rate, traj)
+            # every pair ran on the worker, or every pair inline
+            assert workers and all((w is not None) == (len(usable) == 2) for w in workers)
+        (rate2, traj2), (rate1, traj1) = runs[2], runs[1]
+        assert len(traj1.errors) == 3
+        assert rate2.tobytes() == rate1.tobytes()
+        assert traj2.final.rho.values.tobytes() == traj1.final.rho.values.tobytes()
+        assert traj2.final.u.values.tobytes() == traj1.final.u.values.tobytes()
+        assert traj2.sup_norms == traj1.sup_norms
+        assert traj2.errors == traj1.errors
+
+    def test_eight_padded_transforms_per_evaluation(self, medium_data, monkeypatch,
+                                                     count_ffts):
+        # inline, so that the counts are not updated from two threads
+        _see_cpus(monkeypatch, {0})
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        y = solver._spectra(st)
+        counts = count_ffts()
+        solver._rhs_half(y, solver._Workspace(st.grid))
+        assert counts == {"rfft": 4, "irfft": 4}
+
+    def test_integrations_leave_at_most_one_extra_thread(self, small_grid, cpus):
+        st = SystemState(rho=modulated_bump(small_grid, 2.0), u=3.0 * build_bump(small_grid))
+        before = threading.active_count()
+        for _ in range(2):
+            integrate(st, SolverConfig(t_final=1e-2))
+        assert threading.active_count() <= before + 1
+        assert len(_fft_threads()) <= 1
+
+    def test_worker_exception_reaches_the_caller(self, cpus):
+        def boom():
+            raise ZeroDivisionError("in the worker")
+
+        with pytest.raises(ZeroDivisionError, match="in the worker"):
+            solver._pair(boom, lambda: None)
+
+    def test_caller_exception_waits_for_the_worker(self, cpus):
+        done = []
+
+        def slow():
+            time.sleep(0.05)
+            done.append(True)
+
+        def boom():
+            raise KeyError("on the caller")
+
+        with pytest.raises(KeyError):
+            solver._pair(slow, boom)
+        assert done == [True]
+
+    def test_forked_child_starts_its_own_worker(self, monkeypatch):
+        # a forked child inherits the recorded pid of its parent; its first
+        # callers, however many at once, start one new worker between them
+        _see_cpus(monkeypatch, {0, 1})
+        solver._pair(lambda: None, lambda: None)
+        old = solver._pool
+        monkeypatch.setattr(solver, "_pool_pid", -1)
+        ran_on, pools = [], []
+
+        def first_caller():
+            pools.append(solver._worker())
+            solver._pair(lambda: ran_on.append(threading.current_thread().name), lambda: None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=first_caller) for _ in range(8)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            old.shutdown(wait=True)
+        assert not any(t.is_alive() for t in callers)
+        assert solver._pool_pid == os.getpid()
+        assert len(pools) == 8 and all(p is solver._pool for p in pools)
+        assert solver._pool is not old
+        assert len(ran_on) == 8 and all(name.startswith("novlab-fft") for name in ran_on)
+        assert len(_fft_threads()) == 1
 
 
 def _invariants(grid, y):

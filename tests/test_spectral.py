@@ -13,7 +13,14 @@ from novlab import (
     product,
     triple_product,
 )
-from novlab.spectral import _half_phase, apply_half_multiplier, field_from_half, half_spectrum
+from novlab.spectral import (
+    _half_phase,
+    _irfft_into,
+    _padded_values,
+    apply_half_multiplier,
+    field_from_half,
+    half_spectrum,
+)
 
 from conftest import coefficients, mode, random_field
 
@@ -286,3 +293,22 @@ class TestProducts:
         oracle = _convolution_oracle(grid, fs)
         scale = np.abs(oracle).max()
         assert np.abs(out - oracle).max() < 1e-12 * scale
+
+    def test_padded_values_pad_by_themselves(self):
+        # the zero-padded transform against the explicit (n + 1)-bin padded
+        # half spectrum, on content up to and including the Nyquist bin
+        n = 2**14
+        rng = np.random.default_rng(3)
+        half = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        half[0] = half[0].real
+        half[-1] = 0.75
+        kept = half.copy()
+        padded = np.zeros(n + 1, dtype=complex)
+        padded[: n // 2 + 1] = half
+        padded[n // 2] *= 0.5
+        expected = _irfft_into(padded, n=2 * n, norm="forward")
+        out = np.empty(2 * n)
+        assert _padded_values(half, n).tobytes() == expected.tobytes()
+        assert _padded_values(half, n, out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert half.tobytes() == kept.tobytes()
