@@ -161,6 +161,8 @@ def _worker() -> ThreadPoolExecutor | None:
     """This process's worker, started on first use; None when the process
     may use only one CPU."""
     global _pool, _pool_pid
+    # on one CPU the worker could only take turns with the caller: its
+    # hand-offs made a 2^14 separation study about 7 % slower than inline
     if _usable_cpus() < 2:
         return None
     with _pool_lock:
