@@ -33,7 +33,6 @@ from .initial_data import (
     LAMBDA_MIN,
     IllposedDataParams,
     build_initial_data,
-    check_regime,
 )
 from .littlewood_paley import (BesovIndex, _check_weights, build_filter_bank, top_index,
                                weighted_block_norms)
@@ -205,16 +204,15 @@ def _plan(cfg: RunConfig):
 
     Building it applies every check the run is held to, before anything runs
     or is written: the core objects it builds (Grid, IllposedDataParams,
-    SolverConfig), the bank's grid and block-weight rules and the studies'
-    range rules.  Raises ValueError, also for an unknown command or study.
+    SolverConfig), the bank's grid and block-weight rules for ``decompose``
+    and each study's own ``experiments.check_*``.  Raises ValueError, also
+    for an unknown command or study.
     """
     out = cfg.output_path
     grid = Grid(cfg.grid_points, cfg.domain_length)
     study = cfg.study_name if cfg.command == "study" else None
     if study == "inequalities":
-        check_regime(cfg.s, cfg.p)
-        experiments.check_corpus(cfg.corpus_size, cfg.seed, grid)
-        _check_weights(cfg.s, top_index(grid))
+        experiments.check_inequalities(cfg.corpus_size, cfg.seed, grid, cfg.s, cfg.p)
         return lambda: _report(out, experiments.study_inequalities(
             corpus_size=cfg.corpus_size, seed=cfg.seed, grid=grid, s=cfg.s, p=cfg.p))
     params = IllposedDataParams(s=cfg.s, p=cfg.p, lam=cfg.lam, num_terms=cfg.num_terms,
@@ -225,28 +223,25 @@ def _plan(cfg: RunConfig):
         # --dt only caps the step, so it may exceed the horizon
         config = SolverConfig(t_final=cfg.t_final, dt=cfg.dt, s=cfg.s)
         return lambda: _solve(params, config, out)
-    if cfg.command not in ("decompose", "study"):
-        raise ValueError(f"unknown command {cfg.command!r}")
-    _check_weights(cfg.s, top_index(grid))
     if cfg.command == "decompose":
+        _check_weights(cfg.s, top_index(grid))
         return lambda: _decompose(cfg, params)
+    if cfg.command != "study":
+        raise ValueError(f"unknown command {cfg.command!r}")
     n_range = range(cfg.n_min, cfg.n_max + 1)
     if study == "blockscale":
-        n_list = experiments.band_list(params, n_range, 3)
-        return lambda: _report(out, experiments.study_block_scaling(params, n_list))
+        experiments.check_blockscale(params, n_range)
+        return lambda: _report(out, experiments.study_block_scaling(params, n_range))
     if study == "shorttime":
-        # the settings the study integrates with, checked before it runs
-        SolverConfig(t_final=cfg.t_final, dt=cfg.dt, s=cfg.s)
-        times = experiments.time_list(cfg.t_final * 2.0**-k for k in range(6))
+        times = experiments.time_ladder(cfg.t_final)
+        experiments.check_shorttime(params, times, cfg.dt)
         return lambda: _report(out, experiments.study_short_time(params, times,
                                                                  dt_cap=cfg.dt))
     if study == "separation":
-        n_list = experiments.band_list(params, n_range, 5)
-        experiments.check_delta(cfg.delta)
         # integrated to the longest horizon delta 2^-n_min, not to --t-final
-        SolverConfig(t_final=cfg.delta * 2.0**-cfg.n_min, dt=cfg.dt, s=cfg.s)
+        experiments.check_separation(params, n_range, cfg.delta, cfg.dt)
         return lambda: _report(out, experiments.study_separation(
-            params, n_list, delta=cfg.delta, dt_cap=cfg.dt))
+            params, n_range, delta=cfg.delta, dt_cap=cfg.dt))
     raise ValueError(f"study must be one of {STUDIES}, got {cfg.study_name!r}")
 
 

@@ -22,8 +22,10 @@ from .littlewood_paley import (
     LPFilterBank,
     build_filter_bank,
     besov_norm,
+    top_index,
     _block_norms,
     _block_weights,
+    _check_weights,
     _commutator_block_norms,
     _transport_block_norms,
     weighted_block_norms,
@@ -48,7 +50,14 @@ DEFAULT_P = 2.0
 DEFAULT_NUM_TERMS = 12
 DEFAULT_N_RANGE = (5, 11)
 DEFAULT_DELTA = 0.1
-DEFAULT_TIMES = tuple(1e-2 * 2.0**-k for k in range(6))
+
+
+def time_ladder(t_max: float) -> tuple:
+    """The shorttime checkpoints: t_max and its first five halvings."""
+    return tuple(t_max * 2.0**-k for k in range(6))
+
+
+DEFAULT_TIMES = time_ladder(1e-2)
 DEFAULT_SEED = 2026
 DEFAULT_CORPUS_SIZE = 100
 DEFAULT_INEQUALITY_GRID = (2**12, 64.0)  # grid points and domain length of the corpora
@@ -146,6 +155,18 @@ class StudyReport:
     def add_verdict(self, name, passed, observed, criterion):
         self.verdicts.append(Verdict(name, bool(passed), float(observed), criterion))
 
+    def judge(self, name, observed, quantity: str, op: str, key: str):
+        """Add the verdict ``quantity op tol_<key>``, op ">=" or "<=", judged
+        on the tolerance the report declares under ``key``."""
+        tol = self.tolerances[key]
+        passed = {">=": observed >= tol, "<=": observed <= tol}[op]
+        self.add_verdict(name, passed, observed, f"{quantity} {op} tol_{key}")
+
+    def judge_slope(self, name, fit: ScalingFit, target: float, key: str):
+        """Add the verdict that ``fit``'s slope lies within target +- tol_<key>."""
+        self.add_verdict(name, abs(fit.slope - target) <= self.tolerances[key], fit.slope,
+                         f"slope within {target:g} +- tol_{key}")
+
 
 def write_report_csv(report: StudyReport, path) -> None:
     """Emit the study CSV: # key=value header, rows, trailing verdict block."""
@@ -229,7 +250,7 @@ def _solver_params(*trajectories) -> dict:
     }
 
 
-def band_list(params: IllposedDataParams, n_range, n_lowest: int) -> list:
+def _bands(params: IllposedDataParams, n_range, n_lowest: int) -> list:
     """The band indices of a study, sorted: at least 3, the fewest a
     power-law fit takes, each in [n_lowest, num_terms - 1].  ``None``
     selects DEFAULT_N_RANGE."""
@@ -244,34 +265,11 @@ def band_list(params: IllposedDataParams, n_range, n_lowest: int) -> list:
     return n_list
 
 
-def check_delta(delta: float) -> None:
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-
-
-def time_list(times) -> list:
-    """Distinct checkpoint times, decreasing; at least 3, all positive."""
-    times = sorted({float(t) for t in times}, reverse=True)
-    if len(times) < 3 or not all(t > 0 for t in times):
-        raise ValueError(f"need at least 3 distinct positive times, got {times}")
-    return times
-
-
-def check_corpus(corpus_size: int, seed: int, grid: Grid) -> None:
-    """The rule for an inequality corpus: at least 100 pairs, a seed numpy
-    accepts, and a grid on which the products u v_x (below 2 CORPUS_BAND
-    Nyquist) reach past the low-pass plateau |xi| <= 1.  Inside it every
-    commutator block vanishes and its ratio measures only roundoff."""
-    if corpus_size < 100:
-        raise ValueError(f"corpus_size must be at least 100, got {corpus_size}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if 2 * CORPUS_BAND * grid.nyquist <= CHI_PLATEAU_END:
-        raise ValueError(
-            f"corpus grid Nyquist frequency {grid.nyquist:g} must exceed "
-            f"{CHI_PLATEAU_END / (2 * CORPUS_BAND):g}: below it every commutator "
-            "block of the corpus vanishes"
-        )
+def check_blockscale(params: IllposedDataParams, n_range=None) -> list:
+    """The input rules of ``study_block_scaling``: finite block weights
+    2^(j s), j <= j_max, and bands in [3, num_terms - 1].  Returns the bands."""
+    _check_weights(params.s, top_index(params.grid))
+    return _bands(params, n_range, 3)
 
 
 def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport:
@@ -287,7 +285,7 @@ def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport
     top ``norm_u_term`` rows by up to about 2e-8 relative.  The slope and
     plateau verdicts are far from this.
     """
-    n_list = band_list(params, n_range, 3)
+    n_list = check_blockscale(params, n_range)
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
     s, p = params.s, params.p
@@ -312,30 +310,27 @@ def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport
         rows=rows,
         fits={"rho_exponent": fit_rho, "u_exponent": fit_u},
     )
-    report.add_verdict(
-        "rho_slope",
-        abs(fit_rho.slope - (-(s - 2))) <= SLOPE_TOL_BLOCKSCALE,
-        fit_rho.slope,
-        f"slope within {-(s-2):g} +- tol_slope",
-    )
-    report.add_verdict(
-        "u_slope",
-        abs(fit_u.slope - (-(s - 1))) <= SLOPE_TOL_BLOCKSCALE,
-        fit_u.slope,
-        f"slope within {-(s-1):g} +- tol_slope",
-    )
-    report.add_verdict("rho_r2", fit_rho.r_squared >= R2_MIN, fit_rho.r_squared, "r2 >= tol_r2_min")
-    report.add_verdict("u_r2", fit_u.r_squared >= R2_MIN, fit_u.r_squared, "r2 >= tol_r2_min")
+    report.judge_slope("rho_slope", fit_rho, -(s - 2), "slope")
+    report.judge_slope("u_slope", fit_u, -(s - 1), "slope")
+    report.judge("rho_r2", fit_rho.r_squared, "r2", ">=", "r2_min")
+    report.judge("u_r2", fit_u.r_squared, "r2", ">=", "r2_min")
     for label, col in (("rho", 3), ("u", 4)):
         vals = np.array([r[col] for r in rows])
-        ratio = float(vals.min() / np.median(vals))
-        report.add_verdict(
-            f"{label}_plateau",
-            ratio >= PLATEAU_MIN,
-            ratio,
-            "min/median of normalized values >= tol_plateau_min",
-        )
+        report.judge(f"{label}_plateau", float(vals.min() / np.median(vals)),
+                     "min/median of normalized values", ">=", "plateau_min")
     return report
+
+
+def check_shorttime(params: IllposedDataParams, times, dt_cap) -> tuple:
+    """The input rules of ``study_short_time``: finite block weights, the step
+    cap against the largest time, then at least 3 distinct positive times.
+    Returns the times, decreasing, and the study's SolverConfig."""
+    _check_weights(params.s, top_index(params.grid))
+    times = sorted({float(t) for t in times}, reverse=True)
+    config = SolverConfig(t_final=max(times, default=0.0), dt=dt_cap, s=params.s)
+    if len(times) < 3 or not all(t > 0 for t in times):
+        raise ValueError(f"need at least 3 distinct positive times, got {times}")
+    return times, config
 
 
 def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
@@ -350,7 +345,7 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
     second-order pair to first order.  ``dt_cap`` optionally caps the
     error-controlled step.
     """
-    times = time_list(times)
+    times, config = check_shorttime(params, times, dt_cap)
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
@@ -365,18 +360,16 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
 
     def expand(state):
         t = state.time
-        d1r = besov_norm(bank, state.rho - data.rho, BesovIndex(s - 2, p))
-        d1u = besov_norm(bank, state.u - data.u, BesovIndex(s - 1, p))
+        drho, du = state.rho - data.rho, state.u - data.u
+        d1r = besov_norm(bank, drho, BesovIndex(s - 2, p))
+        d1u = besov_norm(bank, du, BesovIndex(s - 1, p))
         # the residuals shrink like t^2 while inheriting harmless spectral
         # dust from t*v0, so the resolution guard would misfire on them
-        d2r = besov_norm(bank, state.rho - data.rho - t * v0, BesovIndex(s - 3, p),
-                         check_resolved=False)
-        d2u = besov_norm(bank, state.u - data.u - t * w0, BesovIndex(s - 2, p),
-                         check_resolved=False)
+        d2r = besov_norm(bank, drho - t * v0, BesovIndex(s - 3, p), check_resolved=False)
+        d2u = besov_norm(bank, du - t * w0, BesovIndex(s - 2, p), check_resolved=False)
         rows.append((t, d1r, d1u, d2r, d2u))
 
-    traj = integrate(state0, SolverConfig(t_final=times[0], dt=dt_cap, s=s),
-                     checkpoints=times, visit=expand)
+    traj = integrate(state0, config, checkpoints=times, visit=expand)
     fits = {
         "first_order_rho": fit_powerlaw([(r[0], r[1]) for r in rows], "loglog"),
         "first_order_u": fit_powerlaw([(r[0], r[2]) for r in rows], "loglog"),
@@ -400,20 +393,21 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
         fits=fits,
     )
     for name in ("first_order_rho", "first_order_u"):
-        report.add_verdict(
-            name,
-            abs(fits[name].slope - 1.0) <= SLOPE_TOL_FIRST_ORDER,
-            fits[name].slope,
-            "slope within 1 +- tol_first_order_slope",
-        )
+        report.judge_slope(name, fits[name], 1.0, "first_order_slope")
     for name in ("second_order_rho", "second_order_u"):
-        report.add_verdict(
-            name,
-            abs(fits[name].slope - 2.0) <= SLOPE_TOL_SECOND_ORDER,
-            fits[name].slope,
-            "slope within 2 +- tol_second_order_slope",
-        )
+        report.judge_slope(name, fits[name], 2.0, "second_order_slope")
     return report
+
+
+def check_separation(params: IllposedDataParams, n_range, delta, dt_cap) -> tuple:
+    """The input rules of ``study_separation``: finite block weights, bands in
+    [5, num_terms - 1], delta in (0, 1) and the step cap against the longest
+    horizon delta 2^-n_min.  Returns the bands and the study's SolverConfig."""
+    _check_weights(params.s, top_index(params.grid))
+    n_list = _bands(params, n_range, 5)
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    return n_list, SolverConfig(t_final=delta * 2.0**-n_list[0], dt=dt_cap, s=params.s)
 
 
 def study_separation(params: IllposedDataParams, n_range=None,
@@ -438,8 +432,7 @@ def study_separation(params: IllposedDataParams, n_range=None,
     integrated once, in one error-controlled sweep through every horizon
     and quarter checkpoint; ``dt_cap`` optionally caps its step.
     """
-    n_list = band_list(params, n_range, 5)
-    check_delta(delta)
+    n_list, cfg = check_separation(params, n_range, delta, dt_cap)
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
@@ -465,7 +458,6 @@ def study_separation(params: IllposedDataParams, n_range=None,
             separation[n] = (float(w_rho[n + 1] + w_u[n + 1]), float(np.max(w_rho)),
                              float(np.max(w_u)))
 
-    cfg = SolverConfig(t_final=max(horizon.values()), dt=dt_cap, s=s)
     trajectories = [integrate(SystemState(rho=data.rho, u=data.u), cfg,
                               checkpoints=set().union(*quarters.values()), visit=audit)]
     control_dist = dict.fromkeys(n_list, math.nan)
@@ -508,37 +500,19 @@ def study_separation(params: IllposedDataParams, n_range=None,
         rows=rows,
         fits=fits,
     )
-    trend = fits["separation_trend"].slope
-    report.add_verdict(
-        "separation_slope",
-        trend >= SEPARATION_SLOPE_MIN,
-        trend,
-        "block separation trend vs n >= tol_separation_slope_min",
-    )
+    report.judge("separation_slope", fits["separation_trend"].slope,
+                 "block separation trend vs n", ">=", "separation_slope_min")
     seps = np.array([r[2] for r in rows])
     upper = seps[len(seps) // 2 :]
-    plateau = float(upper.min() / np.median(seps))
-    report.add_verdict(
-        "separation_plateau",
-        plateau >= PLATEAU_MIN,
-        plateau,
-        "min over upper half / median >= tol_plateau_min",
-    )
+    report.judge("separation_plateau", float(upper.min() / np.median(seps)),
+                 "min over upper half / median", ">=", "plateau_min")
     energy_worst = max(r[6] for r in rows)
-    report.add_verdict(
-        "energy_bounded",
-        energy_worst <= ENERGY_FACTOR_MAX,
-        energy_worst,
-        "solution Besov norms within tol_energy_factor_max of initial",
-    )
+    energy_ok = energy_worst <= report.tolerances["energy_factor_max"]
+    report.add_verdict("energy_bounded", energy_ok, energy_worst,
+                       "solution Besov norms within tol_energy_factor_max of initial")
     if with_control:
-        cslope = fits["control_trend"].slope
-        report.add_verdict(
-            "control_collapses",
-            cslope <= CONTROL_SLOPE_MAX,
-            cslope,
-            "smooth-data full distance trend <= tol_control_slope_max",
-        )
+        report.judge("control_collapses", fits["control_trend"].slope,
+                     "smooth-data full distance trend", "<=", "control_slope_max")
     return report
 
 
@@ -601,6 +575,30 @@ def _pair_ratios(bank: LPFilterBank, u: RealField, v: RealField,
     )
 
 
+def check_inequalities(corpus_size: int, seed: int, grid: Grid | None, s: float, p) -> Grid:
+    """The input rules of ``study_inequalities``: (s, p) in the paper's regime,
+    at least 100 pairs, a seed numpy accepts, finite block weights, and a grid
+    on which the products u v_x (below 2 CORPUS_BAND Nyquist) reach past the
+    low-pass plateau |xi| <= 1, inside which every commutator block vanishes
+    and its ratio measures only roundoff.  Returns the grid, the default
+    corpus grid for None."""
+    if grid is None:
+        grid = Grid(*DEFAULT_INEQUALITY_GRID)
+    check_regime(s, p)
+    if corpus_size < 100:
+        raise ValueError(f"corpus_size must be at least 100, got {corpus_size}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if 2 * CORPUS_BAND * grid.nyquist <= CHI_PLATEAU_END:
+        raise ValueError(
+            f"corpus grid Nyquist frequency {grid.nyquist:g} must exceed "
+            f"{CHI_PLATEAU_END / (2 * CORPUS_BAND):g}: below it every commutator "
+            "block of the corpus vanishes"
+        )
+    _check_weights(s, top_index(grid))
+    return grid
+
+
 def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_SEED,
                        grid: Grid | None = None, s: float = DEFAULT_S,
                        p=DEFAULT_P) -> StudyReport:
@@ -611,10 +609,7 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     that each family's max ratio is finite and agrees between the corpora
     within a factor of two.
     """
-    if grid is None:
-        grid = Grid(*DEFAULT_INEQUALITY_GRID)
-    check_regime(s, p)
-    check_corpus(corpus_size, seed, grid)
+    grid = check_inequalities(corpus_size, seed, grid, s, p)
     idx = BesovIndex(s, p)
     bank = build_filter_bank(grid)
 
@@ -651,14 +646,10 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     for family in ("product_law", "commutator", "smoothing"):
         a, b = maxima["A"][family], maxima["B"][family]
         finite = math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0
-        stable = finite and max(a / b, b / a) <= STABILITY_FACTOR
+        spread = max(a / b, b / a) if finite else math.inf
         report.add_verdict(
             f"{family}_max_finite", finite, a, "corpus max ratio finite and positive"
         )
-        report.add_verdict(
-            f"{family}_stable",
-            stable,
-            max(a / b, b / a) if finite else math.inf,
-            "corpus max ratios agree within tol_stability_factor",
-        )
+        report.add_verdict(f"{family}_stable", spread <= report.tolerances["stability_factor"],
+                           spread, "corpus max ratios agree within tol_stability_factor")
     return report

@@ -56,7 +56,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.fft import rfft
 
 from .spectral import (
     Grid,
@@ -68,6 +67,7 @@ from .spectral import (
     _irfft_into,
     _smoothing_symbol,
     field_from_half,
+    rfft,
 )
 
 # error control: accept when err <= RTOL ||increment|| + ATOL ||state||; the

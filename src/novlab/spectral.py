@@ -22,7 +22,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 # The padded transforms run numpy.fft, which can write into a given array
-# (out=) and allocates without one; the field transforms run scipy.fft.
+# (out=) and allocates without one; the field transforms, the solver's
+# included, run scipy.fft.
 # Both are pocketfft and give the same bits.  Every transform is normalized
 # "forward", the half-spectrum convention, so no scaling pass follows it.
 from numpy.fft import irfft as _irfft_into, rfft as _rfft_into
@@ -218,18 +219,18 @@ def lp_norm(f: RealField, p) -> float:
 
 # -- dealiased products -------------------------------------------------------
 
-def _padded_values(half: np.ndarray, n: int, out=None) -> np.ndarray:
-    """Values on grid 2n of a half spectrum of grid n, zero-padded.
+def _padded_values(half: np.ndarray, n: int) -> np.ndarray:
+    """Values on grid 2n of a half spectrum of grid n, zero-padded, in a
+    fresh array.
 
     The original Nyquist bin splits evenly between +-n/2, which the padded
     half spectrum represents by halving it; that is done on a copy, so
     ``half`` is never modified.  The transform to 2n points pads the n/2 + 1
-    bins with zeros itself.  The values are written to ``out`` (2n floats)
-    when given, and else to a fresh array.
+    bins with zeros itself.
     """
     staged = np.array(half, dtype=complex)
     staged[n // 2] *= 0.5
-    return _irfft_into(staged, n=2 * n, norm="forward", out=out)
+    return _irfft_into(staged, n=2 * n, norm="forward")
 
 
 def _half_from_padded(values: np.ndarray, n: int, spectrum=None) -> np.ndarray:

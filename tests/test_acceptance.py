@@ -31,7 +31,7 @@ from novlab import (
 )
 from novlab.experiments import write_report_csv
 
-from conftest import fixed_step_states
+from helpers import fixed_step_states
 
 GRID_POINTS = 2**17
 LENGTH = 128.0

@@ -78,6 +78,8 @@ class TestParseArgs:
         (["study", "shorttime", "--dt", "1e-300"], "constraint violated: dt"),
         # below the floor of separation's horizon delta 2^-n_min = 3.1e-3
         (["study", "separation", "--dt", "1e-14"], "constraint violated: dt"),
+        # the step-cap rule runs before the time-ladder rule
+        (["study", "shorttime", "--t-final", "-1"], "t_final"),
     ])
     def test_invalid_config_writes_no_dump(self, argv, message, tmp_path, capsys):
         dump = tmp_path / "dump.conf"

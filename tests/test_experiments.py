@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,8 @@ from novlab import (
     DegenerateDataError,
     Grid,
     IllposedDataParams,
+    ScalingFit,
+    StudyReport,
     SystemState,
     UnresolvedSpectrumError,
     besov_norm,
@@ -38,7 +41,7 @@ from novlab.experiments import (
 )
 from novlab.littlewood_paley import _transport_block_norms
 
-from conftest import fixed_step_states, mode, random_field
+from helpers import fixed_step_states, mode, random_field
 
 
 class TestFitPowerlaw:
@@ -391,6 +394,46 @@ class TestInequalitiesStudy:
         v = random_band_limited_field(small_grid, rng)
         _pair_ratios(small_bank, u, v, BesovIndex(3.0, 2.0))
         assert counts == {"rfft": 13, "irfft": 14 + 2}
+
+
+@pytest.mark.parametrize("run,message", [
+    (lambda prm: study_block_scaling(replace(prm, s=300.0), range(4, 9)), "s = 300"),
+    (lambda prm: study_short_time(replace(prm, s=200.0), SHORT_TIMES), "s = 200"),
+    (lambda prm: study_short_time(prm, SHORT_TIMES, dt_cap=1e-300), "dt"),
+    (lambda prm: study_separation(replace(prm, s=200.0), range(5, 9)), "s = 200"),
+    (lambda prm: study_separation(prm, range(5, 9), dt_cap=1e-14), "dt"),
+    (lambda prm: study_inequalities(100, 0, s=400.0), "s = 400"),
+    (lambda prm: study_inequalities(100, -1), "seed"),
+], ids=["blockscale-s", "shorttime-s", "shorttime-dt", "separation-s", "separation-dt",
+        "inequalities-s", "inequalities-seed"])
+def test_studies_reject_bad_input_before_any_transform(run, message, medium_params,
+                                                       count_ffts):
+    counts = count_ffts()
+    with pytest.raises(ValueError, match=message):
+        run(medium_params)
+    assert counts == {"rfft": 0, "irfft": 0}
+
+
+@pytest.mark.parametrize("report", ["blockscale_report", "shorttime_report",
+                                    "separation_report", "inequalities_report"])
+def test_criteria_name_declared_tolerances(report, request):
+    # the benchmark's reference gate looks up every tol_* a criterion names
+    report = request.getfixturevalue(report)
+    for v in report.verdicts:
+        for key in re.findall(r"tol_(\w+)", v.criterion):
+            assert key in report.tolerances, (v.name, key)
+
+
+def test_judges_read_declared_tolerances():
+    report = StudyReport("t", {}, {"r2_min": 0.99, "slope": 0.1}, ["n"], [])
+    report.judge("above", 0.995, "r2", ">=", "r2_min")
+    report.judge("below", 0.995, "r2", "<=", "r2_min")
+    report.judge_slope("near", ScalingFit(-1.05, 0.0, 1.0, ()), -1.0, "slope")
+    report.judge_slope("far", ScalingFit(-1.15, 0.0, 1.0, ()), -1.0, "slope")
+    assert [(v.passed, v.criterion) for v in report.verdicts] == [
+        (True, "r2 >= tol_r2_min"), (False, "r2 <= tol_r2_min"),
+        (True, "slope within -1 +- tol_slope"), (False, "slope within -1 +- tol_slope"),
+    ]
 
 
 class TestReportSerialization:

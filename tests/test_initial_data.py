@@ -24,7 +24,7 @@ from novlab import (
 from novlab.initial_data import BUMP_CUTOFF, bump_profile
 from novlab.spectral import _half_phase, field_from_half, half_spectrum
 
-from conftest import LAMBDA, coefficients
+from helpers import LAMBDA, coefficients
 
 
 class TestBumpProfile:

@@ -34,7 +34,7 @@ from novlab.littlewood_paley import (
 )
 from novlab.spectral import _derivative_symbol, _padded_values, field_from_half, half_spectrum
 
-from conftest import LAMBDA, mode, random_field
+from helpers import LAMBDA, mode, random_field
 
 LAMBDAS = (67.0 / 48.0, 68.0 / 48.0, 69.0 / 48.0)
 

@@ -29,7 +29,7 @@ from novlab import solver
 from novlab.solver import StepSizeError, _ShellNorm
 from novlab.spectral import _bin_energy
 
-from conftest import LAMBDA, composed_rhs, fixed_step_states, mode
+from helpers import LAMBDA, composed_rhs, fixed_step_states, mode
 
 
 def _zero(grid):
