@@ -11,6 +11,7 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import experiments
 from .experiments import (
@@ -24,6 +25,7 @@ from .experiments import (
     DEFAULT_SEED,
     DEFAULT_CORPUS_SIZE,
     DEFAULT_INEQUALITY_GRID,
+    DEFAULT_T_MAX,
     write_study,
 )
 from .fieldio import save_field
@@ -53,7 +55,7 @@ class RunConfig:
     grid_points: int = DEFAULT_GRID_POINTS
     domain_length: float = DEFAULT_DOMAIN_LENGTH
     dt: float | None = None
-    t_final: float = 1e-2
+    t_final: float = DEFAULT_T_MAX
     delta: float = DEFAULT_DELTA
     n_min: int = DEFAULT_N_RANGE[0]
     n_max: int = DEFAULT_N_RANGE[1]
@@ -82,7 +84,9 @@ class RunConfig:
 
     @classmethod
     def file_values(cls, path) -> dict:
-        known = {f.name: f.type for f in fields(cls)}
+        """The settings of a key=value file, each parsed as its field's type."""
+        # every field is int, float or str, optionally None
+        types = {k: (get_args(t) or (t,))[0] for k, t in get_type_hints(cls).items()}
         out = {}
         with open(path) as fh:
             for line in fh:
@@ -91,26 +95,15 @@ class RunConfig:
                     continue
                 key, sep, val = line.partition("=")
                 key = key.strip()
-                if key not in known:
+                if key not in types:
                     raise ValueError(f"unknown config key {key!r}")
                 if not sep:
                     raise ValueError(f"config key {key!r} has no value: expected {key}=value")
-                out[key] = val.strip()
+                try:
+                    out[key] = types[key](val.strip())
+                except ValueError as exc:
+                    raise ValueError(f"config key {key!r}: {exc}") from None
         return out
-
-
-_INT_KEYS = {"num_terms", "grid_points", "n_min", "n_max", "seed", "corpus_size"}
-_STR_KEYS = {"command", "study_name", "output_path"}
-
-
-def _coerce(key, val):
-    if val is None:
-        return None
-    if key in _STR_KEYS:
-        return str(val)
-    if key in _INT_KEYS:
-        return int(val)
-    return float(val)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"cap on the error-controlled time step, at least "
                         f"{MIN_STEP_FRACTION:g} of the horizon (default: no cap)")
         sp.add_argument("--t-final", type=float, default=None,
-                        help="integration horizon (default 1e-2)")
+                        help=f"integration horizon (default {DEFAULT_T_MAX:g})")
         sp.add_argument("--delta", type=float, default=None,
                         help=f"separation scale in (0,1) (default {DEFAULT_DELTA})")
         sp.add_argument("--n-min", type=int, default=None,
@@ -172,21 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> RunConfig:
     """Flags override config-file values override documented defaults."""
     ns = build_parser().parse_args(argv)
-    values = {}
-    if ns.config:
-        values.update(RunConfig.file_values(ns.config))
-    for key in values.copy():
-        try:
-            values[key] = _coerce(key, values[key])
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
+    values = RunConfig.file_values(ns.config) if ns.config else {}
     for f in fields(RunConfig):
         flag_val = getattr(ns, f.name, None)
         if flag_val is not None:
-            values[f.name] = _coerce(f.name, flag_val)
-    values["command"] = ns.command
-    if getattr(ns, "study_name", None):
-        values["study_name"] = ns.study_name
+            values[f.name] = flag_val
     if values.get("command") == "study" and values.get("study_name") == "inequalities":
         # the corpora live on a small grid unless one is requested explicitly
         values.setdefault("grid_points", DEFAULT_INEQUALITY_GRID[0])

@@ -50,6 +50,7 @@ DEFAULT_P = 2.0
 DEFAULT_NUM_TERMS = 12
 DEFAULT_N_RANGE = (5, 11)
 DEFAULT_DELTA = 0.1
+DEFAULT_T_MAX = 1e-2  # the horizon of solve and of the shorttime ladder
 
 
 def time_ladder(t_max: float) -> tuple:
@@ -57,7 +58,7 @@ def time_ladder(t_max: float) -> tuple:
     return tuple(t_max * 2.0**-k for k in range(6))
 
 
-DEFAULT_TIMES = time_ladder(1e-2)
+DEFAULT_TIMES = time_ladder(DEFAULT_T_MAX)
 DEFAULT_SEED = 2026
 DEFAULT_CORPUS_SIZE = 100
 DEFAULT_INEQUALITY_GRID = (2**12, 64.0)  # grid points and domain length of the corpora
@@ -614,19 +615,12 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     bank = build_filter_bank(grid)
 
     rows = []
-    maxima = {}
     for corpus, corpus_seed in (("A", seed), ("B", seed + 1)):
         rng = np.random.default_rng(corpus_seed)
-        ratios = {"product_law": [], "commutator": [], "smoothing": []}
         for i in range(corpus_size):
             u = random_band_limited_field(grid, rng)
             v = random_band_limited_field(grid, rng)
-            r_prod, r_comm, r_smooth = _pair_ratios(bank, u, v, idx)
-            ratios["product_law"].append(r_prod)
-            ratios["commutator"].append(r_comm)
-            ratios["smoothing"].append(r_smooth)
-            rows.append((i, corpus, r_prod, r_comm, r_smooth))
-        maxima[corpus] = {k: max(v) for k, v in ratios.items()}
+            rows.append((i, corpus, *_pair_ratios(bank, u, v, idx)))
 
     report = StudyReport(
         study_name="inequalities",
@@ -643,8 +637,8 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
                  "ratio_smoothing"],
         rows=rows,
     )
-    for family in ("product_law", "commutator", "smoothing"):
-        a, b = maxima["A"][family], maxima["B"][family]
+    for col, family in enumerate(("product_law", "commutator", "smoothing"), start=2):
+        a, b = (max(row[col] for row in rows if row[1] == corpus) for corpus in "AB")
         finite = math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0
         spread = max(a / b, b / a) if finite else math.inf
         report.add_verdict(

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -143,33 +142,23 @@ class SolverConfig:
             raise ValueError("s must be finite")
 
 
+def _new_pool() -> None:
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="novlab-fft")
+
+
 # The worker thread that runs one transform of each of the kernel's pairs,
-# and the process that started it: a forked child inherits the executor but
-# not its thread, so it starts its own.
-_pool: ThreadPoolExecutor | None = None
-_pool_pid: int | None = None
-_pool_lock = threading.Lock()
+# started on the first submit.  A forked child inherits the executor but not
+# its thread, so the child gets a new executor before any of its code runs.
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _worker() -> ThreadPoolExecutor | None:
-    """This process's worker, started on first use; None when the process
-    may use only one CPU."""
-    global _pool, _pool_pid
-    # on one CPU the worker could only take turns with the caller: its
-    # hand-offs made a 2^14 separation study about 7 % slower than inline
-    if _usable_cpus() < 2:
-        return None
-    with _pool_lock:
-        if _pool_pid != os.getpid():
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="novlab-fft")
-            _pool_pid = os.getpid()
-        return _pool
 
 
 def _pair(f, g) -> None:
@@ -179,12 +168,13 @@ def _pair(f, g) -> None:
     numpy's transforms release the GIL, so two of them overlap.  Returns
     once both are done, and an exception of either reaches the caller.
     """
-    pool = _worker()
-    if pool is None:
+    # on one CPU the worker could only take turns with the caller: its
+    # hand-offs made a 2^14 separation study about 7 % slower than inline
+    if _usable_cpus() < 2:
         f()
         g()
         return
-    future = pool.submit(f)
+    future = _pool.submit(f)
     try:
         g()
     finally:

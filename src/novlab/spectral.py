@@ -210,8 +210,6 @@ def lp_norm(f: RealField, p) -> float:
     a = np.abs(f.values)
     if math.isinf(p):
         return float(np.max(a))
-    if p == 1.0:
-        return float(f.grid.spacing * np.sum(a))
     if p == 2.0:
         return float(math.sqrt(f.grid.spacing * np.sum(a * a)))
     return float((f.grid.spacing * np.sum(a**p)) ** (1.0 / p))

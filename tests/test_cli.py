@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import pytest
 
@@ -157,6 +159,21 @@ class TestParseArgs:
         cfg = parse_args(argv)
         reloaded = parse_args(kind + ["--config", str(dump)])
         assert reloaded == cfg
+
+    def test_config_values_take_their_field_types(self, tmp_path):
+        # == cannot tell 8 from 8.0, so the round trip alone would not catch
+        # an int setting read back as a float
+        dump = tmp_path / "dump.conf"
+        parse_args(["study", "shorttime", "--p", "inf", "--num-terms", "9", "--seed", "7",
+                    "--dt", "1e-3", "--output", str(tmp_path / "out"),
+                    "--dump-config", str(dump)])
+        cfg = parse_args(["study", "shorttime", "--config", str(dump)])
+        types = get_type_hints(RunConfig)
+        for f in fields(RunConfig):
+            value = getattr(cfg, f.name)
+            if value is not None:
+                assert type(value) is (get_args(types[f.name]) or (types[f.name],))[0], f.name
+        assert cfg.num_terms == 9 and cfg.seed == 7 and cfg.p == math.inf
 
     def test_corpus_grid_with_nonzero_commutators_is_accepted(self):
         # Nyquist 2.57: the corpus products reach past the low-pass plateau

@@ -1,6 +1,6 @@
 import math
 import os
-import sys
+import signal
 import threading
 import time
 import tracemalloc
@@ -460,17 +460,21 @@ class TestPairedKernel:
     def test_threaded_and_inline_give_the_same_bits(self, medium_data, monkeypatch):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         y = solver._spectra(st)
-        worker = solver._worker
+        submit, rhs_half = solver._pool.submit, solver._rhs_half
         runs = {}
         for usable in ({0, 1}, {0}):
-            workers = []
+            submits, rhs_calls = [], []
             _see_cpus(monkeypatch, usable)
-            monkeypatch.setattr(solver, "_worker", lambda: workers.append(worker()) or workers[-1])
+            monkeypatch.setattr(solver._pool, "submit",
+                                lambda f: submits.append(f) or submit(f))
+            monkeypatch.setattr(solver, "_rhs_half",
+                                lambda *a: rhs_calls.append(a) or rhs_half(*a))
             rate = solver._rhs_half(y, solver._Workspace(st.grid))
             traj = integrate(st, SolverConfig(t_final=3e-4, dt=1e-4))
             runs[len(usable)] = (rate, traj)
-            # every pair ran on the worker, or every pair inline
-            assert workers and all((w is not None) == (len(usable) == 2) for w in workers)
+            # one transform of each of the 4 pairs on the worker, or none
+            assert len(rhs_calls) > 1
+            assert len(submits) == (4 * len(rhs_calls) if len(usable) == 2 else 0)
         (rate2, traj2), (rate1, traj1) = runs[2], runs[1]
         assert len(traj1.errors) == 3
         assert rate2.tobytes() == rate1.tobytes()
@@ -518,35 +522,31 @@ class TestPairedKernel:
             solver._pair(slow, boom)
         assert done == [True]
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_forked_child_starts_its_own_worker(self, monkeypatch):
-        # a forked child inherits the recorded pid of its parent; its first
-        # callers, however many at once, start one new worker between them
+        # the child inherits the executor but not its thread: the at-fork
+        # hook gives it a new executor, whose thread runs the child's pairs
         _see_cpus(monkeypatch, {0, 1})
         solver._pair(lambda: None, lambda: None)
-        old = solver._pool
-        monkeypatch.setattr(solver, "_pool_pid", -1)
-        ran_on, pools = [], []
-
-        def first_caller():
-            pools.append(solver._worker())
-            solver._pair(lambda: ran_on.append(threading.current_thread().name), lambda: None)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=first_caller) for _ in range(8)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-            old.shutdown(wait=True)
-        assert not any(t.is_alive() for t in callers)
-        assert solver._pool_pid == os.getpid()
-        assert len(pools) == 8 and all(p is solver._pool for p in pools)
-        assert solver._pool is not old
-        assert len(ran_on) == 8 and all(name.startswith("novlab-fft") for name in ran_on)
+        parent_pool = solver._pool
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                # a child whose pair never runs dies of the alarm, not hangs
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(30)
+                ran_on = []
+                solver._pair(lambda: ran_on.append(threading.current_thread()), lambda: None)
+                pool = solver._pool
+                ok = (pool is not parent_pool and len(ran_on) == 1
+                      and ran_on[0].name.startswith("novlab-fft") and ran_on[0] in pool._threads)
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert solver._pool is parent_pool
         assert len(_fft_threads()) == 1
 
 

@@ -208,6 +208,10 @@ class TestLpNorm:
         f = random_field(small_grid, seed=12)
         assert lp_norm(2.0 * f, p) == 2.0 * lp_norm(f, p)
 
+    def test_p1_norm_is_the_plain_quadrature(self, small_grid):
+        f = random_field(small_grid, seed=15)
+        assert lp_norm(f, 1) == small_grid.spacing * np.sum(np.abs(f.values))
+
     def test_homogeneity_general(self, small_grid):
         f = random_field(small_grid, seed=13)
         c = -1.7
