@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .littlewood_paley import (
     _transport_block_norms,
     weighted_block_norms,
 )
-from .solver import SolverConfig, SystemState, integrate, rhs
+from .solver import SolverConfig, SystemState, _pair, integrate, rhs
 from .spectral import (
     Grid,
     RealField,
@@ -614,13 +615,20 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     idx = BesovIndex(s, p)
     bank = build_filter_bank(grid)
 
-    rows = []
-    for corpus, corpus_seed in (("A", seed), ("B", seed + 1)):
+    def corpus(rows, name, corpus_seed):
         rng = np.random.default_rng(corpus_seed)
         for i in range(corpus_size):
             u = random_band_limited_field(grid, rng)
             v = random_band_limited_field(grid, rng)
-            rows.append((i, corpus, *_pair_ratios(bank, u, v, idx)))
+            rows.append((i, name, *_pair_ratios(bank, u, v, idx)))
+
+    # B runs on the solver's worker thread while A runs here, or after A on
+    # one CPU.  The corpora share only read-only inputs (the bank, the grid,
+    # whose frequencies the bank has cached, and idx) and each draws from its
+    # own generator, so the rows are the same bits either way.
+    rows_a, rows_b = [], []
+    _pair(partial(corpus, rows_b, "B", seed + 1), partial(corpus, rows_a, "A", seed))
+    rows = rows_a + rows_b
 
     report = StudyReport(
         study_name="inequalities",

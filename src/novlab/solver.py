@@ -31,7 +31,9 @@ process may use a second CPU, one transform of each pair runs on a worker
 thread that the process starts on first use, and the other on the caller;
 with one CPU both run inline.  numpy's transforms release the GIL, and a
 transform's bits do not depend on the thread that computed it, so the
-result is the same either way.
+result is the same either way.  The same worker, through the same rule
+(``_pair``), runs one of the inequality study's two corpora while the
+caller runs the other.
 
 The kernel and the step work in a private workspace (``_Workspace``): the
 symbols; one pair of padded forward spectra, whose leading half-spectrum
@@ -147,9 +149,11 @@ def _new_pool() -> None:
     _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="novlab-fft")
 
 
-# The worker thread that runs one transform of each of the kernel's pairs,
-# started on the first submit.  A forked child inherits the executor but not
-# its thread, so the child gets a new executor before any of its code runs.
+# The worker thread that runs the first function of each ``_pair``: one
+# transform of each of the kernel's pairs, or one of the inequality study's
+# corpora; started on the first submit.  A forked child inherits the
+# executor but not its thread, so the child gets a new executor before any
+# of its code runs.
 _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
@@ -165,8 +169,12 @@ def _pair(f, g) -> None:
     """Run f on the worker thread and g on the caller, or both inline when
     the process may use only one CPU; f and g must write disjoint buffers.
 
-    numpy's transforms release the GIL, so two of them overlap.  Returns
-    once both are done, and an exception of either reaches the caller.
+    f must not itself call ``_pair``: there is one worker, so a nested call
+    would wait on itself.  The kernel's transforms and the inequality
+    study's corpus function (which calls no solver code) keep to that.
+    numpy's and scipy's transforms release the GIL, so two of them overlap.
+    Returns once both are done, and an exception of either reaches the
+    caller.
     """
     # on one CPU the worker could only take turns with the caller: its
     # hand-offs made a 2^14 separation study about 7 % slower than inline

@@ -7,7 +7,7 @@ import pytest
 
 from novlab import Grid, IllposedDataParams, build_filter_bank, build_initial_data
 
-from helpers import LAMBDA
+from helpers import LAMBDA, see_cpus
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +39,11 @@ def medium_params(medium_grid):
 @pytest.fixture(scope="session")
 def medium_data(medium_params):
     return build_initial_data(medium_params)
+
+
+@pytest.fixture(params=[{0, 1}, {0}], ids=["threaded", "inline"])
+def cpus(request, monkeypatch):
+    see_cpus(monkeypatch, request.param)
 
 
 @pytest.fixture

@@ -1,11 +1,14 @@
 """Plain test helpers: the data modulation, grid modes, seeded random fields,
-a term-by-term RHS and fixed-step RK4 states.
+a term-by-term RHS, fixed-step RK4 states, and the CPUs and worker threads
+that ``solver._pair`` sees.
 
 They live apart from conftest.py so that a test module can import them by a
 name no other collected directory shares.
 """
 
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -80,3 +83,14 @@ def fixed_step_states(state0, dt, checkpoints):
         step = replace(step, state=state)
         states.append(state)
     return states
+
+
+def see_cpus(monkeypatch, usable):
+    """Make the process see the CPUs ``usable``: with two, ``solver._pair``
+    runs its first function on the worker thread, with one inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+
+
+def fft_threads():
+    """The live worker threads of ``solver._pair``."""
+    return [t for t in threading.enumerate() if t.name.startswith("novlab-fft")]

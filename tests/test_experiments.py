@@ -32,7 +32,7 @@ from novlab import (
     triple_product,
     write_study,
 )
-from novlab import experiments
+from novlab import experiments, solver
 from novlab.experiments import (
     CONTROL_AMPLITUDE,
     _pair_ratios,
@@ -41,7 +41,7 @@ from novlab.experiments import (
 )
 from novlab.littlewood_paley import _transport_block_norms
 
-from helpers import fixed_step_states, mode, random_field
+from helpers import fft_threads, fixed_step_states, mode, random_field, see_cpus
 
 
 class TestFitPowerlaw:
@@ -311,6 +311,23 @@ class TestInequalitiesStudy:
     def test_deterministic_given_seed(self, inequalities_report):
         again = study_inequalities(corpus_size=100, seed=11)
         assert again.rows == inequalities_report.rows
+
+    def test_threaded_and_inline_give_the_same_corpus(self, monkeypatch):
+        # corpus B runs on the solver's worker thread when a second CPU is
+        # usable, and after corpus A on the caller when not
+        grid = Grid(2**9, 64.0)
+        submit = solver._pool.submit
+        runs = {}
+        for usable in ({0, 1}, {0}):
+            submits = []
+            see_cpus(monkeypatch, usable)
+            monkeypatch.setattr(solver._pool, "submit",
+                                lambda f: submits.append(f) or submit(f))
+            runs[len(usable)] = study_inequalities(corpus_size=100, seed=5, grid=grid).rows
+            assert len(submits) == (1 if len(usable) == 2 else 0)
+            assert len(fft_threads()) <= 1
+        assert [r[:2] for r in runs[2]] == [(i, c) for c in "AB" for i in range(100)]
+        assert runs[2] == runs[1]
 
     def test_rejects_small_corpus(self):
         with pytest.raises(ValueError):

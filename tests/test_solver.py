@@ -29,7 +29,7 @@ from novlab import solver
 from novlab.solver import StepSizeError, _ShellNorm
 from novlab.spectral import _bin_energy
 
-from helpers import LAMBDA, composed_rhs, fixed_step_states, mode
+from helpers import LAMBDA, composed_rhs, fft_threads, fixed_step_states, mode, see_cpus
 
 
 def _zero(grid):
@@ -441,21 +441,6 @@ class TestWorkspace:
             assert np.array_equal(a, b)
 
 
-def _see_cpus(monkeypatch, usable):
-    """Make the process see the CPUs ``usable``: with two the kernel's pairs
-    run on the worker thread, with one inline."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
-
-
-@pytest.fixture(params=[{0, 1}, {0}], ids=["threaded", "inline"])
-def cpus(request, monkeypatch):
-    _see_cpus(monkeypatch, request.param)
-
-
-def _fft_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("novlab-fft")]
-
-
 class TestPairedKernel:
     def test_threaded_and_inline_give_the_same_bits(self, medium_data, monkeypatch):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
@@ -464,7 +449,7 @@ class TestPairedKernel:
         runs = {}
         for usable in ({0, 1}, {0}):
             submits, rhs_calls = [], []
-            _see_cpus(monkeypatch, usable)
+            see_cpus(monkeypatch, usable)
             monkeypatch.setattr(solver._pool, "submit",
                                 lambda f: submits.append(f) or submit(f))
             monkeypatch.setattr(solver, "_rhs_half",
@@ -486,7 +471,7 @@ class TestPairedKernel:
     def test_eight_padded_transforms_per_evaluation(self, medium_data, monkeypatch,
                                                      count_ffts):
         # inline, so that the counts are not updated from two threads
-        _see_cpus(monkeypatch, {0})
+        see_cpus(monkeypatch, {0})
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         y = solver._spectra(st)
         counts = count_ffts()
@@ -499,7 +484,7 @@ class TestPairedKernel:
         for _ in range(2):
             integrate(st, SolverConfig(t_final=1e-2))
         assert threading.active_count() <= before + 1
-        assert len(_fft_threads()) <= 1
+        assert len(fft_threads()) <= 1
 
     def test_worker_exception_reaches_the_caller(self, cpus):
         def boom():
@@ -527,7 +512,7 @@ class TestPairedKernel:
     def test_forked_child_starts_its_own_worker(self, monkeypatch):
         # the child inherits the executor but not its thread: the at-fork
         # hook gives it a new executor, whose thread runs the child's pairs
-        _see_cpus(monkeypatch, {0, 1})
+        see_cpus(monkeypatch, {0, 1})
         solver._pair(lambda: None, lambda: None)
         parent_pool = solver._pool
         pid = os.fork()
@@ -547,7 +532,7 @@ class TestPairedKernel:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
         assert solver._pool is parent_pool
-        assert len(_fft_threads()) == 1
+        assert len(fft_threads()) == 1
 
 
 def _invariants(grid, y):
