@@ -37,7 +37,6 @@ from .spectral import (
     RealField,
     _derivative_symbol,
     _half_from_padded,
-    _padded_values,
     _smoothing_symbol,
     field_from_half,
     half_spectrum,
@@ -544,25 +543,25 @@ def _pair_ratios(bank: LPFilterBank, u: RealField, v: RealField,
             / (||u_x||_inf ||v||_{B^s} + ||v_x||_inf ||u||_{B^s}),
         ||(1-dxx)^-1 u||_{B^s} / ||u||_{B^(s-2)}.
 
+    Precondition: u and v lie below Nyquist/2 (the corpus lies below
+    CORPUS_BAND = 1/4 of it).  Then uv, u v_x and u block_j(v_x) lie below
+    Nyquist, so the grid's n samples hold them without aliasing, and every
+    product is formed on the grid from the values of u, without padding.
     Each field is transformed once, and its block sequence is weighted for
-    all three indices.  uv (dealiased) and (1-dxx)^-1 u are measured from
-    their half spectra, and the padded u serves the product and the
-    commutator sweep.
+    all three indices; uv and (1-dxx)^-1 u are measured from their half
+    spectra.
     """
     grid = bank.grid
-    n = grid.num_points
     p = idx.p
     w2, w1, w0 = (_block_weights(bank, s) for s in (idx.s - 2, idx.s - 1, idx.s))
     hu, hv = half_spectrum(u), half_spectrum(v)
     norms_u, norms_v = _block_norms(bank, hu, p), _block_norms(bank, hv, p)
-    u_pad = _padded_values(hu, n)
-    uv = _padded_values(hv, n)
-    uv *= u_pad
-    norms_uv = _block_norms(bank, _half_from_padded(uv, n), p)
+    huv = _half_from_padded(u.values * v.values, grid.num_points)
+    norms_uv = _block_norms(bank, huv, p)
     norms_gu = _block_norms(bank, _smoothing_symbol(grid) * hu, p)
     d = _derivative_symbol(grid)
     hvx = d * hv
-    comm = _commutator_block_norms(bank, hvx, u_pad, p)
+    comm = _commutator_block_norms(bank, hvx, u.values, p)
     sup_ux = lp_norm(field_from_half(grid, d * hu), math.inf)
     sup_vx = lp_norm(field_from_half(grid, hvx), math.inf)
 
@@ -609,7 +608,9 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
 
     The inequalities hold with non-constructive constants, so the verdict is
     that each family's max ratio is finite and agrees between the corpora
-    within a factor of two.
+    within a factor of two.  Corpus fields lie below CORPUS_BAND * Nyquist,
+    so each pair's products are formed on the corpus grid itself, without
+    padding (see ``_pair_ratios``).
     """
     grid = check_inequalities(corpus_size, seed, grid, s, p)
     idx = BesovIndex(s, p)

@@ -28,6 +28,7 @@ from .spectral import (
     _check_same_grid,
     _derivative_symbol,
     _half_from_padded,
+    _irfft_into,
     _padded_values,
     _support_bins,
     field_from_half,
@@ -250,33 +251,41 @@ def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex,
     return float(np.max(weighted_block_norms(bank, f, idx, check_resolved)))
 
 
-def _padded_block_products(bank: LPFilterBank, w_pad: np.ndarray, half: np.ndarray,
+def _padded_block_products(bank: LPFilterBank, w_values: np.ndarray, half: np.ndarray,
                            blocks, symbol=None):
-    """Half spectra of w g_j, dealiased, for each j in ``blocks``: ``w_pad``
-    holds the padded values of w, and g_j has the half spectrum ``symbol``
-    (when given) times block j of ``half``.  Each block costs one padded
-    inverse and one forward transform."""
+    """Half spectra of w g_j, dealiased, for each j in ``blocks``: ``w_values``
+    holds the values of w on the product grid, whose size m >= n is the
+    length of ``w_values``, and g_j has the half spectrum ``symbol`` (when
+    given) times block j of ``half``.  Each g_j must have a zero Nyquist
+    bin, as every derivative has, so lifting it to m points is one plain
+    inverse transform: at m = 2n the bits of ``_padded_values``, whose
+    Nyquist halving has nothing to halve.  Each block costs one inverse and
+    one forward transform at m."""
     n = bank.grid.num_points
+    m = w_values.size
 
     def product(j):
         g = _block_half(bank, half, j)
         if symbol is not None:
             g *= symbol
-        prod = _padded_values(g, n)
-        prod *= w_pad
-        return _half_from_padded(prod, n)  # frees the padded temporaries
+        prod = _irfft_into(g, n=m, norm="forward")
+        prod *= w_values
+        return _half_from_padded(prod, n)  # frees the product-grid temporaries
 
     return map(product, blocks)
 
 
-def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_pad: np.ndarray, blocks):
+def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray, blocks):
     """Half spectra of [block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x),
     dealiased, for each j in ``blocks``.  The caller forms what does not
-    depend on j: the half spectrum ``hvx`` of v_x and the padded values
-    ``u_pad`` of u; the product u v_x is formed once."""
-    n = bank.grid.num_points
-    h_uvx = _half_from_padded(u_pad * _padded_values(hvx, n), n)
-    for j, u_block in zip(blocks, _padded_block_products(bank, u_pad, hvx, blocks)):
+    depend on j: the half spectrum ``hvx`` of v_x, whose Nyquist bin is
+    zero, and the values ``u_values`` of u on the product grid, whose size
+    is their length: the 2n padded values in general, or the n grid values
+    when u and v lie below Nyquist/2, where every product is alias-free on
+    the grid itself.  The product u v_x is formed once."""
+    n, m = bank.grid.num_points, u_values.size
+    h_uvx = _half_from_padded(u_values * _irfft_into(hvx, n=m, norm="forward"), n)
+    for j, u_block in zip(blocks, _padded_block_products(bank, u_values, hvx, blocks)):
         yield _block_half(bank, h_uvx, j) - u_block
 
 
@@ -308,11 +317,12 @@ def commutator(bank: LPFilterBank, j: int, u: RealField, v: RealField) -> RealFi
     return field_from_half(u.grid, half)
 
 
-def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, u_pad: np.ndarray,
+def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray,
                             p) -> np.ndarray:
     """The unweighted sequence ||[block_j, u] d/dx v||_Lp for j = -1 .. j_max,
-    in one sweep from the hoisted spectra of ``_commutator_halves``; p = 2
-    takes each norm by Parseval, other p on the grid."""
+    in one sweep from the hoisted v_x spectrum and u values of
+    ``_commutator_halves``, on the product grid the length of ``u_values``
+    gives; p = 2 takes each norm by Parseval, other p on the grid."""
     blocks = range(-1, bank.j_max + 1)
     return np.array([_half_lp_norm(bank.grid, half, p)
-                     for half in _commutator_halves(bank, hvx, u_pad, blocks)])
+                     for half in _commutator_halves(bank, hvx, u_values, blocks)])

@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules; plain helpers live in helpers.py."""
 
+import collections
 import sys
 
 import numpy as np
@@ -46,13 +47,22 @@ def cpus(request, monkeypatch):
     see_cpus(monkeypatch, request.param)
 
 
+class FFTCounts(dict):
+    """The rfft and irfft calls by kind; ``lengths`` counts them by the
+    length of the transform (an rfft's input, an irfft's output)."""
+
+    def __init__(self):
+        super().__init__(rfft=0, irfft=0)
+        self.lengths = collections.Counter()
+
+
 @pytest.fixture
 def count_ffts(monkeypatch):
     """Start counting the rfft and irfft calls made through any novlab module.
 
     Calling the returned function wraps, for the rest of the test, every
     binding of scipy's or numpy's ``rfft`` or ``irfft`` in a loaded novlab
-    module, under whatever name, and returns the dict of counts, which the
+    module, under whatever name, and returns the ``FFTCounts``, which the
     wrappers update in place.
     """
     import scipy.fft
@@ -61,7 +71,7 @@ def count_ffts(monkeypatch):
                   (np.fft.rfft, "rfft"), (np.fft.irfft, "irfft"))
 
     def start():
-        counts = {"rfft": 0, "irfft": 0}
+        counts = FFTCounts()
         for modname, module in list(sys.modules.items()):
             if modname.split(".")[0] != "novlab":
                 continue
@@ -72,7 +82,10 @@ def count_ffts(monkeypatch):
 
                 def counted(*args, _fn=fn, _kind=kind, **kwargs):
                     counts[_kind] += 1
-                    return _fn(*args, **kwargs)
+                    out = _fn(*args, **kwargs)
+                    signal = out if _kind == "irfft" else args[0]
+                    counts.lengths[np.shape(signal)[-1]] += 1
+                    return out
 
                 monkeypatch.setattr(module, name, counted)
         return counts

@@ -35,6 +35,7 @@ from novlab import (
 from novlab import experiments, solver
 from novlab.experiments import (
     CONTROL_AMPLITUDE,
+    CORPUS_BAND,
     _pair_ratios,
     random_band_limited_field,
     write_report_csv,
@@ -401,16 +402,18 @@ class TestInequalitiesStudy:
             _pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
 
     def test_pair_transform_count(self, small_grid, small_bank, count_ffts):
-        # the corpus grid has 9 blocks: 4 hoisted rffts, one per commutator
-        # block, and irffts for the padded u, v and v_x, the 9 blocks and
-        # sup|u_x|, sup|v_x|; the generator adds one irfft per field
+        # the corpus grid has 9 blocks: 4 hoisted rffts (u, v, uv, u v_x),
+        # one per commutator block, and irffts for v_x, the 9 blocks and
+        # sup|u_x|, sup|v_x|; the generator adds one irfft per field.  The
+        # corpus multiplies on its own grid, so no transform is padded
         assert small_bank.j_max + 2 == 9
         rng = np.random.default_rng(3)
         counts = count_ffts()
         u = random_band_limited_field(small_grid, rng)
         v = random_band_limited_field(small_grid, rng)
         _pair_ratios(small_bank, u, v, BesovIndex(3.0, 2.0))
-        assert counts == {"rfft": 13, "irfft": 14 + 2}
+        assert counts == {"rfft": 13, "irfft": 12 + 2}
+        assert counts.lengths == {small_grid.num_points: 13 + 14}
 
 
 @pytest.mark.parametrize("run,message", [
@@ -493,3 +496,16 @@ class TestRandomFieldGenerator:
         xi = small_grid.half_frequencies
         hi = np.abs(c[xi > 0.5 * small_grid.nyquist]).max()
         assert hi < 1e-12
+
+    def test_energy_above_corpus_band_is_roundoff(self, small_grid):
+        # the premise of forming the corpus products on the grid: fields
+        # below CORPUS_BAND = Nyquist/4 multiply to products below Nyquist
+        from novlab.spectral import _bin_energy, half_spectrum
+
+        rng = np.random.default_rng(0)
+        above = small_grid.half_frequencies > CORPUS_BAND * small_grid.nyquist
+        worst = 0.0
+        for _ in range(200):
+            e = _bin_energy(half_spectrum(random_band_limited_field(small_grid, rng)))
+            worst = max(worst, e[above].sum() / e.sum())
+        assert worst <= 1e-28

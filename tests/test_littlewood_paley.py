@@ -364,19 +364,31 @@ class TestCommutator:
         out = commutator(small_bank, 3, u, v)
         assert lp_norm(out, math.inf) < 1e-13
 
-    @pytest.mark.parametrize("p", [1, 2, math.inf])
-    def test_commutator_block_norms_match_per_block(self, small_grid, small_bank, p):
+    @pytest.mark.parametrize("p,on_grid", [
+        (1, False), (2, False), (math.inf, False), (1, True), (2, True), (math.inf, True),
+    ], ids=["1", "2", "inf", "on-grid-1", "on-grid-2", "on-grid-inf"])
+    def test_commutator_block_norms_match_per_block(self, small_grid, small_bank, p,
+                                                    on_grid):
+        # u and v lie below Nyquist/4, so the products may also be formed on
+        # the grid itself, from u's n values instead of its 2n padded ones
         u = random_field(small_grid, seed=34)
         v = random_field(small_grid, seed=35)
         idx = BesovIndex(3.0, p)
         hvx = _derivative_symbol(small_grid) * half_spectrum(v)
-        u_pad = _padded_values(half_spectrum(u), small_grid.num_points)
+        u_values = (u.values if on_grid
+                    else _padded_values(half_spectrum(u), small_grid.num_points))
         seq = _block_weights(small_bank, idx.s) * _commutator_block_norms(
-            small_bank, hvx, u_pad, p)
+            small_bank, hvx, u_values, p)
         direct = [
             2.0 ** (j * idx.s) * lp_norm(commutator(small_bank, j, u, v), p)
             for j in range(-1, small_bank.j_max + 1)
         ]
+        if on_grid:
+            # the products lie below Nyquist/2, under block j_max's ring, where
+            # both paths hold only roundoff, in different bits
+            assert RING_SUPPORT[0] * 2.0**small_bank.j_max > small_grid.nyquist / 2
+            assert max(seq[-1], direct[-1]) < 1e-12 * max(direct)
+            seq, direct = seq[:-1], direct[:-1]
         assert np.allclose(seq, direct, rtol=1e-12, atol=0)
 
     def test_matches_public_composition(self, small_grid, small_bank):
