@@ -29,11 +29,12 @@ from .spectral import (
     _derivative_symbol,
     _half_from_padded,
     _irfft_into,
+    _lp_rows,
     _padded_values,
     _support_bins,
     field_from_half,
     half_spectrum,
-    lp_norm,
+    irfft,
 )
 
 CHI_PLATEAU_END = 1.0
@@ -149,13 +150,14 @@ def build_filter_bank(grid: Grid) -> LPFilterBank:
 
 def _block_half(bank: LPFilterBank, half: np.ndarray, j: int) -> np.ndarray:
     """Half spectrum of block j (see ``dyadic_block``) of the field with half
-    spectrum ``half``; only the bins of the block's range are multiplied."""
+    spectrum ``half``, or of each field of a stack of half spectra along the
+    last axis; only the bins of the block's range are multiplied."""
     if j > bank.j_max:
         raise ValueError(f"block {j} exceeds resolved band j_max={bank.j_max}")
     out = np.zeros_like(half)
     if j >= -1:
         lo, hi, m = bank.blocks[j + 1]
-        out[lo:hi] = m * half[lo:hi]
+        out[..., lo:hi] = m * half[..., lo:hi]
     return out
 
 
@@ -174,30 +176,33 @@ UNRESOLVED_ENERGY_TOL = 1e-12
 
 def _check_resolved(bank: LPFilterBank, energy: np.ndarray) -> None:
     """Reject bin energies with more than UNRESOLVED_ENERGY_TOL of their total
-    above the bank's resolved band."""
-    total = float(np.sum(energy))
-    if total == 0.0:
-        return
+    above the bank's resolved band; each row of a stack is judged on its own
+    total, and a zero row passes."""
     end = bank.resolved_band_end()
-    hi = float(np.sum(energy[np.searchsorted(bank.grid.half_frequencies, end, "right"):]))
-    if hi > UNRESOLVED_ENERGY_TOL * total:
+    total = np.sum(energy, axis=-1)
+    hi = np.sum(energy[..., np.searchsorted(bank.grid.half_frequencies, end, "right"):],
+                axis=-1)
+    unresolved = np.flatnonzero(hi > UNRESOLVED_ENERGY_TOL * total)
+    if unresolved.size:
+        row = unresolved[0]
         raise UnresolvedSpectrumError(
-            f"fraction {hi/total:.2e} of the energy lies above frequency "
-            f"{end:g}; grid too coarse for this field"
+            f"fraction {np.ravel(hi)[row] / np.ravel(total)[row]:.2e} of the energy "
+            f"lies above frequency {end:g}; grid too coarse for this field"
         )
 
 
-def _parseval_l2(grid: Grid, energy: np.ndarray) -> float:
-    """L^2 norm of the field whose bin energies (``_bin_energy``) are given."""
-    return math.sqrt(grid.length * float(energy.sum()))
+def _parseval_l2(grid: Grid, energy: np.ndarray):
+    """L^2 norm of the field whose bin energies (``_bin_energy``) are given,
+    along the last axis."""
+    return np.sqrt(grid.length * np.sum(energy, axis=-1))
 
 
-def _half_lp_norm(grid: Grid, half: np.ndarray, p) -> float:
-    """L^p norm of the field with half spectrum ``half``: by Parseval for
-    p = 2, else on the grid after one inverse transform."""
+def _half_lp_norm(grid: Grid, half: np.ndarray, p):
+    """L^p norm of the field with half spectrum ``half``, along the last axis:
+    by Parseval for p = 2, else on the grid after one inverse transform."""
     if p == 2.0:
         return _parseval_l2(grid, _bin_energy(half))
-    return lp_norm(field_from_half(grid, half), p)
+    return _lp_rows(irfft(half, n=grid.num_points, norm="forward"), grid.spacing, p)
 
 
 def _block_weights(bank: LPFilterBank, s: float) -> np.ndarray:
@@ -209,15 +214,16 @@ def _block_weights(bank: LPFilterBank, s: float) -> np.ndarray:
 def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
                  check_resolved: bool = True) -> np.ndarray:
     """The unweighted sequence ||block_j f||_Lp for j = -1 .. j_max of the
-    field f with half spectrum ``half``; see ``weighted_block_norms``."""
+    field f with half spectrum ``half``, along a new last axis when ``half``
+    is a stack; see ``weighted_block_norms``."""
     energy = _bin_energy(half)
     if check_resolved:
         _check_resolved(bank, energy)
     if float(p) == 2.0:
-        return np.array([_parseval_l2(bank.grid, np.square(m) * energy[lo:hi])
-                         for lo, hi, m in bank.blocks])
-    return np.array([_half_lp_norm(bank.grid, _block_half(bank, half, j), p)
-                     for j in range(-1, bank.j_max + 1)])
+        return np.stack([_parseval_l2(bank.grid, np.square(m) * energy[..., lo:hi])
+                         for lo, hi, m in bank.blocks], axis=-1)
+    return np.stack([_half_lp_norm(bank.grid, _block_half(bank, half, j), p)
+                     for j in range(-1, bank.j_max + 1)], axis=-1)
 
 
 def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex,
@@ -255,14 +261,14 @@ def _padded_block_products(bank: LPFilterBank, w_values: np.ndarray, half: np.nd
                            blocks, symbol=None):
     """Half spectra of w g_j, dealiased, for each j in ``blocks``: ``w_values``
     holds the values of w on the product grid, whose size m >= n is the
-    length of ``w_values``, and g_j has the half spectrum ``symbol`` (when
-    given) times block j of ``half``.  Each g_j must have a zero Nyquist
-    bin, as every derivative has, so lifting it to m points is one plain
-    inverse transform: at m = 2n the bits of ``_padded_values``, whose
-    Nyquist halving has nothing to halve.  Each block costs one inverse and
-    one forward transform at m."""
+    length of its last axis, and g_j has the half spectrum ``symbol`` (when
+    given) times block j of ``half``; stacks of w and g run row by row.
+    Each g_j must have a zero Nyquist bin, as every derivative has, so
+    lifting it to m points is one plain inverse transform: at m = 2n the
+    bits of ``_padded_values``, whose Nyquist halving has nothing to halve.
+    Each block costs one inverse and one forward transform at m."""
     n = bank.grid.num_points
-    m = w_values.size
+    m = w_values.shape[-1]
 
     def product(j):
         g = _block_half(bank, half, j)
@@ -282,11 +288,13 @@ def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray
     zero, and the values ``u_values`` of u on the product grid, whose size
     is their length: the 2n padded values in general, or the n grid values
     when u and v lie below Nyquist/2, where every product is alias-free on
-    the grid itself.  The product u v_x is formed once."""
-    n, m = bank.grid.num_points, u_values.size
+    the grid itself.  Stacks of u values and v_x spectra along the last axis
+    run row by row.  The product u v_x is formed once, and each half is
+    written over u's block product."""
+    n, m = bank.grid.num_points, u_values.shape[-1]
     h_uvx = _half_from_padded(u_values * _irfft_into(hvx, n=m, norm="forward"), n)
     for j, u_block in zip(blocks, _padded_block_products(bank, u_values, hvx, blocks)):
-        yield _block_half(bank, h_uvx, j) - u_block
+        yield np.subtract(_block_half(bank, h_uvx, j), u_block, out=u_block)
 
 
 def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
@@ -322,7 +330,8 @@ def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, u_values: np.nd
     """The unweighted sequence ||[block_j, u] d/dx v||_Lp for j = -1 .. j_max,
     in one sweep from the hoisted v_x spectrum and u values of
     ``_commutator_halves``, on the product grid the length of ``u_values``
-    gives; p = 2 takes each norm by Parseval, other p on the grid."""
+    gives, along a new last axis for stacks; p = 2 takes each norm by
+    Parseval, other p on the grid."""
     blocks = range(-1, bank.j_max + 1)
-    return np.array([_half_lp_norm(bank.grid, half, p)
-                     for half in _commutator_halves(bank, hvx, u_values, blocks)])
+    return np.stack([_half_lp_norm(bank.grid, half, p)
+                     for half in _commutator_halves(bank, hvx, u_values, blocks)], axis=-1)

@@ -172,7 +172,10 @@ def _pair(f, g) -> None:
     f must not itself call ``_pair``: there is one worker, so a nested call
     would wait on itself.  The kernel's transforms and the inequality
     study's corpus function (which calls no solver code) keep to that.
-    numpy's and scipy's transforms release the GIL, so two of them overlap.
+    numpy's and scipy's transforms release the GIL, so two of them overlap;
+    so does most of a corpus, which runs its pairs in stacks of
+    ``experiments.CORPUS_CHUNK`` through transforms and array arithmetic,
+    so that the two corpora take less wall time threaded than inline.
     Returns once both are done, and an exception of either reaches the
     caller.
     """

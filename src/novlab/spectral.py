@@ -206,13 +206,20 @@ def _check_p(p) -> float:
 
 def lp_norm(f: RealField, p) -> float:
     """Grid quadrature of the L^p norm; p = inf gives the max norm."""
-    p = _check_p(p)
-    a = np.abs(f.values)
-    if math.isinf(p):
-        return float(np.max(a))
+    return float(_lp_rows(f.values, f.grid.spacing, _check_p(p)))
+
+
+def _lp_rows(values: np.ndarray, spacing: float, p: float) -> np.ndarray:
+    """``lp_norm`` of each row of ``values``: the grid quadrature along the
+    last axis, for a checked p."""
+    if math.isinf(p):  # max |values|, without an array of absolute values
+        return np.maximum(np.max(values, axis=-1), -np.min(values, axis=-1))
     if p == 2.0:
-        return float(math.sqrt(f.grid.spacing * np.sum(a * a)))
-    return float((f.grid.spacing * np.sum(a**p)) ** (1.0 / p))
+        return np.sqrt(spacing * np.sum(np.square(values), axis=-1))
+    sums = spacing * np.sum(np.abs(values) ** p, axis=-1)
+    # the root is taken one row at a time: numpy's vectorized power can
+    # differ from the scalar one in the last bit
+    return np.array([x ** (1.0 / p) for x in np.ravel(sums).tolist()]).reshape(sums.shape)
 
 
 # -- dealiased products -------------------------------------------------------
@@ -232,16 +239,17 @@ def _padded_values(half: np.ndarray, n: int) -> np.ndarray:
 
 
 def _half_from_padded(values: np.ndarray, n: int, spectrum=None) -> np.ndarray:
-    """Half spectrum on grid n of values on the padded grid 2n, truncated.
+    """Half spectrum on grid n of values on a grid m >= n (the padded grid
+    2n, or grid n itself), truncated, along the last axis.
 
-    With ``spectrum`` (n + 1 complex) the padded spectrum is written there
-    and the result is a view of its first n/2 + 1 bins, valid until the
-    buffer's next use; without it the result is a fresh array.
+    With ``spectrum`` (m/2 + 1 complex) the spectrum on grid m is written
+    there and the result is a view of its first n/2 + 1 bins, valid until
+    the buffer's next use; without it the result is a fresh array.
     """
-    half = _rfft_into(values, norm="forward", out=spectrum)[: n // 2 + 1]
-    if spectrum is None:
+    half = _rfft_into(values, norm="forward", out=spectrum)[..., : n // 2 + 1]
+    if spectrum is None and values.shape[-1] > n:
         half = half.copy()  # which does not keep the padded spectrum alive
-    half[-1] = 0.0  # discard the (unrepresentable) Nyquist content
+    half[..., -1] = 0.0  # discard the (unrepresentable) Nyquist content
     return half
 
 

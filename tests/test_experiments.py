@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,9 @@ from novlab import experiments, solver
 from novlab.experiments import (
     CONTROL_AMPLITUDE,
     CORPUS_BAND,
+    CORPUS_CHUNK,
     _pair_ratios,
+    _random_band_limited_values,
     random_band_limited_field,
     write_report_csv,
 )
@@ -203,6 +206,20 @@ class TestSeparationStudy:
         assert separation_report.verdict("control_collapses").passed
         assert separation_report.fits["control_trend"].slope <= -0.9
 
+    def test_separation_follows_the_first_order_term(self, separation_report):
+        # S_n against t_n (2^(n(s-1))||block_n v0|| + 2^(ns)||block_n w0||),
+        # the paper's leading term.  Measured here (n = 5..8, delta 0.1):
+        # sep_ratio 0.99999985-0.99999986, a spread max/min - 1 of 9.3e-9
+        # (2.2e-9 to 1.8e-8 over the lambda window), held to 1e-7; the
+        # distance from 1 is the O(delta^2) remainder and the floor
+        columns = separation_report.columns
+        assert columns[-2:] == ["sep_first_order", "sep_ratio"]
+        ratios = np.array([row[9] for row in separation_report.rows])
+        for row in separation_report.rows:
+            assert row[9] == row[2] / row[8]
+        assert ratios.max() / ratios.min() - 1 <= 1e-7
+        assert np.all(np.abs(ratios - 1) <= 1e-6)
+
     def test_delta_linearity_of_plateau(self, medium_params, separation_report):
         half = study_separation(medium_params, range(5, 9), delta=0.05, with_control=False)
         plateau_full = np.median([r[2] for r in separation_report.rows])
@@ -237,7 +254,7 @@ class TestSeparationStudy:
         # the per-horizon reference itself moves them by up to 1.4e-6 relative
         # between 64 and 1024 steps, so those columns are held to that floor
         for row, ref in zip(separation_report.rows, reference):
-            n, t_n, sep, full_rho, full_u, total, energy, control = row
+            n, t_n, sep, full_rho, full_u, total, energy, control = row[:8]
             assert (n, t_n) == ref[:2]
             assert (full_rho, energy, control) == pytest.approx(
                 (ref[3], ref[6], ref[7]), rel=1e-8, abs=0.0
@@ -302,6 +319,16 @@ def _per_horizon_separation_rows(params, n_range, delta):
     return rows
 
 
+def stack(*fields):
+    """The (k, n) stack of the fields' grid values that ``_pair_ratios`` takes."""
+    return np.array([f.values for f in fields])
+
+
+def pair_ratios(bank, u, v, idx):
+    """``_pair_ratios`` of the single pair (u, v), as a tuple of floats."""
+    return tuple(_pair_ratios(bank, stack(u), stack(v), idx)[0].tolist())
+
+
 class TestInequalitiesStudy:
     def test_all_ratio_families_bounded_and_stable(self, inequalities_report):
         assert inequalities_report.passed
@@ -351,7 +378,7 @@ class TestInequalitiesStudy:
 
     def test_equal_fields_give_positive_ratio(self, small_grid, small_bank):
         u = random_field(small_grid, seed=40)
-        r, _, _ = _pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
+        r, _, _ = pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
         assert math.isfinite(r) and r > 0
 
     def test_constant_v_gives_zero_commutator_ratio(self, small_grid, small_bank):
@@ -359,14 +386,14 @@ class TestInequalitiesStudy:
 
         u = random_field(small_grid, seed=41)
         v = RealField(small_grid, np.full(small_grid.num_points, 2.0))
-        _, r, _ = _pair_ratios(small_bank, u, v, BesovIndex(3.0, 2.0))
+        _, r, _ = pair_ratios(small_bank, u, v, BesovIndex(3.0, 2.0))
         assert r < 1e-10
 
     def test_smoothing_ratio_bounded_by_one_ish(self, small_grid, small_bank):
         u = random_field(small_grid, seed=42)
         # the multiplier never exceeds 1, and the Besov reweighting 2^(2j)
         # exactly offsets the ring decay of 1/(1+xi^2) up to ring constants
-        _, _, r = _pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
+        _, _, r = pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
         assert 0 < r < 3.0
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -391,29 +418,75 @@ class TestInequalitiesStudy:
                     + lp_norm(vx, math.inf) * besov(u, s)),
             besov(helmholtz_inverse(u), s) / besov(u, s - 2),
         )
-        got = _pair_ratios(bank, u, v, BesovIndex(s, p))
+        got = pair_ratios(bank, u, v, BesovIndex(s, p))
         assert np.allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_pair_guards_the_product(self, small_grid, small_bank):
         # u at xi = 98.2 is resolved, but u^2 puts half its energy at 196.3,
         # above the guard frequency 1.5 * 2^7 = 192 and below Nyquist 201
         u = mode(small_grid, 1000)
+        idx = BesovIndex(3.0, 2.0)
         with pytest.raises(UnresolvedSpectrumError):
-            _pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
+            pair_ratios(small_bank, u, u, idx)
+        # each row of a stack is judged on its own, wherever it sits
+        ok = random_field(small_grid, seed=43)
+        with pytest.raises(UnresolvedSpectrumError):
+            _pair_ratios(small_bank, stack(ok, ok, u), stack(ok, ok, u), idx)
+
+    def test_zero_row_gives_zero_ratios_and_spares_the_others(self, small_grid, small_bank):
+        # a zero u makes every denominator of its row zero: that row reads 0,
+        # without a warning, and the other rows keep the bits they get alone
+        rng = np.random.default_rng(12)
+        u = _random_band_limited_values(small_grid, rng, 3)
+        v = _random_band_limited_values(small_grid, rng, 3)
+        u[1] = 0.0
+        idx = BesovIndex(3.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _pair_ratios(small_bank, u, v, idx)
+        assert got[1].tolist() == [0.0, 0.0, 0.0]
+        for row in (0, 2):
+            alone = _pair_ratios(small_bank, u[row:row + 1], v[row:row + 1], idx)
+            assert np.array_equal(got[row], alone[0])
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_stacked_pairs_match_pairs_alone(self, small_grid, small_bank, p):
+        # every transform and reduction runs along the last axis, so a row of
+        # a stack gets the bits it gets alone
+        fields = _random_band_limited_values(small_grid, np.random.default_rng(13), 10)
+        u, v = fields[0::2], fields[1::2]
+        idx = BesovIndex(3.1 if p == 1.0 else 3.0, p)
+        got = _pair_ratios(small_bank, u, v, idx)
+        assert got.shape == (5, 3)
+        for row in range(5):
+            alone = _pair_ratios(small_bank, u[row:row + 1], v[row:row + 1], idx)
+            assert np.array_equal(got[row], alone[0])
+
+    @pytest.mark.parametrize("s,p", [(3.1, 1.0), (3.0, 2.0), (3.0, math.inf)])
+    def test_chunks_never_mix_rows(self, monkeypatch, s, p):
+        # 101 pairs leave the last chunk partial at any chunk size above 1
+        grid = Grid(2**9, 64.0)
+        assert 101 % CORPUS_CHUNK != 0
+        chunked = study_inequalities(corpus_size=101, seed=9, grid=grid, s=s, p=p)
+        monkeypatch.setattr(experiments, "CORPUS_CHUNK", 1)
+        one_by_one = study_inequalities(corpus_size=101, seed=9, grid=grid, s=s, p=p)
+        assert [r[:2] for r in chunked.rows] == [(i, c) for c in "AB" for i in range(101)]
+        assert chunked.rows == one_by_one.rows
 
     def test_pair_transform_count(self, small_grid, small_bank, count_ffts):
-        # the corpus grid has 9 blocks: 4 hoisted rffts (u, v, uv, u v_x),
-        # one per commutator block, and irffts for v_x, the 9 blocks and
-        # sup|u_x|, sup|v_x|; the generator adds one irfft per field.  The
-        # corpus multiplies on its own grid, so no transform is padded
+        # the corpus grid has 9 blocks.  A chunk of k pairs draws its 2k
+        # fields with one irfft and takes 13 rffts (u, v, uv, u v_x and one
+        # per commutator block) and 12 irffts (v_x, the 9 blocks, sup|u_x|
+        # and sup|v_x|), each on the whole stack, whatever k.  The corpus
+        # multiplies on its own grid, so no transform is padded
         assert small_bank.j_max + 2 == 9
         rng = np.random.default_rng(3)
         counts = count_ffts()
-        u = random_band_limited_field(small_grid, rng)
-        v = random_band_limited_field(small_grid, rng)
-        _pair_ratios(small_bank, u, v, BesovIndex(3.0, 2.0))
-        assert counts == {"rfft": 13, "irfft": 12 + 2}
-        assert counts.lengths == {small_grid.num_points: 13 + 14}
+        for chunks, k in enumerate((1, CORPUS_CHUNK), start=1):
+            fields = _random_band_limited_values(small_grid, rng, 2 * k)
+            _pair_ratios(small_bank, fields[0::2], fields[1::2], BesovIndex(3.0, 2.0))
+            assert counts == {"rfft": 13 * chunks, "irfft": (1 + 12) * chunks}
+            assert counts.lengths == {small_grid.num_points: (13 + 13) * chunks}
 
 
 @pytest.mark.parametrize("run,message", [
@@ -486,6 +559,15 @@ class TestReportSerialization:
 
 
 class TestRandomFieldGenerator:
+    def test_stack_matches_consecutive_fields(self, small_grid):
+        # one draw of k fields gives the bits, and leaves the generator in
+        # the state, of k consecutive random_band_limited_field calls
+        one, many = np.random.default_rng(21), np.random.default_rng(21)
+        fields = [random_band_limited_field(small_grid, one) for _ in range(5)]
+        values = _random_band_limited_values(small_grid, many, 5)
+        assert np.array_equal(values, stack(*fields))
+        assert one.bit_generator.state == many.bit_generator.state
+
     def test_band_limited_and_normalized(self, small_grid, small_bank):
         rng = np.random.default_rng(0)
         f = random_band_limited_field(small_grid, rng)
