@@ -32,7 +32,7 @@ from .littlewood_paley import (
     _transport_block_norms,
     weighted_block_norms,
 )
-from .solver import SolverConfig, SystemState, _pair, integrate, rhs
+from .solver import SolverConfig, SystemState, _pair, integrate
 from .spectral import (
     Grid,
     RealField,
@@ -353,15 +353,17 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
     state0 = SystemState(rho=data.rho, u=data.u)
+    # (v0, w0): the right-hand side at the data, which the integration hands
+    # over before its first step, or zero when ablated
+    first = []
     if ablate_first_variation:
         zero = RealField(params.grid, np.zeros(params.grid.num_points))
-        v0, w0 = zero, zero
-    else:
-        v0, w0 = rhs(state0)
+        first += [zero, zero]
 
     rows = []
 
     def expand(state):
+        v0, w0 = first
         t = state.time
         drho, du = state.rho - data.rho, state.u - data.u
         d1r = besov_norm(bank, drho, BesovIndex(s - 2, p))
@@ -372,7 +374,8 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
         d2u = besov_norm(bank, du - t * w0, BesovIndex(s - 2, p), check_resolved=False)
         rows.append((t, d1r, d1u, d2r, d2u))
 
-    traj = integrate(state0, config, checkpoints=times, visit=expand)
+    traj = integrate(state0, config, checkpoints=times, visit=expand,
+                     first_rate=None if ablate_first_variation else first.extend)
     fits = {
         "first_order_rho": fit_powerlaw([(r[0], r[1]) for r in rows], "loglog"),
         "first_order_u": fit_powerlaw([(r[0], r[2]) for r in rows], "loglog"),
@@ -449,8 +452,6 @@ def study_separation(params: IllposedDataParams, n_range=None,
     bank = build_filter_bank(params.grid)
     idx_rho, idx_u = BesovIndex(s - 1, p), BesovIndex(s, p)
     energy0 = besov_norm(bank, data.rho, idx_rho) + besov_norm(bank, data.u, idx_u)
-    v0, w0 = rhs(SystemState(rho=data.rho, u=data.u))
-    lead = weighted_block_norms(bank, v0, idx_rho) + weighted_block_norms(bank, w0, idx_u)
 
     horizon = {n: delta * 2.0**-n for n in n_list}
     band_at = {t_n: n for n, t_n in horizon.items()}
@@ -471,8 +472,12 @@ def study_separation(params: IllposedDataParams, n_range=None,
             separation[n] = (float(w_rho[n + 1] + w_u[n + 1]), float(np.max(w_rho)),
                              float(np.max(w_u)))
 
+    first = []  # (v0, w0): the right-hand side at the data, from the first step
     trajectories = [integrate(SystemState(rho=data.rho, u=data.u), cfg,
-                              checkpoints=set().union(*quarters.values()), visit=audit)]
+                              checkpoints=set().union(*quarters.values()), visit=audit,
+                              first_rate=first.extend)]
+    v0, w0 = first
+    lead = weighted_block_norms(bank, v0, idx_rho) + weighted_block_norms(bank, w0, idx_u)
     control_dist = dict.fromkeys(n_list, math.nan)
     if with_control:
         control = CONTROL_AMPLITUDE * build_bump(params.grid)

@@ -24,28 +24,34 @@ increment h/6 (k1 + 2 k2 + 2 k3 + k4) to the state values: neither the
 values nor the spectra ever take a transform round trip, whose roundoff the
 2^(js)-weighted Besov blocks and the error estimate would amplify.
 
-The kernel's transforms run as four pairs of independent ones: the inverse
-transforms of rho and u, then of u_x and rho_x, then the forward transforms
-of rho_t and of u^2 u_x, then of the two arguments of G.  When the
-process may use a second CPU, one transform of each pair runs on a worker
-thread that the process starts on first use, and the other on the caller;
-with one CPU both run inline.  numpy's transforms release the GIL, and a
-transform's bits do not depend on the thread that computed it, so the
-result is the same either way.  The same worker, through the same rule
-(``_pair``), runs one of the inequality study's two corpora while the
+The kernel runs in two phases of two independent halves each.  In the
+first, one half transforms rho and rho_x to the padded grid and the other
+u and u_x.  In the second, one half forms the local terms u^2 rho_x +
+rho u u_x and u^2 u_x and transforms them back; the other forms the two
+arguments of G, transforms them back and applies d/dx and G.  Each half
+writes only its own buffers, and u^2, which both need, is formed by each
+in the same way.  When the process may use a second CPU, one half of each
+phase runs on a worker thread that the process starts on first use, and
+the other on the caller; with one CPU both run inline.  numpy's
+transforms and array arithmetic release the GIL, and neither a
+transform's bits nor a product's depend on the thread that computed it,
+so the result is the same either way.  The same worker, through the same
+rule (``_pair``), runs one of the inequality study's two corpora while the
 caller runs the other.
 
 The kernel and the step work in a private workspace (``_Workspace``): the
-symbols; one pair of padded forward spectra, whose leading half-spectrum
-bins also stage the inputs of the inverse pairs (the padded inverse
-transform pads with zeros itself, so there is no padded half-spectrum
-buffer); the kernel's six padded value buffers, the first of which also
-takes the values of the step's increment; and the step's stage and
-stage-rate buffers.  ``integrate`` builds one per call and hands it from
-step to step inside the ``RK4Step`` it threads through ``step_rk4``; a
-step without a ``start`` builds its own.  What a step hands out (the new
-state's values and every array of its ``RK4Step``) is freshly allocated and
-never aliases the workspace, so a step allocates only its outputs.
+symbols; a pool of nine rows of 2n + 2 doubles, each of which holds padded
+values or, viewed as complex, a padded forward spectrum whose leading
+half-spectrum bins also stage the input of an inverse transform (the
+padded inverse transform pads with zeros itself, so there is no padded
+half-spectrum buffer); and the step's stage-rate buffer.  The first row
+also takes the values of the step's increment, and the last two its stage,
+which the kernel reads before it writes them.  ``integrate`` builds one
+per call and hands it from step to step inside the ``RK4Step`` it threads
+through ``step_rk4``; a step without a ``start`` builds its own.  What a
+step hands out (the new state's values and every array of its ``RK4Step``)
+is freshly allocated and never aliases the workspace, so a step allocates
+only its outputs.
 """
 
 from __future__ import annotations
@@ -150,7 +156,7 @@ def _new_pool() -> None:
 
 
 # The worker thread that runs the first function of each ``_pair``: one
-# transform of each of the kernel's pairs, or one of the inequality study's
+# half of each of the kernel's two phases, or one of the inequality study's
 # corpora; started on the first submit.  A forked child inherits the
 # executor but not its thread, so the child gets a new executor before any
 # of its code runs.
@@ -170,14 +176,14 @@ def _pair(f, g) -> None:
     the process may use only one CPU; f and g must write disjoint buffers.
 
     f must not itself call ``_pair``: there is one worker, so a nested call
-    would wait on itself.  The kernel's transforms and the inequality
-    study's corpus function (which calls no solver code) keep to that.
-    numpy's and scipy's transforms release the GIL, so two of them overlap;
-    so does most of a corpus, which runs its pairs in stacks of
-    ``experiments.CORPUS_CHUNK`` through transforms and array arithmetic,
-    so that the two corpora take less wall time threaded than inline.
-    Returns once both are done, and an exception of either reaches the
-    caller.
+    would wait on itself.  The kernel's halves and the inequality study's
+    corpus function (which calls no solver code) keep to that.  numpy's
+    and scipy's transforms and numpy's array arithmetic release the GIL, so
+    the kernel's halves overlap; so does most of a corpus, which runs its
+    pairs in stacks of ``experiments.CORPUS_CHUNK`` through transforms and
+    array arithmetic, so that the two corpora take less wall time threaded
+    than inline.  Returns once both are done, and an exception of either
+    reaches the caller.
     """
     # on one CPU the worker could only take turns with the caller: its
     # hand-offs made a 2^14 separation study about 7 % slower than inline
@@ -197,27 +203,28 @@ def _pair(f, g) -> None:
 class _Workspace:
     """The buffers that the kernel and the step reuse on one grid of n points.
 
-    ``d`` and ``g`` are the derivative and smoothing symbols.  ``spectrum``
-    holds a pair of padded forward spectra (n + 1 bins each); the first
-    n/2 + 1 bins of its rows also stage the half spectra that a pair of
-    padded inverse transforms reads, which pad with zeros themselves.
-    ``values`` holds the kernel's six padded value buffers; the step writes
-    the values of its increment to the first, viewed as (2, n), while no
-    kernel runs.  ``stage`` holds a stage's argument and then its weighted
-    rate, ``rate`` the stage rates k2, k3 and k4.
+    ``d`` and ``g`` are the derivative and smoothing symbols.  ``rows`` is a
+    pool of nine rows of 2n + 2 doubles.  A row holds padded values in
+    its first 2n doubles or, viewed as n + 1 complex numbers, a padded
+    forward spectrum, whose first n/2 + 1 bins also stage the half spectrum
+    that a padded inverse transform reads (it pads with zeros itself);
+    ``_rhs_half`` gives each row its parts.  The step writes the values of
+    its increment to the first 2n doubles of the first row, viewed as
+    (2, n), while no kernel runs.  ``stage`` holds a stage's argument and
+    then its weighted rate in the leading bins of the last two rows, which
+    the kernel reads before it writes them; ``rate`` holds the stage rates
+    k2, k3 and k4.
     """
 
     def __init__(self, grid: Grid):
         n = grid.num_points
-        halves = (2, n // 2 + 1)
         self.d = _derivative_symbol(grid)
         # complex, so that multiplying a spectrum by it casts nothing; the
         # product is the same as with the real symbol
         self.g = _smoothing_symbol(grid).astype(complex)
-        self.spectrum = np.empty((2, n + 1), dtype=complex)
-        self.values = np.empty((6, 2 * n))
-        self.stage = np.empty(halves, dtype=complex)
-        self.rate = np.empty(halves, dtype=complex)
+        self.rows = np.empty((9, 2 * n + 2))
+        self.stage = self.rows[7:].view(complex)[:, : n // 2 + 1]
+        self.rate = np.empty((2, n // 2 + 1), dtype=complex)
 
 
 def _rhs_half(y: np.ndarray, work: _Workspace, out=None) -> np.ndarray:
@@ -226,61 +233,70 @@ def _rhs_half(y: np.ndarray, work: _Workspace, out=None) -> np.ndarray:
     a fresh array.
 
     The single RHS kernel: 4 inverse transforms to the padded grid for the
-    products and 4 forward transforms back, run as four pairs (``_pair``)
-    through the buffers of ``work``; ``out`` must not alias ``y`` or
-    ``work``.  Which thread runs a transform changes none of its bits.
+    products and 4 forward transforms back, in the two phases of halves
+    (``_pair``) that the module docstring describes, through the rows of
+    ``work``; ``y`` may be ``work.stage``, but must not otherwise alias
+    ``work``, and ``out`` must alias neither.  Each half forms its products
+    in one fixed order, so no bit depends on the threads.
     """
-    n = 2 * (y.shape[-1] - 1)
+    m = y.shape[-1]
+    n = 2 * (m - 1)
     d, g = work.d, work.g
-    spectrum = work.spectrum
-    a, b = spectrum[:, : n // 2 + 1]
-    rp, up, uxp, rxp, u2, tmp = work.values
-
-    def inverse(half, dest):
-        return partial(_irfft_into, half, n=2 * n, norm="forward", out=dest)
-
-    def forward(vals, row):
-        # the pair's half spectra are then a and b
-        return partial(_half_from_padded, vals, n, spectrum[row])
-
-    # the original Nyquist bin splits evenly between +-n/2 on the padded grid
-    a[:] = y[0]
-    a[-1] *= 0.5
-    b[:] = y[1]
-    b[-1] *= 0.5
-    _pair(inverse(a, rp), inverse(b, up))
-    # d vanishes at the Nyquist bin, so these have nothing to halve there
-    np.multiply(d, y[1], out=a)
-    np.multiply(d, y[0], out=b)
-    _pair(inverse(a, uxp), inverse(b, rxp))
-    np.multiply(up, up, out=u2)
-    rxp *= u2
-    np.multiply(rp, up, out=tmp)
-    tmp *= uxp
-    rxp += tmp                              # u^2 rho_x + rho u u_x
-    np.multiply(u2, uxp, out=tmp)           # u^2 u_x
-    _pair(forward(rxp, 0), forward(tmp, 1))
+    # rows 0-3 take rho, u, u_x and rho_x on the padded grid; rows 3-5
+    # belong to the local half, which stages rho's inputs in row 4, and rows
+    # 6-8 to the nonlocal half, which stages u's inputs in row 6; rows 7
+    # and 8, which may hold y, are written only once y has been read
+    values = work.rows[:, : 2 * n]
+    spectra = work.rows.view(complex)
+    rp, up, uxp = values[:3]
     if out is None:
         out = np.empty_like(y)
-    out[0] = a
-    out[1] = b                              # the nonlocal terms join it below
-    rp *= rp
-    rp *= 0.5                               # rho^2 / 2
-    np.multiply(uxp, uxp, out=tmp)          # u_x^2
-    np.multiply(tmp, 1.5, out=rxp)
-    rxp += u2
-    rxp -= rp
-    rxp *= up                               # u^3 + (3/2) u u_x^2 - (1/2) u rho^2
-    tmp *= 0.5
-    tmp -= rp
-    tmp *= uxp                              # (1/2) u_x^3 - (1/2) u_x rho^2
-    _pair(forward(rxp, 0), forward(tmp, 1))
-    a *= d
-    a += b
-    a *= g
+
+    def inverse(half, staged, plain, slope):
+        # the original Nyquist bin splits evenly between +-n/2 on the padded
+        # grid; d vanishes there, so the slope has nothing to halve
+        staged[:] = half
+        staged[-1] *= 0.5
+        _irfft_into(staged, n=2 * n, norm="forward", out=plain)
+        np.multiply(d, half, out=staged)
+        _irfft_into(staged, n=2 * n, norm="forward", out=slope)
+
+    def local():
+        rxp, u2, tmp = values[3:6]
+        np.multiply(up, up, out=u2)
+        rxp *= u2
+        np.multiply(rp, up, out=tmp)
+        tmp *= uxp
+        rxp += tmp                          # u^2 rho_x + rho u u_x
+        u2 *= uxp                           # u^2 u_x
+        out[0] = _half_from_padded(rxp, n, spectra[5])
+        out[1] = _half_from_padded(u2, n, spectra[3])
+
+    def nonlocal_():
+        ux2, arg, r2 = values[6:9]
+        np.multiply(uxp, uxp, out=ux2)      # u_x^2
+        np.multiply(ux2, 1.5, out=arg)
+        np.multiply(up, up, out=r2)         # u^2, as the local half forms it
+        arg += r2
+        np.multiply(rp, rp, out=r2)
+        r2 *= 0.5                           # rho^2 / 2
+        arg -= r2
+        arg *= up                           # u^3 + (3/2) u u_x^2 - (1/2) u rho^2
+        ux2 *= 0.5
+        ux2 -= r2
+        ux2 *= uxp                          # (1/2) u_x^3 - (1/2) u_x rho^2
+        a = _half_from_padded(arg, n, spectra[8])
+        b = _half_from_padded(ux2, n, spectra[7])
+        a *= d
+        a += b
+        a *= g
+
+    _pair(partial(inverse, y[0], spectra[4, :m], rp, values[3]),
+          partial(inverse, y[1], spectra[6, :m], up, uxp))
+    _pair(local, nonlocal_)
     # floating-point addition commutes, so this is the sum with the terms
     # the other way round, bit for bit
-    out[1] += a
+    out[1] += spectra[8, :m]
     return out
 
 
@@ -356,7 +372,8 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
         np.multiply(weight, k, out=stage)
         increment += stage
     increment *= dt / 6.0
-    delta = _irfft_into(increment, n=n, norm="forward", out=work.values[0].reshape(2, n))
+    delta = _irfft_into(increment, n=n, norm="forward",
+                        out=work.rows[0, : 2 * n].reshape(2, n))
     r1 = state.rho.values + delta[0]
     u1 = state.u.values + delta[1]
     if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(u1))):
@@ -425,11 +442,15 @@ class Trajectory:
 
 
 def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
-              visit=None) -> Trajectory:
+              visit=None, first_rate=None) -> Trajectory:
     """Error-controlled RK4 up to t_final, landing exactly on each checkpoint.
 
     Each checkpoint state is passed to ``visit``, when given, as the sweep
-    reaches it, so a long sweep holds one state at a time.
+    reaches it, so a long sweep holds one state at a time.  ``first_rate``,
+    when given, is called before the first step (there is none without a
+    checkpoint) with the pair of fields (rho_t, u_t) that ``rhs(state0)``
+    returns, taken from the first step's k1, so a caller that needs the
+    rate at the data evaluates nothing more.
 
     The step error is controlled in B^(s-1)_{2,inf} x B^s_{2,inf}, with s
     from ``cfg``, whatever integrability index p a study measures its
@@ -450,13 +471,15 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
 
     if not checkpoints:
         return Trajectory(final=state0, sup_norms=())
+    current = _rest(state0)
+    if first_rate is not None:
+        first_rate(tuple(field_from_half(state0.grid, r) for r in current.rate))
     sup_norms, errors = [], []
     rejected = 0
     norm = _ShellNorm(state0.grid, cfg.s)
     horizon = checkpoints[-1] - state0.time
     h_min = MIN_STEP_FRACTION * horizon
     h_max = cfg.dt if cfg.dt is not None else math.inf
-    current = _rest(state0)
     state_norm = norm(current.spectra)
     rate_norm = norm(current.rate)
     # the usual first guess 0.01 ||y|| / ||f(y)||, or the whole horizon

@@ -2,6 +2,7 @@
 
 import collections
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -63,7 +64,8 @@ def count_ffts(monkeypatch):
     Calling the returned function wraps, for the rest of the test, every
     binding of scipy's or numpy's ``rfft`` or ``irfft`` in a loaded novlab
     module, under whatever name, and returns the ``FFTCounts``, which the
-    wrappers update in place.
+    wrappers update in place, under a lock, so that transforms that two
+    threads run at once are all counted.
     """
     import scipy.fft
 
@@ -72,6 +74,7 @@ def count_ffts(monkeypatch):
 
     def start():
         counts = FFTCounts()
+        lock = threading.Lock()
         for modname, module in list(sys.modules.items()):
             if modname.split(".")[0] != "novlab":
                 continue
@@ -81,10 +84,11 @@ def count_ffts(monkeypatch):
                     continue
 
                 def counted(*args, _fn=fn, _kind=kind, **kwargs):
-                    counts[_kind] += 1
                     out = _fn(*args, **kwargs)
                     signal = out if _kind == "irfft" else args[0]
-                    counts.lengths[np.shape(signal)[-1]] += 1
+                    with lock:
+                        counts[_kind] += 1
+                        counts.lengths[np.shape(signal)[-1]] += 1
                     return out
 
                 monkeypatch.setattr(module, name, counted)

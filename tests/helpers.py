@@ -1,6 +1,6 @@
 """Plain test helpers: the data modulation, grid modes, seeded random fields,
-a term-by-term RHS, fixed-step RK4 states, and the CPUs and worker threads
-that ``solver._pair`` sees.
+a term-by-term RHS, a straight-line RHS kernel, fixed-step RK4 states, and
+the CPUs and worker threads that ``solver._pair`` sees.
 
 They live apart from conftest.py so that a test module can import them by a
 name no other collected directory shares.
@@ -64,6 +64,44 @@ def composed_rhs(rho, u):
     u_t = (triple_product(u, u, u_x) + derivative(helmholtz_inverse(dx_arg))
            + helmholtz_inverse(plain_arg))
     return rho_t, u_t
+
+
+def reference_rhs_half(y, grid):
+    """Half spectra of (rho_t, u_t) from the stacked half spectra y = (rho, u),
+    written out straight and on one thread in the operation order that
+    ``solver._rhs_half`` keeps: the four padded inverse transforms, then
+    every product, then the four forward transforms.  The kernel must match
+    it bit for bit, so a reassociated product or a moved transform shows."""
+    from novlab.spectral import _derivative_symbol, _smoothing_symbol
+
+    n = grid.num_points
+    d = _derivative_symbol(grid)
+    g = _smoothing_symbol(grid).astype(complex)
+
+    def padded(half):
+        return np.fft.irfft(half, n=2 * n, norm="forward")
+
+    def truncated(values):
+        half = np.fft.rfft(values, norm="forward")[: n // 2 + 1]
+        half[-1] = 0.0
+        return half
+
+    # the Nyquist bin splits evenly between +-n/2 on the padded grid; d
+    # vanishes there
+    split = y.copy()
+    split[:, -1] *= 0.5
+    rho, u = padded(split[0]), padded(split[1])
+    u_x, rho_x = padded(d * y[1]), padded(d * y[0])
+    u2 = u * u
+    rho_t = rho_x * u2 + (rho * u) * u_x
+    u2_u_x = u2 * u_x
+    half_rho2 = (rho * rho) * 0.5
+    u_x2 = u_x * u_x
+    dx_arg = ((u_x2 * 1.5 + u2) - half_rho2) * u
+    plain_arg = (u_x2 * 0.5 - half_rho2) * u_x
+    rho_t, u2_u_x = truncated(rho_t), truncated(u2_u_x)
+    dx_arg, plain_arg = truncated(dx_arg), truncated(plain_arg)
+    return np.stack([rho_t, u2_u_x + (dx_arg * d + plain_arg) * g])
 
 
 def fixed_step_states(state0, dt, checkpoints):

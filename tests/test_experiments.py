@@ -270,8 +270,8 @@ class TestSeparationStudy:
         # 64 + 32 (k - 1)
         sweeps = []
 
-        def counting(state0, cfg, checkpoints=None, visit=None):
-            traj = integrate(state0, cfg, checkpoints, visit)
+        def counting(state0, cfg, checkpoints=None, visit=None, **kwargs):
+            traj = integrate(state0, cfg, checkpoints, visit, **kwargs)
             sweeps.append((state0.time, traj.sup_norms[-1][0], len(traj.sup_norms)))
             return traj
 
@@ -281,6 +281,36 @@ class TestSeparationStudy:
         assert [sweep[:2] for sweep in sweeps] == [(0.0, 0.1 * 2.0**-5)] * 2
         assert all(steps < 64 + 32 * (k - 1) for _, _, steps in sweeps)
         assert report.params["rk4_steps"] == sum(steps for _, _, steps in sweeps)
+
+
+@pytest.mark.parametrize("study", ["shorttime", "separation"])
+def test_one_workspace_and_one_rate_at_the_data_per_integration(
+        study, medium_params, medium_data, monkeypatch):
+    # the rate at the data is the first step's k1, so each integration
+    # evaluates the kernel once before its steps and four times per step
+    y_data = solver._spectra(SystemState(rho=medium_data.rho, u=medium_data.u))
+    at_data, workspaces = [], []
+    kernel, workspace = solver._rhs_half, solver._Workspace
+
+    def counting(y, *args):
+        at_data.append(np.array_equal(y, y_data))
+        return kernel(y, *args)
+
+    class Counted(workspace):
+        def __init__(self, grid):
+            workspaces.append(grid)
+            super().__init__(grid)
+
+    monkeypatch.setattr(solver, "_rhs_half", counting)
+    monkeypatch.setattr(solver, "_Workspace", Counted)
+    if study == "shorttime":
+        report, integrations = study_short_time(medium_params, SHORT_TIMES), 1
+    else:
+        report, integrations = study_separation(medium_params, range(5, 8), delta=0.1), 2
+    assert sum(at_data) == 1
+    assert len(workspaces) == integrations
+    steps = report.params["rk4_steps"] + report.params["rk4_rejected"]
+    assert len(at_data) == integrations + 4 * steps
 
 
 def _per_horizon_separation_rows(params, n_range, delta):

@@ -29,7 +29,8 @@ from novlab import solver
 from novlab.solver import StepSizeError, _ShellNorm
 from novlab.spectral import _bin_energy
 
-from helpers import LAMBDA, composed_rhs, fft_threads, fixed_step_states, mode, see_cpus
+from helpers import (LAMBDA, composed_rhs, fft_threads, fixed_step_states, mode,
+                     reference_rhs_half, see_cpus)
 
 
 def _zero(grid):
@@ -317,6 +318,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="dt must|t_final must|s must"):
             SolverConfig(dt=dt, t_final=t_final, **extra)
 
+    def test_first_rate_is_the_rhs_at_the_data(self, medium_data):
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        first = []
+        integrate(st, SolverConfig(t_final=1e-4), first_rate=first.extend)
+        assert len(first) == 2
+        for got, want in zip(first, rhs(st)):
+            assert got.values.tobytes() == want.values.tobytes()
+
 
 class TestErrorControl:
     @pytest.mark.parametrize("kind,num_points", [
@@ -425,6 +434,17 @@ class TestWorkspace:
         third, peak = _traced_peak(lambda: step_rk4(second.state, 1e-2, start=second))
         assert peak <= sum(a.nbytes for a in _outputs(third)) + one_half
 
+    def test_workspace_holds_nine_padded_rows(self, first_step):
+        # the workspace's arrays, views included, take no more than the
+        # symbols, the step's stage and rate, and nine padded rows of 2n + 2
+        # doubles, also after the kernel has run
+        work = first_step._workspace
+        solver._rhs_half(first_step.spectra, work)
+        n = first_step.state.grid.num_points
+        small = sum(a.nbytes for a in (work.d, work.g, work.stage, work.rate))
+        held = sum(a.nbytes for a in vars(work).values() if isinstance(a, np.ndarray))
+        assert held <= small + 9 * (2 * n + 2) * 8
+
     def test_steps_hand_out_fresh_arrays(self, first_step):
         second = step_rk4(first_step.state, 1e-2, start=first_step)
         work = second._workspace
@@ -457,9 +477,9 @@ class TestPairedKernel:
             rate = solver._rhs_half(y, solver._Workspace(st.grid))
             traj = integrate(st, SolverConfig(t_final=3e-4, dt=1e-4))
             runs[len(usable)] = (rate, traj)
-            # one transform of each of the 4 pairs on the worker, or none
+            # one half of each of the 2 phases on the worker, or none
             assert len(rhs_calls) > 1
-            assert len(submits) == (4 * len(rhs_calls) if len(usable) == 2 else 0)
+            assert len(submits) == (2 * len(rhs_calls) if len(usable) == 2 else 0)
         (rate2, traj2), (rate1, traj1) = runs[2], runs[1]
         assert len(traj1.errors) == 3
         assert rate2.tobytes() == rate1.tobytes()
@@ -470,13 +490,33 @@ class TestPairedKernel:
 
     def test_eight_padded_transforms_per_evaluation(self, medium_data, monkeypatch,
                                                      count_ffts):
-        # inline, so that the counts are not updated from two threads
-        see_cpus(monkeypatch, {0})
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         y = solver._spectra(st)
         counts = count_ffts()
-        solver._rhs_half(y, solver._Workspace(st.grid))
-        assert counts == {"rfft": 4, "irfft": 4}
+        for usable in ({0, 1}, {0}):
+            see_cpus(monkeypatch, usable)
+            counts.update(rfft=0, irfft=0)
+            counts.lengths.clear()
+            solver._rhs_half(y, solver._Workspace(st.grid))
+            assert counts == {"rfft": 4, "irfft": 4}
+            assert counts.lengths == {2 * st.grid.num_points: 8}
+
+    @pytest.mark.parametrize("kind", ["data", "near_nyquist"])
+    def test_kernel_matches_the_straight_line_reference(self, small_grid, cpus, kind):
+        # the same operations in the same order give the same bits, on
+        # either thread; a near-Nyquist state exercises the split of the
+        # Nyquist bin and the top of the padded products
+        if kind == "data":
+            st = SystemState(rho=modulated_bump(small_grid, 2.0), u=3.0 * build_bump(small_grid))
+            y = solver._spectra(st)
+        else:
+            rng = np.random.default_rng(19)
+            y = np.zeros((2, small_grid.num_points // 2 + 1), dtype=complex)
+            y[:, -64:] = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+            y[:, -1] = y[:, -1].real
+            y *= 1e-2
+        rate = solver._rhs_half(y, solver._Workspace(small_grid))
+        assert rate.tobytes() == reference_rhs_half(y, small_grid).tobytes()
 
     def test_integrations_leave_at_most_one_extra_thread(self, small_grid, cpus):
         st = SystemState(rho=modulated_bump(small_grid, 2.0), u=3.0 * build_bump(small_grid))
