@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood_paley import smooth_step
-from .spectral import Grid, RealField, _check_p, _half_phase, _support_bins, field_from_half
+from .spectral import (Grid, RealField, _check_p, _half_phase, _support_bins, field_from_half,
+                       irfft)
 
 LAMBDA_MIN = 67.0 / 48.0
 LAMBDA_MAX = 69.0 / 48.0
@@ -45,8 +46,9 @@ def bump_profile(xi) -> np.ndarray:
     return smooth_step((BUMP_CUTOFF - a) / (BUMP_CUTOFF - BUMP_PLATEAU))
 
 
-def modulated_bump(grid: Grid, omega: float) -> RealField:
-    """Spectral synthesis of phi(x) cos(omega x) on the grid.
+def _band(grid: Grid, omega: float):
+    """The bins and half-spectrum coefficients of phi(x) cos(omega x),
+    without the endpoint phase.
 
     Coefficients are (1/2)(phihat(xi-omega) + phihat(xi+omega))/L, the
     exact line transform of the product sampled at grid frequencies.  Both
@@ -60,10 +62,17 @@ def modulated_bump(grid: Grid, omega: float) -> RealField:
             f"band {omega:g} +- {BUMP_CUTOFF:g} exceeds Nyquist {grid.nyquist:g}"
         )
     xi = grid.half_frequencies
-    half = np.zeros(xi.size)
     k = _support_bins(grid, omega - BUMP_CUTOFF, omega + BUMP_CUTOFF)
-    half[k] = (1.0 / (2.0 * grid.length)) * (bump_profile(xi[k] - omega)
+    return k, (1.0 / (2.0 * grid.length)) * (bump_profile(xi[k] - omega)
                                              + bump_profile(xi[k] + omega))
+
+
+def modulated_bump(grid: Grid, omega: float) -> RealField:
+    """Spectral synthesis of phi(x) cos(omega x) on the grid, from the exact
+    coefficients of its band."""
+    k, coefficients = _band(grid, omega)
+    half = np.zeros(grid.num_points // 2 + 1)
+    half[k] = coefficients
     return field_from_half(grid, half * _half_phase(grid.num_points))
 
 
@@ -135,16 +144,20 @@ class InitialData:
 
 
 def build_initial_data(params: IllposedDataParams) -> InitialData:
-    """Truncated lacunary sums for rho0 and u0, synthesized band by band."""
+    """Truncated lacunary sums for rho0 and u0: every band's coefficients,
+    weighted, in one stack of half spectra, which one transform takes to
+    the grid."""
     grid = params.grid
     s, lam, n_terms = params.s, params.lam, params.num_terms
-    rho = np.zeros(grid.num_points)
-    u = np.zeros(grid.num_points)
-    for n in range(n_terms):
-        term = modulated_bump(grid, lam * 2.0**n).values
-        rho = rho + 2.0 ** (-n * (s - 1)) * term
-        u = u + 2.0 ** (-n * s) * term
+    # every band is checked before any transform
+    bands = [_band(grid, lam * 2.0**n) for n in range(n_terms)]
+    half = np.zeros((2, grid.num_points // 2 + 1))
+    for n, (k, coefficients) in enumerate(bands):
+        half[0, k] += 2.0 ** (-n * (s - 1)) * coefficients
+        half[1, k] += 2.0 ** (-n * s) * coefficients
+    values = irfft(half * _half_phase(grid.num_points), n=grid.num_points, norm="forward")
+    values.flags.writeable = False  # so the fields take their rows without a copy
     bump_sup = build_bump(grid).sup_norm()
     # dropped terms n >= N sum to at most this in sup norm (rho dominates u)
     tail = bump_sup * 2.0 ** (-n_terms * (s - 1)) / (1.0 - 2.0 ** (-(s - 1)))
-    return InitialData(RealField(grid, rho), RealField(grid, u), tail)
+    return InitialData(RealField(grid, values[0]), RealField(grid, values[1]), tail)

@@ -7,46 +7,45 @@ been eliminated with the inverse Helmholtz operator G = (1 - d^2/dx^2)^-1:
     u_t   = u^2 u_x + d/dx G(u^3 + (3/2) u u_x^2 - (1/2) u rho^2)
                     + G((1/2) u_x^3 - (1/2) u_x rho^2)
 
-All products are dealiased by factor-two zero padding (exact for the cubic
-nonlinearities).  Time stepping is classical RK4 with an error-controlled
-step (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Each step's error
-estimate is the embedded third-order FSAL formula (h/6)(k4 - k5), where
-k5 = f(y_(n+1)) becomes the next step's k1, so an accepted step costs the
-four right-hand-side evaluations a fixed step costs.  The estimate is
+All products are dealiased as factor-two zero padding would dealias them
+(exact for the cubic nonlinearities), without padding: the padded grid is
+the grid and the grid shifted by half a cell (Patterson & Orszag, Phys.
+Fluids 14, 1971), and each product is formed on both.  Time stepping is
+classical RK4 with an error-controlled step (Hairer, Norsett & Wanner,
+Solving ODEs I, II.4).  Each step's error estimate is the embedded
+third-order FSAL formula (h/6)(k4 - k5), where k5 = f(y_(n+1)) becomes the
+next step's k1, so an accepted step costs the four right-hand-side
+evaluations a fixed step costs.  The estimate is
 measured in B^(s-1)_{2,inf} x B^s_{2,inf} over sharp dyadic shells of the
 half spectrum, and the step is accepted when it is at most
 RTOL ||increment|| + ATOL ||state|| in that norm.
 
 One kernel evaluates the right-hand side from half spectra to half spectra
-(4 padded inverse and 4 forward real FFTs).  A step forms its stages on the
-state's carried half spectra and adds the inverse transform of the
-increment h/6 (k1 + 2 k2 + 2 k3 + k4) to the state values: neither the
-values nor the spectra ever take a transform round trip, whose roundoff the
-2^(js)-weighted Besov blocks and the error estimate would amplify.
+(on each of the two grids, 4 inverse and 4 forward real FFTs of n points).
+A step forms its stages on the state's carried half spectra and adds the
+inverse transform of the increment h/6 (k1 + 2 k2 + 2 k3 + k4) to the state
+values: neither the values nor the spectra ever take a transform round
+trip, whose roundoff the 2^(js)-weighted Besov blocks and the error
+estimate would amplify.
 
-The kernel runs in two phases of two independent halves each.  In the
-first, one half transforms rho and rho_x to the padded grid and the other
-u and u_x.  In the second, one half forms the local terms u^2 rho_x +
-rho u u_x and u^2 u_x and transforms them back; the other forms the two
-arguments of G, transforms them back and applies d/dx and G.  Each half
-writes only its own buffers, and u^2, which both need, is formed by each
-in the same way.  When the process may use a second CPU, one half of each
-phase runs on a worker thread that the process starts on first use, and
-the other on the caller; with one CPU both run inline.  numpy's
-transforms and array arithmetic release the GIL, and neither a
-transform's bits nor a product's depend on the thread that computed it,
-so the result is the same either way.  The same worker, through the same
-rule (``_pair``), runs one of the inequality study's two corpora while the
-caller runs the other.
+The kernel runs in two independent halves, one for each grid: each lifts
+rho, rho_x, u and u_x to its grid, forms every product, transforms the
+products back, applies d/dx and G and weights its result, in its own
+buffers; the caller adds the two.  When the process may use a second CPU,
+the shifted grid's half runs on a worker thread that the process starts on
+first use, and the grid's half on the caller; with one CPU both run
+inline.  numpy's transforms and array arithmetic release the GIL, and
+neither a transform's bits nor a product's depend on the thread that
+computed it, so the result is the same either way.  The same worker,
+through the same rule (``_pair``), runs one of the inequality study's two
+corpora while the caller runs the other.
 
 The kernel and the step work in a private workspace (``_Workspace``): the
-symbols; a pool of nine rows of 2n + 2 doubles, each of which holds padded
-values or, viewed as complex, a padded forward spectrum whose leading
-half-spectrum bins also stage the input of an inverse transform (the
-padded inverse transform pads with zeros itself, so there is no padded
-half-spectrum buffer); and the step's stage-rate buffer.  The first row
-also takes the values of the step's increment, and the last two its stage,
-which the kernel reads before it writes them.  ``integrate`` builds one
+symbols; a pool of fourteen rows of n + 2 doubles, seven for each half,
+each of which holds values on n points or, viewed as complex, a half
+spectrum; and the step's stage buffer.  Between evaluations two rows of
+the grid's half hold the step's stage rate, which the kernel reads nothing
+from and writes last, and two others the values of the step's increment.  ``integrate`` builds one
 per call and hands it from step to step inside the ``RK4Step`` it threads
 through ``step_rk4``; a step without a ``start`` builds its own.  What a
 step hands out (the new state's values and every array of its ``RK4Step``)
@@ -70,8 +69,8 @@ from .spectral import (
     _bin_energy,
     _check_same_grid,
     _derivative_symbol,
-    _half_from_padded,
     _irfft_into,
+    _rfft_into,
     _smoothing_symbol,
     field_from_half,
     rfft,
@@ -155,8 +154,8 @@ def _new_pool() -> None:
     _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="novlab-fft")
 
 
-# The worker thread that runs the first function of each ``_pair``: one
-# half of each of the kernel's two phases, or one of the inequality study's
+# The worker thread that runs the first function of each ``_pair``: the
+# kernel's half on the shifted grid, or one of the inequality study's
 # corpora; started on the first submit.  A forked child inherits the
 # executor but not its thread, so the child gets a new executor before any
 # of its code runs.
@@ -179,7 +178,7 @@ def _pair(f, g) -> None:
     would wait on itself.  The kernel's halves and the inequality study's
     corpus function (which calls no solver code) keep to that.  numpy's
     and scipy's transforms and numpy's array arithmetic release the GIL, so
-    the kernel's halves overlap; so does most of a corpus, which runs its
+    the kernel's two grids overlap; so does most of a corpus, which runs its
     pairs in stacks of ``experiments.CORPUS_CHUNK`` through transforms and
     array arithmetic, so that the two corpora take less wall time threaded
     than inline.  Returns once both are done, and an exception of either
@@ -203,28 +202,87 @@ def _pair(f, g) -> None:
 class _Workspace:
     """The buffers that the kernel and the step reuse on one grid of n points.
 
-    ``d`` and ``g`` are the derivative and smoothing symbols.  ``rows`` is a
-    pool of nine rows of 2n + 2 doubles.  A row holds padded values in
-    its first 2n doubles or, viewed as n + 1 complex numbers, a padded
-    forward spectrum, whose first n/2 + 1 bins also stage the half spectrum
-    that a padded inverse transform reads (it pads with zeros itself);
-    ``_rhs_half`` gives each row its parts.  The step writes the values of
-    its increment to the first 2n doubles of the first row, viewed as
-    (2, n), while no kernel runs.  ``stage`` holds a stage's argument and
-    then its weighted rate in the leading bins of the last two rows, which
-    the kernel reads before it writes them; ``rate`` holds the stage rates
-    k2, k3 and k4.
+    ``d`` and ``g`` are the derivative and smoothing symbols, ``tau`` the
+    half-cell shift e^(i pi k / n) of the half spectrum and ``fold`` its
+    weight conj(tau) / 2 in the fold back.  ``rows`` is a pool of fourteen
+    rows of n + 2 doubles, the first seven for the kernel's half on the grid
+    and the last seven for its half on the shifted grid (``_grid_half`` gives
+    each row its parts).  A row holds values on n points or, viewed as
+    n/2 + 1 complex numbers, a half spectrum.  ``stage`` holds a stage's
+    argument and then its weighted rate; it is a buffer of its own, since
+    both halves read the kernel's input at once.  ``rate`` holds the stage
+    rates k2, k3 and k4 in rows 2 and 3, which the kernel reads nothing from
+    and writes ``rate`` to last; the step writes the values of its
+    increment to rows 4 and 5 while no kernel runs.
     """
 
     def __init__(self, grid: Grid):
         n = grid.num_points
+        m = n // 2 + 1
         self.d = _derivative_symbol(grid)
         # complex, so that multiplying a spectrum by it casts nothing; the
         # product is the same as with the real symbol
         self.g = _smoothing_symbol(grid).astype(complex)
-        self.rows = np.empty((9, 2 * n + 2))
-        self.stage = self.rows[7:].view(complex)[:, : n // 2 + 1]
-        self.rate = np.empty((2, n // 2 + 1), dtype=complex)
+        self.tau = np.exp(1j * math.pi / n * np.arange(m))
+        self.fold = 0.5 * np.conj(self.tau)
+        self.rows = np.empty((14, n + 2))
+        self.stage = np.empty((2, m), dtype=complex)
+        self.rate = self.rows[2:4].view(complex)
+
+
+def _grid_half(y: np.ndarray, work: _Workspace, rows: np.ndarray, tau, weight) -> None:
+    """One half of the RHS kernel: the products on the grid (``tau`` None)
+    or on the grid shifted by half a cell, through seven rows of ``work``,
+    ending with the weighted half spectra of (rho_t, u_t) in the first two.
+
+    The half spectrum lifts to the shifted grid as the transform of tau
+    times it.  The bins +-n/2 that a Nyquist bin c stands for give Re(c) on
+    the grid and Re(i c) on the shifted grid, which is all a transform to n
+    points reads, so the Nyquist bin needs no care of its own.
+    """
+    n = rows.shape[-1] - 2
+    d, g = work.d, work.g
+    # rows 0-3 take rho, u, u_x and rho_x, row 4 stages the slopes' (and
+    # on the shifted grid every) inverse transform inputs, and rows 4-6 then
+    # take products; each forward transform writes a row whose values are
+    # dead, so the weighted rates end in rows 0 and 1
+    rho, u, ux, rx, u2, tmp, arg = rows[:, :n]
+    spectra = rows.view(complex)
+    staged = spectra[4]
+    for half, plain, slope in ((y[0], rho, rx), (y[1], u, ux)):
+        if tau is None:
+            _irfft_into(half, n=n, norm="forward", out=plain)
+            np.multiply(d, half, out=staged)
+        else:
+            np.multiply(tau, half, out=staged)
+            _irfft_into(staged, n=n, norm="forward", out=plain)
+            np.multiply(d, staged, out=staged)
+        _irfft_into(staged, n=n, norm="forward", out=slope)
+    np.multiply(u, u, out=u2)
+    rx *= u2
+    np.multiply(rho, u, out=tmp)
+    tmp *= ux
+    rx += tmp                               # u^2 rho_x + rho u u_x
+    rho *= rho
+    rho *= 0.5                              # rho^2 / 2
+    np.multiply(ux, ux, out=tmp)            # u_x^2
+    np.multiply(tmp, 1.5, out=arg)
+    arg += u2
+    arg -= rho
+    arg *= u                                # u^3 + (3/2) u u_x^2 - (1/2) u rho^2
+    u2 *= ux                                # u^2 u_x
+    tmp *= 0.5
+    tmp -= rho
+    tmp *= ux                               # (1/2) u_x^3 - (1/2) u_x rho^2
+    _rfft_into(rx, norm="forward", out=spectra[0])
+    nonlocal_ = _rfft_into(arg, norm="forward", out=spectra[1])
+    transport = _rfft_into(u2, norm="forward", out=spectra[2])
+    plain_arg = _rfft_into(tmp, norm="forward", out=spectra[3])
+    nonlocal_ *= d
+    nonlocal_ += plain_arg
+    nonlocal_ *= g
+    nonlocal_ += transport
+    spectra[:2] *= weight
 
 
 def _rhs_half(y: np.ndarray, work: _Workspace, out=None) -> np.ndarray:
@@ -232,71 +290,22 @@ def _rhs_half(y: np.ndarray, work: _Workspace, out=None) -> np.ndarray:
     stacked along the first axis, written to ``out`` when given and else to
     a fresh array.
 
-    The single RHS kernel: 4 inverse transforms to the padded grid for the
-    products and 4 forward transforms back, in the two phases of halves
-    (``_pair``) that the module docstring describes, through the rows of
-    ``work``; ``y`` may be ``work.stage``, but must not otherwise alias
-    ``work``, and ``out`` must alias neither.  Each half forms its products
-    in one fixed order, so no bit depends on the threads.
+    The single RHS kernel: each product is formed on the grid and on the
+    grid shifted by half a cell, the even and odd points of the grid of 2n
+    points that zero padding would use, with 4 inverse and 4 forward
+    transforms of n points on each; the truncated padded spectrum is
+    (E_k + conj(tau_k) O_k) / 2 for the spectra E and O on the two grids.
+    The shifted grid runs on the worker of one ``_pair`` and the grid on
+    the caller, each in its own rows of ``work``, and the caller adds the
+    two.  ``y`` may be ``work.stage`` and ``out`` may be ``work.rate``, but
+    neither may otherwise alias ``work``.  Each half forms its products in
+    one fixed order, so no bit depends on the threads.
     """
-    m = y.shape[-1]
-    n = 2 * (m - 1)
-    d, g = work.d, work.g
-    # rows 0-3 take rho, u, u_x and rho_x on the padded grid; rows 3-5
-    # belong to the local half, which stages rho's inputs in row 4, and rows
-    # 6-8 to the nonlocal half, which stages u's inputs in row 6; rows 7
-    # and 8, which may hold y, are written only once y has been read
-    values = work.rows[:, : 2 * n]
+    _pair(partial(_grid_half, y, work, work.rows[7:], work.tau, work.fold),
+          partial(_grid_half, y, work, work.rows[:7], None, 0.5))
     spectra = work.rows.view(complex)
-    rp, up, uxp = values[:3]
-    if out is None:
-        out = np.empty_like(y)
-
-    def inverse(half, staged, plain, slope):
-        # the original Nyquist bin splits evenly between +-n/2 on the padded
-        # grid; d vanishes there, so the slope has nothing to halve
-        staged[:] = half
-        staged[-1] *= 0.5
-        _irfft_into(staged, n=2 * n, norm="forward", out=plain)
-        np.multiply(d, half, out=staged)
-        _irfft_into(staged, n=2 * n, norm="forward", out=slope)
-
-    def local():
-        rxp, u2, tmp = values[3:6]
-        np.multiply(up, up, out=u2)
-        rxp *= u2
-        np.multiply(rp, up, out=tmp)
-        tmp *= uxp
-        rxp += tmp                          # u^2 rho_x + rho u u_x
-        u2 *= uxp                           # u^2 u_x
-        out[0] = _half_from_padded(rxp, n, spectra[5])
-        out[1] = _half_from_padded(u2, n, spectra[3])
-
-    def nonlocal_():
-        ux2, arg, r2 = values[6:9]
-        np.multiply(uxp, uxp, out=ux2)      # u_x^2
-        np.multiply(ux2, 1.5, out=arg)
-        np.multiply(up, up, out=r2)         # u^2, as the local half forms it
-        arg += r2
-        np.multiply(rp, rp, out=r2)
-        r2 *= 0.5                           # rho^2 / 2
-        arg -= r2
-        arg *= up                           # u^3 + (3/2) u u_x^2 - (1/2) u rho^2
-        ux2 *= 0.5
-        ux2 -= r2
-        ux2 *= uxp                          # (1/2) u_x^3 - (1/2) u_x rho^2
-        a = _half_from_padded(arg, n, spectra[8])
-        b = _half_from_padded(ux2, n, spectra[7])
-        a *= d
-        a += b
-        a *= g
-
-    _pair(partial(inverse, y[0], spectra[4, :m], rp, values[3]),
-          partial(inverse, y[1], spectra[6, :m], up, uxp))
-    _pair(local, nonlocal_)
-    # floating-point addition commutes, so this is the sum with the terms
-    # the other way round, bit for bit
-    out[1] += spectra[8, :m]
+    out = np.add(spectra[:2], spectra[7:9], out=out)
+    out[:, -1] = 0.0  # discard the (unrepresentable) Nyquist content
     return out
 
 
@@ -372,18 +381,20 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
         np.multiply(weight, k, out=stage)
         increment += stage
     increment *= dt / 6.0
-    delta = _irfft_into(increment, n=n, norm="forward",
-                        out=work.rows[0, : 2 * n].reshape(2, n))
+    delta = _irfft_into(increment, n=n, norm="forward", out=work.rows[4:6, :n])
     r1 = state.rho.values + delta[0]
     u1 = state.u.values + delta[1]
-    if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(u1))):
+    # each sup on its own: max() of a number and a NaN may drop the NaN
+    sup_r, sup_u = np.max(np.abs(r1)), np.max(np.abs(u1))
+    if not (math.isfinite(sup_r) and math.isfinite(sup_u)):
         raise BlowupError(state.time + dt, math.inf)
-    sup = max(np.max(np.abs(r1)), np.max(np.abs(u1)))
+    sup = max(sup_r, sup_u)
     if sup_limit is not None and sup > sup_limit:
         raise BlowupError(state.time + dt, sup)
     y1 = y0 + increment
+    error = k.copy()  # k4, in the rows that the next evaluation writes
     rate = _rhs_half(y1, work)
-    error = k - rate  # k is k4, in the workspace
+    error -= rate
     error *= dt / 6.0
     # read-only, so the fields take them without a copy
     r1.flags.writeable = False

@@ -69,39 +69,36 @@ def composed_rhs(rho, u):
 def reference_rhs_half(y, grid):
     """Half spectra of (rho_t, u_t) from the stacked half spectra y = (rho, u),
     written out straight and on one thread in the operation order that
-    ``solver._rhs_half`` keeps: the four padded inverse transforms, then
-    every product, then the four forward transforms.  The kernel must match
-    it bit for bit, so a reassociated product or a moved transform shows."""
+    ``solver._rhs_half`` keeps: on the grid and then on the grid shifted by
+    half a cell, the four inverse transforms of n points, every product, the
+    four forward transforms and the weight; then the sum of the two.  The
+    kernel must match it bit for bit, so a reassociated product or a moved
+    transform shows."""
     from novlab.spectral import _derivative_symbol, _smoothing_symbol
 
     n = grid.num_points
     d = _derivative_symbol(grid)
     g = _smoothing_symbol(grid).astype(complex)
+    tau = np.exp(1j * math.pi / n * np.arange(n // 2 + 1))
 
-    def padded(half):
-        return np.fft.irfft(half, n=2 * n, norm="forward")
+    def on_grid(rho_half, u_half, weight):
+        rho = np.fft.irfft(rho_half, n=n, norm="forward")
+        rho_x = np.fft.irfft(d * rho_half, n=n, norm="forward")
+        u = np.fft.irfft(u_half, n=n, norm="forward")
+        u_x = np.fft.irfft(d * u_half, n=n, norm="forward")
+        u2 = u * u
+        rho_t = rho_x * u2 + (rho * u) * u_x
+        half_rho2 = (rho * rho) * 0.5
+        u_x2 = u_x * u_x
+        dx_arg = ((u_x2 * 1.5 + u2) - half_rho2) * u
+        plain_arg = (u_x2 * 0.5 - half_rho2) * u_x
+        rho_t, u2_u_x, dx_arg, plain_arg = (np.fft.rfft(v, norm="forward") for v in
+                                            (rho_t, u2 * u_x, dx_arg, plain_arg))
+        return np.stack([rho_t, (dx_arg * d + plain_arg) * g + u2_u_x]) * weight
 
-    def truncated(values):
-        half = np.fft.rfft(values, norm="forward")[: n // 2 + 1]
-        half[-1] = 0.0
-        return half
-
-    # the Nyquist bin splits evenly between +-n/2 on the padded grid; d
-    # vanishes there
-    split = y.copy()
-    split[:, -1] *= 0.5
-    rho, u = padded(split[0]), padded(split[1])
-    u_x, rho_x = padded(d * y[1]), padded(d * y[0])
-    u2 = u * u
-    rho_t = rho_x * u2 + (rho * u) * u_x
-    u2_u_x = u2 * u_x
-    half_rho2 = (rho * rho) * 0.5
-    u_x2 = u_x * u_x
-    dx_arg = ((u_x2 * 1.5 + u2) - half_rho2) * u
-    plain_arg = (u_x2 * 0.5 - half_rho2) * u_x
-    rho_t, u2_u_x = truncated(rho_t), truncated(u2_u_x)
-    dx_arg, plain_arg = truncated(dx_arg), truncated(plain_arg)
-    return np.stack([rho_t, u2_u_x + (dx_arg * d + plain_arg) * g])
+    rate = on_grid(y[0], y[1], 0.5) + on_grid(tau * y[0], tau * y[1], 0.5 * np.conj(tau))
+    rate[:, -1] = 0.0
+    return rate
 
 
 def fixed_step_states(state0, dt, checkpoints):

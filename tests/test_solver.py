@@ -27,7 +27,7 @@ from novlab import (
 
 from novlab import solver
 from novlab.solver import StepSizeError, _ShellNorm
-from novlab.spectral import _bin_energy
+from novlab.spectral import _bin_energy, _half_from_padded, _padded_values
 
 from helpers import (LAMBDA, composed_rhs, fft_threads, fixed_step_states, mode,
                      reference_rhs_half, see_cpus)
@@ -305,6 +305,21 @@ class TestIntegrate:
         with pytest.raises(BlowupError):
             integrate(st, SolverConfig(t_final=1.0))
 
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_blowup_guard_sees_nan_in_either_field(self, small_grid, monkeypatch, row):
+        # max(sup, nan) is sup, so a NaN in u would slip past a finiteness
+        # test of the larger sup alone
+        def rate(y, work, out=None):
+            k = np.zeros_like(y)
+            k[row, 1] = math.nan
+            return k
+
+        monkeypatch.setattr(solver, "_rhs_half", rate)
+        st = SystemState(rho=mode(small_grid, 3), u=mode(small_grid, 5))
+        with pytest.raises(BlowupError) as caught:
+            step_rk4(st, 1e-3)
+        assert caught.value.sup == math.inf
+
     @pytest.mark.parametrize("dt,t_final,s", [
         (0.0, 1.0, None), (-1e-3, 1.0, None), (math.nan, 1.0, None),
         (math.inf, 1.0, None), (1e-3, -1.0, None), (1e-3, math.nan, None),
@@ -437,13 +452,17 @@ class TestWorkspace:
     def test_workspace_holds_nine_padded_rows(self, first_step):
         # the workspace's arrays, views included, take no more than the
         # symbols, the step's stage and rate, and nine padded rows of 2n + 2
-        # doubles, also after the kernel has run
+        # doubles, also after the kernel has run; and the buffers it owns,
+        # views aside, no more than two symbols, a rate of its own and nine
+        # padded rows
         work = first_step._workspace
         solver._rhs_half(first_step.spectra, work)
         n = first_step.state.grid.num_points
+        arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
         small = sum(a.nbytes for a in (work.d, work.g, work.stage, work.rate))
-        held = sum(a.nbytes for a in vars(work).values() if isinstance(a, np.ndarray))
-        assert held <= small + 9 * (2 * n + 2) * 8
+        assert sum(a.nbytes for a in arrays) <= small + 9 * (2 * n + 2) * 8
+        owned = sum(a.nbytes for a in arrays if a.base is None)
+        assert owned <= (4 * (n + 2) + 9 * (2 * n + 2)) * 8
 
     def test_steps_hand_out_fresh_arrays(self, first_step):
         second = step_rk4(first_step.state, 1e-2, start=first_step)
@@ -477,9 +496,9 @@ class TestPairedKernel:
             rate = solver._rhs_half(y, solver._Workspace(st.grid))
             traj = integrate(st, SolverConfig(t_final=3e-4, dt=1e-4))
             runs[len(usable)] = (rate, traj)
-            # one half of each of the 2 phases on the worker, or none
+            # the shifted grid's half on the worker, or nothing
             assert len(rhs_calls) > 1
-            assert len(submits) == (2 * len(rhs_calls) if len(usable) == 2 else 0)
+            assert len(submits) == (len(rhs_calls) if len(usable) == 2 else 0)
         (rate2, traj2), (rate1, traj1) = runs[2], runs[1]
         assert len(traj1.errors) == 3
         assert rate2.tobytes() == rate1.tobytes()
@@ -488,7 +507,7 @@ class TestPairedKernel:
         assert traj2.sup_norms == traj1.sup_norms
         assert traj2.errors == traj1.errors
 
-    def test_eight_padded_transforms_per_evaluation(self, medium_data, monkeypatch,
+    def test_sixteen_transforms_at_n_per_evaluation(self, medium_data, monkeypatch,
                                                      count_ffts):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         y = solver._spectra(st)
@@ -498,14 +517,14 @@ class TestPairedKernel:
             counts.update(rfft=0, irfft=0)
             counts.lengths.clear()
             solver._rhs_half(y, solver._Workspace(st.grid))
-            assert counts == {"rfft": 4, "irfft": 4}
-            assert counts.lengths == {2 * st.grid.num_points: 8}
+            assert counts == {"rfft": 8, "irfft": 8}
+            assert counts.lengths == {st.grid.num_points: 16}
 
     @pytest.mark.parametrize("kind", ["data", "near_nyquist"])
     def test_kernel_matches_the_straight_line_reference(self, small_grid, cpus, kind):
         # the same operations in the same order give the same bits, on
-        # either thread; a near-Nyquist state exercises the split of the
-        # Nyquist bin and the top of the padded products
+        # either thread; a near-Nyquist state exercises the Nyquist bin on
+        # the shifted grid and the top of the products
         if kind == "data":
             st = SystemState(rho=modulated_bump(small_grid, 2.0), u=3.0 * build_bump(small_grid))
             y = solver._spectra(st)
@@ -517,6 +536,28 @@ class TestPairedKernel:
             y *= 1e-2
         rate = solver._rhs_half(y, solver._Workspace(small_grid))
         assert rate.tobytes() == reference_rhs_half(y, small_grid).tobytes()
+
+    def test_lift_and_fold_match_the_padded_transforms(self, small_grid):
+        # the grid and its half-cell shift are the even and odd points of
+        # the padded grid; the Nyquist bin is complex, so only a lift that
+        # reads Re(c) on the grid and Re(i c) on the shifted grid matches
+        n = small_grid.num_points
+        work = solver._Workspace(small_grid)
+        rng = np.random.default_rng(23)
+        y = np.zeros(n // 2 + 1, dtype=complex)
+        y[-64:] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        padded = _padded_values(y, n)
+        scale = np.abs(padded).max()
+        lifted = [np.fft.irfft(y, n=n, norm="forward"),
+                  np.fft.irfft(work.tau * y, n=n, norm="forward")]
+        for on_grid, points in zip(lifted, (padded[0::2], padded[1::2])):
+            assert np.abs(on_grid - points).max() <= 1e-15 * scale
+        product = padded * padded * padded
+        truncated = _half_from_padded(product, n)
+        folded = (0.5 * np.fft.rfft(product[0::2], norm="forward")
+                  + work.fold * np.fft.rfft(product[1::2], norm="forward"))
+        folded[-1] = 0.0
+        assert np.abs(folded - truncated).max() <= 1e-15 * np.abs(truncated).max()
 
     def test_integrations_leave_at_most_one_extra_thread(self, small_grid, cpus):
         st = SystemState(rho=modulated_bump(small_grid, 2.0), u=3.0 * build_bump(small_grid))
