@@ -16,7 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from .initial_data import IllposedDataParams, build_bump, build_initial_data, check_regime
+from .initial_data import (BUMP_CUTOFF, IllposedDataParams, build_bump, build_initial_data,
+                           check_regime)
 from .littlewood_paley import (
     CHI_PLATEAU_END,
     BesovIndex,
@@ -26,6 +27,7 @@ from .littlewood_paley import (
     top_index,
     _block_norms,
     _block_weights,
+    _check_resolved,
     _check_weights,
     _commutator_block_norms,
     _half_lp_norm,
@@ -36,10 +38,13 @@ from .solver import SolverConfig, SystemState, _pair, integrate
 from .spectral import (
     Grid,
     RealField,
+    _bin_energy,
     _derivative_symbol,
     _half_from_padded,
     _lp_rows,
     _smoothing_symbol,
+    field_from_half,
+    half_spectrum,
     irfft,
     rfft,
 )
@@ -75,10 +80,19 @@ SEPARATION_SLOPE_MIN = -0.1
 CONTROL_SLOPE_MAX = -0.9
 ENERGY_FACTOR_MAX = 2.0
 STABILITY_FACTOR = 2.0
-# The control datum is the plain bump scaled so that its O(t) distances stay
-# above the double-precision spectral floor of the 2^(js)-weighted top blocks
-# (~1e-6 at desk scale); the datum stays smooth and non-oscillatory.
+# The control datum is the plain bump scaled by CONTROL_AMPLITUDE; it stays
+# smooth and non-oscillatory over every horizon.  From block 2 on its
+# distance holds only roundoff, which the 2^(js) weights amplify: integrated
+# on the desk data grid (2^17 points) the top blocks read up to about 2e-5,
+# which an amplitude of 24 keeps far below the O(t) distance.  On the grid
+# the control runs on (``_control_grid``) the top block reads about 1e-12,
+# and lifted to the data grid (``_lift``) at most about 1e-5 of the distance.
 CONTROL_AMPLITUDE = 24.0
+# The control runs on the smallest power-of-two grid of the data's box whose
+# Nyquist frequency exceeds this multiple of the bump's cutoff (512 points at
+# box 64, 1024 at box 128).  From there on the control distances at box 128
+# agree to 1e-12 between grids, and the resolution guard passes on them.
+CONTROL_NYQUIST_MIN = 32 * BUMP_CUTOFF
 
 
 class DegenerateDataError(ValueError):
@@ -416,6 +430,31 @@ def check_separation(params: IllposedDataParams, n_range, delta, dt_cap) -> tupl
     return n_list, SolverConfig(t_final=delta * 2.0**-n_list[0], dt=dt_cap, s=params.s)
 
 
+def _control_grid(grid: Grid) -> Grid:
+    """The grid the separation control runs on: the grid of ``grid``'s box
+    with the fewest points, a power of two, whose Nyquist frequency exceeds
+    CONTROL_NYQUIST_MIN, or one with as many points as ``grid`` when no
+    coarser grid does."""
+    coarse = Grid(16, grid.length)
+    while coarse.nyquist <= CONTROL_NYQUIST_MIN and coarse.num_points < grid.num_points:
+        coarse = Grid(2 * coarse.num_points, grid.length)
+    return coarse
+
+
+def _lift(grid: Grid, bank: LPFilterBank, f: RealField) -> RealField:
+    """f, a field of the grid of ``bank``, on ``grid``, a grid of the same box
+    with no fewer points: f itself when the grids are equal, else the field
+    of f's half spectrum padded with zeros, the Nyquist bin split evenly
+    between +-N/2 as ``spectral._padded_values`` splits it, once the
+    resolution guard has passed f on its own grid."""
+    if f.grid == grid:
+        return f
+    half = half_spectrum(f)
+    _check_resolved(bank, _bin_energy(half))
+    half[-1] *= 0.5
+    return field_from_half(grid, half)
+
+
 def study_separation(params: IllposedDataParams, n_range=None,
                      delta: float = DEFAULT_DELTA, with_control: bool = True,
                      dt_cap: float | None = None) -> StudyReport:
@@ -444,7 +483,14 @@ def study_separation(params: IllposedDataParams, n_range=None,
 
     The horizons are nested, so the data and the control are each
     integrated once, in one error-controlled sweep through every horizon
-    and quarter checkpoint; ``dt_cap`` optionally caps its step.
+    and quarter checkpoint; ``dt_cap`` optionally caps its step.  The
+    control's spectrum stays far below the data's, so it runs on the
+    coarser grid ``_control_grid`` gives, whose step RK4's stability at the
+    data's top wavenumber does not hold down; its distance is still
+    measured on the data's grid, by the data's filter bank, after the
+    resolution guard on its own grid (see ``_lift``).  The header's ``dt``,
+    ``rk4_steps``, ``rk4_rejected`` and ``time_error_max`` cover both
+    sweeps; ``control_rk4_steps`` counts the control's share.
     """
     n_list, cfg = check_separation(params, n_range, delta, dt_cap)
     s, p = params.s, params.p
@@ -479,16 +525,20 @@ def study_separation(params: IllposedDataParams, n_range=None,
     v0, w0 = first
     lead = weighted_block_norms(bank, v0, idx_rho) + weighted_block_norms(bank, w0, idx_u)
     control_dist = dict.fromkeys(n_list, math.nan)
+    control_grid = _control_grid(params.grid)
+    control_steps = 0
     if with_control:
-        control = CONTROL_AMPLITUDE * build_bump(params.grid)
+        control = CONTROL_AMPLITUDE * build_bump(control_grid)
+        lift = partial(_lift, params.grid, build_filter_bank(control_grid))
 
         def collapse(st):
             control_dist[band_at[st.time]] = besov_norm(
-                bank, st.rho - control, idx_rho
-            ) + besov_norm(bank, st.u - control, idx_u)
+                bank, lift(st.rho - control), idx_rho
+            ) + besov_norm(bank, lift(st.u - control), idx_u)
 
         trajectories.append(integrate(SystemState(rho=control, u=control), cfg,
                                       checkpoints=horizon.values(), visit=collapse))
+        control_steps = len(trajectories[-1].errors)
 
     rows = []
     for n in n_list:
@@ -507,7 +557,9 @@ def study_separation(params: IllposedDataParams, n_range=None,
         params=_params_dict(params, delta=delta, n_min=n_list[0], n_max=n_list[-1],
                             with_control=with_control,
                             control_amplitude=CONTROL_AMPLITUDE,
-                            **_solver_params(*trajectories)),
+                            **_solver_params(*trajectories),
+                            control_grid_points=control_grid.num_points,
+                            control_rk4_steps=control_steps),
         tolerances={
             "separation_slope_min": SEPARATION_SLOPE_MIN,
             "plateau_min": PLATEAU_MIN,

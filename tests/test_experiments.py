@@ -267,20 +267,71 @@ class TestSeparationStudy:
     def test_one_sweep_per_initial_state(self, medium_params, monkeypatch, n_max):
         # one integrate call for the data and one for the control, each
         # through every horizon, in fewer steps than the fixed rule's
-        # 64 + 32 (k - 1)
+        # 64 + 32 (k - 1); the control's on its own grid of 512 points
         sweeps = []
 
         def counting(state0, cfg, checkpoints=None, visit=None, **kwargs):
             traj = integrate(state0, cfg, checkpoints, visit, **kwargs)
-            sweeps.append((state0.time, traj.sup_norms[-1][0], len(traj.sup_norms)))
+            sweeps.append((state0.time, traj.sup_norms[-1][0], len(traj.sup_norms),
+                           state0.grid.num_points))
             return traj
 
         monkeypatch.setattr(experiments, "integrate", counting)
         report = study_separation(medium_params, range(5, n_max + 1), delta=0.1)
         k = n_max - 4
         assert [sweep[:2] for sweep in sweeps] == [(0.0, 0.1 * 2.0**-5)] * 2
-        assert all(steps < 64 + 32 * (k - 1) for _, _, steps in sweeps)
-        assert report.params["rk4_steps"] == sum(steps for _, _, steps in sweeps)
+        assert [sweep[3] for sweep in sweeps] == [2**14, 512]
+        assert all(steps < 64 + 32 * (k - 1) for _, _, steps, _ in sweeps)
+        assert report.params["rk4_steps"] == sum(sweep[2] for sweep in sweeps)
+        assert report.params["control_rk4_steps"] == sweeps[1][2]
+        assert report.params["control_grid_points"] == 512
+
+    @pytest.mark.parametrize("grid, points", [
+        (Grid(2**14, 64.0), 512), (Grid(2**17, 128.0), 1024), (Grid(2**8, 64.0), 2**8),
+        (Grid(2**9, 64.0), 2**9), (Grid(16, 1.0), 16),
+    ])
+    def test_control_grid_rule(self, grid, points):
+        # the fewest points (a power of two) whose Nyquist frequency clears
+        # CONTROL_NYQUIST_MIN, at most the data grid's
+        coarse = experiments._control_grid(grid)
+        assert coarse == Grid(points, grid.length)
+        assert coarse.nyquist > experiments.CONTROL_NYQUIST_MIN or coarse == grid
+        if points > 16:
+            assert Grid(points // 2, grid.length).nyquist <= experiments.CONTROL_NYQUIST_MIN
+
+    @pytest.mark.parametrize("s, p", [(3.0, 2.0), (3.1, 1.0), (2.6, math.inf)])
+    def test_control_on_its_grid_matches_the_data_grid(self, medium_params, s, p):
+        # The control integrated on 512 points and measured on the data's
+        # 2^14 grid through the lift, against the control integrated and
+        # measured on the data grid.  Measured (n = 5..8, delta 0.1): the
+        # distances differ by at most 3.5e-11 (p = 2), 2.4e-11 (p = 1) and
+        # 5.0e-11 (p = inf) relative, the time error of 4 steps against
+        # 7-20, and the control slope by at most 2.2e-11
+        params = replace(medium_params, s=s, p=p)
+        report = study_separation(params, range(5, 9), delta=0.1)
+        distances, _ = _data_grid_control(params, range(5, 9), delta=0.1)
+        assert report.params["control_grid_points"] == 512
+        assert [row[7] for row in report.rows] == pytest.approx(distances, rel=1e-10, abs=0.0)
+        slope = fit_powerlaw(zip(range(5, 9), distances), "dyadic").slope
+        assert report.fits["control_trend"].slope == pytest.approx(slope, rel=1e-9, abs=0.0)
+        assert report.passed
+
+    def test_control_on_the_data_grid_when_no_coarser_grid_resolves_it(
+            self, medium_params, separation_report, monkeypatch):
+        # Raised to the data grid's Nyquist frequency, the rule keeps the
+        # control on the data grid, with the bits of a control integrated
+        # and measured there; the data's columns never see the control
+        monkeypatch.setattr(experiments, "CONTROL_NYQUIST_MIN", medium_params.grid.nyquist)
+        report = study_separation(medium_params, range(5, 9), delta=0.1)
+        distances, steps = _data_grid_control(medium_params, range(5, 9), delta=0.1)
+        assert report.params["control_grid_points"] == 2**14
+        assert report.params["control_rk4_steps"] == steps
+        assert [row[7] for row in report.rows] == distances
+        for row, ref in zip(report.rows, separation_report.rows):
+            assert row[:7] + row[8:] == ref[:7] + ref[8:]
+        data_steps = (separation_report.params["rk4_steps"]
+                      - separation_report.params["control_rk4_steps"])
+        assert report.params["rk4_steps"] == data_steps + steps
 
 
 @pytest.mark.parametrize("study", ["shorttime", "separation"])
@@ -304,13 +355,35 @@ def test_one_workspace_and_one_rate_at_the_data_per_integration(
     monkeypatch.setattr(solver, "_rhs_half", counting)
     monkeypatch.setattr(solver, "_Workspace", Counted)
     if study == "shorttime":
-        report, integrations = study_short_time(medium_params, SHORT_TIMES), 1
+        report, grids = study_short_time(medium_params, SHORT_TIMES), [medium_params.grid]
     else:
-        report, integrations = study_separation(medium_params, range(5, 8), delta=0.1), 2
+        # the data on its grid and the control on its own, coarser one
+        report = study_separation(medium_params, range(5, 8), delta=0.1)
+        grids = [medium_params.grid, Grid(512, medium_params.grid.length)]
+    integrations = len(grids)
     assert sum(at_data) == 1
-    assert len(workspaces) == integrations
+    assert workspaces == grids
     steps = report.params["rk4_steps"] + report.params["rk4_rejected"]
     assert len(at_data) == integrations + 4 * steps
+
+
+def _data_grid_control(params, n_range, delta):
+    """The control distances of ``study_separation`` with the control
+    integrated and measured on the data grid, in its one sweep through the
+    horizons, and that sweep's accepted steps."""
+    n_list, cfg = experiments.check_separation(params, n_range, delta, None)
+    bank = build_filter_bank(params.grid)
+    idx_rho, idx_u = BesovIndex(params.s - 1, params.p), BesovIndex(params.s, params.p)
+    control = CONTROL_AMPLITUDE * build_bump(params.grid)
+    distances = []
+
+    def collapse(st):
+        distances.append(besov_norm(bank, st.rho - control, idx_rho)
+                         + besov_norm(bank, st.u - control, idx_u))
+
+    traj = integrate(SystemState(rho=control, u=control), cfg,
+                     checkpoints=[delta * 2.0**-n for n in n_list], visit=collapse)
+    return distances[::-1], len(traj.errors)
 
 
 def _per_horizon_separation_rows(params, n_range, delta):
