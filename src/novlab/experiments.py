@@ -43,7 +43,6 @@ from .spectral import (
     _half_from_padded,
     _lp_rows,
     _smoothing_symbol,
-    field_from_half,
     half_spectrum,
     irfft,
     rfft,
@@ -86,7 +85,8 @@ STABILITY_FACTOR = 2.0
 # on the desk data grid (2^17 points) the top blocks read up to about 2e-5,
 # which an amplitude of 24 keeps far below the O(t) distance.  On the grid
 # the control runs on (``_control_grid``) the top block reads about 1e-12,
-# and lifted to the data grid (``_lift``) at most about 1e-5 of the distance.
+# and padded to the data grid (``_padded_half``) every block above that
+# grid's Nyquist frequency reads exactly 0.
 CONTROL_AMPLITUDE = 24.0
 # The control runs on the smallest power-of-two grid of the data's box whose
 # Nyquist frequency exceeds this multiple of the bump's cutoff (512 points at
@@ -441,18 +441,20 @@ def _control_grid(grid: Grid) -> Grid:
     return coarse
 
 
-def _lift(grid: Grid, bank: LPFilterBank, f: RealField) -> RealField:
-    """f, a field of the grid of ``bank``, on ``grid``, a grid of the same box
-    with no fewer points: f itself when the grids are equal, else the field
-    of f's half spectrum padded with zeros, the Nyquist bin split evenly
-    between +-N/2 as ``spectral._padded_values`` splits it, once the
+def _padded_half(grid: Grid, bank: LPFilterBank, f: RealField) -> np.ndarray:
+    """The half spectrum on ``grid``, a grid of the same box with no fewer
+    points, of f, a field of the grid of ``bank``: f's half spectrum itself
+    when the grids are equal, else padded with zeros, the Nyquist bin split
+    evenly between +-N/2 as ``spectral._padded_values`` splits it, once the
     resolution guard has passed f on its own grid."""
-    if f.grid == grid:
-        return f
     half = half_spectrum(f)
+    if f.grid == grid:
+        return half
     _check_resolved(bank, _bin_energy(half))
-    half[-1] *= 0.5
-    return field_from_half(grid, half)
+    padded = np.zeros(grid.num_points // 2 + 1, dtype=complex)
+    padded[: half.size] = half
+    padded[half.size - 1] *= 0.5
+    return padded
 
 
 def study_separation(params: IllposedDataParams, n_range=None,
@@ -487,8 +489,9 @@ def study_separation(params: IllposedDataParams, n_range=None,
     control's spectrum stays far below the data's, so it runs on the
     coarser grid ``_control_grid`` gives, whose step RK4's stability at the
     data's top wavenumber does not hold down; its distance is still
-    measured on the data's grid, by the data's filter bank, after the
-    resolution guard on its own grid (see ``_lift``).  The header's ``dt``,
+    measured on the data's grid, by the data's filter bank, from its half
+    spectrum padded with zeros, after the resolution guard on its own grid
+    (see ``_padded_half``).  The header's ``dt``,
     ``rk4_steps``, ``rk4_rejected`` and ``time_error_max`` cover both
     sweeps; ``control_rk4_steps`` counts the control's share.
     """
@@ -529,12 +532,14 @@ def study_separation(params: IllposedDataParams, n_range=None,
     control_steps = 0
     if with_control:
         control = CONTROL_AMPLITUDE * build_bump(control_grid)
-        lift = partial(_lift, params.grid, build_filter_bank(control_grid))
+        pad = partial(_padded_half, params.grid, build_filter_bank(control_grid))
+
+        def distance(diff, idx):  # besov_norm of the padded field, from its spectrum
+            return float(np.max(_block_weights(bank, idx.s) * _block_norms(bank, pad(diff), p)))
 
         def collapse(st):
-            control_dist[band_at[st.time]] = besov_norm(
-                bank, lift(st.rho - control), idx_rho
-            ) + besov_norm(bank, lift(st.u - control), idx_u)
+            control_dist[band_at[st.time]] = (distance(st.rho - control, idx_rho)
+                                              + distance(st.u - control, idx_u))
 
         trajectories.append(integrate(SystemState(rho=control, u=control), cfg,
                                       checkpoints=horizon.values(), visit=collapse))

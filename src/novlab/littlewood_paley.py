@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .solver import _pair
 from .spectral import (
     Grid,
     RealField,
@@ -27,10 +29,12 @@ from .spectral import (
     _check_p,
     _check_same_grid,
     _derivative_symbol,
+    _half_cell_shift,
     _half_from_padded,
     _irfft_into,
     _lp_rows,
     _padded_values,
+    _rfft_into,
     _support_bins,
     field_from_half,
     half_spectrum,
@@ -148,16 +152,19 @@ def build_filter_bank(grid: Grid) -> LPFilterBank:
     return LPFilterBank(grid, tuple(blocks), j_max)
 
 
-def _block_half(bank: LPFilterBank, half: np.ndarray, j: int) -> np.ndarray:
+def _block_half(bank: LPFilterBank, half: np.ndarray, j: int, out=None) -> np.ndarray:
     """Half spectrum of block j (see ``dyadic_block``) of the field with half
     spectrum ``half``, or of each field of a stack of half spectra along the
-    last axis; only the bins of the block's range are multiplied."""
+    last axis, written to ``out`` when given and else to a fresh array;
+    only the bins of the block's range are multiplied."""
     if j > bank.j_max:
         raise ValueError(f"block {j} exceeds resolved band j_max={bank.j_max}")
-    out = np.zeros_like(half)
+    if out is None:
+        out = np.empty_like(half)
+    out[...] = 0.0
     if j >= -1:
         lo, hi, m = bank.blocks[j + 1]
-        out[..., lo:hi] = m * half[..., lo:hi]
+        np.multiply(m, half[..., lo:hi], out=out[..., lo:hi])
     return out
 
 
@@ -258,22 +265,20 @@ def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex,
 
 
 def _padded_block_products(bank: LPFilterBank, w_values: np.ndarray, half: np.ndarray,
-                           blocks, symbol=None):
+                           blocks):
     """Half spectra of w g_j, dealiased, for each j in ``blocks``: ``w_values``
     holds the values of w on the product grid, whose size m >= n is the
-    length of its last axis, and g_j has the half spectrum ``symbol`` (when
-    given) times block j of ``half``; stacks of w and g run row by row.
-    Each g_j must have a zero Nyquist bin, as every derivative has, so
-    lifting it to m points is one plain inverse transform: at m = 2n the
-    bits of ``_padded_values``, whose Nyquist halving has nothing to halve.
-    Each block costs one inverse and one forward transform at m."""
+    length of its last axis, and g_j is block j of ``half``; stacks of w and
+    g run row by row.  Each g_j must have a zero Nyquist bin, as every
+    derivative has, so lifting it to m points is one plain inverse
+    transform: at m = 2n the bits of ``_padded_values``, whose Nyquist
+    halving has nothing to halve.  Each block costs one inverse and one
+    forward transform at m."""
     n = bank.grid.num_points
     m = w_values.shape[-1]
 
     def product(j):
         g = _block_half(bank, half, j)
-        if symbol is not None:
-            g *= symbol
         prod = _irfft_into(g, n=m, norm="forward")
         prod *= w_values
         return _half_from_padded(prod, n)  # frees the product-grid temporaries
@@ -301,19 +306,47 @@ def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
                            blocks, p) -> np.ndarray:
     """||u^2 d/dx block_j f||_Lp for f = rho (row 0) and f = u (row 1) and
     each j in ``blocks``, dealiased as
-    ``triple_product(u, u, derivative(dyadic_block(bank, f, j)))`` is.  The
-    spectra of rho and u and the padded values of u^2 (squared in the order
-    of ``dealiased_half_product``'s accumulator) are formed once."""
+    ``triple_product(u, u, derivative(dyadic_block(bank, f, j)))`` is,
+    without padding: as in the RHS kernel (``solver._rhs_half``), each
+    product is formed on the grid and on its half-cell shift, with one
+    inverse and one forward transform of n points on each, and folded back.
+    u^2 is formed once on each grid.  The shifted grid's product runs on the
+    worker of one ``solver._pair`` beside the grid's on the caller, each in
+    its own rows of one buffer allocated once per sweep, so no bit depends
+    on the threads."""
     _check_same_grid(bank, rho, u)
     grid = u.grid
+    n = grid.num_points
     p = _check_p(p)
-    hu = half_spectrum(u)
-    u2 = _padded_values(hu, grid.num_points)
-    u2 *= u2
     d = _derivative_symbol(grid)
-    return np.array([[_half_lp_norm(grid, h, p)
-                      for h in _padded_block_products(bank, u2, hf, blocks, d)]
-                     for hf in (half_spectrum(rho), hu)])
+    tau, fold = _half_cell_shift(grid)
+    hu = half_spectrum(u)
+    # per grid: u^2, a product's values, and a half spectrum that stages the
+    # lifted g and then takes the product's weighted spectrum
+    on_grid, shifted = np.empty((2, 3, n + 2))
+    for rows, lift in ((on_grid, hu), (shifted, tau * hu)):
+        u2 = _irfft_into(lift, n=n, norm="forward", out=rows[0, :n])
+        u2 *= u2
+
+    def product(rows, weight):
+        values, spectrum = rows[1, :n], rows[2].view(complex)
+        _irfft_into(spectrum, n=n, norm="forward", out=values)
+        values *= rows[0, :n]
+        _rfft_into(values, norm="forward", out=spectrum)
+        spectrum *= weight
+
+    g, g_shifted = on_grid[2].view(complex), shifted[2].view(complex)
+    norms = np.empty((2, len(blocks)))
+    for i, hf in enumerate((half_spectrum(rho), hu)):
+        for k, j in enumerate(blocks):
+            _block_half(bank, hf, j, out=g)
+            g *= d
+            np.multiply(tau, g, out=g_shifted)
+            _pair(partial(product, shifted, fold), partial(product, on_grid, 0.5))
+            g += g_shifted
+            g[-1] = 0.0  # discard the (unrepresentable) Nyquist content
+            norms[i, k] = _half_lp_norm(grid, g, p)
+    return norms
 
 
 def commutator(bank: LPFilterBank, j: int, u: RealField, v: RealField) -> RealField:

@@ -38,7 +38,9 @@ inline.  numpy's transforms and array arithmetic release the GIL, and
 neither a transform's bits nor a product's depend on the thread that
 computed it, so the result is the same either way.  The same worker,
 through the same rule (``_pair``), runs one of the inequality study's two
-corpora while the caller runs the other.
+corpora while the caller runs the other, and the blockscale sweep's
+products on the shifted grid while the caller forms them on the grid
+(``littlewood_paley._transport_block_norms``).
 
 The kernel and the step work in a private workspace (``_Workspace``): the
 symbols; a pool of fourteen rows of n + 2 doubles, seven for each half,
@@ -69,6 +71,7 @@ from .spectral import (
     _bin_energy,
     _check_same_grid,
     _derivative_symbol,
+    _half_cell_shift,
     _irfft_into,
     _rfft_into,
     _smoothing_symbol,
@@ -155,10 +158,10 @@ def _new_pool() -> None:
 
 
 # The worker thread that runs the first function of each ``_pair``: the
-# kernel's half on the shifted grid, or one of the inequality study's
-# corpora; started on the first submit.  A forked child inherits the
-# executor but not its thread, so the child gets a new executor before any
-# of its code runs.
+# kernel's half on the shifted grid, one of the inequality study's corpora,
+# or a blockscale product on the shifted grid; started on the first submit.
+# A forked child inherits the executor but not its thread, so the child gets
+# a new executor before any of its code runs.
 _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
@@ -175,14 +178,16 @@ def _pair(f, g) -> None:
     the process may use only one CPU; f and g must write disjoint buffers.
 
     f must not itself call ``_pair``: there is one worker, so a nested call
-    would wait on itself.  The kernel's halves and the inequality study's
-    corpus function (which calls no solver code) keep to that.  numpy's
-    and scipy's transforms and numpy's array arithmetic release the GIL, so
-    the kernel's two grids overlap; so does most of a corpus, which runs its
-    pairs in stacks of ``experiments.CORPUS_CHUNK`` through transforms and
-    array arithmetic, so that the two corpora take less wall time threaded
-    than inline.  Returns once both are done, and an exception of either
-    reaches the caller.
+    would wait on itself.  The kernel's halves, the inequality study's
+    corpus function (which calls no solver code) and the blockscale sweep's
+    products (one inverse transform, a product and one forward transform)
+    keep to that.  numpy's and scipy's transforms and numpy's array
+    arithmetic release the GIL, so the two grids of the kernel and of the
+    sweep overlap; so does most of a corpus, which runs its pairs in stacks
+    of ``experiments.CORPUS_CHUNK`` through transforms and array
+    arithmetic, so that the two corpora take less wall time threaded than
+    inline.  Returns once both are done, and an exception of either reaches
+    the caller.
     """
     # on one CPU the worker could only take turns with the caller: its
     # hand-offs made a 2^14 separation study about 7 % slower than inline
@@ -202,9 +207,9 @@ def _pair(f, g) -> None:
 class _Workspace:
     """The buffers that the kernel and the step reuse on one grid of n points.
 
-    ``d`` and ``g`` are the derivative and smoothing symbols, ``tau`` the
-    half-cell shift e^(i pi k / n) of the half spectrum and ``fold`` its
-    weight conj(tau) / 2 in the fold back.  ``rows`` is a pool of fourteen
+    ``d`` and ``g`` are the derivative and smoothing symbols, ``tau`` and
+    ``fold`` the half-cell shift of the half spectrum and its weight in the
+    fold back (``spectral._half_cell_shift``).  ``rows`` is a pool of fourteen
     rows of n + 2 doubles, the first seven for the kernel's half on the grid
     and the last seven for its half on the shifted grid (``_grid_half`` gives
     each row its parts).  A row holds values on n points or, viewed as
@@ -223,8 +228,7 @@ class _Workspace:
         # complex, so that multiplying a spectrum by it casts nothing; the
         # product is the same as with the real symbol
         self.g = _smoothing_symbol(grid).astype(complex)
-        self.tau = np.exp(1j * math.pi / n * np.arange(m))
-        self.fold = 0.5 * np.conj(self.tau)
+        self.tau, self.fold = _half_cell_shift(grid)
         self.rows = np.empty((14, n + 2))
         self.stage = np.empty((2, m), dtype=complex)
         self.rate = self.rows[2:4].view(complex)

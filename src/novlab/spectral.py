@@ -10,8 +10,10 @@ unit-amplitude cosine mode has half-spectrum entry 1/2 at its wavenumber,
 up to the phase exp(-i xi_k x_0) = (-1)^k of the left endpoint
 x_0 = -L/2; diagonal operators and products do not see that phase, so
 only data synthesis applies it (``_half_phase``).  Pointwise products of
-fields are dealiased by zero-padding to twice the grid, which is exact
-for nonlinearities up to degree three.
+fields are dealiased as zero-padding to twice the grid dealiases them,
+which is exact for nonlinearities up to degree three.  The products here
+pad; the RHS kernel and the blockscale sweep form each product on the
+grid and on its half-cell shift instead (``_half_cell_shift``).
 """
 
 from __future__ import annotations
@@ -157,6 +159,16 @@ def _derivative_symbol(grid: Grid) -> np.ndarray:
     d = 1j * grid.half_frequencies
     d[-1] = 0.0
     return d
+
+
+def _half_cell_shift(grid: Grid) -> tuple:
+    """tau = e^(i pi k / n), whose product with a half spectrum transforms
+    to the values on the grid shifted by half a cell, and its weight
+    conj(tau) / 2 in the fold back (E + conj(tau) O) / 2 of a product's
+    spectra E and O on the two grids to its truncated padded spectrum."""
+    n = grid.num_points
+    tau = np.exp(1j * math.pi / n * np.arange(n // 2 + 1))
+    return tau, 0.5 * np.conj(tau)
 
 
 def _smoothing_symbol(grid: Grid) -> np.ndarray:

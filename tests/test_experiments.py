@@ -43,7 +43,8 @@ from novlab.experiments import (
     random_band_limited_field,
     write_report_csv,
 )
-from novlab.littlewood_paley import _transport_block_norms
+from novlab.littlewood_paley import RING_SUPPORT, _block_norms, _transport_block_norms
+from novlab.spectral import field_from_half, half_spectrum
 
 from helpers import fft_threads, fixed_step_states, mode, random_field, see_cpus
 
@@ -135,10 +136,32 @@ class TestBlockScalingStudy:
         bands = range(4, 9)
         counts = count_ffts()
         _transport_block_norms(medium_bank, medium_data.rho, medium_data.u, bands, 2.0)
-        # hoisted: the spectra of rho and u and the padded values of u; then
-        # one padded inverse and one forward transform per (field, band)
+        # hoisted: the spectra of rho and u and the values of u on the grid
+        # and on its half-cell shift; then one inverse and one forward
+        # transform per grid and (field, band), none of them padded
         pairs = 2 * len(bands)
-        assert counts == {"rfft": 2 + pairs, "irfft": 1 + pairs}
+        assert counts == {"rfft": 2 + 2 * pairs, "irfft": 2 + 2 * pairs}
+        assert counts.lengths == {medium_bank.grid.num_points: 4 + 4 * pairs}
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_sweep_threaded_and_inline_give_the_same_bits(self, medium_bank, medium_data,
+                                                          monkeypatch, p):
+        # each (field, band) hands the shifted grid's product to the solver's
+        # worker when a second CPU is usable, and runs it inline when not
+        bands = range(4, 9)
+        submit = solver._pool.submit
+        runs = {}
+        for usable in ({0, 1}, {0}):
+            submits = []
+            see_cpus(monkeypatch, usable)
+            monkeypatch.setattr(solver._pool, "submit",
+                                lambda f: submits.append(f) or submit(f))
+            runs[len(usable)] = _transport_block_norms(medium_bank, medium_data.rho,
+                                                       medium_data.u, bands, p)
+            assert len(submits) == (2 * len(bands) if len(usable) == 2 else 0)
+            assert len(fft_threads()) <= 1
+        assert runs[2].shape == (2, len(bands))
+        assert runs[2].tobytes() == runs[1].tobytes()
 
     def test_resolution_robustness(self, medium_params, medium_grid):
         finer_grid = Grid(2**15, medium_grid.length)
@@ -315,6 +338,44 @@ class TestSeparationStudy:
         slope = fit_powerlaw(zip(range(5, 9), distances), "dyadic").slope
         assert report.fits["control_trend"].slope == pytest.approx(slope, rel=1e-9, abs=0.0)
         assert report.passed
+
+    @pytest.mark.parametrize("s, p", [(3.0, 2.0), (3.1, 1.0), (2.6, math.inf)])
+    def test_control_distance_from_its_padded_half_spectrum(self, medium_params, s, p):
+        # The control's differences are measured from their half spectra on
+        # 512 points padded with zeros to the data's 2^14: every block whose
+        # ring starts above the control grid's Nyquist frequency reads
+        # exactly 0, and the distance is the one besov_norm gives the padded
+        # field on the data grid.  Measured (n = 5..8, delta 0.1): the two
+        # differ by at most 1.6e-16 (p = 2), 2.0e-16 (p = 1) and 1.5e-16
+        # (p = inf) relative, held to 1e-15
+        params = replace(medium_params, s=s, p=p)
+        grid = params.grid
+        report = study_separation(params, range(5, 9), delta=0.1)
+        n_list, cfg = experiments.check_separation(params, range(5, 9), 0.1, None)
+        coarse = experiments._control_grid(grid)
+        coarse_bank, bank = build_filter_bank(coarse), build_filter_bank(grid)
+        control = CONTROL_AMPLITUDE * build_bump(coarse)
+        zero_blocks = [j for j in range(-1, bank.j_max + 1)
+                       if RING_SUPPORT[0] * 2.0**j >= coarse.nyquist]
+        assert zero_blocks == [5, 6, 7, 8, 9]
+        lifted = []
+
+        def collapse(st):
+            dist = 0.0
+            for f, t in ((st.rho, s - 1), (st.u, s)):
+                diff = f - control
+                norms = _block_norms(bank, experiments._padded_half(grid, coarse_bank, diff), p)
+                assert all(norms[j + 1] == 0.0 for j in zero_blocks)
+                # the lift: the transform to 2^14 points pads the spectrum
+                half = half_spectrum(diff)
+                half[-1] *= 0.5
+                dist += besov_norm(bank, field_from_half(grid, half), BesovIndex(t, p))
+            lifted.append(dist)
+
+        integrate(SystemState(rho=control, u=control), cfg,
+                  checkpoints=[0.1 * 2.0**-n for n in n_list], visit=collapse)
+        assert [row[7] for row in report.rows] == pytest.approx(lifted[::-1], rel=1e-15,
+                                                                abs=0.0)
 
     def test_control_on_the_data_grid_when_no_coarser_grid_resolves_it(
             self, medium_params, separation_report, monkeypatch):
