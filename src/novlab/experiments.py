@@ -23,7 +23,6 @@ from .littlewood_paley import (
     BesovIndex,
     LPFilterBank,
     build_filter_bank,
-    besov_norm,
     top_index,
     _block_norms,
     _block_weights,
@@ -32,7 +31,6 @@ from .littlewood_paley import (
     _commutator_block_norms,
     _half_lp_norm,
     _transport_block_norms,
-    weighted_block_norms,
 )
 from .solver import SolverConfig, SystemState, _pair, integrate
 from .spectral import (
@@ -43,7 +41,6 @@ from .spectral import (
     _half_from_padded,
     _lp_rows,
     _smoothing_symbol,
-    half_spectrum,
     irfft,
     rfft,
 )
@@ -267,6 +264,57 @@ def _solver_params(*trajectories) -> dict:
     }
 
 
+def _invariants(grid: Grid, y: np.ndarray) -> np.ndarray:
+    """The integrals over the period of rho^2 and of u^2 + u_x^2, which the
+    system conserves (the second is the Novikov H^1 law), from the half
+    spectra y = (rho, u) by Parseval: no transform."""
+    xi = grid.half_frequencies
+    energy = _bin_energy(y)
+    return grid.length * np.array([np.sum(energy[0]), np.sum((1.0 + xi * xi) * energy[1])])
+
+
+def _sweep(state0: SystemState, cfg: SolverConfig, checkpoints, measure) -> tuple:
+    """``integrate`` from ``state0`` through ``checkpoints``, calling
+    ``measure(record, y0, f0)`` at each, with y0 the half spectra of state0
+    and f0 the right-hand side there, both from the start record, which is
+    not kept.  Returns the trajectory, (y0, f0), and the header entries
+    ``invariant_drift_rho`` and ``invariant_drift_u``: the largest relative
+    drift of each of the ``_invariants`` over the records."""
+    grid = state0.grid
+    start = []
+    drift = np.zeros(2)
+
+    def visit(record):
+        nonlocal drift
+        if not start:
+            start.extend((record.spectra, record.rate, _invariants(grid, record.spectra)))
+            return
+        y0, f0, invariants0 = start
+        moved = np.abs(_invariants(grid, record.spectra) - invariants0) / invariants0
+        drift = np.maximum(drift, moved)
+        measure(record, y0, f0)
+
+    traj = integrate(state0, cfg, checkpoints, visit)
+    drifts = {"invariant_drift_rho": float(drift[0]), "invariant_drift_u": float(drift[1])}
+    return traj, start[:2], drifts
+
+
+def _weighted_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
+                   check_resolved: bool = True) -> np.ndarray:
+    """``weighted_block_norms`` of each field of the stacked half spectra y,
+    row r with s = s_rows[r], from the spectra (p = 2 by Parseval, other p
+    one inverse transform per block), one row of weighted norms per field."""
+    weights = np.stack([_block_weights(bank, s) for s in s_rows])
+    return weights * _block_norms(bank, y, p, check_resolved)
+
+
+def _besov_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
+                check_resolved: bool = True) -> list:
+    """``besov_norm`` of each field of the stacked half spectra y, row r in
+    B^(s_rows[r])_{p,inf}, from the spectra."""
+    return np.max(_weighted_rows(bank, y, s_rows, p, check_resolved), axis=-1).tolist()
+
+
 def _bands(params: IllposedDataParams, n_range, n_lowest: int) -> list:
     """The band indices of a study, sorted: at least 3, the fewest a
     power-law fit takes, each in [n_lowest, num_terms - 1].  ``None``
@@ -366,30 +414,21 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
-    state0 = SystemState(rho=data.rho, u=data.u)
-    # (v0, w0): the right-hand side at the data, which the integration hands
-    # over before its first step, or zero when ablated
-    first = []
-    if ablate_first_variation:
-        zero = RealField(params.grid, np.zeros(params.grid.num_points))
-        first += [zero, zero]
-
     rows = []
 
-    def expand(state):
-        v0, w0 = first
-        t = state.time
-        drho, du = state.rho - data.rho, state.u - data.u
-        d1r = besov_norm(bank, drho, BesovIndex(s - 2, p))
-        d1u = besov_norm(bank, du, BesovIndex(s - 1, p))
+    def expand(record, y0, f0):
+        # (v0, w0) = f0, the right-hand side at the data, or zero when ablated
+        t = record.state.time
+        diff = record.spectra - y0
+        distances = _besov_rows(bank, diff, (s - 2, s - 1), p)
+        if not ablate_first_variation:
+            diff -= t * f0  # the residual
         # the residuals shrink like t^2 while inheriting harmless spectral
-        # dust from t*v0, so the resolution guard would misfire on them
-        d2r = besov_norm(bank, drho - t * v0, BesovIndex(s - 3, p), check_resolved=False)
-        d2u = besov_norm(bank, du - t * w0, BesovIndex(s - 2, p), check_resolved=False)
-        rows.append((t, d1r, d1u, d2r, d2u))
+        # dust from t*f0, so the resolution guard would misfire on them
+        rows.append((t, *distances,
+                     *_besov_rows(bank, diff, (s - 3, s - 2), p, check_resolved=False)))
 
-    traj = integrate(state0, config, checkpoints=times, visit=expand,
-                     first_rate=None if ablate_first_variation else first.extend)
+    traj, _, drifts = _sweep(SystemState(rho=data.rho, u=data.u), config, times, expand)
     fits = {
         "first_order_rho": fit_powerlaw([(r[0], r[1]) for r in rows], "loglog"),
         "first_order_u": fit_powerlaw([(r[0], r[2]) for r in rows], "loglog"),
@@ -403,6 +442,7 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
             t_max=times[0],
             ablate_first_variation=ablate_first_variation,
             **_solver_params(traj),
+            **drifts,
         ),
         tolerances={
             "first_order_slope": SLOPE_TOL_FIRST_ORDER,
@@ -441,19 +481,20 @@ def _control_grid(grid: Grid) -> Grid:
     return coarse
 
 
-def _padded_half(grid: Grid, bank: LPFilterBank, f: RealField) -> np.ndarray:
-    """The half spectrum on ``grid``, a grid of the same box with no fewer
-    points, of f, a field of the grid of ``bank``: f's half spectrum itself
-    when the grids are equal, else padded with zeros, the Nyquist bin split
-    evenly between +-N/2 as ``spectral._padded_values`` splits it, once the
-    resolution guard has passed f on its own grid."""
-    half = half_spectrum(f)
-    if f.grid == grid:
+def _padded_half(grid: Grid, bank: LPFilterBank, half: np.ndarray) -> np.ndarray:
+    """The half spectra on ``grid``, a grid of the same box with no fewer
+    points, of the fields with half spectra ``half`` (along the last axis)
+    on the grid of ``bank``: ``half`` itself when the grids are equal, else
+    padded with zeros, the Nyquist bin split evenly between +-N/2 as
+    ``spectral._padded_values`` splits it, once the resolution guard has
+    passed each field on its own grid."""
+    if bank.grid == grid:
         return half
     _check_resolved(bank, _bin_energy(half))
-    padded = np.zeros(grid.num_points // 2 + 1, dtype=complex)
-    padded[: half.size] = half
-    padded[half.size - 1] *= 0.5
+    m = half.shape[-1]
+    padded = np.zeros(half.shape[:-1] + (grid.num_points // 2 + 1,), dtype=complex)
+    padded[..., :m] = half
+    padded[..., m - 1] *= 0.5
     return padded
 
 
@@ -499,56 +540,55 @@ def study_separation(params: IllposedDataParams, n_range=None,
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
-    idx_rho, idx_u = BesovIndex(s - 1, p), BesovIndex(s, p)
-    energy0 = besov_norm(bank, data.rho, idx_rho) + besov_norm(bank, data.u, idx_u)
 
     horizon = {n: delta * 2.0**-n for n in n_list}
     band_at = {t_n: n for n, t_n in horizon.items()}
     # t_n/4 and t_n/2 coincide exactly with t_(n+2) and t_(n+1)
     quarters = {n: [t_n * k / 4 for k in (1, 2, 3, 4)] for n, t_n in horizon.items()}
-    energy = {}
+    energy = {}  # the solution Besov norms, until divided by the data's
     separation = {}
 
-    def audit(st):
-        energy[st.time] = (
-            besov_norm(bank, st.rho, idx_rho) + besov_norm(bank, st.u, idx_u)
-        ) / energy0
-        n = band_at.get(st.time)
+    def audit(record, y0, f0):
+        t = record.state.time
+        norm_rho, norm_u = _besov_rows(bank, record.spectra, (s - 1, s), p)
+        energy[t] = norm_rho + norm_u
+        n = band_at.get(t)
         if n is not None:
-            # one block sweep per difference field gives both statistics
-            w_rho = weighted_block_norms(bank, st.rho - data.rho, idx_rho)
-            w_u = weighted_block_norms(bank, st.u - data.u, idx_u)
+            # one block sweep per difference gives both statistics
+            w_rho, w_u = _weighted_rows(bank, record.spectra - y0, (s - 1, s), p)
             separation[n] = (float(w_rho[n + 1] + w_u[n + 1]), float(np.max(w_rho)),
                              float(np.max(w_u)))
 
-    first = []  # (v0, w0): the right-hand side at the data, from the first step
-    trajectories = [integrate(SystemState(rho=data.rho, u=data.u), cfg,
-                              checkpoints=set().union(*quarters.values()), visit=audit,
-                              first_rate=first.extend)]
-    v0, w0 = first
-    lead = weighted_block_norms(bank, v0, idx_rho) + weighted_block_norms(bank, w0, idx_u)
+    sweep, (y0, f0), drifts = _sweep(SystemState(rho=data.rho, u=data.u), cfg,
+                                     set().union(*quarters.values()), audit)
+    trajectories = [sweep]
+    norm_rho, norm_u = _besov_rows(bank, y0, (s - 1, s), p)
+    energy0 = norm_rho + norm_u
+    # (v0, w0) = f0, the right-hand side at the data
+    lead_rho, lead_u = _weighted_rows(bank, f0, (s - 1, s), p)
+    lead = lead_rho + lead_u
+    del y0, f0  # not held through the control's sweep
     control_dist = dict.fromkeys(n_list, math.nan)
     control_grid = _control_grid(params.grid)
     control_steps = 0
     if with_control:
         control = CONTROL_AMPLITUDE * build_bump(control_grid)
-        pad = partial(_padded_half, params.grid, build_filter_bank(control_grid))
+        control_bank = build_filter_bank(control_grid)
 
-        def distance(diff, idx):  # besov_norm of the padded field, from its spectrum
-            return float(np.max(_block_weights(bank, idx.s) * _block_norms(bank, pad(diff), p)))
+        def collapse(record, y0, f0):
+            # the Besov distances of the padded differences, from their spectra
+            diff = _padded_half(params.grid, control_bank, record.spectra - y0)
+            dist_rho, dist_u = _besov_rows(bank, diff, (s - 1, s), p)
+            control_dist[band_at[record.state.time]] = dist_rho + dist_u
 
-        def collapse(st):
-            control_dist[band_at[st.time]] = (distance(st.rho - control, idx_rho)
-                                              + distance(st.u - control, idx_u))
-
-        trajectories.append(integrate(SystemState(rho=control, u=control), cfg,
-                                      checkpoints=horizon.values(), visit=collapse))
+        trajectories.append(_sweep(SystemState(rho=control, u=control), cfg,
+                                   horizon.values(), collapse)[0])
         control_steps = len(trajectories[-1].errors)
 
     rows = []
     for n in n_list:
         block_sep, full_rho, full_u = separation[n]
-        energy_ratio = max(energy[t] for t in quarters[n])
+        energy_ratio = max(energy[t] / energy0 for t in quarters[n])
         first_order = horizon[n] * float(lead[n + 1])
         rows.append((n, horizon[n], block_sep, full_rho, full_u, full_rho + full_u,
                      energy_ratio, control_dist[n], first_order, block_sep / first_order))
@@ -564,7 +604,7 @@ def study_separation(params: IllposedDataParams, n_range=None,
                             control_amplitude=CONTROL_AMPLITUDE,
                             **_solver_params(*trajectories),
                             control_grid_points=control_grid.num_points,
-                            control_rk4_steps=control_steps),
+                            control_rk4_steps=control_steps, **drifts),
         tolerances={
             "separation_slope_min": SEPARATION_SLOPE_MIN,
             "plateau_min": PLATEAU_MIN,
@@ -725,9 +765,11 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     # B runs on the solver's worker thread while A runs here, or after A on
     # one CPU.  The corpora share only read-only inputs (the bank, the grid,
     # whose frequencies the bank has cached, and idx) and each draws from its
-    # own generator, so the rows are the same bits either way.
+    # own generator, so the rows are the same bits either way.  Each pair of
+    # fields takes 26 transforms of the grid (``_pair_ratios``).
     rows_a, rows_b = [], []
-    _pair(partial(corpus, rows_b, "B", seed + 1), partial(corpus, rows_a, "A", seed))
+    _pair(partial(corpus, rows_b, "B", seed + 1), partial(corpus, rows_a, "A", seed),
+          2 * 26 * corpus_size * grid.num_points)
     rows = rows_a + rows_b
 
     report = StudyReport(

@@ -342,7 +342,7 @@ def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
             _block_half(bank, hf, j, out=g)
             g *= d
             np.multiply(tau, g, out=g_shifted)
-            _pair(partial(product, shifted, fold), partial(product, on_grid, 0.5))
+            _pair(partial(product, shifted, fold), partial(product, on_grid, 0.5), 4 * n)
             g += g_shifted
             g[-1] = 0.0  # discard the (unrepresentable) Nyquist content
             norms[i, k] = _half_lp_norm(grid, g, p)

@@ -31,15 +31,20 @@ estimate would amplify.
 The kernel runs in two independent halves, one for each grid: each lifts
 rho, rho_x, u and u_x to its grid, forms every product, transforms the
 products back, applies d/dx and G and weights its result, in its own
-buffers; the caller adds the two.  When the process may use a second CPU,
-the shifted grid's half runs on a worker thread that the process starts on
-first use, and the grid's half on the caller; with one CPU both run
-inline.  numpy's transforms and array arithmetic release the GIL, and
-neither a transform's bits nor a product's depend on the thread that
-computed it, so the result is the same either way.  The same worker,
-through the same rule (``_pair``), runs one of the inequality study's two
-corpora while the caller runs the other, and the blockscale sweep's
-products on the shifted grid while the caller forms them on the grid
+buffers; then the two are added row by row.  The step's elementwise work
+(its stages, its increment and the increment's inverse transform, the new
+values and their sup, the new spectra, the error and the three norms the
+controller reads) also runs row by row, fused with the kernel's addition
+where it follows it.  When the process may use a second CPU and the work
+is large enough (``_pair``), the shifted grid's half and the rho row run
+on a worker thread that the process starts on first use, and the grid's
+half and the u row on the caller; else both run inline.  numpy's
+transforms and array arithmetic release the GIL, and neither a
+transform's bits nor a product's depend on the thread that computed it,
+so the result is the same either way.  The same worker, through the same
+rule, runs one of the inequality study's two corpora while the caller runs
+the other, and the blockscale sweep's products on the shifted grid while
+the caller forms them on the grid
 (``littlewood_paley._transport_block_norms``).
 
 The kernel and the step work in a private workspace (``_Workspace``): the
@@ -47,12 +52,14 @@ symbols; a pool of fourteen rows of n + 2 doubles, seven for each half,
 each of which holds values on n points or, viewed as complex, a half
 spectrum; and the step's stage buffer.  Between evaluations two rows of
 the grid's half hold the step's stage rate, which the kernel reads nothing
-from and writes last, and two others the values of the step's increment.  ``integrate`` builds one
-per call and hands it from step to step inside the ``RK4Step`` it threads
-through ``step_rk4``; a step without a ``start`` builds its own.  What a
-step hands out (the new state's values and every array of its ``RK4Step``)
-is freshly allocated and never aliases the workspace, so a step allocates
-only its outputs.
+from and writes last, and two others the values of the step's increment.
+``integrate`` builds one per call and hands it from step to step inside
+the ``RK4Step`` it threads through ``step_rk4``; a step without a
+``start`` builds its own.  What a step hands out (the new state's values
+and every array of its ``RK4Step``) is freshly allocated and never aliases
+the workspace, so a step allocates only its outputs.  ``integrate`` hands
+its caller one record per checkpoint, the accepted ``RK4Step`` that ended
+there, so a study measures the states from their carried spectra.
 """
 
 from __future__ import annotations
@@ -158,13 +165,29 @@ def _new_pool() -> None:
 
 
 # The worker thread that runs the first function of each ``_pair``: the
-# kernel's half on the shifted grid, one of the inequality study's corpora,
-# or a blockscale product on the shifted grid; started on the first submit.
-# A forked child inherits the executor but not its thread, so the child gets
-# a new executor before any of its code runs.
+# kernel's half on the shifted grid, the rho row of a step's elementwise
+# work, one of the inequality study's corpora, or a blockscale product on
+# the shifted grid; started on the first submit.  A forked child inherits
+# the executor but not its thread, so the child gets a new executor before
+# any of its code runs.
 _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
+
+# The size (points times transforms of that many points) from which a pair
+# runs on two threads; below it the hand-off to the worker, about 65 us,
+# costs more than the overlap gains.  Placed from the warm kernel
+# (``_rhs_half``, 16 transforms) on two usable CPUs, medians of 7 batches:
+#
+#   points            2^9   2^10   2^11   2^12   2^13   2^14   2^15
+#   inline   (us)     116    141    217    409    840   1685   3561
+#   threaded (us)     204    310    307    363    574   1027   2173
+#
+# so the kernel threads from 2^12 points (size 2^16) up.  A step's row pairs
+# pass 2n, so they thread from 2^15 points, where a warm step with its norms
+# takes 9.02 ms against 9.59 ms with inline rows (4.77 against 4.73 ms at
+# 2^14, had they threaded there).
+PAIR_MIN_SIZE = 2**16
 
 
 def _usable_cpus() -> int:
@@ -173,25 +196,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pair(f, g) -> None:
+def _pair(f, g, size) -> None:
     """Run f on the worker thread and g on the caller, or both inline when
-    the process may use only one CPU; f and g must write disjoint buffers.
+    the process may use only one CPU or ``size``, the work of the pair in
+    points times transforms of that many points, is below PAIR_MIN_SIZE;
+    f and g must write disjoint buffers.
 
     f must not itself call ``_pair``: there is one worker, so a nested call
-    would wait on itself.  The kernel's halves, the inequality study's
-    corpus function (which calls no solver code) and the blockscale sweep's
-    products (one inverse transform, a product and one forward transform)
-    keep to that.  numpy's and scipy's transforms and numpy's array
-    arithmetic release the GIL, so the two grids of the kernel and of the
-    sweep overlap; so does most of a corpus, which runs its pairs in stacks
-    of ``experiments.CORPUS_CHUNK`` through transforms and array
-    arithmetic, so that the two corpora take less wall time threaded than
-    inline.  Returns once both are done, and an exception of either reaches
-    the caller.
+    would wait on itself.  The kernel's halves, a step's rows, the
+    inequality study's corpus function (which calls no solver code) and the
+    blockscale sweep's products (one inverse transform, a product and one
+    forward transform) keep to that.  numpy's and scipy's transforms and
+    numpy's array arithmetic release the GIL, so the two grids of the kernel
+    and of the sweep and the two rows of a step overlap; so does most of a
+    corpus, which runs its pairs in stacks of ``experiments.CORPUS_CHUNK``
+    through transforms and array arithmetic, so that the two corpora take
+    less wall time threaded than inline.  Returns once both are done, and
+    an exception of either reaches the caller.
     """
     # on one CPU the worker could only take turns with the caller: its
     # hand-offs made a 2^14 separation study about 7 % slower than inline
-    if _usable_cpus() < 2:
+    if size < PAIR_MIN_SIZE or _usable_cpus() < 2:
         f()
         g()
         return
@@ -216,9 +241,11 @@ class _Workspace:
     n/2 + 1 complex numbers, a half spectrum.  ``stage`` holds a stage's
     argument and then its weighted rate; it is a buffer of its own, since
     both halves read the kernel's input at once.  ``rate`` holds the stage
-    rates k2, k3 and k4 in rows 2 and 3, which the kernel reads nothing from
-    and writes ``rate`` to last; the step writes the values of its
-    increment to rows 4 and 5 while no kernel runs.
+    rates k2, k3 and k4 in rows 2 and 3, which the kernel's halves read
+    nothing from; the kernel then adds the halves into ``rate`` one row at a
+    time, and the step, right after row r of k4, writes the values of row r
+    of its increment to row 4 + r.  Each row of ``stage`` and of ``rate``,
+    and each of rows 4 and 5, is written by one thread of a pair.
     """
 
     def __init__(self, grid: Grid):
@@ -289,7 +316,7 @@ def _grid_half(y: np.ndarray, work: _Workspace, rows: np.ndarray, tau, weight) -
     spectra[:2] *= weight
 
 
-def _rhs_half(y: np.ndarray, work: _Workspace, out=None) -> np.ndarray:
+def _rhs_half(y: np.ndarray, work: _Workspace, out=None, then=None) -> np.ndarray:
     """Half spectra of (rho_t, u_t) from the half spectra y = (rho, u),
     stacked along the first axis, written to ``out`` when given and else to
     a fresh array.
@@ -300,16 +327,30 @@ def _rhs_half(y: np.ndarray, work: _Workspace, out=None) -> np.ndarray:
     transforms of n points on each; the truncated padded spectrum is
     (E_k + conj(tau_k) O_k) / 2 for the spectra E and O on the two grids.
     The shifted grid runs on the worker of one ``_pair`` and the grid on
-    the caller, each in its own rows of ``work``, and the caller adds the
-    two.  ``y`` may be ``work.stage`` and ``out`` may be ``work.rate``, but
-    neither may otherwise alias ``work``.  Each half forms its products in
-    one fixed order, so no bit depends on the threads.
+    the caller, each in its own rows of ``work``; then a second ``_pair``
+    adds the two, the rho row on the worker and the u row on the caller,
+    and calls ``then(r, out[r])``, when given, on the thread that has just
+    formed row r of ``out``.  ``y`` may be ``work.stage`` and ``out`` may be
+    ``work.rate``, but neither may otherwise alias ``work``; ``then`` may
+    write row r of ``y``, which no half reads any more.  Each half
+    forms its products in one fixed order, so no bit depends on the threads.
     """
+    n = work.rows.shape[-1] - 2
     _pair(partial(_grid_half, y, work, work.rows[7:], work.tau, work.fold),
-          partial(_grid_half, y, work, work.rows[:7], None, 0.5))
+          partial(_grid_half, y, work, work.rows[:7], None, 0.5), 16 * n)
     spectra = work.rows.view(complex)
-    out = np.add(spectra[:2], spectra[7:9], out=out)
-    out[:, -1] = 0.0  # discard the (unrepresentable) Nyquist content
+    if out is None:
+        out = np.empty_like(spectra[:2])
+
+    def fold(r):
+        row = np.add(spectra[r], spectra[7 + r], out=out[r])
+        row[-1] = 0.0  # discard the (unrepresentable) Nyquist content
+        if then is not None:
+            then(r, row)
+
+    # a row's fold and what ``then`` does with it cost about a transform of
+    # the row (see PAIR_MIN_SIZE)
+    _pair(partial(fold, 0), partial(fold, 1), 2 * n)
     return out
 
 
@@ -335,10 +376,13 @@ class RK4Step:
     ``increment`` = h/6 (k1 + 2 k2 + 2 k3 + k4), never a transform of the
     values; ``rate`` is the right-hand side at ``spectra``, the FSAL stage
     k5 that the next step takes as its k1; ``error`` is the embedded
-    third-order estimate h/6 (k4 - k5).  A step of size zero (at the
-    initial state) has no increment and no error.  ``_workspace`` is the
-    private scratch of the integration that made the step, which the next
-    step reuses; none of the other arrays aliases it.
+    third-order estimate h/6 (k4 - k5).  ``sup_norms`` are the sup norms
+    of the new rho and u, and ``norms``, when the step was given a
+    ``_ShellNorm``, the norms of ``error``, ``increment`` and ``spectra``
+    in it.  A step of size zero (at the initial state) has no increment,
+    no error and none of these.  ``_workspace`` is the private scratch of
+    the integration that made the step, which the next step reuses; none
+    of the other arrays aliases it.
     """
 
     state: SystemState
@@ -346,6 +390,8 @@ class RK4Step:
     rate: np.ndarray
     increment: np.ndarray | None = None
     error: np.ndarray | None = None
+    sup_norms: tuple = ()
+    norms: tuple = ()
     _workspace: _Workspace | None = field(default=None, repr=False, compare=False)
 
 
@@ -357,7 +403,7 @@ def _rest(state: SystemState) -> RK4Step:
 
 
 def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
-             start: RK4Step | None = None) -> RK4Step:
+             start: RK4Step | None = None, norm=None) -> RK4Step:
     """One classical four-stage Runge-Kutta step of size dt from ``state``.
 
     BlowupError is raised when the new state is not finite or its sup norm
@@ -365,7 +411,13 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     its carried spectra and rate are reused, so the step costs four
     right-hand-side evaluations (k2, k3, k4 and k5), and so is its
     workspace.  Without it the state is transformed once, k1 evaluated and
-    a workspace built.
+    a workspace built.  ``norm``, a ``_ShellNorm``, has the step measure
+    its error, increment and new spectra in that norm.
+
+    Every elementwise pass works one row at a time, through the pairs of
+    the kernel (``_rhs_half``'s ``then``) and one of its own: rho on the
+    worker and u on the caller when the grid is large enough, each row
+    with the bits it would get in a stack of both.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -374,37 +426,69 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     if start is None:
         start = _rest(state)
     work = start._workspace
-    y0, k = start.spectra, start.rate
+    y0, k1 = start.spectra, start.rate
     stage = work.stage
-    # running k1 + 2 k2 + 2 k3 + k4, so only one stage is held at a time
-    increment = k.copy()
-    for frac, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        np.multiply(frac * dt, k, out=stage)
-        stage += y0
-        k = _rhs_half(stage, work, work.rate)
-        np.multiply(weight, k, out=stage)
-        increment += stage
-    increment *= dt / 6.0
-    delta = _irfft_into(increment, n=n, norm="forward", out=work.rows[4:6, :n])
-    r1 = state.rho.values + delta[0]
-    u1 = state.u.values + delta[1]
+    sixth = dt / 6.0
+    # the running sum k1 + 2 k2 + 2 k3 + k4, so only one stage is held at a
+    # time; then dt/6 times it
+    increment = np.empty_like(y0)
+    values = (state.rho.values, state.u.values)
+    fields, sups = [None, None], [math.inf, math.inf]
+
+    def first(r):
+        increment[r] = k1[r]
+        np.multiply(0.5 * dt, k1[r], out=stage[r])
+        stage[r] += y0[r]
+
+    def accumulate(weight, frac, r, k):
+        # weight k into the increment, and the next stage's argument
+        np.multiply(weight, k, out=stage[r])
+        increment[r] += stage[r]
+        np.multiply(frac * dt, k, out=stage[r])
+        stage[r] += y0[r]
+
+    def advance(r, k):
+        increment[r] += k
+        increment[r] *= sixth
+        delta = _irfft_into(increment[r], n=n, norm="forward", out=work.rows[4 + r, :n])
+        new = values[r] + delta
+        sups[r] = float(np.max(np.abs(new)))
+        if math.isfinite(sups[r]):
+            # read-only, so the field takes it without a copy
+            new.flags.writeable = False
+            fields[r] = RealField(grid, new)
+
+    def carry(r):
+        np.add(y0[r], increment[r], out=y1[r])
+        error[r] = work.rate[r]  # k4, in the rows that the next evaluation writes
+
+    _pair(partial(first, 0), partial(first, 1), 2 * n)
+    _rhs_half(stage, work, work.rate, partial(accumulate, 2.0, 0.5))
+    _rhs_half(stage, work, work.rate, partial(accumulate, 2.0, 1.0))
+    _rhs_half(stage, work, work.rate, advance)
     # each sup on its own: max() of a number and a NaN may drop the NaN
-    sup_r, sup_u = np.max(np.abs(r1)), np.max(np.abs(u1))
+    sup_r, sup_u = sups
     if not (math.isfinite(sup_r) and math.isfinite(sup_u)):
         raise BlowupError(state.time + dt, math.inf)
     sup = max(sup_r, sup_u)
     if sup_limit is not None and sup > sup_limit:
         raise BlowupError(state.time + dt, sup)
-    y1 = y0 + increment
-    error = k.copy()  # k4, in the rows that the next evaluation writes
-    rate = _rhs_half(y1, work)
-    error -= rate
-    error *= dt / 6.0
-    # read-only, so the fields take them without a copy
-    r1.flags.writeable = False
-    u1.flags.writeable = False
-    new = SystemState(rho=RealField(grid, r1), u=RealField(grid, u1), time=state.time + dt)
-    return RK4Step(new, y1, rate, increment, error, work)
+    y1, error = np.empty_like(y0), np.empty_like(y0)
+    _pair(partial(carry, 0), partial(carry, 1), 2 * n)
+    terms = [(), ()]
+
+    def measure(r, k):
+        error[r] -= k
+        error[r] *= sixth
+        if norm is not None:
+            terms[r] = tuple(norm.term(a[r], r) for a in (error, increment, y1))
+
+    # a fresh rate, allocated after the kernel's halves and not beside their
+    # temporaries
+    rate = _rhs_half(y1, work, None, measure)
+    new = SystemState(rho=fields[0], u=fields[1], time=state.time + dt)
+    norms = tuple(a + b for a, b in zip(*terms))
+    return RK4Step(new, y1, rate, increment, error, (sup_r, sup_u), norms, work)
 
 
 class _ShellNorm:
@@ -416,6 +500,7 @@ class _ShellNorm:
     squared shell weight is L and no weight overflows for any s; the
     controller only compares norms, which that factor does not change.  A shell
     whose squared weight falls below 2^-1074 of the top one counts as zero.
+    ``term(y[r], r)`` is row r's share, and the norm is the sum of the two.
     """
 
     def __init__(self, grid: Grid, s: float):
@@ -430,12 +515,13 @@ class _ShellNorm:
         scale = math.ceil(exponents.max())
         self.weights = grid.length * 4.0 ** (exponents - scale)
 
+    def term(self, row: np.ndarray, r: int) -> float:
+        w = self.weights[r]
+        sums = np.bincount(self.shell, weights=_bin_energy(row), minlength=w.size)
+        return math.sqrt(float(np.max(w * sums)))
+
     def __call__(self, y: np.ndarray) -> float:
-        total = 0.0
-        for row, w in zip(_bin_energy(y), self.weights):
-            sums = np.bincount(self.shell, weights=row, minlength=w.size)
-            total += math.sqrt(float(np.max(w * sums)))
-        return total
+        return self.term(y[0], 0) + self.term(y[1], 1)
 
 
 @dataclass(frozen=True)
@@ -457,15 +543,18 @@ class Trajectory:
 
 
 def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
-              visit=None, first_rate=None) -> Trajectory:
+              visit=None) -> Trajectory:
     """Error-controlled RK4 up to t_final, landing exactly on each checkpoint.
 
-    Each checkpoint state is passed to ``visit``, when given, as the sweep
-    reaches it, so a long sweep holds one state at a time.  ``first_rate``,
-    when given, is called before the first step (there is none without a
-    checkpoint) with the pair of fields (rho_t, u_t) that ``rhs(state0)``
-    returns, taken from the first step's k1, so a caller that needs the
-    rate at the data evaluates nothing more.
+    ``visit``, when given, is called with one record before the first step
+    (there is none without a checkpoint) and one at each checkpoint as the
+    sweep reaches it, so a long sweep holds one record at a time.  A record
+    is the ``RK4Step`` that ended there, cut to what the next step reuses:
+    the state, its carried half spectra and the right-hand side at them
+    (the FSAL rate); the first is the step of size zero at ``state0``, whose
+    rate has the bits of ``rhs(state0)``.  So a caller measures the states
+    from their spectra, and takes the rate at the data, without a transform
+    or an evaluation of its own.
 
     The step error is controlled in B^(s-1)_{2,inf} x B^s_{2,inf}, with s
     from ``cfg``, whatever integrability index p a study measures its
@@ -475,7 +564,8 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     interval to the next checkpoint is then split evenly into steps of at
     most h, so no sliver step is taken.  A rejected step is retried with a
     smaller h; StepSizeError is raised once h falls below
-    MIN_STEP_FRACTION of the horizon.
+    MIN_STEP_FRACTION of the horizon.  Each step measures its own error,
+    increment, spectra and sup norms (``step_rk4``'s ``norm``).
     """
     if checkpoints is None:
         checkpoints = [cfg.t_final] if cfg.t_final > 0 else []
@@ -487,8 +577,8 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     if not checkpoints:
         return Trajectory(final=state0, sup_norms=())
     current = _rest(state0)
-    if first_rate is not None:
-        first_rate(tuple(field_from_half(state0.grid, r) for r in current.rate))
+    if visit is not None:
+        visit(current)
     sup_norms, errors = [], []
     rejected = 0
     norm = _ShellNorm(state0.grid, cfg.s)
@@ -509,9 +599,9 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
             remaining = t_next - current.state.time
             steps_left = max(1, math.ceil(remaining / h - 1e-12))
             step = remaining / steps_left
-            trial = step_rk4(current.state, step, sup_limit, start=current)
-            err = norm(trial.error)
-            tol = RTOL * norm(trial.increment) + ATOL * state_norm
+            trial = step_rk4(current.state, step, sup_limit, start=current, norm=norm)
+            err, increment_norm, new_norm = trial.norms
+            tol = RTOL * increment_norm + ATOL * state_norm
             if err == 0:
                 ratio, factor = 0.0, GROWTH_MAX
             else:
@@ -525,12 +615,12 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
                 # keep only what the next step reuses
                 current = RK4Step(st, trial.spectra, trial.rate,
                                   _workspace=trial._workspace)
-                sup_norms.append((st.time, st.rho.sup_norm(), st.u.sup_norm()))
+                sup_norms.append((st.time, *trial.sup_norms))
                 # relative, so free of the norm's scale; a nonzero error on a
                 # state of zero norm has no finite relative size
                 rel = err / state_norm if state_norm > 0 else (math.inf if err else 0.0)
                 errors.append((step, rel))
-                state_norm = norm(current.spectra)
+                state_norm = new_norm
                 # a step shortened to land on a checkpoint keeps the proposal
                 h = step * factor if factor < 1 else max(h, step * factor)
             else:
@@ -544,6 +634,6 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
             h = min(h, h_max)
             del trial
         if visit is not None:
-            visit(current.state)
+            visit(current)
     return Trajectory(final=current.state, sup_norms=tuple(sup_norms),
                       errors=tuple(errors), rejected=rejected)

@@ -203,7 +203,8 @@ def _bin_energy(half: np.ndarray) -> np.ndarray:
     k = 0 and k = N/2 count once.  By discrete Parseval, L times the sum of
     these energies is the grid quadrature of the squared L^2 norm.
     """
-    energy = np.square(half.real) + np.square(half.imag)
+    energy = np.square(half.real)
+    energy += np.square(half.imag)
     energy[..., 1:-1] *= 2.0
     return energy
 

@@ -43,8 +43,9 @@ from novlab.experiments import (
     random_band_limited_field,
     write_report_csv,
 )
-from novlab.littlewood_paley import RING_SUPPORT, _block_norms, _transport_block_norms
-from novlab.spectral import field_from_half, half_spectrum
+from novlab.littlewood_paley import (RING_SUPPORT, _block_norms, _block_weights,
+                                     _transport_block_norms)
+from novlab.spectral import field_from_half
 
 from helpers import fft_threads, fixed_step_states, mode, random_field, see_cpus
 
@@ -293,8 +294,8 @@ class TestSeparationStudy:
         # 64 + 32 (k - 1); the control's on its own grid of 512 points
         sweeps = []
 
-        def counting(state0, cfg, checkpoints=None, visit=None, **kwargs):
-            traj = integrate(state0, cfg, checkpoints, visit, **kwargs)
+        def counting(state0, cfg, checkpoints=None, visit=None):
+            traj = integrate(state0, cfg, checkpoints, visit)
             sweeps.append((state0.time, traj.sup_norms[-1][0], len(traj.sup_norms),
                            state0.grid.num_points))
             return traj
@@ -358,16 +359,18 @@ class TestSeparationStudy:
         zero_blocks = [j for j in range(-1, bank.j_max + 1)
                        if RING_SUPPORT[0] * 2.0**j >= coarse.nyquist]
         assert zero_blocks == [5, 6, 7, 8, 9]
-        lifted = []
+        lifted, start = [], []
 
-        def collapse(st):
+        def collapse(record):
+            if not start:  # the control's own half spectra
+                start.append(record.spectra)
+                return
             dist = 0.0
-            for f, t in ((st.rho, s - 1), (st.u, s)):
-                diff = f - control
+            for diff, t in zip(record.spectra - start[0], (s - 1, s)):
                 norms = _block_norms(bank, experiments._padded_half(grid, coarse_bank, diff), p)
                 assert all(norms[j + 1] == 0.0 for j in zero_blocks)
                 # the lift: the transform to 2^14 points pads the spectrum
-                half = half_spectrum(diff)
+                half = diff.copy()
                 half[-1] *= 0.5
                 dist += besov_norm(bank, field_from_half(grid, half), BesovIndex(t, p))
             lifted.append(dist)
@@ -428,19 +431,70 @@ def test_one_workspace_and_one_rate_at_the_data_per_integration(
     assert len(at_data) == integrations + 4 * steps
 
 
+@pytest.mark.parametrize("study", ["shorttime", "separation"])
+def test_solver_studies_transform_only_to_integrate(study, medium_params, count_ffts):
+    # a sweep transforms its initial state once, and runs 16 transforms per
+    # kernel evaluation (one at the start and four per step) and 2 per step
+    # (its increment, one row per call); the studies measure every record
+    # from its spectra, so what they transform beyond their sweeps does not
+    # grow with the number of checkpoints: the data's synthesis (one inverse
+    # transform, and one of the bump for its tail bound) and the control's
+    counts = count_ffts()
+    extra = []
+    for k in (3, 4):
+        counts.update(rfft=0, irfft=0)
+        if study == "shorttime":
+            report, sweeps = study_short_time(medium_params, SHORT_TIMES[:k]), 1
+        else:
+            report, sweeps = study_separation(medium_params, range(5, 5 + k), delta=0.1), 2
+        attempts = report.params["rk4_steps"] + report.params["rk4_rejected"]
+        extra.append(sum(counts.values()) - sweeps * (1 + 16) - (4 * 16 + 2) * attempts)
+    assert extra[0] == extra[1] == 2 + (sweeps - 1)
+
+
+def test_invariant_drift_measures_the_time_error(medium_params, monkeypatch):
+    # int rho^2 and int (u^2 + u_x^2) drift only by the RK4 error, which
+    # the step cap sets once the tolerance is loose enough that the
+    # controller does not (at the default RTOL the controller keeps the
+    # drift at its 1e-16 roundoff on this grid).  Measured at 2^12/64,
+    # times 2, 1, 1/2: 9.3e-11 and 4.1e-11 with steps of 0.5, 3.5e-12 and
+    # 1.5e-12 with steps of 0.25, falls of 26.7 and 27.3
+    params = replace(medium_params, num_terms=7, grid=Grid(2**12, 64.0))
+    monkeypatch.setattr(solver, "RTOL", 1.0)
+    drifts = []
+    for cap in (0.5, 0.25):
+        report = study_short_time(params, (2.0, 1.0, 0.5), dt_cap=cap)
+        assert report.params["dt"] == cap
+        drifts.append(np.array([report.params["invariant_drift_rho"],
+                                report.params["invariant_drift_u"]]))
+    assert np.all(drifts[0] > 1e-11)
+    assert np.all(drifts[1] <= drifts[0] / 8)
+
+
+def test_separation_reports_the_data_sweeps_invariant_drift(separation_report):
+    # the data sweep alone, at its roundoff under the default tolerance
+    for key in ("invariant_drift_rho", "invariant_drift_u"):
+        assert 0 <= separation_report.params[key] < 1e-14
+
+
 def _data_grid_control(params, n_range, delta):
     """The control distances of ``study_separation`` with the control
     integrated and measured on the data grid, in its one sweep through the
-    horizons, and that sweep's accepted steps."""
+    horizons, from the half spectra of its records, and that sweep's
+    accepted steps."""
     n_list, cfg = experiments.check_separation(params, n_range, delta, None)
     bank = build_filter_bank(params.grid)
-    idx_rho, idx_u = BesovIndex(params.s - 1, params.p), BesovIndex(params.s, params.p)
+    weights = [_block_weights(bank, params.s - 1), _block_weights(bank, params.s)]
     control = CONTROL_AMPLITUDE * build_bump(params.grid)
-    distances = []
+    distances, start = [], []
 
-    def collapse(st):
-        distances.append(besov_norm(bank, st.rho - control, idx_rho)
-                         + besov_norm(bank, st.u - control, idx_u))
+    def collapse(record):
+        if not start:  # the control's own half spectra
+            start.append(record.spectra)
+            return
+        diff = record.spectra - start[0]
+        distances.append(sum(float(np.max(w * _block_norms(bank, half, params.p)))
+                             for w, half in zip(weights, diff)))
 
     traj = integrate(SystemState(rho=control, u=control), cfg,
                      checkpoints=[delta * 2.0**-n for n in n_list], visit=collapse)

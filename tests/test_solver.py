@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -11,10 +12,12 @@ import pytest
 
 from novlab import (
     BlowupError,
+    Grid,
     RealField,
     SolverConfig,
     SystemState,
     build_bump,
+    build_initial_data,
     derivative,
     fit_powerlaw,
     integrate,
@@ -27,7 +30,7 @@ from novlab import (
 
 from novlab import solver
 from novlab.solver import StepSizeError, _ShellNorm
-from novlab.spectral import _bin_energy, _half_from_padded, _padded_values
+from novlab.spectral import _bin_energy, _half_from_padded, _padded_values, field_from_half
 
 from helpers import (LAMBDA, composed_rhs, fft_threads, fixed_step_states, mode,
                      reference_rhs_half, see_cpus)
@@ -262,8 +265,9 @@ class TestIntegrate:
         times = [1e-3, 2.5e-3, 4e-3]
         seen = []
         traj = integrate(st, SolverConfig(dt=3e-4, t_final=4e-3), checkpoints=times,
-                         visit=lambda state: seen.append(state.time))
-        assert seen == times
+                         visit=lambda record: seen.append(record.state.time))
+        # the start record, then one record per checkpoint
+        assert seen == [st.time] + times
         assert traj.final.time == times[-1]
         assert len(traj.sup_norms) > 0
 
@@ -308,13 +312,16 @@ class TestIntegrate:
     @pytest.mark.parametrize("row", [0, 1])
     def test_blowup_guard_sees_nan_in_either_field(self, small_grid, monkeypatch, row):
         # max(sup, nan) is sup, so a NaN in u would slip past a finiteness
-        # test of the larger sup alone
-        def rate(y, work, out=None):
-            k = np.zeros_like(y)
-            k[row, 1] = math.nan
-            return k
+        # test of the larger sup alone; the NaN enters one row of every rate
+        # through the kernel's half on the grid
+        grid_half = solver._grid_half
 
-        monkeypatch.setattr(solver, "_rhs_half", rate)
+        def poisoned(y, work, rows, tau, weight):
+            grid_half(y, work, rows, tau, weight)
+            if tau is None:
+                rows.view(complex)[row, 1] = math.nan
+
+        monkeypatch.setattr(solver, "_grid_half", poisoned)
         st = SystemState(rho=mode(small_grid, 3), u=mode(small_grid, 5))
         with pytest.raises(BlowupError) as caught:
             step_rk4(st, 1e-3)
@@ -333,13 +340,35 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="dt must|t_final must|s must"):
             SolverConfig(dt=dt, t_final=t_final, **extra)
 
-    def test_first_rate_is_the_rhs_at_the_data(self, medium_data):
+    def test_start_record_rate_is_the_rhs_at_the_data(self, medium_data):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
-        first = []
-        integrate(st, SolverConfig(t_final=1e-4), first_rate=first.extend)
-        assert len(first) == 2
-        for got, want in zip(first, rhs(st)):
-            assert got.values.tobytes() == want.values.tobytes()
+        records = []
+        integrate(st, SolverConfig(t_final=1e-4), visit=records.append)
+        start = records[0]
+        assert start.state is st
+        assert start.spectra.tobytes() == solver._spectra(st).tobytes()
+        want = solver._rhs_half(solver._spectra(st), solver._Workspace(st.grid))
+        assert start.rate.tobytes() == want.tobytes()
+        for got, field in zip(start.rate, rhs(st)):
+            assert field_from_half(st.grid, got).values.tobytes() == field.values.tobytes()
+
+    def test_records_carry_the_step_that_ended_there(self, medium_data):
+        # at each checkpoint: the accepted step's state, its carried spectra
+        # and the kernel's rate at them; the sup norms the trajectory
+        # records are the step's own, those of the state
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        times = [1e-3, 2e-3]
+        records = []
+        traj = integrate(st, SolverConfig(t_final=2e-3), checkpoints=times,
+                         visit=records.append)
+        assert [record.state.time for record in records[1:]] == times
+        assert records[-1].state is traj.final
+        sups = {time: (sup_rho, sup_u) for time, sup_rho, sup_u in traj.sup_norms}
+        for record in records[1:]:
+            rate = solver._rhs_half(record.spectra, solver._Workspace(st.grid))
+            assert record.rate.tobytes() == rate.tobytes()
+            state = record.state
+            assert sups[state.time] == (state.rho.sup_norm(), state.u.sup_norm())
 
 
 class TestErrorControl:
@@ -480,32 +509,87 @@ class TestWorkspace:
             assert np.array_equal(a, b)
 
 
+def _threaded_against_inline(st, monkeypatch):
+    """One kernel evaluation and a three-step integration from ``st``, on
+    two usable CPUs and on one: the same bits, and the worker takes the
+    shifted grid's half of every evaluation, and the rho row of every row
+    pair when the grid is large enough, or nothing."""
+    y = solver._spectra(st)
+    rows_threaded = 2 * st.grid.num_points >= solver.PAIR_MIN_SIZE
+    submit, rhs_half = solver._pool.submit, solver._rhs_half
+    runs = {}
+    for usable in ({0, 1}, {0}):
+        submits, rhs_calls = [], []
+        see_cpus(monkeypatch, usable)
+        monkeypatch.setattr(solver._pool, "submit", lambda f: submits.append(f) or submit(f))
+        monkeypatch.setattr(solver, "_rhs_half",
+                            lambda *a: rhs_calls.append(a) or rhs_half(*a))
+        rate = solver._rhs_half(y, solver._Workspace(st.grid))
+        records = []
+        traj = integrate(st, SolverConfig(t_final=3e-4, dt=1e-4), visit=records.append)
+        runs[len(usable)] = (rate, traj, records)
+        steps = len(traj.errors) + traj.rejected
+        # per evaluation the halves and the folds; per step its first
+        # stage and its carry of k4 and y1
+        threaded = (1 + rows_threaded) * len(rhs_calls) + rows_threaded * 2 * steps
+        assert len(rhs_calls) > 1
+        assert len(submits) == (threaded if len(usable) == 2 else 0)
+    (rate2, traj2, records2), (rate1, traj1, records1) = runs[2], runs[1]
+    assert len(traj1.errors) == 3
+    assert rate2.tobytes() == rate1.tobytes()
+    assert traj2.final.rho.values.tobytes() == traj1.final.rho.values.tobytes()
+    assert traj2.final.u.values.tobytes() == traj1.final.u.values.tobytes()
+    assert traj2.sup_norms == traj1.sup_norms
+    assert traj2.errors == traj1.errors
+    for a, b in zip(records2, records1):
+        assert a.spectra.tobytes() == b.spectra.tobytes()
+        assert a.rate.tobytes() == b.rate.tobytes()
+
+
 class TestPairedKernel:
     def test_threaded_and_inline_give_the_same_bits(self, medium_data, monkeypatch):
+        # at 2^14 points only the kernel's halves reach the worker
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
-        y = solver._spectra(st)
-        submit, rhs_half = solver._pool.submit, solver._rhs_half
-        runs = {}
-        for usable in ({0, 1}, {0}):
-            submits, rhs_calls = [], []
-            see_cpus(monkeypatch, usable)
-            monkeypatch.setattr(solver._pool, "submit",
-                                lambda f: submits.append(f) or submit(f))
-            monkeypatch.setattr(solver, "_rhs_half",
-                                lambda *a: rhs_calls.append(a) or rhs_half(*a))
-            rate = solver._rhs_half(y, solver._Workspace(st.grid))
-            traj = integrate(st, SolverConfig(t_final=3e-4, dt=1e-4))
-            runs[len(usable)] = (rate, traj)
-            # the shifted grid's half on the worker, or nothing
-            assert len(rhs_calls) > 1
-            assert len(submits) == (len(rhs_calls) if len(usable) == 2 else 0)
-        (rate2, traj2), (rate1, traj1) = runs[2], runs[1]
-        assert len(traj1.errors) == 3
-        assert rate2.tobytes() == rate1.tobytes()
-        assert traj2.final.rho.values.tobytes() == traj1.final.rho.values.tobytes()
-        assert traj2.final.u.values.tobytes() == traj1.final.u.values.tobytes()
-        assert traj2.sup_norms == traj1.sup_norms
-        assert traj2.errors == traj1.errors
+        assert 2 * st.grid.num_points < solver.PAIR_MIN_SIZE
+        _threaded_against_inline(st, monkeypatch)
+
+    def test_threaded_and_inline_give_the_same_bits_on_threaded_rows(self, medium_params,
+                                                                    monkeypatch):
+        # at 2^15 points a step's rows reach the worker too, through the
+        # kernel's folds and the step's own two pairs; a short switch
+        # interval interleaves the two rows' Python statements finely
+        params = replace(medium_params, grid=Grid(2**15, medium_params.grid.length))
+        data = build_initial_data(params)
+        st = SystemState(rho=data.rho, u=data.u)
+        assert 2 * st.grid.num_points >= solver.PAIR_MIN_SIZE
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _threaded_against_inline(st, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pairs_below_the_size_constant_run_inline(self, small_grid, monkeypatch):
+        # the separation control's grid: its kernel and steps submit nothing
+        see_cpus(monkeypatch, {0, 1})
+        submits = []
+        submit = solver._pool.submit
+        monkeypatch.setattr(solver._pool, "submit", lambda f: submits.append(f) or submit(f))
+        ran_on = []
+
+        def where():
+            ran_on.append(threading.current_thread())
+
+        solver._pair(where, where, solver.PAIR_MIN_SIZE - 1)
+        assert submits == [] and ran_on == [threading.current_thread()] * 2
+        grid = Grid(1024, 128.0)
+        control = 24.0 * build_bump(grid)
+        traj = integrate(SystemState(rho=control, u=control), SolverConfig(t_final=1e-3))
+        assert len(traj.errors) > 0
+        assert submits == []
+        solver._pair(where, where, solver.PAIR_MIN_SIZE)
+        assert len(submits) == 1
+        assert sorted(t.name.startswith("novlab-fft") for t in ran_on[2:]) == [False, True]
 
     def test_sixteen_transforms_at_n_per_evaluation(self, medium_data, monkeypatch,
                                                      count_ffts):
@@ -572,7 +656,7 @@ class TestPairedKernel:
             raise ZeroDivisionError("in the worker")
 
         with pytest.raises(ZeroDivisionError, match="in the worker"):
-            solver._pair(boom, lambda: None)
+            solver._pair(boom, lambda: None, solver.PAIR_MIN_SIZE)
 
     def test_caller_exception_waits_for_the_worker(self, cpus):
         done = []
@@ -585,7 +669,7 @@ class TestPairedKernel:
             raise KeyError("on the caller")
 
         with pytest.raises(KeyError):
-            solver._pair(slow, boom)
+            solver._pair(slow, boom, solver.PAIR_MIN_SIZE)
         assert done == [True]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -594,7 +678,7 @@ class TestPairedKernel:
         # the child inherits the executor but not its thread: the at-fork
         # hook gives it a new executor, whose thread runs the child's pairs
         see_cpus(monkeypatch, {0, 1})
-        solver._pair(lambda: None, lambda: None)
+        solver._pair(lambda: None, lambda: None, solver.PAIR_MIN_SIZE)
         parent_pool = solver._pool
         pid = os.fork()
         if pid == 0:
@@ -604,7 +688,8 @@ class TestPairedKernel:
                 signal.signal(signal.SIGALRM, signal.SIG_DFL)
                 signal.alarm(30)
                 ran_on = []
-                solver._pair(lambda: ran_on.append(threading.current_thread()), lambda: None)
+                solver._pair(lambda: ran_on.append(threading.current_thread()), lambda: None,
+                             solver.PAIR_MIN_SIZE)
                 pool = solver._pool
                 ok = (pool is not parent_pool and len(ran_on) == 1
                       and ran_on[0].name.startswith("novlab-fft") and ran_on[0] in pool._threads)
