@@ -39,10 +39,10 @@ from .spectral import (
     _bin_energy,
     _derivative_symbol,
     _half_from_padded,
+    _irfft_into,
     _lp_rows,
+    _rfft_into,
     _smoothing_symbol,
-    irfft,
-    rfft,
 )
 
 DEFAULT_GRID_POINTS = 2**17
@@ -65,7 +65,38 @@ DEFAULT_SEED = 2026
 DEFAULT_CORPUS_SIZE = 100
 DEFAULT_INEQUALITY_GRID = (2**12, 64.0)  # grid points and domain length of the corpora
 CORPUS_BAND = 0.25  # corpus fields live below this fraction of Nyquist
-CORPUS_CHUNK = 4  # pairs that go through the inequality sweeps as one stack
+# The pairs that go through the inequality sweeps as one stack.  A chunk of
+# k pairs runs in its five stacks of k rows of n + 2 doubles (``_pair_stacks``)
+# and allocates no other stack, so its traced peak is about 5.4 value stacks
+# S = k n doubles at every k; its cost is mostly per numpy call, which a
+# wider chunk spreads over more pairs.  Measured on the default corpus (4096
+# points, 400 pairs a corpus) on a 2-vCPU Xeon: wall and CPU of
+# ``study_inequalities(400, seed)``, the median over 3 processes of their
+# medians of 5 calls; inline wall the same under ``taskset -c 0`` (2
+# processes); peak_rss_mb and wall_s the medians of 3 ``benchmarks/run.py``
+# runs of ``inequalities-corpus``:
+#
+#   k                          4       6       7       8
+#   wall          (s)      0.383   0.326   0.313   0.291
+#   CPU           (s)      0.660   0.582   0.566   0.538
+#   inline wall   (s)      0.546   0.503   0.505   0.488
+#   traced peak   (S)       5.54    5.42    5.39    5.34
+#   traced peak   (MB)      0.73    1.07    1.24    1.40
+#   peak_rss_mb            67.75   68.37   68.55   69.02
+#   wall_s        (s)      0.647   0.575   0.587   0.559
+#
+# Before the chunk ran in reused stacks, k = 4 read 0.442 s wall, 0.758 s
+# CPU, 0.607 s inline, a traced peak of 9 S (1.18 MB), 68.06 MB peak_rss_mb
+# (the median of 10 runs) and 0.749 s wall_s.  Each pair adds 5 stacks to
+# each of the two corpora's threads, 0.33 MB per unit of k: k = 6 is the
+# widest chunk within 0.5 % of that RSS (k = 7 read +0.7 %, k = 8 +1.4 %).
+CORPUS_CHUNK = 6
+# numpy's ufunc buffer, in elements, while a corpus chunk runs: a call on
+# the block ranges of a stack's rows copies its operands through buffers of
+# this many elements each, which at numpy's default of 8192 took 0.3 MB a
+# thread (1.5 S at k = 6) and made a corpus 9 % slower at k = 8.  No bit
+# depends on it: the sums along a row are not buffered.
+CORPUS_UFUNC_BUFSIZE = 1024
 
 SLOPE_TOL_FIRST_ORDER = 0.1
 SLOPE_TOL_SECOND_ORDER = 0.2
@@ -534,7 +565,11 @@ def study_separation(params: IllposedDataParams, n_range=None,
     spectrum padded with zeros, after the resolution guard on its own grid
     (see ``_padded_half``).  The header's ``dt``,
     ``rk4_steps``, ``rk4_rejected`` and ``time_error_max`` cover both
-    sweeps; ``control_rk4_steps`` counts the control's share.
+    sweeps; ``control_rk4_steps`` counts the control's share, and
+    ``control_time_error_max``, ``control_invariant_drift_rho`` and
+    ``control_invariant_drift_u`` give the control sweep's largest per-step
+    error and invariant drifts (0 without a control) beside the data
+    sweep's ``invariant_drift_rho`` and ``invariant_drift_u``.
     """
     n_list, cfg = check_separation(params, n_range, delta, dt_cap)
     s, p = params.s, params.p
@@ -571,6 +606,10 @@ def study_separation(params: IllposedDataParams, n_range=None,
     control_dist = dict.fromkeys(n_list, math.nan)
     control_grid = _control_grid(params.grid)
     control_steps = 0
+    # the control sweep's own time error and drifts, which the header's
+    # time_error_max and the data sweep's drifts do not isolate
+    control_diagnostics = {"time_error_max": 0.0, "invariant_drift_rho": 0.0,
+                           "invariant_drift_u": 0.0}
     if with_control:
         control = CONTROL_AMPLITUDE * build_bump(control_grid)
         control_bank = build_filter_bank(control_grid)
@@ -581,9 +620,12 @@ def study_separation(params: IllposedDataParams, n_range=None,
             dist_rho, dist_u = _besov_rows(bank, diff, (s - 1, s), p)
             control_dist[band_at[record.state.time]] = dist_rho + dist_u
 
-        trajectories.append(_sweep(SystemState(rho=control, u=control), cfg,
-                                   horizon.values(), collapse)[0])
-        control_steps = len(trajectories[-1].errors)
+        control_sweep, _, control_drifts = _sweep(SystemState(rho=control, u=control), cfg,
+                                                  horizon.values(), collapse)
+        trajectories.append(control_sweep)
+        control_steps = len(control_sweep.errors)
+        control_diagnostics = {"time_error_max": _solver_params(control_sweep)["time_error_max"],
+                               **control_drifts}
 
     rows = []
     for n in n_list:
@@ -604,7 +646,9 @@ def study_separation(params: IllposedDataParams, n_range=None,
                             control_amplitude=CONTROL_AMPLITUDE,
                             **_solver_params(*trajectories),
                             control_grid_points=control_grid.num_points,
-                            control_rk4_steps=control_steps, **drifts),
+                            control_rk4_steps=control_steps, **drifts,
+                            **{f"control_{key}": value
+                               for key, value in control_diagnostics.items()}),
         tolerances={
             "separation_slope_min": SEPARATION_SLOPE_MIN,
             "plateau_min": PLATEAU_MIN,
@@ -644,28 +688,76 @@ def _random_band_limited_values(grid: Grid, rng, k: int) -> np.ndarray:
     """The values, one row each, of k random band-limited fields: the bits
     and the draws of k consecutive ``random_band_limited_field`` calls, with
     one inverse transform for all k."""
+    values = np.empty((k, grid.num_points))
+    _draw_fields(grid, rng, np.empty((k, grid.half_frequencies.size), dtype=complex), values)
+    return values
+
+
+def _draw_fields(grid: Grid, rng, coeffs: np.ndarray, values: np.ndarray) -> None:
+    """Write to ``values``, rows of n grid values, random band-limited fields
+    drawn in the C order of its leading axes, as
+    ``_random_band_limited_values`` draws them; ``coeffs``, complex rows of
+    n/2 + 1 bins of the same leading shape, takes their spectra, and the one
+    inverse transform writes straight into ``values``."""
     xi = grid.half_frequencies
     cutoff = CORPUS_BAND * grid.nyquist
-    widths = np.empty((k, 1))
-    coeffs = np.empty((k, xi.size), dtype=complex)
-    for i in range(k):  # each field draws its width, then its real and imaginary parts
+    band = int(np.searchsorted(xi, cutoff, "right"))  # the bins with xi <= cutoff
+    widths = np.empty(coeffs.shape[:-1] + (1,))
+    for i in np.ndindex(coeffs.shape[:-1]):
+        # each field draws its width, then its real and imaginary parts
         widths[i] = cutoff * rng.uniform(0.15, 1.0)
-        coeffs[i] = rng.standard_normal(xi.size) + 1j * rng.standard_normal(xi.size)
-    coeffs *= np.exp(-((xi / widths) ** 2)) * (xi <= cutoff)
-    coeffs[:, 0] = coeffs[:, 0].real
-    coeffs[:, -1] = 0.0
-    coeffs /= grid.length
-    values = irfft(coeffs, n=grid.num_points, norm="forward")
-    sup = _lp_rows(values, grid.spacing, math.inf)[:, None]
+        coeffs[i].real = rng.standard_normal(xi.size)
+        coeffs[i].imag = rng.standard_normal(xi.size)
+    # the Gaussian envelope on the band, and zeros above it (the Nyquist bin
+    # among them)
+    envelope = np.divide(xi[:band], widths)
+    envelope **= 2
+    coeffs[..., :band] *= np.exp(np.negative(envelope, out=envelope), out=envelope)
+    coeffs[..., band:] = 0.0
+    coeffs[..., 0] = coeffs[..., 0].real
+    coeffs[..., :band] /= grid.length
+    _irfft_into(coeffs, n=grid.num_points, norm="forward", out=values)
+    sup = _lp_rows(values, grid.spacing, math.inf)[..., None]
     values *= np.divide(1.0, sup, out=np.ones_like(sup), where=sup > 0)
-    return values
+
+
+def _pair_stacks(grid: Grid, k: int) -> np.ndarray:
+    """The working memory of k sample pairs for ``_chunk_ratios``: five
+    stacks of k rows of n + 2 doubles, each row the room of n grid values or
+    of a half spectrum.  Stacks 2 and 3 hold the values of the u's and the
+    v's in their first n columns."""
+    return np.empty((5, k, grid.num_points + 2))
+
+
+def _corpus_chunk(bank: LPFilterBank, rng, stacks: np.ndarray, idx: BesovIndex) -> np.ndarray:
+    """Draw k sample pairs into ``stacks`` (``_pair_stacks`` of k pairs) and
+    return their ratios (``_chunk_ratios``), as a corpus runs each chunk:
+    the pairs' spectra go to stacks 0 and 1 and their values, u then v, to
+    stacks 2 and 3, drawn u, v, u, v, ...; every ufunc buffers through
+    CORPUS_UFUNC_BUFSIZE elements."""
+    n = bank.grid.num_points
+    with np.errstate():  # which restores this thread's buffer size
+        np.setbufsize(CORPUS_UFUNC_BUFSIZE)
+        _draw_fields(bank.grid, rng, stacks.view(complex)[:2].swapaxes(0, 1),
+                     stacks[2:4, :, :n].swapaxes(0, 1))
+        return _chunk_ratios(bank, stacks, idx)
 
 
 def _pair_ratios(bank: LPFilterBank, u: np.ndarray, v: np.ndarray,
                  idx: BesovIndex) -> np.ndarray:
     """The product-law, commutator and smoothing ratios of each sample pair
     (u, v) given by grid values, one pair per row of the (k, n) stacks u and
-    v, as a (k, 3) array, with s, p = idx (a zero denominator gives 0):
+    v, as a (k, 3) array: ``_chunk_ratios`` on a copy of them in fresh stacks."""
+    n = bank.grid.num_points
+    stacks = _pair_stacks(bank.grid, len(u))
+    stacks[2:4, :, :n] = u, v
+    return _chunk_ratios(bank, stacks, idx)
+
+
+def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, idx: BesovIndex) -> np.ndarray:
+    """The product-law, commutator and smoothing ratios of the sample pairs
+    (u, v) in ``stacks`` (``_pair_stacks``), one pair per row, as a (k, 3)
+    array, with s, p = idx (a zero denominator gives 0):
 
         ||uv||_{B^(s-2)} / (||u||_{B^(s-2)} ||v||_{B^(s-1)}),
         sup_j 2^(js)||[block_j, u] v_x||_Lp
@@ -680,25 +772,37 @@ def _pair_ratios(bank: LPFilterBank, u: np.ndarray, v: np.ndarray,
     all three indices; uv and (1-dxx)^-1 u are measured from their half
     spectra.  Every transform and reduction runs along the last axis, so
     each row gets the bits it would get alone.
+
+    Every spectrum, product, energy and block is formed in the five stacks,
+    which allocates no stack: v's values are spent once v's spectrum is
+    formed, and the commutator sweep (``_commutator_block_norms``) runs
+    beside u and v_x's spectrum in the other three.
     """
+    grid = bank.grid
+    n, p = grid.num_points, idx.p
+    values, spectra = stacks[..., :n], stacks.view(complex)
+    u, v = values[2], values[3]
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("field values must be finite")
-    grid = bank.grid
-    p = idx.p
     w2, w1, w0 = (_block_weights(bank, s) for s in (idx.s - 2, idx.s - 1, idx.s))
     d = _derivative_symbol(grid)
-    # each spectrum is dropped once used, which bounds the stacks held at once
-    hvx = rfft(v, norm="forward")  # v's spectrum, until it is scaled to v_x's
-    norms_v = _block_norms(bank, hvx, p)
-    hvx *= d
-    hu = rfft(u, norm="forward")
-    norms_u = _block_norms(bank, hu, p)
-    norms_gu = _block_norms(bank, _smoothing_symbol(grid) * hu, p)
-    sup_ux = _half_lp_norm(grid, d * hu, math.inf)
-    del hu
-    norms_uv = _block_norms(bank, _half_from_padded(u * v, grid.num_points), p)
-    comm = _commutator_block_norms(bank, hvx, u, p)
-    sup_vx = _half_lp_norm(grid, hvx, math.inf)
+    free = (stacks[0], stacks[4])  # the work of the block norms
+    # uv: the product in stack 0, its spectrum in stack 1
+    np.multiply(u, v, out=values[0])
+    norms_uv = _block_norms(bank, _half_from_padded(values[0], n, spectra[1]), p, work=free)
+    # u: its spectrum in stack 1, u_x's in stack 0, then (1-dxx)^-1 u's in stack 1
+    hu = _rfft_into(u, norm="forward", out=spectra[1])
+    norms_u = _block_norms(bank, hu, p, work=free)
+    sup_ux = _half_lp_norm(grid, np.multiply(d, hu, out=spectra[0]), math.inf, stacks[4])
+    hu *= _smoothing_symbol(grid)
+    norms_gu = _block_norms(bank, hu, p, work=free)
+    # v: its spectrum in stack 1 and v_x's in stack 0, after which v's values
+    # are free
+    hv = _rfft_into(v, norm="forward", out=spectra[1])
+    hvx = np.multiply(d, hv, out=spectra[0])
+    norms_v = _block_norms(bank, hv, p, work=(stacks[3], stacks[4]))
+    sup_vx = _half_lp_norm(grid, hvx, math.inf, stacks[3])
+    comm = _commutator_block_norms(bank, hvx, u, p, (stacks[3], spectra[4], spectra[1]))
 
     def ratio(num, den):
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -755,11 +859,10 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
 
     def corpus(rows, name, corpus_seed):
         rng = np.random.default_rng(corpus_seed)
+        stacks = _pair_stacks(grid, CORPUS_CHUNK)  # all the memory the chunks reuse
         for start in range(0, corpus_size, CORPUS_CHUNK):
             k = min(CORPUS_CHUNK, corpus_size - start)
-            fields = _random_band_limited_values(grid, rng, 2 * k)  # u, v, u, v, ...
-            ratios = _pair_ratios(bank, fields[0::2], fields[1::2], idx).tolist()
-            del fields  # not held through the next chunk's draw
+            ratios = _corpus_chunk(bank, rng, stacks[:, :k], idx).tolist()
             rows.extend((start + i, name, *r) for i, r in enumerate(ratios))
 
     # B runs on the solver's worker thread while A runs here, or after A on

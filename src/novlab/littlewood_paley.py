@@ -204,12 +204,18 @@ def _parseval_l2(grid: Grid, energy: np.ndarray):
     return np.sqrt(grid.length * np.sum(energy, axis=-1))
 
 
-def _half_lp_norm(grid: Grid, half: np.ndarray, p):
+def _half_lp_norm(grid: Grid, half: np.ndarray, p, values=None):
     """L^p norm of the field with half spectrum ``half``, along the last axis:
-    by Parseval for p = 2, else on the grid after one inverse transform."""
+    by Parseval for p = 2, else on the grid after one inverse transform.
+    With ``values``, rows of at least n + 2 doubles (n the grid's points)
+    beside ``half``'s, the work is done there and no array is allocated."""
     if p == 2.0:
-        return _parseval_l2(grid, _bin_energy(half))
-    return _lp_rows(irfft(half, n=grid.num_points, norm="forward"), grid.spacing, p)
+        return _parseval_l2(grid, _bin_energy(half, out=values))
+    n = grid.num_points
+    if values is None:
+        return _lp_rows(irfft(half, n=n, norm="forward"), grid.spacing, p)
+    grid_values = _irfft_into(half, n=n, norm="forward", out=values[..., :n])
+    return _lp_rows(grid_values, grid.spacing, p, overwrite=True)
 
 
 def _block_weights(bank: LPFilterBank, s: float) -> np.ndarray:
@@ -219,17 +225,26 @@ def _block_weights(bank: LPFilterBank, s: float) -> np.ndarray:
 
 
 def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
-                 check_resolved: bool = True) -> np.ndarray:
+                 check_resolved: bool = True, work=None) -> np.ndarray:
     """The unweighted sequence ||block_j f||_Lp for j = -1 .. j_max of the
     field f with half spectrum ``half``, along a new last axis when ``half``
-    is a stack; see ``weighted_block_norms``."""
-    energy = _bin_energy(half)
+    is a stack; see ``weighted_block_norms``.  With ``work``, two stacks of
+    rows of at least n + 2 doubles beside ``half``'s, the energies, the
+    weighted block energies, the blocks and their values are formed there."""
+    energy = _bin_energy(half, out=None if work is None else work[0])
     if check_resolved:
         _check_resolved(bank, energy)
     if float(p) == 2.0:
-        return np.stack([_parseval_l2(bank.grid, np.square(m) * energy[..., lo:hi])
-                         for lo, hi, m in bank.blocks], axis=-1)
-    return np.stack([_half_lp_norm(bank.grid, _block_half(bank, half, j), p)
+        return np.stack([
+            _parseval_l2(bank.grid, np.multiply(
+                np.square(m), energy[..., lo:hi],
+                out=None if work is None else work[1][..., : hi - lo]))
+            for lo, hi, m in bank.blocks], axis=-1)
+    if work is None:
+        block, values = np.empty_like(half), None
+    else:
+        block, values = work[0].view(complex)[..., : half.shape[-1]], work[1]
+    return np.stack([_half_lp_norm(bank.grid, _block_half(bank, half, j, out=block), p, values)
                      for j in range(-1, bank.j_max + 1)], axis=-1)
 
 
@@ -264,42 +279,53 @@ def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex,
     return float(np.max(weighted_block_norms(bank, f, idx, check_resolved)))
 
 
-def _padded_block_products(bank: LPFilterBank, w_values: np.ndarray, half: np.ndarray,
-                           blocks):
-    """Half spectra of w g_j, dealiased, for each j in ``blocks``: ``w_values``
-    holds the values of w on the product grid, whose size m >= n is the
-    length of its last axis, and g_j is block j of ``half``; stacks of w and
-    g run row by row.  Each g_j must have a zero Nyquist bin, as every
-    derivative has, so lifting it to m points is one plain inverse
-    transform: at m = 2n the bits of ``_padded_values``, whose Nyquist
-    halving has nothing to halve.  Each block costs one inverse and one
-    forward transform at m."""
-    n = bank.grid.num_points
-    m = w_values.shape[-1]
-
-    def product(j):
-        g = _block_half(bank, half, j)
-        prod = _irfft_into(g, n=m, norm="forward")
-        prod *= w_values
-        return _half_from_padded(prod, n)  # frees the product-grid temporaries
-
-    return map(product, blocks)
+def _sweep_buffers(grid: Grid, u_values: np.ndarray) -> tuple:
+    """Fresh buffers (values, spectrum, h_uvx) for ``_commutator_halves``'s
+    sweep on the product grid that the length of ``u_values`` gives."""
+    n, m, lead = grid.num_points, u_values.shape[-1], u_values.shape[:-1]
+    return (np.empty(lead + (max(m, n + 2),)), np.empty(lead + (m // 2 + 1,), dtype=complex),
+            np.empty(lead + (n // 2 + 1,), dtype=complex))
 
 
-def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray, blocks):
+def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray, blocks,
+                       work: tuple):
     """Half spectra of [block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x),
     dealiased, for each j in ``blocks``.  The caller forms what does not
     depend on j: the half spectrum ``hvx`` of v_x, whose Nyquist bin is
     zero, and the values ``u_values`` of u on the product grid, whose size
-    is their length: the 2n padded values in general, or the n grid values
+    m is their length: the 2n padded values in general, or the n grid values
     when u and v lie below Nyquist/2, where every product is alias-free on
     the grid itself.  Stacks of u values and v_x spectra along the last axis
-    run row by row.  The product u v_x is formed once, and each half is
-    written over u's block product."""
+    run row by row.
+
+    The sweep runs in the three buffers ``work`` = (values, spectrum,
+    h_uvx) that the caller lends (``_sweep_buffers``), one row each per
+    field: ``h_uvx`` (n/2 + 1 complex bins) takes the spectrum of u v_x,
+    formed once; ``values`` (at least max(m, n + 2) doubles) takes u g_j on
+    the product grid, g_j = block_j(v_x), then block_j(u v_x); and
+    ``spectrum`` (m/2 + 1 complex bins) takes g_j, then the spectrum of
+    u g_j, then the commutator in its first n/2 + 1 bins, the half that is
+    yielded, valid until the next block; ``values`` is free while the
+    caller holds it.  Lifting g_j to m points is one plain inverse
+    transform, as g_j's Nyquist bin is zero: at m = 2n the bits of
+    ``_padded_values``, whose Nyquist halving has nothing to halve.  Each
+    block costs one inverse and one forward transform at m.
+    """
     n, m = bank.grid.num_points, u_values.shape[-1]
-    h_uvx = _half_from_padded(u_values * _irfft_into(hvx, n=m, norm="forward"), n)
-    for j, u_block in zip(blocks, _padded_block_products(bank, u_values, hvx, blocks)):
-        yield np.subtract(_block_half(bank, h_uvx, j), u_block, out=u_block)
+    values, spectrum, h_uvx = work
+    product = values[..., :m]
+    _irfft_into(hvx, n=m, norm="forward", out=product)
+    product *= u_values
+    np.copyto(h_uvx, _half_from_padded(product, n, spectrum))
+    half = spectrum[..., : n // 2 + 1]
+    in_block = values.view(complex)[..., : n // 2 + 1]  # block_j(u v_x)
+    for j in blocks:
+        _block_half(bank, hvx, j, out=half)
+        _irfft_into(half, n=m, norm="forward", out=product)
+        product *= u_values
+        _half_from_padded(product, n, spectrum)
+        np.subtract(_block_half(bank, h_uvx, j, out=in_block), half, out=half)
+        yield half
 
 
 def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
@@ -354,17 +380,23 @@ def commutator(bank: LPFilterBank, j: int, u: RealField, v: RealField) -> RealFi
     _check_same_grid(bank, u, v)
     hvx = _derivative_symbol(u.grid) * half_spectrum(v)
     u_pad = _padded_values(half_spectrum(u), u.grid.num_points)
-    (half,) = _commutator_halves(bank, hvx, u_pad, [j])
+    (half,) = _commutator_halves(bank, hvx, u_pad, [j], _sweep_buffers(u.grid, u_pad))
     return field_from_half(u.grid, half)
 
 
 def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray,
-                            p) -> np.ndarray:
+                            p, work: tuple | None = None) -> np.ndarray:
     """The unweighted sequence ||[block_j, u] d/dx v||_Lp for j = -1 .. j_max,
     in one sweep from the hoisted v_x spectrum and u values of
     ``_commutator_halves``, on the product grid the length of ``u_values``
     gives, along a new last axis for stacks; p = 2 takes each norm by
-    Parseval, other p on the grid."""
+    Parseval, other p on the grid.  Each norm is taken in the sweep's
+    buffers ``work`` (fresh ones when not lent), so a sweep with lent
+    buffers allocates no stack."""
     blocks = range(-1, bank.j_max + 1)
-    return np.stack([_half_lp_norm(bank.grid, half, p)
-                     for half in _commutator_halves(bank, hvx, u_values, blocks)], axis=-1)
+    if work is None:
+        work = _sweep_buffers(bank.grid, u_values)
+    norms = np.empty(u_values.shape[:-1] + (len(blocks),))
+    for k, half in enumerate(_commutator_halves(bank, hvx, u_values, blocks, work)):
+        norms[..., k] = _half_lp_norm(bank.grid, half, p, work[0])
+    return norms

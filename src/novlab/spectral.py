@@ -196,15 +196,23 @@ def _support_bins(grid: Grid, lo: float, hi: float) -> slice:
     return slice(int(np.searchsorted(xi, lo, "right")), int(np.searchsorted(xi, hi, "left")))
 
 
-def _bin_energy(half: np.ndarray) -> np.ndarray:
+def _bin_energy(half: np.ndarray, out=None) -> np.ndarray:
     """|half|^2 per rfft bin along the last axis, counted with its multiplicity.
 
     An interior bin stands for itself and its conjugate, so it counts twice;
     k = 0 and k = N/2 count once.  By discrete Parseval, L times the sum of
     these energies is the grid quadrature of the squared L^2 norm.
+
+    With ``out``, rows of at least twice the bins in doubles, the energies
+    are written to its first bins and no array is allocated.
     """
-    energy = np.square(half.real)
-    energy += np.square(half.imag)
+    if out is None:
+        energy = np.square(half.real)
+        energy += np.square(half.imag)
+    else:
+        bins = half.shape[-1]
+        energy = np.square(half.real, out=out[..., :bins])
+        energy += np.square(half.imag, out=out[..., bins : 2 * bins])
     energy[..., 1:-1] *= 2.0
     return energy
 
@@ -222,14 +230,18 @@ def lp_norm(f: RealField, p) -> float:
     return float(_lp_rows(f.values, f.grid.spacing, _check_p(p)))
 
 
-def _lp_rows(values: np.ndarray, spacing: float, p: float) -> np.ndarray:
+def _lp_rows(values: np.ndarray, spacing: float, p: float,
+             overwrite: bool = False) -> np.ndarray:
     """``lp_norm`` of each row of ``values``: the grid quadrature along the
-    last axis, for a checked p."""
+    last axis, for a checked p; with ``overwrite`` the powers |values|^p of
+    p != 2 are taken in ``values`` itself."""
     if math.isinf(p):  # max |values|, without an array of absolute values
         return np.maximum(np.max(values, axis=-1), -np.min(values, axis=-1))
     if p == 2.0:
         return np.sqrt(spacing * np.sum(np.square(values), axis=-1))
-    sums = spacing * np.sum(np.abs(values) ** p, axis=-1)
+    powers = np.abs(values, out=values if overwrite else None)
+    powers **= p  # the bits of np.abs(values) ** p
+    sums = spacing * np.sum(powers, axis=-1)
     # the root is taken one row at a time: numpy's vectorized power can
     # differ from the scalar one in the last bit
     return np.array([x ** (1.0 / p) for x in np.ravel(sums).tolist()]).reshape(sums.shape)

@@ -9,6 +9,7 @@ name no other collected directory shares.
 import math
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -129,3 +130,15 @@ def see_cpus(monkeypatch, usable):
 def fft_threads():
     """The live worker threads of ``solver._pair``."""
     return [t for t in threading.enumerate() if t.name.startswith("novlab-fft")]
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory traced during the call, above
+    what was traced when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -38,7 +38,9 @@ from novlab.experiments import (
     CONTROL_AMPLITUDE,
     CORPUS_BAND,
     CORPUS_CHUNK,
+    _corpus_chunk,
     _pair_ratios,
+    _pair_stacks,
     _random_band_limited_values,
     random_band_limited_field,
     write_report_csv,
@@ -47,7 +49,8 @@ from novlab.littlewood_paley import (RING_SUPPORT, _block_norms, _block_weights,
                                      _transport_block_norms)
 from novlab.spectral import field_from_half
 
-from helpers import fft_threads, fixed_step_states, mode, random_field, see_cpus
+from helpers import (fft_threads, fixed_step_states, mode, random_field, see_cpus,
+                     traced_peak)
 
 
 class TestFitPowerlaw:
@@ -477,6 +480,17 @@ def test_separation_reports_the_data_sweeps_invariant_drift(separation_report):
         assert 0 <= separation_report.params[key] < 1e-14
 
 
+def test_separation_reports_the_control_sweeps_diagnostics(separation_report):
+    # the control sweep's own largest per-step error and invariant drifts,
+    # measured here (the control on 512 points): 1.17e-10, and 1.3e-15 and
+    # 6.3e-16.  The header's time_error_max covers both sweeps, and here it
+    # is the control's
+    params = separation_report.params
+    assert 0 < params["control_time_error_max"] <= params["time_error_max"]
+    for key in ("control_invariant_drift_rho", "control_invariant_drift_u"):
+        assert 0 <= params[key] < 1e-14
+
+
 def _data_grid_control(params, n_range, delta):
     """The control distances of ``study_separation`` with the control
     integrated and measured on the data grid, in its one sweep through the
@@ -682,14 +696,33 @@ class TestInequalitiesStudy:
 
     @pytest.mark.parametrize("s,p", [(3.1, 1.0), (3.0, 2.0), (3.0, math.inf)])
     def test_chunks_never_mix_rows(self, monkeypatch, s, p):
-        # 101 pairs leave the last chunk partial at any chunk size above 1
-        grid = Grid(2**9, 64.0)
+        # 101 pairs leave the last chunk partial at any chunk size above 1;
+        # 2^12/64 is the default corpus grid
         assert 101 % CORPUS_CHUNK != 0
-        chunked = study_inequalities(corpus_size=101, seed=9, grid=grid, s=s, p=p)
+        grids = (Grid(2**9, 64.0), Grid(2**12, 64.0))
+        chunked = [study_inequalities(corpus_size=101, seed=9, grid=grid, s=s, p=p)
+                   for grid in grids]
         monkeypatch.setattr(experiments, "CORPUS_CHUNK", 1)
-        one_by_one = study_inequalities(corpus_size=101, seed=9, grid=grid, s=s, p=p)
-        assert [r[:2] for r in chunked.rows] == [(i, c) for c in "AB" for i in range(101)]
-        assert chunked.rows == one_by_one.rows
+        for grid, report in zip(grids, chunked):
+            one_by_one = study_inequalities(corpus_size=101, seed=9, grid=grid, s=s, p=p)
+            assert [r[:2] for r in report.rows] == [(i, c) for c in "AB" for i in range(101)]
+            assert report.rows == one_by_one.rows
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_chunk_runs_in_its_five_stacks(self, small_grid, small_bank, p):
+        # a warm chunk of CORPUS_CHUNK pairs on the corpus grid, its draw and
+        # its ratios, allocates its five stacks and about 0.4 value stacks S
+        # (k rows of n doubles) more: 5.42 S at every p, measured at k = 6.
+        # A sweep that took one fresh stack per block would peak above 6 S
+        idx = BesovIndex(3.1 if p == 1.0 else 3.0, p)
+        rng = np.random.default_rng(14)
+
+        def chunk():
+            return _corpus_chunk(small_bank, rng, _pair_stacks(small_grid, CORPUS_CHUNK), idx)
+
+        chunk()  # warm
+        _, peak = traced_peak(chunk)
+        assert peak <= 5.6 * CORPUS_CHUNK * small_grid.num_points * 8
 
     def test_pair_transform_count(self, small_grid, small_bank, count_ffts):
         # the corpus grid has 9 blocks.  A chunk of k pairs draws its 2k

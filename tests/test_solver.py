@@ -4,7 +4,6 @@ import signal
 import sys
 import threading
 import time
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +32,7 @@ from novlab.solver import StepSizeError, _ShellNorm
 from novlab.spectral import _bin_energy, _half_from_padded, _padded_values, field_from_half
 
 from helpers import (LAMBDA, composed_rhs, fft_threads, fixed_step_states, mode,
-                     reference_rhs_half, see_cpus)
+                     reference_rhs_half, see_cpus, traced_peak)
 
 
 def _zero(grid):
@@ -445,18 +444,6 @@ def _outputs(step):
             step.state.rho.values, step.state.u.values]
 
 
-def _traced_peak(fn):
-    """fn's result and the peak of the memory traced during the call, above
-    what was traced when it began."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestWorkspace:
     @pytest.fixture
     def first_step(self, small_grid):
@@ -472,10 +459,10 @@ class TestWorkspace:
         y = first_step.spectra
         one_half = y[0].nbytes
         solver._rhs_half(y, work)  # warm
-        rate, peak = _traced_peak(lambda: solver._rhs_half(y, work))
+        rate, peak = traced_peak(lambda: solver._rhs_half(y, work))
         assert peak <= rate.nbytes + one_half
         second = step_rk4(first_step.state, 1e-2, start=first_step)  # warm
-        third, peak = _traced_peak(lambda: step_rk4(second.state, 1e-2, start=second))
+        third, peak = traced_peak(lambda: step_rk4(second.state, 1e-2, start=second))
         assert peak <= sum(a.nbytes for a in _outputs(third)) + one_half
 
     def test_workspace_holds_nine_padded_rows(self, first_step):
