@@ -9,11 +9,7 @@ from .spectral import (
     Grid,
     GridMismatchError,
     RealField,
-    derivative,
-    helmholtz_inverse,
     lp_norm,
-    product,
-    triple_product,
 )
 from .littlewood_paley import (
     BesovIndex,
@@ -21,8 +17,6 @@ from .littlewood_paley import (
     UnresolvedSpectrumError,
     besov_norm,
     build_filter_bank,
-    commutator,
-    dyadic_block,
     weighted_block_norms,
 )
 from .initial_data import (

@@ -35,12 +35,11 @@ from .littlewood_paley import (
 from .solver import SolverConfig, SystemState, _pair, integrate
 from .spectral import (
     Grid,
-    RealField,
     _bin_energy,
     _derivative_symbol,
-    _half_from_padded,
     _irfft_into,
     _lp_rows,
+    _product_half,
     _rfft_into,
     _smoothing_symbol,
 )
@@ -516,8 +515,8 @@ def _padded_half(grid: Grid, bank: LPFilterBank, half: np.ndarray) -> np.ndarray
     """The half spectra on ``grid``, a grid of the same box with no fewer
     points, of the fields with half spectra ``half`` (along the last axis)
     on the grid of ``bank``: ``half`` itself when the grids are equal, else
-    padded with zeros, the Nyquist bin split evenly between +-N/2 as
-    ``spectral._padded_values`` splits it, once the resolution guard has
+    padded with zeros, the Nyquist bin split evenly between the bins +-N/2
+    that it stands for on the finer grid, once the resolution guard has
     passed each field on its own grid."""
     if bank.grid == grid:
         return half
@@ -679,26 +678,13 @@ def study_separation(params: IllposedDataParams, n_range=None,
 
 # -- inequality corpora -------------------------------------------------------
 
-def random_band_limited_field(grid: Grid, rng) -> RealField:
-    """Random real field with smooth random spectrum below CORPUS_BAND * Nyquist."""
-    return RealField(grid, _random_band_limited_values(grid, rng, 1)[0])
-
-
-def _random_band_limited_values(grid: Grid, rng, k: int) -> np.ndarray:
-    """The values, one row each, of k random band-limited fields: the bits
-    and the draws of k consecutive ``random_band_limited_field`` calls, with
-    one inverse transform for all k."""
-    values = np.empty((k, grid.num_points))
-    _draw_fields(grid, rng, np.empty((k, grid.half_frequencies.size), dtype=complex), values)
-    return values
-
-
 def _draw_fields(grid: Grid, rng, coeffs: np.ndarray, values: np.ndarray) -> None:
-    """Write to ``values``, rows of n grid values, random band-limited fields
-    drawn in the C order of its leading axes, as
-    ``_random_band_limited_values`` draws them; ``coeffs``, complex rows of
-    n/2 + 1 bins of the same leading shape, takes their spectra, and the one
-    inverse transform writes straight into ``values``."""
+    """Write to ``values``, rows of n grid values, random real fields with a
+    smooth random spectrum below CORPUS_BAND * Nyquist and sup norm 1, drawn
+    in the C order of its leading axes, so k fields drawn at once get the
+    bits of k drawn one at a time; ``coeffs``, complex rows of n/2 + 1 bins
+    of the same leading shape, takes their spectra, and the one inverse
+    transform writes straight into ``values``."""
     xi = grid.half_frequencies
     cutoff = CORPUS_BAND * grid.nyquist
     band = int(np.searchsorted(xi, cutoff, "right"))  # the bins with xi <= cutoff
@@ -743,17 +729,6 @@ def _corpus_chunk(bank: LPFilterBank, rng, stacks: np.ndarray, idx: BesovIndex) 
         return _chunk_ratios(bank, stacks, idx)
 
 
-def _pair_ratios(bank: LPFilterBank, u: np.ndarray, v: np.ndarray,
-                 idx: BesovIndex) -> np.ndarray:
-    """The product-law, commutator and smoothing ratios of each sample pair
-    (u, v) given by grid values, one pair per row of the (k, n) stacks u and
-    v, as a (k, 3) array: ``_chunk_ratios`` on a copy of them in fresh stacks."""
-    n = bank.grid.num_points
-    stacks = _pair_stacks(bank.grid, len(u))
-    stacks[2:4, :, :n] = u, v
-    return _chunk_ratios(bank, stacks, idx)
-
-
 def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, idx: BesovIndex) -> np.ndarray:
     """The product-law, commutator and smoothing ratios of the sample pairs
     (u, v) in ``stacks`` (``_pair_stacks``), one pair per row, as a (k, 3)
@@ -789,7 +764,7 @@ def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, idx: BesovIndex) -> np
     free = (stacks[0], stacks[4])  # the work of the block norms
     # uv: the product in stack 0, its spectrum in stack 1
     np.multiply(u, v, out=values[0])
-    norms_uv = _block_norms(bank, _half_from_padded(values[0], n, spectra[1]), p, work=free)
+    norms_uv = _block_norms(bank, _product_half(values[0], spectra[1]), p, work=free)
     # u: its spectrum in stack 1, u_x's in stack 0, then (1-dxx)^-1 u's in stack 1
     hu = _rfft_into(u, norm="forward", out=spectra[1])
     norms_u = _block_norms(bank, hu, p, work=free)
@@ -851,7 +826,7 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     that each family's max ratio is finite and agrees between the corpora
     within a factor of two.  Corpus fields lie below CORPUS_BAND * Nyquist,
     so each pair's products are formed on the corpus grid itself, without
-    padding (see ``_pair_ratios``).
+    padding (see ``_chunk_ratios``).
     """
     grid = check_inequalities(corpus_size, seed, grid, s, p)
     idx = BesovIndex(s, p)
@@ -869,7 +844,7 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     # one CPU.  The corpora share only read-only inputs (the bank, the grid,
     # whose frequencies the bank has cached, and idx) and each draws from its
     # own generator, so the rows are the same bits either way.  Each pair of
-    # fields takes 26 transforms of the grid (``_pair_ratios``).
+    # fields takes 26 transforms of the grid (``_chunk_ratios``).
     rows_a, rows_b = [], []
     _pair(partial(corpus, rows_b, "B", seed + 1), partial(corpus, rows_a, "A", seed),
           2 * 26 * corpus_size * grid.num_points)

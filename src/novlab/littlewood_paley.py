@@ -30,13 +30,11 @@ from .spectral import (
     _check_same_grid,
     _derivative_symbol,
     _half_cell_shift,
-    _half_from_padded,
     _irfft_into,
     _lp_rows,
-    _padded_values,
+    _product_half,
     _rfft_into,
     _support_bins,
-    field_from_half,
     half_spectrum,
     irfft,
 )
@@ -104,8 +102,9 @@ class LPFilterBank:
     j_max: int
 
     def block_multiplier(self, j: int) -> np.ndarray:
-        """Block j's multiplier sampled on every nonnegative grid frequency,
-        by ``dyadic_block``'s rule: zero for j <= -2, an error past j_max."""
+        """Block j's multiplier sampled on every nonnegative grid frequency:
+        chi for j = -1, phi(2^-j xi) for j >= 0, zero for j <= -2, and an
+        error past j_max, where the grid cannot represent the ring."""
         return _block_half(self, np.ones(self.grid.half_frequencies.size), j)
 
     def resolved_band_end(self) -> float:
@@ -153,10 +152,11 @@ def build_filter_bank(grid: Grid) -> LPFilterBank:
 
 
 def _block_half(bank: LPFilterBank, half: np.ndarray, j: int, out=None) -> np.ndarray:
-    """Half spectrum of block j (see ``dyadic_block``) of the field with half
-    spectrum ``half``, or of each field of a stack of half spectra along the
-    last axis, written to ``out`` when given and else to a fresh array;
-    only the bins of the block's range are multiplied."""
+    """Half spectrum of block j (chi(D) f for j = -1, phi(2^-j D) f for
+    j >= 0, zero for j <= -2; see ``LPFilterBank.block_multiplier``) of the
+    field f with half spectrum ``half``, or of each field of a stack of half
+    spectra along the last axis, written to ``out`` when given and else to a
+    fresh array; only the bins of the block's range are multiplied."""
     if j > bank.j_max:
         raise ValueError(f"block {j} exceeds resolved band j_max={bank.j_max}")
     if out is None:
@@ -166,16 +166,6 @@ def _block_half(bank: LPFilterBank, half: np.ndarray, j: int, out=None) -> np.nd
         lo, hi, m = bank.blocks[j + 1]
         np.multiply(m, half[..., lo:hi], out=out[..., lo:hi])
     return out
-
-
-def dyadic_block(bank: LPFilterBank, f: RealField, j: int) -> RealField:
-    """Frequency block: chi(D)f for j = -1, phi(2^-j D)f for j >= 0.
-
-    Indices j <= -2 give the zero field; j beyond the resolved band is an
-    error because the grid cannot represent that ring.
-    """
-    _check_same_grid(bank, f)
-    return field_from_half(f.grid, _block_half(bank, half_spectrum(f), j))
 
 
 UNRESOLVED_ENERGY_TOL = 1e-12
@@ -279,67 +269,52 @@ def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex,
     return float(np.max(weighted_block_norms(bank, f, idx, check_resolved)))
 
 
-def _sweep_buffers(grid: Grid, u_values: np.ndarray) -> tuple:
-    """Fresh buffers (values, spectrum, h_uvx) for ``_commutator_halves``'s
-    sweep on the product grid that the length of ``u_values`` gives."""
-    n, m, lead = grid.num_points, u_values.shape[-1], u_values.shape[:-1]
-    return (np.empty(lead + (max(m, n + 2),)), np.empty(lead + (m // 2 + 1,), dtype=complex),
-            np.empty(lead + (n // 2 + 1,), dtype=complex))
-
-
 def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray, blocks,
                        work: tuple):
-    """Half spectra of [block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x),
-    dealiased, for each j in ``blocks``.  The caller forms what does not
-    depend on j: the half spectrum ``hvx`` of v_x, whose Nyquist bin is
-    zero, and the values ``u_values`` of u on the product grid, whose size
-    m is their length: the 2n padded values in general, or the n grid values
-    when u and v lie below Nyquist/2, where every product is alias-free on
-    the grid itself.  Stacks of u values and v_x spectra along the last axis
-    run row by row.
+    """Half spectra of [block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x)
+    for each j in ``blocks``, with every product formed on the grid.  The
+    caller forms what does not depend on j: the half spectrum ``hvx`` of
+    v_x, whose Nyquist bin is zero, and the n grid values ``u_values`` of u.
+    Precondition: u and v lie below Nyquist/2, where every product is
+    alias-free on the grid itself, as dealiased as a padded one.  Stacks of
+    u values and v_x spectra along the last axis run row by row.
 
     The sweep runs in the three buffers ``work`` = (values, spectrum,
-    h_uvx) that the caller lends (``_sweep_buffers``), one row each per
-    field: ``h_uvx`` (n/2 + 1 complex bins) takes the spectrum of u v_x,
-    formed once; ``values`` (at least max(m, n + 2) doubles) takes u g_j on
-    the product grid, g_j = block_j(v_x), then block_j(u v_x); and
-    ``spectrum`` (m/2 + 1 complex bins) takes g_j, then the spectrum of
-    u g_j, then the commutator in its first n/2 + 1 bins, the half that is
-    yielded, valid until the next block; ``values`` is free while the
-    caller holds it.  Lifting g_j to m points is one plain inverse
-    transform, as g_j's Nyquist bin is zero: at m = 2n the bits of
-    ``_padded_values``, whose Nyquist halving has nothing to halve.  Each
-    block costs one inverse and one forward transform at m.
+    h_uvx) that the caller lends, one row each per field: ``h_uvx`` (n/2 + 1
+    complex bins) takes the spectrum of u v_x, formed once; ``values``
+    (n + 2 doubles) takes u g_j on the grid, g_j = block_j(v_x), then
+    block_j(u v_x); and ``spectrum`` (n/2 + 1 complex bins) takes g_j, then
+    the spectrum of u g_j, then the commutator, which is yielded, valid
+    until the next block; ``values`` is free while the caller holds it.
+    Each block costs one inverse and one forward transform.
     """
-    n, m = bank.grid.num_points, u_values.shape[-1]
+    n = bank.grid.num_points
     values, spectrum, h_uvx = work
-    product = values[..., :m]
-    _irfft_into(hvx, n=m, norm="forward", out=product)
+    product = values[..., :n]
+    _irfft_into(hvx, n=n, norm="forward", out=product)
     product *= u_values
-    np.copyto(h_uvx, _half_from_padded(product, n, spectrum))
-    half = spectrum[..., : n // 2 + 1]
+    _product_half(product, h_uvx)
     in_block = values.view(complex)[..., : n // 2 + 1]  # block_j(u v_x)
     for j in blocks:
-        _block_half(bank, hvx, j, out=half)
-        _irfft_into(half, n=m, norm="forward", out=product)
+        _block_half(bank, hvx, j, out=spectrum)
+        _irfft_into(spectrum, n=n, norm="forward", out=product)
         product *= u_values
-        _half_from_padded(product, n, spectrum)
-        np.subtract(_block_half(bank, h_uvx, j, out=in_block), half, out=half)
-        yield half
+        _product_half(product, spectrum)
+        np.subtract(_block_half(bank, h_uvx, j, out=in_block), spectrum, out=spectrum)
+        yield spectrum
 
 
 def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
                            blocks, p) -> np.ndarray:
     """||u^2 d/dx block_j f||_Lp for f = rho (row 0) and f = u (row 1) and
-    each j in ``blocks``, dealiased as
-    ``triple_product(u, u, derivative(dyadic_block(bank, f, j)))`` is,
-    without padding: as in the RHS kernel (``solver._rhs_half``), each
-    product is formed on the grid and on its half-cell shift, with one
-    inverse and one forward transform of n points on each, and folded back.
-    u^2 is formed once on each grid.  The shifted grid's product runs on the
-    worker of one ``solver._pair`` beside the grid's on the caller, each in
-    its own rows of one buffer allocated once per sweep, so no bit depends
-    on the threads."""
+    each j in ``blocks``, dealiased as zero-padding to twice the grid
+    dealiases it, without padding: as in the RHS kernel
+    (``solver._rhs_half``), each product is formed on the grid and on its
+    half-cell shift, with one inverse and one forward transform of n points
+    on each, and folded back.  u^2 is formed once on each grid.  The shifted
+    grid's product runs on the worker of one ``solver._pair`` beside the
+    grid's on the caller, each in its own rows of one buffer allocated once
+    per sweep, so no bit depends on the threads."""
     _check_same_grid(bank, rho, u)
     grid = u.grid
     n = grid.num_points
@@ -375,27 +350,14 @@ def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
     return norms
 
 
-def commutator(bank: LPFilterBank, j: int, u: RealField, v: RealField) -> RealField:
-    """[block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x), dealiased."""
-    _check_same_grid(bank, u, v)
-    hvx = _derivative_symbol(u.grid) * half_spectrum(v)
-    u_pad = _padded_values(half_spectrum(u), u.grid.num_points)
-    (half,) = _commutator_halves(bank, hvx, u_pad, [j], _sweep_buffers(u.grid, u_pad))
-    return field_from_half(u.grid, half)
-
-
 def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray,
-                            p, work: tuple | None = None) -> np.ndarray:
+                            p, work: tuple) -> np.ndarray:
     """The unweighted sequence ||[block_j, u] d/dx v||_Lp for j = -1 .. j_max,
-    in one sweep from the hoisted v_x spectrum and u values of
-    ``_commutator_halves``, on the product grid the length of ``u_values``
-    gives, along a new last axis for stacks; p = 2 takes each norm by
-    Parseval, other p on the grid.  Each norm is taken in the sweep's
-    buffers ``work`` (fresh ones when not lent), so a sweep with lent
-    buffers allocates no stack."""
+    in one sweep from the hoisted v_x spectrum and u grid values of
+    ``_commutator_halves``, along a new last axis for stacks; p = 2 takes
+    each norm by Parseval, other p on the grid.  Each norm is taken in the
+    sweep's lent buffers ``work``, so the sweep allocates no stack."""
     blocks = range(-1, bank.j_max + 1)
-    if work is None:
-        work = _sweep_buffers(bank.grid, u_values)
     norms = np.empty(u_values.shape[:-1] + (len(blocks),))
     for k, half in enumerate(_commutator_halves(bank, hvx, u_values, blocks, work)):
         norms[..., k] = _half_lp_norm(bank.grid, half, p, work[0])

@@ -11,9 +11,10 @@ up to the phase exp(-i xi_k x_0) = (-1)^k of the left endpoint
 x_0 = -L/2; diagonal operators and products do not see that phase, so
 only data synthesis applies it (``_half_phase``).  Pointwise products of
 fields are dealiased as zero-padding to twice the grid dealiases them,
-which is exact for nonlinearities up to degree three.  The products here
-pad; the RHS kernel and the blockscale sweep form each product on the
-grid and on its half-cell shift instead (``_half_cell_shift``).
+which is exact for nonlinearities up to degree three, but without padding:
+the RHS kernel and the blockscale sweep form each product on the grid and
+on its half-cell shift (``_half_cell_shift``), and the inequality corpus,
+whose fields lie below Nyquist/4, on the grid alone (``_product_half``).
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-# The padded transforms run numpy.fft, which can write into a given array
-# (out=) and allocates without one; the field transforms, the solver's
-# included, run scipy.fft.
+# The transforms into lent buffers run numpy.fft, which can write into a
+# given array (out=); the field transforms run scipy.fft.
 # Both are pocketfft and give the same bits.  Every transform is normalized
 # "forward", the half-spectrum convention, so no scaling pass follows it.
 from numpy.fft import irfft as _irfft_into, rfft as _rfft_into
@@ -145,11 +145,6 @@ def field_from_half(grid: Grid, half: np.ndarray) -> RealField:
     return RealField(grid, v)
 
 
-def apply_half_multiplier(f: RealField, samples: np.ndarray) -> RealField:
-    """Apply multiplier samples given on the nonnegative frequencies."""
-    return field_from_half(f.grid, samples * half_spectrum(f))
-
-
 def _derivative_symbol(grid: Grid) -> np.ndarray:
     """i xi on the half spectrum; the (sign-ambiguous) Nyquist bin is zeroed.
 
@@ -179,12 +174,9 @@ def _smoothing_symbol(grid: Grid) -> np.ndarray:
 
 def derivative(f: RealField) -> RealField:
     """Spectral derivative; the (sign-ambiguous) Nyquist bin is zeroed."""
-    return apply_half_multiplier(f, _derivative_symbol(f.grid))
-
-
-def helmholtz_inverse(f: RealField) -> RealField:
-    """Invert 1 - d^2/dx^2, i.e. divide each mode by 1 + xi^2."""
-    return apply_half_multiplier(f, _smoothing_symbol(f.grid))
+    # No study calls it: it stays because benchmarks/tests/test_tracing.py
+    # traces one call of it, through scipy's rfft and irfft.
+    return field_from_half(f.grid, _derivative_symbol(f.grid) * half_spectrum(f))
 
 
 def _support_bins(grid: Grid, lo: float, hi: float) -> slice:
@@ -247,60 +239,13 @@ def _lp_rows(values: np.ndarray, spacing: float, p: float,
     return np.array([x ** (1.0 / p) for x in np.ravel(sums).tolist()]).reshape(sums.shape)
 
 
-# -- dealiased products -------------------------------------------------------
+# -- products on the grid ----------------------------------------------------
 
-def _padded_values(half: np.ndarray, n: int) -> np.ndarray:
-    """Values on grid 2n of a half spectrum of grid n, zero-padded, in a
-    fresh array.
-
-    The original Nyquist bin splits evenly between +-n/2, which the padded
-    half spectrum represents by halving it; that is done on a copy, so
-    ``half`` is never modified.  The transform to 2n points pads the n/2 + 1
-    bins with zeros itself.
-    """
-    staged = np.array(half, dtype=complex)
-    staged[n // 2] *= 0.5
-    return _irfft_into(staged, n=2 * n, norm="forward")
-
-
-def _half_from_padded(values: np.ndarray, n: int, spectrum=None) -> np.ndarray:
-    """Half spectrum on grid n of values on a grid m >= n (the padded grid
-    2n, or grid n itself), truncated, along the last axis.
-
-    With ``spectrum`` (m/2 + 1 complex) the spectrum on grid m is written
-    there and the result is a view of its first n/2 + 1 bins, valid until
-    the buffer's next use; without it the result is a fresh array.
-    """
-    half = _rfft_into(values, norm="forward", out=spectrum)[..., : n // 2 + 1]
-    if spectrum is None and values.shape[-1] > n:
-        half = half.copy()  # which does not keep the padded spectrum alive
+def _product_half(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Half spectrum of products given by their n grid values, along the last
+    axis, written to ``spectrum`` (n/2 + 1 complex bins) and returned, with
+    the Nyquist bin zeroed as a dealiased product's is.  The products must
+    lie below Nyquist, where the grid holds them without aliasing."""
+    half = _rfft_into(values, norm="forward", out=spectrum)
     half[..., -1] = 0.0  # discard the (unrepresentable) Nyquist content
     return half
-
-
-def dealiased_half_product(grid: Grid, halves) -> np.ndarray:
-    """Half spectrum of the pointwise product of fields given by half spectra.
-
-    Factor-two zero padding makes the retained modes exact for products of
-    up to three fields whose spectra fill the grid.
-    """
-    n = grid.num_points
-    acc = _padded_values(halves[0], n)
-    for h in halves[1:]:
-        acc *= _padded_values(h, n)
-    return _half_from_padded(acc, n)
-
-
-def product(f: RealField, g: RealField) -> RealField:
-    """Dealiased pointwise product of two fields."""
-    _check_same_grid(f, g)
-    return field_from_half(
-        f.grid, dealiased_half_product(f.grid, [half_spectrum(f), half_spectrum(g)])
-    )
-
-
-def triple_product(f: RealField, g: RealField, h: RealField) -> RealField:
-    """Dealiased pointwise product of three fields (exact for cubic terms)."""
-    _check_same_grid(f, g, h)
-    halves = [half_spectrum(f), half_spectrum(g), half_spectrum(h)]
-    return field_from_half(f.grid, dealiased_half_product(f.grid, halves))

@@ -1,6 +1,7 @@
 """Plain test helpers: the data modulation, grid modes, seeded random fields,
-a term-by-term RHS, a straight-line RHS kernel, fixed-step RK4 states, and
-the CPUs and worker threads that ``solver._pair`` sees.
+the zero-padded field operators that serve as oracles, a term-by-term RHS,
+a straight-line RHS kernel, fixed-step RK4 states, the inequality corpus's
+draws and ratios, and the CPUs and worker threads that ``solver._pair`` sees.
 
 They live apart from conftest.py so that a test module can import them by a
 name no other collected directory shares.
@@ -15,6 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from novlab import RealField
+from novlab.experiments import _chunk_ratios, _draw_fields, _pair_stacks
+from novlab.spectral import field_from_half, half_spectrum
 
 LAMBDA = 68.0 / 48.0
 
@@ -29,7 +32,7 @@ def mode(grid, freq_index, kind="cos", amplitude=1.0):
 def coefficients(f):
     """Fourier coefficients coeff(k), k = 0..N/2, under the module convention:
     the half spectrum times the phase of the left endpoint x_0 = -L/2."""
-    from novlab.spectral import _half_phase, half_spectrum
+    from novlab.spectral import _half_phase
 
     return _half_phase(f.grid.num_points) * half_spectrum(f)
 
@@ -42,27 +45,125 @@ def random_field(grid, seed, cutoff_fraction=0.25):
     half[:n_active] = rng.standard_normal(n_active) + 1j * rng.standard_normal(n_active)
     half[0] = half[0].real
     half /= grid.num_points**0.5
-    from novlab.spectral import field_from_half
-
     return field_from_half(grid, half)
+
+
+# -- zero-padded oracles ------------------------------------------------------
+#
+# The field operators that the package dealiases without padding, written
+# from first principles: a field's full complex spectrum (numpy's fft order),
+# exact multipliers on every frequency, and products formed on 2n points, to
+# which the spectra are padded with zeros.  Each starts from
+# ``half_spectrum``, the transform the studies start from, so that a block
+# far below a field's size is cut from the same roundoff on both sides.
+
+def extend_half(half):
+    """The n coefficients, in numpy's fft order, that the half spectrum
+    ``half`` (n/2 + 1 bins) stands for: bin -k holds the conjugate of bin k,
+    and the Nyquist bin is kept as given."""
+    n = 2 * (len(half) - 1)
+    full = np.empty(n, dtype=complex)
+    full[: n // 2 + 1] = half
+    full[n // 2 + 1 :] = np.conj(half[n // 2 - 1 : 0 : -1])
+    return full
+
+
+def full_spectrum(f):
+    """The full spectrum of f, from ``half_spectrum(f)``."""
+    return extend_half(half_spectrum(f))
+
+
+def field_from_full(grid, full):
+    """The real field whose full spectrum is ``full``."""
+    return RealField(grid, np.fft.ifft(full, norm="forward").real)
+
+
+def full_frequencies(grid):
+    """The physical frequency of each bin of a full spectrum."""
+    return 2 * math.pi * np.fft.fftfreq(grid.num_points, d=grid.spacing)
+
+
+def apply_multiplier(f, samples):
+    """The even multiplier with ``samples`` on the nonnegative frequencies
+    (rfft layout) applied to f: bin k and bin -k take sample |k|."""
+    n = f.grid.num_points
+    k = np.arange(n)
+    return field_from_full(f.grid, samples[np.minimum(k, n - k)] * full_spectrum(f))
+
+
+def derivative(f):
+    """d/dx: i xi on every bin, the (sign-ambiguous) Nyquist bin zeroed."""
+    symbol = 1j * full_frequencies(f.grid)
+    symbol[f.grid.num_points // 2] = 0.0
+    return field_from_full(f.grid, symbol * full_spectrum(f))
+
+
+def helmholtz_inverse(f):
+    """G = (1 - d^2/dx^2)^-1: each bin divided by 1 + xi^2."""
+    xi = full_frequencies(f.grid)
+    return field_from_full(f.grid, full_spectrum(f) / (1.0 + xi * xi))
+
+
+def dyadic_block(bank, f, j):
+    """Block j of f: the bank's multiplier of block j on every frequency."""
+    return apply_multiplier(f, bank.block_multiplier(j))
+
+
+def padded_values(full):
+    """Values on 2n points of the n-point full spectrum ``full`` padded with
+    zeros.  The Nyquist bin c stands for the bins +-n/2 of the finer grid,
+    c/2 and its conjugate, so the padded spectrum is a real field's."""
+    n = len(full)
+    padded = np.zeros(2 * n, dtype=complex)
+    padded[: n // 2] = full[: n // 2]
+    padded[n // 2] = full[n // 2] / 2
+    padded[-(n // 2)] = np.conj(full[n // 2]) / 2
+    padded[-(n // 2) + 1 :] = full[n // 2 + 1 :]
+    return np.fft.ifft(padded, norm="forward").real
+
+
+def truncated_spectrum(values):
+    """The full spectrum on n points of ``values`` on 2n points: the bins
+    |k| < n/2 of their spectrum, and a zero Nyquist bin."""
+    n = len(values) // 2
+    spectrum = np.fft.fft(values, norm="forward")
+    full = np.zeros(n, dtype=complex)
+    full[: n // 2] = spectrum[: n // 2]
+    full[n // 2 + 1 :] = spectrum[-(n // 2) + 1 :]
+    return full
+
+
+def product(*fields):
+    """Pointwise product of two or three fields, dealiased by padding to 2n
+    points: the spectrum of a product of three fields below n/2 lies below
+    3n/2, which 2n points alias onto no bin |k| < n/2, so every kept bin is
+    exact."""
+    values = padded_values(full_spectrum(fields[0]))
+    for f in fields[1:]:
+        values = values * padded_values(full_spectrum(f))
+    return field_from_full(fields[0].grid, truncated_spectrum(values))
+
+
+def commutator(bank, j, u, v):
+    """[block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x), dealiased."""
+    vx = derivative(v)
+    return dyadic_block(bank, product(u, vx), j) - product(u, dyadic_block(bank, vx, j))
 
 
 def composed_rhs(rho, u):
     """(rho_t, u_t) of the nonlocal system, composed term by term from the
-    public operators (G = helmholtz_inverse):
+    zero-padded oracles (G = helmholtz_inverse):
 
         rho_t = u^2 rho_x + rho u u_x
         u_t   = u^2 u_x + d/dx G(u^3 + (3/2) u u_x^2 - (1/2) u rho^2)
                         + G((1/2) u_x^3 - (1/2) u_x rho^2)
     """
-    from novlab import derivative, helmholtz_inverse, triple_product
-
     rho_x, u_x = derivative(rho), derivative(u)
-    rho_t = triple_product(u, u, rho_x) + triple_product(rho, u, u_x)
-    dx_arg = (triple_product(u, u, u) + 1.5 * triple_product(u, u_x, u_x)
-              - 0.5 * triple_product(u, rho, rho))
-    plain_arg = 0.5 * triple_product(u_x, u_x, u_x) - 0.5 * triple_product(u_x, rho, rho)
-    u_t = (triple_product(u, u, u_x) + derivative(helmholtz_inverse(dx_arg))
+    rho_t = product(u, u, rho_x) + product(rho, u, u_x)
+    dx_arg = (product(u, u, u) + 1.5 * product(u, u_x, u_x)
+              - 0.5 * product(u, rho, rho))
+    plain_arg = 0.5 * product(u_x, u_x, u_x) - 0.5 * product(u_x, rho, rho)
+    u_t = (product(u, u, u_x) + derivative(helmholtz_inverse(dx_arg))
            + helmholtz_inverse(plain_arg))
     return rho_t, u_t
 
@@ -119,6 +220,30 @@ def fixed_step_states(state0, dt, checkpoints):
         step = replace(step, state=state)
         states.append(state)
     return states
+
+
+def random_band_limited_values(grid, rng, k):
+    """The values, one row each, of k random band-limited corpus fields, as
+    an inequality corpus draws them (``experiments._draw_fields``)."""
+    values = np.empty((k, grid.num_points))
+    _draw_fields(grid, rng, np.empty((k, grid.num_points // 2 + 1), dtype=complex), values)
+    return values
+
+
+def random_band_limited_field(grid, rng):
+    """One random band-limited corpus field."""
+    return RealField(grid, random_band_limited_values(grid, rng, 1)[0])
+
+
+def pair_ratios(bank, u, v, idx):
+    """The product-law, commutator and smoothing ratios
+    (``experiments._chunk_ratios``) of each sample pair (u, v) given by grid
+    values, one pair per row of the (k, n) stacks u and v, as a (k, 3)
+    array, formed on a copy of them in fresh stacks."""
+    n = bank.grid.num_points
+    stacks = _pair_stacks(bank.grid, len(u))
+    stacks[2:4, :, :n] = u, v
+    return _chunk_ratios(bank, stacks, idx)
 
 
 def see_cpus(monkeypatch, usable):

@@ -19,18 +19,13 @@ from novlab import (
     build_bump,
     build_filter_bank,
     build_initial_data,
-    derivative,
-    dyadic_block,
     fit_powerlaw,
-    helmholtz_inverse,
     integrate,
     lp_norm,
-    product,
     study_block_scaling,
     study_inequalities,
     study_separation,
     study_short_time,
-    triple_product,
     write_study,
 )
 from novlab import experiments, solver
@@ -39,18 +34,16 @@ from novlab.experiments import (
     CORPUS_BAND,
     CORPUS_CHUNK,
     _corpus_chunk,
-    _pair_ratios,
     _pair_stacks,
-    _random_band_limited_values,
-    random_band_limited_field,
     write_report_csv,
 )
 from novlab.littlewood_paley import (RING_SUPPORT, _block_norms, _block_weights,
                                      _transport_block_norms)
 from novlab.spectral import field_from_half
 
-from helpers import (fft_threads, fixed_step_states, mode, random_field, see_cpus,
-                     traced_peak)
+from helpers import (derivative, dyadic_block, fft_threads, fixed_step_states,
+                     helmholtz_inverse, mode, pair_ratios, product, random_band_limited_field,
+                     random_band_limited_values, random_field, see_cpus, traced_peak)
 
 
 class TestFitPowerlaw:
@@ -126,14 +119,14 @@ class TestBlockScalingStudy:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_sweep_matches_per_block_oracle(self, medium_params, medium_bank, p):
-        # the study's one sweep against the public per-block composition
+        # the study's one sweep against the zero-padded per-block oracle
         params = replace(medium_params, s=3.5, p=p)
         data = build_initial_data(params)
         report = study_block_scaling(params, range(4, 9))
         for n, norm_rho, norm_u, *_ in report.rows:
             for f, norm in ((data.rho, norm_rho), (data.u, norm_u)):
                 block = derivative(dyadic_block(medium_bank, f, n))
-                oracle = lp_norm(triple_product(data.u, data.u, block), p)
+                oracle = lp_norm(product(data.u, data.u, block), p)
                 assert norm == pytest.approx(oracle, rel=1e-13, abs=0)
 
     def test_sweep_transform_count(self, medium_bank, medium_data, count_ffts):
@@ -552,13 +545,13 @@ def _per_horizon_separation_rows(params, n_range, delta):
 
 
 def stack(*fields):
-    """The (k, n) stack of the fields' grid values that ``_pair_ratios`` takes."""
+    """The (k, n) stack of the fields' grid values that ``pair_ratios`` takes."""
     return np.array([f.values for f in fields])
 
 
-def pair_ratios(bank, u, v, idx):
-    """``_pair_ratios`` of the single pair (u, v), as a tuple of floats."""
-    return tuple(_pair_ratios(bank, stack(u), stack(v), idx)[0].tolist())
+def one_pair_ratios(bank, u, v, idx):
+    """``pair_ratios`` of the single pair (u, v), as a tuple of floats."""
+    return tuple(pair_ratios(bank, stack(u), stack(v), idx)[0].tolist())
 
 
 class TestInequalitiesStudy:
@@ -610,7 +603,7 @@ class TestInequalitiesStudy:
 
     def test_equal_fields_give_positive_ratio(self, small_grid, small_bank):
         u = random_field(small_grid, seed=40)
-        r, _, _ = pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
+        r, _, _ = one_pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
         assert math.isfinite(r) and r > 0
 
     def test_constant_v_gives_zero_commutator_ratio(self, small_grid, small_bank):
@@ -618,14 +611,14 @@ class TestInequalitiesStudy:
 
         u = random_field(small_grid, seed=41)
         v = RealField(small_grid, np.full(small_grid.num_points, 2.0))
-        _, r, _ = pair_ratios(small_bank, u, v, BesovIndex(3.0, 2.0))
+        _, r, _ = one_pair_ratios(small_bank, u, v, BesovIndex(3.0, 2.0))
         assert r < 1e-10
 
     def test_smoothing_ratio_bounded_by_one_ish(self, small_grid, small_bank):
         u = random_field(small_grid, seed=42)
         # the multiplier never exceeds 1, and the Besov reweighting 2^(2j)
         # exactly offsets the ring decay of 1/(1+xi^2) up to ring constants
-        _, _, r = pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
+        _, _, r = one_pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
         assert 0 < r < 3.0
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -650,7 +643,7 @@ class TestInequalitiesStudy:
                     + lp_norm(vx, math.inf) * besov(u, s)),
             besov(helmholtz_inverse(u), s) / besov(u, s - 2),
         )
-        got = pair_ratios(bank, u, v, BesovIndex(s, p))
+        got = one_pair_ratios(bank, u, v, BesovIndex(s, p))
         assert np.allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_pair_guards_the_product(self, small_grid, small_bank):
@@ -659,39 +652,39 @@ class TestInequalitiesStudy:
         u = mode(small_grid, 1000)
         idx = BesovIndex(3.0, 2.0)
         with pytest.raises(UnresolvedSpectrumError):
-            pair_ratios(small_bank, u, u, idx)
+            one_pair_ratios(small_bank, u, u, idx)
         # each row of a stack is judged on its own, wherever it sits
         ok = random_field(small_grid, seed=43)
         with pytest.raises(UnresolvedSpectrumError):
-            _pair_ratios(small_bank, stack(ok, ok, u), stack(ok, ok, u), idx)
+            pair_ratios(small_bank, stack(ok, ok, u), stack(ok, ok, u), idx)
 
     def test_zero_row_gives_zero_ratios_and_spares_the_others(self, small_grid, small_bank):
         # a zero u makes every denominator of its row zero: that row reads 0,
         # without a warning, and the other rows keep the bits they get alone
         rng = np.random.default_rng(12)
-        u = _random_band_limited_values(small_grid, rng, 3)
-        v = _random_band_limited_values(small_grid, rng, 3)
+        u = random_band_limited_values(small_grid, rng, 3)
+        v = random_band_limited_values(small_grid, rng, 3)
         u[1] = 0.0
         idx = BesovIndex(3.0, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _pair_ratios(small_bank, u, v, idx)
+            got = pair_ratios(small_bank, u, v, idx)
         assert got[1].tolist() == [0.0, 0.0, 0.0]
         for row in (0, 2):
-            alone = _pair_ratios(small_bank, u[row:row + 1], v[row:row + 1], idx)
+            alone = pair_ratios(small_bank, u[row:row + 1], v[row:row + 1], idx)
             assert np.array_equal(got[row], alone[0])
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_stacked_pairs_match_pairs_alone(self, small_grid, small_bank, p):
         # every transform and reduction runs along the last axis, so a row of
         # a stack gets the bits it gets alone
-        fields = _random_band_limited_values(small_grid, np.random.default_rng(13), 10)
+        fields = random_band_limited_values(small_grid, np.random.default_rng(13), 10)
         u, v = fields[0::2], fields[1::2]
         idx = BesovIndex(3.1 if p == 1.0 else 3.0, p)
-        got = _pair_ratios(small_bank, u, v, idx)
+        got = pair_ratios(small_bank, u, v, idx)
         assert got.shape == (5, 3)
         for row in range(5):
-            alone = _pair_ratios(small_bank, u[row:row + 1], v[row:row + 1], idx)
+            alone = pair_ratios(small_bank, u[row:row + 1], v[row:row + 1], idx)
             assert np.array_equal(got[row], alone[0])
 
     @pytest.mark.parametrize("s,p", [(3.1, 1.0), (3.0, 2.0), (3.0, math.inf)])
@@ -734,8 +727,8 @@ class TestInequalitiesStudy:
         rng = np.random.default_rng(3)
         counts = count_ffts()
         for chunks, k in enumerate((1, CORPUS_CHUNK), start=1):
-            fields = _random_band_limited_values(small_grid, rng, 2 * k)
-            _pair_ratios(small_bank, fields[0::2], fields[1::2], BesovIndex(3.0, 2.0))
+            fields = random_band_limited_values(small_grid, rng, 2 * k)
+            pair_ratios(small_bank, fields[0::2], fields[1::2], BesovIndex(3.0, 2.0))
             assert counts == {"rfft": 13 * chunks, "irfft": (1 + 12) * chunks}
             assert counts.lengths == {small_grid.num_points: (13 + 13) * chunks}
 
@@ -815,7 +808,7 @@ class TestRandomFieldGenerator:
         # the state, of k consecutive random_band_limited_field calls
         one, many = np.random.default_rng(21), np.random.default_rng(21)
         fields = [random_band_limited_field(small_grid, one) for _ in range(5)]
-        values = _random_band_limited_values(small_grid, many, 5)
+        values = random_band_limited_values(small_grid, many, 5)
         assert np.array_equal(values, stack(*fields))
         assert one.bit_generator.state == many.bit_generator.state
 

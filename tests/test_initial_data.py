@@ -14,17 +14,15 @@ from novlab import (
     besov_norm,
     build_bump,
     build_initial_data,
-    dyadic_block,
     load_field,
     lp_norm,
     modulated_bump,
-    product,
     save_field,
 )
 from novlab.initial_data import BUMP_CUTOFF, bump_profile
 from novlab.spectral import _half_phase, field_from_half, half_spectrum
 
-from helpers import LAMBDA, coefficients
+from helpers import LAMBDA, coefficients, dyadic_block
 
 
 class TestBumpProfile:

@@ -11,12 +11,8 @@ from novlab import (
     UnresolvedSpectrumError,
     besov_norm,
     build_initial_data,
-    commutator,
-    derivative,
-    dyadic_block,
     lp_norm,
     modulated_bump,
-    product,
     weighted_block_norms,
 )
 from novlab.littlewood_paley import (
@@ -27,14 +23,15 @@ from novlab.littlewood_paley import (
     _block_norms,
     _block_weights,
     _commutator_block_norms,
+    _commutator_halves,
     build_filter_bank,
     low_pass_profile,
     ring_profile,
     smooth_step,
 )
-from novlab.spectral import _derivative_symbol, _padded_values, field_from_half, half_spectrum
+from novlab.spectral import _derivative_symbol, derivative, field_from_half, half_spectrum
 
-from helpers import LAMBDA, mode, random_field
+from helpers import LAMBDA, commutator, dyadic_block, mode, random_field
 
 LAMBDAS = (67.0 / 48.0, 68.0 / 48.0, 69.0 / 48.0)
 
@@ -351,54 +348,58 @@ class TestBernstein:
             assert ratio <= 3.0 * 2.0**j
 
 
+def sweep_work(grid):
+    """Fresh buffers (values, spectrum, h_uvx) for one field's commutator sweep."""
+    n = grid.num_points
+    return (np.empty(n + 2), np.empty(n // 2 + 1, dtype=complex),
+            np.empty(n // 2 + 1, dtype=complex))
+
+
+def commutator_norms(bank, u, v, p):
+    """The corpus's commutator sweep (``_commutator_block_norms``) of (u, v)."""
+    hvx = _derivative_symbol(bank.grid) * half_spectrum(v)
+    return _commutator_block_norms(bank, hvx, u.values, p, sweep_work(bank.grid))
+
+
 class TestCommutator:
     def test_constant_u_commutes(self, small_grid, small_bank):
         u = RealField(small_grid, np.full(small_grid.num_points, 2.0))
         v = random_field(small_grid, seed=30)
-        out = commutator(small_bank, 3, u, v)
-        assert lp_norm(out, math.inf) < 1e-12
+        assert np.max(commutator_norms(small_bank, u, v, math.inf)) < 1e-12
 
     def test_constant_v_gives_zero(self, small_grid, small_bank):
         u = random_field(small_grid, seed=31)
         v = RealField(small_grid, np.full(small_grid.num_points, 1.5))
-        out = commutator(small_bank, 3, u, v)
-        assert lp_norm(out, math.inf) < 1e-13
+        assert np.max(commutator_norms(small_bank, u, v, math.inf)) < 1e-13
 
-    @pytest.mark.parametrize("p,on_grid", [
-        (1, False), (2, False), (math.inf, False), (1, True), (2, True), (math.inf, True),
-    ], ids=["1", "2", "inf", "on-grid-1", "on-grid-2", "on-grid-inf"])
-    def test_commutator_block_norms_match_per_block(self, small_grid, small_bank, p,
-                                                    on_grid):
-        # u and v lie below Nyquist/4, so the products may also be formed on
-        # the grid itself, from u's n values instead of its 2n padded ones
+    @pytest.mark.parametrize("p", [1, 2, math.inf],
+                             ids=["on-grid-1", "on-grid-2", "on-grid-inf"])
+    def test_commutator_block_norms_match_per_block(self, small_grid, small_bank, p):
+        # u and v lie below Nyquist/4, so the sweep forms the products on the
+        # grid itself; the oracle pads them to 2n points
         u = random_field(small_grid, seed=34)
         v = random_field(small_grid, seed=35)
         idx = BesovIndex(3.0, p)
-        hvx = _derivative_symbol(small_grid) * half_spectrum(v)
-        u_values = (u.values if on_grid
-                    else _padded_values(half_spectrum(u), small_grid.num_points))
-        seq = _block_weights(small_bank, idx.s) * _commutator_block_norms(
-            small_bank, hvx, u_values, p)
+        seq = _block_weights(small_bank, idx.s) * commutator_norms(small_bank, u, v, p)
         direct = [
             2.0 ** (j * idx.s) * lp_norm(commutator(small_bank, j, u, v), p)
             for j in range(-1, small_bank.j_max + 1)
         ]
-        if on_grid:
-            # the products lie below Nyquist/2, under block j_max's ring, where
-            # both paths hold only roundoff, in different bits
-            assert RING_SUPPORT[0] * 2.0**small_bank.j_max > small_grid.nyquist / 2
-            assert max(seq[-1], direct[-1]) < 1e-12 * max(direct)
-            seq, direct = seq[:-1], direct[:-1]
-        assert np.allclose(seq, direct, rtol=1e-12, atol=0)
+        # the products lie below Nyquist/2, under block j_max's ring, where
+        # both paths hold only roundoff, in different bits
+        assert RING_SUPPORT[0] * 2.0**small_bank.j_max > small_grid.nyquist / 2
+        assert max(seq[-1], direct[-1]) < 1e-12 * max(direct)
+        assert np.allclose(seq[:-1], direct[:-1], rtol=1e-12, atol=0)
 
     def test_matches_public_composition(self, small_grid, small_bank):
+        # the sweep's commutator field, not only its norm, against the
+        # oracle's composition block_j(u v_x) - u block_j(v_x)
         u = random_field(small_grid, seed=32)
         v = random_field(small_grid, seed=33)
         j = 4
-        vx = derivative(v)
-        expected = dyadic_block(small_bank, product(u, vx), j) - product(
-            u, dyadic_block(small_bank, vx, j)
-        )
-        out = commutator(small_bank, j, u, v)
+        expected = commutator(small_bank, j, u, v)
+        hvx = _derivative_symbol(small_grid) * half_spectrum(v)
+        (half,) = _commutator_halves(small_bank, hvx, u.values, [j], sweep_work(small_grid))
+        out = field_from_half(small_grid, half)
         scale = max(lp_norm(expected, math.inf), 1e-30)
         assert lp_norm(out - expected, math.inf) < 1e-12 * scale

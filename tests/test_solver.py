@@ -17,22 +17,21 @@ from novlab import (
     SystemState,
     build_bump,
     build_initial_data,
-    derivative,
     fit_powerlaw,
     integrate,
     lp_norm,
     modulated_bump,
     rhs,
     step_rk4,
-    triple_product,
 )
 
 from novlab import solver
 from novlab.solver import StepSizeError, _ShellNorm
-from novlab.spectral import _bin_energy, _half_from_padded, _padded_values, field_from_half
+from novlab.spectral import _bin_energy, field_from_half
 
-from helpers import (LAMBDA, composed_rhs, fft_threads, fixed_step_states, mode,
-                     reference_rhs_half, see_cpus, traced_peak)
+from helpers import (LAMBDA, composed_rhs, derivative, extend_half, fft_threads,
+                     fixed_step_states, mode, padded_values, product, reference_rhs_half,
+                     see_cpus, traced_peak, truncated_spectrum)
 
 
 def _zero(grid):
@@ -43,7 +42,7 @@ def _velocity_terms(u):
     """d/dx G(u^3) + (3/2) d/dx G(u u_x^2) + (1/2) G(u_x^3), G = (1-dxx)^-1,
     read off the RHS as u_t at rho = 0 minus the transport term u^2 u_x."""
     _, u_t = rhs(SystemState(rho=_zero(u.grid), u=u))
-    return u_t - triple_product(u, u, derivative(u))
+    return u_t - product(u, u, derivative(u))
 
 
 def _coupling_terms(u, rho):
@@ -617,16 +616,16 @@ class TestPairedKernel:
         rng = np.random.default_rng(23)
         y = np.zeros(n // 2 + 1, dtype=complex)
         y[-64:] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        padded = _padded_values(y, n)
+        padded = padded_values(extend_half(y))
         scale = np.abs(padded).max()
         lifted = [np.fft.irfft(y, n=n, norm="forward"),
                   np.fft.irfft(work.tau * y, n=n, norm="forward")]
         for on_grid, points in zip(lifted, (padded[0::2], padded[1::2])):
             assert np.abs(on_grid - points).max() <= 1e-15 * scale
-        product = padded * padded * padded
-        truncated = _half_from_padded(product, n)
-        folded = (0.5 * np.fft.rfft(product[0::2], norm="forward")
-                  + work.fold * np.fft.rfft(product[1::2], norm="forward"))
+        cube = padded * padded * padded
+        truncated = truncated_spectrum(cube)[: n // 2 + 1]
+        folded = (0.5 * np.fft.rfft(cube[0::2], norm="forward")
+                  + work.fold * np.fft.rfft(cube[1::2], norm="forward"))
         folded[-1] = 0.0
         assert np.abs(folded - truncated).max() <= 1e-15 * np.abs(truncated).max()
 
