@@ -18,31 +18,14 @@ import numpy as np
 
 from .initial_data import (BUMP_CUTOFF, IllposedDataParams, build_bump, build_initial_data,
                            check_regime)
-from .littlewood_paley import (
-    CHI_PLATEAU_END,
-    BesovIndex,
-    LPFilterBank,
-    build_filter_bank,
-    top_index,
-    _block_norms,
-    _block_weights,
-    _check_resolved,
-    _check_weights,
-    _commutator_block_norms,
-    _half_lp_norm,
-    _transport_block_norms,
-)
+from .littlewood_paley import (CHI_PLATEAU_END, BesovIndex, LPFilterBank, _block_half,
+                               _block_norms, _block_weights, _check_resolved, _check_weights,
+                               _commutator_block_norms, _half_lp_norm, build_filter_bank,
+                               top_index)
 from .solver import SolverConfig, SystemState, _pair, integrate
-from .spectral import (
-    Grid,
-    _bin_energy,
-    _derivative_symbol,
-    _irfft_into,
-    _lp_rows,
-    _product_half,
-    _rfft_into,
-    _smoothing_symbol,
-)
+from .spectral import (Grid, RealField, _bin_energy, _check_p, _check_same_grid,
+                       _derivative_symbol, _half_cell_shift, _irfft_into, _lp_rows,
+                       _product_half, _rfft_into, _smoothing_symbol, half_spectrum)
 
 DEFAULT_GRID_POINTS = 2**17
 DEFAULT_DOMAIN_LENGTH = 128.0
@@ -365,6 +348,52 @@ def check_blockscale(params: IllposedDataParams, n_range=None) -> list:
     2^(j s), j <= j_max, and bands in [3, num_terms - 1].  Returns the bands."""
     _check_weights(params.s, top_index(params.grid))
     return _bands(params, n_range, 3)
+
+
+def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
+                           blocks, p) -> np.ndarray:
+    """||u^2 d/dx block_j f||_Lp for f = rho (row 0) and f = u (row 1) and
+    each j in ``blocks``, dealiased as zero-padding to twice the grid
+    dealiases it, without padding: as in the RHS kernel
+    (``solver._rhs_half``), each product is formed on the grid and on its
+    half-cell shift, with one inverse and one forward transform of n points
+    on each, and folded back.  u^2 is formed once on each grid.  The shifted
+    grid's product runs on the worker of one ``solver._pair`` beside the
+    grid's on the caller, each in its own rows of one buffer allocated once
+    per sweep, so no bit depends on the threads."""
+    _check_same_grid(bank, rho, u)
+    grid = u.grid
+    n = grid.num_points
+    p = _check_p(p)
+    d = _derivative_symbol(grid)
+    tau, fold = _half_cell_shift(grid)
+    hu = half_spectrum(u)
+    # per grid: u^2, a product's values, and a half spectrum that stages the
+    # lifted g and then takes the product's weighted spectrum
+    on_grid, shifted = np.empty((2, 3, n + 2))
+    for rows, lift in ((on_grid, hu), (shifted, tau * hu)):
+        u2 = _irfft_into(lift, n=n, norm="forward", out=rows[0, :n])
+        u2 *= u2
+
+    def product(rows, weight):
+        values, spectrum = rows[1, :n], rows[2].view(complex)
+        _irfft_into(spectrum, n=n, norm="forward", out=values)
+        values *= rows[0, :n]
+        _rfft_into(values, norm="forward", out=spectrum)
+        spectrum *= weight
+
+    g, g_shifted = on_grid[2].view(complex), shifted[2].view(complex)
+    norms = np.empty((2, len(blocks)))
+    for i, hf in enumerate((half_spectrum(rho), hu)):
+        for k, j in enumerate(blocks):
+            _block_half(bank, hf, j, out=g)
+            g *= d
+            np.multiply(tau, g, out=g_shifted)
+            _pair(partial(product, shifted, fold), partial(product, on_grid, 0.5), 4 * n)
+            g += g_shifted
+            g[-1] = 0.0  # discard the (unrepresentable) Nyquist content
+            norms[i, k] = _half_lp_norm(grid, g, p)
+    return norms
 
 
 def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport:

@@ -16,24 +16,19 @@ indices apart are disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import _pair
 from .spectral import (
     Grid,
     RealField,
     _bin_energy,
     _check_p,
     _check_same_grid,
-    _derivative_symbol,
-    _half_cell_shift,
     _irfft_into,
     _lp_rows,
     _product_half,
-    _rfft_into,
     _support_bins,
     half_spectrum,
     irfft,
@@ -94,12 +89,18 @@ class LPFilterBank:
     range lo..hi-1 of its nonzero half-spectrum bins, read-only; ``j_max``
     is the largest dyadic index whose ring intersects the resolved band.
     Because the partition telescopes, blocks -1..j_max reconstruct every
-    grid field exactly.
+    grid field exactly.  For ``_block_energies``, ``_squares`` holds the
+    squared multipliers of the even and of the odd j in one dense row each,
+    ``_starts`` where a block or a gap starts in the two rows laid end to
+    end, and ``_picks`` which of those segments is block j's.
     """
 
     grid: Grid
     blocks: tuple
     j_max: int
+    _squares: np.ndarray = field(repr=False)
+    _starts: np.ndarray = field(repr=False)
+    _picks: np.ndarray = field(repr=False)
 
     def block_multiplier(self, j: int) -> np.ndarray:
         """Block j's multiplier sampled on every nonnegative grid frequency:
@@ -136,6 +137,11 @@ def build_filter_bank(grid: Grid) -> LPFilterBank:
     xi = grid.half_frequencies
     j_max = top_index(grid)
     blocks = []
+    # rings two indices apart are disjoint, so each parity fills one row;
+    # ring 0 vanishes at xi = 0, so the even row's first segment sums
+    # zeros, which an empty block reads
+    squares = np.zeros((2, xi.size))
+    bounds = {0, xi.size}
     for j in range(-1, j_max + 1):
         if j == -1:
             k = _support_bins(grid, -CHI_SUPPORT_END, CHI_SUPPORT_END)
@@ -147,8 +153,17 @@ def build_filter_bank(grid: Grid) -> LPFilterBank:
         lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
         m = m[lo:hi]
         m.flags.writeable = False
-        blocks.append((k.start + lo, k.start + hi, m))
-    return LPFilterBank(grid, tuple(blocks), j_max)
+        lo, hi = k.start + lo, k.start + hi
+        blocks.append((lo, hi, m))
+        if lo < hi:
+            offset = (j % 2) * xi.size
+            np.square(m, out=squares[j % 2, lo:hi])
+            bounds.update((offset + lo, offset + hi))
+    squares.flags.writeable = False
+    starts = np.array(sorted(bounds - {2 * xi.size}))
+    picks = np.array([np.searchsorted(starts, (j % 2) * xi.size + lo) if lo < hi else 0
+                      for j, (lo, hi, _) in enumerate(blocks, start=-1)])
+    return LPFilterBank(grid, tuple(blocks), j_max, squares, starts, picks)
 
 
 def _block_half(bank: LPFilterBank, half: np.ndarray, j: int, out=None) -> np.ndarray:
@@ -188,24 +203,32 @@ def _check_resolved(bank: LPFilterBank, energy: np.ndarray) -> None:
         )
 
 
-def _parseval_l2(grid: Grid, energy: np.ndarray):
-    """L^2 norm of the field whose bin energies (``_bin_energy``) are given,
-    along the last axis."""
-    return np.sqrt(grid.length * np.sum(energy, axis=-1))
-
-
 def _half_lp_norm(grid: Grid, half: np.ndarray, p, values=None):
     """L^p norm of the field with half spectrum ``half``, along the last axis:
     by Parseval for p = 2, else on the grid after one inverse transform.
     With ``values``, rows of at least n + 2 doubles (n the grid's points)
     beside ``half``'s, the work is done there and no array is allocated."""
     if p == 2.0:
-        return _parseval_l2(grid, _bin_energy(half, out=values))
+        return np.sqrt(grid.length * np.sum(_bin_energy(half, out=values), axis=-1))
     n = grid.num_points
     if values is None:
         return _lp_rows(irfft(half, n=n, norm="forward"), grid.spacing, p)
     grid_values = _irfft_into(half, n=n, norm="forward", out=values[..., :n])
     return _lp_rows(grid_values, grid.spacing, p, overwrite=True)
+
+
+def _block_energies(bank: LPFilterBank, energy: np.ndarray, out=None) -> np.ndarray:
+    """The block energies sum_k m_j(xi_k)^2 e_k, j = -1 .. j_max, of the bin
+    energies e along the last axis, along a new last axis (Parseval: see
+    ``weighted_block_norms``), from one multiply by the bank's parity rows
+    and one ``reduceat`` over their segments.  With ``out``, rows of at
+    least twice the bins in doubles, the products are formed there."""
+    shape, m = energy.shape[:-1], energy.shape[-1]
+    if out is not None:
+        out = out[..., : 2 * m].reshape(shape + (2, m))
+    products = np.multiply(bank._squares, energy[..., None, :], out=out)
+    sums = np.add.reduceat(products.reshape(shape + (2 * m,)), bank._starts, axis=-1)
+    return sums[..., bank._picks]
 
 
 def _block_weights(bank: LPFilterBank, s: float) -> np.ndarray:
@@ -225,11 +248,8 @@ def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
     if check_resolved:
         _check_resolved(bank, energy)
     if float(p) == 2.0:
-        return np.stack([
-            _parseval_l2(bank.grid, np.multiply(
-                np.square(m), energy[..., lo:hi],
-                out=None if work is None else work[1][..., : hi - lo]))
-            for lo, hi, m in bank.blocks], axis=-1)
+        return np.sqrt(bank.grid.length
+                       * _block_energies(bank, energy, None if work is None else work[1]))
     if work is None:
         block, values = np.empty_like(half), None
     else:
@@ -302,52 +322,6 @@ def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray
         _product_half(product, spectrum)
         np.subtract(_block_half(bank, h_uvx, j, out=in_block), spectrum, out=spectrum)
         yield spectrum
-
-
-def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
-                           blocks, p) -> np.ndarray:
-    """||u^2 d/dx block_j f||_Lp for f = rho (row 0) and f = u (row 1) and
-    each j in ``blocks``, dealiased as zero-padding to twice the grid
-    dealiases it, without padding: as in the RHS kernel
-    (``solver._rhs_half``), each product is formed on the grid and on its
-    half-cell shift, with one inverse and one forward transform of n points
-    on each, and folded back.  u^2 is formed once on each grid.  The shifted
-    grid's product runs on the worker of one ``solver._pair`` beside the
-    grid's on the caller, each in its own rows of one buffer allocated once
-    per sweep, so no bit depends on the threads."""
-    _check_same_grid(bank, rho, u)
-    grid = u.grid
-    n = grid.num_points
-    p = _check_p(p)
-    d = _derivative_symbol(grid)
-    tau, fold = _half_cell_shift(grid)
-    hu = half_spectrum(u)
-    # per grid: u^2, a product's values, and a half spectrum that stages the
-    # lifted g and then takes the product's weighted spectrum
-    on_grid, shifted = np.empty((2, 3, n + 2))
-    for rows, lift in ((on_grid, hu), (shifted, tau * hu)):
-        u2 = _irfft_into(lift, n=n, norm="forward", out=rows[0, :n])
-        u2 *= u2
-
-    def product(rows, weight):
-        values, spectrum = rows[1, :n], rows[2].view(complex)
-        _irfft_into(spectrum, n=n, norm="forward", out=values)
-        values *= rows[0, :n]
-        _rfft_into(values, norm="forward", out=spectrum)
-        spectrum *= weight
-
-    g, g_shifted = on_grid[2].view(complex), shifted[2].view(complex)
-    norms = np.empty((2, len(blocks)))
-    for i, hf in enumerate((half_spectrum(rho), hu)):
-        for k, j in enumerate(blocks):
-            _block_half(bank, hf, j, out=g)
-            g *= d
-            np.multiply(tau, g, out=g_shifted)
-            _pair(partial(product, shifted, fold), partial(product, on_grid, 0.5), 4 * n)
-            g += g_shifted
-            g[-1] = 0.0  # discard the (unrepresentable) Nyquist content
-            norms[i, k] = _half_lp_norm(grid, g, p)
-    return norms
 
 
 def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray,

@@ -15,10 +15,9 @@ classical RK4 with an error-controlled step (Hairer, Norsett & Wanner,
 Solving ODEs I, II.4).  Each step's error estimate is the embedded
 third-order FSAL formula (h/6)(k4 - k5), where k5 = f(y_(n+1)) becomes the
 next step's k1, so an accepted step costs the four right-hand-side
-evaluations a fixed step costs.  The estimate is
-measured in B^(s-1)_{2,inf} x B^s_{2,inf} over sharp dyadic shells of the
-half spectrum, and the step is accepted when it is at most
-RTOL ||increment|| + ATOL ||state|| in that norm.
+evaluations a fixed step costs.  The estimate is measured in
+B^(s-1)_{2,inf} x B^s_{2,inf} on the studies' filter bank, by Parseval, and
+the step is accepted when it is at most RTOL ||increment|| + ATOL ||state||.
 
 One kernel evaluates the right-hand side from half spectra to half spectra
 (on each of the two grids, 4 inverse and 4 forward real FFTs of n points).
@@ -41,11 +40,8 @@ on a worker thread that the process starts on first use, and the grid's
 half and the u row on the caller; else both run inline.  numpy's
 transforms and array arithmetic release the GIL, and neither a
 transform's bits nor a product's depend on the thread that computed it,
-so the result is the same either way.  The same worker, through the same
-rule, runs one of the inequality study's two corpora while the caller runs
-the other, and the blockscale sweep's products on the shifted grid while
-the caller forms them on the grid
-(``littlewood_paley._transport_block_norms``).
+so the result is the same either way.  The studies hand the same worker
+work of their own through ``_pair``.
 
 The kernel and the step work in a private workspace (``_Workspace``): the
 symbols; a pool of fourteen rows of n + 2 doubles, seven for each half,
@@ -72,6 +68,7 @@ from functools import partial
 
 import numpy as np
 
+from .littlewood_paley import _block_energies, build_filter_bank
 from .spectral import (
     Grid,
     RealField,
@@ -86,9 +83,9 @@ from .spectral import (
     rfft,
 )
 
-# error control: accept when err <= RTOL ||increment|| + ATOL ||state||; the
-# ATOL term keeps roundoff in the top shells of large states from driving
-# the step down
+# error control: accept when err <= RTOL ||increment|| + ATOL ||state||, in
+# the block norm of ``_StepNorm``; the ATOL term keeps roundoff in the top
+# blocks of large states from driving the step down
 RTOL = 1e-6
 ATOL = 1e-9
 SAFETY = 0.9
@@ -378,7 +375,7 @@ class RK4Step:
     k5 that the next step takes as its k1; ``error`` is the embedded
     third-order estimate h/6 (k4 - k5).  ``sup_norms`` are the sup norms
     of the new rho and u, and ``norms``, when the step was given a
-    ``_ShellNorm``, the norms of ``error``, ``increment`` and ``spectra``
+    ``_StepNorm``, the norms of ``error``, ``increment`` and ``spectra``
     in it.  A step of size zero (at the initial state) has no increment,
     no error and none of these.  ``_workspace`` is the private scratch of
     the integration that made the step, which the next step reuses; none
@@ -411,7 +408,7 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     its carried spectra and rate are reused, so the step costs four
     right-hand-side evaluations (k2, k3, k4 and k5), and so is its
     workspace.  Without it the state is transformed once, k1 evaluated and
-    a workspace built.  ``norm``, a ``_ShellNorm``, has the step measure
+    a workspace built.  ``norm``, a ``_StepNorm``, has the step measure
     its error, increment and new spectra in that norm.
 
     Every elementwise pass works one row at a time, through the pairs of
@@ -491,34 +488,29 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     return RK4Step(new, y1, rate, increment, error, (sup_r, sup_u), norms, work)
 
 
-class _ShellNorm:
+class _StepNorm:
     """||a||_{B^(s-1)_{2,inf}} + ||b||_{B^s_{2,inf}} of stacked half spectra
-    (a, b), over the sharp dyadic shells |xi| < 1 and 2^j <= |xi| < 2^(j+1)
-    of the grid frequencies, by Parseval: no transform is needed.
+    (a, b) on the blocks of the grid's filter bank, by Parseval from the
+    block energies the studies' norms read (``_block_energies``).
 
-    The norm is returned divided by a common power of two, so the largest
-    squared shell weight is L and no weight overflows for any s; the
-    controller only compares norms, which that factor does not change.  A shell
+    The norm is returned divided by the power of two 2^scale, so the largest
+    squared block weight is L and no weight overflows for any s; the
+    controller only compares norms, which that factor does not change.  A block
     whose squared weight falls below 2^-1074 of the top one counts as zero.
     ``term(y[r], r)`` is row r's share, and the norm is the sum of the two.
     """
 
     def __init__(self, grid: Grid, s: float):
-        xi = grid.half_frequencies
-        self.shell = np.zeros(xi.size, dtype=np.intp)
-        above = xi >= 1.0
-        self.shell[above] = np.floor(np.log2(xi[above])).astype(np.intp) + 1
-        j = np.arange(self.shell[-1] + 1) - 1.0
+        self.bank = build_filter_bank(grid)
         # squared weights 2^(2 j sigma - 2 scale) times L, for sigma = s - 1
         # and s; the top one is L
-        exponents = np.outer([s - 1.0, s], j)
-        scale = math.ceil(exponents.max())
-        self.weights = grid.length * 4.0 ** (exponents - scale)
+        exponents = np.outer([s - 1.0, s], np.arange(-1.0, self.bank.j_max + 1))
+        self.scale = math.ceil(exponents.max())
+        self.weights = grid.length * 4.0 ** (exponents - self.scale)
 
     def term(self, row: np.ndarray, r: int) -> float:
-        w = self.weights[r]
-        sums = np.bincount(self.shell, weights=_bin_energy(row), minlength=w.size)
-        return math.sqrt(float(np.max(w * sums)))
+        energies = _block_energies(self.bank, _bin_energy(row))
+        return math.sqrt(float(np.max(self.weights[r] * energies)))
 
     def __call__(self, y: np.ndarray) -> float:
         return self.term(y[0], 0) + self.term(y[1], 1)
@@ -557,8 +549,10 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     or an evaluation of its own.
 
     The step error is controlled in B^(s-1)_{2,inf} x B^s_{2,inf}, with s
-    from ``cfg``, whatever integrability index p a study measures its
-    results in: a study at p != 2 still gets steps controlled at p = 2.
+    from ``cfg``, on the grid's filter bank (``_StepNorm``; ValueError on a
+    grid with Nyquist frequency below 1, which has none), whatever
+    integrability index p a study measures its results in: a study at
+    p != 2 still gets steps controlled at p = 2.
 
     The controller proposes a step h (never above cfg.dt when set); the
     interval to the next checkpoint is then split evenly into steps of at
@@ -581,7 +575,7 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
         visit(current)
     sup_norms, errors = [], []
     rejected = 0
-    norm = _ShellNorm(state0.grid, cfg.s)
+    norm = _StepNorm(state0.grid, cfg.s)
     horizon = checkpoints[-1] - state0.time
     h_min = MIN_STEP_FRACTION * horizon
     h_max = cfg.dt if cfg.dt is not None else math.inf

@@ -1,10 +1,12 @@
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import novlab
 
 # the package's whole public surface; the benchmark harness imports Grid,
-# IllposedDataParams, build_initial_data, load_field and step_rk4 from here
+# IllposedDataParams, build_initial_data and load_field from here
 PUBLIC_NAMES = {
     # spectral
     "Grid", "GridMismatchError", "RealField", "lp_norm",
@@ -68,3 +70,26 @@ def test_each_module_defines_exactly_its_public_functions():
             and value.__module__ == module.__name__
         }
         assert defined == expected, name
+
+
+# the modules in dependency order: each imports only modules before it
+LAYERS = ("spectral", "littlewood_paley", "initial_data", "solver", "fieldio",
+          "experiments", "cli")
+
+
+def test_modules_import_only_earlier_layers():
+    package = Path(novlab.__file__).parent
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # "from .x import y" names x, "from . import x" names x itself
+                imported.update([node.module] if node.module else
+                                (alias.name for alias in node.names))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = ([node.module] if isinstance(node, ast.ImportFrom)
+                         else [alias.name for alias in node.names])
+                imported.update(n.split(".", 1)[1] for n in names
+                                if n and n.startswith("novlab."))
+        assert imported <= set(LAYERS[:rank]), name

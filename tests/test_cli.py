@@ -118,7 +118,8 @@ class TestParseArgs:
 
     @pytest.mark.parametrize("command", ["solve", "generate-data"])
     def test_large_s_needs_no_block_weight(self, command):
-        # the solver's shell norm is scaled, and data synthesis weights no block
+        # the step controller's block weights are scaled by a common power
+        # of two, and data synthesis weights no block
         assert parse_args([command, "--s", "95"]).s == 95.0
 
     def test_rejects_unknown_flag(self):

@@ -35,10 +35,10 @@ from novlab.experiments import (
     CORPUS_CHUNK,
     _corpus_chunk,
     _pair_stacks,
+    _transport_block_norms,
     write_report_csv,
 )
-from novlab.littlewood_paley import (RING_SUPPORT, _block_norms, _block_weights,
-                                     _transport_block_norms)
+from novlab.littlewood_paley import RING_SUPPORT, _block_norms, _block_weights
 from novlab.spectral import field_from_half
 
 from helpers import (derivative, dyadic_block, fft_threads, fixed_step_states,
@@ -256,6 +256,20 @@ class TestSeparationStudy:
             assert rep.verdict("separation_slope").passed
             assert rep.verdict("separation_plateau").passed
             assert rep.verdict("energy_bounded").passed
+
+    def test_controller_matches_a_fixed_fine_step(self, medium_params, separation_report):
+        # the gate of the error-controlled step: 14 controlled steps against
+        # 64 capped at t_8/4 move the plateau by 4.4e-15 and S_n by at most
+        # 9.0e-15 relative, far below the controller's own time-error
+        # estimate (9.2e-11); held to 5e-14
+        capped = study_separation(medium_params, range(5, 9), delta=0.1,
+                                  dt_cap=0.1 * 2.0**-8 / 4)
+        assert capped.params["rk4_steps"] > separation_report.params["rk4_steps"]
+        plateau, fine = (rep.verdict("separation_plateau").observed
+                         for rep in (separation_report, capped))
+        assert abs(plateau - fine) <= 5e-14 * fine
+        for row, ref in zip(separation_report.rows, capped.rows):
+            assert row[2] == pytest.approx(ref[2], rel=5e-14, abs=0.0)
 
     def test_rejects_bad_range(self, medium_params):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from novlab.littlewood_paley import (
     CHI_SUPPORT_END,
     RING_PLATEAU,
     RING_SUPPORT,
+    _block_energies,
     _block_half,
     _block_norms,
     _block_weights,
@@ -29,7 +30,8 @@ from novlab.littlewood_paley import (
     ring_profile,
     smooth_step,
 )
-from novlab.spectral import _derivative_symbol, derivative, field_from_half, half_spectrum
+from novlab.spectral import (_bin_energy, _derivative_symbol, derivative, field_from_half,
+                             half_spectrum)
 
 from helpers import LAMBDA, commutator, dyadic_block, mode, random_field
 
@@ -315,6 +317,25 @@ class TestBesovNorm:
         seq = weighted_block_norms(small_bank, f, idx)
         entry = _block_weights(small_bank, idx.s) * _block_norms(small_bank, half_spectrum(f), p)
         assert np.array_equal(seq, entry)
+
+    @pytest.mark.parametrize("num_points,length", [(2**12, 64.0), (64, 2 * math.pi)])
+    def test_block_energies_match_the_per_block_sums(self, num_points, length):
+        # the parity rows against a sum over each block's own range, in a
+        # stack and row by row, with energy in every bin; on 64 points in a
+        # box of 2 pi the Nyquist frequency is 2^5, where ring 5 has no
+        # nonzero sample
+        bank = build_filter_bank(Grid(num_points, length))
+        energy = _bin_energy(np.stack([half_spectrum(random_field(bank.grid, k, 1.0))
+                                       for k in (31, 32)]))
+        per_block = np.stack([np.sum(np.square(m) * energy[:, lo:hi], axis=-1)
+                              for lo, hi, m in bank.blocks], axis=-1)
+        stacked = _block_energies(bank, energy)
+        assert stacked.shape == per_block.shape
+        assert np.allclose(stacked, per_block, rtol=1e-15, atol=0)
+        assert np.array_equal(stacked[1], _block_energies(bank, energy[1]))
+        if length == 2 * math.pi:
+            lo, hi, _ = bank.blocks[-1]
+            assert lo == hi and np.all(stacked[:, -1] == 0.0)
 
     @pytest.mark.parametrize("p", [2, math.inf])
     def test_block_norm_transform_count(self, small_grid, small_bank, count_ffts, p):

@@ -16,6 +16,7 @@ from novlab import (
     SolverConfig,
     SystemState,
     build_bump,
+    build_filter_bank,
     build_initial_data,
     fit_powerlaw,
     integrate,
@@ -26,7 +27,8 @@ from novlab import (
 )
 
 from novlab import solver
-from novlab.solver import StepSizeError, _ShellNorm
+from novlab.experiments import _besov_rows
+from novlab.solver import StepSizeError, _StepNorm
 from novlab.spectral import _bin_energy, field_from_half
 
 from helpers import (LAMBDA, composed_rhs, derivative, extend_half, fft_threads,
@@ -232,7 +234,7 @@ class TestStepRK4:
         # h/6 (k4 - k5) carries no transform roundoff of the state; taken
         # from rfft(values) instead it would sit ~1e-9 below the increment
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
-        norm = _ShellNorm(st.grid, 3.0)
+        norm = _StepNorm(st.grid, 3.0)
         step = step_rk4(st, 1e-6)
         assert norm(step.error) < 1e-12 * norm(step.increment)
 
@@ -376,8 +378,8 @@ class TestErrorControl:
     def test_controller_terminates(self, kind, num_points):
         # in fewer steps than the fixed rule's 64 to the separation horizon
         # t_5; the amplitude-24 control of the separation study has its top
-        # shells near the RK4 stability limit, and at 2^15 points their
-        # roundoff would take the step down to 106 steps without the ATOL term
+        # blocks near the RK4 stability limit, and at 2^15 points their
+        # roundoff would take the step down to 104 steps without the ATOL term
         from novlab import Grid, build_bump
         from novlab.experiments import CONTROL_AMPLITUDE
 
@@ -415,9 +417,30 @@ class TestErrorControl:
 
     @pytest.mark.parametrize("s", [3.0, 80.0, 600.0])
     def test_shell_weights_stay_finite(self, medium_grid, s):
-        weights = _ShellNorm(medium_grid, s).weights
+        # the controller's squared block weights, scaled by a common power
+        # of two so that the top one is L
+        weights = _StepNorm(medium_grid, s).weights
+        assert weights.shape == (2, build_filter_bank(medium_grid).j_max + 2)
         assert np.all(np.isfinite(weights))
         assert weights.max() == medium_grid.length
+
+    @pytest.mark.parametrize("s", [3.0, 2.6, 5.5])
+    def test_controller_measures_on_the_studies_filter_bank(self, medium_bank, medium_data, s):
+        # the norm the step is controlled in, times its power of two, is the
+        # B^(s-1)_{2,inf} x B^s_{2,inf} norm a study reads from the same
+        # spectra (exactly equal on these data)
+        y = solver._spectra(SystemState(rho=medium_data.rho, u=medium_data.u))
+        norm = _StepNorm(medium_bank.grid, s)
+        studies = sum(_besov_rows(medium_bank, y, (s - 1, s), 2))
+        assert 2.0**norm.scale * norm(y) == pytest.approx(studies, rel=1e-15, abs=0.0)
+
+    def test_grid_without_a_dyadic_ring_is_refused(self):
+        # the controller measures on the grid's filter bank, which a grid
+        # with Nyquist frequency below 1 does not have
+        grid = Grid(16, 64.0)
+        f = RealField(grid, np.full(16, 1.5))
+        with pytest.raises(ValueError, match="Nyquist"):
+            integrate(SystemState(rho=f, u=f), SolverConfig(t_final=1e-3))
 
     def test_controller_terminates_at_large_s(self, medium_data):
         # 2^(2 s j_max) overflows a double here, so unscaled squared weights
@@ -427,6 +450,22 @@ class TestErrorControl:
         traj = integrate(st, SolverConfig(t_final=t_final, s=80.0))
         assert traj.final.time == t_final
         assert all(math.isfinite(err) for _, err in traj.errors)
+
+    def test_scaling_symmetry_holds_bit_for_bit(self, medium_data):
+        # every term is cubic, so (rho, u)(x, t) -> A (rho, u)(x, A^2 t) maps
+        # solutions to solutions; for a power of two A every product, step
+        # size and norm the controller reads scales exactly, so its
+        # decisions and the states agree to the bit (16 steps, 0 rejected)
+        ref = integrate(SystemState(rho=medium_data.rho, u=medium_data.u),
+                        SolverConfig(t_final=0.1))
+        assert len(ref.errors) > 1
+        for a in (2.0, 4.0, 0.5):
+            traj = integrate(SystemState(rho=a * medium_data.rho, u=a * medium_data.u),
+                             SolverConfig(t_final=0.1 / a**2))
+            assert np.array_equal(traj.final.rho.values, a * ref.final.rho.values)
+            assert np.array_equal(traj.final.u.values, a * ref.final.u.values)
+            assert traj.errors == tuple((h / a**2, e) for h, e in ref.errors)
+            assert traj.rejected == ref.rejected
 
     def test_dt_caps_every_step(self, medium_data):
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
