@@ -286,13 +286,17 @@ def _invariants(grid: Grid, y: np.ndarray) -> np.ndarray:
     return grid.length * np.array([np.sum(energy[0]), np.sum((1.0 + xi * xi) * energy[1])])
 
 
-def _sweep(state0: SystemState, cfg: SolverConfig, checkpoints, measure) -> tuple:
+def _sweep(state0: SystemState, cfg: SolverConfig, checkpoints, measure,
+           interpolated=()) -> tuple:
     """``integrate`` from ``state0`` through ``checkpoints``, calling
-    ``measure(record, y0, f0)`` at each, with y0 the half spectra of state0
-    and f0 the right-hand side there, both from the start record, which is
-    not kept.  Returns the trajectory, (y0, f0), and the header entries
-    ``invariant_drift_rho`` and ``invariant_drift_u``: the largest relative
-    drift of each of the ``_invariants`` over the records."""
+    ``measure(record, y0, f0)`` at each and at each of the ``interpolated``
+    times (``integrate``'s interpolated records), with y0 the half spectra
+    of state0 and f0 the right-hand side there, both from the start record,
+    which is not kept.  Returns the trajectory, (y0, f0), and the header
+    entries ``invariant_drift_rho`` and ``invariant_drift_u``: the largest
+    relative drift of each of the ``_invariants`` over the landed records
+    (an interpolated one carries the interpolant's error besides the
+    step's)."""
     grid = state0.grid
     start = []
     drift = np.zeros(2)
@@ -303,11 +307,12 @@ def _sweep(state0: SystemState, cfg: SolverConfig, checkpoints, measure) -> tupl
             start.extend((record.spectra, record.rate, _invariants(grid, record.spectra)))
             return
         y0, f0, invariants0 = start
-        moved = np.abs(_invariants(grid, record.spectra) - invariants0) / invariants0
-        drift = np.maximum(drift, moved)
+        if not record.interpolated:
+            moved = np.abs(_invariants(grid, record.spectra) - invariants0) / invariants0
+            drift = np.maximum(drift, moved)
         measure(record, y0, f0)
 
-    traj = integrate(state0, cfg, checkpoints, visit)
+    traj = integrate(state0, cfg, checkpoints, visit, interpolated)
     drifts = {"invariant_drift_rho": float(drift[0]), "invariant_drift_u": float(drift[1])}
     return traj, start[:2], drifts
 
@@ -584,16 +589,20 @@ def study_separation(params: IllposedDataParams, n_range=None,
     solution Besov norms at the quarters of every horizon.
 
     The horizons are nested, so the data and the control are each
-    integrated once, in one error-controlled sweep through every horizon
-    and quarter checkpoint; ``dt_cap`` optionally caps its step.  The
-    control's spectrum stays far below the data's, so it runs on the
-    coarser grid ``_control_grid`` gives, whose step RK4's stability at the
-    data's top wavenumber does not hold down; its distance is still
+    integrated once, in one error-controlled sweep; ``dt_cap`` optionally
+    caps its step.  The data sweep lands on the dyadic ladder only: every
+    horizon t_n and the quarters t_n/4 = t_(n+2) and t_n/2 = t_(n+1).  It
+    reads the audit's off-ladder quarters 3 t_n/4 from the interpolant of
+    the step that passes them (``integrate``'s ``interpolated``), which
+    costs no kernel evaluation; the header's ``audit_interpolated`` counts
+    them, and the data sweep's invariant drifts cover its landed records
+    only.  The control's spectrum stays far below the data's, so it runs
+    on the coarser grid ``_control_grid`` gives, whose step RK4's stability
+    at the data's top wavenumber does not hold down; its distance is still
     measured on the data's grid, by the data's filter bank, from its half
     spectrum padded with zeros, after the resolution guard on its own grid
-    (see ``_padded_half``).  The header's ``dt``,
-    ``rk4_steps``, ``rk4_rejected`` and ``time_error_max`` cover both
-    sweeps; ``control_rk4_steps`` counts the control's share, and
+    (see ``_padded_half``).  The header's ``dt``, ``rk4_steps``,
+    ``rk4_rejected`` and ``time_error_max`` cover both sweeps; ``control_rk4_steps`` counts the control's share, and
     ``control_time_error_max``, ``control_invariant_drift_rho`` and
     ``control_invariant_drift_u`` give the control sweep's largest per-step
     error and invariant drifts (0 without a control) beside the data
@@ -606,13 +615,18 @@ def study_separation(params: IllposedDataParams, n_range=None,
 
     horizon = {n: delta * 2.0**-n for n in n_list}
     band_at = {t_n: n for n, t_n in horizon.items()}
-    # t_n/4 and t_n/2 coincide exactly with t_(n+2) and t_(n+1)
+    # t_n/4 and t_n/2 coincide exactly with t_(n+2) and t_(n+1), on the
+    # ladder the sweep lands on; 3 t_n/4 lies off it
     quarters = {n: [t_n * k / 4 for k in (1, 2, 3, 4)] for n, t_n in horizon.items()}
+    off_ladder = {times[2] for times in quarters.values()}
     energy = {}  # the solution Besov norms, until divided by the data's
     separation = {}
+    read = []  # the audit times read from the interpolant
 
     def audit(record, y0, f0):
-        t = record.state.time
+        t = record.time
+        if record.interpolated:
+            read.append(t)
         norm_rho, norm_u = _besov_rows(bank, record.spectra, (s - 1, s), p)
         energy[t] = norm_rho + norm_u
         n = band_at.get(t)
@@ -623,7 +637,8 @@ def study_separation(params: IllposedDataParams, n_range=None,
                              float(np.max(w_u)))
 
     sweep, (y0, f0), drifts = _sweep(SystemState(rho=data.rho, u=data.u), cfg,
-                                     set().union(*quarters.values()), audit)
+                                     set().union(*quarters.values()) - off_ladder, audit,
+                                     off_ladder)
     trajectories = [sweep]
     norm_rho, norm_u = _besov_rows(bank, y0, (s - 1, s), p)
     energy0 = norm_rho + norm_u
@@ -674,7 +689,8 @@ def study_separation(params: IllposedDataParams, n_range=None,
                             control_amplitude=CONTROL_AMPLITUDE,
                             **_solver_params(*trajectories),
                             control_grid_points=control_grid.num_points,
-                            control_rk4_steps=control_steps, **drifts,
+                            control_rk4_steps=control_steps,
+                            audit_interpolated=len(read), **drifts,
                             **{f"control_{key}": value
                                for key, value in control_diagnostics.items()}),
         tolerances={

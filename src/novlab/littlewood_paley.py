@@ -16,6 +16,7 @@ indices apart are disjoint.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,8 @@ class LPFilterBank:
     grid field exactly.  For ``_block_energies``, ``_squares`` holds the
     squared multipliers of the even and of the odd j in one dense row each,
     ``_starts`` where a block or a gap starts in the two rows laid end to
-    end, and ``_picks`` which of those segments is block j's.
+    end, and ``_picks`` which of those segments is block j's.  Every array
+    is read-only, since one bank serves every caller on its grid.
     """
 
     grid: Grid
@@ -133,7 +135,22 @@ def build_filter_bank(grid: Grid) -> LPFilterBank:
     Each profile is evaluated only on its support and kept on the range of
     its nonzero samples.  Off it the dense samples are exact zeros (T(xi/2)
     - T(xi) is 1 - 1 or 0 - 0 there, and T underflows near its ends).
+
+    One bank serves each grid while any caller holds it: a second build of
+    an equal grid returns the same object, whose arrays are all read-only,
+    so the step controller of an integration shares the bank of the study
+    that runs it; a bank that no caller holds is freed.
     """
+    bank = _banks.get(grid)
+    if bank is None:
+        bank = _banks[grid] = _sample_bank(grid)
+    return bank
+
+
+_banks = weakref.WeakValueDictionary()
+
+
+def _sample_bank(grid: Grid) -> LPFilterBank:
     xi = grid.half_frequencies
     j_max = top_index(grid)
     blocks = []
@@ -163,6 +180,8 @@ def build_filter_bank(grid: Grid) -> LPFilterBank:
     starts = np.array(sorted(bounds - {2 * xi.size}))
     picks = np.array([np.searchsorted(starts, (j % 2) * xi.size + lo) if lo < hi else 0
                       for j, (lo, hi, _) in enumerate(blocks, start=-1)])
+    starts.flags.writeable = False
+    picks.flags.writeable = False
     return LPFilterBank(grid, tuple(blocks), j_max, squares, starts, picks)
 
 

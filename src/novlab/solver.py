@@ -55,7 +55,11 @@ the ``RK4Step`` it threads through ``step_rk4``; a step without a
 and every array of its ``RK4Step``) is freshly allocated and never aliases
 the workspace, so a step allocates only its outputs.  ``integrate`` hands
 its caller one record per checkpoint, the accepted ``RK4Step`` that ended
-there, so a study measures the states from their carried spectra.
+there, so a study measures the states from their carried spectra.  At a
+time it is asked for but does not land on, it hands one read from the
+cubic Hermite interpolant of the accepted step that passes it
+(``_hermite``: the step's two ends and their FSAL rates; Hairer, Norsett &
+Wanner, II.6), which costs no kernel evaluation and no transform.
 """
 
 from __future__ import annotations
@@ -241,8 +245,11 @@ class _Workspace:
     rates k2, k3 and k4 in rows 2 and 3, which the kernel's halves read
     nothing from; the kernel then adds the halves into ``rate`` one row at a
     time, and the step, right after row r of k4, writes the values of row r
-    of its increment to row 4 + r.  Each row of ``stage`` and of ``rate``,
-    and each of rows 4 and 5, is written by one thread of a pair.
+    of its increment to row 4 + r.  In the fold of the step's last
+    evaluation, rows 4 and 5 of the grid's half take the bin energies and
+    block products of the u row's norms, and rows 11 and 12 those of the
+    rho row's.  Each row of ``stage`` and of ``rate``, and each of rows 4,
+    5, 11 and 12, is written by one thread of a pair.
     """
 
     def __init__(self, grid: Grid):
@@ -379,7 +386,8 @@ class RK4Step:
     in it.  A step of size zero (at the initial state) has no increment,
     no error and none of these.  ``_workspace`` is the private scratch of
     the integration that made the step, which the next step reuses; none
-    of the other arrays aliases it.
+    of the other arrays aliases it.  As a record of ``integrate`` it has the
+    ``time`` of its state and is not ``interpolated``.
     """
 
     state: SystemState
@@ -390,6 +398,43 @@ class RK4Step:
     sup_norms: tuple = ()
     norms: tuple = ()
     _workspace: _Workspace | None = field(default=None, repr=False, compare=False)
+    interpolated = False
+
+    @property
+    def time(self) -> float:
+        return self.state.time
+
+
+@dataclass(frozen=True)
+class _Interpolated:
+    """A record at a time that ``integrate`` did not land on: the time and
+    the half spectra there of the interpolant of the step that passed it
+    (``_hermite``), stacked (rho, u).  It has no state: grid values would
+    take a transform."""
+
+    time: float
+    spectra: np.ndarray
+    interpolated = True
+
+
+def _hermite(y0: np.ndarray, f0: np.ndarray, increment: np.ndarray, f1: np.ndarray,
+             h: float, theta: float, tmp: np.ndarray) -> np.ndarray:
+    """The step's cubic Hermite interpolant at theta in [0, 1] (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6): the cubic in time through y0
+    and y1 = y0 + ``increment``, a step of size h apart, with the slopes f0
+    and f1 there,
+
+        y0 + theta^2 (3 - 2 theta) increment
+           + h theta (theta - 1)^2 f0 + h theta^2 (theta - 1) f1.
+
+    Its error is O(h^4), the local order of the step.  Formed in one fresh
+    array through ``tmp``, an array of its shape.
+    """
+    out = np.multiply(h * theta * (theta - 1.0) ** 2, f0)
+    out += np.multiply(h * theta * theta * (theta - 1.0), f1, out=tmp)
+    out += np.multiply(theta * theta * (3.0 - 2.0 * theta), increment, out=tmp)
+    out += y0
+    return out
 
 
 def _rest(state: SystemState) -> RK4Step:
@@ -478,7 +523,11 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
         error[r] -= k
         error[r] *= sixth
         if norm is not None:
-            terms[r] = tuple(norm.term(a[r], r) for a in (error, increment, y1))
+            # the kernel's halves are done and row r's fold read rows r and
+            # 7 + r, so rows 4 and 5 of each half are free: the rho row
+            # measures in the shifted half's, the u row in the grid's
+            free = work.rows[(11, 4)[r]:][:2]
+            terms[r] = tuple(norm.term(a[r], r, free) for a in (error, increment, y1))
 
     # a fresh rate, allocated after the kernel's halves and not beside their
     # temporaries
@@ -498,6 +547,7 @@ class _StepNorm:
     controller only compares norms, which that factor does not change.  A block
     whose squared weight falls below 2^-1074 of the top one counts as zero.
     ``term(y[r], r)`` is row r's share, and the norm is the sum of the two.
+    The grid's bank is the one the studies share (``build_filter_bank``).
     """
 
     def __init__(self, grid: Grid, s: float):
@@ -508,8 +558,11 @@ class _StepNorm:
         self.scale = math.ceil(exponents.max())
         self.weights = grid.length * 4.0 ** (exponents - self.scale)
 
-    def term(self, row: np.ndarray, r: int) -> float:
-        energies = _block_energies(self.bank, _bin_energy(row))
+    def term(self, row: np.ndarray, r: int, work=(None, None)) -> float:
+        """Row r's share; with ``work``, two rows of at least twice the
+        bins in doubles, its bin energies and their products with the bank
+        are formed there."""
+        energies = _block_energies(self.bank, _bin_energy(row, out=work[0]), work[1])
         return math.sqrt(float(np.max(self.weights[r] * energies)))
 
     def __call__(self, y: np.ndarray) -> float:
@@ -535,7 +588,7 @@ class Trajectory:
 
 
 def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
-              visit=None) -> Trajectory:
+              visit=None, interpolated=()) -> Trajectory:
     """Error-controlled RK4 up to t_final, landing exactly on each checkpoint.
 
     ``visit``, when given, is called with one record before the first step
@@ -547,6 +600,15 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     rate has the bits of ``rhs(state0)``.  So a caller measures the states
     from their spectra, and takes the rate at the data, without a transform
     or an evaluation of its own.
+
+    ``interpolated`` are times the sweep does not land on, in (t0, t_final],
+    up to the last checkpoint, and none of them a checkpoint (ValueError
+    otherwise).  At each, ``visit`` is called, in time order with the
+    checkpoints, with an interpolated record (``record.interpolated``; a
+    landed one is not): its ``time`` and the half spectra there of the
+    cubic Hermite interpolant of the accepted step that passes it
+    (``_hermite``), with no state.  It costs no kernel evaluation and no
+    transform, and the steps are those of the checkpoints alone.
 
     The step error is controlled in B^(s-1)_{2,inf} x B^s_{2,inf}, with s
     from ``cfg``, on the grid's filter bank (``_StepNorm``; ValueError on a
@@ -566,6 +628,12 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     checkpoints = sorted(float(t) for t in checkpoints)
     if checkpoints and (checkpoints[0] <= state0.time or checkpoints[-1] > cfg.t_final + 1e-15):
         raise ValueError("checkpoints must lie in (t0, t_final]")
+    # the interpolated times still ahead, the next one last
+    pending = sorted((float(t) for t in interpolated), reverse=True)
+    if pending and (not checkpoints or pending[-1] <= state0.time
+                    or pending[0] > checkpoints[-1] or not set(pending).isdisjoint(checkpoints)):
+        raise ValueError("interpolated times must lie in (t0, t_final], up to the last "
+                         "checkpoint, and not be checkpoints")
     sup_limit = BLOWUP_FACTOR * max(state0.sup_norm(), np.finfo(float).tiny)
 
     if not checkpoints:
@@ -601,11 +669,18 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
             else:
                 ratio = err / tol if tol > 0 else math.inf
                 factor = min(GROWTH_MAX, max(GROWTH_MIN, SAFETY * ratio**-0.25))
+            passed = []  # the interpolated records of the times the step passed
             if ratio <= 1:
                 st = trial.state
                 if steps_left == 1:
                     # land exactly on the checkpoint despite accumulated rounding
                     st = replace(st, time=t_next)
+                while visit is not None and pending and pending[-1] <= st.time:
+                    # the step's stage buffer is free until the next step
+                    t = pending.pop()
+                    passed.append(_Interpolated(t, _hermite(
+                        current.spectra, current.rate, trial.increment, trial.rate, step,
+                        (t - current.state.time) / step, trial._workspace.stage)))
                 # keep only what the next step reuses
                 current = RK4Step(st, trial.spectra, trial.rate,
                                   _workspace=trial._workspace)
@@ -627,6 +702,9 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
                     )
             h = min(h, h_max)
             del trial
+            # visited once the step and the state it started from are let go
+            while passed:
+                visit(passed.pop(0))
         if visit is not None:
             visit(current)
     return Trajectory(final=current.state, sup_norms=tuple(sup_norms),

@@ -258,9 +258,9 @@ class TestSeparationStudy:
             assert rep.verdict("energy_bounded").passed
 
     def test_controller_matches_a_fixed_fine_step(self, medium_params, separation_report):
-        # the gate of the error-controlled step: 14 controlled steps against
-        # 64 capped at t_8/4 move the plateau by 4.4e-15 and S_n by at most
-        # 9.0e-15 relative, far below the controller's own time-error
+        # the gate of the error-controlled step: 10 controlled steps against
+        # 64 capped at t_8/4 move the plateau by 9.5e-15 and S_n by at most
+        # 1.8e-14 relative, far below the controller's own time-error
         # estimate (9.2e-11); held to 5e-14
         capped = study_separation(medium_params, range(5, 9), delta=0.1,
                                   dt_cap=0.1 * 2.0**-8 / 4)
@@ -301,13 +301,16 @@ class TestSeparationStudy:
     def test_one_sweep_per_initial_state(self, medium_params, monkeypatch, n_max):
         # one integrate call for the data and one for the control, each
         # through every horizon, in fewer steps than the fixed rule's
-        # 64 + 32 (k - 1); the control's on its own grid of 512 points
+        # 64 + 32 (k - 1); the control's on its own grid of 512 points.  The
+        # data sweep lands on the dyadic ladder t_5 .. t_(n_max + 2) alone,
+        # one step each (6 at n_max = 8), and reads the k quarters 3 t_n/4
+        # from the interpolant
         sweeps = []
 
-        def counting(state0, cfg, checkpoints=None, visit=None):
-            traj = integrate(state0, cfg, checkpoints, visit)
+        def counting(state0, cfg, checkpoints=None, visit=None, interpolated=()):
+            traj = integrate(state0, cfg, checkpoints, visit, interpolated)
             sweeps.append((state0.time, traj.sup_norms[-1][0], len(traj.sup_norms),
-                           state0.grid.num_points))
+                           state0.grid.num_points, sorted(interpolated)))
             return traj
 
         monkeypatch.setattr(experiments, "integrate", counting)
@@ -315,7 +318,11 @@ class TestSeparationStudy:
         k = n_max - 4
         assert [sweep[:2] for sweep in sweeps] == [(0.0, 0.1 * 2.0**-5)] * 2
         assert [sweep[3] for sweep in sweeps] == [2**14, 512]
-        assert all(steps < 64 + 32 * (k - 1) for _, _, steps, _ in sweeps)
+        assert all(sweep[2] < 64 + 32 * (k - 1) for sweep in sweeps)
+        assert sweeps[0][2] == k + 2
+        assert sweeps[0][4] == sorted(0.1 * 2.0**-n * 3 / 4 for n in range(5, n_max + 1))
+        assert sweeps[1][4] == []
+        assert report.params["audit_interpolated"] == k
         assert report.params["rk4_steps"] == sum(sweep[2] for sweep in sweeps)
         assert report.params["control_rk4_steps"] == sweeps[1][2]
         assert report.params["control_grid_points"] == 512

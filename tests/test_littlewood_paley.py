@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -170,6 +171,24 @@ class TestFilterBank:
             small_bank.j_max = 3
         with pytest.raises(ValueError):
             small_bank.blocks[1][2][0] = 2.0
+        # the arrays of _block_energies too, since every caller on the grid
+        # shares the bank
+        for rows in (small_bank._squares, small_bank._starts, small_bank._picks):
+            with pytest.raises(ValueError):
+                rows[0] = 1
+
+    def test_one_bank_per_grid(self, small_grid, small_bank):
+        # equal grids share one bank while it is held, the step controller's
+        # too, and a bank that no caller holds is freed
+        from novlab.solver import _StepNorm
+
+        assert build_filter_bank(Grid(small_grid.num_points, small_grid.length)) is small_bank
+        assert _StepNorm(small_grid, 3.0).bank is small_bank
+        other = build_filter_bank(Grid(small_grid.num_points, 2 * small_grid.length))
+        assert other is not small_bank
+        held = weakref.ref(other)
+        del other
+        assert held() is None
 
     @pytest.mark.parametrize("bank_name", ["small_bank", "desk_bank"])
     def test_block_half_matches_dense_multiplier(self, bank_name, request):

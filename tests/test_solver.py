@@ -371,6 +371,111 @@ class TestIntegrate:
             assert sups[state.time] == (state.rho.sup_norm(), state.u.sup_norm())
 
 
+class TestInterpolatedRecords:
+    """Records at times the sweep does not land on, read from the step's
+    cubic Hermite interpolant (``solver._hermite``), at 2^14/64."""
+
+    @pytest.fixture(scope="class")
+    def first_step(self, medium_data):
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        return solver._rest(st), step_rk4(st, 1e-4)
+
+    def test_ends_of_the_step_bit_for_bit(self, first_step):
+        start, step = first_step
+        ends = (solver._hermite(start.spectra, start.rate, step.increment, step.rate, 1e-4,
+                                theta, np.empty_like(step.spectra)) for theta in (0.0, 1.0))
+        assert next(ends).tobytes() == start.spectra.tobytes()
+        assert next(ends).tobytes() == step.spectra.tobytes()
+
+    def test_cubic_in_time_is_reproduced(self, medium_grid):
+        # y(t) = a + b t + c t^2 + d t^3 with random complex coefficients,
+        # from its values and slopes at t0 and t0 + h; measured 1.7e-16 of
+        # the largest value
+        rng = np.random.default_rng(5)
+        shape = (2, medium_grid.num_points // 2 + 1)
+        a, b, c, d = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                      for _ in range(4))
+
+        def y(t):
+            return a + t * (b + t * (c + t * d))
+
+        def f(t):
+            return b + t * (2 * c + t * 3 * d)
+
+        t0, h = 0.3, 0.2
+        scale = np.abs(y(t0 + h)).max()
+        for theta in (0.1, 0.25, 0.5, 0.75, 1.0):
+            got = solver._hermite(y(t0), f(t0), y(t0 + h) - y(t0), f(t0 + h), h, theta,
+                                  np.empty(shape, dtype=complex))
+            assert np.abs(got - y(t0 + theta * h)).max() <= 1e-15 * scale
+
+    def test_interpolated_records_cost_no_kernel_call_and_no_transform(
+            self, medium_data, monkeypatch, count_ffts):
+        # the same checkpoints with and without interpolated times: the same
+        # steps, bits, kernel calls and transforms; the interpolated records
+        # come in time order among the landed ones
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        cfg = SolverConfig(t_final=0.1 * 2.0**-5)
+        ladder = [0.1 * 2.0**-n for n in (7, 6, 5)]
+        between = [0.1 * 2.0**-n * 3 / 4 for n in (6, 5)]
+        kernel = solver._rhs_half
+        evals = []
+        monkeypatch.setattr(solver, "_rhs_half",
+                            lambda *a, **k: evals.append(1) or kernel(*a, **k))
+        counts = count_ffts()
+        runs = []
+        for times in ((), between):
+            evals.clear()
+            counts.update(rfft=0, irfft=0)
+            seen = []
+            traj = integrate(st, cfg, ladder, lambda r: seen.append((r.time, r.interpolated)),
+                             interpolated=times)
+            runs.append((traj, len(evals), dict(counts), seen))
+        (plain, evals, ffts, seen), (dense, evals_dense, ffts_dense, seen_dense) = runs
+        assert evals > 0 and ffts["rfft"] > 0
+        assert (evals_dense, ffts_dense) == (evals, ffts)
+        assert dense.errors == plain.errors and dense.sup_norms == plain.sup_norms
+        assert dense.final.u.values.tobytes() == plain.final.u.values.tobytes()
+        assert [t for t, interpolated in seen_dense if not interpolated] == [t for t, _ in seen]
+        assert [t for t, interpolated in seen_dense if interpolated] == sorted(between)
+        assert [t for t, _ in seen_dense] == sorted(t for t, _ in seen_dense)
+
+    def test_audit_norms_match_a_sweep_that_lands_there(self, medium_bank, medium_data):
+        # the separation audit at 3 t_n/4, n = 5..8: the B^(s-1) x B^s norms
+        # of the interpolant against those of a sweep that lands there.
+        # Measured 1.4e-13 relative, held to 3e-13
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        cfg = SolverConfig(t_final=0.1 * 2.0**-5)
+        ladder = [0.1 * 2.0**-n for n in range(5, 11)]
+        between = [0.1 * 2.0**-n * 3 / 4 for n in range(5, 9)]
+        audits = []
+        for checkpoints, times in ((ladder, between), (ladder + between, ())):
+            audit = {}
+
+            def visit(record):
+                audit[record.time] = sum(_besov_rows(medium_bank, record.spectra, (2.0, 3.0), 2))
+
+            integrate(st, cfg, checkpoints, visit, interpolated=times)
+            audits.append(audit)
+        read, landed = audits
+        for t in between:
+            assert read[t] == pytest.approx(landed[t], rel=3e-13, abs=0.0)
+
+    @pytest.mark.parametrize("times", [
+        [0.0], [-1e-4], [2e-3], [1e-3], [5e-4, 1e-3], [1.5e-3],
+    ], ids=["t0", "before", "past-t_final", "checkpoint", "one-a-checkpoint",
+            "past-the-last-checkpoint"])
+    def test_times_outside_the_sweep_or_on_a_checkpoint_are_refused(self, medium_data, times):
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        with pytest.raises(ValueError, match="interpolated times"):
+            integrate(st, SolverConfig(t_final=2e-3), [1e-3], interpolated=times)
+
+    def test_no_checkpoint_takes_no_interpolated_time(self, medium_data):
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        with pytest.raises(ValueError, match="interpolated times"):
+            integrate(st, SolverConfig(t_final=0.0), interpolated=[1e-4])
+
+
 class TestErrorControl:
     @pytest.mark.parametrize("kind,num_points", [
         ("zero", 2**14), ("constant", 2**14), ("control", 2**14), ("control", 2**15),
@@ -502,6 +607,26 @@ class TestWorkspace:
         second = step_rk4(first_step.state, 1e-2, start=first_step)  # warm
         third, peak = traced_peak(lambda: step_rk4(second.state, 1e-2, start=second))
         assert peak <= sum(a.nbytes for a in _outputs(third)) + one_half
+
+    def test_warm_measured_step_allocates_only_its_outputs(self, medium_data):
+        # a step that measures its error, increment and spectra for the
+        # controller forms each term's bin energies and block products in
+        # free rows of the workspace; per term they took 1.5 half spectra.
+        # On 2^14 points a row passes numpy's ufunc buffer of 8192 elements,
+        # so the broadcast products are not buffered either
+        first = step_rk4(SystemState(rho=medium_data.rho, u=medium_data.u), 1e-4)
+        work, y = first._workspace, first.spectra
+        norm = _StepNorm(first.state.grid, 3.0)
+        second = step_rk4(first.state, 1e-4, start=first, norm=norm)  # warm
+        third, peak = traced_peak(lambda: step_rk4(second.state, 1e-4, start=second, norm=norm))
+        assert peak <= sum(a.nbytes for a in _outputs(third)) + y[0].nbytes
+        # with the bits of terms measured in arrays of their own
+        free = np.empty((2, y.shape[-1] * 2))
+        for r in (0, 1):
+            assert norm.term(y[r], r, free) == norm.term(y[r], r)
+        assert third.norms == tuple(norm(a) for a in (third.error, third.increment,
+                                                      third.spectra))
+        assert work is third._workspace
 
     def test_workspace_holds_nine_padded_rows(self, first_step):
         # the workspace's arrays, views included, take no more than the
