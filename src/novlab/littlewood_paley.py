@@ -241,8 +241,17 @@ def _block_energies(bank: LPFilterBank, energy: np.ndarray, out=None) -> np.ndar
     energies e along the last axis, along a new last axis (Parseval: see
     ``weighted_block_norms``), from one multiply by the bank's parity rows
     and one ``reduceat`` over their segments.  With ``out``, rows of at
-    least twice the bins in doubles, the products are formed there."""
+    least twice the bins in doubles, the products are formed there.  A
+    single row of bins is multiplied by one parity row at a time and its
+    segments are picked without an ellipsis: the broadcast multiply
+    allocates numpy's ufunc buffer on rows shorter than the buffer, even
+    with ``out``, and an index after an ellipsis allocates too."""
     shape, m = energy.shape[:-1], energy.shape[-1]
+    if energy.ndim == 1:
+        products = np.empty(2 * m) if out is None else out[: 2 * m]
+        for r in (0, 1):
+            np.multiply(bank._squares[r], energy, out=products[r * m : (r + 1) * m])
+        return np.add.reduceat(products, bank._starts)[bank._picks]
     if out is not None:
         out = out[..., : 2 * m].reshape(shape + (2, m))
     products = np.multiply(bank._squares, energy[..., None, :], out=out)

@@ -563,7 +563,10 @@ class _StepNorm:
         bins in doubles, its bin energies and their products with the bank
         are formed there."""
         energies = _block_energies(self.bank, _bin_energy(row, out=work[0]), work[1])
-        return math.sqrt(float(np.max(self.weights[r] * energies)))
+        energies *= self.weights[r]
+        # the largest by its index, which, unlike np.max, builds no reduction
+        # iterator, and which reads a NaN as np.max does
+        return math.sqrt(float(energies[energies.argmax()]))
 
     def __call__(self, y: np.ndarray) -> float:
         return self.term(y[0], 0) + self.term(y[1], 1)

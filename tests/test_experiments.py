@@ -13,6 +13,7 @@ from novlab import (
     IllposedDataParams,
     ScalingFit,
     StudyReport,
+    SolverConfig,
     SystemState,
     UnresolvedSpectrumError,
     besov_norm,
@@ -183,12 +184,35 @@ class TestShortTimeStudy:
         assert shorttime_report.fits["second_order_u"].slope == pytest.approx(2.0, abs=0.2)
         assert shorttime_report.passed
 
-    def test_header_reports_solver_work(self, shorttime_report):
+    def test_header_reports_solver_work(self, shorttime_report, medium_data):
+        # the sweep lands on the top time alone and reads the rest of the
+        # ladder from the interpolant, so its work is that of integrate run
+        # to the top time alone
         params = shorttime_report.params
-        assert 0 < params["dt"] <= SHORT_TIMES[0]
-        assert params["rk4_steps"] >= len(SHORT_TIMES)
-        assert "rk4_rejected" in params
+        alone = integrate(SystemState(rho=medium_data.rho, u=medium_data.u),
+                          SolverConfig(t_final=SHORT_TIMES[0]))
+        assert params["rk4_steps"] == len(alone.errors)
+        assert params["rk4_rejected"] == alone.rejected
+        assert params["dt"] == max(h for h, _ in alone.errors)
+        assert params["time_error_max"] == max(err for _, err in alone.errors)
         assert 0 < params["time_error_max"] < 1e-6
+        assert params["ladder_interpolated"] == len(SHORT_TIMES) - 1
+
+    def test_interpolated_ladder_matches_a_fine_landed_reference(self, medium_params,
+                                                                 shorttime_report,
+                                                                 monkeypatch):
+        # against a sweep that lands on every time with steps capped at
+        # 2.5e-5 (202 steps): the distances agree to roundoff (measured
+        # 2.5e-15), while the residuals, O(t^2) differences of O(t) terms,
+        # sit on their roundoff floor (measured 3.7e-8, and the slopes
+        # 8.8e-9; the reference itself moves by 1.7e-7 when its cap is
+        # halved).  Landing on every time at the default tolerance takes 6
+        # steps where the interpolated ladder takes 2
+        assert shorttime_report.params["rk4_steps"] == 2
+        landed = _landing_every_time(medium_params, monkeypatch)
+        assert landed.params["rk4_steps"] == 6
+        reference = _landing_every_time(medium_params, monkeypatch, dt_cap=2.5e-5)
+        _assert_rows_agree(shorttime_report, reference)
 
     def test_ablation_degrades_second_order_to_first(self, medium_params):
         ablated = study_short_time(medium_params, SHORT_TIMES, ablate_first_variation=True)
@@ -207,6 +231,55 @@ class TestShortTimeStudy:
             study_short_time(medium_params, [1e-3, 1e-3])
         with pytest.raises(ValueError):
             study_short_time(medium_params, [math.nan] * 6)
+
+    @pytest.mark.parametrize("s,p", [(3.1, 1.0), (2.6, math.inf), (2.6, 2.0)],
+                             ids=["3.1-1", "2.6-inf", "2.6-2"])
+    def test_paper_edges_against_every_time_landed(self, medium_params, monkeypatch, s, p):
+        # every verdict passes at the edges of the theorem's (s, p) range,
+        # and the interpolated ladder agrees with the landed one: measured
+        # 1.6e-13 in the distances (at p = inf, a sup over grid values) and
+        # 7.1e-8 in the residuals (at (3.1, 1))
+        params = replace(medium_params, s=s, p=p)
+        report = study_short_time(params, SHORT_TIMES)
+        assert report.passed
+        assert report.params["rk4_steps"] == 2
+        landed = _landing_every_time(params, monkeypatch)
+        assert landed.passed
+        _assert_rows_agree(report, landed)
+
+
+# relative bounds between two shorttime reports at the same times: the
+# distances agree to roundoff; the residuals, O(t^2) differences of O(t)
+# terms, and their slopes sit on a roundoff floor that any change of step
+# sequence moves (measured up to 7.1e-8)
+DISTANCE_REL = 1e-12
+RESIDUAL_REL = 2e-7
+
+
+def _landing_every_time(params, monkeypatch, dt_cap=None):
+    """``study_short_time`` on SHORT_TIMES with a sweep that lands on every
+    time, as it did before the ladder was read from the interpolant."""
+    sweep = experiments._sweep
+
+    def landing(state0, cfg, checkpoints, measure, interpolated=()):
+        return sweep(state0, cfg, [*checkpoints, *interpolated], measure)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_sweep", landing)
+        report = study_short_time(params, SHORT_TIMES, dt_cap=dt_cap)
+    assert report.params["ladder_interpolated"] == 0
+    return report
+
+
+def _assert_rows_agree(report, reference):
+    """The rows of two shorttime reports at the same times: distances to
+    DISTANCE_REL, residuals and fitted slopes to RESIDUAL_REL."""
+    rows, ref = np.array(report.rows), np.array(reference.rows)
+    assert np.array_equal(rows[:, 0], ref[:, 0])
+    assert np.all(np.abs(rows[:, 1:3] - ref[:, 1:3]) <= DISTANCE_REL * np.abs(ref[:, 1:3]))
+    assert np.all(np.abs(rows[:, 3:] - ref[:, 3:]) <= RESIDUAL_REL * np.abs(ref[:, 3:]))
+    for name, fit in report.fits.items():
+        assert fit.slope == pytest.approx(reference.fits[name].slope, rel=RESIDUAL_REL)
 
 
 class TestSeparationStudy:
@@ -473,15 +546,18 @@ def test_invariant_drift_measures_the_time_error(medium_params, monkeypatch):
     # int rho^2 and int (u^2 + u_x^2) drift only by the RK4 error, which
     # the step cap sets once the tolerance is loose enough that the
     # controller does not (at the default RTOL the controller keeps the
-    # drift at its 1e-16 roundoff on this grid).  Measured at 2^12/64,
-    # times 2, 1, 1/2: 9.3e-11 and 4.1e-11 with steps of 0.5, 3.5e-12 and
-    # 1.5e-12 with steps of 0.25, falls of 26.7 and 27.3
+    # drift at its 1e-16 roundoff on this grid).  The drift is that of the
+    # one landed record, at the top time 2; the study splits what is left
+    # of it evenly into steps of at most the cap.  Measured at 2^12/64,
+    # times 2, 1, 1/2: 4.4e-11 and 2.0e-11 with steps of up to 0.42 (cap
+    # 0.5), 3.2e-12 and 1.4e-12 with steps of up to 0.24 (cap 0.25), falls
+    # of 13.8 and 14.0
     params = replace(medium_params, num_terms=7, grid=Grid(2**12, 64.0))
     monkeypatch.setattr(solver, "RTOL", 1.0)
     drifts = []
     for cap in (0.5, 0.25):
         report = study_short_time(params, (2.0, 1.0, 0.5), dt_cap=cap)
-        assert report.params["dt"] == cap
+        assert cap / 2 < report.params["dt"] <= cap
         drifts.append(np.array([report.params["invariant_drift_rho"],
                                 report.params["invariant_drift_u"]]))
     assert np.all(drifts[0] > 1e-11)

@@ -28,6 +28,7 @@ from novlab import (
 
 from novlab import solver
 from novlab.experiments import _besov_rows
+from novlab.littlewood_paley import _block_energies
 from novlab.solver import StepSizeError, _StepNorm
 from novlab.spectral import _bin_energy, field_from_half
 
@@ -627,6 +628,22 @@ class TestWorkspace:
         assert third.norms == tuple(norm(a) for a in (third.error, third.increment,
                                                       third.spectra))
         assert work is third._workspace
+
+    def test_warm_norm_term_in_workspace_rows_allocates_under_a_kilobyte(self, first_step):
+        # on 2^12 points a row is shorter than numpy's ufunc buffer of 8192
+        # elements, which a broadcast multiply by both parity rows allocated
+        # even with out= (measured 34 KB a term); one multiply per parity
+        # row leaves the reductions' own bookkeeping (measured 896 B).  The
+        # norm has the bits of the stacked path's
+        norm = _StepNorm(first_step.state.grid, 3.0)
+        y = first_step.spectra
+        free = first_step._workspace.rows[11:13]
+        stacked = _block_energies(norm.bank, _bin_energy(y))
+        for r in (0, 1):
+            norm.term(y[r], r, free)  # warm
+            term, peak = traced_peak(lambda: norm.term(y[r], r, free))
+            assert peak < 1024
+            assert term == math.sqrt(float(np.max(norm.weights[r] * stacked[r])))
 
     def test_workspace_holds_nine_padded_rows(self, first_step):
         # the workspace's arrays, views included, take no more than the
