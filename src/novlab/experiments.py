@@ -465,16 +465,13 @@ def check_shorttime(params: IllposedDataParams, times, dt_cap) -> tuple:
 
 
 def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
-                     ablate_first_variation: bool = False,
                      dt_cap: float | None = None) -> StudyReport:
     """Short-time expansion orders of the flow started from the lacunary data.
 
     Distances one derivative below the data space must be O(t); residuals
-    against the first variation (the right-hand side at the data), two
-    derivatives below, must be O(t^2).
-    Ablating the first variation (replacing it by zero) demotes the
-    second-order pair to first order.  ``dt_cap`` optionally caps the
-    error-controlled step.
+    u(t) - u0 - t w0 against the first variation (v0, w0), the right-hand
+    side at the data, two derivatives below, must be O(t^2).  ``dt_cap``
+    optionally caps the error-controlled step.
 
     The sweep lands on the largest time only and reads every other time
     from the interpolant of the step that passes it (``integrate``'s
@@ -491,14 +488,13 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
     read = []  # the ladder times read from the interpolant
 
     def expand(record, y0, f0):
-        # (v0, w0) = f0, the right-hand side at the data, or zero when ablated
+        # (v0, w0) = f0, the right-hand side at the data
         t = record.time
         if record.interpolated:
             read.append(t)
         diff = record.spectra - y0
         distances = _besov_rows(bank, diff, (s - 2, s - 1), p)
-        if not ablate_first_variation:
-            diff -= t * f0  # the residual
+        diff -= t * f0  # the residual
         # the residuals shrink like t^2 while inheriting harmless spectral
         # dust from t*f0, so the resolution guard would misfire on them
         rows.append((t, *distances,
@@ -517,7 +513,7 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
         params=_params_dict(
             params,
             t_max=times[0],
-            ablate_first_variation=ablate_first_variation,
+            ablate_first_variation=False,  # constant: the header changes only by addition
             **_solver_params(traj),
             ladder_interpolated=len(read),
             **drifts,
@@ -577,7 +573,7 @@ def _padded_half(grid: Grid, bank: LPFilterBank, half: np.ndarray) -> np.ndarray
 
 
 def study_separation(params: IllposedDataParams, n_range=None,
-                     delta: float = DEFAULT_DELTA, with_control: bool = True,
+                     delta: float = DEFAULT_DELTA,
                      dt_cap: float | None = None) -> StudyReport:
     """Non-vanishing data-to-solution separation along t_n = delta 2^-n.
 
@@ -595,12 +591,12 @@ def study_separation(params: IllposedDataParams, n_range=None,
                                + 2^(n s) ||block_n w0||_Lp)
 
     and sep_ratio = S_n / sep_first_order, which no verdict reads.
-    Truncated data are smooth, so
-    the full distance itself decays like t_n once n passes the truncation;
-    the persistence verdicts therefore run on the block-matched statistic,
-    and the smooth-data control (an amplified bump with no content at block
-    n) is judged on the full distance.  The energy audit tracks the
-    solution Besov norms at the quarters of every horizon.
+    Truncated data are smooth, so the full distance itself decays like t_n
+    once n passes the truncation; the persistence verdicts therefore run on
+    the block-matched statistic, and the smooth-data control (an amplified
+    bump with no content at block n), which every run integrates, is judged
+    on the full distance.  The energy audit tracks the solution Besov norms
+    at the quarters of every horizon.
 
     The horizons are nested, so the data and the control are each
     integrated once, in one error-controlled sweep; ``dt_cap`` optionally
@@ -616,11 +612,12 @@ def study_separation(params: IllposedDataParams, n_range=None,
     measured on the data's grid, by the data's filter bank, from its half
     spectrum padded with zeros, after the resolution guard on its own grid
     (see ``_padded_half``).  The header's ``dt``, ``rk4_steps``,
-    ``rk4_rejected`` and ``time_error_max`` cover both sweeps; ``control_rk4_steps`` counts the control's share, and
+    ``rk4_rejected`` and ``time_error_max`` cover both sweeps;
+    ``control_rk4_steps`` counts the control's share, and
     ``control_time_error_max``, ``control_invariant_drift_rho`` and
     ``control_invariant_drift_u`` give the control sweep's largest per-step
-    error and invariant drifts (0 without a control) beside the data
-    sweep's ``invariant_drift_rho`` and ``invariant_drift_u``.
+    error and invariant drifts beside the data sweep's
+    ``invariant_drift_rho`` and ``invariant_drift_u``.
     """
     n_list, cfg = check_separation(params, n_range, delta, dt_cap)
     s, p = params.s, params.p
@@ -653,36 +650,25 @@ def study_separation(params: IllposedDataParams, n_range=None,
     sweep, (y0, f0), drifts = _sweep(SystemState(rho=data.rho, u=data.u), cfg,
                                      set().union(*quarters.values()) - off_ladder, audit,
                                      off_ladder)
-    trajectories = [sweep]
     norm_rho, norm_u = _besov_rows(bank, y0, (s - 1, s), p)
     energy0 = norm_rho + norm_u
     # (v0, w0) = f0, the right-hand side at the data
     lead_rho, lead_u = _weighted_rows(bank, f0, (s - 1, s), p)
     lead = lead_rho + lead_u
     del y0, f0  # not held through the control's sweep
-    control_dist = dict.fromkeys(n_list, math.nan)
+    control_dist = {}
     control_grid = _control_grid(params.grid)
-    control_steps = 0
-    # the control sweep's own time error and drifts, which the header's
-    # time_error_max and the data sweep's drifts do not isolate
-    control_diagnostics = {"time_error_max": 0.0, "invariant_drift_rho": 0.0,
-                           "invariant_drift_u": 0.0}
-    if with_control:
-        control = CONTROL_AMPLITUDE * build_bump(control_grid)
-        control_bank = build_filter_bank(control_grid)
+    control = CONTROL_AMPLITUDE * build_bump(control_grid)
+    control_bank = build_filter_bank(control_grid)
 
-        def collapse(record, y0, f0):
-            # the Besov distances of the padded differences, from their spectra
-            diff = _padded_half(params.grid, control_bank, record.spectra - y0)
-            dist_rho, dist_u = _besov_rows(bank, diff, (s - 1, s), p)
-            control_dist[band_at[record.state.time]] = dist_rho + dist_u
+    def collapse(record, y0, f0):
+        # the Besov distances of the padded differences, from their spectra
+        diff = _padded_half(params.grid, control_bank, record.spectra - y0)
+        dist_rho, dist_u = _besov_rows(bank, diff, (s - 1, s), p)
+        control_dist[band_at[record.time]] = dist_rho + dist_u
 
-        control_sweep, _, control_drifts = _sweep(SystemState(rho=control, u=control), cfg,
-                                                  horizon.values(), collapse)
-        trajectories.append(control_sweep)
-        control_steps = len(control_sweep.errors)
-        control_diagnostics = {"time_error_max": _solver_params(control_sweep)["time_error_max"],
-                               **control_drifts}
+    control_sweep, _, control_drifts = _sweep(SystemState(rho=control, u=control), cfg,
+                                              horizon.values(), collapse)
 
     rows = []
     for n in n_list:
@@ -692,21 +678,22 @@ def study_separation(params: IllposedDataParams, n_range=None,
         rows.append((n, horizon[n], block_sep, full_rho, full_u, full_rho + full_u,
                      energy_ratio, control_dist[n], first_order, block_sep / first_order))
 
-    fits = {"separation_trend": fit_powerlaw([(r[0], r[2]) for r in rows], "dyadic")}
-    if with_control:
-        fits["control_trend"] = fit_powerlaw([(r[0], r[7]) for r in rows], "dyadic")
+    fits = {"separation_trend": fit_powerlaw([(r[0], r[2]) for r in rows], "dyadic"),
+            "control_trend": fit_powerlaw([(r[0], r[7]) for r in rows], "dyadic")}
 
     report = StudyReport(
         study_name="separation",
         params=_params_dict(params, delta=delta, n_min=n_list[0], n_max=n_list[-1],
-                            with_control=with_control,
+                            with_control=True,  # constant: the header changes only by addition
                             control_amplitude=CONTROL_AMPLITUDE,
-                            **_solver_params(*trajectories),
+                            **_solver_params(sweep, control_sweep),
                             control_grid_points=control_grid.num_points,
-                            control_rk4_steps=control_steps,
+                            control_rk4_steps=len(control_sweep.errors),
                             audit_interpolated=len(read), **drifts,
-                            **{f"control_{key}": value
-                               for key, value in control_diagnostics.items()}),
+                            # the control sweep's own time error and drifts, which the
+                            # header's time_error_max and the data sweep's drifts do not isolate
+                            control_time_error_max=_solver_params(control_sweep)["time_error_max"],
+                            **{f"control_{key}": value for key, value in control_drifts.items()}),
         tolerances={
             "separation_slope_min": SEPARATION_SLOPE_MIN,
             "plateau_min": PLATEAU_MIN,
@@ -729,9 +716,8 @@ def study_separation(params: IllposedDataParams, n_range=None,
     energy_ok = energy_worst <= report.tolerances["energy_factor_max"]
     report.add_verdict("energy_bounded", energy_ok, energy_worst,
                        "solution Besov norms within tol_energy_factor_max of initial")
-    if with_control:
-        report.judge("control_collapses", fits["control_trend"].slope,
-                     "smooth-data full distance trend", "<=", "control_slope_max")
+    report.judge("control_collapses", fits["control_trend"].slope,
+                 "smooth-data full distance trend", "<=", "control_slope_max")
     return report
 
 

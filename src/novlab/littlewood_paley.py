@@ -271,7 +271,13 @@ def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
     field f with half spectrum ``half``, along a new last axis when ``half``
     is a stack; see ``weighted_block_norms``.  With ``work``, two stacks of
     rows of at least n + 2 doubles beside ``half``'s, the energies, the
-    weighted block energies, the blocks and their values are formed there."""
+    weighted block energies, the blocks and their values are formed there.
+
+    ``check_resolved=False`` skips the near-Nyquist energy guard.  That is
+    needed for tiny difference fields (e.g. expansion residuals shrinking
+    like t^2) whose genuine content cancels while the ~1e-16-level spectral
+    dust of the subtracted terms does not, inflating the relative
+    high-frequency fraction without any actual resolution problem."""
     energy = _bin_energy(half, out=None if work is None else work[0])
     if check_resolved:
         _check_resolved(bank, energy)
@@ -286,8 +292,7 @@ def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
                      for j in range(-1, bank.j_max + 1)], axis=-1)
 
 
-def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex,
-                         check_resolved: bool = True) -> np.ndarray:
+def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex) -> np.ndarray:
     """The sequence 2^(j s) ||block_j f||_Lp for j = -1 .. j_max.
 
     For p = 2 the sequence comes from one forward transform, by discrete
@@ -298,23 +303,18 @@ def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex,
 
     which in exact arithmetic is exactly ``lp_norm``'s grid quadrature of
     the block.  For p != 2 each block is transformed back to the grid and
-    measured by ``lp_norm``, one inverse transform per block.
-
-    ``check_resolved=False`` skips the near-Nyquist energy guard.  That is
-    needed for tiny difference fields (e.g. expansion residuals shrinking
-    like t^2) whose genuine content cancels while the ~1e-16-level spectral
-    dust of the subtracted terms does not, inflating the relative
-    high-frequency fraction without any actual resolution problem.
+    measured by ``lp_norm``, one inverse transform per block.  A field with
+    more than UNRESOLVED_ENERGY_TOL of its energy above the bank's resolved
+    band raises UnresolvedSpectrumError.
     """
     _check_same_grid(bank, f)
     weights = _block_weights(bank, idx.s)  # rejects an overflowing s before any transform
-    return weights * _block_norms(bank, half_spectrum(f), idx.p, check_resolved)
+    return weights * _block_norms(bank, half_spectrum(f), idx.p)
 
 
-def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex,
-               check_resolved: bool = True) -> float:
+def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex) -> float:
     """B^s_{p,inf} norm: the largest weighted block norm."""
-    return float(np.max(weighted_block_norms(bank, f, idx, check_resolved)))
+    return float(np.max(weighted_block_norms(bank, f, idx)))
 
 
 def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray, blocks,

@@ -672,18 +672,13 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
             else:
                 ratio = err / tol if tol > 0 else math.inf
                 factor = min(GROWTH_MAX, max(GROWTH_MIN, SAFETY * ratio**-0.25))
-            passed = []  # the interpolated records of the times the step passed
+            previous = increment = None  # an accepted step's start and increment
             if ratio <= 1:
                 st = trial.state
                 if steps_left == 1:
                     # land exactly on the checkpoint despite accumulated rounding
                     st = replace(st, time=t_next)
-                while visit is not None and pending and pending[-1] <= st.time:
-                    # the step's stage buffer is free until the next step
-                    t = pending.pop()
-                    passed.append(_Interpolated(t, _hermite(
-                        current.spectra, current.rate, trial.increment, trial.rate, step,
-                        (t - current.state.time) / step, trial._workspace.stage)))
+                previous, increment = current, trial.increment
                 # keep only what the next step reuses
                 current = RK4Step(st, trial.spectra, trial.rate,
                                   _workspace=trial._workspace)
@@ -705,7 +700,18 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
                     )
             h = min(h, h_max)
             del trial
-            # visited once the step and the state it started from are let go
+            # the interpolated records of the times the step passed, built once
+            # its error is let go, in the stage buffer free until the next step
+            passed = []
+            while (visit is not None and increment is not None and pending
+                   and pending[-1] <= current.state.time):
+                t = pending.pop()
+                passed.append(_Interpolated(t, _hermite(
+                    previous.spectra, previous.rate, increment, current.rate, step,
+                    (t - previous.state.time) / step, current._workspace.stage)))
+            del previous, increment
+            # visited once the step's start is let go, popped so that no
+            # record outlives its visit
             while passed:
                 visit(passed.pop(0))
         if visit is not None:

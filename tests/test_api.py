@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -70,6 +71,23 @@ def test_each_module_defines_exactly_its_public_functions():
             and value.__module__ == module.__name__
         }
         assert defined == expected, name
+
+
+# the parameters of the public studies and norms: each study runs one way,
+# so an option that only the tests would set has no place here
+SIGNATURES = {
+    "study_block_scaling": ["params", "n_range"],
+    "study_short_time": ["params", "times", "dt_cap"],
+    "study_separation": ["params", "n_range", "delta", "dt_cap"],
+    "study_inequalities": ["corpus_size", "seed", "grid", "s", "p"],
+    "weighted_block_norms": ["bank", "f", "idx"],
+    "besov_norm": ["bank", "f", "idx"],
+}
+
+
+def test_studies_and_norms_take_exactly_their_parameters():
+    for name, parameters in SIGNATURES.items():
+        assert list(inspect.signature(getattr(novlab, name)).parameters) == parameters, name
 
 
 # the modules in dependency order: each imports only modules before it

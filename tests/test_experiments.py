@@ -214,8 +214,18 @@ class TestShortTimeStudy:
         reference = _landing_every_time(medium_params, monkeypatch, dt_cap=2.5e-5)
         _assert_rows_agree(shorttime_report, reference)
 
-    def test_ablation_degrades_second_order_to_first(self, medium_params):
-        ablated = study_short_time(medium_params, SHORT_TIMES, ablate_first_variation=True)
+    def test_ablation_degrades_second_order_to_first(self, medium_params, monkeypatch):
+        # the first variation replaced by zero: the residuals are then the
+        # distances two derivatives below, which are O(t)
+        sweep = experiments._sweep
+
+        def ablated_sweep(state0, cfg, checkpoints, measure, interpolated=()):
+            return sweep(state0, cfg, checkpoints,
+                         lambda record, y0, f0: measure(record, y0, np.zeros_like(f0)),
+                         interpolated)
+
+        monkeypatch.setattr(experiments, "_sweep", ablated_sweep)
+        ablated = study_short_time(medium_params, SHORT_TIMES)
         assert ablated.fits["second_order_rho"].slope == pytest.approx(1.0, abs=0.1)
         assert ablated.fits["second_order_u"].slope == pytest.approx(1.0, abs=0.1)
 
@@ -314,7 +324,7 @@ class TestSeparationStudy:
         assert np.all(np.abs(ratios - 1) <= 1e-6)
 
     def test_delta_linearity_of_plateau(self, medium_params, separation_report):
-        half = study_separation(medium_params, range(5, 9), delta=0.05, with_control=False)
+        half = study_separation(medium_params, range(5, 9), delta=0.05)
         plateau_full = np.median([r[2] for r in separation_report.rows])
         plateau_half = np.median([r[2] for r in half.rows])
         assert plateau_half / plateau_full == pytest.approx(0.5, abs=0.1)
@@ -325,7 +335,7 @@ class TestSeparationStudy:
                 s=medium_params.s, p=medium_params.p, lam=lam,
                 num_terms=medium_params.num_terms, grid=medium_grid,
             )
-            rep = study_separation(params, range(5, 9), delta=0.1, with_control=False)
+            rep = study_separation(params, range(5, 9), delta=0.1)
             assert rep.verdict("separation_slope").passed
             assert rep.verdict("separation_plateau").passed
             assert rep.verdict("energy_bounded").passed
@@ -579,6 +589,19 @@ def test_separation_reports_the_control_sweeps_diagnostics(separation_report):
     assert 0 < params["control_time_error_max"] <= params["time_error_max"]
     for key in ("control_invariant_drift_rho", "control_invariant_drift_u"):
         assert 0 <= params[key] < 1e-14
+
+
+@pytest.mark.parametrize("s,p", [(3.1, 1.0), (2.6, math.inf), (2.6, 2.0)],
+                         ids=["3.1-1", "2.6-inf", "2.6-2"])
+def test_separation_and_blockscale_pass_at_the_paper_edges(medium_params, s, p):
+    # every verdict of both studies at the edges of the theorem's range
+    # s > max(2 + 1/p, 5/2), 1 <= p <= inf (shorttime's are
+    # TestShortTimeStudy's); each report carries its whole verdict set
+    params = replace(medium_params, s=s, p=p)
+    for report, verdicts in ((study_separation(params, range(5, 9), delta=0.1), 4),
+                             (study_block_scaling(params, range(4, 9)), 6)):
+        assert len(report.verdicts) == verdicts
+        assert [v.name for v in report.verdicts if not v.passed] == []
 
 
 def _data_grid_control(params, n_range, delta):

@@ -462,6 +462,29 @@ class TestInterpolatedRecords:
         for t in between:
             assert read[t] == pytest.approx(landed[t], rel=3e-13, abs=0.0)
 
+    def test_interpolated_records_raise_no_traced_peak(self, medium_data):
+        # four steps of 1.25e-3 with one interpolated midpoint each: a record
+        # built while the step's error is still held, or kept through the
+        # next step, would peak one half-spectrum pair higher (measured 0.95
+        # pair with the record built beside the step, 0.00 once it is let go)
+        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        cfg = SolverConfig(t_final=5e-3, dt=1.25e-3)
+        midpoints = [1.25e-3 * (k + 0.5) for k in range(4)]
+        peaks = []
+        for times in ((), midpoints):
+            seen = []
+
+            def sweep():
+                return integrate(st, cfg, visit=lambda r: seen.append(r.time),
+                                 interpolated=times)
+
+            traj, peak = traced_peak(sweep)
+            assert [h for h, _ in traj.errors] == pytest.approx([1.25e-3] * 4, rel=1e-12)
+            assert len(seen) == 2 + len(times)
+            peaks.append(peak)
+        pair = solver._spectra(st).nbytes
+        assert peaks[1] - peaks[0] <= 0.1 * pair
+
     @pytest.mark.parametrize("times", [
         [0.0], [-1e-4], [2e-3], [1e-3], [5e-4, 1e-3], [1.5e-3],
     ], ids=["t0", "before", "past-t_final", "checkpoint", "one-a-checkpoint",
