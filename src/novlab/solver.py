@@ -20,7 +20,9 @@ B^(s-1)_{2,inf} x B^s_{2,inf} on the studies' filter bank, by Parseval, and
 the step is accepted when it is at most RTOL ||increment|| + ATOL ||state||.
 
 One kernel evaluates the right-hand side from half spectra to half spectra
-(on each of the two grids, 4 inverse and 4 forward real FFTs of n points).
+(on each of the two grids, 4 inverse and 4 forward real FFTs of n points,
+made as 2 inverse and 2 forward numpy calls on stacks of two rows up to
+BATCH_MAX_POINTS points and as one call per row above).
 A step forms its stages on the state's carried half spectra and adds the
 inverse transform of the increment h/6 (k1 + 2 k2 + 2 k3 + k4) to the state
 values: neither the values nor the spectra ever take a transform round
@@ -176,19 +178,40 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 # The size (points times transforms of that many points) from which a pair
-# runs on two threads; below it the hand-off to the worker, about 65 us,
+# runs on two threads; below it the hand-off to the worker, 46-82 us,
 # costs more than the overlap gains.  Placed from the warm kernel
-# (``_rhs_half``, 16 transforms) on two usable CPUs, medians of 7 batches:
+# (``_rhs_half``, 16 transforms in 8 calls up to BATCH_MAX_POINTS) with its
+# halves inline or threaded on two usable CPUs (Intel Xeon, 2 vCPUs under
+# KVM), medians of 7 batches, then the median of 4 runs:
 #
 #   points            2^9   2^10   2^11   2^12   2^13   2^14   2^15
-#   inline   (us)     116    141    217    409    840   1685   3561
-#   threaded (us)     204    310    307    363    574   1027   2173
+#   inline   (us)     202    275    431    737   1515   2944   8174
+#   threaded (us)     461    499    521    680   1124   1834   4679
 #
-# so the kernel threads from 2^12 points (size 2^16) up.  A step's row pairs
+# (threaded faster at 2^12 in 13 of 20 alternating pairs, at 2^13 and up in
+# 19 or 20), so the kernel threads from 2^12 points (size 2^16) up; the
+# per-row kernel placed the crossover there too.  A step's row pairs
 # pass 2n, so they thread from 2^15 points, where a warm step with its norms
 # takes 9.02 ms against 9.59 ms with inline rows (4.77 against 4.73 ms at
 # 2^14, had they threaded there).
 PAIR_MIN_SIZE = 2**16
+
+# The largest grid on which the kernel transforms a stack of rows in one
+# call (``_transform_rows``); above it, one call per row.  A call has a
+# fixed cost that a stack pays once, but numpy allocates a stack's scratch
+# on every call, and from 2^15 points up that scratch faults fresh pages
+# each time.  Warm paired halves (``_rhs_half``, 16 transforms) on the same
+# two CPUs, time and minor page faults per call, medians of 5 fresh
+# processes of 7 batches each:
+#
+#   points            2^10   2^11   2^12   2^13   2^14   2^15   2^16   2^17
+#   per row   (ms)    0.27   0.50   1.08   1.95   2.72   5.02  13.15  29.04
+#   stacked   (ms)    0.27   0.42   0.76   1.45   1.93   5.93  13.57  29.33
+#   per row (faults)     0      0      0      0      0      0   1792   3840
+#   stacked (faults)     0      0      0      0      0   2048   4352   8960
+#
+# so stacks run 16-29 % faster from 2^11 to 2^14 and 18 % slower at 2^15.
+BATCH_MAX_POINTS = 2**14
 
 
 def _usable_cpus() -> int:
@@ -238,8 +261,9 @@ class _Workspace:
     fold back (``spectral._half_cell_shift``).  ``rows`` is a pool of fourteen
     rows of n + 2 doubles, the first seven for the kernel's half on the grid
     and the last seven for its half on the shifted grid (``_grid_half`` gives
-    each row its parts).  A row holds values on n points or, viewed as
-    n/2 + 1 complex numbers, a half spectrum.  ``stage`` holds a stage's
+    each row its parts, and transforms them in stacks of two rows).  A row
+    holds values on n points or, viewed as n/2 + 1 complex numbers, a half
+    spectrum.  ``stage`` holds a stage's
     argument and then its weighted rate; it is a buffer of its own, since
     both halves read the kernel's input at once.  ``rate`` holds the stage
     rates k2, k3 and k4 in rows 2 and 3, which the kernel's halves read
@@ -265,6 +289,18 @@ class _Workspace:
         self.rate = self.rows[2:4].view(complex)
 
 
+def _transform_rows(transform, rows, out, n: int) -> None:
+    """numpy's ``transform`` (rfft or irfft) of each row of the stack
+    ``rows`` on n points, normalized "forward", into the same row of
+    ``out``: in one call up to BATCH_MAX_POINTS points, else one call per
+    row, with the same bits per row either way."""
+    if n <= BATCH_MAX_POINTS:
+        transform(rows, n=n, norm="forward", out=out)
+        return
+    for row, row_out in zip(rows, out):
+        transform(row, n=n, norm="forward", out=row_out)
+
+
 def _grid_half(y: np.ndarray, work: _Workspace, rows: np.ndarray, tau, weight) -> None:
     """One half of the RHS kernel: the products on the grid (``tau`` None)
     or on the grid shifted by half a cell, through seven rows of ``work``,
@@ -277,22 +313,27 @@ def _grid_half(y: np.ndarray, work: _Workspace, rows: np.ndarray, tau, weight) -
     """
     n = rows.shape[-1] - 2
     d, g = work.d, work.g
-    # rows 0-3 take rho, u, u_x and rho_x, row 4 stages the slopes' (and
-    # on the shifted grid every) inverse transform inputs, and rows 4-6 then
-    # take products; each forward transform writes a row whose values are
-    # dead, so the weighted rates end in rows 0 and 1
-    rho, u, ux, rx, u2, tmp, arg = rows[:, :n]
+    # rows 0-3 take rho, u, rho_x and u_x, rows 5-6 stage the inverse
+    # transforms' inputs of rho and u, and rows 2 and 4-6 then take
+    # products; each stack of two rows is transformed in one call
+    # (``_transform_rows``), and each forward transform writes rows whose
+    # values are dead, so the weighted rates end in rows 0 and 1.  The
+    # symbols multiply one row at a time: a broadcast multiply of a stack
+    # shorter than numpy's ufunc buffer (8192 elements) allocates
+    rho, u, rx, ux, u2, tmp, arg = rows[:, :n]
     spectra = rows.view(complex)
-    staged = spectra[4]
-    for half, plain, slope in ((y[0], rho, rx), (y[1], u, ux)):
-        if tau is None:
-            _irfft_into(half, n=n, norm="forward", out=plain)
-            np.multiply(d, half, out=staged)
-        else:
-            np.multiply(tau, half, out=staged)
-            _irfft_into(staged, n=n, norm="forward", out=plain)
-            np.multiply(d, staged, out=staged)
-        _irfft_into(staged, n=n, norm="forward", out=slope)
+    staged = spectra[5:7]
+    if tau is None:
+        _transform_rows(_irfft_into, y, rows[:2, :n], n)
+        for r in (0, 1):
+            np.multiply(d, y[r], out=staged[r])
+    else:
+        for r in (0, 1):
+            np.multiply(tau, y[r], out=staged[r])
+        _transform_rows(_irfft_into, staged, rows[:2, :n], n)
+        for r in (0, 1):
+            staged[r] *= d
+    _transform_rows(_irfft_into, staged, rows[2:4, :n], n)
     np.multiply(u, u, out=u2)
     rx *= u2
     np.multiply(rho, u, out=tmp)
@@ -309,10 +350,11 @@ def _grid_half(y: np.ndarray, work: _Workspace, rows: np.ndarray, tau, weight) -
     tmp *= 0.5
     tmp -= rho
     tmp *= ux                               # (1/2) u_x^3 - (1/2) u_x rho^2
-    _rfft_into(rx, norm="forward", out=spectra[0])
-    nonlocal_ = _rfft_into(arg, norm="forward", out=spectra[1])
-    transport = _rfft_into(u2, norm="forward", out=spectra[2])
-    plain_arg = _rfft_into(tmp, norm="forward", out=spectra[3])
+    # rows 2 and 6 (rho_t's products, the nonlocal argument) to spectra 0
+    # and 1, rows 4 and 5 (u^2 u_x, the plain argument) to spectra 2 and 3
+    _transform_rows(_rfft_into, rows[2:7:4, :n], spectra[:2], n)
+    _transform_rows(_rfft_into, rows[4:6, :n], spectra[2:4], n)
+    nonlocal_, transport, plain_arg = spectra[1:4]
     nonlocal_ *= d
     nonlocal_ += plain_arg
     nonlocal_ *= g
@@ -328,8 +370,10 @@ def _rhs_half(y: np.ndarray, work: _Workspace, out=None, then=None) -> np.ndarra
     The single RHS kernel: each product is formed on the grid and on the
     grid shifted by half a cell, the even and odd points of the grid of 2n
     points that zero padding would use, with 4 inverse and 4 forward
-    transforms of n points on each; the truncated padded spectrum is
-    (E_k + conj(tau_k) O_k) / 2 for the spectra E and O on the two grids.
+    transforms of n points on each, in 4 calls on stacks of two rows up to
+    BATCH_MAX_POINTS points (``_transform_rows``); the truncated padded
+    spectrum is (E_k + conj(tau_k) O_k) / 2 for the spectra E and O on the
+    two grids.
     The shifted grid runs on the worker of one ``_pair`` and the grid on
     the caller, each in its own rows of ``work``; then a second ``_pair``
     adds the two, the rho row on the worker and the u row on the caller,

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules; plain helpers live in helpers.py."""
 
 import collections
+import math
 import sys
 import threading
 
@@ -49,17 +50,26 @@ def cpus(request, monkeypatch):
 
 
 class FFTCounts(dict):
-    """The rfft and irfft calls by kind; ``lengths`` counts them by the
-    length of the transform (an rfft's input, an irfft's output)."""
+    """The rfft and irfft transforms by kind, where a call on a stack of k
+    rows counts k transforms; ``lengths`` counts the transforms by their
+    length (an rfft's input, an irfft's output) and ``calls`` the calls by
+    kind."""
 
     def __init__(self):
         super().__init__(rfft=0, irfft=0)
+        self.calls = dict(rfft=0, irfft=0)
         self.lengths = collections.Counter()
+
+    def reset(self):
+        self.update(rfft=0, irfft=0)
+        self.calls.update(rfft=0, irfft=0)
+        self.lengths.clear()
 
 
 @pytest.fixture
 def count_ffts(monkeypatch):
-    """Start counting the rfft and irfft calls made through any novlab module.
+    """Start counting the rfft and irfft transforms and calls made through
+    any novlab module.
 
     Calling the returned function wraps, for the rest of the test, every
     binding of scipy's or numpy's ``rfft`` or ``irfft`` in a loaded novlab
@@ -85,10 +95,13 @@ def count_ffts(monkeypatch):
 
                 def counted(*args, _fn=fn, _kind=kind, **kwargs):
                     out = _fn(*args, **kwargs)
-                    signal = out if _kind == "irfft" else args[0]
+                    # every transform in novlab runs along the last axis
+                    shape = np.shape(out if _kind == "irfft" else args[0])
+                    rows = math.prod(shape[:-1])
                     with lock:
-                        counts[_kind] += 1
-                        counts.lengths[np.shape(signal)[-1]] += 1
+                        counts[_kind] += rows
+                        counts.calls[_kind] += 1
+                        counts.lengths[shape[-1]] += rows
                     return out
 
                 monkeypatch.setattr(module, name, counted)

@@ -533,23 +533,27 @@ def test_one_workspace_and_one_rate_at_the_data_per_integration(
 
 @pytest.mark.parametrize("study", ["shorttime", "separation"])
 def test_solver_studies_transform_only_to_integrate(study, medium_params, count_ffts):
-    # a sweep transforms its initial state once, and runs 16 transforms per
-    # kernel evaluation (one at the start and four per step) and 2 per step
-    # (its increment, one row per call); the studies measure every record
-    # from its spectra, so what they transform beyond their sweeps does not
-    # grow with the number of checkpoints: the data's synthesis (one inverse
-    # transform, and one of the bump for its tail bound) and the control's
+    # a sweep transforms its initial state's two rows in one call, and runs
+    # 16 transforms in 8 calls per kernel evaluation (one at the start and
+    # four per step) and 2 per step (its increment, one row per call); the
+    # studies measure every record from its spectra, so what they transform
+    # beyond their sweeps does not grow with the number of checkpoints: the
+    # data's synthesis (one inverse transform of its two rows, and one of the
+    # bump for its tail bound) and the control's
     counts = count_ffts()
-    extra = []
+    extra, extra_calls = [], []
     for k in (3, 4):
-        counts.update(rfft=0, irfft=0)
+        counts.reset()
         if study == "shorttime":
             report, sweeps = study_short_time(medium_params, SHORT_TIMES[:k]), 1
         else:
             report, sweeps = study_separation(medium_params, range(5, 5 + k), delta=0.1), 2
         attempts = report.params["rk4_steps"] + report.params["rk4_rejected"]
-        extra.append(sum(counts.values()) - sweeps * (1 + 16) - (4 * 16 + 2) * attempts)
-    assert extra[0] == extra[1] == 2 + (sweeps - 1)
+        extra.append(sum(counts.values()) - sweeps * (2 + 16) - (4 * 16 + 2) * attempts)
+        extra_calls.append(sum(counts.calls.values()) - sweeps * (1 + 8)
+                           - (4 * 8 + 2) * attempts)
+    assert extra[0] == extra[1] == 3 + (sweeps - 1)
+    assert extra_calls[0] == extra_calls[1] == 2 + (sweeps - 1)
 
 
 def test_invariant_drift_measures_the_time_error(medium_params, monkeypatch):
@@ -841,16 +845,19 @@ class TestInequalitiesStudy:
         # the corpus grid has 9 blocks.  A chunk of k pairs draws its 2k
         # fields with one irfft and takes 13 rffts (u, v, uv, u v_x and one
         # per commutator block) and 12 irffts (v_x, the 9 blocks, sup|u_x|
-        # and sup|v_x|), each on the whole stack, whatever k.  The corpus
-        # multiplies on its own grid, so no transform is padded
+        # and sup|v_x|), each on the whole stack of k rows, whatever k.  The
+        # corpus multiplies on its own grid, so no transform is padded
         assert small_bank.j_max + 2 == 9
         rng = np.random.default_rng(3)
         counts = count_ffts()
+        pairs = 0
         for chunks, k in enumerate((1, CORPUS_CHUNK), start=1):
+            pairs += k
             fields = random_band_limited_values(small_grid, rng, 2 * k)
             pair_ratios(small_bank, fields[0::2], fields[1::2], BesovIndex(3.0, 2.0))
-            assert counts == {"rfft": 13 * chunks, "irfft": (1 + 12) * chunks}
-            assert counts.lengths == {small_grid.num_points: (13 + 13) * chunks}
+            assert counts.calls == {"rfft": 13 * chunks, "irfft": (1 + 12) * chunks}
+            assert counts == {"rfft": 13 * pairs, "irfft": (2 + 12) * pairs}
+            assert counts.lengths == {small_grid.num_points: (13 + 14) * pairs}
 
 
 @pytest.mark.parametrize("run,message", [

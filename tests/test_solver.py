@@ -736,6 +736,22 @@ def _threaded_against_inline(st, monkeypatch):
         assert a.rate.tobytes() == b.rate.tobytes()
 
 
+def _check_kernel_against_reference(grid, kind):
+    """The kernel's rates at a smooth state ("data") or at a random state
+    near Nyquist ("near_nyquist") have the bits of ``reference_rhs_half``."""
+    if kind == "data":
+        st = SystemState(rho=modulated_bump(grid, 2.0), u=3.0 * build_bump(grid))
+        y = solver._spectra(st)
+    else:
+        rng = np.random.default_rng(19)
+        y = np.zeros((2, grid.num_points // 2 + 1), dtype=complex)
+        y[:, -64:] = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+        y[:, -1] = y[:, -1].real
+        y *= 1e-2
+    rate = solver._rhs_half(y, solver._Workspace(grid))
+    assert rate.tobytes() == reference_rhs_half(y, grid).tobytes()
+
+
 class TestPairedKernel:
     def test_threaded_and_inline_give_the_same_bits(self, medium_data, monkeypatch):
         # at 2^14 points only the kernel's halves reach the worker
@@ -783,33 +799,52 @@ class TestPairedKernel:
 
     def test_sixteen_transforms_at_n_per_evaluation(self, medium_data, monkeypatch,
                                                      count_ffts):
+        # up to BATCH_MAX_POINTS = 2^14 points each half makes two inverse
+        # and two forward calls on stacks of two rows
+        assert solver.BATCH_MAX_POINTS == medium_data.rho.grid.num_points == 2**14
         st = SystemState(rho=medium_data.rho, u=medium_data.u)
         y = solver._spectra(st)
         counts = count_ffts()
         for usable in ({0, 1}, {0}):
             see_cpus(monkeypatch, usable)
-            counts.update(rfft=0, irfft=0)
-            counts.lengths.clear()
+            counts.reset()
             solver._rhs_half(y, solver._Workspace(st.grid))
             assert counts == {"rfft": 8, "irfft": 8}
             assert counts.lengths == {st.grid.num_points: 16}
+            assert counts.calls == {"rfft": 4, "irfft": 4}
+
+    @pytest.mark.parametrize("points,limit", [(2**15, None), (2**12, 2**11)],
+                             ids=["above_limit", "limit_below_grid"])
+    def test_kernel_calls_once_per_row_above_the_limit(self, monkeypatch, count_ffts,
+                                                       points, limit):
+        # above BATCH_MAX_POINTS each of the 16 transforms is a call of its own
+        if limit is not None:
+            monkeypatch.setattr(solver, "BATCH_MAX_POINTS", limit)
+        grid = Grid(points, 64.0)
+        y = np.random.default_rng(29).standard_normal((2, points // 2 + 1)) + 0j
+        counts = count_ffts()
+        for usable in ({0, 1}, {0}):
+            see_cpus(monkeypatch, usable)
+            counts.reset()
+            solver._rhs_half(y, solver._Workspace(grid))
+            assert counts == counts.calls == {"rfft": 8, "irfft": 8}
+            assert counts.lengths == {points: 16}
 
     @pytest.mark.parametrize("kind", ["data", "near_nyquist"])
     def test_kernel_matches_the_straight_line_reference(self, small_grid, cpus, kind):
         # the same operations in the same order give the same bits, on
-        # either thread; a near-Nyquist state exercises the Nyquist bin on
-        # the shifted grid and the top of the products
-        if kind == "data":
-            st = SystemState(rho=modulated_bump(small_grid, 2.0), u=3.0 * build_bump(small_grid))
-            y = solver._spectra(st)
-        else:
-            rng = np.random.default_rng(19)
-            y = np.zeros((2, small_grid.num_points // 2 + 1), dtype=complex)
-            y[:, -64:] = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
-            y[:, -1] = y[:, -1].real
-            y *= 1e-2
-        rate = solver._rhs_half(y, solver._Workspace(small_grid))
-        assert rate.tobytes() == reference_rhs_half(y, small_grid).tobytes()
+        # either thread, with each stack of rows transformed in one call; a
+        # near-Nyquist state exercises the Nyquist bin on the shifted grid
+        # and the top of the products
+        assert small_grid.num_points <= solver.BATCH_MAX_POINTS
+        _check_kernel_against_reference(small_grid, kind)
+
+    @pytest.mark.parametrize("kind", ["data", "near_nyquist"])
+    def test_per_row_kernel_matches_the_straight_line_reference(self, small_grid, cpus, kind,
+                                                                monkeypatch):
+        # the same with one call per row, the path above BATCH_MAX_POINTS
+        monkeypatch.setattr(solver, "BATCH_MAX_POINTS", small_grid.num_points // 2)
+        _check_kernel_against_reference(small_grid, kind)
 
     def test_lift_and_fold_match_the_padded_transforms(self, small_grid):
         # the grid and its half-cell shift are the even and odd points of
