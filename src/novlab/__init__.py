@@ -5,12 +5,7 @@ oscillatory lacunary data family, an RK4 pseudospectral solver for the
 nonlocal form of the system, and verdict-bearing scaling studies.
 """
 
-from .spectral import (
-    Grid,
-    GridMismatchError,
-    RealField,
-    lp_norm,
-)
+from .spectral import Grid, GridMismatchError, RealField
 from .littlewood_paley import (
     BesovIndex,
     LPFilterBank,
@@ -21,8 +16,8 @@ from .littlewood_paley import (
 )
 from .initial_data import (
     IllposedDataParams,
-    InitialData,
     ResolutionError,
+    SystemState,
     build_bump,
     build_initial_data,
     modulated_bump,
@@ -31,10 +26,8 @@ from .solver import (
     BlowupError,
     SolverConfig,
     StepSizeError,
-    SystemState,
     Trajectory,
     integrate,
-    rhs,
     step_rk4,
 )
 from .experiments import (

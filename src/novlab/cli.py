@@ -35,10 +35,11 @@ from .initial_data import (
     LAMBDA_MIN,
     IllposedDataParams,
     build_initial_data,
+    tail_bound,
 )
 from .littlewood_paley import (BesovIndex, _check_weights, build_filter_bank, top_index,
                                weighted_block_norms)
-from .solver import MIN_STEP_FRACTION, SolverConfig, SystemState, integrate
+from .solver import MIN_STEP_FRACTION, SolverConfig, integrate
 from .spectral import Grid
 
 STUDIES = ("blockscale", "shorttime", "separation", "inequalities")
@@ -229,16 +230,15 @@ def _plan(cfg: RunConfig):
 
 
 def _generate_data(params: IllposedDataParams, out: str) -> int:
-    data = build_initial_data(params)
-    save_field(data.rho, f"{out}_rho.csv", time=0.0, tail_bound=data.tail_bound)
-    save_field(data.u, f"{out}_u.csv", time=0.0, tail_bound=data.tail_bound)
-    print(f"wrote {out}_rho.csv, {out}_u.csv (tail bound {data.tail_bound:.3e})")
+    data, tail = build_initial_data(params), tail_bound(params)
+    save_field(data.rho, f"{out}_rho.csv", time=0.0, tail_bound=tail)
+    save_field(data.u, f"{out}_u.csv", time=0.0, tail_bound=tail)
+    print(f"wrote {out}_rho.csv, {out}_u.csv (tail bound {tail:.3e})")
     return 0
 
 
 def _solve(params: IllposedDataParams, config: SolverConfig, out: str) -> int:
-    data = build_initial_data(params)
-    traj = integrate(SystemState(rho=data.rho, u=data.u), config)
+    traj = integrate(build_initial_data(params), config)
     final = traj.final
     save_field(final.rho, f"{out}_rho.csv", time=final.time)
     save_field(final.u, f"{out}_u.csv", time=final.time)

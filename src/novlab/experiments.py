@@ -16,13 +16,13 @@ from functools import partial
 
 import numpy as np
 
-from .initial_data import (BUMP_CUTOFF, IllposedDataParams, build_bump, build_initial_data,
-                           check_regime)
+from .initial_data import (BUMP_CUTOFF, IllposedDataParams, SystemState, build_bump,
+                           build_initial_data, check_regime)
 from .littlewood_paley import (CHI_PLATEAU_END, BesovIndex, LPFilterBank, _block_half,
                                _block_norms, _block_weights, _check_resolved, _check_weights,
                                _commutator_block_norms, _half_lp_norm, build_filter_bank,
                                top_index)
-from .solver import SolverConfig, SystemState, _pair, integrate
+from .solver import SolverConfig, _pair, integrate
 from .spectral import (Grid, RealField, _bin_energy, _check_p, _check_same_grid,
                        _derivative_symbol, _half_cell_shift, _irfft_into, _lp_rows,
                        _product_half, _rfft_into, _smoothing_symbol, half_spectrum)
@@ -128,8 +128,8 @@ def fit_powerlaw(points, kind: str = "dyadic") -> ScalingFit:
     data, slope is the t-exponent).
     """
     pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 3:
-        raise DegenerateDataError(f"need at least 3 points, got {len(pts)}")
+    if len({x for x, _ in pts}) < 3:
+        raise DegenerateDataError(f"need at least 3 distinct abscissae, got {pts}")
     if any(y <= 0 or not math.isfinite(y) for _, y in pts):
         raise DegenerateDataError("power-law fit requires positive finite values")
     xs = np.array([x for x, _ in pts])
@@ -295,10 +295,11 @@ def _sweep(state0: SystemState, cfg: SolverConfig, checkpoints, measure,
     no state; a measure reads ``record.time``), with y0 the half spectra
     of state0 and f0 the right-hand side there, both from the start record,
     which is not kept.  Returns the trajectory, (y0, f0), and the header
-    entries ``invariant_drift_rho`` and ``invariant_drift_u``: the largest
+    entries ``invariant_drift_rho`` and ``invariant_drift_u``, the largest
     relative drift of each of the ``_invariants`` over the landed records
     (an interpolated one carries the interpolant's error besides the
-    step's)."""
+    step's), and ``sup_growth_max``, the largest sup norm of the accepted
+    steps (``Trajectory.sup_norms``) over the sup norm of state0."""
     grid = state0.grid
     start = []
     drift = np.zeros(2)
@@ -315,8 +316,9 @@ def _sweep(state0: SystemState, cfg: SolverConfig, checkpoints, measure,
         measure(record, y0, f0)
 
     traj = integrate(state0, cfg, checkpoints, visit, interpolated)
-    drifts = {"invariant_drift_rho": float(drift[0]), "invariant_drift_u": float(drift[1])}
-    return traj, start[:2], drifts
+    return traj, start[:2], {
+        "invariant_drift_rho": float(drift[0]), "invariant_drift_u": float(drift[1]),
+        "sup_growth_max": max(max(r, u) for _, r, u in traj.sup_norms) / state0.sup_norm()}
 
 
 def _weighted_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
@@ -336,16 +338,16 @@ def _besov_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
 
 
 def _bands(params: IllposedDataParams, n_range, n_lowest: int) -> list:
-    """The band indices of a study, sorted: at least 3, the fewest a
-    power-law fit takes, each in [n_lowest, num_terms - 1].  ``None``
+    """The distinct band indices of a study, sorted: at least 3, the fewest
+    a power-law fit takes, each in [n_lowest, num_terms - 1].  ``None``
     selects DEFAULT_N_RANGE."""
     if n_range is None:
         n_range = range(DEFAULT_N_RANGE[0], DEFAULT_N_RANGE[1] + 1)
-    n_list = sorted(int(n) for n in n_range)
+    n_list = sorted({int(n) for n in n_range})
     if len(n_list) < 3 or n_list[0] < n_lowest or n_list[-1] >= params.num_terms:
         raise ValueError(
             f"n_range must hold at least 3 bands within [{n_lowest}, num_terms - 1] = "
-            f"[{n_lowest}, {params.num_terms - 1}], got {n_list}"
+            f"[{n_lowest}, {params.num_terms - 1}], got the distinct bands {n_list}"
         )
     return n_list
 
@@ -500,8 +502,7 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
         rows.append((t, *distances,
                      *_besov_rows(bank, diff, (s - 3, s - 2), p, check_resolved=False)))
 
-    traj, _, drifts = _sweep(SystemState(rho=data.rho, u=data.u), config, times[:1], expand,
-                             times[1:])
+    traj, _, drifts = _sweep(data, config, times[:1], expand, times[1:])
     fits = {
         "first_order_rho": fit_powerlaw([(r[0], r[1]) for r in rows], "loglog"),
         "first_order_u": fit_powerlaw([(r[0], r[2]) for r in rows], "loglog"),
@@ -647,9 +648,8 @@ def study_separation(params: IllposedDataParams, n_range=None,
             separation[n] = (float(w_rho[n + 1] + w_u[n + 1]), float(np.max(w_rho)),
                              float(np.max(w_u)))
 
-    sweep, (y0, f0), drifts = _sweep(SystemState(rho=data.rho, u=data.u), cfg,
-                                     set().union(*quarters.values()) - off_ladder, audit,
-                                     off_ladder)
+    sweep, (y0, f0), drifts = _sweep(data, cfg, set().union(*quarters.values()) - off_ladder,
+                                     audit, off_ladder)
     norm_rho, norm_u = _besov_rows(bank, y0, (s - 1, s), p)
     energy0 = norm_rho + norm_u
     # (v0, w0) = f0, the right-hand side at the data

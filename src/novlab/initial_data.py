@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood_paley import smooth_step
-from .spectral import (Grid, RealField, _check_p, _half_phase, _support_bins, field_from_half,
-                       irfft)
+from .spectral import (Grid, RealField, _check_p, _check_same_grid, _half_phase, _irfft_into,
+                       _support_bins, field_from_half)
 
 LAMBDA_MIN = 67.0 / 48.0
 LAMBDA_MAX = 69.0 / 48.0
@@ -96,9 +96,6 @@ class IllposedDataParams:
 
     The regularity must satisfy s > max(2 + 1/p, 5/2); the modulation
     lambda stays in [67/48, 69/48] so that band n sits in ring n's plateau.
-    ``enforce_range=False`` lifts that restriction for diagnostic runs
-    outside the main regime down to a finite s > 1, below which the rho
-    series and the bound on its dropped tail diverge.
     """
 
     s: float
@@ -106,17 +103,11 @@ class IllposedDataParams:
     lam: float = LAMBDA_DEFAULT
     num_terms: int = 12
     grid: Grid = None
-    enforce_range: bool = True
 
     def __post_init__(self):
         if self.grid is None:
             raise ValueError("grid is required")
-        if self.enforce_range:
-            check_regime(self.s, self.p)
-        else:
-            _check_p(self.p)
-            if not (self.s > 1 and math.isfinite(self.s)):
-                raise ValueError(f"s must be finite and > 1 (got {self.s})")
+        check_regime(self.s, self.p)
         if not LAMBDA_MIN <= self.lam <= LAMBDA_MAX:
             raise ValueError(
                 f"lambda must lie in [{LAMBDA_MIN:.6g}, {LAMBDA_MAX:.6g}], got {self.lam}"
@@ -135,29 +126,50 @@ class IllposedDataParams:
 
 
 @dataclass(frozen=True)
-class InitialData:
-    """The data pair plus the sup-norm bound on the dropped tail."""
+class SystemState:
+    """The pair (rho, u) at one time."""
 
     rho: RealField
     u: RealField
-    tail_bound: float
+    time: float = 0.0
+
+    def __post_init__(self):
+        _check_same_grid(self.rho, self.u)
+        if self.time < 0:
+            raise ValueError("time must be nonnegative")
+
+    @property
+    def grid(self) -> Grid:
+        return self.rho.grid
+
+    def sup_norm(self) -> float:
+        return max(self.rho.sup_norm(), self.u.sup_norm())
 
 
-def build_initial_data(params: IllposedDataParams) -> InitialData:
-    """Truncated lacunary sums for rho0 and u0: every band's coefficients,
-    weighted, in one stack of half spectra, which one transform takes to
-    the grid."""
+def build_initial_data(params: IllposedDataParams) -> SystemState:
+    """Truncated lacunary sums for rho0 and u0 at time 0: every band's
+    coefficients, weighted, in one stack of half spectra, which one
+    transform takes to the grid."""
     grid = params.grid
     s, lam, n_terms = params.s, params.lam, params.num_terms
     # every band is checked before any transform
     bands = [_band(grid, lam * 2.0**n) for n in range(n_terms)]
-    half = np.zeros((2, grid.num_points // 2 + 1))
+    # complex from the start, which numpy's transform would otherwise copy
+    # the stack to
+    half = np.zeros((2, grid.num_points // 2 + 1), dtype=complex)
     for n, (k, coefficients) in enumerate(bands):
         half[0, k] += 2.0 ** (-n * (s - 1)) * coefficients
         half[1, k] += 2.0 ** (-n * s) * coefficients
-    values = irfft(half * _half_phase(grid.num_points), n=grid.num_points, norm="forward")
+    half *= _half_phase(grid.num_points)
+    values = _irfft_into(half, n=grid.num_points, norm="forward")
     values.flags.writeable = False  # so the fields take their rows without a copy
-    bump_sup = build_bump(grid).sup_norm()
-    # dropped terms n >= N sum to at most this in sup norm (rho dominates u)
-    tail = bump_sup * 2.0 ** (-n_terms * (s - 1)) / (1.0 - 2.0 ** (-(s - 1)))
-    return InitialData(RealField(grid, values[0]), RealField(grid, values[1]), tail)
+    return SystemState(RealField(grid, values[0]), RealField(grid, values[1]))
+
+
+def tail_bound(params: IllposedDataParams) -> float:
+    """The sup-norm bound on the terms n >= num_terms that the data drop
+    (rho's tail, which dominates u's), from the bump synthesized on the
+    grid."""
+    s = params.s
+    bump_sup = build_bump(params.grid).sup_norm()
+    return bump_sup * 2.0 ** (-params.num_terms * (s - 1)) / (1.0 - 2.0 ** (-(s - 1)))

@@ -32,7 +32,6 @@ from .spectral import (
     _product_half,
     _support_bins,
     half_spectrum,
-    irfft,
 )
 
 CHI_PLATEAU_END = 1.0
@@ -103,12 +102,6 @@ class LPFilterBank:
     _squares: np.ndarray = field(repr=False)
     _starts: np.ndarray = field(repr=False)
     _picks: np.ndarray = field(repr=False)
-
-    def block_multiplier(self, j: int) -> np.ndarray:
-        """Block j's multiplier sampled on every nonnegative grid frequency:
-        chi for j = -1, phi(2^-j xi) for j >= 0, zero for j <= -2, and an
-        error past j_max, where the grid cannot represent the ring."""
-        return _block_half(self, np.ones(self.grid.half_frequencies.size), j)
 
     def resolved_band_end(self) -> float:
         """Guard frequency for Besov norms: content above (3/2) 2^j_max sits
@@ -187,10 +180,11 @@ def _sample_bank(grid: Grid) -> LPFilterBank:
 
 def _block_half(bank: LPFilterBank, half: np.ndarray, j: int, out=None) -> np.ndarray:
     """Half spectrum of block j (chi(D) f for j = -1, phi(2^-j D) f for
-    j >= 0, zero for j <= -2; see ``LPFilterBank.block_multiplier``) of the
-    field f with half spectrum ``half``, or of each field of a stack of half
-    spectra along the last axis, written to ``out`` when given and else to a
-    fresh array; only the bins of the block's range are multiplied."""
+    j >= 0, zero for j <= -2, and an error past j_max, where the grid
+    cannot represent the ring) of the field f with half spectrum ``half``,
+    or of each field of a stack of half spectra along the last axis,
+    written to ``out`` when given and else to a fresh array; only the bins
+    of the block's range are multiplied."""
     if j > bank.j_max:
         raise ValueError(f"block {j} exceeds resolved band j_max={bank.j_max}")
     if out is None:
@@ -230,10 +224,9 @@ def _half_lp_norm(grid: Grid, half: np.ndarray, p, values=None):
     if p == 2.0:
         return np.sqrt(grid.length * np.sum(_bin_energy(half, out=values), axis=-1))
     n = grid.num_points
-    if values is None:
-        return _lp_rows(irfft(half, n=n, norm="forward"), grid.spacing, p)
-    grid_values = _irfft_into(half, n=n, norm="forward", out=values[..., :n])
-    return _lp_rows(grid_values, grid.spacing, p, overwrite=True)
+    grid_values = _irfft_into(half, n=n, norm="forward",
+                              out=None if values is None else values[..., :n])
+    return _lp_rows(grid_values, grid.spacing, p)
 
 
 def _block_energies(bank: LPFilterBank, energy: np.ndarray, out=None) -> np.ndarray:
@@ -301,11 +294,11 @@ def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex) -> n
 
         ||block_j f||_L2^2 = L sum_k m_j(xi_k)^2 e_k,
 
-    which in exact arithmetic is exactly ``lp_norm``'s grid quadrature of
-    the block.  For p != 2 each block is transformed back to the grid and
-    measured by ``lp_norm``, one inverse transform per block.  A field with
-    more than UNRESOLVED_ENERGY_TOL of its energy above the bank's resolved
-    band raises UnresolvedSpectrumError.
+    which in exact arithmetic is exactly the grid quadrature of the block's
+    L^2 norm.  For p != 2 each block is transformed back to the grid and
+    measured by its grid quadrature, one inverse transform per block.  A
+    field with more than UNRESOLVED_ENERGY_TOL of its energy above the
+    bank's resolved band raises UnresolvedSpectrumError.
     """
     _check_same_grid(bank, f)
     weights = _block_weights(bank, idx.s)  # rejects an overflowing s before any transform

@@ -74,18 +74,17 @@ from functools import partial
 
 import numpy as np
 
+from .initial_data import SystemState
 from .littlewood_paley import _block_energies, build_filter_bank
 from .spectral import (
     Grid,
     RealField,
     _bin_energy,
-    _check_same_grid,
     _derivative_symbol,
     _half_cell_shift,
     _irfft_into,
     _rfft_into,
     _smoothing_symbol,
-    field_from_half,
     rfft,
 )
 
@@ -114,27 +113,6 @@ class BlowupError(RuntimeError):
 
 class StepSizeError(RuntimeError):
     """The error controller shrank the step below its floor."""
-
-
-@dataclass(frozen=True)
-class SystemState:
-    """The pair (rho, u) at one time."""
-
-    rho: RealField
-    u: RealField
-    time: float = 0.0
-
-    def __post_init__(self):
-        _check_same_grid(self.rho, self.u)
-        if self.time < 0:
-            raise ValueError("time must be nonnegative")
-
-    @property
-    def grid(self) -> Grid:
-        return self.rho.grid
-
-    def sup_norm(self) -> float:
-        return max(self.rho.sup_norm(), self.u.sup_norm())
 
 
 @dataclass(frozen=True)
@@ -408,13 +386,6 @@ def _spectra(state: SystemState) -> np.ndarray:
     return rfft(np.stack([state.rho.values, state.u.values]), norm="forward")
 
 
-def rhs(state: SystemState):
-    """Time derivative (rho_t, u_t) of the nonlocal system at this state."""
-    grid = state.grid
-    rate = _rhs_half(_spectra(state), _Workspace(grid))
-    return field_from_half(grid, rate[0]), field_from_half(grid, rate[1])
-
-
 @dataclass(frozen=True)
 class RK4Step:
     """One RK4 step and what the next step reuses from it.
@@ -643,10 +614,9 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     sweep reaches it, so a long sweep holds one record at a time.  A record
     is the ``RK4Step`` that ended there, cut to what the next step reuses:
     the state, its carried half spectra and the right-hand side at them
-    (the FSAL rate); the first is the step of size zero at ``state0``, whose
-    rate has the bits of ``rhs(state0)``.  So a caller measures the states
-    from their spectra, and takes the rate at the data, without a transform
-    or an evaluation of its own.
+    (the FSAL rate); the first is the step of size zero at ``state0``.  So a
+    caller measures the states from their spectra, and takes the rate at the
+    data, without a transform or an evaluation of its own.
 
     ``interpolated`` are times the sweep does not land on, in (t0, t_final],
     up to the last checkpoint, and none of them a checkpoint (ValueError

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-# The transforms into lent buffers run numpy.fft, which can write into a
-# given array (out=); the field transforms run scipy.fft.
-# Both are pocketfft and give the same bits.  Every transform is normalized
-# "forward", the half-spectrum convention, so no scaling pass follows it.
+# Every transform outside this module and ``solver`` runs numpy.fft, which
+# can write into a given array (out=).  The field transforms here and the
+# solver's rfft of a state run scipy.fft, where the benchmark's tracer
+# wraps them.  Both are pocketfft and give the same bits.  Every transform
+# is normalized "forward", the half-spectrum convention, so no scaling
+# pass follows it.
 from numpy.fft import irfft as _irfft_into, rfft as _rfft_into
 from scipy.fft import irfft, rfft
 
@@ -217,21 +219,15 @@ def _check_p(p) -> float:
     return p
 
 
-def lp_norm(f: RealField, p) -> float:
-    """Grid quadrature of the L^p norm; p = inf gives the max norm."""
-    return float(_lp_rows(f.values, f.grid.spacing, _check_p(p)))
-
-
-def _lp_rows(values: np.ndarray, spacing: float, p: float,
-             overwrite: bool = False) -> np.ndarray:
-    """``lp_norm`` of each row of ``values``: the grid quadrature along the
-    last axis, for a checked p; with ``overwrite`` the powers |values|^p of
-    p != 2 are taken in ``values`` itself."""
+def _lp_rows(values: np.ndarray, spacing: float, p: float) -> np.ndarray:
+    """The grid quadrature of the L^p norm of each row of ``values``, along
+    the last axis, for a checked p; p = inf gives the max norm.  For a
+    finite p != 2 the powers |values|^p are taken in ``values`` itself."""
     if math.isinf(p):  # max |values|, without an array of absolute values
         return np.maximum(np.max(values, axis=-1), -np.min(values, axis=-1))
     if p == 2.0:
         return np.sqrt(spacing * np.sum(np.square(values), axis=-1))
-    powers = np.abs(values, out=values if overwrite else None)
+    powers = np.abs(values, out=values)
     powers **= p  # the bits of np.abs(values) ** p
     sums = spacing * np.sum(powers, axis=-1)
     # the root is taken one row at a time: numpy's vectorized power can

@@ -1,7 +1,9 @@
-"""Plain test helpers: the data modulation, grid modes, seeded random fields,
-the zero-padded field operators that serve as oracles, a term-by-term RHS,
-a straight-line RHS kernel, fixed-step RK4 states, the inequality corpus's
-draws and ratios, and the CPUs and worker threads that ``solver._pair`` sees.
+"""Plain test helpers: the data modulation and data outside the paper's
+regime, grid modes, seeded random fields, the grid L^p norm, the block
+multipliers, the kernel's RHS as fields, the zero-padded field operators
+that serve as oracles, a term-by-term RHS, a straight-line RHS kernel,
+fixed-step RK4 states, the inequality corpus's draws and ratios, and the
+CPUs and worker threads that ``solver._pair`` sees.
 
 They live apart from conftest.py so that a test module can import them by a
 name no other collected directory shares.
@@ -11,15 +13,46 @@ import math
 import os
 import threading
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
 
-from novlab import RealField
+from novlab import RealField, build_initial_data
 from novlab.experiments import _chunk_ratios, _draw_fields, _pair_stacks
-from novlab.spectral import field_from_half, half_spectrum
+from novlab.littlewood_paley import _block_half
+from novlab.solver import _rhs_half, _spectra, _Workspace
+from novlab.spectral import _check_p, _lp_rows, field_from_half, half_spectrum
 
 LAMBDA = 68.0 / 48.0
+
+
+def out_of_regime_data(s, lam, num_terms, grid):
+    """The lacunary data at an (s, p) outside the paper's regime, which
+    ``IllposedDataParams`` refuses: ``build_initial_data`` reads only s,
+    lam, num_terms and grid, here from a plain namespace."""
+    return build_initial_data(types.SimpleNamespace(s=s, lam=lam, num_terms=num_terms,
+                                                    grid=grid))
+
+
+def lp_norm(f, p):
+    """Grid quadrature of the L^p norm of f; p = inf gives the max norm."""
+    return float(_lp_rows(np.array(f.values), f.grid.spacing, _check_p(p)))
+
+
+def block_multiplier(bank, j):
+    """Block j's multiplier sampled on every nonnegative grid frequency, as
+    ``_block_half`` applies it: chi for j = -1, phi(2^-j xi) for j >= 0,
+    zero for j <= -2, and an error past j_max."""
+    return _block_half(bank, np.ones(bank.grid.half_frequencies.size), j)
+
+
+def rhs(state):
+    """Time derivative (rho_t, u_t) of the nonlocal system at ``state``, as
+    fields: the kernel (``solver._rhs_half``) at the state's half spectra."""
+    grid = state.grid
+    rate = _rhs_half(_spectra(state), _Workspace(grid))
+    return field_from_half(grid, rate[0]), field_from_half(grid, rate[1])
 
 
 def mode(grid, freq_index, kind="cos", amplitude=1.0):
@@ -106,7 +139,7 @@ def helmholtz_inverse(f):
 
 def dyadic_block(bank, f, j):
     """Block j of f: the bank's multiplier of block j on every frequency."""
-    return apply_multiplier(f, bank.block_multiplier(j))
+    return apply_multiplier(f, block_multiplier(bank, j))
 
 
 def padded_values(full):

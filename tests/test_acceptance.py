@@ -18,8 +18,6 @@ from novlab import (
     besov_norm,
     build_bump,
     build_filter_bank,
-    build_initial_data,
-    lp_norm,
     modulated_bump,
     study_block_scaling,
     study_inequalities,
@@ -30,7 +28,7 @@ from novlab import solver
 from novlab.experiments import write_report_csv
 from novlab.spectral import derivative, field_from_half, half_spectrum
 
-from helpers import dyadic_block, fixed_step_states
+from helpers import dyadic_block, fixed_step_states, lp_norm, out_of_regime_data
 
 GRID_POINTS = 2**17
 LENGTH = 128.0
@@ -104,9 +102,8 @@ def test_criterion_2_uniform_data_bounds(grid, bank):
     for s, p in ((3.0, 2.0), (3.0, math.inf), (2.6, 1.0)):
         norms_rho, norms_u = [], []
         for n_terms in range(8, 13):
-            pr = IllposedDataParams(s=s, p=p, lam=LAM, num_terms=n_terms, grid=grid,
-                                    enforce_range=False)
-            data = build_initial_data(pr)
+            # (2.6, 1) lies outside the regime s > 2 + 1/p, which the package refuses
+            data = out_of_regime_data(s, LAM, n_terms, grid)
             norms_rho.append(besov_norm(bank, data.rho, BesovIndex(s - 1, p)))
             norms_u.append(besov_norm(bank, data.u, BesovIndex(s, p)))
         for vals in (norms_rho, norms_u):

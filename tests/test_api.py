@@ -10,16 +10,15 @@ import novlab
 # IllposedDataParams, build_initial_data and load_field from here
 PUBLIC_NAMES = {
     # spectral
-    "Grid", "GridMismatchError", "RealField", "lp_norm",
+    "Grid", "GridMismatchError", "RealField",
     # littlewood_paley
     "BesovIndex", "LPFilterBank", "UnresolvedSpectrumError", "besov_norm",
     "build_filter_bank", "weighted_block_norms",
     # initial_data
-    "IllposedDataParams", "InitialData", "ResolutionError", "build_bump",
+    "IllposedDataParams", "ResolutionError", "SystemState", "build_bump",
     "build_initial_data", "modulated_bump",
     # solver
-    "BlowupError", "SolverConfig", "StepSizeError", "SystemState", "Trajectory",
-    "integrate", "rhs", "step_rk4",
+    "BlowupError", "SolverConfig", "StepSizeError", "Trajectory", "integrate", "step_rk4",
     # experiments
     "DegenerateDataError", "ScalingFit", "StudyReport", "fit_powerlaw",
     "study_block_scaling", "study_inequalities", "study_separation",
@@ -41,15 +40,16 @@ MODULE_FUNCTIONS = {
     "fieldio": {"load_field", "save_field"},
     "initial_data": {
         "build_bump", "build_initial_data", "bump_profile", "check_regime", "modulated_bump",
+        "tail_bound",
     },
     "littlewood_paley": {
         "besov_norm", "build_filter_bank", "low_pass_profile", "ring_profile", "smooth_step",
         "top_index", "weighted_block_norms",
     },
-    "solver": {"integrate", "rhs", "step_rk4"},
+    "solver": {"integrate", "step_rk4"},
     # derivative has no caller in the package: benchmarks/tests/test_tracing.py
     # traces one call of it
-    "spectral": {"derivative", "field_from_half", "half_spectrum", "lp_norm"},
+    "spectral": {"derivative", "field_from_half", "half_spectrum"},
 }
 
 
@@ -58,7 +58,7 @@ def test_exported_names_are_exactly_the_public_api():
         name for name, value in vars(novlab).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 32
     assert exported == PUBLIC_NAMES
 
 
@@ -111,3 +111,58 @@ def test_modules_import_only_earlier_layers():
                 imported.update(n.split(".", 1)[1] for n in names
                                 if n and n.startswith("novlab."))
         assert imported <= set(LAYERS[:rank]), name
+
+
+# the scipy.fft transforms each module binds, by the name it binds them
+# under: benchmarks/tests/test_tracing.py asserts on solver's rfft and traces
+# spectral.derivative through spectral's two; every other transform runs
+# numpy.fft
+SCIPY_FFT_BINDINGS = {"spectral": {"irfft", "rfft"}, "solver": {"rfft"}}
+
+
+def test_only_spectral_and_solver_bind_scipy_transforms():
+    bound = {}
+    for name in LAYERS:
+        module = importlib.import_module(f"novlab.{name}")
+        names = {key for key, value in vars(module).items()
+                 if callable(value) and not isinstance(value, type)
+                 and (getattr(value, "__module__", None) or "").startswith("scipy.fft")}
+        if names:
+            bound[name] = names
+    assert bound == SCIPY_FFT_BINDINGS
+
+
+# The size of src/novlab, by one rule: the total counts every line of every
+# module; the code lines are the non-blank lines that are neither comments
+# (a line whose first non-blank character is #) nor docstrings (the lines
+# of the first statement of a module, class or function body when it is a
+# string, found with ast).  A change that adds code raises these numbers in
+# its own diff and says why.
+SOURCE_LINES_MAX = 2819
+CODE_LINES_MAX = 1587
+
+
+def _source_size(package: Path) -> tuple:
+    total = code = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and node.body and isinstance(node.body[0], ast.Expr)
+                    and isinstance(node.body[0].value, ast.Constant)
+                    and isinstance(node.body[0].value.value, str)):
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        total += len(lines)
+        code += sum(1 for number, line in enumerate(lines, start=1)
+                    if line.strip() and not line.lstrip().startswith("#")
+                    and number not in docstrings)
+    return total, code
+
+
+def test_source_size_is_at_most_its_record():
+    total, code = _source_size(Path(novlab.__file__).parent)
+    assert total <= SOURCE_LINES_MAX
+    assert code <= CODE_LINES_MAX

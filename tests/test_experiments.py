@@ -22,7 +22,6 @@ from novlab import (
     build_initial_data,
     fit_powerlaw,
     integrate,
-    lp_norm,
     study_block_scaling,
     study_inequalities,
     study_separation,
@@ -43,7 +42,7 @@ from novlab.littlewood_paley import RING_SUPPORT, _block_norms, _block_weights
 from novlab.spectral import field_from_half
 
 from helpers import (derivative, dyadic_block, fft_threads, fixed_step_states,
-                     helmholtz_inverse, mode, pair_ratios, product, random_band_limited_field,
+                     helmholtz_inverse, lp_norm, mode, pair_ratios, product, random_band_limited_field,
                      random_band_limited_values, random_field, see_cpus, traced_peak)
 
 
@@ -67,6 +66,13 @@ class TestFitPowerlaw:
     def test_rejects_too_few_points(self):
         with pytest.raises(DegenerateDataError):
             fit_powerlaw([(1, 1.0), (2, 0.5)])
+
+    @pytest.mark.parametrize("xs", [(5, 5, 5), (5, 6, 6)])
+    def test_rejects_fewer_than_three_distinct_abscissae(self, xs):
+        # a line through repeated abscissae is no fit: at one x numpy warns
+        # and the r^2 of the constant ordinates reads 1
+        with pytest.raises(DegenerateDataError, match="distinct"):
+            fit_powerlaw([(x, 2.0 ** -x) for x in xs])
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(DegenerateDataError):
@@ -189,7 +195,7 @@ class TestShortTimeStudy:
         # ladder from the interpolant, so its work is that of integrate run
         # to the top time alone
         params = shorttime_report.params
-        alone = integrate(SystemState(rho=medium_data.rho, u=medium_data.u),
+        alone = integrate(medium_data,
                           SolverConfig(t_final=SHORT_TIMES[0]))
         assert params["rk4_steps"] == len(alone.errors)
         assert params["rk4_rejected"] == alone.rejected
@@ -503,7 +509,7 @@ def test_one_workspace_and_one_rate_at_the_data_per_integration(
         study, medium_params, medium_data, monkeypatch):
     # the rate at the data is the first step's k1, so each integration
     # evaluates the kernel once before its steps and four times per step
-    y_data = solver._spectra(SystemState(rho=medium_data.rho, u=medium_data.u))
+    y_data = solver._spectra(medium_data)
     at_data, workspaces = [], []
     kernel, workspace = solver._rhs_half, solver._Workspace
 
@@ -538,8 +544,8 @@ def test_solver_studies_transform_only_to_integrate(study, medium_params, count_
     # four per step) and 2 per step (its increment, one row per call); the
     # studies measure every record from its spectra, so what they transform
     # beyond their sweeps does not grow with the number of checkpoints: the
-    # data's synthesis (one inverse transform of its two rows, and one of the
-    # bump for its tail bound) and the control's
+    # data's synthesis (one inverse transform of its two rows) and the
+    # control's
     counts = count_ffts()
     extra, extra_calls = [], []
     for k in (3, 4):
@@ -552,8 +558,31 @@ def test_solver_studies_transform_only_to_integrate(study, medium_params, count_
         extra.append(sum(counts.values()) - sweeps * (2 + 16) - (4 * 16 + 2) * attempts)
         extra_calls.append(sum(counts.calls.values()) - sweeps * (1 + 8)
                            - (4 * 8 + 2) * attempts)
-    assert extra[0] == extra[1] == 3 + (sweeps - 1)
-    assert extra_calls[0] == extra_calls[1] == 2 + (sweeps - 1)
+    assert extra[0] == extra[1] == 2 + (sweeps - 1)
+    assert extra_calls[0] == extra_calls[1] == 1 + (sweeps - 1)
+
+
+@pytest.mark.parametrize("study", ["shorttime", "separation"])
+def test_sweeps_report_their_largest_sup_growth(study, medium_params, monkeypatch):
+    # the largest sup norm over each sweep's accepted steps over its initial
+    # one, recomputed from the trajectory that integrate returned to it
+    growth = []
+
+    def recorded(state0, *args):
+        traj = integrate(state0, *args)
+        sups = np.array(traj.sup_norms)[:, 1:]
+        growth.append(float(sups.max()) / max(state0.rho.sup_norm(), state0.u.sup_norm()))
+        return traj
+
+    monkeypatch.setattr(experiments, "integrate", recorded)
+    if study == "shorttime":
+        report, keys = study_short_time(medium_params, SHORT_TIMES), ["sup_growth_max"]
+    else:
+        report = study_separation(medium_params, range(5, 9))
+        keys = ["sup_growth_max", "control_sup_growth_max"]
+    assert [report.params[key] for key in keys] == growth
+    for key in keys:
+        assert 0 < report.params[key] < solver.BLOWUP_FACTOR
 
 
 def test_invariant_drift_measures_the_time_error(medium_params, monkeypatch):
@@ -647,7 +676,7 @@ def _per_horizon_separation_rows(params, n_range, delta):
         t_n = delta * 2.0**-n
         dt = min(1e-4, t_n / 64)
         quarter = [t_n * k / 4 for k in (1, 2, 3, 4)]
-        states = fixed_step_states(SystemState(rho=data.rho, u=data.u), dt, quarter)
+        states = fixed_step_states(data, dt, quarter)
         energy_ratio = max(
             (besov_norm(bank, st.rho, idx_rho) + besov_norm(bank, st.u, idx_u)) / energy0
             for st in states
@@ -868,8 +897,14 @@ class TestInequalitiesStudy:
     (lambda prm: study_separation(prm, range(5, 9), dt_cap=1e-14), "dt"),
     (lambda prm: study_inequalities(100, 0, s=400.0), "s = 400"),
     (lambda prm: study_inequalities(100, -1), "seed"),
+    # repeated bands count once: two or one distinct band is too few
+    (lambda prm: study_block_scaling(prm, [5, 6, 6]), "at least 3 bands"),
+    (lambda prm: study_block_scaling(prm, [5, 5, 5]), "at least 3 bands"),
+    (lambda prm: study_separation(prm, [5, 6, 6]), "at least 3 bands"),
+    (lambda prm: study_separation(prm, [5, 5, 5]), "at least 3 bands"),
 ], ids=["blockscale-s", "shorttime-s", "shorttime-dt", "separation-s", "separation-dt",
-        "inequalities-s", "inequalities-seed"])
+        "inequalities-s", "inequalities-seed", "blockscale-566", "blockscale-555",
+        "separation-566", "separation-555"])
 def test_studies_reject_bad_input_before_any_transform(run, message, medium_params,
                                                        count_ffts):
     counts = count_ffts()

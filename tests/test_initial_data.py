@@ -11,18 +11,18 @@ from novlab import (
     IllposedDataParams,
     RealField,
     ResolutionError,
+    SystemState,
     besov_norm,
     build_bump,
     build_initial_data,
     load_field,
-    lp_norm,
     modulated_bump,
     save_field,
 )
-from novlab.initial_data import BUMP_CUTOFF, bump_profile
+from novlab.initial_data import BUMP_CUTOFF, bump_profile, tail_bound
 from novlab.spectral import _half_phase, field_from_half, half_spectrum
 
-from helpers import LAMBDA, coefficients, dyadic_block
+from helpers import LAMBDA, coefficients, dyadic_block, lp_norm
 
 
 class TestBumpProfile:
@@ -140,20 +140,6 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="2 \\+ 1/p"):
             IllposedDataParams(s=2.6, p=1.0, grid=medium_grid, num_terms=8)
 
-    def test_range_enforcement_can_be_lifted(self, medium_grid):
-        p = IllposedDataParams(
-            s=2.6, p=1.0, grid=medium_grid, num_terms=8, enforce_range=False
-        )
-        assert p.s == 2.6
-
-    @pytest.mark.parametrize("s", [1.0, 0.5, math.inf])
-    def test_lifted_range_still_needs_convergent_tail(self, small_grid, s):
-        # at s <= 1 the dropped rho tail sum_n 2^(-n(s-1)) diverges, so no
-        # tail bound exists; an infinite s leaves no finite data
-        with pytest.raises(ValueError, match="finite and > 1"):
-            IllposedDataParams(s=s, p=2.0, grid=small_grid, num_terms=6,
-                               enforce_range=False)
-
     def test_rejects_lambda_outside_window(self, medium_grid):
         with pytest.raises(ValueError, match="lambda"):
             IllposedDataParams(s=3.0, p=2.0, lam=1.5, grid=medium_grid, num_terms=8)
@@ -213,11 +199,15 @@ class TestBuildInitialData:
             assert abs(r1 - r0) < 10 * tail0
             assert abs(u1 - u0) < 10 * tail0
 
-    def test_tail_bound_reported(self, medium_params, medium_data):
+    def test_data_are_a_state_at_time_zero(self, medium_data, medium_grid):
+        assert isinstance(medium_data, SystemState)
+        assert medium_data.time == 0.0 and medium_data.grid == medium_grid
+
+    def test_tail_bound_reported(self, medium_params):
         s, n = medium_params.s, medium_params.num_terms
         bump_sup = build_bump(medium_params.grid).sup_norm()
         expected = bump_sup * 2.0 ** (-n * (s - 1)) / (1 - 2.0 ** (-(s - 1)))
-        assert medium_data.tail_bound == pytest.approx(expected, rel=1e-12)
+        assert tail_bound(medium_params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFieldIO:

@@ -20,9 +20,7 @@ from novlab import (
     build_initial_data,
     fit_powerlaw,
     integrate,
-    lp_norm,
     modulated_bump,
-    rhs,
     step_rk4,
 )
 
@@ -33,8 +31,8 @@ from novlab.solver import StepSizeError, _StepNorm
 from novlab.spectral import _bin_energy, field_from_half
 
 from helpers import (LAMBDA, composed_rhs, derivative, extend_half, fft_threads,
-                     fixed_step_states, mode, padded_values, product, reference_rhs_half,
-                     see_cpus, traced_peak, truncated_spectrum)
+                     fixed_step_states, lp_norm, mode, padded_values, product,
+                     reference_rhs_half, rhs, see_cpus, traced_peak, truncated_spectrum)
 
 
 def _zero(grid):
@@ -184,7 +182,7 @@ class TestRhs:
         assert np.abs(v0.values - expected).max() < 1e-10 * xi0
 
     def test_even_data_gives_odd_rates(self, medium_data):
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         r_t, u_t = rhs(st)
         n = st.grid.num_points
         reflect = (-np.arange(n)) % n
@@ -204,7 +202,7 @@ class TestStepRK4:
     def test_forward_backward_reversal_is_fifth_order_small(self, medium_data):
         # the dt^5 leading errors of the +dt and -dt steps cancel at leading
         # order, so the reversal residual decays at least like dt^5
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         resid = []
         dts = [2e-2, 1e-2, 5e-3]
         for dt in dts:
@@ -222,7 +220,7 @@ class TestStepRK4:
     def test_tiny_step_moves_state_only_by_its_increment(self, medium_data):
         # the state must never take a transform round trip, whose ~1e-17
         # roundoff would swamp an increment of order dt * rhs
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         dt = 1e-30
         r_t, u_t = rhs(st)
         out = step_rk4(st, dt).state
@@ -234,13 +232,13 @@ class TestStepRK4:
         # k5 comes from the carried spectra, so a tiny step's estimate
         # h/6 (k4 - k5) carries no transform roundoff of the state; taken
         # from rfft(values) instead it would sit ~1e-9 below the increment
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         norm = _StepNorm(st.grid, 3.0)
         step = step_rk4(st, 1e-6)
         assert norm(step.error) < 1e-12 * norm(step.increment)
 
     def test_first_order_consistency_with_rhs(self, medium_data):
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         r_t, u_t = rhs(st)
         pts = []
         for dt in (2e-3, 1e-3, 5e-4, 2.5e-4):
@@ -256,13 +254,13 @@ class TestStepRK4:
 
 class TestIntegrate:
     def test_zero_horizon_returns_initial_state(self, medium_data):
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         traj = integrate(st, SolverConfig(dt=1e-3, t_final=0.0))
         assert traj.final is st
         assert traj.sup_norms == ()
 
     def test_checkpoints_hit_exactly(self, medium_data):
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         times = [1e-3, 2.5e-3, 4e-3]
         seen = []
         traj = integrate(st, SolverConfig(dt=3e-4, t_final=4e-3), checkpoints=times,
@@ -342,7 +340,7 @@ class TestIntegrate:
             SolverConfig(dt=dt, t_final=t_final, **extra)
 
     def test_start_record_rate_is_the_rhs_at_the_data(self, medium_data):
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         records = []
         integrate(st, SolverConfig(t_final=1e-4), visit=records.append)
         start = records[0]
@@ -357,7 +355,7 @@ class TestIntegrate:
         # at each checkpoint: the accepted step's state, its carried spectra
         # and the kernel's rate at them; the sup norms the trajectory
         # records are the step's own, those of the state
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         times = [1e-3, 2e-3]
         records = []
         traj = integrate(st, SolverConfig(t_final=2e-3), checkpoints=times,
@@ -378,7 +376,7 @@ class TestInterpolatedRecords:
 
     @pytest.fixture(scope="class")
     def first_step(self, medium_data):
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         return solver._rest(st), step_rk4(st, 1e-4)
 
     def test_ends_of_the_step_bit_for_bit(self, first_step):
@@ -415,7 +413,7 @@ class TestInterpolatedRecords:
         # the same checkpoints with and without interpolated times: the same
         # steps, bits, kernel calls and transforms; the interpolated records
         # come in time order among the landed ones
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         cfg = SolverConfig(t_final=0.1 * 2.0**-5)
         ladder = [0.1 * 2.0**-n for n in (7, 6, 5)]
         between = [0.1 * 2.0**-n * 3 / 4 for n in (6, 5)]
@@ -445,7 +443,7 @@ class TestInterpolatedRecords:
         # the separation audit at 3 t_n/4, n = 5..8: the B^(s-1) x B^s norms
         # of the interpolant against those of a sweep that lands there.
         # Measured 1.4e-13 relative, held to 3e-13
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         cfg = SolverConfig(t_final=0.1 * 2.0**-5)
         ladder = [0.1 * 2.0**-n for n in range(5, 11)]
         between = [0.1 * 2.0**-n * 3 / 4 for n in range(5, 9)]
@@ -467,7 +465,7 @@ class TestInterpolatedRecords:
         # built while the step's error is still held, or kept through the
         # next step, would peak one half-spectrum pair higher (measured 0.95
         # pair with the record built beside the step, 0.00 once it is let go)
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         cfg = SolverConfig(t_final=5e-3, dt=1.25e-3)
         midpoints = [1.25e-3 * (k + 0.5) for k in range(4)]
         peaks = []
@@ -490,12 +488,12 @@ class TestInterpolatedRecords:
     ], ids=["t0", "before", "past-t_final", "checkpoint", "one-a-checkpoint",
             "past-the-last-checkpoint"])
     def test_times_outside_the_sweep_or_on_a_checkpoint_are_refused(self, medium_data, times):
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         with pytest.raises(ValueError, match="interpolated times"):
             integrate(st, SolverConfig(t_final=2e-3), [1e-3], interpolated=times)
 
     def test_no_checkpoint_takes_no_interpolated_time(self, medium_data):
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         with pytest.raises(ValueError, match="interpolated times"):
             integrate(st, SolverConfig(t_final=0.0), interpolated=[1e-4])
 
@@ -538,7 +536,7 @@ class TestErrorControl:
             return kernel(*args)
 
         monkeypatch.setattr(solver, "_rhs_half", counting)
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         with pytest.raises(StepSizeError):
             integrate(st, SolverConfig(t_final=1e-2))
         attempts = 1 + math.ceil(math.log(1 / solver.MIN_STEP_FRACTION, 5))
@@ -558,7 +556,7 @@ class TestErrorControl:
         # the norm the step is controlled in, times its power of two, is the
         # B^(s-1)_{2,inf} x B^s_{2,inf} norm a study reads from the same
         # spectra (exactly equal on these data)
-        y = solver._spectra(SystemState(rho=medium_data.rho, u=medium_data.u))
+        y = solver._spectra(medium_data)
         norm = _StepNorm(medium_bank.grid, s)
         studies = sum(_besov_rows(medium_bank, y, (s - 1, s), 2))
         assert 2.0**norm.scale * norm(y) == pytest.approx(studies, rel=1e-15, abs=0.0)
@@ -574,7 +572,7 @@ class TestErrorControl:
     def test_controller_terminates_at_large_s(self, medium_data):
         # 2^(2 s j_max) overflows a double here, so unscaled squared weights
         # would make every norm inf and the first step guess nan
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         t_final = 0.1 * 2.0**-5
         traj = integrate(st, SolverConfig(t_final=t_final, s=80.0))
         assert traj.final.time == t_final
@@ -585,7 +583,7 @@ class TestErrorControl:
         # solutions to solutions; for a power of two A every product, step
         # size and norm the controller reads scales exactly, so its
         # decisions and the states agree to the bit (16 steps, 0 rejected)
-        ref = integrate(SystemState(rho=medium_data.rho, u=medium_data.u),
+        ref = integrate(medium_data,
                         SolverConfig(t_final=0.1))
         assert len(ref.errors) > 1
         for a in (2.0, 4.0, 0.5):
@@ -597,7 +595,7 @@ class TestErrorControl:
             assert traj.rejected == ref.rejected
 
     def test_dt_caps_every_step(self, medium_data):
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         traj = integrate(st, SolverConfig(t_final=1e-3, dt=1e-4), checkpoints=[3e-4, 1e-3])
         assert len(traj.errors) >= 10
         # the step divides each interval evenly, so it may pass the cap by
@@ -638,7 +636,7 @@ class TestWorkspace:
         # free rows of the workspace; per term they took 1.5 half spectra.
         # On 2^14 points a row passes numpy's ufunc buffer of 8192 elements,
         # so the broadcast products are not buffered either
-        first = step_rk4(SystemState(rho=medium_data.rho, u=medium_data.u), 1e-4)
+        first = step_rk4(medium_data, 1e-4)
         work, y = first._workspace, first.spectra
         norm = _StepNorm(first.state.grid, 3.0)
         second = step_rk4(first.state, 1e-4, start=first, norm=norm)  # warm
@@ -755,7 +753,7 @@ def _check_kernel_against_reference(grid, kind):
 class TestPairedKernel:
     def test_threaded_and_inline_give_the_same_bits(self, medium_data, monkeypatch):
         # at 2^14 points only the kernel's halves reach the worker
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         assert 2 * st.grid.num_points < solver.PAIR_MIN_SIZE
         _threaded_against_inline(st, monkeypatch)
 
@@ -766,7 +764,7 @@ class TestPairedKernel:
         # interval interleaves the two rows' Python statements finely
         params = replace(medium_params, grid=Grid(2**15, medium_params.grid.length))
         data = build_initial_data(params)
-        st = SystemState(rho=data.rho, u=data.u)
+        st = data
         assert 2 * st.grid.num_points >= solver.PAIR_MIN_SIZE
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -802,7 +800,7 @@ class TestPairedKernel:
         # up to BATCH_MAX_POINTS = 2^14 points each half makes two inverse
         # and two forward calls on stacks of two rows
         assert solver.BATCH_MAX_POINTS == medium_data.rho.grid.num_points == 2**14
-        st = SystemState(rho=medium_data.rho, u=medium_data.u)
+        st = medium_data
         y = solver._spectra(st)
         counts = count_ffts()
         for usable in ({0, 1}, {0}):

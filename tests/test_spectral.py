@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from novlab import Grid, GridMismatchError, RealField, lp_norm
+from novlab import Grid, GridMismatchError, RealField
 from novlab.spectral import _half_phase, derivative, field_from_half, half_spectrum
 
-from helpers import apply_multiplier, coefficients, helmholtz_inverse, mode, product, random_field
+from helpers import (apply_multiplier, coefficients, helmholtz_inverse, lp_norm, mode, product,
+                     random_field)
 
 
 def _field(grid, coeffs):
