@@ -9,34 +9,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import experiments
-from .experiments import (
-    DEFAULT_DELTA,
-    DEFAULT_DOMAIN_LENGTH,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_N_RANGE,
-    DEFAULT_NUM_TERMS,
-    DEFAULT_P,
-    DEFAULT_S,
-    DEFAULT_SEED,
-    DEFAULT_CORPUS_SIZE,
-    DEFAULT_INEQUALITY_GRID,
-    DEFAULT_T_MAX,
-    write_study,
-)
+from .experiments import (DEFAULT_CORPUS_SIZE, DEFAULT_DELTA, DEFAULT_DOMAIN_LENGTH,
+                          DEFAULT_GRID_POINTS, DEFAULT_INEQUALITY_GRID, DEFAULT_N_RANGE,
+                          DEFAULT_NUM_TERMS, DEFAULT_P, DEFAULT_S, DEFAULT_SEED, DEFAULT_T_MAX,
+                          write_study)
 from .fieldio import save_field
-from .initial_data import (
-    LAMBDA_DEFAULT,
-    LAMBDA_MAX,
-    LAMBDA_MIN,
-    IllposedDataParams,
-    build_initial_data,
-    tail_bound,
-)
+from .initial_data import (LAMBDA_DEFAULT, LAMBDA_MAX, LAMBDA_MIN, IllposedDataParams,
+                           build_initial_data, tail_bound)
 from .littlewood_paley import (BesovIndex, _check_weights, build_filter_bank, top_index,
                                weighted_block_norms)
 from .solver import MIN_STEP_FRACTION, SolverConfig, integrate
@@ -45,24 +29,54 @@ from .spectral import Grid
 STUDIES = ("blockscale", "shorttime", "separation", "inequalities")
 
 
+def _setting(default, help: str, flag: str | None = None):
+    """A ``RunConfig`` field that has a flag: ``flag``, or "--" plus the
+    field's name with dashes for underscores, with ``help``."""
+    return field(default=default, metadata={"help": help, "flag": flag})
+
+
 @dataclass
 class RunConfig:
+    """Every setting of a run, with its type, its default and the help of
+    its flag, which names the runs that read it (every command accepts
+    every flag)."""
+
     command: str
     study_name: str | None = None
-    s: float = DEFAULT_S
-    p: float = DEFAULT_P
-    lam: float = LAMBDA_DEFAULT
-    num_terms: int = DEFAULT_NUM_TERMS
-    grid_points: int = DEFAULT_GRID_POINTS
-    domain_length: float = DEFAULT_DOMAIN_LENGTH
-    dt: float | None = None
-    t_final: float = DEFAULT_T_MAX
-    delta: float = DEFAULT_DELTA
-    n_min: int = DEFAULT_N_RANGE[0]
-    n_max: int = DEFAULT_N_RANGE[1]
-    seed: int = DEFAULT_SEED
-    corpus_size: int = DEFAULT_CORPUS_SIZE
-    output_path: str = "novlab_out"
+    s: float = _setting(DEFAULT_S, "regularity, must satisfy s > max(2+1/p, 5/2) "
+                        f"(default {DEFAULT_S}); read by every run")
+    p: float = _setting(DEFAULT_P, f"integrability in [1, inf], accepts 'inf' (default "
+                        f"{DEFAULT_P}); read by every run (generate-data and solve only "
+                        "check it against s)")
+    lam: float = _setting(LAMBDA_DEFAULT, f"modulation in [{LAMBDA_MIN:.6g}, {LAMBDA_MAX:.6g}] "
+                          f"(default {LAMBDA_DEFAULT:.6g}); read by every run but study "
+                          "inequalities", flag="--lambda")
+    num_terms: int = _setting(DEFAULT_NUM_TERMS, "truncation of the lacunary sums (default "
+                              f"{DEFAULT_NUM_TERMS}); read by every run but study inequalities")
+    grid_points: int = _setting(DEFAULT_GRID_POINTS, "grid size, power of two (default "
+                                f"{DEFAULT_GRID_POINTS}; {DEFAULT_INEQUALITY_GRID[0]} for study "
+                                "inequalities); read by every run")
+    domain_length: float = _setting(DEFAULT_DOMAIN_LENGTH, "periodic box length (default "
+                                    f"{DEFAULT_DOMAIN_LENGTH}; {DEFAULT_INEQUALITY_GRID[1]} for "
+                                    "study inequalities); read by every run")
+    dt: float | None = _setting(None, "cap on the error-controlled time step, at least "
+                                f"{MIN_STEP_FRACTION:g} of the horizon (default: no cap); read "
+                                "by solve, study shorttime and study separation")
+    t_final: float = _setting(DEFAULT_T_MAX, f"integration horizon (default {DEFAULT_T_MAX:g}); "
+                              "read by solve and study shorttime (study separation integrates "
+                              "to delta 2^-n_min)")
+    delta: float = _setting(DEFAULT_DELTA, f"separation scale in (0,1) (default {DEFAULT_DELTA})"
+                            "; read by study separation")
+    n_min: int = _setting(DEFAULT_N_RANGE[0], f"lowest band index (default {DEFAULT_N_RANGE[0]})"
+                          "; read by study blockscale and study separation")
+    n_max: int = _setting(DEFAULT_N_RANGE[1], f"highest band index (default {DEFAULT_N_RANGE[1]})"
+                          "; read by study blockscale and study separation")
+    seed: int = _setting(DEFAULT_SEED, f"corpus seed (default {DEFAULT_SEED}); read by study "
+                         "inequalities")
+    corpus_size: int = _setting(DEFAULT_CORPUS_SIZE, "inequality corpus size >= 100 (default "
+                                f"{DEFAULT_CORPUS_SIZE}); read by study inequalities")
+    output_path: str = _setting("novlab_out", "output path prefix (default novlab_out); read by "
+                                "every run", flag="--output")
 
     def validate(self):
         """Reject the config before anything runs or is written: build the
@@ -84,10 +98,15 @@ class RunConfig:
                     fh.write(f"{f.name}={val}\n")
 
     @classmethod
+    def _types(cls) -> dict:
+        """Each field's type, which parses its flag and its config value."""
+        # every field is int, float or str, optionally None
+        return {k: (get_args(t) or (t,))[0] for k, t in get_type_hints(cls).items()}
+
+    @classmethod
     def file_values(cls, path) -> dict:
         """The settings of a key=value file, each parsed as its field's type."""
-        # every field is int, float or str, optionally None
-        types = {k: (get_args(t) or (t,))[0] for k, t in get_type_hints(cls).items()}
+        types = cls._types()
         out = {}
         with open(path) as fh:
             for line in fh:
@@ -114,41 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Config file: plain key=value lines; flags override file values.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    types = RunConfig._types()
 
     def add_common(sp):
         sp.add_argument("--config", help="key=value config file (flags override it)")
         sp.add_argument("--dump-config", metavar="PATH",
                         help="write the effective config to PATH before running")
-        sp.add_argument("--s", type=float, default=None,
-                        help=f"regularity, must satisfy s > max(2+1/p, 5/2) (default {DEFAULT_S})")
-        sp.add_argument("--p", type=float, default=None,
-                        help=f"integrability in [1, inf], accepts 'inf' (default {DEFAULT_P})")
-        sp.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help=f"modulation in [{LAMBDA_MIN:.6g}, {LAMBDA_MAX:.6g}] "
-                        f"(default {LAMBDA_DEFAULT:.6g})")
-        sp.add_argument("--num-terms", type=int, default=None,
-                        help=f"truncation of the lacunary sums (default {DEFAULT_NUM_TERMS})")
-        sp.add_argument("--grid-points", type=int, default=None,
-                        help=f"grid size, power of two (default {DEFAULT_GRID_POINTS})")
-        sp.add_argument("--domain-length", type=float, default=None,
-                        help=f"periodic box length (default {DEFAULT_DOMAIN_LENGTH})")
-        sp.add_argument("--dt", type=float, default=None,
-                        help=f"cap on the error-controlled time step, at least "
-                        f"{MIN_STEP_FRACTION:g} of the horizon (default: no cap)")
-        sp.add_argument("--t-final", type=float, default=None,
-                        help=f"integration horizon (default {DEFAULT_T_MAX:g})")
-        sp.add_argument("--delta", type=float, default=None,
-                        help=f"separation scale in (0,1) (default {DEFAULT_DELTA})")
-        sp.add_argument("--n-min", type=int, default=None,
-                        help=f"lowest band index (default {DEFAULT_N_RANGE[0]})")
-        sp.add_argument("--n-max", type=int, default=None,
-                        help=f"highest band index (default {DEFAULT_N_RANGE[1]})")
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"corpus seed (default {DEFAULT_SEED})")
-        sp.add_argument("--corpus-size", type=int, default=None,
-                        help=f"inequality corpus size >= 100 (default {DEFAULT_CORPUS_SIZE})")
-        sp.add_argument("--output", dest="output_path", default=None,
-                        help="output path prefix (default novlab_out)")
+        for f in fields(RunConfig):
+            if f.metadata:
+                # default None: an unset flag leaves the config file's value
+                sp.add_argument(f.metadata["flag"] or "--" + f.name.replace("_", "-"),
+                                dest=f.name, type=types[f.name], default=None,
+                                help=f.metadata["help"])
 
     helps = {
         "generate-data": "synthesize the data pair and dump the fields",
@@ -212,20 +208,18 @@ def _plan(cfg: RunConfig):
         return lambda: _decompose(cfg, params)
     if cfg.command != "study":
         raise ValueError(f"unknown command {cfg.command!r}")
-    n_range = range(cfg.n_min, cfg.n_max + 1)
     if study == "blockscale":
-        experiments.check_blockscale(params, n_range)
-        return lambda: _report(out, experiments.study_block_scaling(params, n_range))
+        experiments.check_blockscale(params, cfg.n_min, cfg.n_max)
+        return lambda: _report(out, experiments.study_block_scaling(params, cfg.n_min,
+                                                                    cfg.n_max))
     if study == "shorttime":
-        times = experiments.time_ladder(cfg.t_final)
-        experiments.check_shorttime(params, times, cfg.dt)
-        return lambda: _report(out, experiments.study_short_time(params, times,
-                                                                 dt_cap=cfg.dt))
+        experiments.check_shorttime(params, cfg.t_final, cfg.dt)
+        return lambda: _report(out, experiments.study_short_time(params, cfg.t_final, cfg.dt))
     if study == "separation":
         # integrated to the longest horizon delta 2^-n_min, not to --t-final
-        experiments.check_separation(params, n_range, cfg.delta, cfg.dt)
+        experiments.check_separation(params, cfg.n_min, cfg.n_max, cfg.delta, cfg.dt)
         return lambda: _report(out, experiments.study_separation(
-            params, n_range, delta=cfg.delta, dt_cap=cfg.dt))
+            params, cfg.n_min, cfg.n_max, cfg.delta, cfg.dt))
     raise ValueError(f"study must be one of {STUDIES}, got {cfg.study_name!r}")
 
 

@@ -43,7 +43,6 @@ def time_ladder(t_max: float) -> tuple:
     return tuple(t_max * 2.0**-k for k in range(6))
 
 
-DEFAULT_TIMES = time_ladder(DEFAULT_T_MAX)
 DEFAULT_SEED = 2026
 DEFAULT_CORPUS_SIZE = 100
 DEFAULT_INEQUALITY_GRID = (2**12, 64.0)  # grid points and domain length of the corpora
@@ -337,26 +336,23 @@ def _besov_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
     return np.max(_weighted_rows(bank, y, s_rows, p, check_resolved), axis=-1).tolist()
 
 
-def _bands(params: IllposedDataParams, n_range, n_lowest: int) -> list:
-    """The distinct band indices of a study, sorted: at least 3, the fewest
-    a power-law fit takes, each in [n_lowest, num_terms - 1].  ``None``
-    selects DEFAULT_N_RANGE."""
-    if n_range is None:
-        n_range = range(DEFAULT_N_RANGE[0], DEFAULT_N_RANGE[1] + 1)
-    n_list = sorted({int(n) for n in n_range})
-    if len(n_list) < 3 or n_list[0] < n_lowest or n_list[-1] >= params.num_terms:
+def _bands(params: IllposedDataParams, n_min: int, n_max: int, n_lowest: int) -> list:
+    """The band indices n_min..n_max of a study: at least 3, the fewest a
+    power-law fit takes, each in [n_lowest, num_terms - 1]."""
+    n_min, n_max = int(n_min), int(n_max)
+    if n_max - n_min < 2 or n_min < n_lowest or n_max >= params.num_terms:
         raise ValueError(
             f"n_range must hold at least 3 bands within [{n_lowest}, num_terms - 1] = "
-            f"[{n_lowest}, {params.num_terms - 1}], got the distinct bands {n_list}"
+            f"[{n_lowest}, {params.num_terms - 1}], got [{n_min}, {n_max}]"
         )
-    return n_list
+    return list(range(n_min, n_max + 1))
 
 
-def check_blockscale(params: IllposedDataParams, n_range=None) -> list:
+def check_blockscale(params: IllposedDataParams, n_min: int, n_max: int) -> list:
     """The input rules of ``study_block_scaling``: finite block weights
     2^(j s), j <= j_max, and bands in [3, num_terms - 1].  Returns the bands."""
     _check_weights(params.s, top_index(params.grid))
-    return _bands(params, n_range, 3)
+    return _bands(params, n_min, n_max, 3)
 
 
 def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
@@ -405,7 +401,8 @@ def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
     return norms
 
 
-def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport:
+def study_block_scaling(params: IllposedDataParams, n_min: int = DEFAULT_N_RANGE[0],
+                        n_max: int = DEFAULT_N_RANGE[1]) -> StudyReport:
     """Decay exponents of || u0^2 d/dx block_n(data) ||_Lp versus n.
 
     The rho-data norms must scale like 2^(-n(s-2)) and the u-data norms
@@ -418,7 +415,7 @@ def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport
     top ``norm_u_term`` rows by up to about 2e-8 relative.  The slope and
     plateau verdicts are far from this.
     """
-    n_list = check_blockscale(params, n_range)
+    n_list = check_blockscale(params, n_min, n_max)
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
     s, p = params.s, params.p
@@ -454,19 +451,18 @@ def study_block_scaling(params: IllposedDataParams, n_range=None) -> StudyReport
     return report
 
 
-def check_shorttime(params: IllposedDataParams, times, dt_cap) -> tuple:
+def check_shorttime(params: IllposedDataParams, t_max: float, dt_cap) -> tuple:
     """The input rules of ``study_short_time``: finite block weights, the step
-    cap against the largest time, then at least 3 distinct positive times.
-    Returns the times, decreasing, and the study's SolverConfig."""
+    cap against t_max, then a positive t_max.  Returns the times,
+    ``time_ladder(t_max)``, and the study's SolverConfig."""
     _check_weights(params.s, top_index(params.grid))
-    times = sorted({float(t) for t in times}, reverse=True)
-    config = SolverConfig(t_final=max(times, default=0.0), dt=dt_cap, s=params.s)
-    if len(times) < 3 or not all(t > 0 for t in times):
-        raise ValueError(f"need at least 3 distinct positive times, got {times}")
-    return times, config
+    config = SolverConfig(t_final=t_max, dt=dt_cap, s=params.s)
+    if not t_max > 0:
+        raise ValueError(f"t_max must be positive, got {t_max}")
+    return time_ladder(t_max), config
 
 
-def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
+def study_short_time(params: IllposedDataParams, t_max: float = DEFAULT_T_MAX,
                      dt_cap: float | None = None) -> StudyReport:
     """Short-time expansion orders of the flow started from the lacunary data.
 
@@ -475,14 +471,14 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
     side at the data, two derivatives below, must be O(t^2).  ``dt_cap``
     optionally caps the error-controlled step.
 
-    The sweep lands on the largest time only and reads every other time
-    from the interpolant of the step that passes it (``integrate``'s
-    ``interpolated``), which costs no kernel evaluation: its steps are those
-    of ``integrate`` run to the largest time alone.  The header's
+    The times are ``time_ladder(t_max)``.  The sweep lands on t_max only
+    and reads every other time from the interpolant of the step that passes
+    it (``integrate``'s ``interpolated``), which costs no kernel evaluation:
+    its steps are those of ``integrate`` run to t_max alone.  The header's
     ``ladder_interpolated`` counts the times read so, and its invariant
     drifts cover the one landed record.
     """
-    times, config = check_shorttime(params, times, dt_cap)
+    times, config = check_shorttime(params, t_max, dt_cap)
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
@@ -534,12 +530,13 @@ def study_short_time(params: IllposedDataParams, times=DEFAULT_TIMES,
     return report
 
 
-def check_separation(params: IllposedDataParams, n_range, delta, dt_cap) -> tuple:
+def check_separation(params: IllposedDataParams, n_min: int, n_max: int, delta,
+                     dt_cap) -> tuple:
     """The input rules of ``study_separation``: finite block weights, bands in
     [5, num_terms - 1], delta in (0, 1) and the step cap against the longest
     horizon delta 2^-n_min.  Returns the bands and the study's SolverConfig."""
     _check_weights(params.s, top_index(params.grid))
-    n_list = _bands(params, n_range, 5)
+    n_list = _bands(params, n_min, n_max, 5)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return n_list, SolverConfig(t_final=delta * 2.0**-n_list[0], dt=dt_cap, s=params.s)
@@ -573,8 +570,8 @@ def _padded_half(grid: Grid, bank: LPFilterBank, half: np.ndarray) -> np.ndarray
     return padded
 
 
-def study_separation(params: IllposedDataParams, n_range=None,
-                     delta: float = DEFAULT_DELTA,
+def study_separation(params: IllposedDataParams, n_min: int = DEFAULT_N_RANGE[0],
+                     n_max: int = DEFAULT_N_RANGE[1], delta: float = DEFAULT_DELTA,
                      dt_cap: float | None = None) -> StudyReport:
     """Non-vanishing data-to-solution separation along t_n = delta 2^-n.
 
@@ -620,7 +617,7 @@ def study_separation(params: IllposedDataParams, n_range=None,
     error and invariant drifts beside the data sweep's
     ``invariant_drift_rho`` and ``invariant_drift_u``.
     """
-    n_list, cfg = check_separation(params, n_range, delta, dt_cap)
+    n_list, cfg = check_separation(params, n_min, n_max, delta, dt_cap)
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)

@@ -35,9 +35,9 @@ LENGTH = 128.0
 S, P = 3.0, 2.0
 LAM = 68.0 / 48.0
 NUM_TERMS = 12
-N_RANGE = range(5, 12)
+N_MIN, N_MAX = 5, 11
 DELTA = 0.1
-TIMES = tuple(1e-2 * 2.0**-k for k in range(6))
+T_MAX = 1e-2
 
 
 def report_line(num, name, passed, detail):
@@ -61,17 +61,17 @@ def params(grid):
 
 @pytest.fixture(scope="module")
 def blockscale_report(params):
-    return study_block_scaling(params, N_RANGE)
+    return study_block_scaling(params, N_MIN, N_MAX)
 
 
 @pytest.fixture(scope="module")
 def shorttime_report(params):
-    return study_short_time(params, TIMES)
+    return study_short_time(params, T_MAX)
 
 
 @pytest.fixture(scope="module")
 def separation_report(params):
-    return study_separation(params, N_RANGE, delta=DELTA)
+    return study_separation(params, N_MIN, N_MAX, delta=DELTA)
 
 
 @pytest.fixture(scope="module")

@@ -76,9 +76,9 @@ def test_each_module_defines_exactly_its_public_functions():
 # the parameters of the public studies and norms: each study runs one way,
 # so an option that only the tests would set has no place here
 SIGNATURES = {
-    "study_block_scaling": ["params", "n_range"],
-    "study_short_time": ["params", "times", "dt_cap"],
-    "study_separation": ["params", "n_range", "delta", "dt_cap"],
+    "study_block_scaling": ["params", "n_min", "n_max"],
+    "study_short_time": ["params", "t_max", "dt_cap"],
+    "study_separation": ["params", "n_min", "n_max", "delta", "dt_cap"],
     "study_inequalities": ["corpus_size", "seed", "grid", "s", "p"],
     "weighted_block_norms": ["bank", "f", "idx"],
     "besov_norm": ["bank", "f", "idx"],
@@ -138,8 +138,8 @@ def test_only_spectral_and_solver_bind_scipy_transforms():
 # of the first statement of a module, class or function body when it is a
 # string, found with ast).  A change that adds code raises these numbers in
 # its own diff and says why.
-SOURCE_LINES_MAX = 2819
-CODE_LINES_MAX = 1587
+SOURCE_LINES_MAX = 2810
+CODE_LINES_MAX = 1568
 
 
 def _source_size(package: Path) -> tuple:

@@ -1,3 +1,4 @@
+import argparse
 import math
 from dataclasses import fields
 from typing import get_args, get_type_hints
@@ -191,6 +192,44 @@ class TestParseArgs:
         code = main(["generate-data", "--output", str(out)] + SMALL)
         assert code == 2
         assert not (tmp_path / "missing").exists()
+
+
+def _command_parsers() -> dict:
+    """The parser of each command, by name."""
+    return next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+class TestFlagTable:
+    def test_every_setting_flag_is_its_runconfig_field(self):
+        # RunConfig is the one table of settings: each command's options,
+        # bar -h, --config and --dump-config, are its fields but command and
+        # study_name, each under its name, with its annotated type
+        types = get_type_hints(RunConfig)
+        settings = [f.name for f in fields(RunConfig)][2:]
+        renamed = {"lam": "--lambda", "output_path": "--output"}
+        parsers = _command_parsers()
+        assert sorted(parsers) == ["decompose", "generate-data", "solve", "study"]
+        for command, parser in parsers.items():
+            options = [action for action in parser._actions if action.option_strings
+                       and action.option_strings[0] not in ("-h", "--config", "--dump-config")]
+            assert [action.dest for action in options] == settings, command
+            for action in options:
+                flag = renamed.get(action.dest, "--" + action.dest.replace("_", "-"))
+                assert action.option_strings == [flag]
+                assert action.type is (get_args(types[action.dest])
+                                       or (types[action.dest],))[0], action.dest
+                assert action.default is None and "read by" in action.help, action.dest
+
+    def test_study_help_states_both_grid_defaults(self, capsys):
+        # study inequalities runs on its own small grid unless one is given
+        with pytest.raises(SystemExit):
+            parse_args(["study", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        desk, corpus = parse_args(["study", "separation"]), parse_args(["study", "inequalities"])
+        for key in ("grid_points", "domain_length"):
+            pair = f"(default {getattr(desk, key)}; {getattr(corpus, key)} for study inequalities)"
+            assert pair in text, key
 
 
 class TestRun:

@@ -79,22 +79,22 @@ class TestFitPowerlaw:
             fit_powerlaw([(1, 1.0), (2, 0.0), (3, 0.5)])
 
 
-SHORT_TIMES = tuple(5e-3 * 2.0**-k for k in range(6))
+SHORT_T_MAX = 5e-3  # the top of the shorttime fixture's ladder
 
 
 @pytest.fixture(scope="module")
 def blockscale_report(medium_params):
-    return study_block_scaling(medium_params, range(4, 9))
+    return study_block_scaling(medium_params, 4, 8)
 
 
 @pytest.fixture(scope="module")
 def shorttime_report(medium_params):
-    return study_short_time(medium_params, SHORT_TIMES)
+    return study_short_time(medium_params, SHORT_T_MAX)
 
 
 @pytest.fixture(scope="module")
 def separation_report(medium_params):
-    return study_separation(medium_params, range(5, 9), delta=0.1)
+    return study_separation(medium_params, 5, 8, delta=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -120,16 +120,16 @@ class TestBlockScalingStudy:
 
     def test_rejects_out_of_range_bands(self, medium_params):
         with pytest.raises(ValueError):
-            study_block_scaling(medium_params, range(2, 6))
+            study_block_scaling(medium_params, 2, 5)
         with pytest.raises(ValueError):
-            study_block_scaling(medium_params, range(6, 12))
+            study_block_scaling(medium_params, 6, 11)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_sweep_matches_per_block_oracle(self, medium_params, medium_bank, p):
         # the study's one sweep against the zero-padded per-block oracle
         params = replace(medium_params, s=3.5, p=p)
         data = build_initial_data(params)
-        report = study_block_scaling(params, range(4, 9))
+        report = study_block_scaling(params, 4, 8)
         for n, norm_rho, norm_u, *_ in report.rows:
             for f, norm in ((data.rho, norm_rho), (data.u, norm_u)):
                 block = derivative(dyadic_block(medium_bank, f, n))
@@ -173,8 +173,8 @@ class TestBlockScalingStudy:
             s=medium_params.s, p=medium_params.p, lam=medium_params.lam,
             num_terms=medium_params.num_terms, grid=finer_grid,
         )
-        coarse = study_block_scaling(medium_params, range(4, 9))
-        fine = study_block_scaling(finer, range(4, 9))
+        coarse = study_block_scaling(medium_params, 4, 8)
+        fine = study_block_scaling(finer, 4, 8)
         for rc, rf in zip(coarse.rows, fine.rows):
             assert rf[1] == pytest.approx(rc[1], rel=5e-3)
             assert rf[2] == pytest.approx(rc[2], rel=5e-3)
@@ -196,13 +196,13 @@ class TestShortTimeStudy:
         # to the top time alone
         params = shorttime_report.params
         alone = integrate(medium_data,
-                          SolverConfig(t_final=SHORT_TIMES[0]))
+                          SolverConfig(t_final=SHORT_T_MAX))
         assert params["rk4_steps"] == len(alone.errors)
         assert params["rk4_rejected"] == alone.rejected
         assert params["dt"] == max(h for h, _ in alone.errors)
         assert params["time_error_max"] == max(err for _, err in alone.errors)
         assert 0 < params["time_error_max"] < 1e-6
-        assert params["ladder_interpolated"] == len(SHORT_TIMES) - 1
+        assert params["ladder_interpolated"] == len(experiments.time_ladder(SHORT_T_MAX)) - 1
 
     def test_interpolated_ladder_matches_a_fine_landed_reference(self, medium_params,
                                                                  shorttime_report,
@@ -231,12 +231,12 @@ class TestShortTimeStudy:
                          interpolated)
 
         monkeypatch.setattr(experiments, "_sweep", ablated_sweep)
-        ablated = study_short_time(medium_params, SHORT_TIMES)
+        ablated = study_short_time(medium_params, SHORT_T_MAX)
         assert ablated.fits["second_order_rho"].slope == pytest.approx(1.0, abs=0.1)
         assert ablated.fits["second_order_u"].slope == pytest.approx(1.0, abs=0.1)
 
     def test_dt_robustness(self, medium_params, shorttime_report):
-        halved = study_short_time(medium_params, SHORT_TIMES, dt_cap=5e-5)
+        halved = study_short_time(medium_params, SHORT_T_MAX, dt_cap=5e-5)
         assert halved.params["dt"] <= 5e-5 * (1 + 1e-12)  # up to even division
         for r1, r2 in zip(shorttime_report.rows, halved.rows):
             for a, b in zip(r1[1:], r2[1:]):
@@ -244,9 +244,7 @@ class TestShortTimeStudy:
 
     def test_rejects_degenerate_times(self, medium_params):
         with pytest.raises(ValueError):
-            study_short_time(medium_params, [1e-3, 1e-3])
-        with pytest.raises(ValueError):
-            study_short_time(medium_params, [math.nan] * 6)
+            study_short_time(medium_params, math.nan)
 
     @pytest.mark.parametrize("s,p", [(3.1, 1.0), (2.6, math.inf), (2.6, 2.0)],
                              ids=["3.1-1", "2.6-inf", "2.6-2"])
@@ -256,7 +254,7 @@ class TestShortTimeStudy:
         # 1.6e-13 in the distances (at p = inf, a sup over grid values) and
         # 7.1e-8 in the residuals (at (3.1, 1))
         params = replace(medium_params, s=s, p=p)
-        report = study_short_time(params, SHORT_TIMES)
+        report = study_short_time(params, SHORT_T_MAX)
         assert report.passed
         assert report.params["rk4_steps"] == 2
         landed = _landing_every_time(params, monkeypatch)
@@ -273,7 +271,7 @@ RESIDUAL_REL = 2e-7
 
 
 def _landing_every_time(params, monkeypatch, dt_cap=None):
-    """``study_short_time`` on SHORT_TIMES with a sweep that lands on every
+    """``study_short_time`` to SHORT_T_MAX with a sweep that lands on every
     time, as it did before the ladder was read from the interpolant."""
     sweep = experiments._sweep
 
@@ -282,7 +280,7 @@ def _landing_every_time(params, monkeypatch, dt_cap=None):
 
     with monkeypatch.context() as m:
         m.setattr(experiments, "_sweep", landing)
-        report = study_short_time(params, SHORT_TIMES, dt_cap=dt_cap)
+        report = study_short_time(params, SHORT_T_MAX, dt_cap=dt_cap)
     assert report.params["ladder_interpolated"] == 0
     return report
 
@@ -330,7 +328,7 @@ class TestSeparationStudy:
         assert np.all(np.abs(ratios - 1) <= 1e-6)
 
     def test_delta_linearity_of_plateau(self, medium_params, separation_report):
-        half = study_separation(medium_params, range(5, 9), delta=0.05)
+        half = study_separation(medium_params, 5, 8, delta=0.05)
         plateau_full = np.median([r[2] for r in separation_report.rows])
         plateau_half = np.median([r[2] for r in half.rows])
         assert plateau_half / plateau_full == pytest.approx(0.5, abs=0.1)
@@ -341,7 +339,7 @@ class TestSeparationStudy:
                 s=medium_params.s, p=medium_params.p, lam=lam,
                 num_terms=medium_params.num_terms, grid=medium_grid,
             )
-            rep = study_separation(params, range(5, 9), delta=0.1)
+            rep = study_separation(params, 5, 8, delta=0.1)
             assert rep.verdict("separation_slope").passed
             assert rep.verdict("separation_plateau").passed
             assert rep.verdict("energy_bounded").passed
@@ -351,7 +349,7 @@ class TestSeparationStudy:
         # 64 capped at t_8/4 move the plateau by 9.5e-15 and S_n by at most
         # 1.8e-14 relative, far below the controller's own time-error
         # estimate (9.2e-11); held to 5e-14
-        capped = study_separation(medium_params, range(5, 9), delta=0.1,
+        capped = study_separation(medium_params, 5, 8, delta=0.1,
                                   dt_cap=0.1 * 2.0**-8 / 4)
         assert capped.params["rk4_steps"] > separation_report.params["rk4_steps"]
         plateau, fine = (rep.verdict("separation_plateau").observed
@@ -362,12 +360,12 @@ class TestSeparationStudy:
 
     def test_rejects_bad_range(self, medium_params):
         with pytest.raises(ValueError):
-            study_separation(medium_params, range(3, 7))
+            study_separation(medium_params, 3, 6)
         with pytest.raises(ValueError):
-            study_separation(medium_params, range(7, 6))
+            study_separation(medium_params, 7, 5)
         # two bands are too few for the trend fit
         with pytest.raises(ValueError, match="at least 3 bands"):
-            study_separation(medium_params, range(5, 7))
+            study_separation(medium_params, 5, 6)
 
     def test_sweep_matches_per_horizon_integration(self, medium_params, separation_report):
         reference = _per_horizon_separation_rows(medium_params, range(5, 9), delta=0.1)
@@ -403,7 +401,7 @@ class TestSeparationStudy:
             return traj
 
         monkeypatch.setattr(experiments, "integrate", counting)
-        report = study_separation(medium_params, range(5, n_max + 1), delta=0.1)
+        report = study_separation(medium_params, 5, n_max, delta=0.1)
         k = n_max - 4
         assert [sweep[:2] for sweep in sweeps] == [(0.0, 0.1 * 2.0**-5)] * 2
         assert [sweep[3] for sweep in sweeps] == [2**14, 512]
@@ -438,8 +436,8 @@ class TestSeparationStudy:
         # 5.0e-11 (p = inf) relative, the time error of 4 steps against
         # 7-20, and the control slope by at most 2.2e-11
         params = replace(medium_params, s=s, p=p)
-        report = study_separation(params, range(5, 9), delta=0.1)
-        distances, _ = _data_grid_control(params, range(5, 9), delta=0.1)
+        report = study_separation(params, 5, 8, delta=0.1)
+        distances, _ = _data_grid_control(params, 5, 8, delta=0.1)
         assert report.params["control_grid_points"] == 512
         assert [row[7] for row in report.rows] == pytest.approx(distances, rel=1e-10, abs=0.0)
         slope = fit_powerlaw(zip(range(5, 9), distances), "dyadic").slope
@@ -457,8 +455,8 @@ class TestSeparationStudy:
         # (p = inf) relative, held to 1e-15
         params = replace(medium_params, s=s, p=p)
         grid = params.grid
-        report = study_separation(params, range(5, 9), delta=0.1)
-        n_list, cfg = experiments.check_separation(params, range(5, 9), 0.1, None)
+        report = study_separation(params, 5, 8, delta=0.1)
+        n_list, cfg = experiments.check_separation(params, 5, 8, 0.1, None)
         coarse = experiments._control_grid(grid)
         coarse_bank, bank = build_filter_bank(coarse), build_filter_bank(grid)
         control = CONTROL_AMPLITUDE * build_bump(coarse)
@@ -492,8 +490,8 @@ class TestSeparationStudy:
         # control on the data grid, with the bits of a control integrated
         # and measured there; the data's columns never see the control
         monkeypatch.setattr(experiments, "CONTROL_NYQUIST_MIN", medium_params.grid.nyquist)
-        report = study_separation(medium_params, range(5, 9), delta=0.1)
-        distances, steps = _data_grid_control(medium_params, range(5, 9), delta=0.1)
+        report = study_separation(medium_params, 5, 8, delta=0.1)
+        distances, steps = _data_grid_control(medium_params, 5, 8, delta=0.1)
         assert report.params["control_grid_points"] == 2**14
         assert report.params["control_rk4_steps"] == steps
         assert [row[7] for row in report.rows] == distances
@@ -525,10 +523,10 @@ def test_one_workspace_and_one_rate_at_the_data_per_integration(
     monkeypatch.setattr(solver, "_rhs_half", counting)
     monkeypatch.setattr(solver, "_Workspace", Counted)
     if study == "shorttime":
-        report, grids = study_short_time(medium_params, SHORT_TIMES), [medium_params.grid]
+        report, grids = study_short_time(medium_params, SHORT_T_MAX), [medium_params.grid]
     else:
         # the data on its grid and the control on its own, coarser one
-        report = study_separation(medium_params, range(5, 8), delta=0.1)
+        report = study_separation(medium_params, 5, 7, delta=0.1)
         grids = [medium_params.grid, Grid(512, medium_params.grid.length)]
     integrations = len(grids)
     assert sum(at_data) == 1
@@ -543,17 +541,17 @@ def test_solver_studies_transform_only_to_integrate(study, medium_params, count_
     # 16 transforms in 8 calls per kernel evaluation (one at the start and
     # four per step) and 2 per step (its increment, one row per call); the
     # studies measure every record from its spectra, so what they transform
-    # beyond their sweeps does not grow with the number of checkpoints: the
-    # data's synthesis (one inverse transform of its two rows) and the
-    # control's
+    # beyond their sweeps depends neither on the horizon nor on the number of
+    # checkpoints: the data's synthesis (one inverse transform of its two
+    # rows) and the control's
     counts = count_ffts()
     extra, extra_calls = [], []
-    for k in (3, 4):
+    for t_max, n_max in ((SHORT_T_MAX, 7), (SHORT_T_MAX / 2, 8)):
         counts.reset()
         if study == "shorttime":
-            report, sweeps = study_short_time(medium_params, SHORT_TIMES[:k]), 1
+            report, sweeps = study_short_time(medium_params, t_max), 1
         else:
-            report, sweeps = study_separation(medium_params, range(5, 5 + k), delta=0.1), 2
+            report, sweeps = study_separation(medium_params, 5, n_max, delta=0.1), 2
         attempts = report.params["rk4_steps"] + report.params["rk4_rejected"]
         extra.append(sum(counts.values()) - sweeps * (2 + 16) - (4 * 16 + 2) * attempts)
         extra_calls.append(sum(counts.calls.values()) - sweeps * (1 + 8)
@@ -576,9 +574,9 @@ def test_sweeps_report_their_largest_sup_growth(study, medium_params, monkeypatc
 
     monkeypatch.setattr(experiments, "integrate", recorded)
     if study == "shorttime":
-        report, keys = study_short_time(medium_params, SHORT_TIMES), ["sup_growth_max"]
+        report, keys = study_short_time(medium_params, SHORT_T_MAX), ["sup_growth_max"]
     else:
-        report = study_separation(medium_params, range(5, 9))
+        report = study_separation(medium_params, 5, 8)
         keys = ["sup_growth_max", "control_sup_growth_max"]
     assert [report.params[key] for key in keys] == growth
     for key in keys:
@@ -590,16 +588,15 @@ def test_invariant_drift_measures_the_time_error(medium_params, monkeypatch):
     # the step cap sets once the tolerance is loose enough that the
     # controller does not (at the default RTOL the controller keeps the
     # drift at its 1e-16 roundoff on this grid).  The drift is that of the
-    # one landed record, at the top time 2; the study splits what is left
-    # of it evenly into steps of at most the cap.  Measured at 2^12/64,
-    # times 2, 1, 1/2: 4.4e-11 and 2.0e-11 with steps of up to 0.42 (cap
-    # 0.5), 3.2e-12 and 1.4e-12 with steps of up to 0.24 (cap 0.25), falls
-    # of 13.8 and 14.0
+    # one landed record, at t_max = 2; the study splits what is left of it
+    # evenly into steps of at most the cap.  Measured at 2^12/64, t_max 2:
+    # 4.4e-11 and 2.0e-11 with steps of up to 0.42 (cap 0.5), 3.2e-12 and
+    # 1.4e-12 with steps of up to 0.24 (cap 0.25), falls of 13.8 and 14.0
     params = replace(medium_params, num_terms=7, grid=Grid(2**12, 64.0))
     monkeypatch.setattr(solver, "RTOL", 1.0)
     drifts = []
     for cap in (0.5, 0.25):
-        report = study_short_time(params, (2.0, 1.0, 0.5), dt_cap=cap)
+        report = study_short_time(params, 2.0, dt_cap=cap)
         assert cap / 2 < report.params["dt"] <= cap
         drifts.append(np.array([report.params["invariant_drift_rho"],
                                 report.params["invariant_drift_u"]]))
@@ -631,18 +628,18 @@ def test_separation_and_blockscale_pass_at_the_paper_edges(medium_params, s, p):
     # s > max(2 + 1/p, 5/2), 1 <= p <= inf (shorttime's are
     # TestShortTimeStudy's); each report carries its whole verdict set
     params = replace(medium_params, s=s, p=p)
-    for report, verdicts in ((study_separation(params, range(5, 9), delta=0.1), 4),
-                             (study_block_scaling(params, range(4, 9)), 6)):
+    for report, verdicts in ((study_separation(params, 5, 8, delta=0.1), 4),
+                             (study_block_scaling(params, 4, 8), 6)):
         assert len(report.verdicts) == verdicts
         assert [v.name for v in report.verdicts if not v.passed] == []
 
 
-def _data_grid_control(params, n_range, delta):
+def _data_grid_control(params, n_min, n_max, delta):
     """The control distances of ``study_separation`` with the control
     integrated and measured on the data grid, in its one sweep through the
     horizons, from the half spectra of its records, and that sweep's
     accepted steps."""
-    n_list, cfg = experiments.check_separation(params, n_range, delta, None)
+    n_list, cfg = experiments.check_separation(params, n_min, n_max, delta, None)
     bank = build_filter_bank(params.grid)
     weights = [_block_weights(bank, params.s - 1), _block_weights(bank, params.s)]
     control = CONTROL_AMPLITUDE * build_bump(params.grid)
@@ -890,21 +887,31 @@ class TestInequalitiesStudy:
 
 
 @pytest.mark.parametrize("run,message", [
-    (lambda prm: study_block_scaling(replace(prm, s=300.0), range(4, 9)), "s = 300"),
-    (lambda prm: study_short_time(replace(prm, s=200.0), SHORT_TIMES), "s = 200"),
-    (lambda prm: study_short_time(prm, SHORT_TIMES, dt_cap=1e-300), "dt"),
-    (lambda prm: study_separation(replace(prm, s=200.0), range(5, 9)), "s = 200"),
-    (lambda prm: study_separation(prm, range(5, 9), dt_cap=1e-14), "dt"),
+    (lambda prm: study_block_scaling(replace(prm, s=300.0), 4, 8), "s = 300"),
+    (lambda prm: study_short_time(replace(prm, s=200.0), SHORT_T_MAX), "s = 200"),
+    (lambda prm: study_short_time(prm, SHORT_T_MAX, dt_cap=1e-300), "dt"),
+    (lambda prm: study_separation(replace(prm, s=200.0), 5, 8), "s = 200"),
+    (lambda prm: study_separation(prm, 5, 8, dt_cap=1e-14), "dt"),
     (lambda prm: study_inequalities(100, 0, s=400.0), "s = 400"),
     (lambda prm: study_inequalities(100, -1), "seed"),
-    # repeated bands count once: two or one distinct band is too few
-    (lambda prm: study_block_scaling(prm, [5, 6, 6]), "at least 3 bands"),
-    (lambda prm: study_block_scaling(prm, [5, 5, 5]), "at least 3 bands"),
-    (lambda prm: study_separation(prm, [5, 6, 6]), "at least 3 bands"),
-    (lambda prm: study_separation(prm, [5, 5, 5]), "at least 3 bands"),
+    # two bands are too few for a power-law fit; blockscale's bands start
+    # at 3, separation's at 5, and both end below num_terms = 9
+    (lambda prm: study_block_scaling(prm, 5, 6), r"at least 3 bands .* got \[5, 6\]"),
+    (lambda prm: study_block_scaling(prm, 2, 6), r"= \[3, 8\], got \[2, 6\]"),
+    (lambda prm: study_block_scaling(prm, 6, 9), r"= \[3, 8\], got \[6, 9\]"),
+    (lambda prm: study_separation(prm, 5, 6), r"at least 3 bands .* got \[5, 6\]"),
+    (lambda prm: study_separation(prm, 4, 8), r"= \[5, 8\], got \[4, 8\]"),
+    (lambda prm: study_separation(prm, 6, 9), r"= \[5, 8\], got \[6, 9\]"),
+    # the step-cap rule (SolverConfig's t_final) runs before t_max > 0
+    (lambda prm: study_short_time(prm, 0.0), "t_max must be positive"),
+    (lambda prm: study_short_time(prm, -1.0), "t_final"),
+    (lambda prm: study_short_time(prm, math.nan), "t_final"),
+    (lambda prm: study_short_time(prm, math.inf), "t_final"),
 ], ids=["blockscale-s", "shorttime-s", "shorttime-dt", "separation-s", "separation-dt",
-        "inequalities-s", "inequalities-seed", "blockscale-566", "blockscale-555",
-        "separation-566", "separation-555"])
+        "inequalities-s", "inequalities-seed", "blockscale-two-bands", "blockscale-n_min",
+        "blockscale-n_max", "separation-two-bands", "separation-n_min", "separation-n_max",
+        "shorttime-t_max-0", "shorttime-t_max-neg", "shorttime-t_max-nan",
+        "shorttime-t_max-inf"])
 def test_studies_reject_bad_input_before_any_transform(run, message, medium_params,
                                                        count_ffts):
     counts = count_ffts()
@@ -937,7 +944,7 @@ def test_judges_read_declared_tolerances():
 
 class TestReportSerialization:
     def test_csv_round_trip_and_verdict_block(self, medium_params, tmp_path):
-        report = study_block_scaling(medium_params, range(4, 9))
+        report = study_block_scaling(medium_params, 4, 8)
         path = tmp_path / "blockscale.csv"
         write_report_csv(report, path)
         text = path.read_text().splitlines()
@@ -957,7 +964,7 @@ class TestReportSerialization:
         assert strip(a) == strip(b)
 
     def test_write_study_emits_plot_script(self, medium_params, tmp_path):
-        report = study_block_scaling(medium_params, range(4, 9))
+        report = study_block_scaling(medium_params, 4, 8)
         write_study(report, tmp_path / "out")
         gp = (tmp_path / "out.gp").read_text()
         assert "plot" in gp and "out.csv" in gp
