@@ -337,8 +337,10 @@ def _besov_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
 
 
 def _bands(params: IllposedDataParams, n_min: int, n_max: int, n_lowest: int) -> list:
-    """The band indices n_min..n_max of a study: at least 3, the fewest a
-    power-law fit takes, each in [n_lowest, num_terms - 1]."""
+    """The band indices n_min..n_max of a study: integers, at least 3, the
+    fewest a power-law fit takes, each in [n_lowest, num_terms - 1]."""
+    if not (float(n_min).is_integer() and float(n_max).is_integer()):
+        raise ValueError(f"band bounds must be integers, got [{n_min}, {n_max}]")
     n_min, n_max = int(n_min), int(n_max)
     if n_max - n_min < 2 or n_min < n_lowest or n_max >= params.num_terms:
         raise ValueError(
@@ -720,16 +722,22 @@ def study_separation(params: IllposedDataParams, n_min: int = DEFAULT_N_RANGE[0]
 
 # -- inequality corpora -------------------------------------------------------
 
+def _corpus_band(grid: Grid) -> int:
+    """The first half-spectrum bin of ``grid`` above CORPUS_BAND * Nyquist:
+    every corpus field's spectrum is zero from it up."""
+    return int(np.searchsorted(grid.half_frequencies, CORPUS_BAND * grid.nyquist, "right"))
+
+
 def _draw_fields(grid: Grid, rng, coeffs: np.ndarray, values: np.ndarray) -> None:
     """Write to ``values``, rows of n grid values, random real fields with a
-    smooth random spectrum below CORPUS_BAND * Nyquist and sup norm 1, drawn
+    smooth random spectrum below bin ``_corpus_band(grid)`` and sup norm 1, drawn
     in the C order of its leading axes, so k fields drawn at once get the
     bits of k drawn one at a time; ``coeffs``, complex rows of n/2 + 1 bins
     of the same leading shape, takes their spectra, and the one inverse
     transform writes straight into ``values``."""
     xi = grid.half_frequencies
     cutoff = CORPUS_BAND * grid.nyquist
-    band = int(np.searchsorted(xi, cutoff, "right"))  # the bins with xi <= cutoff
+    band = _corpus_band(grid)
     widths = np.empty(coeffs.shape[:-1] + (1,))
     for i in np.ndindex(coeffs.shape[:-1]):
         # each field draws its width, then its real and imaginary parts
@@ -781,14 +789,21 @@ def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, idx: BesovIndex) -> np
             / (||u_x||_inf ||v||_{B^s} + ||v_x||_inf ||u||_{B^s}),
         ||(1-dxx)^-1 u||_{B^s} / ||u||_{B^(s-2)}.
 
-    Precondition: u and v lie below Nyquist/2 (the corpus lies below
-    CORPUS_BAND = 1/4 of it).  Then uv, u v_x and u block_j(v_x) lie below
-    Nyquist, so the grid's n samples hold them without aliasing, and every
-    product is formed on the grid from the values of u, without padding.
-    Each stack is transformed once, and its block sequences are weighted for
-    all three indices; uv and (1-dxx)^-1 u are measured from their half
-    spectra.  Every transform and reduction runs along the last axis, so
-    each row gets the bits it would get alone.
+    Precondition: the spectra of u and v are zero from bin
+    ``_corpus_band(grid)`` up, above CORPUS_BAND = 1/4 of Nyquist, as
+    ``_draw_fields`` draws them.  Then uv, u v_x and u block_j(v_x) lie
+    below Nyquist, so the grid's n samples hold them without aliasing, and
+    every product is formed on the grid from the values of u, without
+    padding.  Each stack is transformed once, and its block sequences are
+    weighted for all three indices; uv and (1-dxx)^-1 u are measured from
+    their half spectra.  Every transform and reduction runs along the last
+    axis, so each row gets the bits it would get alone.
+
+    At p = 2 a pair takes 23 transforms of the default corpus grid: the
+    draw's 2 inverse ones, the forward ones of u, v and uv, the inverse ones
+    of sup|u_x| and sup|v_x|, and the commutator sweep's 2 for u v_x and 2
+    for each of the 7 blocks below the band; blocks 6 and 7 start above it
+    and take none (``_commutator_halves``).
 
     Every spectrum, product, energy and block is formed in the five stacks,
     which allocates no stack: v's values are spent once v's spectrum is
@@ -819,7 +834,8 @@ def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, idx: BesovIndex) -> np
     hvx = np.multiply(d, hv, out=spectra[0])
     norms_v = _block_norms(bank, hv, p, work=(stacks[3], stacks[4]))
     sup_vx = _half_lp_norm(grid, hvx, math.inf, stacks[3])
-    comm = _commutator_block_norms(bank, hvx, u, p, (stacks[3], spectra[4], spectra[1]))
+    comm = _commutator_block_norms(bank, hvx, _corpus_band(grid), u, p,
+                                   (stacks[3], spectra[4], spectra[1]))
 
     def ratio(num, den):
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -885,11 +901,11 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     # B runs on the solver's worker thread while A runs here, or after A on
     # one CPU.  The corpora share only read-only inputs (the bank, the grid,
     # whose frequencies the bank has cached, and idx) and each draws from its
-    # own generator, so the rows are the same bits either way.  Each pair of
-    # fields takes 26 transforms of the grid (``_chunk_ratios``).
+    # own generator, so the rows are the same bits either way.  At p = 2 each
+    # pair of fields takes 23 transforms of the default grid (``_chunk_ratios``).
     rows_a, rows_b = [], []
     _pair(partial(corpus, rows_b, "B", seed + 1), partial(corpus, rows_a, "A", seed),
-          2 * 26 * corpus_size * grid.num_points)
+          2 * 23 * corpus_size * grid.num_points)
     rows = rows_a + rows_b
 
     report = StudyReport(

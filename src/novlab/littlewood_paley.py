@@ -310,15 +310,17 @@ def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex) -> float:
     return float(np.max(weighted_block_norms(bank, f, idx)))
 
 
-def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray, blocks,
-                       work: tuple):
+def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, band: int, u_values: np.ndarray,
+                       blocks, work: tuple):
     """Half spectra of [block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x)
     for each j in ``blocks``, with every product formed on the grid.  The
     caller forms what does not depend on j: the half spectrum ``hvx`` of
-    v_x, whose Nyquist bin is zero, and the n grid values ``u_values`` of u.
-    Precondition: u and v lie below Nyquist/2, where every product is
-    alias-free on the grid itself, as dealiased as a padded one.  Stacks of
-    u values and v_x spectra along the last axis run row by row.
+    v_x, whose Nyquist bin is zero, the first bin ``band`` from which v's
+    spectrum, and so v_x's, is zero in exact arithmetic, and the n grid
+    values ``u_values`` of u.  Precondition: u and v lie below Nyquist/2,
+    where every product is alias-free on the grid itself, as dealiased as a
+    padded one.  Stacks of u values and v_x spectra along the last axis run
+    row by row.
 
     The sweep runs in the three buffers ``work`` = (values, spectrum,
     h_uvx) that the caller lends, one row each per field: ``h_uvx`` (n/2 + 1
@@ -327,7 +329,9 @@ def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray
     block_j(u v_x); and ``spectrum`` (n/2 + 1 complex bins) takes g_j, then
     the spectrum of u g_j, then the commutator, which is yielded, valid
     until the next block; ``values`` is free while the caller holds it.
-    Each block costs one inverse and one forward transform.
+    A block whose range starts below ``band`` costs one inverse and one
+    forward transform.  A block from ``band`` up has g_j = 0, so its
+    commutator is block_j(u v_x) and costs no transform.
     """
     n = bank.grid.num_points
     values, spectrum, h_uvx = work
@@ -337,6 +341,9 @@ def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray
     _product_half(product, h_uvx)
     in_block = values.view(complex)[..., : n // 2 + 1]  # block_j(u v_x)
     for j in blocks:
+        if bank.blocks[j + 1][0] >= band:
+            yield _block_half(bank, h_uvx, j, out=spectrum)
+            continue
         _block_half(bank, hvx, j, out=spectrum)
         _irfft_into(spectrum, n=n, norm="forward", out=product)
         product *= u_values
@@ -345,15 +352,15 @@ def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray
         yield spectrum
 
 
-def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, u_values: np.ndarray,
-                            p, work: tuple) -> np.ndarray:
+def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, band: int,
+                            u_values: np.ndarray, p, work: tuple) -> np.ndarray:
     """The unweighted sequence ||[block_j, u] d/dx v||_Lp for j = -1 .. j_max,
-    in one sweep from the hoisted v_x spectrum and u grid values of
+    in one sweep from the hoisted v_x spectrum, band and u grid values of
     ``_commutator_halves``, along a new last axis for stacks; p = 2 takes
     each norm by Parseval, other p on the grid.  Each norm is taken in the
     sweep's lent buffers ``work``, so the sweep allocates no stack."""
     blocks = range(-1, bank.j_max + 1)
     norms = np.empty(u_values.shape[:-1] + (len(blocks),))
-    for k, half in enumerate(_commutator_halves(bank, hvx, u_values, blocks, work)):
+    for k, half in enumerate(_commutator_halves(bank, hvx, band, u_values, blocks, work)):
         norms[..., k] = _half_lp_norm(bank.grid, half, p, work[0])
     return norms

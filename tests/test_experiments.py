@@ -33,7 +33,10 @@ from novlab.experiments import (
     CONTROL_AMPLITUDE,
     CORPUS_BAND,
     CORPUS_CHUNK,
+    DEFAULT_INEQUALITY_GRID,
+    _corpus_band,
     _corpus_chunk,
+    _draw_fields,
     _pair_stacks,
     _transport_block_norms,
     write_report_csv,
@@ -868,11 +871,13 @@ class TestInequalitiesStudy:
         assert peak <= 5.6 * CORPUS_CHUNK * small_grid.num_points * 8
 
     def test_pair_transform_count(self, small_grid, small_bank, count_ffts):
-        # the corpus grid has 9 blocks.  A chunk of k pairs draws its 2k
-        # fields with one irfft and takes 13 rffts (u, v, uv, u v_x and one
-        # per commutator block) and 12 irffts (v_x, the 9 blocks, sup|u_x|
-        # and sup|v_x|), each on the whole stack of k rows, whatever k.  The
-        # corpus multiplies on its own grid, so no transform is padded
+        # the corpus grid has 9 blocks, of which blocks 6 and 7 start above
+        # the corpus band and take no transform.  A chunk of k pairs draws
+        # its 2k fields with one irfft and takes 11 rffts (u, v, uv, u v_x
+        # and one per swept commutator block) and 10 irffts (v_x, the 7
+        # swept blocks, sup|u_x| and sup|v_x|), each on the whole stack of k
+        # rows, whatever k: 23 transforms a pair.  The corpus multiplies on
+        # its own grid, so no transform is padded
         assert small_bank.j_max + 2 == 9
         rng = np.random.default_rng(3)
         counts = count_ffts()
@@ -881,9 +886,9 @@ class TestInequalitiesStudy:
             pairs += k
             fields = random_band_limited_values(small_grid, rng, 2 * k)
             pair_ratios(small_bank, fields[0::2], fields[1::2], BesovIndex(3.0, 2.0))
-            assert counts.calls == {"rfft": 13 * chunks, "irfft": (1 + 12) * chunks}
-            assert counts == {"rfft": 13 * pairs, "irfft": (2 + 12) * pairs}
-            assert counts.lengths == {small_grid.num_points: (13 + 14) * pairs}
+            assert counts.calls == {"rfft": 11 * chunks, "irfft": (1 + 10) * chunks}
+            assert counts == {"rfft": 11 * pairs, "irfft": (2 + 10) * pairs}
+            assert counts.lengths == {small_grid.num_points: 23 * pairs}
 
 
 @pytest.mark.parametrize("run,message", [
@@ -902,6 +907,9 @@ class TestInequalitiesStudy:
     (lambda prm: study_separation(prm, 5, 6), r"at least 3 bands .* got \[5, 6\]"),
     (lambda prm: study_separation(prm, 4, 8), r"= \[5, 8\], got \[4, 8\]"),
     (lambda prm: study_separation(prm, 6, 9), r"= \[5, 8\], got \[6, 9\]"),
+    # int() would truncate these to [4, 8] and [5, 8]
+    (lambda prm: study_block_scaling(prm, 4.9, 8.7), r"integers, got \[4.9, 8.7\]"),
+    (lambda prm: study_separation(prm, 5.5, 8), r"integers, got \[5.5, 8\]"),
     # the step-cap rule (SolverConfig's t_final) runs before t_max > 0
     (lambda prm: study_short_time(prm, 0.0), "t_max must be positive"),
     (lambda prm: study_short_time(prm, -1.0), "t_final"),
@@ -910,6 +918,7 @@ class TestInequalitiesStudy:
 ], ids=["blockscale-s", "shorttime-s", "shorttime-dt", "separation-s", "separation-dt",
         "inequalities-s", "inequalities-seed", "blockscale-two-bands", "blockscale-n_min",
         "blockscale-n_max", "separation-two-bands", "separation-n_min", "separation-n_max",
+        "blockscale-fraction", "separation-fraction",
         "shorttime-t_max-0", "shorttime-t_max-neg", "shorttime-t_max-nan",
         "shorttime-t_max-inf"])
 def test_studies_reject_bad_input_before_any_transform(run, message, medium_params,
@@ -918,6 +927,12 @@ def test_studies_reject_bad_input_before_any_transform(run, message, medium_para
     with pytest.raises(ValueError, match=message):
         run(medium_params)
     assert counts == {"rfft": 0, "irfft": 0}
+
+
+def test_integral_band_bounds_pass(medium_params):
+    assert experiments.check_blockscale(medium_params, 4.0, 8.0) == [4, 5, 6, 7, 8]
+    n_list, _ = experiments.check_separation(medium_params, 5.0, 8, 0.1, None)
+    assert n_list == [5, 6, 7, 8]
 
 
 @pytest.mark.parametrize("report", ["blockscale_report", "shorttime_report",
@@ -1004,3 +1019,20 @@ class TestRandomFieldGenerator:
             e = _bin_energy(half_spectrum(random_band_limited_field(small_grid, rng)))
             worst = max(worst, e[above].sum() / e.sum())
         assert worst <= 1e-28
+
+    @pytest.mark.parametrize("num_points", [2**12, 2**9])
+    def test_draw_and_sweep_share_one_band(self, num_points):
+        # _corpus_band is the first bin the draw leaves exactly zero, and the
+        # band from which the commutator sweep skips a block
+        grid = Grid(num_points, 64.0)
+        band = _corpus_band(grid)
+        coeffs = np.empty((20, num_points // 2 + 1), dtype=complex)
+        _draw_fields(grid, np.random.default_rng(17), coeffs, np.empty((20, num_points)))
+        assert np.all(coeffs[:, band:] == 0.0)
+        assert np.all(coeffs[:, band - 1] != 0.0)
+        if (num_points, 64.0) == DEFAULT_INEQUALITY_GRID:
+            # blocks 6 and 7 start at or above the band, block 5 below it
+            bank = build_filter_bank(grid)
+            start = {j: bank.blocks[j + 1][0] for j in (5, 6, 7)}
+            assert band == 513 and bank.j_max == 7
+            assert start[5] < band <= start[6] < start[7]

@@ -30,10 +30,12 @@ from novlab.littlewood_paley import (
     ring_profile,
     smooth_step,
 )
+from novlab.experiments import _corpus_band
 from novlab.spectral import (_bin_energy, _derivative_symbol, derivative, field_from_half,
                              half_spectrum)
 
-from helpers import LAMBDA, block_multiplier, commutator, dyadic_block, lp_norm, mode, random_field
+from helpers import (LAMBDA, block_multiplier, commutator, dyadic_block, lp_norm, mode,
+                     random_band_limited_values, random_field)
 
 LAMBDAS = (67.0 / 48.0, 68.0 / 48.0, 69.0 / 48.0)
 
@@ -398,10 +400,12 @@ def sweep_work(grid):
             np.empty(n // 2 + 1, dtype=complex))
 
 
-def commutator_norms(bank, u, v, p):
-    """The corpus's commutator sweep (``_commutator_block_norms``) of (u, v)."""
+def commutator_norms(bank, u, v, p, band=None):
+    """The corpus's commutator sweep (``_commutator_block_norms``) of (u, v),
+    which skips the blocks from bin ``band`` up; by default, none."""
     hvx = _derivative_symbol(bank.grid) * half_spectrum(v)
-    return _commutator_block_norms(bank, hvx, u.values, p, sweep_work(bank.grid))
+    band = hvx.size if band is None else band
+    return _commutator_block_norms(bank, hvx, band, u.values, p, sweep_work(bank.grid))
 
 
 class TestCommutator:
@@ -442,7 +446,64 @@ class TestCommutator:
         j = 4
         expected = commutator(small_bank, j, u, v)
         hvx = _derivative_symbol(small_grid) * half_spectrum(v)
-        (half,) = _commutator_halves(small_bank, hvx, u.values, [j], sweep_work(small_grid))
+        (half,) = _commutator_halves(small_bank, hvx, hvx.size, u.values, [j],
+                                     sweep_work(small_grid))
         out = field_from_half(small_grid, half)
         scale = max(lp_norm(expected, math.inf), 1e-30)
         assert lp_norm(out - expected, math.inf) < 1e-12 * scale
+
+
+def corpus_pairs(grid, seed, k):
+    """k pairs (u, v) of corpus fields, as ``experiments._draw_fields`` draws them."""
+    fields = random_band_limited_values(grid, np.random.default_rng(seed), 2 * k)
+    return [(RealField(grid, u), RealField(grid, v)) for u, v in zip(fields[0::2], fields[1::2])]
+
+
+class TestCommutatorBand:
+    """The sweep skips the blocks that start at or above v's band."""
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_skip_matches_the_full_sweep(self, small_grid, small_bank, p):
+        # on the corpus grid blocks 6 and 7 start above the band; the blocks
+        # below it run the same code either way, so they keep every bit.
+        # Block 7 reads roundoff on both paths (the products lie below
+        # Nyquist/2, under its ring), so the skip is held to the largest
+        # block norm of the pair
+        band = _corpus_band(small_grid)
+        skipped = [j for j in range(-1, small_bank.j_max + 1)
+                   if small_bank.blocks[j + 1][0] >= band]
+        assert skipped == [6, 7]
+        for u, v in corpus_pairs(small_grid, 15, 4):
+            got = commutator_norms(small_bank, u, v, p, band)
+            full = commutator_norms(small_bank, u, v, p)
+            assert np.array_equal(got[:-2], full[:-2])
+            assert np.all(np.abs(got - full) <= 1e-13 * np.max(full))
+
+    def test_skipped_block_is_the_product_block(self, small_grid, small_bank):
+        # a skipped block yields block_j(u v_x) from the hoisted h_uvx, bit for bit
+        band = _corpus_band(small_grid)
+        ((u, v),) = corpus_pairs(small_grid, 16, 1)
+        hvx = _derivative_symbol(small_grid) * half_spectrum(v)
+        work = sweep_work(small_grid)
+        halves = [half.copy() for half in
+                  _commutator_halves(small_bank, hvx, band, u.values, [5, 6, 7], work)]
+        h_uvx = work[2]
+        for j, half in zip((6, 7), halves[1:]):
+            assert np.array_equal(half, _block_half(small_bank, h_uvx, j))
+        assert not np.array_equal(halves[0], _block_half(small_bank, h_uvx, 5))
+
+    def test_block_inside_the_band_is_swept(self, small_grid, small_bank, count_ffts):
+        # v reaches bin 818, into block 6 (from bin 658) but not block 7 (from
+        # bin 1316); u stays low, so every product lies below Nyquist/2.  With
+        # v's band, block 6 is swept, and matches the padded oracle
+        u, v = random_field(small_grid, 36, 0.1), random_field(small_grid, 37, 0.4)
+        band = int(0.4 * (small_grid.num_points // 2))
+        assert small_bank.blocks[7][0] < band <= small_bank.blocks[8][0]
+        counts = count_ffts()
+        norms = commutator_norms(small_bank, u, v, math.inf, band)
+        # v's spectrum, u v_x and the 8 blocks -1..6 forward; v_x, those 8
+        # blocks and the 9 sup norms inverse
+        assert counts == {"rfft": 1 + 1 + 8, "irfft": 1 + 8 + 9}
+        expected = lp_norm(commutator(small_bank, 6, u, v), math.inf)
+        assert expected > 1e-3 * np.max(norms)
+        assert norms[7] == pytest.approx(expected, rel=1e-12)
