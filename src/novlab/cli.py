@@ -21,9 +21,8 @@ from .experiments import (DEFAULT_CORPUS_SIZE, DEFAULT_DELTA, DEFAULT_DOMAIN_LEN
 from .fieldio import save_field
 from .initial_data import (LAMBDA_DEFAULT, LAMBDA_MAX, LAMBDA_MIN, IllposedDataParams,
                            build_initial_data, tail_bound)
-from .littlewood_paley import (BesovIndex, _check_weights, build_filter_bank, top_index,
-                               weighted_block_norms)
-from .solver import MIN_STEP_FRACTION, SolverConfig, integrate
+from .littlewood_paley import _check_weights, build_filter_bank, top_index
+from .solver import MIN_STEP_FRACTION, SolverConfig, _spectra, integrate
 from .spectral import Grid
 
 STUDIES = ("blockscale", "shorttime", "separation", "inequalities")
@@ -244,8 +243,7 @@ def _solve(params: IllposedDataParams, config: SolverConfig, out: str) -> int:
 def _decompose(cfg: RunConfig, params: IllposedDataParams) -> int:
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
-    wr = weighted_block_norms(bank, data.rho, BesovIndex(cfg.s - 1, cfg.p))
-    wu = weighted_block_norms(bank, data.u, BesovIndex(cfg.s, cfg.p))
+    wr, wu = experiments._weighted_rows(bank, _spectra(data), (cfg.s - 1, cfg.s), cfg.p)
     path = f"{cfg.output_path}_blocks.csv"
     with open(path, "w") as fh:
         fh.write(f"# s={cfg.s}\n# p={cfg.p}\n# lambda={cfg.lam}\n")

@@ -22,10 +22,9 @@ from .littlewood_paley import (CHI_PLATEAU_END, BesovIndex, LPFilterBank, _block
                                _block_norms, _block_weights, _check_resolved, _check_weights,
                                _commutator_block_norms, _half_lp_norm, build_filter_bank,
                                top_index)
-from .solver import SolverConfig, _pair, integrate
-from .spectral import (Grid, RealField, _bin_energy, _check_p, _check_same_grid,
-                       _derivative_symbol, _half_cell_shift, _irfft_into, _lp_rows,
-                       _product_half, _rfft_into, _smoothing_symbol, half_spectrum)
+from .solver import SolverConfig, _pair, _spectra, integrate
+from .spectral import (Grid, _bin_energy, _derivative_symbol, _half_cell_shift, _irfft_into,
+                       _lp_rows, _product_half, _rfft_into, _smoothing_symbol)
 
 DEFAULT_GRID_POINTS = 2**17
 DEFAULT_DOMAIN_LENGTH = 128.0
@@ -67,11 +66,9 @@ CORPUS_BAND = 0.25  # corpus fields live below this fraction of Nyquist
 #   peak_rss_mb            67.75   68.37   68.55   69.02
 #   wall_s        (s)      0.647   0.575   0.587   0.559
 #
-# Before the chunk ran in reused stacks, k = 4 read 0.442 s wall, 0.758 s
-# CPU, 0.607 s inline, a traced peak of 9 S (1.18 MB), 68.06 MB peak_rss_mb
-# (the median of 10 runs) and 0.749 s wall_s.  Each pair adds 5 stacks to
-# each of the two corpora's threads, 0.33 MB per unit of k: k = 6 is the
-# widest chunk within 0.5 % of that RSS (k = 7 read +0.7 %, k = 8 +1.4 %).
+# Each pair adds 5 stacks to each of the two corpora's threads, 0.33 MB per
+# unit of k: k = 6 is the widest chunk within a peak_rss_mb budget of
+# 68.4 MB.
 CORPUS_CHUNK = 6
 # numpy's ufunc buffer, in elements, while a corpus chunk runs: a call on
 # the block ranges of a stack's rows copies its operands through buffers of
@@ -357,28 +354,25 @@ def check_blockscale(params: IllposedDataParams, n_min: int, n_max: int) -> list
     return _bands(params, n_min, n_max, 3)
 
 
-def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
-                           blocks, p) -> np.ndarray:
+def _transport_block_norms(bank: LPFilterBank, y: np.ndarray, blocks, p) -> np.ndarray:
     """||u^2 d/dx block_j f||_Lp for f = rho (row 0) and f = u (row 1) and
-    each j in ``blocks``, dealiased as zero-padding to twice the grid
-    dealiases it, without padding: as in the RHS kernel
+    each j in ``blocks``, from the stacked half spectra y = (rho, u) on the
+    bank's grid, for a checked p; dealiased as zero-padding to twice the
+    grid dealiases it, without padding: as in the RHS kernel
     (``solver._rhs_half``), each product is formed on the grid and on its
     half-cell shift, with one inverse and one forward transform of n points
     on each, and folded back.  u^2 is formed once on each grid.  The shifted
     grid's product runs on the worker of one ``solver._pair`` beside the
     grid's on the caller, each in its own rows of one buffer allocated once
     per sweep, so no bit depends on the threads."""
-    _check_same_grid(bank, rho, u)
-    grid = u.grid
+    grid = bank.grid
     n = grid.num_points
-    p = _check_p(p)
     d = _derivative_symbol(grid)
     tau, fold = _half_cell_shift(grid)
-    hu = half_spectrum(u)
     # per grid: u^2, a product's values, and a half spectrum that stages the
     # lifted g and then takes the product's weighted spectrum
     on_grid, shifted = np.empty((2, 3, n + 2))
-    for rows, lift in ((on_grid, hu), (shifted, tau * hu)):
+    for rows, lift in ((on_grid, y[1]), (shifted, tau * y[1])):
         u2 = _irfft_into(lift, n=n, norm="forward", out=rows[0, :n])
         u2 *= u2
 
@@ -391,7 +385,7 @@ def _transport_block_norms(bank: LPFilterBank, rho: RealField, u: RealField,
 
     g, g_shifted = on_grid[2].view(complex), shifted[2].view(complex)
     norms = np.empty((2, len(blocks)))
-    for i, hf in enumerate((half_spectrum(rho), hu)):
+    for i, hf in enumerate(y):
         for k, j in enumerate(blocks):
             _block_half(bank, hf, j, out=g)
             g *= d
@@ -422,7 +416,7 @@ def study_block_scaling(params: IllposedDataParams, n_min: int = DEFAULT_N_RANGE
     bank = build_filter_bank(params.grid)
     s, p = params.s, params.p
 
-    norms_rho, norms_u = _transport_block_norms(bank, data.rho, data.u, n_list, p).tolist()
+    norms_rho, norms_u = _transport_block_norms(bank, _spectra(data), n_list, p).tolist()
     rows = [
         (n, norm_rho, norm_u, 2.0 ** (n * (s - 2)) * norm_rho, 2.0 ** (n * (s - 1)) * norm_u)
         for n, norm_rho, norm_u in zip(n_list, norms_rho, norms_u)
@@ -850,15 +844,12 @@ def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, idx: BesovIndex) -> np
     ], axis=-1)
 
 
-def check_inequalities(corpus_size: int, seed: int, grid: Grid | None, s: float, p) -> Grid:
+def check_inequalities(corpus_size: int, seed: int, grid: Grid, s: float, p) -> None:
     """The input rules of ``study_inequalities``: (s, p) in the paper's regime,
     at least 100 pairs, a seed numpy accepts, finite block weights, and a grid
     on which the products u v_x (below 2 CORPUS_BAND Nyquist) reach past the
     low-pass plateau |xi| <= 1, inside which every commutator block vanishes
-    and its ratio measures only roundoff.  Returns the grid, the default
-    corpus grid for None."""
-    if grid is None:
-        grid = Grid(*DEFAULT_INEQUALITY_GRID)
+    and its ratio measures only roundoff."""
     check_regime(s, p)
     if corpus_size < 100:
         raise ValueError(f"corpus_size must be at least 100, got {corpus_size}")
@@ -871,11 +862,10 @@ def check_inequalities(corpus_size: int, seed: int, grid: Grid | None, s: float,
             "block of the corpus vanishes"
         )
     _check_weights(s, top_index(grid))
-    return grid
 
 
 def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_SEED,
-                       grid: Grid | None = None, s: float = DEFAULT_S,
+                       grid: Grid = Grid(*DEFAULT_INEQUALITY_GRID), s: float = DEFAULT_S,
                        p=DEFAULT_P) -> StudyReport:
     """Bounded-ratio audit of the product law, the commutator estimate, and
     the smoothing multiplier on two disjoint random corpora.
@@ -886,7 +876,7 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     so each pair's products are formed on the corpus grid itself, without
     padding (see ``_chunk_ratios``).
     """
-    grid = check_inequalities(corpus_size, seed, grid, s, p)
+    check_inequalities(corpus_size, seed, grid, s, p)
     idx = BesovIndex(s, p)
     bank = build_filter_bank(grid)
 

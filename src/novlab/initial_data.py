@@ -18,7 +18,7 @@ wrap-around tail at these domain sizes is ~1e-5 and documented per grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,17 +96,16 @@ class IllposedDataParams:
 
     The regularity must satisfy s > max(2 + 1/p, 5/2); the modulation
     lambda stays in [67/48, 69/48] so that band n sits in ring n's plateau.
+    ``grid`` is a required keyword.
     """
 
     s: float
     p: float
     lam: float = LAMBDA_DEFAULT
     num_terms: int = 12
-    grid: Grid = None
+    grid: Grid = field(kw_only=True)
 
     def __post_init__(self):
-        if self.grid is None:
-            raise ValueError("grid is required")
         check_regime(self.s, self.p)
         if not LAMBDA_MIN <= self.lam <= LAMBDA_MAX:
             raise ValueError(

@@ -32,18 +32,18 @@ estimate would amplify.
 The kernel runs in two independent halves, one for each grid: each lifts
 rho, rho_x, u and u_x to its grid, forms every product, transforms the
 products back, applies d/dx and G and weights its result, in its own
-buffers; then the two are added row by row.  The step's elementwise work
-(its stages, its increment and the increment's inverse transform, the new
-values and their sup, the new spectra, the error and the three norms the
-controller reads) also runs row by row, fused with the kernel's addition
-where it follows it.  When the process may use a second CPU and the work
-is large enough (``_pair``), the shifted grid's half and the rho row run
-on a worker thread that the process starts on first use, and the grid's
-half and the u row on the caller; else both run inline.  numpy's
-transforms and array arithmetic release the GIL, and neither a
-transform's bits nor a product's depend on the thread that computed it,
-so the result is the same either way.  The studies hand the same worker
-work of their own through ``_pair``.
+buffers; then the two are added row by row, the kernel's fold.  The
+step's elementwise work after k1's stage (its stages, its increment and the
+increment's inverse transform, the new values and their sup, the new
+spectra, the error and the three norms the controller reads) runs row by
+row inside the fold, right after the row it reads.  When the process may
+use a second CPU and the work is large enough (``_pair``), the shifted
+grid's half and the fold's rho row run on a worker thread that the process
+starts on first use, and the grid's half and the u row on the caller; else
+both run inline.  numpy's transforms and array arithmetic release the GIL,
+and neither a transform's bits nor a product's depend on the thread that
+computed it, so the result is the same either way.  The studies hand the
+same worker work of their own through ``_pair``.
 
 The kernel and the step work in a private workspace (``_Workspace``): the
 symbols; a pool of fourteen rows of n + 2 doubles, seven for each half,
@@ -121,7 +121,8 @@ class SolverConfig:
 
     ``dt`` optionally caps the error-controlled step, and may not lie below
     the step floor MIN_STEP_FRACTION t_final; ``s`` sets the norm
-    B^(s-1)_{2,inf} x B^s_{2,inf} the step error is measured in.
+    B^(s-1)_{2,inf} x B^s_{2,inf} the step error is measured in, and may
+    not be so large that a block weight's exponent overflows.
     """
 
     t_final: float
@@ -136,8 +137,11 @@ class SolverConfig:
         if self.dt is not None and self.dt < MIN_STEP_FRACTION * self.t_final:
             raise ValueError(f"dt must be at least MIN_STEP_FRACTION * t_final = "
                              f"{MIN_STEP_FRACTION * self.t_final:g}, got {self.dt:g}")
-        if not math.isfinite(self.s):
-            raise ValueError("s must be finite")
+        # the step norm's weight exponents j s and j (s - 1), -1 <= j <= j_max,
+        # must be finite on every grid: a finite Nyquist frequency has j_max <= 1023
+        if not math.isfinite(1023 * (abs(self.s) + 1.0)):
+            raise ValueError(f"s must be finite and |s| + 1 at most 1/1023 of the largest "
+                             f"double, got {self.s:g}")
 
 
 def _new_pool() -> None:
@@ -146,11 +150,11 @@ def _new_pool() -> None:
 
 
 # The worker thread that runs the first function of each ``_pair``: the
-# kernel's half on the shifted grid, the rho row of a step's elementwise
-# work, one of the inequality study's corpora, or a blockscale product on
-# the shifted grid; started on the first submit.  A forked child inherits
-# the executor but not its thread, so the child gets a new executor before
-# any of its code runs.
+# kernel's half on the shifted grid, the rho row of the kernel's fold (with
+# the step's work on it), one of the inequality study's corpora, or a
+# blockscale product on the shifted grid; started on the first submit.  A
+# forked child inherits the executor but not its thread, so the child gets a
+# new executor before any of its code runs.
 _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
@@ -167,11 +171,11 @@ if hasattr(os, "register_at_fork"):
 #   threaded (us)     461    499    521    680   1124   1834   4679
 #
 # (threaded faster at 2^12 in 13 of 20 alternating pairs, at 2^13 and up in
-# 19 or 20), so the kernel threads from 2^12 points (size 2^16) up; the
-# per-row kernel placed the crossover there too.  A step's row pairs
-# pass 2n, so they thread from 2^15 points, where a warm step with its norms
-# takes 9.02 ms against 9.59 ms with inline rows (4.77 against 4.73 ms at
-# 2^14, had they threaded there).
+# 19 or 20), so the kernel threads from 2^12 points (size 2^16) up.  The
+# fold's row pairs, with the step's work on each row, pass 2n, so they
+# thread from 2^15 points, where a warm step with its norms takes 9.02 ms
+# against 9.59 ms with inline rows (4.77 against 4.73 ms at 2^14, had they
+# threaded there).
 PAIR_MIN_SIZE = 2**16
 
 # The largest grid on which the kernel transforms a stack of rows in one
@@ -205,16 +209,17 @@ def _pair(f, g, size) -> None:
     f and g must write disjoint buffers.
 
     f must not itself call ``_pair``: there is one worker, so a nested call
-    would wait on itself.  The kernel's halves, a step's rows, the
-    inequality study's corpus function (which calls no solver code) and the
-    blockscale sweep's products (one inverse transform, a product and one
-    forward transform) keep to that.  numpy's and scipy's transforms and
-    numpy's array arithmetic release the GIL, so the two grids of the kernel
-    and of the sweep and the two rows of a step overlap; so does most of a
-    corpus, which runs its pairs in stacks of ``experiments.CORPUS_CHUNK``
-    through transforms and array arithmetic, so that the two corpora take
-    less wall time threaded than inline.  Returns once both are done, and
-    an exception of either reaches the caller.
+    would wait on itself.  The kernel's halves, the rows of its fold (with
+    the step's work on each), the inequality study's corpus function (which
+    calls no solver code) and the blockscale sweep's products (one inverse
+    transform, a product and one forward transform) keep to that.  numpy's
+    and scipy's transforms and numpy's array arithmetic release the GIL, so
+    the two grids of the kernel and of the sweep and the two rows of the
+    fold overlap; so does most of a corpus, which runs its pairs in stacks
+    of ``experiments.CORPUS_CHUNK`` through transforms and array arithmetic,
+    so that the two corpora take less wall time threaded than inline.
+    Returns once both are done, and an exception of either reaches the
+    caller.
     """
     # on one CPU the worker could only take turns with the caller: its
     # hand-offs made a 2^14 separation study about 7 % slower than inline
@@ -250,8 +255,8 @@ class _Workspace:
     of its increment to row 4 + r.  In the fold of the step's last
     evaluation, rows 4 and 5 of the grid's half take the bin energies and
     block products of the u row's norms, and rows 11 and 12 those of the
-    rho row's.  Each row of ``stage`` and of ``rate``, and each of rows 4,
-    5, 11 and 12, is written by one thread of a pair.
+    rho row's.  In the fold, each row of ``stage`` and of ``rate``, and
+    each of rows 4, 5, 11 and 12, is written by one thread of its pair.
     """
 
     def __init__(self, grid: Grid):
@@ -471,10 +476,10 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     a workspace built.  ``norm``, a ``_StepNorm``, has the step measure
     its error, increment and new spectra in that norm.
 
-    Every elementwise pass works one row at a time, through the pairs of
-    the kernel (``_rhs_half``'s ``then``) and one of its own: rho on the
-    worker and u on the caller when the grid is large enough, each row
-    with the bits it would get in a stack of both.
+    k1's stage runs stacked on the caller; every later elementwise pass
+    works one row at a time in the kernel's fold (``_rhs_half``'s
+    ``then``): rho on the worker and u on the caller when the grid is large
+    enough, each row with the bits it would get in a stack of both.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -488,18 +493,16 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     sixth = dt / 6.0
     # the running sum k1 + 2 k2 + 2 k3 + k4, so only one stage is held at a
     # time; then dt/6 times it
-    increment = np.empty_like(y0)
+    increment = k1.copy()
+    np.multiply(0.5 * dt, k1, out=stage)
+    stage += y0
+    y1, error = np.empty_like(y0), np.empty_like(y0)
     values = (state.rho.values, state.u.values)
     fields, sups = [None, None], [math.inf, math.inf]
 
-    def first(r):
-        increment[r] = k1[r]
-        np.multiply(0.5 * dt, k1[r], out=stage[r])
-        stage[r] += y0[r]
-
-    def accumulate(weight, frac, r, k):
+    def accumulate(frac, r, k):
         # weight k into the increment, and the next stage's argument
-        np.multiply(weight, k, out=stage[r])
+        np.multiply(2.0, k, out=stage[r])
         increment[r] += stage[r]
         np.multiply(frac * dt, k, out=stage[r])
         stage[r] += y0[r]
@@ -514,14 +517,11 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
             # read-only, so the field takes it without a copy
             new.flags.writeable = False
             fields[r] = RealField(grid, new)
-
-    def carry(r):
         np.add(y0[r], increment[r], out=y1[r])
-        error[r] = work.rate[r]  # k4, in the rows that the next evaluation writes
+        error[r] = k  # k4, in the rows that the next evaluation writes
 
-    _pair(partial(first, 0), partial(first, 1), 2 * n)
-    _rhs_half(stage, work, work.rate, partial(accumulate, 2.0, 0.5))
-    _rhs_half(stage, work, work.rate, partial(accumulate, 2.0, 1.0))
+    _rhs_half(stage, work, work.rate, partial(accumulate, 0.5))
+    _rhs_half(stage, work, work.rate, partial(accumulate, 1.0))
     _rhs_half(stage, work, work.rate, advance)
     # each sup on its own: max() of a number and a NaN may drop the NaN
     sup_r, sup_u = sups
@@ -530,8 +530,6 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     sup = max(sup_r, sup_u)
     if sup_limit is not None and sup > sup_limit:
         raise BlowupError(state.time + dt, sup)
-    y1, error = np.empty_like(y0), np.empty_like(y0)
-    _pair(partial(carry, 0), partial(carry, 1), 2 * n)
     terms = [(), ()]
 
     def measure(r, k):

@@ -138,8 +138,8 @@ def test_only_spectral_and_solver_bind_scipy_transforms():
 # of the first statement of a module, class or function body when it is a
 # string, found with ast).  A change that adds code raises these numbers in
 # its own diff and says why.
-SOURCE_LINES_MAX = 2833
-CODE_LINES_MAX = 1576
+SOURCE_LINES_MAX = 2818
+CODE_LINES_MAX = 1560
 
 
 def _source_size(package: Path) -> tuple:

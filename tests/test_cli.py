@@ -1,13 +1,15 @@
 import argparse
+import inspect
 import math
 from dataclasses import fields
 from typing import get_args, get_type_hints
 
 import pytest
 
-from novlab import cli
+from novlab import cli, experiments
 from novlab.cli import RunConfig, main, parse_args, run
 from novlab.experiments import StudyReport
+from novlab.spectral import Grid
 
 
 SMALL = ["--grid-points", "4096", "--domain-length", "64", "--num-terms", "6",
@@ -83,6 +85,9 @@ class TestParseArgs:
         (["study", "separation", "--dt", "1e-14"], "constraint violated: dt"),
         # the step-cap rule runs before the time-ladder rule
         (["study", "shorttime", "--t-final", "-1"], "t_final"),
+        # j s of the step norm's weights overflows from about s = 1.6e307 at j_max = 11
+        (["solve", "--s", "1e308", "--grid-points", "1024", "--domain-length", "64",
+          "--num-terms", "4", "--t-final", "1e-3"], "constraint violated: s"),
     ])
     def test_invalid_config_writes_no_dump(self, argv, message, tmp_path, capsys):
         dump = tmp_path / "dump.conf"
@@ -186,6 +191,11 @@ class TestParseArgs:
         cfg = parse_args(["study", "inequalities"])
         assert cfg.grid_points == 2**12
         assert cfg.domain_length == 64.0
+
+    def test_study_and_cli_share_the_corpus_grid_default(self):
+        cfg = parse_args(["study", "inequalities"])
+        default = inspect.signature(experiments.study_inequalities).parameters["grid"].default
+        assert default == Grid(cfg.grid_points, cfg.domain_length)
 
     def test_nonexistent_output_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "prefix"

@@ -142,7 +142,7 @@ class TestBlockScalingStudy:
     def test_sweep_transform_count(self, medium_bank, medium_data, count_ffts):
         bands = range(4, 9)
         counts = count_ffts()
-        _transport_block_norms(medium_bank, medium_data.rho, medium_data.u, bands, 2.0)
+        _transport_block_norms(medium_bank, solver._spectra(medium_data), bands, 2.0)
         # hoisted: the spectra of rho and u and the values of u on the grid
         # and on its half-cell shift; then one inverse and one forward
         # transform per grid and (field, band), none of them padded
@@ -156,6 +156,7 @@ class TestBlockScalingStudy:
         # each (field, band) hands the shifted grid's product to the solver's
         # worker when a second CPU is usable, and runs it inline when not
         bands = range(4, 9)
+        y = solver._spectra(medium_data)
         submit = solver._pool.submit
         runs = {}
         for usable in ({0, 1}, {0}):
@@ -163,8 +164,7 @@ class TestBlockScalingStudy:
             see_cpus(monkeypatch, usable)
             monkeypatch.setattr(solver._pool, "submit",
                                 lambda f: submits.append(f) or submit(f))
-            runs[len(usable)] = _transport_block_norms(medium_bank, medium_data.rho,
-                                                       medium_data.u, bands, p)
+            runs[len(usable)] = _transport_block_norms(medium_bank, y, bands, p)
             assert len(submits) == (2 * len(bands) if len(usable) == 2 else 0)
             assert len(fft_threads()) <= 1
         assert runs[2].shape == (2, len(bands))

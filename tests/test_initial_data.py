@@ -157,6 +157,12 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="finite"):
             IllposedDataParams(s=math.inf, p=2.0, grid=medium_grid, num_terms=8)
 
+    def test_grid_is_a_required_keyword(self, medium_grid):
+        with pytest.raises(TypeError, match="grid"):
+            IllposedDataParams(s=3.0, p=2.0)
+        with pytest.raises(TypeError):
+            IllposedDataParams(3.0, 2.0, LAMBDA, 8, medium_grid)
+
 
 class TestBuildInitialData:
     def test_single_term_is_single_band(self, medium_grid):

@@ -332,12 +332,20 @@ class TestIntegrate:
         (1e-3, math.inf, None), (1e-3, 1.0, math.inf), (1e-3, 1.0, math.nan),
         # a cap below the step floor MIN_STEP_FRACTION t_final
         (1e-300, 1e-3, None), (1e-14, 1e-3, None),
+        # a step-norm weight exponent j s overflows on some grid (j <= 1023)
+        (None, 1.0, 1e308), (None, 1.0, -1e306),
     ])
     def test_config_rejects_bad_settings(self, dt, t_final, s):
         # s = None keeps the default s
         extra = {} if s is None else {"s": s}
         with pytest.raises(ValueError, match="dt must|t_final must|s must"):
             SolverConfig(dt=dt, t_final=t_final, **extra)
+
+    def test_config_takes_an_s_whose_step_norm_weights_stay_finite(self, small_grid):
+        for s in (80.0, -80.0, 1.7e305):
+            SolverConfig(t_final=1.0, s=s)
+            norm = _StepNorm(small_grid, s)
+            assert np.all(np.isfinite(norm.weights))
 
     def test_start_record_rate_is_the_rhs_at_the_data(self, medium_data):
         st = medium_data
@@ -666,20 +674,19 @@ class TestWorkspace:
             assert peak < 1024
             assert term == math.sqrt(float(np.max(norm.weights[r] * stacked[r])))
 
-    def test_workspace_holds_nine_padded_rows(self, first_step):
-        # the workspace's arrays, views included, take no more than the
-        # symbols, the step's stage and rate, and nine padded rows of 2n + 2
-        # doubles, also after the kernel has run; and the buffers it owns,
-        # views aside, no more than two symbols, a rate of its own and nine
-        # padded rows
+    def test_workspace_holds_four_symbols_a_stage_and_fourteen_rows(self, first_step):
+        # the buffers the workspace owns are exactly the four symbols d, g,
+        # tau and fold, the two-row stage and the fourteen pool rows, each
+        # of n + 2 doubles (a half spectrum's n/2 + 1 complex bins), also
+        # after the kernel has run; with its one view, the two rows of
+        # ``rate``, it holds 22 such rows
         work = first_step._workspace
         solver._rhs_half(first_step.spectra, work)
         n = first_step.state.grid.num_points
         arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
-        small = sum(a.nbytes for a in (work.d, work.g, work.stage, work.rate))
-        assert sum(a.nbytes for a in arrays) <= small + 9 * (2 * n + 2) * 8
-        owned = sum(a.nbytes for a in arrays if a.base is None)
-        assert owned <= (4 * (n + 2) + 9 * (2 * n + 2)) * 8
+        row = (n + 2) * 8
+        assert sum(a.nbytes for a in arrays if a.base is None) == 20 * row
+        assert sum(a.nbytes for a in arrays) == 22 * row
 
     def test_steps_hand_out_fresh_arrays(self, first_step):
         second = step_rk4(first_step.state, 1e-2, start=first_step)
@@ -700,8 +707,8 @@ class TestWorkspace:
 def _threaded_against_inline(st, monkeypatch):
     """One kernel evaluation and a three-step integration from ``st``, on
     two usable CPUs and on one: the same bits, and the worker takes the
-    shifted grid's half of every evaluation, and the rho row of every row
-    pair when the grid is large enough, or nothing."""
+    shifted grid's half of every evaluation, and the rho row of its fold
+    when the grid is large enough, or nothing."""
     y = solver._spectra(st)
     rows_threaded = 2 * st.grid.num_points >= solver.PAIR_MIN_SIZE
     submit, rhs_half = solver._pool.submit, solver._rhs_half
@@ -716,10 +723,9 @@ def _threaded_against_inline(st, monkeypatch):
         records = []
         traj = integrate(st, SolverConfig(t_final=3e-4, dt=1e-4), visit=records.append)
         runs[len(usable)] = (rate, traj, records)
-        steps = len(traj.errors) + traj.rejected
-        # per evaluation the halves and the folds; per step its first
-        # stage and its carry of k4 and y1
-        threaded = (1 + rows_threaded) * len(rhs_calls) + rows_threaded * 2 * steps
+        # per evaluation the halves and the fold, and nothing per step: a
+        # step splits its rows only in the fold
+        threaded = (1 + rows_threaded) * len(rhs_calls)
         assert len(rhs_calls) > 1
         assert len(submits) == (threaded if len(usable) == 2 else 0)
     (rate2, traj2, records2), (rate1, traj1, records1) = runs[2], runs[1]
@@ -760,8 +766,8 @@ class TestPairedKernel:
     def test_threaded_and_inline_give_the_same_bits_on_threaded_rows(self, medium_params,
                                                                     monkeypatch):
         # at 2^15 points a step's rows reach the worker too, through the
-        # kernel's folds and the step's own two pairs; a short switch
-        # interval interleaves the two rows' Python statements finely
+        # kernel's folds; a short switch interval interleaves the two rows'
+        # Python statements finely
         params = replace(medium_params, grid=Grid(2**15, medium_params.grid.length))
         data = build_initial_data(params)
         st = data
