@@ -241,9 +241,9 @@ def _solve(params: IllposedDataParams, config: SolverConfig, out: str) -> int:
 
 
 def _decompose(cfg: RunConfig, params: IllposedDataParams) -> int:
-    data = build_initial_data(params)
+    y = _spectra(build_initial_data(params))  # the values die here, before the block sums
     bank = build_filter_bank(params.grid)
-    wr, wu = experiments._weighted_rows(bank, _spectra(data), (cfg.s - 1, cfg.s), cfg.p)
+    wr, wu = experiments._weighted_rows(bank, y, (cfg.s - 1, cfg.s), cfg.p)
     path = f"{cfg.output_path}_blocks.csv"
     with open(path, "w") as fh:
         fh.write(f"# s={cfg.s}\n# p={cfg.p}\n# lambda={cfg.lam}\n")

@@ -412,11 +412,11 @@ def study_block_scaling(params: IllposedDataParams, n_min: int = DEFAULT_N_RANGE
     plateau verdicts are far from this.
     """
     n_list = check_blockscale(params, n_min, n_max)
-    data = build_initial_data(params)
+    y = _spectra(build_initial_data(params))  # the values die here, before the sweep
     bank = build_filter_bank(params.grid)
     s, p = params.s, params.p
 
-    norms_rho, norms_u = _transport_block_norms(bank, _spectra(data), n_list, p).tolist()
+    norms_rho, norms_u = _transport_block_norms(bank, y, n_list, p).tolist()
     rows = [
         (n, norm_rho, norm_u, 2.0 ** (n * (s - 2)) * norm_rho, 2.0 ** (n * (s - 1)) * norm_u)
         for n, norm_rho, norm_u in zip(n_list, norms_rho, norms_u)
