@@ -1,19 +1,13 @@
 """novlab: a numerical laboratory for the two-component Novikov system.
 
-Spectral core on a periodic grid, a Littlewood-Paley/Besov toolkit, the
+Spectral core on a periodic grid, a Littlewood-Paley filter bank, the
 oscillatory lacunary data family, an RK4 pseudospectral solver for the
-nonlocal form of the system, and verdict-bearing scaling studies.
+nonlocal form of the system, and verdict-bearing scaling studies, which
+measure every Besov norm from stacked half spectra.
 """
 
 from .spectral import Grid, GridMismatchError, RealField
-from .littlewood_paley import (
-    BesovIndex,
-    LPFilterBank,
-    UnresolvedSpectrumError,
-    besov_norm,
-    build_filter_bank,
-    weighted_block_norms,
-)
+from .littlewood_paley import LPFilterBank, UnresolvedSpectrumError, build_filter_bank
 from .initial_data import (
     IllposedDataParams,
     ResolutionError,

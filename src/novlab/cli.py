@@ -1,7 +1,8 @@
 """Command-line entry point: data generation, solving, decomposition, studies.
 
 Exit codes: 0 when every verdict passes, 1 when any verdict fails (outputs
-are still written), 2 on usage, validation or file errors.  A plain
+are still written), 2 on usage, validation or file errors and when an
+integration trips the solver's blow-up guard or step floor.  A plain
 key=value config file can seed any run; explicit flags override it.
 """
 
@@ -22,7 +23,8 @@ from .fieldio import save_field
 from .initial_data import (LAMBDA_DEFAULT, LAMBDA_MAX, LAMBDA_MIN, IllposedDataParams,
                            build_initial_data, tail_bound)
 from .littlewood_paley import _check_weights, build_filter_bank, top_index
-from .solver import MIN_STEP_FRACTION, SolverConfig, _spectra, integrate
+from .solver import (MIN_STEP_FRACTION, BlowupError, SolverConfig, StepSizeError, _spectra,
+                     integrate)
 from .spectral import Grid
 
 STUDIES = ("blockscale", "shorttime", "separation", "inequalities")
@@ -273,7 +275,7 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         return run(parse_args(sys.argv[1:] if argv is None else argv))
-    except ValueError as exc:
+    except (ValueError, BlowupError, StepSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .initial_data import (BUMP_CUTOFF, IllposedDataParams, SystemState, build_bump,
                            build_initial_data, check_regime)
-from .littlewood_paley import (CHI_PLATEAU_END, BesovIndex, LPFilterBank, _block_half,
-                               _block_norms, _block_weights, _check_resolved, _check_weights,
+from .littlewood_paley import (CHI_PLATEAU_END, LPFilterBank, _block_half, _block_norms,
+                               _block_weights, _check_resolved, _check_weights,
                                _commutator_block_norms, _half_lp_norm, build_filter_bank,
                                top_index)
 from .solver import SolverConfig, _pair, _spectra, integrate
@@ -319,17 +319,18 @@ def _sweep(state0: SystemState, cfg: SolverConfig, checkpoints, measure,
 
 def _weighted_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
                    check_resolved: bool = True) -> np.ndarray:
-    """``weighted_block_norms`` of each field of the stacked half spectra y,
-    row r with s = s_rows[r], from the spectra (p = 2 by Parseval, other p
-    one inverse transform per block), one row of weighted norms per field."""
+    """The weighted block norms 2^(j s) ||block_j f||_Lp, j = -1 .. j_max, of
+    each field f of the stacked half spectra y, row r with s = s_rows[r],
+    for a checked p (see ``_block_norms``): the one routine that every
+    command takes its Besov norms with."""
     weights = np.stack([_block_weights(bank, s) for s in s_rows])
     return weights * _block_norms(bank, y, p, check_resolved)
 
 
 def _besov_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
                 check_resolved: bool = True) -> list:
-    """``besov_norm`` of each field of the stacked half spectra y, row r in
-    B^(s_rows[r])_{p,inf}, from the spectra."""
+    """The B^s_{p,inf} norm (the largest weighted block norm) of each field
+    of the stacked half spectra y, row r with s = s_rows[r]."""
     return np.max(_weighted_rows(bank, y, s_rows, p, check_resolved), axis=-1).tolist()
 
 
@@ -759,7 +760,7 @@ def _pair_stacks(grid: Grid, k: int) -> np.ndarray:
     return np.empty((5, k, grid.num_points + 2))
 
 
-def _corpus_chunk(bank: LPFilterBank, rng, stacks: np.ndarray, idx: BesovIndex) -> np.ndarray:
+def _corpus_chunk(bank: LPFilterBank, rng, stacks: np.ndarray, s: float, p) -> np.ndarray:
     """Draw k sample pairs into ``stacks`` (``_pair_stacks`` of k pairs) and
     return their ratios (``_chunk_ratios``), as a corpus runs each chunk:
     the pairs' spectra go to stacks 0 and 1 and their values, u then v, to
@@ -770,13 +771,13 @@ def _corpus_chunk(bank: LPFilterBank, rng, stacks: np.ndarray, idx: BesovIndex) 
         np.setbufsize(CORPUS_UFUNC_BUFSIZE)
         _draw_fields(bank.grid, rng, stacks.view(complex)[:2].swapaxes(0, 1),
                      stacks[2:4, :, :n].swapaxes(0, 1))
-        return _chunk_ratios(bank, stacks, idx)
+        return _chunk_ratios(bank, stacks, s, p)
 
 
-def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, idx: BesovIndex) -> np.ndarray:
+def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, s: float, p) -> np.ndarray:
     """The product-law, commutator and smoothing ratios of the sample pairs
     (u, v) in ``stacks`` (``_pair_stacks``), one pair per row, as a (k, 3)
-    array, with s, p = idx (a zero denominator gives 0):
+    array, for a checked p (a zero denominator gives 0):
 
         ||uv||_{B^(s-2)} / (||u||_{B^(s-2)} ||v||_{B^(s-1)}),
         sup_j 2^(js)||[block_j, u] v_x||_Lp
@@ -805,12 +806,12 @@ def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, idx: BesovIndex) -> np
     beside u and v_x's spectrum in the other three.
     """
     grid = bank.grid
-    n, p = grid.num_points, idx.p
+    n = grid.num_points
     values, spectra = stacks[..., :n], stacks.view(complex)
     u, v = values[2], values[3]
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("field values must be finite")
-    w2, w1, w0 = (_block_weights(bank, s) for s in (idx.s - 2, idx.s - 1, idx.s))
+    w2, w1, w0 = (_block_weights(bank, t) for t in (s - 2, s - 1, s))
     d = _derivative_symbol(grid)
     free = (stacks[0], stacks[4])  # the work of the block norms
     # uv: the product in stack 0, its spectrum in stack 1
@@ -844,13 +845,13 @@ def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, idx: BesovIndex) -> np
     ], axis=-1)
 
 
-def check_inequalities(corpus_size: int, seed: int, grid: Grid, s: float, p) -> None:
+def check_inequalities(corpus_size: int, seed: int, grid: Grid, s: float, p) -> float:
     """The input rules of ``study_inequalities``: (s, p) in the paper's regime,
     at least 100 pairs, a seed numpy accepts, finite block weights, and a grid
     on which the products u v_x (below 2 CORPUS_BAND Nyquist) reach past the
     low-pass plateau |xi| <= 1, inside which every commutator block vanishes
-    and its ratio measures only roundoff."""
-    check_regime(s, p)
+    and its ratio measures only roundoff.  Returns p as a float."""
+    p = check_regime(s, p)
     if corpus_size < 100:
         raise ValueError(f"corpus_size must be at least 100, got {corpus_size}")
     if seed < 0:
@@ -862,6 +863,7 @@ def check_inequalities(corpus_size: int, seed: int, grid: Grid, s: float, p) -> 
             "block of the corpus vanishes"
         )
     _check_weights(s, top_index(grid))
+    return p
 
 
 def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_SEED,
@@ -876,8 +878,7 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     so each pair's products are formed on the corpus grid itself, without
     padding (see ``_chunk_ratios``).
     """
-    check_inequalities(corpus_size, seed, grid, s, p)
-    idx = BesovIndex(s, p)
+    p = check_inequalities(corpus_size, seed, grid, s, p)
     bank = build_filter_bank(grid)
 
     def corpus(rows, name, corpus_seed):
@@ -885,12 +886,12 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
         stacks = _pair_stacks(grid, CORPUS_CHUNK)  # all the memory the chunks reuse
         for start in range(0, corpus_size, CORPUS_CHUNK):
             k = min(CORPUS_CHUNK, corpus_size - start)
-            ratios = _corpus_chunk(bank, rng, stacks[:, :k], idx).tolist()
+            ratios = _corpus_chunk(bank, rng, stacks[:, :k], s, p).tolist()
             rows.extend((start + i, name, *r) for i, r in enumerate(ratios))
 
     # B runs on the solver's worker thread while A runs here, or after A on
     # one CPU.  The corpora share only read-only inputs (the bank, the grid,
-    # whose frequencies the bank has cached, and idx) and each draws from its
+    # whose frequencies the bank has cached, s and p) and each draws from its
     # own generator, so the rows are the same bits either way.  At p = 2 each
     # pair of fields takes 23 transforms of the default grid (``_chunk_ratios``).
     rows_a, rows_b = [], []

@@ -81,13 +81,14 @@ def build_bump(grid: Grid) -> RealField:
     return modulated_bump(grid, 0.0)
 
 
-def check_regime(s, p) -> None:
+def check_regime(s, p) -> float:
     """Reject (s, p) outside the regime of the paper: p in [1, inf] and a
-    finite s > max(2 + 1/p, 5/2)."""
-    _check_p(p)
-    s_min = max(2.0 + 1.0 / float(p), 2.5)
+    finite s > max(2 + 1/p, 5/2).  Returns p as a float."""
+    p = _check_p(p)
+    s_min = max(2.0 + 1.0 / p, 2.5)
     if not (s > s_min and math.isfinite(s)):
         raise ValueError(f"s > max(2 + 1/p, 5/2) = {s_min:g} and finite (got {s})")
+    return p
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,8 @@ class IllposedDataParams:
 
     The regularity must satisfy s > max(2 + 1/p, 5/2); the modulation
     lambda stays in [67/48, 69/48] so that band n sits in ring n's plateau.
-    ``grid`` is a required keyword.
+    ``grid`` is a required keyword.  p is kept as the float that
+    ``check_regime`` returns, so p = "inf" reads math.inf.
     """
 
     s: float
@@ -106,7 +108,7 @@ class IllposedDataParams:
     grid: Grid = field(kw_only=True)
 
     def __post_init__(self):
-        check_regime(self.s, self.p)
+        object.__setattr__(self, "p", check_regime(self.s, self.p))
         if not LAMBDA_MIN <= self.lam <= LAMBDA_MAX:
             raise ValueError(
                 f"lambda must lie in [{LAMBDA_MIN:.6g}, {LAMBDA_MAX:.6g}], got {self.lam}"

@@ -1,4 +1,4 @@
-"""Smooth dyadic filter bank, frequency blocks, Besov norms, commutators.
+"""Smooth dyadic filter bank, frequency blocks, block norms, commutators.
 
 The bank is built from a single smooth low-pass profile T with T = 1 for
 |xi| <= 1 and T = 0 for |xi| >= 4/3, glued by the standard exponential
@@ -10,7 +10,9 @@ phi(xi) = T(xi/2) - T(xi), so the partition
 telescopes exactly and equals 1 on every resolved frequency once
 2^(J+1) exceeds the Nyquist frequency.  The ring symbol is supported in
 {1 <= |xi| <= 8/3} and equals 1 exactly on {4/3 <= |xi| <= 2}; rings two
-indices apart are disjoint.
+indices apart are disjoint.  The block norms here work on half spectra;
+``experiments._weighted_rows`` weights them into the Besov norms that every
+command reports.
 """
 
 from __future__ import annotations
@@ -21,18 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    RealField,
-    _bin_energy,
-    _check_p,
-    _check_same_grid,
-    _irfft_into,
-    _lp_rows,
-    _product_half,
-    _support_bins,
-    half_spectrum,
-)
+from .spectral import Grid, _bin_energy, _irfft_into, _lp_rows, _product_half, _support_bins
 
 CHI_PLATEAU_END = 1.0
 CHI_SUPPORT_END = 4.0 / 3.0
@@ -66,19 +57,6 @@ def ring_profile(xi):
     """The ring symbol T(xi/2) - T(xi); nonnegative, supported in 1 <= |xi| <= 8/3."""
     xi = np.asarray(xi, dtype=float)
     return low_pass_profile(xi / 2) - low_pass_profile(xi)
-
-
-@dataclass(frozen=True)
-class BesovIndex:
-    """Indices (s, p) of B^s_{p,inf}; s is finite, p may be math.inf."""
-
-    s: float
-    p: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.s):
-            raise ValueError(f"s must be finite, got {self.s}")
-        _check_p(self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +210,7 @@ def _half_lp_norm(grid: Grid, half: np.ndarray, p, values=None):
 def _block_energies(bank: LPFilterBank, energy: np.ndarray, out=None) -> np.ndarray:
     """The block energies sum_k m_j(xi_k)^2 e_k, j = -1 .. j_max, of the bin
     energies e along the last axis, along a new last axis (Parseval: see
-    ``weighted_block_norms``), from one multiply by the bank's parity rows
+    ``_block_norms``), from one multiply by the bank's parity rows
     and one ``reduceat`` over their segments.  With ``out``, rows of at
     least twice the bins in doubles, the products are formed there.  A
     single row of bins is multiplied by one parity row at a time and its
@@ -262,9 +240,21 @@ def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
                  check_resolved: bool = True, work=None) -> np.ndarray:
     """The unweighted sequence ||block_j f||_Lp for j = -1 .. j_max of the
     field f with half spectrum ``half``, along a new last axis when ``half``
-    is a stack; see ``weighted_block_norms``.  With ``work``, two stacks of
-    rows of at least n + 2 doubles beside ``half``'s, the energies, the
-    weighted block energies, the blocks and their values are formed there.
+    is a stack, for a checked p.  With ``work``, two stacks of rows of at
+    least n + 2 doubles beside ``half``'s, the energies, the weighted block
+    energies, the blocks and their values are formed there.
+
+    For p = 2 the sequence takes no transform, by discrete Parseval: with
+    e_k = mult_k |f_k|^2 the bin energies of the half spectrum f_k (mult_k =
+    2 on interior bins, 1 at k = 0 and k = N/2),
+
+        ||block_j f||_L2^2 = L sum_k m_j(xi_k)^2 e_k,
+
+    which in exact arithmetic is exactly the grid quadrature of the block's
+    L^2 norm.  For p != 2 each block is transformed back to the grid and
+    measured by its grid quadrature, one inverse transform per block.  A
+    field with more than UNRESOLVED_ENERGY_TOL of its energy above the
+    bank's resolved band raises UnresolvedSpectrumError.
 
     ``check_resolved=False`` skips the near-Nyquist energy guard.  That is
     needed for tiny difference fields (e.g. expansion residuals shrinking
@@ -274,7 +264,7 @@ def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
     energy = _bin_energy(half, out=None if work is None else work[0])
     if check_resolved:
         _check_resolved(bank, energy)
-    if float(p) == 2.0:
+    if p == 2.0:
         return np.sqrt(bank.grid.length
                        * _block_energies(bank, energy, None if work is None else work[1]))
     if work is None:
@@ -283,31 +273,6 @@ def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
         block, values = work[0].view(complex)[..., : half.shape[-1]], work[1]
     return np.stack([_half_lp_norm(bank.grid, _block_half(bank, half, j, out=block), p, values)
                      for j in range(-1, bank.j_max + 1)], axis=-1)
-
-
-def weighted_block_norms(bank: LPFilterBank, f: RealField, idx: BesovIndex) -> np.ndarray:
-    """The sequence 2^(j s) ||block_j f||_Lp for j = -1 .. j_max.
-
-    For p = 2 the sequence comes from one forward transform, by discrete
-    Parseval: with e_k = mult_k |f_k|^2 the bin energies of the half
-    spectrum f_k (mult_k = 2 on interior bins, 1 at k = 0 and k = N/2),
-
-        ||block_j f||_L2^2 = L sum_k m_j(xi_k)^2 e_k,
-
-    which in exact arithmetic is exactly the grid quadrature of the block's
-    L^2 norm.  For p != 2 each block is transformed back to the grid and
-    measured by its grid quadrature, one inverse transform per block.  A
-    field with more than UNRESOLVED_ENERGY_TOL of its energy above the
-    bank's resolved band raises UnresolvedSpectrumError.
-    """
-    _check_same_grid(bank, f)
-    weights = _block_weights(bank, idx.s)  # rejects an overflowing s before any transform
-    return weights * _block_norms(bank, half_spectrum(f), idx.p)
-
-
-def besov_norm(bank: LPFilterBank, f: RealField, idx: BesovIndex) -> float:
-    """B^s_{p,inf} norm: the largest weighted block norm."""
-    return float(np.max(weighted_block_norms(bank, f, idx)))
 
 
 def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, band: int, u_values: np.ndarray,

@@ -139,6 +139,8 @@ def half_spectrum(f: RealField) -> np.ndarray:
     Diagonal operators are phase-invariant, so multiplier application and
     products work directly on this representation.
     """
+    # No command calls it: ``derivative`` takes its field transform here,
+    # and the tests build their one-field oracles on it.
     return rfft(f.values, norm="forward")
 
 
@@ -176,7 +178,7 @@ def _smoothing_symbol(grid: Grid) -> np.ndarray:
 
 def derivative(f: RealField) -> RealField:
     """Spectral derivative; the (sign-ambiguous) Nyquist bin is zeroed."""
-    # No study calls it: it stays because benchmarks/tests/test_tracing.py
+    # No command calls it: it stays because benchmarks/tests/test_tracing.py
     # traces one call of it, through scipy's rfft and irfft.
     return field_from_half(f.grid, _derivative_symbol(f.grid) * half_spectrum(f))
 

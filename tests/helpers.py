@@ -1,9 +1,10 @@
 """Plain test helpers: the data modulation and data outside the paper's
-regime, grid modes, seeded random fields, the grid L^p norm, the block
-multipliers, the kernel's RHS as fields, the zero-padded field operators
-that serve as oracles, a term-by-term RHS, a straight-line RHS kernel,
-fixed-step RK4 states, the inequality corpus's draws and ratios, and the
-CPUs and worker threads that ``solver._pair`` sees.
+regime, grid modes, seeded random fields, the grid L^p norm, the one-field
+weighted block norms and Besov norm, the block multipliers, the kernel's
+RHS as fields, the zero-padded field operators that serve as oracles, a
+term-by-term RHS, a straight-line RHS kernel, fixed-step RK4 states, the
+inequality corpus's draws and ratios, and the CPUs and worker threads that
+``solver._pair`` sees.
 
 They live apart from conftest.py so that a test module can import them by a
 name no other collected directory shares.
@@ -19,10 +20,11 @@ from dataclasses import replace
 import numpy as np
 
 from novlab import RealField, build_initial_data
-from novlab.experiments import _chunk_ratios, _draw_fields, _pair_stacks
-from novlab.littlewood_paley import _block_half
+from novlab.experiments import _chunk_ratios, _draw_fields, _pair_stacks, _weighted_rows
+from novlab.littlewood_paley import _block_half, _check_weights
 from novlab.solver import _rhs_half, _spectra, _Workspace
-from novlab.spectral import _check_p, _lp_rows, field_from_half, half_spectrum
+from novlab.spectral import (_check_p, _check_same_grid, _lp_rows, field_from_half,
+                             half_spectrum)
 
 LAMBDA = 68.0 / 48.0
 
@@ -38,6 +40,23 @@ def out_of_regime_data(s, lam, num_terms, grid):
 def lp_norm(f, p):
     """Grid quadrature of the L^p norm of f; p = inf gives the max norm."""
     return float(_lp_rows(np.array(f.values), f.grid.spacing, _check_p(p)))
+
+
+def weighted_block_norms(bank, f, s, p):
+    """The sequence 2^(j s) ||block_j f||_Lp, j = -1 .. j_max, of the field f
+    on the bank's grid, by the routine every command measures Besov norms
+    with (``experiments._weighted_rows``), from f's half spectrum.  A field
+    on another grid, an invalid p and an overflowing s are refused before
+    any transform."""
+    _check_same_grid(bank, f)
+    p = _check_p(p)
+    _check_weights(s, bank.j_max)
+    return _weighted_rows(bank, half_spectrum(f)[None], (s,), p)[0]
+
+
+def besov_norm(bank, f, s, p):
+    """The B^s_{p,inf} norm of f: its largest weighted block norm."""
+    return float(np.max(weighted_block_norms(bank, f, s, p)))
 
 
 def block_multiplier(bank, j):
@@ -268,15 +287,15 @@ def random_band_limited_field(grid, rng):
     return RealField(grid, random_band_limited_values(grid, rng, 1)[0])
 
 
-def pair_ratios(bank, u, v, idx):
+def pair_ratios(bank, u, v, s, p):
     """The product-law, commutator and smoothing ratios
-    (``experiments._chunk_ratios``) of each sample pair (u, v) given by grid
-    values, one pair per row of the (k, n) stacks u and v, as a (k, 3)
-    array, formed on a copy of them in fresh stacks."""
+    (``experiments._chunk_ratios``) in B^s_{p,inf} of each sample pair
+    (u, v) given by grid values, one pair per row of the (k, n) stacks u and
+    v, as a (k, 3) array, formed on a copy of them in fresh stacks."""
     n = bank.grid.num_points
     stacks = _pair_stacks(bank.grid, len(u))
     stacks[2:4, :, :n] = u, v
-    return _chunk_ratios(bank, stacks, idx)
+    return _chunk_ratios(bank, stacks, s, p)
 
 
 def see_cpus(monkeypatch, usable):

@@ -1,10 +1,15 @@
 import ast
 import importlib
 import inspect
+import sys
 import types
+import weakref
 from pathlib import Path
 
 import novlab
+from novlab import cli, littlewood_paley
+
+from helpers import see_cpus
 
 # the package's whole public surface; the benchmark harness imports Grid,
 # IllposedDataParams, build_initial_data and load_field from here
@@ -12,8 +17,7 @@ PUBLIC_NAMES = {
     # spectral
     "Grid", "GridMismatchError", "RealField",
     # littlewood_paley
-    "BesovIndex", "LPFilterBank", "UnresolvedSpectrumError", "besov_norm",
-    "build_filter_bank", "weighted_block_norms",
+    "LPFilterBank", "UnresolvedSpectrumError", "build_filter_bank",
     # initial_data
     "IllposedDataParams", "ResolutionError", "SystemState", "build_bump",
     "build_initial_data", "modulated_bump",
@@ -28,7 +32,8 @@ PUBLIC_NAMES = {
 }
 
 # the public functions each module defines, which the benchmark's tracer
-# wraps; a function that only the tests call belongs in tests/helpers.py
+# wraps; a function that only the tests call belongs in tests/helpers.py,
+# bar the three that UNRUN names
 MODULE_FUNCTIONS = {
     "cli": {"build_parser", "main", "parse_args", "run"},
     "experiments": {
@@ -43,12 +48,9 @@ MODULE_FUNCTIONS = {
         "tail_bound",
     },
     "littlewood_paley": {
-        "besov_norm", "build_filter_bank", "low_pass_profile", "ring_profile", "smooth_step",
-        "top_index", "weighted_block_norms",
+        "build_filter_bank", "low_pass_profile", "ring_profile", "smooth_step", "top_index",
     },
     "solver": {"integrate", "step_rk4"},
-    # derivative has no caller in the package: benchmarks/tests/test_tracing.py
-    # traces one call of it
     "spectral": {"derivative", "field_from_half", "half_spectrum"},
 }
 
@@ -58,7 +60,7 @@ def test_exported_names_are_exactly_the_public_api():
         name for name, value in vars(novlab).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 29
     assert exported == PUBLIC_NAMES
 
 
@@ -73,19 +75,17 @@ def test_each_module_defines_exactly_its_public_functions():
         assert defined == expected, name
 
 
-# the parameters of the public studies and norms: each study runs one way,
-# so an option that only the tests would set has no place here
+# the parameters of the public studies: each study runs one way, so an
+# option that only the tests would set has no place here
 SIGNATURES = {
     "study_block_scaling": ["params", "n_min", "n_max"],
     "study_short_time": ["params", "t_max", "dt_cap"],
     "study_separation": ["params", "n_min", "n_max", "delta", "dt_cap"],
     "study_inequalities": ["corpus_size", "seed", "grid", "s", "p"],
-    "weighted_block_norms": ["bank", "f", "idx"],
-    "besov_norm": ["bank", "f", "idx"],
 }
 
 
-def test_studies_and_norms_take_exactly_their_parameters():
+def test_studies_take_exactly_their_parameters():
     for name, parameters in SIGNATURES.items():
         assert list(inspect.signature(getattr(novlab, name)).parameters) == parameters, name
 
@@ -132,14 +132,60 @@ def test_only_spectral_and_solver_bind_scipy_transforms():
     assert bound == SCIPY_FFT_BINDINGS
 
 
+# The public module functions that no command enters, each with the caller
+# that keeps it in the package: benchmarks/tests/test_tracing.py traces
+# spectral.derivative, whose field transform is spectral.half_spectrum, and
+# benchmarks/workloads.py's check_fields reads the commands' dumps with
+# load_field
+UNRUN = {"spectral.half_spectrum", "spectral.derivative", "fieldio.load_field"}
+
+# every command at test scale: 2^14 points on a box of 64 with 9 bands, the
+# corpus on its default grid
+TEST_SCALE = ["--grid-points", "16384", "--domain-length", "64", "--num-terms", "9"]
+COMMANDS = (
+    ["generate-data"], ["solve"], ["decompose"],
+    ["study", "blockscale", "--n-min", "5", "--n-max", "8"], ["study", "shorttime"],
+    ["study", "separation", "--n-min", "5", "--n-max", "8"],
+)
+
+
+def test_commands_enter_every_public_function_but_the_unrun(monkeypatch, tmp_path):
+    # on one CPU every pair of jobs runs on this thread, where the hook
+    # sees it; a fresh bank cache makes each command sample its own bank
+    see_cpus(monkeypatch, {0})
+    monkeypatch.setattr(littlewood_paley, "_banks", weakref.WeakValueDictionary())
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    out = ["--output", str(tmp_path / "run")]
+    sys.setprofile(hook)
+    try:
+        codes = [cli.main(argv + TEST_SCALE + out) for argv in COMMANDS]
+        codes.append(cli.main(["study", "inequalities", "--corpus-size", "100"] + out))
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * 7
+    unrun = set()
+    for name in LAYERS:
+        module = importlib.import_module(f"novlab.{name}")
+        unrun.update(f"{name}.{key}" for key, value in vars(module).items()
+                     if not key.startswith("_") and isinstance(value, types.FunctionType)
+                     and value.__module__ == module.__name__
+                     and value.__code__ not in entered)
+    assert unrun == UNRUN
+
+
 # The size of src/novlab, by one rule: the total counts every line of every
 # module; the code lines are the non-blank lines that are neither comments
 # (a line whose first non-blank character is #) nor docstrings (the lines
 # of the first statement of a module, class or function body when it is a
 # string, found with ast).  A change that adds code raises these numbers in
 # its own diff and says why.
-SOURCE_LINES_MAX = 2818
-CODE_LINES_MAX = 1560
+SOURCE_LINES_MAX = 2784
+CODE_LINES_MAX = 1530
 
 
 def _source_size(package: Path) -> tuple:

@@ -6,7 +6,7 @@ from typing import get_args, get_type_hints
 
 import pytest
 
-from novlab import cli, experiments
+from novlab import cli, experiments, solver
 from novlab.cli import RunConfig, main, parse_args, run
 from novlab.experiments import StudyReport
 from novlab.spectral import Grid
@@ -302,6 +302,25 @@ class TestRun:
                              output_path=str(tmp_path / "fail")))
         assert code == 1
         assert (tmp_path / "fail_blockscale.csv").exists()
+
+    @pytest.mark.parametrize("limits,argv,message", [
+        ({"BLOWUP_FACTOR": 0.5}, ["study", "shorttime"], "blow-up guard tripped"),
+        # with no tolerance every step whose error is not exactly 0 is
+        # rejected, so the shrinking step soon crosses a floor of 1e-2 of
+        # the horizon
+        ({"RTOL": 0.0, "ATOL": 0.0, "MIN_STEP_FRACTION": 1e-2}, ["solve"], "below its floor"),
+    ], ids=["blowup", "step-floor"])
+    def test_tripped_solver_guard_exits_two(self, limits, argv, message, tmp_path,
+                                            monkeypatch, capsys):
+        for name, value in limits.items():
+            monkeypatch.setattr(solver, name, value)
+        out = tmp_path / "guarded"
+        small = ["--grid-points", "4096", "--domain-length", "64", "--num-terms", "6"]
+        assert main(argv + small + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command,study_name", [("bogus", None), ("study", "blockscal")])
     def test_unknown_command_or_study_runs_nothing(self, command, study_name, tmp_path):

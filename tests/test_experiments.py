@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from novlab import (
-    BesovIndex,
     DegenerateDataError,
     Grid,
     IllposedDataParams,
@@ -16,7 +15,6 @@ from novlab import (
     SolverConfig,
     SystemState,
     UnresolvedSpectrumError,
-    besov_norm,
     build_bump,
     build_filter_bank,
     build_initial_data,
@@ -44,7 +42,7 @@ from novlab.experiments import (
 from novlab.littlewood_paley import RING_SUPPORT, _block_norms, _block_weights
 from novlab.spectral import field_from_half
 
-from helpers import (derivative, dyadic_block, fft_threads, fixed_step_states,
+from helpers import (besov_norm, derivative, dyadic_block, fft_threads, fixed_step_states,
                      helmholtz_inverse, lp_norm, mode, pair_ratios, product, random_band_limited_field,
                      random_band_limited_values, random_field, see_cpus, traced_peak)
 
@@ -479,7 +477,7 @@ class TestSeparationStudy:
                 # the lift: the transform to 2^14 points pads the spectrum
                 half = diff.copy()
                 half[-1] *= 0.5
-                dist += besov_norm(bank, field_from_half(grid, half), BesovIndex(t, p))
+                dist += besov_norm(bank, field_from_half(grid, half), t, p)
             lifted.append(dist)
 
         integrate(SystemState(rho=control, u=control), cfg,
@@ -668,8 +666,7 @@ def _per_horizon_separation_rows(params, n_range, delta):
     s, p = params.s, params.p
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
-    idx_rho, idx_u = BesovIndex(s - 1, p), BesovIndex(s, p)
-    energy0 = besov_norm(bank, data.rho, idx_rho) + besov_norm(bank, data.u, idx_u)
+    energy0 = besov_norm(bank, data.rho, s - 1, p) + besov_norm(bank, data.u, s, p)
     control = CONTROL_AMPLITUDE * build_bump(params.grid)
     rows = []
     for n in n_range:
@@ -678,20 +675,19 @@ def _per_horizon_separation_rows(params, n_range, delta):
         quarter = [t_n * k / 4 for k in (1, 2, 3, 4)]
         states = fixed_step_states(data, dt, quarter)
         energy_ratio = max(
-            (besov_norm(bank, st.rho, idx_rho) + besov_norm(bank, st.u, idx_u)) / energy0
+            (besov_norm(bank, st.rho, s - 1, p) + besov_norm(bank, st.u, s, p)) / energy0
             for st in states
         )
         final = states[-1]
         drho, du = final.rho - data.rho, final.u - data.u
-        full_rho = besov_norm(bank, drho, idx_rho)
-        full_u = besov_norm(bank, du, idx_u)
+        full_rho = besov_norm(bank, drho, s - 1, p)
+        full_u = besov_norm(bank, du, s, p)
         block_sep = 2.0 ** (n * (s - 1)) * lp_norm(dyadic_block(bank, drho, n), p) + 2.0 ** (
             n * s
         ) * lp_norm(dyadic_block(bank, du, n), p)
         cfinal = fixed_step_states(SystemState(rho=control, u=control), dt, [t_n])[-1]
-        control_dist = besov_norm(bank, cfinal.rho - control, idx_rho) + besov_norm(
-            bank, cfinal.u - control, idx_u
-        )
+        control_dist = (besov_norm(bank, cfinal.rho - control, s - 1, p)
+                        + besov_norm(bank, cfinal.u - control, s, p))
         rows.append((n, t_n, block_sep, full_rho, full_u, full_rho + full_u,
                      energy_ratio, control_dist))
     return rows
@@ -702,9 +698,9 @@ def stack(*fields):
     return np.array([f.values for f in fields])
 
 
-def one_pair_ratios(bank, u, v, idx):
+def one_pair_ratios(bank, u, v, s, p):
     """``pair_ratios`` of the single pair (u, v), as a tuple of floats."""
-    return tuple(pair_ratios(bank, stack(u), stack(v), idx)[0].tolist())
+    return tuple(pair_ratios(bank, stack(u), stack(v), s, p)[0].tolist())
 
 
 class TestInequalitiesStudy:
@@ -756,7 +752,7 @@ class TestInequalitiesStudy:
 
     def test_equal_fields_give_positive_ratio(self, small_grid, small_bank):
         u = random_field(small_grid, seed=40)
-        r, _, _ = one_pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
+        r, _, _ = one_pair_ratios(small_bank, u, u, 3.0, 2.0)
         assert math.isfinite(r) and r > 0
 
     def test_constant_v_gives_zero_commutator_ratio(self, small_grid, small_bank):
@@ -764,14 +760,14 @@ class TestInequalitiesStudy:
 
         u = random_field(small_grid, seed=41)
         v = RealField(small_grid, np.full(small_grid.num_points, 2.0))
-        _, r, _ = one_pair_ratios(small_bank, u, v, BesovIndex(3.0, 2.0))
+        _, r, _ = one_pair_ratios(small_bank, u, v, 3.0, 2.0)
         assert r < 1e-10
 
     def test_smoothing_ratio_bounded_by_one_ish(self, small_grid, small_bank):
         u = random_field(small_grid, seed=42)
         # the multiplier never exceeds 1, and the Besov reweighting 2^(2j)
         # exactly offsets the ring decay of 1/(1+xi^2) up to ring constants
-        _, _, r = one_pair_ratios(small_bank, u, u, BesovIndex(3.0, 2.0))
+        _, _, r = one_pair_ratios(small_bank, u, u, 3.0, 2.0)
         assert 0 < r < 3.0
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -782,7 +778,7 @@ class TestInequalitiesStudy:
         s, bank = 3.0, small_bank
 
         def besov(f, t):
-            return besov_norm(bank, f, BesovIndex(t, p))
+            return besov_norm(bank, f, t, p)
 
         vx = derivative(v)
         comm = max(
@@ -796,20 +792,19 @@ class TestInequalitiesStudy:
                     + lp_norm(vx, math.inf) * besov(u, s)),
             besov(helmholtz_inverse(u), s) / besov(u, s - 2),
         )
-        got = one_pair_ratios(bank, u, v, BesovIndex(s, p))
+        got = one_pair_ratios(bank, u, v, s, p)
         assert np.allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_pair_guards_the_product(self, small_grid, small_bank):
         # u at xi = 98.2 is resolved, but u^2 puts half its energy at 196.3,
         # above the guard frequency 1.5 * 2^7 = 192 and below Nyquist 201
         u = mode(small_grid, 1000)
-        idx = BesovIndex(3.0, 2.0)
         with pytest.raises(UnresolvedSpectrumError):
-            one_pair_ratios(small_bank, u, u, idx)
+            one_pair_ratios(small_bank, u, u, 3.0, 2.0)
         # each row of a stack is judged on its own, wherever it sits
         ok = random_field(small_grid, seed=43)
         with pytest.raises(UnresolvedSpectrumError):
-            pair_ratios(small_bank, stack(ok, ok, u), stack(ok, ok, u), idx)
+            pair_ratios(small_bank, stack(ok, ok, u), stack(ok, ok, u), 3.0, 2.0)
 
     def test_zero_row_gives_zero_ratios_and_spares_the_others(self, small_grid, small_bank):
         # a zero u makes every denominator of its row zero: that row reads 0,
@@ -818,13 +813,12 @@ class TestInequalitiesStudy:
         u = random_band_limited_values(small_grid, rng, 3)
         v = random_band_limited_values(small_grid, rng, 3)
         u[1] = 0.0
-        idx = BesovIndex(3.0, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = pair_ratios(small_bank, u, v, idx)
+            got = pair_ratios(small_bank, u, v, 3.0, 2.0)
         assert got[1].tolist() == [0.0, 0.0, 0.0]
         for row in (0, 2):
-            alone = pair_ratios(small_bank, u[row:row + 1], v[row:row + 1], idx)
+            alone = pair_ratios(small_bank, u[row:row + 1], v[row:row + 1], 3.0, 2.0)
             assert np.array_equal(got[row], alone[0])
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -833,11 +827,11 @@ class TestInequalitiesStudy:
         # a stack gets the bits it gets alone
         fields = random_band_limited_values(small_grid, np.random.default_rng(13), 10)
         u, v = fields[0::2], fields[1::2]
-        idx = BesovIndex(3.1 if p == 1.0 else 3.0, p)
-        got = pair_ratios(small_bank, u, v, idx)
+        s = 3.1 if p == 1.0 else 3.0
+        got = pair_ratios(small_bank, u, v, s, p)
         assert got.shape == (5, 3)
         for row in range(5):
-            alone = pair_ratios(small_bank, u[row:row + 1], v[row:row + 1], idx)
+            alone = pair_ratios(small_bank, u[row:row + 1], v[row:row + 1], s, p)
             assert np.array_equal(got[row], alone[0])
 
     @pytest.mark.parametrize("s,p", [(3.1, 1.0), (3.0, 2.0), (3.0, math.inf)])
@@ -860,11 +854,11 @@ class TestInequalitiesStudy:
         # its ratios, allocates its five stacks and about 0.4 value stacks S
         # (k rows of n doubles) more: 5.42 S at every p, measured at k = 6.
         # A sweep that took one fresh stack per block would peak above 6 S
-        idx = BesovIndex(3.1 if p == 1.0 else 3.0, p)
+        s = 3.1 if p == 1.0 else 3.0
         rng = np.random.default_rng(14)
 
         def chunk():
-            return _corpus_chunk(small_bank, rng, _pair_stacks(small_grid, CORPUS_CHUNK), idx)
+            return _corpus_chunk(small_bank, rng, _pair_stacks(small_grid, CORPUS_CHUNK), s, p)
 
         chunk()  # warm
         _, peak = traced_peak(chunk)
@@ -885,7 +879,7 @@ class TestInequalitiesStudy:
         for chunks, k in enumerate((1, CORPUS_CHUNK), start=1):
             pairs += k
             fields = random_band_limited_values(small_grid, rng, 2 * k)
-            pair_ratios(small_bank, fields[0::2], fields[1::2], BesovIndex(3.0, 2.0))
+            pair_ratios(small_bank, fields[0::2], fields[1::2], 3.0, 2.0)
             assert counts.calls == {"rfft": 11 * chunks, "irfft": (1 + 10) * chunks}
             assert counts == {"rfft": 11 * pairs, "irfft": (2 + 10) * pairs}
             assert counts.lengths == {small_grid.num_points: 23 * pairs}
@@ -915,18 +909,30 @@ class TestInequalitiesStudy:
     (lambda prm: study_short_time(prm, -1.0), "t_final"),
     (lambda prm: study_short_time(prm, math.nan), "t_final"),
     (lambda prm: study_short_time(prm, math.inf), "t_final"),
+    (lambda prm: study_inequalities(corpus_size=100, seed=3, p="x"), "could not convert"),
 ], ids=["blockscale-s", "shorttime-s", "shorttime-dt", "separation-s", "separation-dt",
         "inequalities-s", "inequalities-seed", "blockscale-two-bands", "blockscale-n_min",
         "blockscale-n_max", "separation-two-bands", "separation-n_min", "separation-n_max",
         "blockscale-fraction", "separation-fraction",
         "shorttime-t_max-0", "shorttime-t_max-neg", "shorttime-t_max-nan",
-        "shorttime-t_max-inf"])
+        "shorttime-t_max-inf", "inequalities-p"])
 def test_studies_reject_bad_input_before_any_transform(run, message, medium_params,
                                                        count_ffts):
     counts = count_ffts()
     with pytest.raises(ValueError, match=message):
         run(medium_params)
     assert counts == {"rfft": 0, "irfft": 0}
+
+
+@pytest.mark.parametrize("p,value", [("inf", math.inf), ("2", 2.0)])
+def test_string_p_runs_as_its_float(p, value, small_grid):
+    # a study reads p as the float that check_regime returns
+    params = [IllposedDataParams(s=3.0, p=q, num_terms=6, grid=small_grid) for q in (p, value)]
+    got, want = (study_block_scaling(prm, 3, 5) for prm in params)
+    assert got.rows == want.rows and got.params["p"] == value
+    got, want = (study_inequalities(corpus_size=100, seed=5, grid=small_grid, s=3.5, p=q)
+                 for q in (p, value))
+    assert got.rows == want.rows and got.params["p"] == value
 
 
 def test_integral_band_bounds_pass(medium_params):

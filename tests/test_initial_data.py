@@ -6,23 +6,21 @@ import pytest
 from scipy.integrate import quad
 
 from novlab import (
-    BesovIndex,
     Grid,
     IllposedDataParams,
     RealField,
     ResolutionError,
     SystemState,
-    besov_norm,
     build_bump,
     build_initial_data,
     load_field,
     modulated_bump,
     save_field,
 )
-from novlab.initial_data import BUMP_CUTOFF, bump_profile, tail_bound
+from novlab.initial_data import BUMP_CUTOFF, bump_profile, check_regime, tail_bound
 from novlab.spectral import _half_phase, field_from_half, half_spectrum
 
-from helpers import LAMBDA, coefficients, dyadic_block, lp_norm
+from helpers import LAMBDA, besov_norm, coefficients, dyadic_block, lp_norm
 
 
 class TestBumpProfile:
@@ -154,8 +152,20 @@ class TestParamsValidation:
             IllposedDataParams(s=3.0, p=2.0, grid=medium_grid, num_terms=2000)
 
     def test_rejects_infinite_regularity(self, medium_grid):
-        with pytest.raises(ValueError, match="finite"):
-            IllposedDataParams(s=math.inf, p=2.0, grid=medium_grid, num_terms=8)
+        for s in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                IllposedDataParams(s=s, p=2.0, grid=medium_grid, num_terms=8)
+
+    def test_p_is_kept_as_a_float(self, medium_grid):
+        for p, value in (("inf", math.inf), ("2", 2.0), (1, 1.0)):
+            assert check_regime(3.5, p) == value
+            params = IllposedDataParams(s=3.5, p=p, grid=medium_grid, num_terms=8)
+            assert params.p == value and type(params.p) is float
+
+    @pytest.mark.parametrize("p", ["x", 0.5, math.nan])
+    def test_rejects_p_outside_one_to_inf(self, medium_grid, p):
+        with pytest.raises(ValueError):
+            IllposedDataParams(s=3.5, p=p, grid=medium_grid, num_terms=8)
 
     def test_grid_is_a_required_keyword(self, medium_grid):
         with pytest.raises(TypeError, match="grid"):
@@ -185,7 +195,7 @@ class TestBuildInitialData:
                                                     medium_bank):
         s, p = medium_params.s, medium_params.p
         single = lp_norm(modulated_bump(medium_params.grid, LAMBDA * 2.0**4), p)
-        got = besov_norm(medium_bank, medium_data.rho, BesovIndex(s - 1, p))
+        got = besov_norm(medium_bank, medium_data.rho, s - 1, p)
         assert got == pytest.approx(single, rel=0.01)
 
     def test_truncation_stability(self, medium_grid, medium_bank):
@@ -196,8 +206,8 @@ class TestBuildInitialData:
             data = build_initial_data(params)
             norms.append(
                 (
-                    besov_norm(medium_bank, data.rho, BesovIndex(s - 1, p)),
-                    besov_norm(medium_bank, data.u, BesovIndex(s, p)),
+                    besov_norm(medium_bank, data.rho, s - 1, p),
+                    besov_norm(medium_bank, data.u, s, p),
                     2.0 ** (-n_terms * (s - 1)),
                 )
             )

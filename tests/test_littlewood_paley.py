@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from novlab import (
-    BesovIndex,
     Grid,
     IllposedDataParams,
     RealField,
     UnresolvedSpectrumError,
-    besov_norm,
     build_initial_data,
     modulated_bump,
-    weighted_block_norms,
 )
 from novlab.littlewood_paley import (
     CHI_SUPPORT_END,
@@ -34,8 +31,8 @@ from novlab.experiments import _corpus_band
 from novlab.spectral import (_bin_energy, _derivative_symbol, derivative, field_from_half,
                              half_spectrum)
 
-from helpers import (LAMBDA, block_multiplier, commutator, dyadic_block, lp_norm, mode,
-                     random_band_limited_values, random_field)
+from helpers import (LAMBDA, besov_norm, block_multiplier, commutator, dyadic_block, lp_norm,
+                     mode, random_band_limited_values, random_field, weighted_block_norms)
 
 LAMBDAS = (67.0 / 48.0, 68.0 / 48.0, 69.0 / 48.0)
 
@@ -53,10 +50,10 @@ def desk_data(desk_bank):
     return build_initial_data(params)
 
 
-def block_norms_by_quadrature(bank, f, idx):
+def block_norms_by_quadrature(bank, f, s, p):
     """2^(j s) ||block_j f||_Lp by grid quadrature of each block."""
     return [
-        2.0 ** (j * idx.s) * lp_norm(dyadic_block(bank, f, j), idx.p)
+        2.0 ** (j * s) * lp_norm(dyadic_block(bank, f, j), p)
         for j in range(-1, bank.j_max + 1)
     ]
 
@@ -268,13 +265,12 @@ class TestDyadicBlock:
 class TestBesovNorm:
     def test_zero_field(self, small_grid, small_bank):
         z = RealField(small_grid, np.zeros(small_grid.num_points))
-        assert besov_norm(small_bank, z, BesovIndex(1.5, 2)) == 0.0
+        assert besov_norm(small_bank, z, 1.5, 2) == 0.0
 
     def test_homogeneity(self, small_grid, small_bank):
         f = random_field(small_grid, seed=20)
-        idx = BesovIndex(0.5, 2)
-        assert besov_norm(small_bank, 2.0 * f, idx) == pytest.approx(
-            2.0 * besov_norm(small_bank, f, idx), rel=1e-13
+        assert besov_norm(small_bank, 2.0 * f, 0.5, 2) == pytest.approx(
+            2.0 * besov_norm(small_bank, f, 0.5, 2), rel=1e-13
         )
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -286,27 +282,30 @@ class TestBesovNorm:
         vals = []
         for n in range(4, medium_bank.j_max):
             g = 2.0 ** (-n * (s - 1)) * modulated_bump(medium_grid, lam * 2.0**n)
-            vals.append(besov_norm(medium_bank, g, BesovIndex(s - 1, p)))
+            vals.append(besov_norm(medium_bank, g, s - 1, p))
         vals = np.array(vals)
         assert vals.max() / vals.min() - 1.0 < 0.02
 
     def test_norm_is_largest_weighted_block(self, small_grid, small_bank):
         f = random_field(small_grid, seed=21)
-        idx = BesovIndex(1.0, 2)
-        seq = weighted_block_norms(small_bank, f, idx)
-        assert besov_norm(small_bank, f, idx) == seq.max()
+        seq = weighted_block_norms(small_bank, f, 1.0, 2)
+        assert besov_norm(small_bank, f, 1.0, 2) == seq.max()
         assert seq.argmax() > 0  # a ring, not the low-pass block, carries it
 
-    def test_block_weights_must_be_finite(self, small_grid, small_bank):
+    def test_block_weights_must_be_finite(self, small_grid, small_bank, count_ffts):
         # every 2^(j s), -1 <= j <= j_max = 7, is a finite double exactly
         # when -s < 1024 and 7 s < 1024
         assert small_bank.j_max == 7
         f = random_field(small_grid, seed=21)
         for s in (-1023.0, 146.0):
-            weighted_block_norms(small_bank, f, BesovIndex(s, 2))
+            weighted_block_norms(small_bank, f, s, 2)
+        counts = count_ffts()
         for s in (-1024.0, 147.0):
             with pytest.raises(ValueError, match="overflows a block weight"):
-                weighted_block_norms(small_bank, f, BesovIndex(s, 2))
+                weighted_block_norms(small_bank, f, s, 2)
+            with pytest.raises(ValueError, match="overflows a block weight"):
+                _block_weights(small_bank, s)
+        assert counts == {"rfft": 0, "irfft": 0}  # refused before any transform
 
     def test_unresolved_spectrum_error(self, small_grid, small_bank):
         # single mode one bin above the guard frequency
@@ -317,29 +316,27 @@ class TestBesovNorm:
         half[k] = 1.0
         f = field_from_half(small_grid, half)
         with pytest.raises(UnresolvedSpectrumError):
-            besov_norm(small_bank, f, BesovIndex(1.0, 2))
+            besov_norm(small_bank, f, 1.0, 2)
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_weighted_block_norms_consistency(self, small_grid, small_bank, p):
         # p = 2 compares Parseval with quadrature, other p the block loop
         f = random_field(small_grid, seed=22)
-        idx = BesovIndex(1.2, p)
-        seq = weighted_block_norms(small_bank, f, idx)
-        direct = block_norms_by_quadrature(small_bank, f, idx)
+        seq = weighted_block_norms(small_bank, f, 1.2, p)
+        direct = block_norms_by_quadrature(small_bank, f, 1.2, p)
         assert np.allclose(seq, direct, rtol=1e-13, atol=0)
 
     def test_parseval_block_norms_on_desk_data(self, desk_bank, desk_data):
-        for f, idx in ((desk_data.rho, BesovIndex(2.0, 2)), (desk_data.u, BesovIndex(3.0, 2))):
-            seq = weighted_block_norms(desk_bank, f, idx)
-            direct = block_norms_by_quadrature(desk_bank, f, idx)
+        for f, s in ((desk_data.rho, 2.0), (desk_data.u, 3.0)):
+            seq = weighted_block_norms(desk_bank, f, s, 2)
+            direct = block_norms_by_quadrature(desk_bank, f, s, 2)
             assert np.allclose(seq, direct, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_matches_weighted_half_spectrum_entry_point(self, small_grid, small_bank, p):
         f = random_field(small_grid, seed=24)
-        idx = BesovIndex(1.7, p)
-        seq = weighted_block_norms(small_bank, f, idx)
-        entry = _block_weights(small_bank, idx.s) * _block_norms(small_bank, half_spectrum(f), p)
+        seq = weighted_block_norms(small_bank, f, 1.7, p)
+        entry = _block_weights(small_bank, 1.7) * _block_norms(small_bank, half_spectrum(f), p)
         assert np.array_equal(seq, entry)
 
     @pytest.mark.parametrize("num_points,length", [(2**12, 64.0), (64, 2 * math.pi)])
@@ -365,14 +362,9 @@ class TestBesovNorm:
     def test_block_norm_transform_count(self, small_grid, small_bank, count_ffts, p):
         f = random_field(small_grid, seed=23)
         counts = count_ffts()
-        weighted_block_norms(small_bank, f, BesovIndex(1.0, p))
+        weighted_block_norms(small_bank, f, 1.0, p)
         inverse = 0 if p == 2 else small_bank.j_max + 2
         assert counts == {"rfft": 1, "irfft": inverse}
-
-    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
-    def test_index_rejects_nonfinite_s(self, s):
-        with pytest.raises(ValueError, match="s must be finite"):
-            BesovIndex(s, 2)
 
 
 class TestBernstein:
@@ -426,10 +418,9 @@ class TestCommutator:
         # grid itself; the oracle pads them to 2n points
         u = random_field(small_grid, seed=34)
         v = random_field(small_grid, seed=35)
-        idx = BesovIndex(3.0, p)
-        seq = _block_weights(small_bank, idx.s) * commutator_norms(small_bank, u, v, p)
+        seq = _block_weights(small_bank, 3.0) * commutator_norms(small_bank, u, v, p)
         direct = [
-            2.0 ** (j * idx.s) * lp_norm(commutator(small_bank, j, u, v), p)
+            2.0 ** (j * 3.0) * lp_norm(commutator(small_bank, j, u, v), p)
             for j in range(-1, small_bank.j_max + 1)
         ]
         # the products lie below Nyquist/2, under block j_max's ring, where
