@@ -51,24 +51,24 @@ CORPUS_BAND = 0.25  # corpus fields live below this fraction of Nyquist
 # and allocates no other stack, so its traced peak is about 5.4 value stacks
 # S = k n doubles at every k; its cost is mostly per numpy call, which a
 # wider chunk spreads over more pairs.  Measured on the default corpus (4096
-# points, 400 pairs a corpus) on a 2-vCPU Xeon: wall and CPU of
-# ``study_inequalities(400, seed)``, the median over 3 processes of their
-# medians of 5 calls; inline wall the same under ``taskset -c 0`` (2
-# processes); peak_rss_mb and wall_s the medians of 3 ``benchmarks/run.py``
-# runs of ``inequalities-corpus``:
+# points, 400 pairs a corpus, 22 transforms a pair, 12 of them of 2048
+# points) on a 2-vCPU Xeon: wall and CPU of ``study_inequalities(400, 0)``,
+# the median over 3 processes of their medians of 5 calls; inline wall the
+# same under ``taskset -c 0`` (2 processes); peak_rss_mb and wall_s the
+# medians of 3 ``benchmarks/run.py`` runs of ``inequalities-corpus``:
 #
 #   k                          4       6       7       8
-#   wall          (s)      0.383   0.326   0.313   0.291
-#   CPU           (s)      0.660   0.582   0.566   0.538
-#   inline wall   (s)      0.546   0.503   0.505   0.488
+#   wall          (s)      0.514   0.368   0.362   0.320
+#   CPU           (s)      0.778   0.635   0.628   0.575
+#   inline wall   (s)      0.523   0.503   0.480   0.497
 #   traced peak   (S)       5.54    5.42    5.39    5.34
 #   traced peak   (MB)      0.73    1.07    1.24    1.40
-#   peak_rss_mb            67.75   68.37   68.55   69.02
-#   wall_s        (s)      0.647   0.575   0.587   0.559
+#   peak_rss_mb            67.57   68.22   68.61   68.99
+#   wall_s        (s)      0.488   0.421   0.423   0.407
 #
 # Each pair adds 5 stacks to each of the two corpora's threads, 0.33 MB per
-# unit of k: k = 6 is the widest chunk within a peak_rss_mb budget of
-# 68.4 MB.
+# unit of k: k = 6 is still the widest chunk within a peak_rss_mb budget of
+# 68.4 MB, and k = 7 gains no wall_s.
 CORPUS_CHUNK = 6
 # numpy's ufunc buffer, in elements, while a corpus chunk runs: a call on
 # the block ranges of a stack's rows copies its operands through buffers of
@@ -784,26 +784,32 @@ def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, s: float, p) -> np.nda
             / (||u_x||_inf ||v||_{B^s} + ||v_x||_inf ||u||_{B^s}),
         ||(1-dxx)^-1 u||_{B^s} / ||u||_{B^(s-2)}.
 
-    Precondition: the spectra of u and v are zero from bin
+    Precondition: the spectra of u and v are zero from bin b =
     ``_corpus_band(grid)`` up, above CORPUS_BAND = 1/4 of Nyquist, as
     ``_draw_fields`` draws them.  Then uv, u v_x and u block_j(v_x) lie
     below Nyquist, so the grid's n samples hold them without aliasing, and
     every product is formed on the grid from the values of u, without
-    padding.  Each stack is transformed once, and its block sequences are
-    weighted for all three indices; uv and (1-dxx)^-1 u are measured from
-    their half spectra.  Every transform and reduction runs along the last
-    axis, so each row gets the bits it would get alone.
+    padding; u block_j(v_x) lies below bin (b - 1) + (min(hi_j, b) - 1),
+    and where that is below n/4 it is formed on u's n/2 even samples.  Each
+    stack is transformed once, and its block sequences are weighted for all
+    three indices; uv and (1-dxx)^-1 u are measured from their half
+    spectra, and v_x's values serve sup|v_x| and the sweep's u v_x.  Every
+    transform and reduction runs along the last axis, so each row gets the
+    bits it would get alone.
 
-    At p = 2 a pair takes 23 transforms of the default corpus grid: the
-    draw's 2 inverse ones, the forward ones of u, v and uv, the inverse ones
-    of sup|u_x| and sup|v_x|, and the commutator sweep's 2 for u v_x and 2
-    for each of the 7 blocks below the band; blocks 6 and 7 start above it
-    and take none (``_commutator_halves``).
+    At p = 2 a pair takes 22 transforms on the default corpus grid (band
+    bin 513): the draw's 2 inverse ones, the forward ones of u, v and uv,
+    the inverse ones of u_x and v_x, and the commutator sweep's forward one
+    of u v_x and 2 for each of the 7 blocks below the band, of which blocks
+    -1..4 (up to bin 434) take n/2 points: 10 transforms of n points and 12
+    of n/2.  Blocks 6 and 7 start above the band and take none
+    (``_commutator_halves``).
 
     Every spectrum, product, energy and block is formed in the five stacks,
     which allocates no stack: v's values are spent once v's spectrum is
-    formed, and the commutator sweep (``_commutator_block_norms``) runs
-    beside u and v_x's spectrum in the other three.
+    formed, v_x's values take their place, and the commutator sweep
+    (``_commutator_block_norms``) runs beside u and v_x's spectrum in the
+    other three.
     """
     grid = bank.grid
     n = grid.num_points
@@ -828,8 +834,11 @@ def _chunk_ratios(bank: LPFilterBank, stacks: np.ndarray, s: float, p) -> np.nda
     hv = _rfft_into(v, norm="forward", out=spectra[1])
     hvx = np.multiply(d, hv, out=spectra[0])
     norms_v = _block_norms(bank, hv, p, work=(stacks[3], stacks[4]))
-    sup_vx = _half_lp_norm(grid, hvx, math.inf, stacks[3])
-    comm = _commutator_block_norms(bank, hvx, _corpus_band(grid), u, p,
+    # v_x's values in stack 3, for sup|v_x| and the commutator sweep
+    sup_vx = _lp_rows(_irfft_into(hvx, n=n, norm="forward", out=values[3]), grid.spacing,
+                      math.inf)
+    # u and v share the corpus band
+    comm = _commutator_block_norms(bank, hvx, (_corpus_band(grid),) * 2, u, p,
                                    (stacks[3], spectra[4], spectra[1]))
 
     def ratio(num, den):
@@ -876,7 +885,8 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     that each family's max ratio is finite and agrees between the corpora
     within a factor of two.  Corpus fields lie below CORPUS_BAND * Nyquist,
     so each pair's products are formed on the corpus grid itself, without
-    padding (see ``_chunk_ratios``).
+    padding, and most commutator products on its even points (see
+    ``_chunk_ratios``).
     """
     p = check_inequalities(corpus_size, seed, grid, s, p)
     bank = build_filter_bank(grid)
@@ -893,10 +903,11 @@ def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAU
     # one CPU.  The corpora share only read-only inputs (the bank, the grid,
     # whose frequencies the bank has cached, s and p) and each draws from its
     # own generator, so the rows are the same bits either way.  At p = 2 each
-    # pair of fields takes 23 transforms of the default grid (``_chunk_ratios``).
+    # pair of fields takes 10 transforms of the default grid's n points and
+    # 12 of n/2 (``_chunk_ratios``), the work of 16 of n points.
     rows_a, rows_b = [], []
     _pair(partial(corpus, rows_b, "B", seed + 1), partial(corpus, rows_a, "A", seed),
-          2 * 23 * corpus_size * grid.num_points)
+          2 * 16 * corpus_size * grid.num_points)
     rows = rows_a + rows_b
 
     report = StudyReport(

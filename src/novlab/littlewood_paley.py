@@ -275,57 +275,67 @@ def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
                      for j in range(-1, bank.j_max + 1)], axis=-1)
 
 
-def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, band: int, u_values: np.ndarray,
+def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, bands: tuple, u_values: np.ndarray,
                        blocks, work: tuple):
     """Half spectra of [block_j, u] d/dx v = block_j(u v_x) - u block_j(v_x)
-    for each j in ``blocks``, with every product formed on the grid.  The
-    caller forms what does not depend on j: the half spectrum ``hvx`` of
-    v_x, whose Nyquist bin is zero, the first bin ``band`` from which v's
-    spectrum, and so v_x's, is zero in exact arithmetic, and the n grid
-    values ``u_values`` of u.  Precondition: u and v lie below Nyquist/2,
-    where every product is alias-free on the grid itself, as dealiased as a
-    padded one.  Stacks of u values and v_x spectra along the last axis run
-    row by row.
+    for each j in ``blocks``, with every product formed on the grid or on
+    its even points.  The caller forms what does not depend on j: the half
+    spectrum ``hvx`` of v_x, whose Nyquist bin is zero, ``bands`` = (b_u,
+    b_v), the first bins from which u's and v's spectra (and so v_x's) are
+    zero in exact arithmetic, the n grid values ``u_values`` of u, and v_x's
+    n grid values in the first n columns of ``work``'s ``values``.
+    Precondition: u and v lie below Nyquist/2, where every product is
+    alias-free on the grid itself, as dealiased as a padded one.  Stacks of
+    u values and v_x spectra along the last axis run row by row.
 
     The sweep runs in the three buffers ``work`` = (values, spectrum,
     h_uvx) that the caller lends, one row each per field: ``h_uvx`` (n/2 + 1
-    complex bins) takes the spectrum of u v_x, formed once; ``values``
-    (n + 2 doubles) takes u g_j on the grid, g_j = block_j(v_x), then
-    block_j(u v_x); and ``spectrum`` (n/2 + 1 complex bins) takes g_j, then
-    the spectrum of u g_j, then the commutator, which is yielded, valid
-    until the next block; ``values`` is free while the caller holds it.
-    A block whose range starts below ``band`` costs one inverse and one
-    forward transform.  A block from ``band`` up has g_j = 0, so its
-    commutator is block_j(u v_x) and costs no transform.
+    complex bins) takes the spectrum of u v_x, formed once from v_x's
+    values; ``values`` (n + 2 doubles) takes u g_j on the grid, g_j =
+    block_j(v_x), then block_j(u v_x); and ``spectrum`` (n/2 + 1 complex
+    bins) takes g_j, then the spectrum of u g_j, then the commutator, which
+    is yielded, valid until the next block; ``values`` is free while the
+    caller holds it.  A block whose range lo..hi-1 starts below b_v costs
+    one inverse and one forward transform.  u g_j lies below bin (b_u - 1)
+    + (min(hi, b_v) - 1); when that is below n/4, the Nyquist bin of n/2
+    points, both transforms are of n/2 points: g_j on the even points,
+    times u's even samples, in the first half of ``values``.  A block from
+    b_v up has g_j = 0, so its commutator is block_j(u v_x) and costs no
+    transform.
     """
     n = bank.grid.num_points
+    u_band, v_band = bands
     values, spectrum, h_uvx = work
-    product = values[..., :n]
-    _irfft_into(hvx, n=n, norm="forward", out=product)
+    product = values[..., :n]  # v_x's values
     product *= u_values
     _product_half(product, h_uvx)
     in_block = values.view(complex)[..., : n // 2 + 1]  # block_j(u v_x)
     for j in blocks:
-        if bank.blocks[j + 1][0] >= band:
+        lo, hi, _ = bank.blocks[j + 1]
+        if lo >= v_band:
             yield _block_half(bank, h_uvx, j, out=spectrum)
             continue
         _block_half(bank, hvx, j, out=spectrum)
-        _irfft_into(spectrum, n=n, norm="forward", out=product)
-        product *= u_values
-        _product_half(product, spectrum)
+        m = n // 2 if u_band + min(hi, v_band) - 2 < n // 4 else n
+        product = _irfft_into(spectrum[..., : m // 2 + 1], n=m, norm="forward",
+                              out=values[..., :m])
+        product *= u_values[..., :: n // m]
+        _product_half(product, spectrum[..., : m // 2 + 1])
+        spectrum[..., m // 2 + 1 :] = 0.0
         np.subtract(_block_half(bank, h_uvx, j, out=in_block), spectrum, out=spectrum)
         yield spectrum
 
 
-def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, band: int,
+def _commutator_block_norms(bank: LPFilterBank, hvx: np.ndarray, bands: tuple,
                             u_values: np.ndarray, p, work: tuple) -> np.ndarray:
     """The unweighted sequence ||[block_j, u] d/dx v||_Lp for j = -1 .. j_max,
-    in one sweep from the hoisted v_x spectrum, band and u grid values of
-    ``_commutator_halves``, along a new last axis for stacks; p = 2 takes
-    each norm by Parseval, other p on the grid.  Each norm is taken in the
-    sweep's lent buffers ``work``, so the sweep allocates no stack."""
+    in one sweep from the hoisted v_x spectrum, bands, u grid values and v_x
+    grid values of ``_commutator_halves``, along a new last axis for stacks;
+    p = 2 takes each norm by Parseval, other p on the grid.  Each norm is
+    taken in the sweep's lent buffers ``work``, so the sweep allocates no
+    stack."""
     blocks = range(-1, bank.j_max + 1)
     norms = np.empty(u_values.shape[:-1] + (len(blocks),))
-    for k, half in enumerate(_commutator_halves(bank, hvx, band, u_values, blocks, work)):
+    for k, half in enumerate(_commutator_halves(bank, hvx, bands, u_values, blocks, work)):
         norms[..., k] = _half_lp_norm(bank.grid, half, p, work[0])
     return norms

@@ -14,7 +14,8 @@ fields are dealiased as zero-padding to twice the grid dealiases them,
 which is exact for nonlinearities up to degree three, but without padding:
 the RHS kernel and the blockscale sweep form each product on the grid and
 on its half-cell shift (``_half_cell_shift``), and the inequality corpus,
-whose fields lie below Nyquist/4, on the grid alone (``_product_half``).
+whose fields lie below Nyquist/4, on the grid or on its even points
+(``_product_half``).
 """
 
 from __future__ import annotations

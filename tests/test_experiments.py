@@ -731,6 +731,31 @@ class TestInequalitiesStudy:
         assert [r[:2] for r in runs[2]] == [(i, c) for c in "AB" for i in range(100)]
         assert runs[2] == runs[1]
 
+    def test_band_ladder_separates_a_false_smoothing_estimate(self, monkeypatch):
+        # a negative control along a band ladder: at box 64 the corpus band
+        # doubles with each grid 2^10 .. 2^13.  The smoothing ratio's maximum
+        # stays flat: 0.5861, 0.5832, 0.5823, 0.5784, a slope of -0.006 in
+        # log2 per rung.  Without (1 - dxx)^-1 the ratio is ||u||_{B^s} /
+        # ||u||_{B^(s-2)}, unbounded: its maximum is 4^J at the top block J
+        # below the band, exactly 64, 256, 1024, 4096, a slope of 2.  Yet
+        # all six verdicts pass on every rung either way, so today's
+        # verdicts cannot tell the true estimate from the false one
+        rungs = np.arange(4)
+
+        def ladder():
+            reports = [study_inequalities(100, 2026, Grid(2 ** (10 + k), 64.0))
+                       for k in range(rungs.size)]
+            assert all(report.passed for report in reports)
+            return np.log2([max(row[4] for row in report.rows) for report in reports])
+
+        true = ladder()
+        monkeypatch.setattr(experiments, "_smoothing_symbol",
+                            lambda grid: np.ones(grid.half_frequencies.size))
+        false = ladder()
+        assert np.array_equal(false, 6 + 2 * rungs)
+        assert np.allclose(2**true, [0.5861, 0.5832, 0.5823, 0.5784], rtol=0, atol=5e-5)
+        assert abs(np.polyfit(rungs, true, 1)[0]) < 0.05
+
     def test_rejects_small_corpus(self):
         with pytest.raises(ValueError):
             study_inequalities(corpus_size=10, seed=0)
@@ -868,11 +893,15 @@ class TestInequalitiesStudy:
         # the corpus grid has 9 blocks, of which blocks 6 and 7 start above
         # the corpus band and take no transform.  A chunk of k pairs draws
         # its 2k fields with one irfft and takes 11 rffts (u, v, uv, u v_x
-        # and one per swept commutator block) and 10 irffts (v_x, the 7
-        # swept blocks, sup|u_x| and sup|v_x|), each on the whole stack of k
-        # rows, whatever k: 23 transforms a pair.  The corpus multiplies on
-        # its own grid, so no transform is padded
+        # and one per swept commutator block) and 9 irffts (v_x, once for
+        # sup|v_x| and u v_x, sup|u_x| and the 7 swept blocks), each on the
+        # whole stack of k rows, whatever k: 22 transforms a pair.  The
+        # corpus multiplies on its own grid, so no transform is padded, and
+        # blocks -1..4 (up to bin 434) multiply on n/2 points, below its
+        # Nyquist bin n/4 = 1024 with u below bin 513: 10 transforms of n
+        # points and 12 of n/2
         assert small_bank.j_max + 2 == 9
+        n = small_grid.num_points
         rng = np.random.default_rng(3)
         counts = count_ffts()
         pairs = 0
@@ -880,9 +909,9 @@ class TestInequalitiesStudy:
             pairs += k
             fields = random_band_limited_values(small_grid, rng, 2 * k)
             pair_ratios(small_bank, fields[0::2], fields[1::2], 3.0, 2.0)
-            assert counts.calls == {"rfft": 11 * chunks, "irfft": (1 + 10) * chunks}
-            assert counts == {"rfft": 11 * pairs, "irfft": (2 + 10) * pairs}
-            assert counts.lengths == {small_grid.num_points: 23 * pairs}
+            assert counts.calls == {"rfft": 11 * chunks, "irfft": (1 + 9) * chunks}
+            assert counts == {"rfft": 11 * pairs, "irfft": (2 + 9) * pairs}
+            assert counts.lengths == {n: 10 * pairs, n // 2: 12 * pairs}
 
 
 @pytest.mark.parametrize("run,message", [

@@ -385,19 +385,24 @@ class TestBernstein:
             assert ratio <= 3.0 * 2.0**j
 
 
-def sweep_work(grid):
-    """Fresh buffers (values, spectrum, h_uvx) for one field's commutator sweep."""
+def sweep_work(grid, hvx):
+    """Fresh buffers (values, spectrum, h_uvx) for one field's commutator
+    sweep, with the grid values of v_x (half spectrum ``hvx``) in the first
+    n of ``values``, as the sweep takes them."""
     n = grid.num_points
-    return (np.empty(n + 2), np.empty(n // 2 + 1, dtype=complex),
-            np.empty(n // 2 + 1, dtype=complex))
+    values = np.empty(n + 2)
+    values[:n] = field_from_half(grid, hvx).values
+    return values, np.empty(n // 2 + 1, dtype=complex), np.empty(n // 2 + 1, dtype=complex)
 
 
-def commutator_norms(bank, u, v, p, band=None):
+def commutator_norms(bank, u, v, p, band=None, u_band=None):
     """The corpus's commutator sweep (``_commutator_block_norms``) of (u, v),
-    which skips the blocks from bin ``band`` up; by default, none."""
+    which skips the blocks from v's band ``band`` up and, by u's band
+    ``u_band``, forms the products that lie below n/4 on n/2 points; by
+    default it does neither."""
     hvx = _derivative_symbol(bank.grid) * half_spectrum(v)
-    band = hvx.size if band is None else band
-    return _commutator_block_norms(bank, hvx, band, u.values, p, sweep_work(bank.grid))
+    bands = tuple(hvx.size if b is None else b for b in (u_band, band))
+    return _commutator_block_norms(bank, hvx, bands, u.values, p, sweep_work(bank.grid, hvx))
 
 
 class TestCommutator:
@@ -429,6 +434,27 @@ class TestCommutator:
         assert max(seq[-1], direct[-1]) < 1e-12 * max(direct)
         assert np.allclose(seq[:-1], direct[:-1], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("p", [1, 2, math.inf],
+                             ids=["half-grid-1", "half-grid-2", "half-grid-inf"])
+    def test_half_grid_blocks_match_the_padded_oracle(self, small_grid, small_bank, p,
+                                                      count_ffts):
+        # u and v lie below bin 512.  With u's band, blocks -1..4 (up to bin
+        # 434) put u block_j(v_x) below n/4 = 1024 and take both transforms
+        # on n/2 points; blocks 5..7 stay on the grid.  The oracle pads every
+        # product to 2n points
+        u = random_field(small_grid, seed=34)
+        v = random_field(small_grid, seed=35)
+        counts = count_ffts()
+        seq = _block_weights(small_bank, 3.0) * commutator_norms(small_bank, u, v, p,
+                                                                 u_band=512)
+        assert counts.lengths[small_grid.num_points // 2] == 2 * 6
+        direct = [
+            2.0 ** (j * 3.0) * lp_norm(commutator(small_bank, j, u, v), p)
+            for j in range(-1, small_bank.j_max + 1)
+        ]
+        assert max(seq[-1], direct[-1]) < 1e-12 * max(direct)
+        assert np.allclose(seq[:-1], direct[:-1], rtol=1e-12, atol=0)
+
     def test_matches_public_composition(self, small_grid, small_bank):
         # the sweep's commutator field, not only its norm, against the
         # oracle's composition block_j(u v_x) - u block_j(v_x)
@@ -437,8 +463,8 @@ class TestCommutator:
         j = 4
         expected = commutator(small_bank, j, u, v)
         hvx = _derivative_symbol(small_grid) * half_spectrum(v)
-        (half,) = _commutator_halves(small_bank, hvx, hvx.size, u.values, [j],
-                                     sweep_work(small_grid))
+        (half,) = _commutator_halves(small_bank, hvx, (hvx.size, hvx.size), u.values, [j],
+                                     sweep_work(small_grid, hvx))
         out = field_from_half(small_grid, half)
         scale = max(lp_norm(expected, math.inf), 1e-30)
         assert lp_norm(out - expected, math.inf) < 1e-12 * scale
@@ -456,7 +482,8 @@ class TestCommutatorBand:
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_skip_matches_the_full_sweep(self, small_grid, small_bank, p):
         # on the corpus grid blocks 6 and 7 start above the band; the blocks
-        # below it run the same code either way, so they keep every bit.
+        # below it run the same code either way, and both sweeps take u's
+        # band, so each block takes the same grid and keeps every bit.
         # Block 7 reads roundoff on both paths (the products lie below
         # Nyquist/2, under its ring), so the skip is held to the largest
         # block norm of the pair
@@ -465,8 +492,8 @@ class TestCommutatorBand:
                    if small_bank.blocks[j + 1][0] >= band]
         assert skipped == [6, 7]
         for u, v in corpus_pairs(small_grid, 15, 4):
-            got = commutator_norms(small_bank, u, v, p, band)
-            full = commutator_norms(small_bank, u, v, p)
+            got = commutator_norms(small_bank, u, v, p, band, u_band=band)
+            full = commutator_norms(small_bank, u, v, p, u_band=band)
             assert np.array_equal(got[:-2], full[:-2])
             assert np.all(np.abs(got - full) <= 1e-13 * np.max(full))
 
@@ -475,9 +502,9 @@ class TestCommutatorBand:
         band = _corpus_band(small_grid)
         ((u, v),) = corpus_pairs(small_grid, 16, 1)
         hvx = _derivative_symbol(small_grid) * half_spectrum(v)
-        work = sweep_work(small_grid)
+        work = sweep_work(small_grid, hvx)
         halves = [half.copy() for half in
-                  _commutator_halves(small_bank, hvx, band, u.values, [5, 6, 7], work)]
+                  _commutator_halves(small_bank, hvx, (band, band), u.values, [5, 6, 7], work)]
         h_uvx = work[2]
         for j, half in zip((6, 7), halves[1:]):
             assert np.array_equal(half, _block_half(small_bank, h_uvx, j))
@@ -498,3 +525,29 @@ class TestCommutatorBand:
         expected = lp_norm(commutator(small_bank, 6, u, v), math.inf)
         assert expected > 1e-3 * np.max(norms)
         assert norms[7] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("shift,lengths", [(-1, {2**12: 2, 2**11: 2}), (0, {2**12: 4})],
+                             ids=["below-n/4", "at-n/4"])
+    def test_product_at_bin_n_over_4_stays_on_the_grid(self, small_grid, small_bank,
+                                                       count_ffts, shift, lengths):
+        # the half grid of n/2 points cannot hold bin n/4, its Nyquist bin.
+        # With the corpus band, u block_5(v_x) reaches bin 512 + 512 = n/4, so
+        # block 5 stays at n points; block 4 (up to bin 434) reaches n/4 at
+        # u band 591 and stays, and takes n/2 points one bin below
+        n = small_grid.num_points
+        band = _corpus_band(small_grid)
+        ((u, v),) = corpus_pairs(small_grid, 18, 1)
+        hvx = _derivative_symbol(small_grid) * half_spectrum(v)
+        assert (band - 1) + (min(small_bank.blocks[6][1], band) - 1) == n // 4
+        counts = count_ffts()
+        list(_commutator_halves(small_bank, hvx, (band, band), u.values, [5],
+                                sweep_work(small_grid, hvx)))
+        assert counts.lengths == {n: 1 + 1 + 2}  # v_x, u v_x, block 5
+        u_band = n // 4 + 2 - small_bank.blocks[5][1] + shift
+        assert u_band >= band
+        counts.reset()
+        (half,) = _commutator_halves(small_bank, hvx, (u_band, band), u.values, [4],
+                                     sweep_work(small_grid, hvx))
+        assert counts.lengths == lengths  # v_x and u v_x at n, block 4's two
+        expected = half_spectrum(commutator(small_bank, 4, u, v))
+        assert np.max(np.abs(half - expected)) < 1e-13 * np.max(np.abs(expected))
