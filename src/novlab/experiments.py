@@ -451,9 +451,10 @@ def study_block_scaling(params: IllposedDataParams, n_min: int = DEFAULT_N_RANGE
 def check_shorttime(params: IllposedDataParams, t_max: float, dt_cap) -> tuple:
     """The input rules of ``study_short_time``: finite block weights, the step
     cap against t_max, then a positive t_max.  Returns the times,
-    ``time_ladder(t_max)``, and the study's SolverConfig."""
+    ``time_ladder(t_max)``, and the study's SolverConfig at s - 1, so the step
+    norm is the distances' B^(s-2) x B^(s-1), the strongest the study reports."""
     _check_weights(params.s, top_index(params.grid))
-    config = SolverConfig(t_final=t_max, dt=dt_cap, s=params.s)
+    config = SolverConfig(t_final=t_max, dt=dt_cap, s=params.s - 1)
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     return time_ladder(t_max), config
@@ -465,8 +466,8 @@ def study_short_time(params: IllposedDataParams, t_max: float = DEFAULT_T_MAX,
 
     Distances one derivative below the data space must be O(t); residuals
     u(t) - u0 - t w0 against the first variation (v0, w0), the right-hand
-    side at the data, two derivatives below, must be O(t^2).  ``dt_cap``
-    optionally caps the error-controlled step.
+    side at the data, two derivatives below, must be O(t^2).  The step is
+    controlled in the distances' norm and capped by ``dt_cap``, if given.
 
     The times are ``time_ladder(t_max)``.  The sweep lands on t_max only
     and reads every other time from the interpolant of the step that passes
@@ -485,9 +486,9 @@ def study_short_time(params: IllposedDataParams, t_max: float = DEFAULT_T_MAX,
     def expand(record, y0, f0):
         # (v0, w0) = f0, the right-hand side at the data
         t = record.time
-        if record.interpolated:
+        if record.interpolated:  # its spectra are its own and die with this visit
             read.append(t)
-        diff = record.spectra - y0
+        diff = np.subtract(record.spectra, y0, out=record.spectra if record.interpolated else None)
         distances = _besov_rows(bank, diff, (s - 2, s - 1), p)
         diff -= t * f0  # the residual
         # the residuals shrink like t^2 while inheriting harmless spectral
@@ -508,7 +509,7 @@ def study_short_time(params: IllposedDataParams, t_max: float = DEFAULT_T_MAX,
             params,
             t_max=times[0],
             ablate_first_variation=False,  # constant: the header changes only by addition
-            **_solver_params(traj),
+            **_solver_params(traj), step_norm_s=config.s,
             ladder_interpolated=len(read),
             **drifts,
         ),
@@ -680,7 +681,7 @@ def study_separation(params: IllposedDataParams, n_min: int = DEFAULT_N_RANGE[0]
         params=_params_dict(params, delta=delta, n_min=n_list[0], n_max=n_list[-1],
                             with_control=True,  # constant: the header changes only by addition
                             control_amplitude=CONTROL_AMPLITUDE,
-                            **_solver_params(sweep, control_sweep),
+                            **_solver_params(sweep, control_sweep), step_norm_s=cfg.s,
                             control_grid_points=control_grid.num_points,
                             control_rk4_steps=len(control_sweep.errors),
                             audit_interpolated=len(read), **drifts,

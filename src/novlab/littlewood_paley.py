@@ -210,21 +210,22 @@ def _half_lp_norm(grid: Grid, half: np.ndarray, p, values=None):
 def _block_energies(bank: LPFilterBank, energy: np.ndarray, out=None) -> np.ndarray:
     """The block energies sum_k m_j(xi_k)^2 e_k, j = -1 .. j_max, of the bin
     energies e along the last axis, along a new last axis (Parseval: see
-    ``_block_norms``), from one multiply by the bank's parity rows
-    and one ``reduceat`` over their segments.  With ``out``, rows of at
-    least twice the bins in doubles, the products are formed there.  A
-    single row of bins is multiplied by one parity row at a time and its
-    segments are picked without an ellipsis: the broadcast multiply
+    ``_block_norms``), from one multiply by the bank's parity rows and one
+    ``reduceat`` over their segments, in ``out`` (rows of at least twice the
+    bins in doubles) if given, else a stack row by row with the same bits,
+    so its products are never all held.  A row is multiplied by one parity
+    row at a time and picked without an ellipsis: the broadcast multiply
     allocates numpy's ufunc buffer on rows shorter than the buffer, even
     with ``out``, and an index after an ellipsis allocates too."""
+    if energy.ndim > 1 and out is None:
+        return np.array([_block_energies(bank, row) for row in energy])
     shape, m = energy.shape[:-1], energy.shape[-1]
     if energy.ndim == 1:
         products = np.empty(2 * m) if out is None else out[: 2 * m]
         for r in (0, 1):
             np.multiply(bank._squares[r], energy, out=products[r * m : (r + 1) * m])
         return np.add.reduceat(products, bank._starts)[bank._picks]
-    if out is not None:
-        out = out[..., : 2 * m].reshape(shape + (2, m))
+    out = out[..., : 2 * m].reshape(shape + (2, m))
     products = np.multiply(bank._squares, energy[..., None, :], out=out)
     sums = np.add.reduceat(products.reshape(shape + (2 * m,)), bank._starts, axis=-1)
     return sums[..., bank._picks]

@@ -83,6 +83,7 @@ from .spectral import (
     _derivative_symbol,
     _half_cell_shift,
     _irfft_into,
+    _lp_rows,
     _rfft_into,
     _smoothing_symbol,
     rfft,
@@ -512,7 +513,7 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
         increment[r] *= sixth
         delta = _irfft_into(increment[r], n=n, norm="forward", out=work.rows[4 + r, :n])
         new = values[r] + delta
-        sups[r] = float(np.max(np.abs(new)))
+        sups[r] = float(_lp_rows(new, grid.spacing, math.inf))
         if math.isfinite(sups[r]):
             # read-only, so the field takes it without a copy
             new.flags.writeable = False
@@ -523,13 +524,10 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     _rhs_half(stage, work, work.rate, partial(accumulate, 0.5))
     _rhs_half(stage, work, work.rate, partial(accumulate, 1.0))
     _rhs_half(stage, work, work.rate, advance)
-    # each sup on its own: max() of a number and a NaN may drop the NaN
-    sup_r, sup_u = sups
-    if not (math.isfinite(sup_r) and math.isfinite(sup_u)):
+    if None in fields:  # a sup that is not finite, which max() might drop as a NaN
         raise BlowupError(state.time + dt, math.inf)
-    sup = max(sup_r, sup_u)
-    if sup_limit is not None and sup > sup_limit:
-        raise BlowupError(state.time + dt, sup)
+    if sup_limit is not None and max(sups) > sup_limit:
+        raise BlowupError(state.time + dt, max(sups))
     terms = [(), ()]
 
     def measure(r, k):
@@ -547,7 +545,7 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     rate = _rhs_half(y1, work, None, measure)
     new = SystemState(rho=fields[0], u=fields[1], time=state.time + dt)
     norms = tuple(a + b for a, b in zip(*terms))
-    return RK4Step(new, y1, rate, increment, error, (sup_r, sup_u), norms, work)
+    return RK4Step(new, y1, rate, increment, error, tuple(sups), norms, work)
 
 
 class _StepNorm:

@@ -114,7 +114,7 @@ class RealField:
     __rmul__ = __mul__
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(_lp_rows(self.values, self.grid.spacing, math.inf))
 
 
 @lru_cache(maxsize=32)
@@ -226,8 +226,8 @@ def _lp_rows(values: np.ndarray, spacing: float, p: float) -> np.ndarray:
     """The grid quadrature of the L^p norm of each row of ``values``, along
     the last axis, for a checked p; p = inf gives the max norm.  For a
     finite p != 2 the powers |values|^p are taken in ``values`` itself."""
-    if math.isinf(p):  # max |values|, without an array of absolute values
-        return np.maximum(np.max(values, axis=-1), -np.min(values, axis=-1))
+    if math.isinf(p):  # max(max, -min): no |values| array, a NaN propagates, zeros give +0.0
+        return np.maximum(np.max(values, axis=-1), -np.min(values, axis=-1)) + 0.0
     if p == 2.0:
         return np.sqrt(spacing * np.sum(np.square(values), axis=-1))
     powers = np.abs(values, out=values)

@@ -12,7 +12,6 @@ from novlab import (
     IllposedDataParams,
     ScalingFit,
     StudyReport,
-    SolverConfig,
     SystemState,
     UnresolvedSpectrumError,
     build_bump,
@@ -191,13 +190,13 @@ class TestShortTimeStudy:
         assert shorttime_report.fits["second_order_u"].slope == pytest.approx(2.0, abs=0.2)
         assert shorttime_report.passed
 
-    def test_header_reports_solver_work(self, shorttime_report, medium_data):
+    def test_header_reports_solver_work(self, shorttime_report, medium_params, medium_data):
         # the sweep lands on the top time alone and reads the rest of the
         # ladder from the interpolant, so its work is that of integrate run
-        # to the top time alone
+        # to the top time alone, under the study's own config
         params = shorttime_report.params
-        alone = integrate(medium_data,
-                          SolverConfig(t_final=SHORT_T_MAX))
+        _, config = experiments.check_shorttime(medium_params, SHORT_T_MAX, None)
+        alone = integrate(medium_data, config)
         assert params["rk4_steps"] == len(alone.errors)
         assert params["rk4_rejected"] == alone.rejected
         assert params["dt"] == max(h for h, _ in alone.errors)
@@ -205,17 +204,33 @@ class TestShortTimeStudy:
         assert 0 < params["time_error_max"] < 1e-6
         assert params["ladder_interpolated"] == len(experiments.time_ladder(SHORT_T_MAX)) - 1
 
+    def test_step_is_controlled_in_the_strongest_reported_norm(self, medium_params):
+        # shorttime reports distances in B^(s-2) x B^(s-1) and residuals one
+        # derivative below; separation reports in the data space B^(s-1) x B^s
+        _, config = experiments.check_shorttime(medium_params, SHORT_T_MAX, None)
+        assert config.s == medium_params.s - 1
+        _, cfg = experiments.check_separation(medium_params, 5, 8, 0.1, None)
+        assert cfg.s == medium_params.s
+
+    def test_headers_name_the_step_norm(self, medium_params, shorttime_report,
+                                        separation_report):
+        # the sigma of B^(sigma-1)_{2,inf} x B^sigma_{2,inf}, in which dt,
+        # rk4_rejected and time_error_max were measured
+        assert shorttime_report.params["step_norm_s"] == medium_params.s - 1
+        assert separation_report.params["step_norm_s"] == medium_params.s
+
     def test_interpolated_ladder_matches_a_fine_landed_reference(self, medium_params,
                                                                  shorttime_report,
                                                                  monkeypatch):
         # against a sweep that lands on every time with steps capped at
         # 2.5e-5 (202 steps): the distances agree to roundoff (measured
-        # 2.5e-15), while the residuals, O(t^2) differences of O(t) terms,
-        # sit on their roundoff floor (measured 3.7e-8, and the slopes
-        # 8.8e-9; the reference itself moves by 1.7e-7 when its cap is
+        # 3.5e-15), while the residuals, O(t^2) differences of O(t) terms,
+        # sit on their roundoff floor (measured 6.0e-8, and the slopes
+        # 8.6e-9; the reference itself moves by 1.7e-7 when its cap is
         # halved).  Landing on every time at the default tolerance takes 6
-        # steps where the interpolated ladder takes 2
-        assert shorttime_report.params["rk4_steps"] == 2
+        # steps where the interpolated ladder, controlled in the distances'
+        # norm, takes 1
+        assert shorttime_report.params["rk4_steps"] == 1
         landed = _landing_every_time(medium_params, monkeypatch)
         assert landed.params["rk4_steps"] == 6
         reference = _landing_every_time(medium_params, monkeypatch, dt_cap=2.5e-5)
@@ -251,13 +266,13 @@ class TestShortTimeStudy:
                              ids=["3.1-1", "2.6-inf", "2.6-2"])
     def test_paper_edges_against_every_time_landed(self, medium_params, monkeypatch, s, p):
         # every verdict passes at the edges of the theorem's (s, p) range,
-        # and the interpolated ladder agrees with the landed one: measured
-        # 1.6e-13 in the distances (at p = inf, a sup over grid values) and
-        # 7.1e-8 in the residuals (at (3.1, 1))
+        # and the interpolated ladder (one step) agrees with the landed one
+        # (6 steps): measured 8.2e-13 in the distances (at (2.6, inf), a sup
+        # over grid values) and 1.2e-7 in the residuals (at (3.1, 1))
         params = replace(medium_params, s=s, p=p)
         report = study_short_time(params, SHORT_T_MAX)
         assert report.passed
-        assert report.params["rk4_steps"] == 2
+        assert report.params["rk4_steps"] == 1
         landed = _landing_every_time(params, monkeypatch)
         assert landed.passed
         _assert_rows_agree(report, landed)
@@ -266,7 +281,7 @@ class TestShortTimeStudy:
 # relative bounds between two shorttime reports at the same times: the
 # distances agree to roundoff; the residuals, O(t^2) differences of O(t)
 # terms, and their slopes sit on a roundoff floor that any change of step
-# sequence moves (measured up to 7.1e-8)
+# sequence moves (measured up to 1.2e-7)
 DISTANCE_REL = 1e-12
 RESIDUAL_REL = 2e-7
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from novlab import Grid, GridMismatchError, RealField
-from novlab.spectral import _half_phase, derivative, field_from_half, half_spectrum
+from novlab.spectral import _half_phase, _lp_rows, derivative, field_from_half, half_spectrum
 
 from helpers import (apply_multiplier, coefficients, helmholtz_inverse, lp_norm, mode, product,
                      random_field)
@@ -39,6 +39,32 @@ class TestRealField:
         vals[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             RealField(small_grid, vals)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sup_norm_is_the_max_of_the_absolute_values(self, small_grid, seed):
+        # read as max(max, -min), with no array of absolute values: the same
+        # number, since negation is exact
+        f = random_field(small_grid, seed=seed)
+        assert f.sup_norm() == float(np.max(np.abs(f.values)))
+        assert (-1.0 * f).sup_norm() == f.sup_norm()
+
+    @pytest.mark.parametrize("zeros", [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
+    def test_sup_of_zeros_of_either_sign_is_plus_zero(self, small_grid, zeros):
+        # max(-0.0, 0.0) may return -0.0; the sup norm of zeros reads +0.0 as
+        # max |values| does
+        values = np.resize(np.array(zeros), small_grid.num_points)
+        sup = RealField(small_grid, values).sup_norm()
+        assert sup == 0.0 and math.copysign(1.0, sup) == 1.0
+        rows = _lp_rows(np.stack([values, values]), small_grid.spacing, math.inf)
+        assert np.all(np.copysign(1.0, rows) == 1.0)
+
+    @pytest.mark.parametrize("where", [0, 1, 17, -1])
+    def test_sup_rows_propagate_a_nan(self, small_grid, where):
+        # the blow-up guard reads a step's sup norms: a NaN must reach it
+        rows = np.ones((2, small_grid.num_points))
+        rows[1, where] = math.nan
+        sup = _lp_rows(rows, small_grid.spacing, math.inf)
+        assert sup[0] == 1.0 and math.isnan(sup[1])
 
     def test_values_immutable(self, small_grid):
         f = RealField(small_grid, np.zeros(small_grid.num_points))
