@@ -21,8 +21,7 @@ the step is accepted when it is at most RTOL ||increment|| + ATOL ||state||.
 
 One kernel evaluates the right-hand side from half spectra to half spectra
 (on each of the two grids, 4 inverse and 4 forward real FFTs of n points,
-made as 2 inverse and 2 forward numpy calls on stacks of two rows up to
-BATCH_MAX_POINTS points and as one call per row above).
+made as 2 inverse and 2 forward numpy calls on stacks of two rows).
 A step forms its stages on the state's carried half spectra and adds the
 inverse transform of the increment h/6 (k1 + 2 k2 + 2 k3 + k4) to the state
 values: neither the values nor the spectra ever take a transform round
@@ -32,18 +31,17 @@ estimate would amplify.
 The kernel runs in two independent halves, one for each grid: each lifts
 rho, rho_x, u and u_x to its grid, forms every product, transforms the
 products back, applies d/dx and G and weights its result, in its own
-buffers; then the two are added row by row, the kernel's fold.  The
-step's elementwise work after k1's stage (its stages, its increment and the
-increment's inverse transform, the new values and their sup, the new
-spectra, the error and the three norms the controller reads) runs row by
-row inside the fold, right after the row it reads.  When the process may
+buffers; then the two are added, the kernel's fold.  When the process may
 use a second CPU and the work is large enough (``_pair``), the shifted
-grid's half and the fold's rho row run on a worker thread that the process
-starts on first use, and the grid's half and the u row on the caller; else
-both run inline.  numpy's transforms and array arithmetic release the GIL,
-and neither a transform's bits nor a product's depend on the thread that
-computed it, so the result is the same either way.  The studies hand the
-same worker work of their own through ``_pair``.
+grid's half runs on a worker thread that the process starts on first use,
+and the grid's half on the caller; else both run inline.  numpy's
+transforms and array arithmetic release the GIL, and neither a transform's
+bits nor a product's depend on the thread that computed it, so the result
+is the same either way.  The step's own work between evaluations (its
+stages, its increment and the increment's inverse transform, the new values
+and their sup, the new spectra, the error and the three norms the
+controller reads) runs on the caller, on the stacked (rho, u) rows.  The
+studies hand the same worker work of their own through ``_pair``.
 
 The kernel and the step work in a private workspace (``_Workspace``): the
 symbols; a pool of fourteen rows of n + 2 doubles, seven for each half,
@@ -96,7 +94,7 @@ RTOL = 1e-6
 ATOL = 1e-9
 SAFETY = 0.9
 GROWTH_MIN, GROWTH_MAX = 0.2, 4.0
-# a step the controller shrinks below this share of the horizon raises
+# a step the controller proposes below this share of the horizon raises
 MIN_STEP_FRACTION = 1e-10
 # integrate raises BlowupError once the sup norm exceeds this multiple of
 # the initial one
@@ -113,7 +111,7 @@ class BlowupError(RuntimeError):
 
 
 class StepSizeError(RuntimeError):
-    """The error controller shrank the step below its floor."""
+    """The error controller proposed a step below its floor."""
 
 
 @dataclass(frozen=True)
@@ -151,11 +149,10 @@ def _new_pool() -> None:
 
 
 # The worker thread that runs the first function of each ``_pair``: the
-# kernel's half on the shifted grid, the rho row of the kernel's fold (with
-# the step's work on it), one of the inequality study's corpora, or a
-# blockscale product on the shifted grid; started on the first submit.  A
-# forked child inherits the executor but not its thread, so the child gets a
-# new executor before any of its code runs.
+# kernel's half on the shifted grid, one of the inequality study's corpora,
+# or a blockscale product on the shifted grid; started on the first submit.
+# A forked child inherits the executor but not its thread, so the child gets
+# a new executor before any of its code runs.
 _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
@@ -163,38 +160,17 @@ if hasattr(os, "register_at_fork"):
 # The size (points times transforms of that many points) from which a pair
 # runs on two threads; below it the hand-off to the worker, 46-82 us,
 # costs more than the overlap gains.  Placed from the warm kernel
-# (``_rhs_half``, 16 transforms in 8 calls up to BATCH_MAX_POINTS) with its
-# halves inline or threaded on two usable CPUs (Intel Xeon, 2 vCPUs under
-# KVM), medians of 7 batches, then the median of 4 runs:
+# (``_rhs_half``, 16 transforms, then in 8 calls up to 2^14 points and 16
+# above) with its halves inline or threaded on two usable CPUs (Intel Xeon,
+# 2 vCPUs under KVM), medians of 7 batches, then the median of 4 runs:
 #
 #   points            2^9   2^10   2^11   2^12   2^13   2^14   2^15
 #   inline   (us)     202    275    431    737   1515   2944   8174
 #   threaded (us)     461    499    521    680   1124   1834   4679
 #
 # (threaded faster at 2^12 in 13 of 20 alternating pairs, at 2^13 and up in
-# 19 or 20), so the kernel threads from 2^12 points (size 2^16) up.  The
-# fold's row pairs, with the step's work on each row, pass 2n, so they
-# thread from 2^15 points, where a warm step with its norms takes 9.02 ms
-# against 9.59 ms with inline rows (4.77 against 4.73 ms at 2^14, had they
-# threaded there).
+# 19 or 20), so the kernel threads from 2^12 points (size 2^16) up.
 PAIR_MIN_SIZE = 2**16
-
-# The largest grid on which the kernel transforms a stack of rows in one
-# call (``_transform_rows``); above it, one call per row.  A call has a
-# fixed cost that a stack pays once, but numpy allocates a stack's scratch
-# on every call, and from 2^15 points up that scratch faults fresh pages
-# each time.  Warm paired halves (``_rhs_half``, 16 transforms) on the same
-# two CPUs, time and minor page faults per call, medians of 5 fresh
-# processes of 7 batches each:
-#
-#   points            2^10   2^11   2^12   2^13   2^14   2^15   2^16   2^17
-#   per row   (ms)    0.27   0.50   1.08   1.95   2.72   5.02  13.15  29.04
-#   stacked   (ms)    0.27   0.42   0.76   1.45   1.93   5.93  13.57  29.33
-#   per row (faults)     0      0      0      0      0      0   1792   3840
-#   stacked (faults)     0      0      0      0      0   2048   4352   8960
-#
-# so stacks run 16-29 % faster from 2^11 to 2^14 and 18 % slower at 2^15.
-BATCH_MAX_POINTS = 2**14
 
 
 def _usable_cpus() -> int:
@@ -210,13 +186,12 @@ def _pair(f, g, size) -> None:
     f and g must write disjoint buffers.
 
     f must not itself call ``_pair``: there is one worker, so a nested call
-    would wait on itself.  The kernel's halves, the rows of its fold (with
-    the step's work on each), the inequality study's corpus function (which
-    calls no solver code) and the blockscale sweep's products (one inverse
-    transform, a product and one forward transform) keep to that.  numpy's
-    and scipy's transforms and numpy's array arithmetic release the GIL, so
-    the two grids of the kernel and of the sweep and the two rows of the
-    fold overlap; so does most of a corpus, which runs its pairs in stacks
+    would wait on itself.  The kernel's halves, the inequality study's
+    corpus function (which calls no solver code) and the blockscale sweep's
+    products (one inverse transform, a product and one forward transform)
+    keep to that.  numpy's and scipy's transforms and numpy's array
+    arithmetic release the GIL, so the two grids of the kernel and of the
+    sweep overlap; so does most of a corpus, which runs its pairs in stacks
     of ``experiments.CORPUS_CHUNK`` through transforms and array arithmetic,
     so that the two corpora take less wall time threaded than inline.
     Returns once both are done, and an exception of either reaches the
@@ -251,13 +226,9 @@ class _Workspace:
     argument and then its weighted rate; it is a buffer of its own, since
     both halves read the kernel's input at once.  ``rate`` holds the stage
     rates k2, k3 and k4 in rows 2 and 3, which the kernel's halves read
-    nothing from; the kernel then adds the halves into ``rate`` one row at a
-    time, and the step, right after row r of k4, writes the values of row r
-    of its increment to row 4 + r.  In the fold of the step's last
-    evaluation, rows 4 and 5 of the grid's half take the bin energies and
-    block products of the u row's norms, and rows 11 and 12 those of the
-    rho row's.  In the fold, each row of ``stage`` and of ``rate``, and
-    each of rows 4, 5, 11 and 12, is written by one thread of its pair.
+    nothing from and its fold writes last.  Once the kernel is done, rows 4
+    and 5 are free: the step writes its increment's values there after k4,
+    and its norms' bin energies and block products after k5.
     """
 
     def __init__(self, grid: Grid):
@@ -271,18 +242,6 @@ class _Workspace:
         self.rows = np.empty((14, n + 2))
         self.stage = np.empty((2, m), dtype=complex)
         self.rate = self.rows[2:4].view(complex)
-
-
-def _transform_rows(transform, rows, out, n: int) -> None:
-    """numpy's ``transform`` (rfft or irfft) of each row of the stack
-    ``rows`` on n points, normalized "forward", into the same row of
-    ``out``: in one call up to BATCH_MAX_POINTS points, else one call per
-    row, with the same bits per row either way."""
-    if n <= BATCH_MAX_POINTS:
-        transform(rows, n=n, norm="forward", out=out)
-        return
-    for row, row_out in zip(rows, out):
-        transform(row, n=n, norm="forward", out=row_out)
 
 
 def _grid_half(y: np.ndarray, work: _Workspace, rows: np.ndarray, tau, weight) -> None:
@@ -299,25 +258,25 @@ def _grid_half(y: np.ndarray, work: _Workspace, rows: np.ndarray, tau, weight) -
     d, g = work.d, work.g
     # rows 0-3 take rho, u, rho_x and u_x, rows 5-6 stage the inverse
     # transforms' inputs of rho and u, and rows 2 and 4-6 then take
-    # products; each stack of two rows is transformed in one call
-    # (``_transform_rows``), and each forward transform writes rows whose
-    # values are dead, so the weighted rates end in rows 0 and 1.  The
-    # symbols multiply one row at a time: a broadcast multiply of a stack
-    # shorter than numpy's ufunc buffer (8192 elements) allocates
+    # products; each stack of two rows is transformed in one call, and each
+    # forward transform writes rows whose values are dead, so the weighted
+    # rates end in rows 0 and 1.  The symbols multiply one row at a time: a
+    # broadcast multiply of a stack shorter than numpy's ufunc buffer (8192
+    # elements) allocates
     rho, u, rx, ux, u2, tmp, arg = rows[:, :n]
     spectra = rows.view(complex)
     staged = spectra[5:7]
     if tau is None:
-        _transform_rows(_irfft_into, y, rows[:2, :n], n)
+        _irfft_into(y, n=n, norm="forward", out=rows[:2, :n])
         for r in (0, 1):
             np.multiply(d, y[r], out=staged[r])
     else:
         for r in (0, 1):
             np.multiply(tau, y[r], out=staged[r])
-        _transform_rows(_irfft_into, staged, rows[:2, :n], n)
+        _irfft_into(staged, n=n, norm="forward", out=rows[:2, :n])
         for r in (0, 1):
             staged[r] *= d
-    _transform_rows(_irfft_into, staged, rows[2:4, :n], n)
+    _irfft_into(staged, n=n, norm="forward", out=rows[2:4, :n])
     np.multiply(u, u, out=u2)
     rx *= u2
     np.multiply(rho, u, out=tmp)
@@ -336,8 +295,8 @@ def _grid_half(y: np.ndarray, work: _Workspace, rows: np.ndarray, tau, weight) -
     tmp *= ux                               # (1/2) u_x^3 - (1/2) u_x rho^2
     # rows 2 and 6 (rho_t's products, the nonlocal argument) to spectra 0
     # and 1, rows 4 and 5 (u^2 u_x, the plain argument) to spectra 2 and 3
-    _transform_rows(_rfft_into, rows[2:7:4, :n], spectra[:2], n)
-    _transform_rows(_rfft_into, rows[4:6, :n], spectra[2:4], n)
+    _rfft_into(rows[2:7:4, :n], n=n, norm="forward", out=spectra[:2])
+    _rfft_into(rows[4:6, :n], n=n, norm="forward", out=spectra[2:4])
     nonlocal_, transport, plain_arg = spectra[1:4]
     nonlocal_ *= d
     nonlocal_ += plain_arg
@@ -346,7 +305,7 @@ def _grid_half(y: np.ndarray, work: _Workspace, rows: np.ndarray, tau, weight) -
     spectra[:2] *= weight
 
 
-def _rhs_half(y: np.ndarray, work: _Workspace, out=None, then=None) -> np.ndarray:
+def _rhs_half(y: np.ndarray, work: _Workspace, out=None) -> np.ndarray:
     """Half spectra of (rho_t, u_t) from the half spectra y = (rho, u),
     stacked along the first axis, written to ``out`` when given and else to
     a fresh array.
@@ -354,35 +313,21 @@ def _rhs_half(y: np.ndarray, work: _Workspace, out=None, then=None) -> np.ndarra
     The single RHS kernel: each product is formed on the grid and on the
     grid shifted by half a cell, the even and odd points of the grid of 2n
     points that zero padding would use, with 4 inverse and 4 forward
-    transforms of n points on each, in 4 calls on stacks of two rows up to
-    BATCH_MAX_POINTS points (``_transform_rows``); the truncated padded
-    spectrum is (E_k + conj(tau_k) O_k) / 2 for the spectra E and O on the
-    two grids.
+    transforms of n points on each, in 4 calls on stacks of two rows; the
+    truncated padded spectrum is (E_k + conj(tau_k) O_k) / 2 for the
+    spectra E and O on the two grids.
     The shifted grid runs on the worker of one ``_pair`` and the grid on
-    the caller, each in its own rows of ``work``; then a second ``_pair``
-    adds the two, the rho row on the worker and the u row on the caller,
-    and calls ``then(r, out[r])``, when given, on the thread that has just
-    formed row r of ``out``.  ``y`` may be ``work.stage`` and ``out`` may be
-    ``work.rate``, but neither may otherwise alias ``work``; ``then`` may
-    write row r of ``y``, which no half reads any more.  Each half
+    the caller, each in its own rows of ``work``; then the caller adds the
+    two, the fold.  ``y`` may be ``work.stage`` and ``out`` may be
+    ``work.rate``, but neither may otherwise alias ``work``.  Each half
     forms its products in one fixed order, so no bit depends on the threads.
     """
     n = work.rows.shape[-1] - 2
     _pair(partial(_grid_half, y, work, work.rows[7:], work.tau, work.fold),
           partial(_grid_half, y, work, work.rows[:7], None, 0.5), 16 * n)
     spectra = work.rows.view(complex)
-    if out is None:
-        out = np.empty_like(spectra[:2])
-
-    def fold(r):
-        row = np.add(spectra[r], spectra[7 + r], out=out[r])
-        row[-1] = 0.0  # discard the (unrepresentable) Nyquist content
-        if then is not None:
-            then(r, row)
-
-    # a row's fold and what ``then`` does with it cost about a transform of
-    # the row (see PAIR_MIN_SIZE)
-    _pair(partial(fold, 0), partial(fold, 1), 2 * n)
+    out = np.add(spectra[:2], spectra[7:9], out=out)
+    out[:, -1] = 0.0  # discard the (unrepresentable) Nyquist content
     return out
 
 
@@ -477,10 +422,8 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     a workspace built.  ``norm``, a ``_StepNorm``, has the step measure
     its error, increment and new spectra in that norm.
 
-    k1's stage runs stacked on the caller; every later elementwise pass
-    works one row at a time in the kernel's fold (``_rhs_half``'s
-    ``then``): rho on the worker and u on the caller when the grid is large
-    enough, each row with the bits it would get in a stack of both.
+    Each stage's rate is one kernel evaluation; everything between two
+    evaluations works on the stacked (rho, u) rows on the caller.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -491,61 +434,44 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     work = start._workspace
     y0, k1 = start.spectra, start.rate
     stage = work.stage
-    sixth = dt / 6.0
     # the running sum k1 + 2 k2 + 2 k3 + k4, so only one stage is held at a
     # time; then dt/6 times it
     increment = k1.copy()
     np.multiply(0.5 * dt, k1, out=stage)
     stage += y0
-    y1, error = np.empty_like(y0), np.empty_like(y0)
-    values = (state.rho.values, state.u.values)
-    fields, sups = [None, None], [math.inf, math.inf]
-
-    def accumulate(frac, r, k):
+    for frac in (0.5, 1.0):
+        k = _rhs_half(stage, work, work.rate)
         # weight k into the increment, and the next stage's argument
-        np.multiply(2.0, k, out=stage[r])
-        increment[r] += stage[r]
-        np.multiply(frac * dt, k, out=stage[r])
-        stage[r] += y0[r]
-
-    def advance(r, k):
-        increment[r] += k
-        increment[r] *= sixth
-        delta = _irfft_into(increment[r], n=n, norm="forward", out=work.rows[4 + r, :n])
-        new = values[r] + delta
-        sups[r] = float(_lp_rows(new, grid.spacing, math.inf))
-        if math.isfinite(sups[r]):
-            # read-only, so the field takes it without a copy
-            new.flags.writeable = False
-            fields[r] = RealField(grid, new)
-        np.add(y0[r], increment[r], out=y1[r])
-        error[r] = k  # k4, in the rows that the next evaluation writes
-
-    _rhs_half(stage, work, work.rate, partial(accumulate, 0.5))
-    _rhs_half(stage, work, work.rate, partial(accumulate, 1.0))
-    _rhs_half(stage, work, work.rate, advance)
-    if None in fields:  # a sup that is not finite, which max() might drop as a NaN
+        np.multiply(2.0, k, out=stage)
+        increment += stage
+        np.multiply(frac * dt, k, out=stage)
+        stage += y0
+    k4 = _rhs_half(stage, work, work.rate)
+    increment += k4
+    increment *= dt / 6.0
+    delta = _irfft_into(increment, n=n, norm="forward", out=work.rows[4:6, :n])
+    values = [f.values + d for f, d in zip((state.rho, state.u), delta)]
+    sups = tuple(float(_lp_rows(v, grid.spacing, math.inf)) for v in values)
+    if not all(map(math.isfinite, sups)):  # which max() might drop as a NaN
         raise BlowupError(state.time + dt, math.inf)
     if sup_limit is not None and max(sups) > sup_limit:
         raise BlowupError(state.time + dt, max(sups))
-    terms = [(), ()]
-
-    def measure(r, k):
-        error[r] -= k
-        error[r] *= sixth
-        if norm is not None:
-            # the kernel's halves are done and row r's fold read rows r and
-            # 7 + r, so rows 4 and 5 of each half are free: the rho row
-            # measures in the shifted half's, the u row in the grid's
-            free = work.rows[(11, 4)[r]:][:2]
-            terms[r] = tuple(norm.term(a[r], r, free) for a in (error, increment, y1))
-
+    for v in values:
+        v.flags.writeable = False  # so the field takes it without a copy
+    new = SystemState(rho=RealField(grid, values[0]), u=RealField(grid, values[1]),
+                      time=state.time + dt)
+    y1 = y0 + increment
+    error = k4.copy()  # k4's rows are the next evaluation's
     # a fresh rate, allocated after the kernel's halves and not beside their
     # temporaries
-    rate = _rhs_half(y1, work, None, measure)
-    new = SystemState(rho=fields[0], u=fields[1], time=state.time + dt)
-    norms = tuple(a + b for a, b in zip(*terms))
-    return RK4Step(new, y1, rate, increment, error, tuple(sups), norms, work)
+    rate = _rhs_half(y1, work)
+    error -= rate
+    error *= dt / 6.0
+    norms = ()
+    if norm is not None:
+        # the kernel is done, so rows 4 and 5 are free
+        norms = tuple(norm(a, work.rows[4:6]) for a in (error, increment, y1))
+    return RK4Step(new, y1, rate, increment, error, sups, norms, work)
 
 
 class _StepNorm:
@@ -579,8 +505,8 @@ class _StepNorm:
         # iterator, and which reads a NaN as np.max does
         return math.sqrt(float(energies[energies.argmax()]))
 
-    def __call__(self, y: np.ndarray) -> float:
-        return self.term(y[0], 0) + self.term(y[1], 1)
+    def __call__(self, y: np.ndarray, work=(None, None)) -> float:
+        return self.term(y[0], 0, work) + self.term(y[1], 1, work)
 
 
 @dataclass(frozen=True)
@@ -632,8 +558,8 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     The controller proposes a step h (never above cfg.dt when set); the
     interval to the next checkpoint is then split evenly into steps of at
     most h, so no sliver step is taken.  A rejected step is retried with a
-    smaller h; StepSizeError is raised once h falls below
-    MIN_STEP_FRACTION of the horizon.  Each step measures its own error,
+    smaller h.  StepSizeError is raised before any step whose proposal h,
+    the first guess included, lies below MIN_STEP_FRACTION of the horizon.  Each step measures its own error,
     increment, spectra and sup norms (``step_rk4``'s ``norm``).
     """
     if checkpoints is None:
@@ -671,6 +597,9 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     h = min(h, h_max)
     for t_next in checkpoints:
         while current.state.time < t_next:
+            if h < h_min:
+                raise StepSizeError(f"step {h:.3e} below its floor {h_min:.3e} "
+                                    f"at t={current.state.time:g}")
             remaining = t_next - current.state.time
             steps_left = max(1, math.ceil(remaining / h - 1e-12))
             step = remaining / steps_left
@@ -703,11 +632,6 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
             else:
                 rejected += 1
                 h = step * factor
-                if h < h_min:
-                    raise StepSizeError(
-                        f"step {h:.3e} below its floor {h_min:.3e} at "
-                        f"t={current.state.time:g} (error {ratio:.3e} times its tolerance)"
-                    )
             h = min(h, h_max)
             del trial
             # the interpolated records of the times the step passed, built once

@@ -263,6 +263,19 @@ class TestRun:
         rho, meta = load_field(f"{out}_rho.csv")
         assert float(meta["time"]) == 0.0
 
+    def test_solve_refuses_a_first_step_below_the_floor(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the first guess, about 3e-2, lies far below the floor
+        # MIN_STEP_FRACTION * 1e300: no step is tried and no file written
+        steps = []
+        step_rk4 = solver.step_rk4
+        monkeypatch.setattr(solver, "step_rk4",
+                            lambda *a, **k: steps.append(a) or step_rk4(*a, **k))
+        out = tmp_path / "far"
+        assert main(["solve", "--t-final", "1e300", "--output", str(out)] + SMALL) == 2
+        assert "below its floor" in capsys.readouterr().err
+        assert steps == [] and not list(tmp_path.iterdir())
+
     def test_decompose_writes_block_table(self, tmp_path):
         out = tmp_path / "dec"
         code = main(["decompose", "--output", str(out)] + SMALL)

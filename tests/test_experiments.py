@@ -555,7 +555,7 @@ def test_one_workspace_and_one_rate_at_the_data_per_integration(
 def test_solver_studies_transform_only_to_integrate(study, medium_params, count_ffts):
     # a sweep transforms its initial state's two rows in one call, and runs
     # 16 transforms in 8 calls per kernel evaluation (one at the start and
-    # four per step) and 2 per step (its increment, one row per call); the
+    # four per step) and 2 per step (its increment, in one call); the
     # studies measure every record from its spectra, so what they transform
     # beyond their sweeps depends neither on the horizon nor on the number of
     # checkpoints: the data's synthesis (one inverse transform of its two
@@ -571,7 +571,7 @@ def test_solver_studies_transform_only_to_integrate(study, medium_params, count_
         attempts = report.params["rk4_steps"] + report.params["rk4_rejected"]
         extra.append(sum(counts.values()) - sweeps * (2 + 16) - (4 * 16 + 2) * attempts)
         extra_calls.append(sum(counts.calls.values()) - sweeps * (1 + 8)
-                           - (4 * 8 + 2) * attempts)
+                           - (4 * 8 + 1) * attempts)
     assert extra[0] == extra[1] == 2 + (sweeps - 1)
     assert extra_calls[0] == extra_calls[1] == 1 + (sweeps - 1)
 

@@ -666,7 +666,7 @@ class TestWorkspace:
         # norm has the bits of the stacked path's
         norm = _StepNorm(first_step.state.grid, 3.0)
         y = first_step.spectra
-        free = first_step._workspace.rows[11:13]
+        free = first_step._workspace.rows[4:6]
         stacked = _block_energies(norm.bank, _bin_energy(y))
         for r in (0, 1):
             norm.term(y[r], r, free)  # warm
@@ -707,10 +707,8 @@ class TestWorkspace:
 def _threaded_against_inline(st, monkeypatch):
     """One kernel evaluation and a three-step integration from ``st``, on
     two usable CPUs and on one: the same bits, and the worker takes the
-    shifted grid's half of every evaluation, and the rho row of its fold
-    when the grid is large enough, or nothing."""
+    shifted grid's half of every evaluation, or nothing."""
     y = solver._spectra(st)
-    rows_threaded = 2 * st.grid.num_points >= solver.PAIR_MIN_SIZE
     submit, rhs_half = solver._pool.submit, solver._rhs_half
     runs = {}
     for usable in ({0, 1}, {0}):
@@ -723,11 +721,9 @@ def _threaded_against_inline(st, monkeypatch):
         records = []
         traj = integrate(st, SolverConfig(t_final=3e-4, dt=1e-4), visit=records.append)
         runs[len(usable)] = (rate, traj, records)
-        # per evaluation the halves and the fold, and nothing per step: a
-        # step splits its rows only in the fold
-        threaded = (1 + rows_threaded) * len(rhs_calls)
+        # one submit per evaluation, its halves, and nothing else per step
         assert len(rhs_calls) > 1
-        assert len(submits) == (threaded if len(usable) == 2 else 0)
+        assert len(submits) == (len(rhs_calls) if len(usable) == 2 else 0)
     (rate2, traj2, records2), (rate1, traj1, records1) = runs[2], runs[1]
     assert len(traj1.errors) == 3
     assert rate2.tobytes() == rate1.tobytes()
@@ -758,20 +754,16 @@ def _check_kernel_against_reference(grid, kind):
 
 class TestPairedKernel:
     def test_threaded_and_inline_give_the_same_bits(self, medium_data, monkeypatch):
-        # at 2^14 points only the kernel's halves reach the worker
         st = medium_data
-        assert 2 * st.grid.num_points < solver.PAIR_MIN_SIZE
+        assert st.grid.num_points == 2**14
         _threaded_against_inline(st, monkeypatch)
 
     def test_threaded_and_inline_give_the_same_bits_on_threaded_rows(self, medium_params,
                                                                     monkeypatch):
-        # at 2^15 points a step's rows reach the worker too, through the
-        # kernel's folds; a short switch interval interleaves the two rows'
-        # Python statements finely
+        # at 2^15 points too, with a short switch interval that interleaves
+        # the two halves' Python statements finely
         params = replace(medium_params, grid=Grid(2**15, medium_params.grid.length))
-        data = build_initial_data(params)
-        st = data
-        assert 2 * st.grid.num_points >= solver.PAIR_MIN_SIZE
+        st = build_initial_data(params)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -801,54 +793,30 @@ class TestPairedKernel:
         assert len(submits) == 1
         assert sorted(t.name.startswith("novlab-fft") for t in ran_on[2:]) == [False, True]
 
-    def test_sixteen_transforms_at_n_per_evaluation(self, medium_data, monkeypatch,
-                                                     count_ffts):
-        # up to BATCH_MAX_POINTS = 2^14 points each half makes two inverse
-        # and two forward calls on stacks of two rows
-        assert solver.BATCH_MAX_POINTS == medium_data.rho.grid.num_points == 2**14
-        st = medium_data
-        y = solver._spectra(st)
+    def test_sixteen_transforms_at_n_per_evaluation(self, monkeypatch, count_ffts):
+        # at every size each half makes two inverse and two forward calls on
+        # stacks of two rows
         counts = count_ffts()
-        for usable in ({0, 1}, {0}):
-            see_cpus(monkeypatch, usable)
-            counts.reset()
-            solver._rhs_half(y, solver._Workspace(st.grid))
-            assert counts == {"rfft": 8, "irfft": 8}
-            assert counts.lengths == {st.grid.num_points: 16}
-            assert counts.calls == {"rfft": 4, "irfft": 4}
-
-    @pytest.mark.parametrize("points,limit", [(2**15, None), (2**12, 2**11)],
-                             ids=["above_limit", "limit_below_grid"])
-    def test_kernel_calls_once_per_row_above_the_limit(self, monkeypatch, count_ffts,
-                                                       points, limit):
-        # above BATCH_MAX_POINTS each of the 16 transforms is a call of its own
-        if limit is not None:
-            monkeypatch.setattr(solver, "BATCH_MAX_POINTS", limit)
-        grid = Grid(points, 64.0)
-        y = np.random.default_rng(29).standard_normal((2, points // 2 + 1)) + 0j
-        counts = count_ffts()
-        for usable in ({0, 1}, {0}):
-            see_cpus(monkeypatch, usable)
-            counts.reset()
-            solver._rhs_half(y, solver._Workspace(grid))
-            assert counts == counts.calls == {"rfft": 8, "irfft": 8}
-            assert counts.lengths == {points: 16}
+        for points in (2**12, 2**14, 2**15):
+            grid = Grid(points, 64.0)
+            y = np.random.default_rng(29).standard_normal((2, points // 2 + 1)) + 0j
+            for usable in ({0, 1}, {0}):
+                see_cpus(monkeypatch, usable)
+                counts.reset()
+                solver._rhs_half(y, solver._Workspace(grid))
+                assert counts == {"rfft": 8, "irfft": 8}
+                assert counts.lengths == {points: 16}
+                assert counts.calls == {"rfft": 4, "irfft": 4}
 
     @pytest.mark.parametrize("kind", ["data", "near_nyquist"])
     def test_kernel_matches_the_straight_line_reference(self, small_grid, cpus, kind):
         # the same operations in the same order give the same bits, on
-        # either thread, with each stack of rows transformed in one call; a
+        # either thread, with each stack of rows transformed in one call, at
+        # the smallest size whose halves thread and at 2^15 points; a
         # near-Nyquist state exercises the Nyquist bin on the shifted grid
         # and the top of the products
-        assert small_grid.num_points <= solver.BATCH_MAX_POINTS
-        _check_kernel_against_reference(small_grid, kind)
-
-    @pytest.mark.parametrize("kind", ["data", "near_nyquist"])
-    def test_per_row_kernel_matches_the_straight_line_reference(self, small_grid, cpus, kind,
-                                                                monkeypatch):
-        # the same with one call per row, the path above BATCH_MAX_POINTS
-        monkeypatch.setattr(solver, "BATCH_MAX_POINTS", small_grid.num_points // 2)
-        _check_kernel_against_reference(small_grid, kind)
+        for grid in (small_grid, Grid(2**15, small_grid.length)):
+            _check_kernel_against_reference(grid, kind)
 
     def test_lift_and_fold_match_the_padded_transforms(self, small_grid):
         # the grid and its half-cell shift are the even and odd points of
