@@ -752,6 +752,21 @@ def _check_kernel_against_reference(grid, kind):
     assert rate.tobytes() == reference_rhs_half(y, grid).tobytes()
 
 
+def _check_sixteen_transforms(points, monkeypatch, count_ffts):
+    """One evaluation on ``points`` points, on one CPU and on two, makes 8
+    rfft and 8 irfft transforms of length n in 4 calls of each kind."""
+    grid = Grid(points, 64.0)
+    y = np.random.default_rng(29).standard_normal((2, points // 2 + 1)) + 0j
+    counts = count_ffts()
+    for usable in ({0, 1}, {0}):
+        see_cpus(monkeypatch, usable)
+        counts.reset()
+        solver._rhs_half(y, solver._Workspace(grid))
+        assert counts == {"rfft": 8, "irfft": 8}
+        assert counts.lengths == {points: 16}
+        assert counts.calls == {"rfft": 4, "irfft": 4}
+
+
 class TestPairedKernel:
     def test_threaded_and_inline_give_the_same_bits(self, medium_data, monkeypatch):
         st = medium_data
@@ -794,19 +809,15 @@ class TestPairedKernel:
         assert sorted(t.name.startswith("novlab-fft") for t in ran_on[2:]) == [False, True]
 
     def test_sixteen_transforms_at_n_per_evaluation(self, monkeypatch, count_ffts):
-        # at every size each half makes two inverse and two forward calls on
-        # stacks of two rows
-        counts = count_ffts()
-        for points in (2**12, 2**14, 2**15):
-            grid = Grid(points, 64.0)
-            y = np.random.default_rng(29).standard_normal((2, points // 2 + 1)) + 0j
-            for usable in ({0, 1}, {0}):
-                see_cpus(monkeypatch, usable)
-                counts.reset()
-                solver._rhs_half(y, solver._Workspace(grid))
-                assert counts == {"rfft": 8, "irfft": 8}
-                assert counts.lengths == {points: 16}
-                assert counts.calls == {"rfft": 4, "irfft": 4}
+        # each half makes two inverse and two forward calls on stacks of two
+        # rows
+        _check_sixteen_transforms(2**14, monkeypatch, count_ffts)
+
+    @pytest.mark.parametrize("points", [2**12, 2**15], ids=["2^12", "2^15"])
+    def test_sixteen_transforms_on_other_grid_sizes(self, monkeypatch, count_ffts, points):
+        # the same calls below and above 2^14, where a stack was once split
+        # into one call per row
+        _check_sixteen_transforms(points, monkeypatch, count_ffts)
 
     @pytest.mark.parametrize("kind", ["data", "near_nyquist"])
     def test_kernel_matches_the_straight_line_reference(self, small_grid, cpus, kind):
