@@ -22,7 +22,7 @@ from .experiments import (DEFAULT_CORPUS_SIZE, DEFAULT_DELTA, DEFAULT_DOMAIN_LEN
 from .fieldio import save_field
 from .initial_data import (LAMBDA_DEFAULT, LAMBDA_MAX, LAMBDA_MIN, IllposedDataParams,
                            build_initial_data, tail_bound)
-from .littlewood_paley import _check_weights, build_filter_bank, top_index
+from .littlewood_paley import _check_weights, _weighted_rows, build_filter_bank, top_index
 from .solver import (MIN_STEP_FRACTION, BlowupError, SolverConfig, StepSizeError, _spectra,
                      integrate)
 from .spectral import Grid
@@ -45,7 +45,9 @@ class RunConfig:
     command: str
     study_name: str | None = None
     s: float = _setting(DEFAULT_S, "regularity, must satisfy s > max(2+1/p, 5/2) "
-                        f"(default {DEFAULT_S}); read by every run")
+                        f"(default {DEFAULT_S}); read by every run, and every run but "
+                        "generate-data also needs each block weight 2^(j s), j <= j_max, "
+                        "to be a finite double (j_max s < 1024)")
     p: float = _setting(DEFAULT_P, f"integrability in [1, inf], accepts 'inf' (default "
                         f"{DEFAULT_P}); read by every run (generate-data and solve only "
                         "check it against s)")
@@ -185,9 +187,9 @@ def _plan(cfg: RunConfig):
 
     Building it applies every check the run is held to, before anything runs
     or is written: the core objects it builds (Grid, IllposedDataParams,
-    SolverConfig), the bank's grid and block-weight rules for ``decompose``
-    and each study's own ``experiments.check_*``.  Raises ValueError, also
-    for an unknown command or study.
+    SolverConfig), the bank's grid and block-weight rules for every command
+    but ``generate-data`` and each study's own ``experiments.check_*``.
+    Raises ValueError, also for an unknown command or study.
     """
     out = cfg.output_path
     grid = Grid(cfg.grid_points, cfg.domain_length)
@@ -200,12 +202,12 @@ def _plan(cfg: RunConfig):
                                 grid=grid)
     if cfg.command == "generate-data":
         return lambda: _generate_data(params, out)
+    _check_weights(cfg.s, top_index(grid))
     if cfg.command == "solve":
         # --dt only caps the step, so it may exceed the horizon
         config = SolverConfig(t_final=cfg.t_final, dt=cfg.dt, s=cfg.s)
         return lambda: _solve(params, config, out)
     if cfg.command == "decompose":
-        _check_weights(cfg.s, top_index(grid))
         return lambda: _decompose(cfg, params)
     if cfg.command != "study":
         raise ValueError(f"unknown command {cfg.command!r}")
@@ -245,7 +247,7 @@ def _solve(params: IllposedDataParams, config: SolverConfig, out: str) -> int:
 def _decompose(cfg: RunConfig, params: IllposedDataParams) -> int:
     y = _spectra(build_initial_data(params))  # the values die here, before the block sums
     bank = build_filter_bank(params.grid)
-    wr, wu = experiments._weighted_rows(bank, y, (cfg.s - 1, cfg.s), cfg.p)
+    wr, wu = _weighted_rows(bank, y, (cfg.s - 1, cfg.s), cfg.p)
     path = f"{cfg.output_path}_blocks.csv"
     with open(path, "w") as fh:
         fh.write(f"# s={cfg.s}\n# p={cfg.p}\n# lambda={cfg.lam}\n")

@@ -18,10 +18,10 @@ import numpy as np
 
 from .initial_data import (BUMP_CUTOFF, IllposedDataParams, SystemState, build_bump,
                            build_initial_data, check_regime)
-from .littlewood_paley import (CHI_PLATEAU_END, LPFilterBank, _block_half, _block_norms,
-                               _block_weights, _check_resolved, _check_weights,
-                               _commutator_block_norms, _half_lp_norm, build_filter_bank,
-                               top_index)
+from .littlewood_paley import (CHI_PLATEAU_END, LPFilterBank, _besov_rows, _block_half,
+                               _block_norms, _block_weights, _check_resolved, _check_weights,
+                               _commutator_block_norms, _half_lp_norm, _weighted_rows,
+                               build_filter_bank, top_index)
 from .solver import SolverConfig, _pair, _spectra, integrate
 from .spectral import (Grid, _bin_energy, _derivative_symbol, _half_cell_shift, _irfft_into,
                        _lp_rows, _product_half, _rfft_into, _smoothing_symbol)
@@ -315,23 +315,6 @@ def _sweep(state0: SystemState, cfg: SolverConfig, checkpoints, measure,
     return traj, start[:2], {
         "invariant_drift_rho": float(drift[0]), "invariant_drift_u": float(drift[1]),
         "sup_growth_max": max(max(r, u) for _, r, u in traj.sup_norms) / state0.sup_norm()}
-
-
-def _weighted_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
-                   check_resolved: bool = True) -> np.ndarray:
-    """The weighted block norms 2^(j s) ||block_j f||_Lp, j = -1 .. j_max, of
-    each field f of the stacked half spectra y, row r with s = s_rows[r],
-    for a checked p (see ``_block_norms``): the one routine that every
-    command takes its Besov norms with."""
-    weights = np.stack([_block_weights(bank, s) for s in s_rows])
-    return weights * _block_norms(bank, y, p, check_resolved)
-
-
-def _besov_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
-                check_resolved: bool = True) -> list:
-    """The B^s_{p,inf} norm (the largest weighted block norm) of each field
-    of the stacked half spectra y, row r with s = s_rows[r]."""
-    return np.max(_weighted_rows(bank, y, s_rows, p, check_resolved), axis=-1).tolist()
 
 
 def _bands(params: IllposedDataParams, n_min: int, n_max: int, n_lowest: int) -> list:

@@ -11,8 +11,8 @@ telescopes exactly and equals 1 on every resolved frequency once
 2^(J+1) exceeds the Nyquist frequency.  The ring symbol is supported in
 {1 <= |xi| <= 8/3} and equals 1 exactly on {4/3 <= |xi| <= 2}; rings two
 indices apart are disjoint.  The block norms here work on half spectra;
-``experiments._weighted_rows`` weights them into the Besov norms that every
-command reports.
+``_weighted_rows`` weights them into the Besov norms that every command
+reports and that the solver's step controller steers by.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def top_index(grid: Grid) -> int:
 
 def _check_weights(s: float, j_max: int) -> None:
     """The rule that every block weight 2^(j s), -1 <= j <= j_max, is a finite double."""
-    if max(-s, j_max * s) >= 1024:
+    if not (-s < 1024 and j_max * s < 1024):
         raise ValueError(f"s = {s:g} overflows a block weight 2^(j s), -1 <= j <= {j_max}")
 
 
@@ -213,20 +213,12 @@ def _block_energies(bank: LPFilterBank, energy: np.ndarray, out=None) -> np.ndar
     ``_block_norms``), from one multiply by the bank's parity rows and one
     ``reduceat`` over their segments, in ``out`` (rows of at least twice the
     bins in doubles) if given, else a stack row by row with the same bits,
-    so its products are never all held.  A row is multiplied by one parity
-    row at a time and picked without an ellipsis: the broadcast multiply
-    allocates numpy's ufunc buffer on rows shorter than the buffer, even
-    with ``out``, and an index after an ellipsis allocates too."""
+    so its products are never all held."""
     if energy.ndim > 1 and out is None:
         return np.array([_block_energies(bank, row) for row in energy])
     shape, m = energy.shape[:-1], energy.shape[-1]
-    if energy.ndim == 1:
-        products = np.empty(2 * m) if out is None else out[: 2 * m]
-        for r in (0, 1):
-            np.multiply(bank._squares[r], energy, out=products[r * m : (r + 1) * m])
-        return np.add.reduceat(products, bank._starts)[bank._picks]
-    out = out[..., : 2 * m].reshape(shape + (2, m))
-    products = np.multiply(bank._squares, energy[..., None, :], out=out)
+    out = np.empty(2 * m) if out is None else out[..., : 2 * m]
+    products = np.multiply(bank._squares, energy[..., None, :], out=out.reshape(shape + (2, m)))
     sums = np.add.reduceat(products.reshape(shape + (2 * m,)), bank._starts, axis=-1)
     return sums[..., bank._picks]
 
@@ -274,6 +266,24 @@ def _block_norms(bank: LPFilterBank, half: np.ndarray, p,
         block, values = work[0].view(complex)[..., : half.shape[-1]], work[1]
     return np.stack([_half_lp_norm(bank.grid, _block_half(bank, half, j, out=block), p, values)
                      for j in range(-1, bank.j_max + 1)], axis=-1)
+
+
+def _weighted_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
+                   check_resolved: bool = True, work=None) -> np.ndarray:
+    """The weighted block norms 2^(j s) ||block_j f||_Lp, j = -1 .. j_max, of
+    each field f of the stacked half spectra y, row r with s = s_rows[r],
+    for a checked p, with ``check_resolved`` and ``work`` as in
+    ``_block_norms``: the one routine that every command and the solver's
+    step controller take their Besov norms with."""
+    weights = np.stack([_block_weights(bank, s) for s in s_rows])
+    return weights * _block_norms(bank, y, p, check_resolved, work)
+
+
+def _besov_rows(bank: LPFilterBank, y: np.ndarray, s_rows, p,
+                check_resolved: bool = True, work=None) -> list:
+    """The B^s_{p,inf} norm (the largest weighted block norm) of each field
+    of the stacked half spectra y, row r with s = s_rows[r]."""
+    return np.max(_weighted_rows(bank, y, s_rows, p, check_resolved, work), axis=-1).tolist()
 
 
 def _commutator_halves(bank: LPFilterBank, hvx: np.ndarray, bands: tuple, u_values: np.ndarray,

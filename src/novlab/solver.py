@@ -16,8 +16,9 @@ Solving ODEs I, II.4).  Each step's error estimate is the embedded
 third-order FSAL formula (h/6)(k4 - k5), where k5 = f(y_(n+1)) becomes the
 next step's k1, so an accepted step costs the four right-hand-side
 evaluations a fixed step costs.  The estimate is measured in
-B^(s-1)_{2,inf} x B^s_{2,inf} on the studies' filter bank, by Parseval, and
-the step is accepted when it is at most RTOL ||increment|| + ATOL ||state||.
+B^(s-1)_{2,inf} x B^s_{2,inf} by the routine the studies take their Besov
+norms with (``littlewood_paley._besov_rows``, by Parseval), and the step is
+accepted when it is at most RTOL ||increment|| + ATOL ||state||.
 
 One kernel evaluates the right-hand side from half spectra to half spectra
 (on each of the two grids, 4 inverse and 4 forward real FFTs of n points,
@@ -73,11 +74,10 @@ from functools import partial
 import numpy as np
 
 from .initial_data import SystemState
-from .littlewood_paley import _block_energies, build_filter_bank
+from .littlewood_paley import _besov_rows, _check_weights, build_filter_bank
 from .spectral import (
     Grid,
     RealField,
-    _bin_energy,
     _derivative_symbol,
     _half_cell_shift,
     _irfft_into,
@@ -88,7 +88,7 @@ from .spectral import (
 )
 
 # error control: accept when err <= RTOL ||increment|| + ATOL ||state||, in
-# the block norm of ``_StepNorm``; the ATOL term keeps roundoff in the top
+# B^(s-1)_{2,inf} x B^s_{2,inf}; the ATOL term keeps roundoff in the top
 # blocks of large states from driving the step down
 RTOL = 1e-6
 ATOL = 1e-9
@@ -120,8 +120,8 @@ class SolverConfig:
 
     ``dt`` optionally caps the error-controlled step, and may not lie below
     the step floor MIN_STEP_FRACTION t_final; ``s`` sets the norm
-    B^(s-1)_{2,inf} x B^s_{2,inf} the step error is measured in, and may
-    not be so large that a block weight's exponent overflows.
+    B^(s-1)_{2,inf} x B^s_{2,inf} the step error is measured in, which
+    ``integrate`` holds to the studies' block-weight rule on its grid.
     """
 
     t_final: float
@@ -136,11 +136,6 @@ class SolverConfig:
         if self.dt is not None and self.dt < MIN_STEP_FRACTION * self.t_final:
             raise ValueError(f"dt must be at least MIN_STEP_FRACTION * t_final = "
                              f"{MIN_STEP_FRACTION * self.t_final:g}, got {self.dt:g}")
-        # the step norm's weight exponents j s and j (s - 1), -1 <= j <= j_max,
-        # must be finite on every grid: a finite Nyquist frequency has j_max <= 1023
-        if not math.isfinite(1023 * (abs(self.s) + 1.0)):
-            raise ValueError(f"s must be finite and |s| + 1 at most 1/1023 of the largest "
-                             f"double, got {self.s:g}")
 
 
 def _new_pool() -> None:
@@ -227,8 +222,8 @@ class _Workspace:
     both halves read the kernel's input at once.  ``rate`` holds the stage
     rates k2, k3 and k4 in rows 2 and 3, which the kernel's halves read
     nothing from and its fold writes last.  Once the kernel is done, rows 4
-    and 5 are free: the step writes its increment's values there after k4,
-    and its norms' bin energies and block products after k5.
+    to 7 are free: the step writes its increment's values to rows 4 and 5
+    after k4, and its norms' bin energies and block products after k5.
     """
 
     def __init__(self, grid: Grid):
@@ -348,8 +343,8 @@ class RK4Step:
     k5 that the next step takes as its k1; ``error`` is the embedded
     third-order estimate h/6 (k4 - k5).  ``sup_norms`` are the sup norms
     of the new rho and u, and ``norms``, when the step was given a
-    ``_StepNorm``, the norms of ``error``, ``increment`` and ``spectra``
-    in it.  A step of size zero (at the initial state) has no increment,
+    ``norm``, the norms of ``error``, ``increment`` and ``spectra`` in
+    it.  A step of size zero (at the initial state) has no increment,
     no error and none of these.  ``_workspace`` is the private scratch of
     the integration that made the step, which the next step reuses; none
     of the other arrays aliases it.  As a record of ``integrate`` it has the
@@ -419,8 +414,9 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     its carried spectra and rate are reused, so the step costs four
     right-hand-side evaluations (k2, k3, k4 and k5), and so is its
     workspace.  Without it the state is transformed once, k1 evaluated and
-    a workspace built.  ``norm``, a ``_StepNorm``, has the step measure
-    its error, increment and new spectra in that norm.
+    a workspace built.  ``norm(y, work)``, a norm of stacked half spectra
+    that may work in ``work``, two stacks of two workspace rows, has the
+    step measure its error, increment and new spectra in it.
 
     Each stage's rate is one kernel evaluation; everything between two
     evaluations works on the stacked (rho, u) rows on the caller.
@@ -469,44 +465,9 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     error *= dt / 6.0
     norms = ()
     if norm is not None:
-        # the kernel is done, so rows 4 and 5 are free
-        norms = tuple(norm(a, work.rows[4:6]) for a in (error, increment, y1))
+        # the kernel is done, so rows 4 to 7 are free
+        norms = tuple(norm(a, (work.rows[4:6], work.rows[6:8])) for a in (error, increment, y1))
     return RK4Step(new, y1, rate, increment, error, sups, norms, work)
-
-
-class _StepNorm:
-    """||a||_{B^(s-1)_{2,inf}} + ||b||_{B^s_{2,inf}} of stacked half spectra
-    (a, b) on the blocks of the grid's filter bank, by Parseval from the
-    block energies the studies' norms read (``_block_energies``).
-
-    The norm is returned divided by the power of two 2^scale, so the largest
-    squared block weight is L and no weight overflows for any s; the
-    controller only compares norms, which that factor does not change.  A block
-    whose squared weight falls below 2^-1074 of the top one counts as zero.
-    ``term(y[r], r)`` is row r's share, and the norm is the sum of the two.
-    The grid's bank is the one the studies share (``build_filter_bank``).
-    """
-
-    def __init__(self, grid: Grid, s: float):
-        self.bank = build_filter_bank(grid)
-        # squared weights 2^(2 j sigma - 2 scale) times L, for sigma = s - 1
-        # and s; the top one is L
-        exponents = np.outer([s - 1.0, s], np.arange(-1.0, self.bank.j_max + 1))
-        self.scale = math.ceil(exponents.max())
-        self.weights = grid.length * 4.0 ** (exponents - self.scale)
-
-    def term(self, row: np.ndarray, r: int, work=(None, None)) -> float:
-        """Row r's share; with ``work``, two rows of at least twice the
-        bins in doubles, its bin energies and their products with the bank
-        are formed there."""
-        energies = _block_energies(self.bank, _bin_energy(row, out=work[0]), work[1])
-        energies *= self.weights[r]
-        # the largest by its index, which, unlike np.max, builds no reduction
-        # iterator, and which reads a NaN as np.max does
-        return math.sqrt(float(energies[energies.argmax()]))
-
-    def __call__(self, y: np.ndarray, work=(None, None)) -> float:
-        return self.term(y[0], 0, work) + self.term(y[1], 1, work)
 
 
 @dataclass(frozen=True)
@@ -550,18 +511,25 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     transform, and the steps are those of the checkpoints alone.
 
     The step error is controlled in B^(s-1)_{2,inf} x B^s_{2,inf}, with s
-    from ``cfg``, on the grid's filter bank (``_StepNorm``; ValueError on a
-    grid with Nyquist frequency below 1, which has none), whatever
-    integrability index p a study measures its results in: a study at
-    p != 2 still gets steps controlled at p = 2.
+    from ``cfg``, on the grid's filter bank, whatever integrability index p
+    a study measures its results in: a study at p != 2 still gets steps
+    controlled at p = 2.  ValueError refuses, before any transform, a grid
+    with Nyquist frequency below 1, which has no bank, and an s with a block
+    weight 2^(j (s - 1)) or 2^(j s) that is not a finite double
+    (``_check_weights``), and later any norm the controller steers by that
+    is not finite.
 
     The controller proposes a step h (never above cfg.dt when set); the
     interval to the next checkpoint is then split evenly into steps of at
     most h, so no sliver step is taken.  A rejected step is retried with a
     smaller h.  StepSizeError is raised before any step whose proposal h,
-    the first guess included, lies below MIN_STEP_FRACTION of the horizon.  Each step measures its own error,
-    increment, spectra and sup norms (``step_rk4``'s ``norm``).
+    the first guess included, lies below MIN_STEP_FRACTION of the horizon.
+    Each step measures its own error, increment, spectra and sup norms
+    (``step_rk4``'s ``norm``).
     """
+    bank, s_rows = build_filter_bank(state0.grid), (cfg.s - 1.0, cfg.s)
+    for s in s_rows:
+        _check_weights(s, bank.j_max)
     if checkpoints is None:
         checkpoints = [cfg.t_final] if cfg.t_final > 0 else []
     checkpoints = sorted(float(t) for t in checkpoints)
@@ -582,12 +550,18 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
         visit(current)
     sup_norms, errors = [], []
     rejected = 0
-    norm = _StepNorm(state0.grid, cfg.s)
+
+    def norm(y, work=None):
+        with np.errstate(over="ignore"):  # an overflow raises below, not as a warning
+            value = sum(_besov_rows(bank, y, s_rows, 2.0, check_resolved=False, work=work))
+        if not math.isfinite(value):
+            raise ValueError(f"step norm {value:g} at s = {cfg.s:g}: a weighted block overflows")
+        return value
+
     horizon = checkpoints[-1] - state0.time
     h_min = MIN_STEP_FRACTION * horizon
     h_max = cfg.dt if cfg.dt is not None else math.inf
-    state_norm = norm(current.spectra)
-    rate_norm = norm(current.rate)
+    state_norm, rate_norm = norm(current.spectra), norm(current.rate)
     # the usual first guess 0.01 ||y|| / ||f(y)||, or the whole horizon
     # when either norm vanishes
     if state_norm > 0 and rate_norm > 0:
@@ -622,8 +596,8 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
                 current = RK4Step(st, trial.spectra, trial.rate,
                                   _workspace=trial._workspace)
                 sup_norms.append((st.time, *trial.sup_norms))
-                # relative, so free of the norm's scale; a nonzero error on a
-                # state of zero norm has no finite relative size
+                # relative to the state's norm; a nonzero error on a state
+                # of zero norm has no finite relative size
                 rel = err / state_norm if state_norm > 0 else (math.inf if err else 0.0)
                 errors.append((step, rel))
                 state_norm = new_norm

@@ -20,8 +20,8 @@ from dataclasses import replace
 import numpy as np
 
 from novlab import RealField, build_initial_data
-from novlab.experiments import _chunk_ratios, _draw_fields, _pair_stacks, _weighted_rows
-from novlab.littlewood_paley import _block_half, _check_weights
+from novlab.experiments import _chunk_ratios, _draw_fields, _pair_stacks
+from novlab.littlewood_paley import _block_half, _check_weights, _weighted_rows
 from novlab.solver import _rhs_half, _spectra, _Workspace
 from novlab.spectral import (_check_p, _check_same_grid, _lp_rows, field_from_half,
                              half_spectrum)
@@ -45,7 +45,7 @@ def lp_norm(f, p):
 def weighted_block_norms(bank, f, s, p):
     """The sequence 2^(j s) ||block_j f||_Lp, j = -1 .. j_max, of the field f
     on the bank's grid, by the routine every command measures Besov norms
-    with (``experiments._weighted_rows``), from f's half spectrum.  A field
+    with (``littlewood_paley._weighted_rows``), from f's half spectrum.  A field
     on another grid, an invalid p and an overflowing s are refused before
     any transform."""
     _check_same_grid(bank, f)

@@ -184,8 +184,8 @@ def test_commands_enter_every_public_function_but_the_unrun(monkeypatch, tmp_pat
 # of the first statement of a module, class or function body when it is a
 # string, found with ast).  A change that adds code raises these numbers in
 # its own diff and says why.
-SOURCE_LINES_MAX = 2730
-CODE_LINES_MAX = 1511
+SOURCE_LINES_MAX = 2699
+CODE_LINES_MAX = 1499
 
 
 def _source_size(package: Path) -> tuple:

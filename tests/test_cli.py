@@ -85,7 +85,7 @@ class TestParseArgs:
         (["study", "separation", "--dt", "1e-14"], "constraint violated: dt"),
         # the step-cap rule runs before the time-ladder rule
         (["study", "shorttime", "--t-final", "-1"], "t_final"),
-        # j s of the step norm's weights overflows from about s = 1.6e307 at j_max = 11
+        # a block weight 2^(j s) of the step norm overflows from s = 1024/5 at j_max = 5
         (["solve", "--s", "1e308", "--grid-points", "1024", "--domain-length", "64",
           "--num-terms", "4", "--t-final", "1e-3"], "constraint violated: s"),
     ])
@@ -122,10 +122,10 @@ class TestParseArgs:
         assert "config key" in err and key in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
 
-    @pytest.mark.parametrize("command", ["solve", "generate-data"])
+    @pytest.mark.parametrize("command", ["generate-data"])
     def test_large_s_needs_no_block_weight(self, command):
-        # the step controller's block weights are scaled by a common power
-        # of two, and data synthesis weights no block
+        # data synthesis weights no block, so it is the one run that takes
+        # an s past the block-weight rule (11 s >= 1024 at the default grid)
         assert parse_args([command, "--s", "95"]).s == 95.0
 
     def test_rejects_unknown_flag(self):
@@ -275,6 +275,22 @@ class TestRun:
         assert main(["solve", "--t-final", "1e300", "--output", str(out)] + SMALL) == 2
         assert "below its floor" in capsys.readouterr().err
         assert steps == [] and not list(tmp_path.iterdir())
+
+    def test_solve_meets_the_block_weight_rule(self, tmp_path, capsys, count_ffts):
+        # j_max = 7 on 4096 points in a box of 64, so 2^(7 s) overflows at
+        # s = 200: solve is refused by the rule blockscale applies, before
+        # any transform, and writes nothing
+        counts = count_ffts()
+        argv = ["--grid-points", "4096", "--domain-length", "64", "--num-terms", "6",
+                "--s", "200", "--output", str(tmp_path / "heavy")]
+        errors = []
+        for command in (["solve"], ["study", "blockscale"]):
+            assert main(command + argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "s = 200 overflows a block weight 2^(j s), -1 <= j <= 7" in errors[0]
+        assert counts == {"rfft": 0, "irfft": 0}
+        assert not list(tmp_path.iterdir())
 
     def test_decompose_writes_block_table(self, tmp_path):
         out = tmp_path / "dec"

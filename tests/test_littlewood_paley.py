@@ -175,13 +175,18 @@ class TestFilterBank:
             with pytest.raises(ValueError):
                 rows[0] = 1
 
-    def test_one_bank_per_grid(self, small_grid, small_bank):
+    def test_one_bank_per_grid(self, small_grid, small_bank, monkeypatch):
         # equal grids share one bank while it is held, the step controller's
         # too, and a bank that no caller holds is freed
-        from novlab.solver import _StepNorm
+        from novlab import SolverConfig, SystemState, integrate, littlewood_paley
 
-        assert build_filter_bank(Grid(small_grid.num_points, small_grid.length)) is small_bank
-        assert _StepNorm(small_grid, 3.0).bank is small_bank
+        equal = Grid(small_grid.num_points, small_grid.length)
+        assert build_filter_bank(equal) is small_bank
+        # the controller measures on the held bank, so it samples none
+        monkeypatch.setattr(littlewood_paley, "_sample_bank", None)
+        f = mode(equal, 3)
+        assert integrate(SystemState(rho=f, u=f), SolverConfig(t_final=1e-4)).errors
+        monkeypatch.undo()
         other = build_filter_bank(Grid(small_grid.num_points, 2 * small_grid.length))
         assert other is not small_bank
         held = weakref.ref(other)

@@ -25,9 +25,8 @@ from novlab import (
 )
 
 from novlab import solver
-from novlab.experiments import _besov_rows
-from novlab.littlewood_paley import _block_energies
-from novlab.solver import StepSizeError, _StepNorm
+from novlab.littlewood_paley import _besov_rows
+from novlab.solver import StepSizeError
 from novlab.spectral import _bin_energy, field_from_half
 
 from helpers import (LAMBDA, composed_rhs, derivative, extend_half, fft_threads,
@@ -228,14 +227,15 @@ class TestStepRK4:
             bound = 2 * abs(dt) * 1.01 * rate.sup_norm()
             assert np.abs(new.values - old.values).max() <= bound
 
-    def test_error_estimate_sits_far_below_the_increment(self, medium_data):
+    def test_error_estimate_sits_far_below_the_increment(self, medium_bank, medium_data):
         # k5 comes from the carried spectra, so a tiny step's estimate
         # h/6 (k4 - k5) carries no transform roundoff of the state; taken
         # from rfft(values) instead it would sit ~1e-9 below the increment
-        st = medium_data
-        norm = _StepNorm(st.grid, 3.0)
-        step = step_rk4(st, 1e-6)
-        assert norm(step.error) < 1e-12 * norm(step.increment)
+        # (both in the controller's norm at s = 3)
+        step = step_rk4(medium_data, 1e-6)
+        error, increment = (sum(_besov_rows(medium_bank, a, (2.0, 3.0), 2, check_resolved=False))
+                            for a in (step.error, step.increment))
+        assert error < 1e-12 * increment
 
     def test_first_order_consistency_with_rhs(self, medium_data):
         st = medium_data
@@ -332,20 +332,43 @@ class TestIntegrate:
         (1e-3, math.inf, None), (1e-3, 1.0, math.inf), (1e-3, 1.0, math.nan),
         # a cap below the step floor MIN_STEP_FRACTION t_final
         (1e-300, 1e-3, None), (1e-14, 1e-3, None),
-        # a step-norm weight exponent j s overflows on some grid (j <= 1023)
-        (None, 1.0, 1e308), (None, 1.0, -1e306),
+        # a step-norm weight 2^(j s) or 2^(j (s - 1)), -1 <= j <= j_max = 7,
+        # overflows: 7 s >= 1024, or 1 - s >= 1024
+        (None, 1.0, 1e308), (None, 1.0, -1e306), (None, 1.0, 600.0), (None, 1.0, -1023.0),
     ])
-    def test_config_rejects_bad_settings(self, dt, t_final, s):
-        # s = None keeps the default s
+    def test_config_rejects_bad_settings(self, small_grid, count_ffts, dt, t_final, s):
+        # SolverConfig refuses a bad dt or t_final, and integrate an s whose
+        # step norm has a weight that is not a finite double (the studies'
+        # block-weight rule), before any transform; s = None keeps the
+        # default s
         extra = {} if s is None else {"s": s}
-        with pytest.raises(ValueError, match="dt must|t_final must|s must"):
-            SolverConfig(dt=dt, t_final=t_final, **extra)
+        st = SystemState(rho=mode(small_grid, 3), u=mode(small_grid, 5))
+        counts = count_ffts()
+        with pytest.raises(ValueError, match="dt must|t_final must|overflows a block weight"):
+            integrate(st, SolverConfig(dt=dt, t_final=t_final, **extra))
+        assert counts == {"rfft": 0, "irfft": 0}
 
-    def test_config_takes_an_s_whose_step_norm_weights_stay_finite(self, small_grid):
-        for s in (80.0, -80.0, 1.7e305):
-            SolverConfig(t_final=1.0, s=s)
-            norm = _StepNorm(small_grid, s)
-            assert np.all(np.isfinite(norm.weights))
+    def test_config_takes_an_s_whose_step_norm_weights_stay_finite(self, medium_grid,
+                                                                   count_ffts):
+        # on 2^14 points in a box of 64, j_max = 9: the largest s with
+        # 9 s < 1024 and the smallest with 1 - s < 1024 run, and the next
+        # doubles past them are refused before any transform.  On zero data
+        # every norm is 0 times a weight, which an infinite weight would
+        # turn into a nan that raises
+        zero = _zero(medium_grid)
+        st = SystemState(rho=zero, u=zero)
+        top = 1024.0 / 9
+        while 9 * top >= 1024:
+            top = math.nextafter(top, 0.0)
+        bottom = math.nextafter(-1023.0, 0.0)
+        for s in (top, bottom):
+            traj = integrate(st, SolverConfig(t_final=1e-3, s=s))
+            assert traj.final.time == 1e-3 and traj.errors == ((1e-3, 0.0),)
+        counts = count_ffts()
+        for s in (math.nextafter(top, math.inf), -1023.0):
+            with pytest.raises(ValueError, match="overflows a block weight"):
+                integrate(st, SolverConfig(t_final=1e-3, s=s))
+        assert counts == {"rfft": 0, "irfft": 0}
 
     def test_start_record_rate_is_the_rhs_at_the_data(self, medium_data):
         st = medium_data
@@ -550,24 +573,40 @@ class TestErrorControl:
         attempts = 1 + math.ceil(math.log(1 / solver.MIN_STEP_FRACTION, 5))
         assert len(evals) <= 1 + 4 * attempts
 
-    @pytest.mark.parametrize("s", [3.0, 80.0, 600.0])
-    def test_shell_weights_stay_finite(self, medium_grid, s):
-        # the controller's squared block weights, scaled by a common power
-        # of two so that the top one is L
-        weights = _StepNorm(medium_grid, s).weights
-        assert weights.shape == (2, build_filter_bank(medium_grid).j_max + 2)
-        assert np.all(np.isfinite(weights))
-        assert weights.max() == medium_grid.length
-
     @pytest.mark.parametrize("s", [3.0, 2.6, 5.5])
-    def test_controller_measures_on_the_studies_filter_bank(self, medium_bank, medium_data, s):
-        # the norm the step is controlled in, times its power of two, is the
-        # B^(s-1)_{2,inf} x B^s_{2,inf} norm a study reads from the same
-        # spectra (exactly equal on these data)
-        y = solver._spectra(medium_data)
-        norm = _StepNorm(medium_bank.grid, s)
-        studies = sum(_besov_rows(medium_bank, y, (s - 1, s), 2))
-        assert 2.0**norm.scale * norm(y) == pytest.approx(studies, rel=1e-15, abs=0.0)
+    def test_controller_measures_on_the_studies_filter_bank(self, medium_bank, medium_data, s,
+                                                            monkeypatch):
+        # the norms each step hands the controller, of its error, increment
+        # and spectra, formed in the workspace's free rows, are bit for bit
+        # the B^(s-1)_{2,inf} x B^s_{2,inf} norms a study reads from the
+        # same spectra on the same bank
+        steps = []
+        step_rk4 = solver.step_rk4
+
+        def kept(*args, **kwargs):
+            steps.append(step_rk4(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(solver, "step_rk4", kept)
+        integrate(medium_data, SolverConfig(t_final=1e-3, s=s))
+        assert steps
+        for step in steps:
+            assert step.norms == tuple(
+                sum(_besov_rows(medium_bank, a, (s - 1, s), 2, check_resolved=False))
+                for a in (step.error, step.increment, step.spectra))
+
+    def test_overflowing_norm_raises_before_the_first_step(self, medium_grid, monkeypatch):
+        # at s = 113, 9 s < 1024 passes the weight rule, but the top weight
+        # 2^1017 times u's block 9 (amplitude 200 at frequency 700) passes
+        # the largest double: the state's norm is inf, which no tolerance
+        # may accept, so the integration stops before its first step
+        steps = []
+        monkeypatch.setattr(solver, "step_rk4", lambda *a, **k: steps.append(a))
+        st = SystemState(rho=build_bump(medium_grid),
+                         u=200.0 * modulated_bump(medium_grid, 700.0))
+        with pytest.raises(ValueError, match="step norm inf at s = 113"):
+            integrate(st, SolverConfig(t_final=1e-6, s=113.0))
+        assert steps == []
 
     def test_grid_without_a_dyadic_ring_is_refused(self):
         # the controller measures on the grid's filter bank, which a grid
@@ -578,8 +617,8 @@ class TestErrorControl:
             integrate(SystemState(rho=f, u=f), SolverConfig(t_final=1e-3))
 
     def test_controller_terminates_at_large_s(self, medium_data):
-        # 2^(2 s j_max) overflows a double here, so unscaled squared weights
-        # would make every norm inf and the first step guess nan
+        # the top weight 2^(9 s) = 2^720 is finite, and so is every
+        # weighted block of these data
         st = medium_data
         t_final = 0.1 * 2.0**-5
         traj = integrate(st, SolverConfig(t_final=t_final, s=80.0))
@@ -640,39 +679,27 @@ class TestWorkspace:
 
     def test_warm_measured_step_allocates_only_its_outputs(self, medium_data):
         # a step that measures its error, increment and spectra for the
-        # controller forms each term's bin energies and block products in
-        # free rows of the workspace; per term they took 1.5 half spectra.
-        # On 2^14 points a row passes numpy's ufunc buffer of 8192 elements,
-        # so the broadcast products are not buffered either
+        # controller forms each norm's bin energies and block products in
+        # four free rows of the workspace; per norm they took 3 half
+        # spectra.  On 2^14 points a row passes numpy's ufunc buffer of 8192
+        # elements, so the broadcast products are not buffered either
         first = step_rk4(medium_data, 1e-4)
         work, y = first._workspace, first.spectra
-        norm = _StepNorm(first.state.grid, 3.0)
+        bank = build_filter_bank(first.state.grid)
+
+        def norm(a, work=None):
+            # the controller's norm at s = 3
+            return sum(_besov_rows(bank, a, (2.0, 3.0), 2, check_resolved=False, work=work))
+
         second = step_rk4(first.state, 1e-4, start=first, norm=norm)  # warm
         third, peak = traced_peak(lambda: step_rk4(second.state, 1e-4, start=second, norm=norm))
         assert peak <= sum(a.nbytes for a in _outputs(third)) + y[0].nbytes
-        # with the bits of terms measured in arrays of their own
-        free = np.empty((2, y.shape[-1] * 2))
-        for r in (0, 1):
-            assert norm.term(y[r], r, free) == norm.term(y[r], r)
+        # with the bits of norms measured in arrays of their own
+        free = (np.empty((2, y.shape[-1] * 2)), np.empty((2, y.shape[-1] * 2)))
+        assert norm(y, free) == norm(y)
         assert third.norms == tuple(norm(a) for a in (third.error, third.increment,
                                                       third.spectra))
         assert work is third._workspace
-
-    def test_warm_norm_term_in_workspace_rows_allocates_under_a_kilobyte(self, first_step):
-        # on 2^12 points a row is shorter than numpy's ufunc buffer of 8192
-        # elements, which a broadcast multiply by both parity rows allocated
-        # even with out= (measured 34 KB a term); one multiply per parity
-        # row leaves the reductions' own bookkeeping (measured 896 B).  The
-        # norm has the bits of the stacked path's
-        norm = _StepNorm(first_step.state.grid, 3.0)
-        y = first_step.spectra
-        free = first_step._workspace.rows[4:6]
-        stacked = _block_energies(norm.bank, _bin_energy(y))
-        for r in (0, 1):
-            norm.term(y[r], r, free)  # warm
-            term, peak = traced_peak(lambda: norm.term(y[r], r, free))
-            assert peak < 1024
-            assert term == math.sqrt(float(np.max(norm.weights[r] * stacked[r])))
 
     def test_workspace_holds_four_symbols_a_stage_and_fourteen_rows(self, first_step):
         # the buffers the workspace owns are exactly the four symbols d, g,
