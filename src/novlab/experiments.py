@@ -464,13 +464,11 @@ def study_short_time(params: IllposedDataParams, t_max: float = DEFAULT_T_MAX,
     data = build_initial_data(params)
     bank = build_filter_bank(params.grid)
     rows = []
-    read = []  # the ladder times read from the interpolant
 
     def expand(record, y0, f0):
         # (v0, w0) = f0, the right-hand side at the data
         t = record.time
-        if record.interpolated:  # its spectra are its own and die with this visit
-            read.append(t)
+        # an interpolated record's spectra are its own and die with this visit
         diff = np.subtract(record.spectra, y0, out=record.spectra if record.interpolated else None)
         distances = _besov_rows(bank, diff, (s - 2, s - 1), p)
         diff -= t * f0  # the residual
@@ -493,7 +491,7 @@ def study_short_time(params: IllposedDataParams, t_max: float = DEFAULT_T_MAX,
             t_max=times[0],
             ablate_first_variation=False,  # constant: the header changes only by addition
             **_solver_params(traj), step_norm_s=config.s,
-            ladder_interpolated=len(read),
+            ladder_interpolated=len(times) - 1,
             **drifts,
         ),
         tolerances={
@@ -611,12 +609,9 @@ def study_separation(params: IllposedDataParams, n_min: int = DEFAULT_N_RANGE[0]
     off_ladder = {times[2] for times in quarters.values()}
     energy = {}  # the solution Besov norms, until divided by the data's
     separation = {}
-    read = []  # the audit times read from the interpolant
 
     def audit(record, y0, f0):
         t = record.time
-        if record.interpolated:
-            read.append(t)
         norm_rho, norm_u = _besov_rows(bank, record.spectra, (s - 1, s), p)
         energy[t] = norm_rho + norm_u
         n = band_at.get(t)
@@ -667,7 +662,7 @@ def study_separation(params: IllposedDataParams, n_min: int = DEFAULT_N_RANGE[0]
                             **_solver_params(sweep, control_sweep), step_norm_s=cfg.s,
                             control_grid_points=control_grid.num_points,
                             control_rk4_steps=len(control_sweep.errors),
-                            audit_interpolated=len(read), **drifts,
+                            audit_interpolated=len(off_ladder), **drifts,
                             # the control sweep's own time error and drifts, which the
                             # header's time_error_max and the data sweep's drifts do not isolate
                             control_time_error_max=_solver_params(control_sweep)["time_error_max"],
@@ -843,7 +838,9 @@ def check_inequalities(corpus_size: int, seed: int, grid: Grid, s: float, p) -> 
     at least 100 pairs, a seed numpy accepts, finite block weights, and a grid
     on which the products u v_x (below 2 CORPUS_BAND Nyquist) reach past the
     low-pass plateau |xi| <= 1, inside which every commutator block vanishes
-    and its ratio measures only roundoff.  Returns p as a float."""
+    and its ratio measures only roundoff.  It refuses an s at which a
+    ratio's numerator or denominator may overflow (``_corpus_ratio_log2``).
+    Returns p as a float."""
     p = check_regime(s, p)
     if corpus_size < 100:
         raise ValueError(f"corpus_size must be at least 100, got {corpus_size}")
@@ -856,7 +853,33 @@ def check_inequalities(corpus_size: int, seed: int, grid: Grid, s: float, p) -> 
             "block of the corpus vanishes"
         )
     _check_weights(s, top_index(grid))
+    bound = _corpus_ratio_log2(grid, s, p)
+    if not bound < 1024:
+        raise ValueError(f"s = {s:g} may overflow a corpus ratio: its terms are bounded "
+                         f"only by 2^{bound:.1f}, past the largest double")
     return p
+
+
+def _corpus_ratio_log2(grid: Grid, s: float, p: float) -> float:
+    """log2 of a bound on every numerator and denominator of the three
+    ratios of ``_chunk_ratios`` on ``grid``, for fields of sup norm 1.
+
+    A block of such a field has an L^p norm of at most c = L^(1/p) sqrt(n):
+    each of its n values is at most the sum of the field's |bins|, which is
+    at most sqrt(n) times their root mean square, at most 1.  With each bin
+    weighted by its |xi| <= Nyquist, the values of u_x and v_x are at most
+    d = Nyquist sqrt(n) by the same sum, and a commutator block
+    [block_j, u] v_x = block_j(u v_x) - u block_j(v_x) has an L^p norm of
+    at most 2 c d.  With the top block weight 2^(J t), J t = max(-t, j_max
+    t), of each index t, the product law's numerator is at most 2^(J(s-2))
+    c and its denominator 2^(J(s-2) + J(s-1)) c^2, the commutator's terms
+    2^(J s) 2 c d, and the smoothing ratio's 2^(J s) c and 2^(J(s-2)) c.
+    """
+    j_max, log_n = top_index(grid), math.log2(grid.num_points)
+    c = math.log2(grid.length) / p + log_n / 2
+    d = math.log2(grid.nyquist) + log_n / 2
+    w2, w1, w0 = (max(-t, j_max * t) for t in (s - 2, s - 1, s))
+    return max(w2 + c, w2 + w1 + 2 * c, w0 + 1 + c + d, w0 + c)
 
 
 def study_inequalities(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_SEED,

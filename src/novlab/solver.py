@@ -40,8 +40,8 @@ transforms and array arithmetic release the GIL, and neither a transform's
 bits nor a product's depend on the thread that computed it, so the result
 is the same either way.  The step's own work between evaluations (its
 stages, its increment and the increment's inverse transform, the new values
-and their sup, the new spectra, the error and the three norms the
-controller reads) runs on the caller, on the stacked (rho, u) rows.  The
+and their sup, the new spectra and the error) runs on the caller, on the
+stacked (rho, u) rows, and so do the norms the controller steers by.  The
 studies hand the same worker work of their own through ``_pair``.
 
 The kernel and the step work in a private workspace (``_Workspace``): the
@@ -223,7 +223,8 @@ class _Workspace:
     rates k2, k3 and k4 in rows 2 and 3, which the kernel's halves read
     nothing from and its fold writes last.  Once the kernel is done, rows 4
     to 7 are free: the step writes its increment's values to rows 4 and 5
-    after k4, and its norms' bin energies and block products after k5.
+    after k4, and ``integrate`` the bin energies and block products of the
+    norms it steers by between steps.
     """
 
     def __init__(self, grid: Grid):
@@ -342,13 +343,12 @@ class RK4Step:
     values; ``rate`` is the right-hand side at ``spectra``, the FSAL stage
     k5 that the next step takes as its k1; ``error`` is the embedded
     third-order estimate h/6 (k4 - k5).  ``sup_norms`` are the sup norms
-    of the new rho and u, and ``norms``, when the step was given a
-    ``norm``, the norms of ``error``, ``increment`` and ``spectra`` in
-    it.  A step of size zero (at the initial state) has no increment,
-    no error and none of these.  ``_workspace`` is the private scratch of
-    the integration that made the step, which the next step reuses; none
-    of the other arrays aliases it.  As a record of ``integrate`` it has the
-    ``time`` of its state and is not ``interpolated``.
+    of the new rho and u.  A step of size zero (at the initial state) has
+    no increment, no error and no sup norms.  ``_workspace`` is the
+    private scratch of the integration that made the step, which the next
+    step reuses; none of the other arrays aliases it.  As a record of
+    ``integrate`` it has the ``time`` of its state and is not
+    ``interpolated``.
     """
 
     state: SystemState
@@ -357,7 +357,6 @@ class RK4Step:
     increment: np.ndarray | None = None
     error: np.ndarray | None = None
     sup_norms: tuple = ()
-    norms: tuple = ()
     _workspace: _Workspace | None = field(default=None, repr=False, compare=False)
     interpolated = False
 
@@ -405,18 +404,15 @@ def _rest(state: SystemState) -> RK4Step:
     return RK4Step(state, y, _rhs_half(y, work), _workspace=work)
 
 
-def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
-             start: RK4Step | None = None, norm=None) -> RK4Step:
-    """One classical four-stage Runge-Kutta step of size dt from ``state``.
+def step_rk4(state: SystemState, dt: float, start: RK4Step | None = None) -> RK4Step:
+    """One classical four-stage Runge-Kutta step of size dt from ``state``,
+    with its embedded error estimate.
 
-    BlowupError is raised when the new state is not finite or its sup norm
-    exceeds ``sup_limit``.  ``start`` is the step that ended at ``state``;
-    its carried spectra and rate are reused, so the step costs four
-    right-hand-side evaluations (k2, k3, k4 and k5), and so is its
-    workspace.  Without it the state is transformed once, k1 evaluated and
-    a workspace built.  ``norm(y, work)``, a norm of stacked half spectra
-    that may work in ``work``, two stacks of two workspace rows, has the
-    step measure its error, increment and new spectra in it.
+    BlowupError is raised when the new state is not finite.  ``start`` is
+    the step that ended at ``state``; its carried spectra and rate are
+    reused, so the step costs four right-hand-side evaluations (k2, k3, k4
+    and k5), and so is its workspace.  Without it the state is transformed
+    once, k1 evaluated and a workspace built.
 
     Each stage's rate is one kernel evaluation; everything between two
     evaluations works on the stacked (rho, u) rows on the caller.
@@ -450,8 +446,6 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     sups = tuple(float(_lp_rows(v, grid.spacing, math.inf)) for v in values)
     if not all(map(math.isfinite, sups)):  # which max() might drop as a NaN
         raise BlowupError(state.time + dt, math.inf)
-    if sup_limit is not None and max(sups) > sup_limit:
-        raise BlowupError(state.time + dt, max(sups))
     for v in values:
         v.flags.writeable = False  # so the field takes it without a copy
     new = SystemState(rho=RealField(grid, values[0]), u=RealField(grid, values[1]),
@@ -463,11 +457,7 @@ def step_rk4(state: SystemState, dt: float, sup_limit: float | None = None,
     rate = _rhs_half(y1, work)
     error -= rate
     error *= dt / 6.0
-    norms = ()
-    if norm is not None:
-        # the kernel is done, so rows 4 to 7 are free
-        norms = tuple(norm(a, (work.rows[4:6], work.rows[6:8])) for a in (error, increment, y1))
-    return RK4Step(new, y1, rate, increment, error, sups, norms, work)
+    return RK4Step(new, y1, rate, increment, error, sups, work)
 
 
 @dataclass(frozen=True)
@@ -524,8 +514,11 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
     most h, so no sliver step is taken.  A rejected step is retried with a
     smaller h.  StepSizeError is raised before any step whose proposal h,
     the first guess included, lies below MIN_STEP_FRACTION of the horizon.
-    Each step measures its own error, increment, spectra and sup norms
-    (``step_rk4``'s ``norm``).
+    BlowupError is raised by the first trial step, accepted or not, whose
+    sup norm exceeds BLOWUP_FACTOR times that of ``state0``.  Every norm
+    the controller steers by (the start's spectra and rate, and each
+    trial's error, increment and spectra) is measured here, in rows 4 to 7
+    of the workspace, which are free whenever the kernel is not running.
     """
     bank, s_rows = build_filter_bank(state0.grid), (cfg.s - 1.0, cfg.s)
     for s in s_rows:
@@ -550,10 +543,11 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
         visit(current)
     sup_norms, errors = [], []
     rejected = 0
+    free = (current._workspace.rows[4:6], current._workspace.rows[6:8])
 
-    def norm(y, work=None):
+    def norm(y):
         with np.errstate(over="ignore"):  # an overflow raises below, not as a warning
-            value = sum(_besov_rows(bank, y, s_rows, 2.0, check_resolved=False, work=work))
+            value = sum(_besov_rows(bank, y, s_rows, 2.0, check_resolved=False, work=free))
         if not math.isfinite(value):
             raise ValueError(f"step norm {value:g} at s = {cfg.s:g}: a weighted block overflows")
         return value
@@ -577,8 +571,11 @@ def integrate(state0: SystemState, cfg: SolverConfig, checkpoints=None,
             remaining = t_next - current.state.time
             steps_left = max(1, math.ceil(remaining / h - 1e-12))
             step = remaining / steps_left
-            trial = step_rk4(current.state, step, sup_limit, start=current, norm=norm)
-            err, increment_norm, new_norm = trial.norms
+            trial = step_rk4(current.state, step, start=current)
+            if max(trial.sup_norms) > sup_limit:
+                raise BlowupError(trial.time, max(trial.sup_norms))
+            err, increment_norm, new_norm = map(norm, (trial.error, trial.increment,
+                                                       trial.spectra))
             tol = RTOL * increment_norm + ATOL * state_norm
             if err == 0:
                 ratio, factor = 0.0, GROWTH_MAX

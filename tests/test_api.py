@@ -90,6 +90,20 @@ def test_studies_take_exactly_their_parameters():
         assert list(inspect.signature(getattr(novlab, name)).parameters) == parameters, name
 
 
+# the parameters of the public solver: the step is the plain classical step,
+# and integrate alone limits, measures and counts, so no controller hook has
+# a place in the step
+SOLVER_SIGNATURES = {
+    "step_rk4": ["state", "dt", "start"],
+    "integrate": ["state0", "cfg", "checkpoints", "visit", "interpolated"],
+}
+
+
+def test_solver_takes_exactly_its_parameters():
+    for name, parameters in SOLVER_SIGNATURES.items():
+        assert list(inspect.signature(getattr(novlab, name)).parameters) == parameters, name
+
+
 # the modules in dependency order: each imports only modules before it
 LAYERS = ("spectral", "littlewood_paley", "initial_data", "solver", "fieldio",
           "experiments", "cli")
@@ -184,8 +198,8 @@ def test_commands_enter_every_public_function_but_the_unrun(monkeypatch, tmp_pat
 # of the first statement of a module, class or function body when it is a
 # string, found with ast).  A change that adds code raises these numbers in
 # its own diff and says why.
-SOURCE_LINES_MAX = 2699
-CODE_LINES_MAX = 1499
+SOURCE_LINES_MAX = 2719
+CODE_LINES_MAX = 1500
 
 
 def _source_size(package: Path) -> tuple:

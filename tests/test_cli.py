@@ -292,6 +292,20 @@ class TestRun:
         assert counts == {"rfft": 0, "irfft": 0}
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("s", ["146", "100"])
+    def test_inequalities_refuses_an_s_whose_ratios_may_overflow(self, s, tmp_path, capsys,
+                                                                  count_ffts):
+        # each block weight 2^(7 s) is finite, but the product law's
+        # denominator could pass the largest double: refused before any
+        # transform, and nothing is written
+        counts = count_ffts()
+        argv = ["study", "inequalities", "--s", s, "--corpus-size", "100",
+                "--output", str(tmp_path / "heavy")]
+        assert main(argv) == 2
+        assert f"constraint violated: s = {s} may overflow a corpus ratio" in capsys.readouterr().err
+        assert counts == {"rfft": 0, "irfft": 0}
+        assert not list(tmp_path.iterdir())
+
     def test_decompose_writes_block_table(self, tmp_path):
         out = tmp_path / "dec"
         code = main(["decompose", "--output", str(out)] + SMALL)

@@ -293,10 +293,40 @@ class TestIntegrate:
         assert order == pytest.approx(4.0, abs=0.3)
 
     def test_blowup_guard(self, medium_data):
-        # inflate the data until the cubic rates destabilize this step size
+        # inflate the data until the cubic rates destabilize this step size:
+        # the step reports the growth in its sup norms, far past the limit
+        # integrate holds them to (measured 6.5e41 against 7.9e2)
         st = SystemState(rho=50.0 * medium_data.rho, u=50.0 * medium_data.u)
-        with pytest.raises(BlowupError):
-            step_rk4(st, 0.25, solver.BLOWUP_FACTOR * st.sup_norm())
+        step = step_rk4(st, 0.25)
+        assert max(step.sup_norms) > solver.BLOWUP_FACTOR * st.sup_norm()
+
+    @pytest.mark.parametrize("dt,accepted", [(None, False), (1e-3, True)],
+                             ids=["rejected", "accepted"])
+    def test_blowup_guard_trips_on_the_first_trial_over_its_limit(self, small_grid, monkeypatch,
+                                                                  dt, accepted):
+        # on constant u = c (below) the sup norm grows at once, so with the
+        # limit at the initial sup norm the first trial step trips the guard,
+        # with that trial's time and sup, whether the controller would reject
+        # it (the first guess 0.0115, at 5.8 times the tolerance) or accept
+        # it (steps capped at 1e-3)
+        monkeypatch.setattr(solver, "BLOWUP_FACTOR", 1.0)
+        trials = []
+        step_rk4 = solver.step_rk4
+        monkeypatch.setattr(solver, "step_rk4",
+                            lambda *a, **k: trials.append(step_rk4(*a, **k)) or trials[-1])
+        u = RealField(small_grid, np.full(small_grid.num_points, 2.0))
+        st = SystemState(rho=mode(small_grid, 5), u=u)
+        with pytest.raises(BlowupError) as caught:
+            integrate(st, SolverConfig(t_final=1.0, dt=dt))
+        [trial] = trials
+        assert (caught.value.time, caught.value.sup) == (trial.time, max(trial.sup_norms))
+        bank = build_filter_bank(small_grid)
+
+        def norm(a):
+            return sum(_besov_rows(bank, a, (2.0, 3.0), 2, check_resolved=False))
+
+        tol = solver.RTOL * norm(trial.increment) + solver.ATOL * norm(solver._spectra(st))
+        assert (norm(trial.error) <= tol) == accepted
 
     def test_blowup_guard_trips_on_real_growth(self, small_grid, monkeypatch):
         # the controller keeps its steps stable, so integrate trips the guard
@@ -576,24 +606,38 @@ class TestErrorControl:
     @pytest.mark.parametrize("s", [3.0, 2.6, 5.5])
     def test_controller_measures_on_the_studies_filter_bank(self, medium_bank, medium_data, s,
                                                             monkeypatch):
-        # the norms each step hands the controller, of its error, increment
-        # and spectra, formed in the workspace's free rows, are bit for bit
-        # the B^(s-1)_{2,inf} x B^s_{2,inf} norms a study reads from the
-        # same spectra on the same bank
-        steps = []
-        step_rk4 = solver.step_rk4
+        # the controller measures the start's spectra and rate, then each
+        # trial's error, increment and spectra, on the studies' bank at
+        # (s - 1, s) and in the workspace's rows 4 to 7; each norm is bit
+        # for bit the B^(s-1)_{2,inf} x B^s_{2,inf} norm a study reads from
+        # the same spectra in arrays of its own
+        trials, measured, records = [], [], []
+        step_rk4, besov_rows = solver.step_rk4, solver._besov_rows
 
         def kept(*args, **kwargs):
-            steps.append(step_rk4(*args, **kwargs))
-            return steps[-1]
+            trials.append(step_rk4(*args, **kwargs))
+            return trials[-1]
+
+        def measuring(bank, y, s_rows, p, **kwargs):
+            measured.append((bank, y, s_rows, p, kwargs["work"],
+                             besov_rows(bank, y, s_rows, p, **kwargs)))
+            return measured[-1][-1]
 
         monkeypatch.setattr(solver, "step_rk4", kept)
-        integrate(medium_data, SolverConfig(t_final=1e-3, s=s))
-        assert steps
-        for step in steps:
-            assert step.norms == tuple(
-                sum(_besov_rows(medium_bank, a, (s - 1, s), 2, check_resolved=False))
-                for a in (step.error, step.increment, step.spectra))
+        monkeypatch.setattr(solver, "_besov_rows", measuring)
+        integrate(medium_data, SolverConfig(t_final=1e-3, s=s), visit=records.append)
+        assert trials
+        start, rows = records[0], trials[0]._workspace.rows
+        expected = [start.spectra, start.rate]
+        for trial in trials:
+            expected += [trial.error, trial.increment, trial.spectra]
+        assert len(measured) == len(expected)
+        assert all(m[1] is a for m, a in zip(measured, expected))  # the same arrays, in order
+        for bank, y, s_rows, p, free, norms in measured:
+            assert bank is medium_bank and s_rows == (s - 1, s) and p == 2.0
+            assert np.shares_memory(free[0], rows[4:6]) and np.shares_memory(free[1], rows[6:8])
+            assert norms == besov_rows(medium_bank, y.copy(), (s - 1, s), 2,
+                                       check_resolved=False)
 
     def test_overflowing_norm_raises_before_the_first_step(self, medium_grid, monkeypatch):
         # at s = 113, 9 s < 1024 passes the weight rule, but the top weight
@@ -678,27 +722,31 @@ class TestWorkspace:
         assert peak <= sum(a.nbytes for a in _outputs(third)) + one_half
 
     def test_warm_measured_step_allocates_only_its_outputs(self, medium_data):
-        # a step that measures its error, increment and spectra for the
-        # controller forms each norm's bin energies and block products in
-        # four free rows of the workspace; per norm they took 3 half
-        # spectra.  On 2^14 points a row passes numpy's ufunc buffer of 8192
-        # elements, so the broadcast products are not buffered either
+        # the controller measures a step's error, increment and spectra in
+        # rows 4 to 7 of the workspace, free once the step is done, where
+        # each norm forms its bin energies and block products; per norm
+        # they took 3 half spectra.  On 2^14 points a row passes numpy's
+        # ufunc buffer of 8192 elements, so the broadcast products are not
+        # buffered either
         first = step_rk4(medium_data, 1e-4)
         work, y = first._workspace, first.spectra
         bank = build_filter_bank(first.state.grid)
+        free = (work.rows[4:6], work.rows[6:8])
 
         def norm(a, work=None):
             # the controller's norm at s = 3
             return sum(_besov_rows(bank, a, (2.0, 3.0), 2, check_resolved=False, work=work))
 
-        second = step_rk4(first.state, 1e-4, start=first, norm=norm)  # warm
-        third, peak = traced_peak(lambda: step_rk4(second.state, 1e-4, start=second, norm=norm))
+        def measured(step):
+            # a warm step and the controller's three norms of it
+            new = step_rk4(step.state, 1e-4, start=step)
+            return new, [norm(a, free) for a in (new.error, new.increment, new.spectra)]
+
+        second, _ = measured(first)  # warm
+        (third, norms), peak = traced_peak(lambda: measured(second))
         assert peak <= sum(a.nbytes for a in _outputs(third)) + y[0].nbytes
         # with the bits of norms measured in arrays of their own
-        free = (np.empty((2, y.shape[-1] * 2)), np.empty((2, y.shape[-1] * 2)))
-        assert norm(y, free) == norm(y)
-        assert third.norms == tuple(norm(a) for a in (third.error, third.increment,
-                                                      third.spectra))
+        assert norms == [norm(a.copy()) for a in (third.error, third.increment, third.spectra)]
         assert work is third._workspace
 
     def test_workspace_holds_four_symbols_a_stage_and_fourteen_rows(self, first_step):
